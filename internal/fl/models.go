@@ -2,6 +2,7 @@ package fl
 
 import (
 	"math/rand"
+	"sync"
 
 	"github.com/spyker-fl/spyker/internal/data"
 	"github.com/spyker-fl/spyker/internal/nn"
@@ -18,9 +19,51 @@ type Classifier struct {
 	batchSize int
 	clip      float64
 	rng       *rand.Rand
+
+	// order is Train's shuffle buffer, kept so a call allocates nothing.
+	order []int
+	// Held-out evaluation state, built on the first Evaluate: of the some
+	// hundred models a run creates only the recorder's ever evaluates.
+	// scorers[w] runs the forward passes of chunk w — the classifier's own
+	// network for worker 0, forward-only replicas aliasing its parameters
+	// for the others; loss and hit hold one entry per held-out sample.
+	scorers []*nn.Network
+	loss    []float64
+	hit     []bool
 }
 
 var _ Model = (*Classifier)(nil)
+
+// evalWorkers is the fan-out of held-out evaluation. It is a constant,
+// not the machine's core count: where the code runs must not decide how
+// the work is cut (internal/lint's paridiom rule).
+const evalWorkers = 4
+
+// fanOut cuts [0, n) into `workers` contiguous chunks at fixed boundaries
+// and runs score(w, lo, hi) for each non-empty one — chunk 0 on the
+// calling goroutine, the others on their own — returning when all are
+// done. score must write nothing but per-index results (out[i] for i in
+// [lo, hi)) and worker w's own scratch. The caller then combines the
+// results in index order, so the outcome depends neither on how the
+// goroutines were scheduled nor on the cut.
+func fanOut(n, workers int, score func(w, lo, hi int)) {
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		lo, hi := w*n/workers, (w+1)*n/workers
+		if lo == hi {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			score(w, lo, hi)
+		}()
+	}
+	if hi := n / workers; hi > 0 {
+		score(0, 0, hi)
+	}
+	wg.Wait()
+}
 
 // NewClassifier wraps net for federated training over train, evaluating on
 // test. batchSize <= 0 defaults to 10.
@@ -56,8 +99,8 @@ func (c *Classifier) Train(shard []int, epochs int, lr float64) {
 	if len(shard) == 0 || epochs <= 0 {
 		return
 	}
-	order := make([]int, len(shard))
-	copy(order, shard)
+	order := append(c.order[:0], shard...)
+	c.order = order
 	for e := 0; e < epochs; e++ {
 		c.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for start := 0; start < len(order); start += c.batchSize {
@@ -73,23 +116,50 @@ func (c *Classifier) Train(shard []int, epochs int, lr float64) {
 	}
 }
 
-// Evaluate implements Model.
+// Evaluate implements Model. The held-out samples are scored in parallel
+// (see fanOut) into per-sample slots, and the slots are summed here in
+// sample order: the same additions in the same order as a plain loop over
+// the set, so the result is the same to the last bit.
 func (c *Classifier) Evaluate() (loss, acc float64) {
 	n := c.test.Len()
 	if n == 0 {
 		return 0, 0
 	}
+	if c.scorers == nil {
+		c.buildScorers(n)
+	}
+	fanOut(n, len(c.scorers), func(w, lo, hi int) {
+		net := c.scorers[w]
+		for i := lo; i < hi; i++ {
+			label := c.test.Label(i)
+			logits := net.Forward(c.test.Input(i))
+			c.hit[i] = tensor.ArgMax(logits) == label
+			c.loss[i] = nn.CrossEntropyFromLogits(logits, label)
+		}
+	})
 	correct := 0
-	for i := 0; i < n; i++ {
-		x := c.test.Input(i)
-		label := c.test.Label(i)
-		logits := c.net.Forward(x)
-		if tensor.ArgMax(logits) == label {
+	for i, l := range c.loss {
+		loss += l
+		if c.hit[i] {
 			correct++
 		}
-		loss += nn.CrossEntropyFromLogits(logits, label)
 	}
 	return loss / float64(n), float64(correct) / float64(n)
+}
+
+// buildScorers sets up evaluation over n held-out samples: the network
+// itself scores chunk 0 and a forward-only replica each of the others. A
+// network that cannot be replicated scores the whole set alone.
+func (c *Classifier) buildScorers(n int) {
+	c.loss, c.hit = make([]float64, n), make([]bool, n)
+	c.scorers = []*nn.Network{c.net}
+	for len(c.scorers) < evalWorkers {
+		r := c.net.Replica()
+		if r == nil {
+			break
+		}
+		c.scorers = append(c.scorers, r)
+	}
 }
 
 // LanguageModel adapts an nn.CharLM over a synthetic text corpus to the
@@ -103,6 +173,17 @@ type LanguageModel struct {
 	rng  *rand.Rand
 
 	testWindows [][]int
+
+	// order is Train's shuffle buffer, kept so a call allocates nothing.
+	order []int
+	// windows holds one evaluation result per test window, built on the
+	// first Evaluate.
+	windows []windowScore
+}
+
+type windowScore struct {
+	loss        float64
+	preds, hits int
 }
 
 var _ Model = (*LanguageModel)(nil)
@@ -136,8 +217,8 @@ func (m *LanguageModel) Train(shard []int, epochs int, lr float64) {
 	if len(shard) == 0 || epochs <= 0 {
 		return
 	}
-	order := make([]int, len(shard))
-	copy(order, shard)
+	order := append(m.order[:0], shard...)
+	m.order = order
 	for e := 0; e < epochs; e++ {
 		m.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, wi := range order {
@@ -148,15 +229,25 @@ func (m *LanguageModel) Train(shard []int, epochs int, lr float64) {
 	}
 }
 
-// Evaluate implements Model.
+// Evaluate implements Model. Windows are scored in parallel (see fanOut;
+// CharLM.SeqLoss only reads the model) and summed here in window order,
+// as a plain loop over them would.
 func (m *LanguageModel) Evaluate() (loss, acc float64) {
+	if m.windows == nil {
+		m.windows = make([]windowScore, len(m.testWindows))
+	}
+	fanOut(len(m.windows), evalWorkers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			w := &m.windows[i]
+			w.loss, w.preds, w.hits = m.lm.SeqLoss(m.testWindows[i])
+		}
+	})
 	var totalLoss float64
 	var preds, correct int
-	for _, w := range m.testWindows {
-		l, p, c := m.lm.SeqLoss(w)
-		totalLoss += l
-		preds += p
-		correct += c
+	for _, w := range m.windows {
+		totalLoss += w.loss
+		preds += w.preds
+		correct += w.hits
 	}
 	if preds == 0 {
 		return 0, 0

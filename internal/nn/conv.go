@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"github.com/spyker-fl/spyker/internal/tensor"
@@ -24,6 +25,12 @@ type Conv2D struct {
 	lastX []float64
 	outV  []float64
 	dx    []float64
+
+	// nzG/nzOff are backward's packing scratch (one output plane's
+	// non-zero dy and their input offsets), built on the first backward
+	// pass: models that only evaluate never need them.
+	nzG   []float64
+	nzOff []int32
 }
 
 // NewConv2D creates a convolution layer mapping (inC,inH,inW) to
@@ -54,62 +61,180 @@ func NewConv2D(inC, inH, inW, outC, k int, rng *rand.Rand) *Conv2D {
 }
 
 // Forward implements Layer.
+//
+// Every output element is one accumulator: it starts at the bias and adds
+// x*w over (ic, ky, kx) in that order. The loops below keep that order per
+// accumulator but sweep a whole output plane for one (oc, ic) pair at a
+// time, so the filter taps sit in registers and neighbouring outputs'
+// chains overlap instead of one k*k-add chain running alone.
 func (c *Conv2D) Forward(x []float64) []float64 {
 	copy(c.lastX, x)
-	k := c.k
+	k, inW, outW := c.k, c.inW, c.outW
+	plane := c.inH * inW
 	for oc := 0; oc < c.outC; oc++ {
-		bias := c.b[oc]
-		wBase := oc * c.inC * k * k
-		for oy := 0; oy < c.outH; oy++ {
-			for ox := 0; ox < c.outW; ox++ {
-				s := bias
-				for ic := 0; ic < c.inC; ic++ {
-					xBase := ic*c.inH*c.inW + oy*c.inW + ox
-					wOff := wBase + ic*k*k
-					for ky := 0; ky < k; ky++ {
-						xRow := x[xBase+ky*c.inW : xBase+ky*c.inW+k]
-						wRow := c.w[wOff+ky*k : wOff+ky*k+k]
-						for kx := 0; kx < k; kx++ {
-							s += xRow[kx] * wRow[kx]
+		out := c.outV[oc*c.outH*outW:][:c.outH*outW]
+		tensor.Fill(out, c.b[oc])
+		for ic := 0; ic < c.inC; ic++ {
+			w := c.w[(oc*c.inC+ic)*k*k:][:k*k]
+			xp := x[ic*plane:][:plane]
+			if k == 3 {
+				conv3Forward(out, outW, xp, inW, w)
+				continue
+			}
+			for oy := 0; oy < c.outH; oy++ {
+				row := out[oy*outW:][:outW]
+				for ky := 0; ky < k; ky++ {
+					for kx := 0; kx < k; kx++ {
+						wv := w[ky*k+kx]
+						xr := xp[(oy+ky)*inW+kx:][:outW]
+						for i, xv := range xr {
+							row[i] += xv * wv
 						}
 					}
 				}
-				c.outV[oc*c.outH*c.outW+oy*c.outW+ox] = s
 			}
 		}
 	}
 	return c.outV
 }
 
+// conv3Forward adds one input plane's 3x3 taps to one output plane.
+func conv3Forward(out []float64, outW int, x []float64, inW int, w []float64) {
+	w0, w1, w2, w3, w4, w5, w6, w7, w8 := w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7], w[8]
+	for oy := 0; oy*outW < len(out); oy++ {
+		row := out[oy*outW:][:outW]
+		r0, r1, r2 := x[oy*inW:][:outW+2], x[(oy+1)*inW:][:outW+2], x[(oy+2)*inW:][:outW+2]
+		for i, s := range row {
+			s += r0[i] * w0
+			s += r0[i+1] * w1
+			s += r0[i+2] * w2
+			s += r1[i] * w3
+			s += r1[i+1] * w4
+			s += r1[i+2] * w5
+			s += r2[i] * w6
+			s += r2[i+1] * w7
+			s += r2[i+2] * w8
+			row[i] = s
+		}
+	}
+}
+
 // Backward implements Layer.
 func (c *Conv2D) Backward(dy []float64) []float64 {
-	k := c.k
 	tensor.Zero(c.dx)
+	c.backward(dy, true)
+	return c.dx
+}
+
+// backwardParams implements paramBackwarder.
+func (c *Conv2D) backwardParams(dy []float64) { c.backward(dy, false) }
+
+// backward accumulates the parameter gradients and, when needDX is set,
+// the input gradient into a zeroed c.dx.
+//
+// The accumulators and the order each one is fed in: gb[oc] adds the
+// non-zero dy of its channel in (oy, ox) order; gw[oc][ic][ky][kx] adds
+// g*x over the same outputs in the same order; dx[ic][y][x] adds g*w over
+// oc, then (oy, ox). An output with dy == 0 is skipped, not added (adding
+// a signed zero can flip the sign of a zero sum). Two things are arranged
+// differently from the textbook loop, neither of which reorders any
+// accumulator's additions:
+//
+//   - The ic loop sits outside (oy, ox) — no accumulator is shared between
+//     two input channels — so the k*k weight gradients of one (oc, ic)
+//     pair stay in registers for a whole sweep of the output plane.
+//   - The skip is taken once per output channel, not once per visit: the
+//     non-zero dy of the plane are first packed, in order, into c.nzG with
+//     the input offset of each in c.nzOff. After a ReLU about half of dy is
+//     zero with no pattern, and a data-dependent branch in the inner loop
+//     costs more than the multiply-adds it guards; packing needs none.
+func (c *Conv2D) backward(dy []float64, needDX bool) {
+	k, inW, outW := c.k, c.inW, c.outW
+	plane := c.inH * inW
+	if c.nzG == nil {
+		c.nzG, c.nzOff = make([]float64, c.outH*outW), make([]int32, c.outH*outW)
+	}
 	for oc := 0; oc < c.outC; oc++ {
-		wBase := oc * c.inC * k * k
+		n := 0
 		for oy := 0; oy < c.outH; oy++ {
-			for ox := 0; ox < c.outW; ox++ {
-				g := dy[oc*c.outH*c.outW+oy*c.outW+ox]
-				if g == 0 {
-					continue
-				}
-				c.gb[oc] += g
-				for ic := 0; ic < c.inC; ic++ {
-					xBase := ic*c.inH*c.inW + oy*c.inW + ox
-					wOff := wBase + ic*k*k
-					for ky := 0; ky < k; ky++ {
-						xi := xBase + ky*c.inW
-						wi := wOff + ky*k
-						for kx := 0; kx < k; kx++ {
-							c.gw[wi+kx] += g * c.lastX[xi+kx]
-							c.dx[xi+kx] += g * c.w[wi+kx]
+			for ox, g := range dy[(oc*c.outH+oy)*outW:][:outW] {
+				c.nzG[n], c.nzOff[n] = g, int32(oy*inW+ox)
+				b := math.Float64bits(g) << 1 // drops the sign: zero iff g is +0 or -0
+				n += int((b | -b) >> 63)
+			}
+		}
+		gs, offs := c.nzG[:n], c.nzOff[:n]
+		gb := c.gb[oc]
+		for _, g := range gs {
+			gb += g
+		}
+		c.gb[oc] = gb
+		for ic := 0; ic < c.inC; ic++ {
+			wOff := (oc*c.inC + ic) * k * k
+			w, gw := c.w[wOff:][:k*k], c.gw[wOff:][:k*k]
+			x, dx := c.lastX[ic*plane:][:plane], c.dx[ic*plane:][:plane]
+			if k == 3 {
+				conv3Backward(gs, offs, inW, x, dx, w, gw, needDX)
+				continue
+			}
+			for j, g := range gs {
+				for ky := 0; ky < k; ky++ {
+					xi, wi := int(offs[j])+ky*inW, ky*k
+					for kx := 0; kx < k; kx++ {
+						gw[wi+kx] += g * x[xi+kx]
+						if needDX {
+							dx[xi+kx] += g * w[wi+kx]
 						}
 					}
 				}
 			}
 		}
 	}
-	return c.dx
+}
+
+// conv3Backward is backward's sweep of one output plane for one (oc, ic)
+// pair with a 3x3 kernel: the nine weight-gradient accumulators live in
+// locals and are written back once.
+func conv3Backward(gs []float64, offs []int32, inW int, x, dx, w, gw []float64, needDX bool) {
+	w0, w1, w2, w3, w4, w5, w6, w7, w8 := w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7], w[8]
+	g0, g1, g2, g3, g4, g5, g6, g7, g8 := gw[0], gw[1], gw[2], gw[3], gw[4], gw[5], gw[6], gw[7], gw[8]
+	offs = offs[:len(gs)]
+	for j, g := range gs {
+		o := int(offs[j])
+		x0, x1, x2 := x[o:][:3], x[o+inW:][:3], x[o+2*inW:][:3]
+		g0 += g * x0[0]
+		g1 += g * x0[1]
+		g2 += g * x0[2]
+		g3 += g * x1[0]
+		g4 += g * x1[1]
+		g5 += g * x1[2]
+		g6 += g * x2[0]
+		g7 += g * x2[1]
+		g8 += g * x2[2]
+		if needDX {
+			d0, d1, d2 := dx[o:][:3], dx[o+inW:][:3], dx[o+2*inW:][:3]
+			d0[0] += g * w0
+			d0[1] += g * w1
+			d0[2] += g * w2
+			d1[0] += g * w3
+			d1[1] += g * w4
+			d1[2] += g * w5
+			d2[0] += g * w6
+			d2[1] += g * w7
+			d2[2] += g * w8
+		}
+	}
+	gw[0], gw[1], gw[2], gw[3], gw[4], gw[5], gw[6], gw[7], gw[8] = g0, g1, g2, g3, g4, g5, g6, g7, g8
+}
+
+// replica implements replicator. The copy keeps w and b (aliases of the
+// shared parameter plane) and drops everything Backward needs: with a nil
+// lastX, Forward's copy into it copies nothing.
+func (c *Conv2D) replica() Layer {
+	r := *c
+	r.gw, r.gb, r.lastX, r.dx, r.nzG, r.nzOff = nil, nil, nil, nil, nil, nil
+	r.outV = isolated(len(c.outV))
+	return &r
 }
 
 // rebind implements rebinder: filter and bias storage move into the
@@ -158,27 +283,51 @@ func NewMaxPool2D(ch, inH, inW int) *MaxPool2D {
 	}
 }
 
-// Forward implements Layer.
+// Forward implements Layer. Within a window the candidates are visited
+// top-left, top-right, bottom-left, bottom-right and a later one wins only
+// if strictly greater, so ties (and NaNs) resolve to the earliest.
+//
+// Which candidate wins is unpredictable (after a ReLU about half the
+// inputs are zero), so the winner is carried as a bit pattern and an
+// index, both updated through a mask instead of a branch.
 func (p *MaxPool2D) Forward(x []float64) []float64 {
-	for c := 0; c < p.ch; c++ {
-		for oy := 0; oy < p.outH; oy++ {
-			for ox := 0; ox < p.outW; ox++ {
-				base := c*p.inH*p.inW + 2*oy*p.inW + 2*ox
-				bestIdx := base
-				best := x[base]
-				for _, off := range [3]int{1, p.inW, p.inW + 1} {
-					if v := x[base+off]; v > best {
-						best = v
-						bestIdx = base + off
-					}
-				}
-				o := c*p.outH*p.outW + oy*p.outW + ox
-				p.outV[o] = best
-				p.argmax[o] = bestIdx
-			}
+	inW, outW := p.inW, p.outW
+	for row := 0; row < p.ch*p.outH; row++ {
+		// Channel planes are contiguous and inH is even, so output row
+		// `row` of the whole stack pools input rows 2*row and 2*row+1.
+		base := 2 * row * inW
+		top, bot := x[base:][:inW], x[base+inW:][:inW]
+		out, arg := p.outV[row*outW:][:outW], p.argmax[row*outW:][:outW]
+		for ox := range out {
+			i := 2 * ox
+			best, idx := math.Float64bits(top[i]), uint64(i)
+			best, idx = takeIfGreater(best, idx, top[i+1], uint64(i+1))
+			best, idx = takeIfGreater(best, idx, bot[i], uint64(inW+i))
+			best, idx = takeIfGreater(best, idx, bot[i+1], uint64(inW+i+1))
+			out[ox] = math.Float64frombits(best)
+			arg[ox] = base + int(idx)
 		}
 	}
 	return p.outV
+}
+
+// takeIfGreater returns (bits of v, vIdx) when v > the float whose bits
+// are best, else (best, idx). The if only sets a flag — the compiler makes
+// it a SETcc, not a jump — and the selection is done with the mask.
+func takeIfGreater(best, idx uint64, v float64, vIdx uint64) (uint64, uint64) {
+	var gt uint64
+	if v > math.Float64frombits(best) {
+		gt = 1
+	}
+	mask := -gt
+	return best ^ (best^math.Float64bits(v))&mask, idx ^ (idx^vIdx)&mask
+}
+
+// replica implements replicator.
+func (p *MaxPool2D) replica() Layer {
+	r := *p
+	r.argmax, r.outV, r.dx = make([]int, len(p.argmax)), isolated(len(p.outV)), nil
+	return &r
 }
 
 // Backward implements Layer.

@@ -140,6 +140,13 @@ func (p *AvgPool2D) Backward(dy []float64) []float64 {
 	return p.dx
 }
 
+// replica implements replicator.
+func (p *AvgPool2D) replica() Layer {
+	r := *p
+	r.outV, r.dx = isolated(len(p.outV)), nil
+	return &r
+}
+
 // ParamBlocks implements Layer.
 func (p *AvgPool2D) ParamBlocks() [][]float64 { return nil }
 
@@ -179,6 +186,9 @@ func (s *Sigmoid) Backward(dy []float64) []float64 {
 	}
 	return s.dx
 }
+
+// replica implements replicator.
+func (s *Sigmoid) replica() Layer { return &Sigmoid{size: s.size, outV: isolated(s.size)} }
 
 // ParamBlocks implements Layer.
 func (s *Sigmoid) ParamBlocks() [][]float64 { return nil }

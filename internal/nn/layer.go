@@ -5,12 +5,40 @@
 // ability to flatten any model into a single []float64 parameter vector and
 // load one back.
 //
-// The library trades raw performance for clarity: all kernels are naive
-// loops, which is more than enough for the laptop-scale emulations used in
-// the paper's evaluation.
+// # The ordering contract
+//
+// Every seeded experiment in this repository is reproducible to the last
+// bit, and the accuracy curves, time-to-target figures and determinism
+// tests all lean on that. Floating-point addition is not associative, so
+// the contract the kernels keep is about order, not about formulas: every
+// accumulator — a convolution output, a weight-gradient entry, a row of a
+// matrix-vector product — receives the same additions in the same order
+// as the plain nested loop over it would make, and an operand that the
+// plain loop skips (an upstream gradient that is exactly zero) is skipped,
+// never added as a signed zero. Within that contract the kernels are free
+// to do what the plain loops cannot: keep filter taps and gradient sums in
+// registers across a whole output plane, run several independent
+// accumulator chains side by side (one chain is bound by add latency, not
+// by arithmetic throughput), decide ReLU and max-pool outcomes on bit
+// patterns instead of unpredictable branches, and skip an input gradient
+// nobody reads. What the contract rules out is everything that
+// reassociates or rounds differently: split accumulators, math.FMA, a
+// blocked matmul behind im2col, and summing per-worker gradient planes
+// (A + B where the sequential code computes ((A + b1) + b2) + ...), which
+// is why a training batch is not parallelized across samples. Parallelism
+// lives where no sum crosses a worker: held-out evaluation in internal/fl
+// scores samples on forward-only replicas (Network.Replica) and adds the
+// per-sample losses up in index order afterwards.
+//
+// The plain loops survive as reference implementations in
+// reference_test.go, which demands bit-equal outputs and gradients from
+// the production kernels; internal/experiments' TestCrossCommitOracle
+// pins whole seeded runs to bits recorded before the kernels were
+// rewritten.
 package nn
 
 import (
+	"math"
 	"math/rand"
 
 	"github.com/spyker-fl/spyker/internal/tensor"
@@ -78,10 +106,20 @@ func (d *Dense) Forward(x []float64) []float64 {
 
 // Backward implements Layer.
 func (d *Dense) Backward(dy []float64) []float64 {
-	d.gw.AddOuter(1, dy, d.lastX)
-	tensor.AddInPlace(d.gb, dy)
+	d.backwardParams(dy)
 	d.w.MatVecT(d.dx, dy)
 	return d.dx
+}
+
+// backwardParams implements paramBackwarder.
+func (d *Dense) backwardParams(dy []float64) {
+	d.gw.AddOuter(1, dy, d.lastX)
+	tensor.AddInPlace(d.gb, dy)
+}
+
+// replica implements replicator.
+func (d *Dense) replica() Layer {
+	return &Dense{in: d.in, out: d.out, w: d.w, b: d.b, outV: isolated(d.out)}
 }
 
 // rebind implements rebinder: weight and bias storage move into the
@@ -112,29 +150,40 @@ func NewReLU(size int) *ReLU {
 	return &ReLU{size: size, outV: make([]float64, size), dx: make([]float64, size)}
 }
 
-// Forward implements Layer.
+// Forward implements Layer: out = v where v > 0, else +0 (so -0, every
+// negative and every NaN map to +0).
+//
+// Pre-activations are positive about half the time with no pattern a
+// branch predictor can learn, so the comparison is done on the bit
+// pattern instead of with a branch. Read as a signed integer b, v > 0
+// fails when b < 0 (sign bit set: negatives, -0, NaNs with the sign bit)
+// and when b > 0x7FF0000000000000 (NaNs without it); zero needs no case
+// because masking it or keeping it gives +0 either way.
 func (r *ReLU) Forward(x []float64) []float64 {
+	out := r.outV[:len(x)]
 	for i, v := range x {
-		if v > 0 {
-			r.outV[i] = v
-		} else {
-			r.outV[i] = 0
-		}
+		b := int64(math.Float64bits(v))
+		keep := ((b - 0x7FF0000000000001) >> 63) &^ (b >> 63) // all ones iff v > 0 or v == +0
+		out[i] = math.Float64frombits(uint64(b & keep))
 	}
 	return r.outV
 }
 
-// Backward implements Layer.
+// Backward implements Layer: dx = dy where the output was > 0, else +0.
+// An output of Forward is +0 or a positive number, never -0 or NaN, so
+// "> 0" is "bit pattern not zero", again taken without a branch.
 func (r *ReLU) Backward(dy []float64) []float64 {
+	dy, dx := dy[:len(r.outV)], r.dx[:len(r.outV)]
 	for i, v := range r.outV {
-		if v > 0 {
-			r.dx[i] = dy[i]
-		} else {
-			r.dx[i] = 0
-		}
+		b := math.Float64bits(v)
+		keep := uint64(int64(b|-b) >> 63) // all ones iff b != 0
+		dx[i] = math.Float64frombits(math.Float64bits(dy[i]) & keep)
 	}
 	return r.dx
 }
+
+// replica implements replicator.
+func (r *ReLU) replica() Layer { return &ReLU{size: r.size, outV: isolated(r.size)} }
 
 // ParamBlocks implements Layer.
 func (r *ReLU) ParamBlocks() [][]float64 { return nil }
@@ -172,6 +221,9 @@ func (t *Tanh) Backward(dy []float64) []float64 {
 	}
 	return t.dx
 }
+
+// replica implements replicator.
+func (t *Tanh) replica() Layer { return &Tanh{size: t.size, outV: isolated(t.size)} }
 
 // ParamBlocks implements Layer.
 func (t *Tanh) ParamBlocks() [][]float64 { return nil }

@@ -38,6 +38,19 @@ type CharLM struct {
 
 	// step caches, grown to the longest sequence seen
 	steps []lstmStep
+	// bptt is SeqLossAndGrad's working memory, built on its first call so
+	// that training allocates nothing per window; models that only
+	// evaluate (SeqLoss, which must stay safe to call concurrently and
+	// therefore owns its scratch per call) never build it.
+	bptt *bpttScratch
+}
+
+type bpttScratch struct {
+	zero            []float64 // H zeros: h and c before the first step (read only)
+	z, zh, dz       []float64 // 4H
+	dh, dc, dhRec   []float64 // H
+	logits, dLogits []float64 // vocab
+	dx              []float64 // embDim
 }
 
 type lstmStep struct {
@@ -147,12 +160,18 @@ func (m *CharLM) SeqLossAndGrad(seq []int) (loss float64, preds int) {
 	}
 	m.ensureSteps(T)
 	h := m.hidden
+	if m.bptt == nil {
+		f := func(n int) []float64 { return make([]float64, n) }
+		m.bptt = &bpttScratch{
+			zero: f(h), z: f(4 * h), zh: f(4 * h), dz: f(4 * h),
+			dh: f(h), dc: f(h), dhRec: f(h),
+			logits: f(m.vocab), dLogits: f(m.vocab), dx: f(m.embDim),
+		}
+	}
+	sc := m.bptt
 
-	hPrev := make([]float64, h)
-	cPrev := make([]float64, h)
-	z := make([]float64, 4*h)
-	zh := make([]float64, 4*h)
-	logits := make([]float64, m.vocab)
+	hPrev, cPrev := sc.zero, sc.zero
+	z, zh, logits := sc.z, sc.zh, sc.logits
 
 	// Forward.
 	for t := 0; t < T; t++ {
@@ -180,12 +199,9 @@ func (m *CharLM) SeqLossAndGrad(seq []int) (loss float64, preds int) {
 	}
 
 	// Backward through time.
-	dh := make([]float64, h)
-	dc := make([]float64, h)
-	dz := make([]float64, 4*h)
-	dhRec := make([]float64, h)
-	dLogits := make([]float64, m.vocab)
-	dx := make([]float64, m.embDim)
+	dh, dc, dz, dhRec, dLogits, dx := sc.dh, sc.dc, sc.dz, sc.dhRec, sc.dLogits, sc.dx
+	tensor.Zero(dh)
+	tensor.Zero(dc)
 	for t := T - 1; t >= 0; t-- {
 		st := &m.steps[t]
 		copy(dLogits, st.probs)
@@ -197,11 +213,9 @@ func (m *CharLM) SeqLossAndGrad(seq []int) (loss float64, preds int) {
 			dh[j] += dhRec[j]
 		}
 
-		var hp, cp []float64
+		hp, cp := sc.zero, sc.zero
 		if t > 0 {
 			hp, cp = m.steps[t-1].h, m.steps[t-1].c
-		} else {
-			hp, cp = make([]float64, h), make([]float64, h)
 		}
 		for j := 0; j < h; j++ {
 			dcj := dc[j] + dh[j]*st.o[j]*(1-st.tc[j]*st.tc[j])

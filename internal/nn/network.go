@@ -28,6 +28,34 @@ func adopt(claim func(int) ([]float64, []float64), p, g []float64) ([]float64, [
 	return np, ng
 }
 
+// paramBackwarder is implemented by parameterized layers that can run the
+// backward pass without producing dL/d(input). A Network uses it on its
+// first layer, whose input gradient nobody reads — for a convolution that
+// is half of the backward pass. backwardParams must accumulate exactly the
+// parameter gradients Backward would.
+type paramBackwarder interface {
+	backwardParams(dy []float64)
+}
+
+// replicator is implemented by layers that can produce a forward-only
+// copy of themselves: one that aliases the original's parameter storage
+// (read-only) and owns only the scratch Forward writes. All built-in
+// layers implement it except Dropout, whose Forward draws from a private
+// random stream.
+type replicator interface {
+	replica() Layer
+}
+
+// isolated returns zeroed scratch of length n with a cache line of unused
+// padding on either side. Replicas run on different cores, and the
+// allocator packs small objects of one size side by side: without the
+// padding, three replicas' ten-float logits would sit in the same two
+// cache lines and every forward pass would steal them from the others.
+func isolated(n int) []float64 {
+	const line = 8 // float64s per 64-byte cache line
+	return make([]float64, n+2*line)[line : line+n : line+n]
+}
+
 // Network is a feed-forward classifier: a stack of layers followed by an
 // implicit softmax-cross-entropy head. It owns the flattening of all layer
 // parameters into a single vector, which is the representation federated
@@ -44,6 +72,9 @@ type Network struct {
 	// legacy block-by-block representation.
 	backing     []float64
 	gradBacking []float64
+
+	// first is layers[0] when it can skip its input gradient, else nil.
+	first paramBackwarder
 
 	probs   []float64
 	dLogits []float64
@@ -79,6 +110,7 @@ func NewNetwork(layers ...Layer) *Network {
 		}
 		cur.done()
 	}
+	n.first, _ = layers[0].(paramBackwarder)
 	out := layers[len(layers)-1].OutSize()
 	n.probs = make([]float64, out)
 	n.dLogits = make([]float64, out)
@@ -176,10 +208,34 @@ func (n *Network) LossAndGrad(x []float64, label int) float64 {
 	copy(n.dLogits, n.probs)
 	n.dLogits[label] -= 1
 	g := n.dLogits
-	for i := len(n.layers) - 1; i >= 0; i-- {
+	for i := len(n.layers) - 1; i > 0; i-- {
 		g = n.layers[i].Backward(g)
 	}
+	if n.first != nil {
+		n.first.backwardParams(g)
+	} else {
+		n.layers[0].Backward(g)
+	}
 	return loss
+}
+
+// Replica returns a forward-only copy of the network for evaluating it
+// from another goroutine: the copy's layers alias this network's
+// parameter storage, so it always computes with the current parameters,
+// and own only the scratch Forward writes. Use nothing but Forward and
+// Predict on it, and do not run it while the original trains or loads
+// parameters. It returns nil when a layer cannot be replicated (a foreign
+// layer, or Dropout).
+func (n *Network) Replica() *Network {
+	layers := make([]Layer, len(n.layers))
+	for i, l := range n.layers {
+		r, ok := l.(replicator)
+		if !ok {
+			return nil
+		}
+		layers[i] = r.replica()
+	}
+	return &Network{layers: layers, nParams: n.nParams}
 }
 
 // Step applies accumulated gradients with SGD at rate lr, scaled by
@@ -221,10 +277,10 @@ func sgdStepFlat(p, g []float64, lr, scale, clip float64) {
 }
 
 // CrossEntropyFromLogits returns the softmax cross-entropy of logits
-// against label without touching any gradient state.
+// against label without touching any gradient state, and without
+// allocating: it is called once per held-out sample.
 func CrossEntropyFromLogits(logits []float64, label int) float64 {
-	probs := tensor.Softmax(logits)
-	return -math.Log(math.Max(probs[label], 1e-12))
+	return -math.Log(math.Max(tensor.SoftmaxAt(logits, label), 1e-12))
 }
 
 // ZeroGrads clears all accumulated gradients without applying them.

@@ -1,0 +1,376 @@
+package nn
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"github.com/spyker-fl/spyker/internal/tensor"
+)
+
+// The ref* functions are the layer kernels exactly as they stood before
+// they were rewritten for speed. They define the ordering contract stated
+// in the package comment: the production kernels must give every
+// accumulator the same floating-point additions in the same order, and so
+// the same bits. They live in a test file so the slow forms cannot be
+// called by mistake.
+
+func refConvForward(c *Conv2D, w, b, x, out []float64) {
+	k := c.k
+	for oc := 0; oc < c.outC; oc++ {
+		bias := b[oc]
+		wBase := oc * c.inC * k * k
+		for oy := 0; oy < c.outH; oy++ {
+			for ox := 0; ox < c.outW; ox++ {
+				s := bias
+				for ic := 0; ic < c.inC; ic++ {
+					xBase := ic*c.inH*c.inW + oy*c.inW + ox
+					wOff := wBase + ic*k*k
+					for ky := 0; ky < k; ky++ {
+						xRow := x[xBase+ky*c.inW : xBase+ky*c.inW+k]
+						wRow := w[wOff+ky*k : wOff+ky*k+k]
+						for kx := 0; kx < k; kx++ {
+							s += xRow[kx] * wRow[kx]
+						}
+					}
+				}
+				out[oc*c.outH*c.outW+oy*c.outW+ox] = s
+			}
+		}
+	}
+}
+
+func refConvBackward(c *Conv2D, w, lastX, dy, gw, gb, dx []float64) {
+	k := c.k
+	tensor.Zero(dx)
+	for oc := 0; oc < c.outC; oc++ {
+		wBase := oc * c.inC * k * k
+		for oy := 0; oy < c.outH; oy++ {
+			for ox := 0; ox < c.outW; ox++ {
+				g := dy[oc*c.outH*c.outW+oy*c.outW+ox]
+				if g == 0 {
+					continue
+				}
+				gb[oc] += g
+				for ic := 0; ic < c.inC; ic++ {
+					xBase := ic*c.inH*c.inW + oy*c.inW + ox
+					wOff := wBase + ic*k*k
+					for ky := 0; ky < k; ky++ {
+						xi := xBase + ky*c.inW
+						wi := wOff + ky*k
+						for kx := 0; kx < k; kx++ {
+							gw[wi+kx] += g * lastX[xi+kx]
+							dx[xi+kx] += g * w[wi+kx]
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func refMaxPoolForward(p *MaxPool2D, x, out []float64, argmax []int) {
+	for c := 0; c < p.ch; c++ {
+		for oy := 0; oy < p.outH; oy++ {
+			for ox := 0; ox < p.outW; ox++ {
+				base := c*p.inH*p.inW + 2*oy*p.inW + 2*ox
+				bestIdx := base
+				best := x[base]
+				for _, off := range [3]int{1, p.inW, p.inW + 1} {
+					if v := x[base+off]; v > best {
+						best = v
+						bestIdx = base + off
+					}
+				}
+				o := c*p.outH*p.outW + oy*p.outW + ox
+				out[o] = best
+				argmax[o] = bestIdx
+			}
+		}
+	}
+}
+
+func refReLUForward(x, out []float64) {
+	for i, v := range x {
+		if v > 0 {
+			out[i] = v
+		} else {
+			out[i] = 0
+		}
+	}
+}
+
+func refReLUBackward(out, dy, dx []float64) {
+	for i, v := range out {
+		if v > 0 {
+			dx[i] = dy[i]
+		} else {
+			dx[i] = 0
+		}
+	}
+}
+
+func refMatVec(w []float64, rows, cols int, dst, x []float64) {
+	for r := 0; r < rows; r++ {
+		row := w[r*cols : (r+1)*cols]
+		var s float64
+		for c, wv := range row {
+			s += wv * x[c]
+		}
+		dst[r] = s
+	}
+}
+
+func refMatVecT(w []float64, rows, cols int, dst, x []float64) {
+	tensor.Zero(dst)
+	for r := 0; r < rows; r++ {
+		row := w[r*cols : (r+1)*cols]
+		xv := x[r]
+		if xv == 0 {
+			continue
+		}
+		for c, wv := range row {
+			dst[c] += wv * xv
+		}
+	}
+}
+
+func refAddOuter(m []float64, rows, cols int, a, b []float64) {
+	for r := 0; r < rows; r++ {
+		av := 1 * a[r]
+		if av == 0 {
+			continue
+		}
+		row := m[r*cols : (r+1)*cols]
+		for c := range row {
+			row[c] += av * b[c]
+		}
+	}
+}
+
+// awkward fills v with values chosen to expose any reordering or any
+// dropped/added operation: normals across several magnitudes, exact zeros
+// of both signs, and denormals. zeroShare is the probability of an exact
+// zero (0 = none, 1 = all).
+func awkward(rng *rand.Rand, v []float64, zeroShare float64) {
+	for i := range v {
+		switch u := rng.Float64(); {
+		case u < zeroShare/2:
+			v[i] = 0
+		case u < zeroShare:
+			v[i] = math.Copysign(0, -1)
+		case u < zeroShare+0.05:
+			v[i] = math.Copysign(math.SmallestNonzeroFloat64*float64(1+rng.Intn(1000)), rng.NormFloat64())
+		default:
+			v[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+		}
+	}
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d != %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v (%#x), reference %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+var zeroShares = []float64{0, 0.3, 0.9, 1}
+
+// TestConvMatchesReferenceBits: outputs, input gradients and parameter
+// gradients accumulated over several Backward calls (a mini-batch between
+// two Steps) equal the reference loops bit for bit, over kernel sizes with
+// and without the k = 3 fast path, one and several input channels, and
+// upstream gradients that are dense, partly zero (what a ReLU hands back)
+// and all zero.
+func TestConvMatchesReferenceBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 120; trial++ {
+		k := []int{1, 2, 3, 5}[trial%4]
+		inC := []int{1, 3, 6}[(trial/4)%3]
+		outC := 1 + rng.Intn(5)
+		inH, inW := k+rng.Intn(7), k+rng.Intn(7)
+		c := NewConv2D(inC, inH, inW, outC, k, rng)
+		awkward(rng, c.w, 0.1)
+		awkward(rng, c.b, 0.2)
+
+		refOut := make([]float64, len(c.outV))
+		refDX := make([]float64, len(c.dx))
+		refGW := make([]float64, len(c.gw))
+		refGB := make([]float64, len(c.gb))
+		x := make([]float64, inC*inH*inW)
+		dy := make([]float64, len(c.outV))
+		for call := 0; call < 4; call++ {
+			zs := zeroShares[(trial+call)%4]
+			awkward(rng, x, zs/2)
+			awkward(rng, dy, zs)
+
+			sameBits(t, "conv out", c.Forward(x), forwardRef(c, x, refOut))
+			dx := c.Backward(dy)
+			refConvBackward(c, c.w, x, dy, refGW, refGB, refDX)
+			sameBits(t, "conv dx", dx, refDX)
+			sameBits(t, "conv gw", c.gw, refGW)
+			sameBits(t, "conv gb", c.gb, refGB)
+		}
+	}
+}
+
+func forwardRef(c *Conv2D, x, out []float64) []float64 {
+	refConvForward(c, c.w, c.b, x, out)
+	return out
+}
+
+// TestFirstLayerSkipsOnlyInputGradient: the parameter-only backward pass
+// a Network runs on its first layer accumulates exactly the parameter
+// gradients of the full pass.
+func TestFirstLayerSkipsOnlyInputGradient(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 40; trial++ {
+		k := []int{1, 2, 3, 5}[trial%4]
+		inC := []int{1, 3, 6}[(trial/4)%3]
+		c := NewConv2D(inC, k+rng.Intn(6), k+rng.Intn(6), 1+rng.Intn(4), k, rng)
+		d := NewDense(1+rng.Intn(9), 1+rng.Intn(9), rng)
+		refGW := make([]float64, len(c.gw))
+		refGB := make([]float64, len(c.gb))
+		refDX := make([]float64, len(c.dx))
+		dGW := make([]float64, len(d.gw.Data))
+		dGB := make([]float64, len(d.gb))
+		x := make([]float64, len(c.lastX))
+		dy := make([]float64, len(c.outV))
+		dxIn := make([]float64, d.in)
+		ddy := make([]float64, d.out)
+		for call := 0; call < 3; call++ {
+			awkward(rng, x, 0.1)
+			awkward(rng, dy, zeroShares[(trial+call)%4])
+			c.Forward(x)
+			c.backwardParams(dy)
+			refConvBackward(c, c.w, x, dy, refGW, refGB, refDX)
+			sameBits(t, "conv gw", c.gw, refGW)
+			sameBits(t, "conv gb", c.gb, refGB)
+
+			awkward(rng, dxIn, 0.1)
+			awkward(rng, ddy, zeroShares[(trial+call)%4])
+			d.Forward(dxIn)
+			d.backwardParams(ddy)
+			refAddOuter(dGW, d.out, d.in, ddy, dxIn)
+			tensor.AddInPlace(dGB, ddy)
+			sameBits(t, "dense gw", d.gw.Data, dGW)
+			sameBits(t, "dense gb", d.gb, dGB)
+		}
+	}
+}
+
+func TestMaxPoolMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 60; trial++ {
+		ch, inH, inW := 1+rng.Intn(4), 2*(1+rng.Intn(5)), 2*(1+rng.Intn(5))
+		p := NewMaxPool2D(ch, inH, inW)
+		x := make([]float64, ch*inH*inW)
+		// Many ties (zeros of both signs) so the first-wins rule of the
+		// strict comparison is exercised, not only distinct values.
+		awkward(rng, x, zeroShares[trial%4])
+		refOut := make([]float64, len(p.outV))
+		refArg := make([]int, len(p.argmax))
+		refMaxPoolForward(p, x, refOut, refArg)
+		sameBits(t, "pool out", p.Forward(x), refOut)
+		for i := range refArg {
+			if p.argmax[i] != refArg[i] {
+				t.Fatalf("argmax[%d] = %d, reference %d", i, p.argmax[i], refArg[i])
+			}
+		}
+	}
+}
+
+func TestReLUMatchesReferenceBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(40)
+		r := NewReLU(n)
+		x, dy := make([]float64, n), make([]float64, n)
+		awkward(rng, x, zeroShares[trial%4])
+		awkward(rng, dy, 0.2)
+		if trial%3 == 0 {
+			// The comparison v > 0 is false for NaN whatever its sign
+			// bit, and true for +Inf.
+			x[0] = math.NaN()
+			x[n-1] = math.Inf(1)
+			x[n/2] = math.Copysign(math.NaN(), -1)
+			dy[n/2] = math.Inf(-1)
+		}
+		refOut, refDX := make([]float64, n), make([]float64, n)
+		refReLUForward(x, refOut)
+		refReLUBackward(refOut, dy, refDX)
+		sameBits(t, "relu out", r.Forward(x), refOut)
+		sameBits(t, "relu dx", r.Backward(dy), refDX)
+	}
+}
+
+// TestDenseMatchesReferenceBits covers the dense layer end to end (bias
+// add included) with output sizes that are not multiples of four.
+func TestDenseMatchesReferenceBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 80; trial++ {
+		in, out := 1+rng.Intn(21), 1+rng.Intn(13)
+		d := NewDense(in, out, rng)
+		awkward(rng, d.w.Data, 0.1)
+		awkward(rng, d.b, 0.2)
+		refGW := make([]float64, in*out)
+		refGB := make([]float64, out)
+		x, dy := make([]float64, in), make([]float64, out)
+		refOut, refDX := make([]float64, out), make([]float64, in)
+		for call := 0; call < 3; call++ {
+			zs := zeroShares[(trial+call)%4]
+			awkward(rng, x, zs/2)
+			awkward(rng, dy, zs)
+
+			refMatVec(d.w.Data, out, in, refOut, x)
+			tensor.AddInPlace(refOut, d.b)
+			sameBits(t, "dense out", d.Forward(x), refOut)
+
+			refAddOuter(refGW, out, in, dy, x)
+			tensor.AddInPlace(refGB, dy)
+			refMatVecT(d.w.Data, out, in, refDX, dy)
+			sameBits(t, "dense dx", d.Backward(dy), refDX)
+			sameBits(t, "dense gw", d.gw.Data, refGW)
+			sameBits(t, "dense gb", d.gb, refGB)
+		}
+	}
+}
+
+// TestReplicaForwardMatchesAndTracksParams: a forward-only replica aliases
+// the parameter plane, so it computes the network's own logits bit for bit
+// and follows a SetParams made after it was built.
+func TestReplicaForwardMatchesAndTracksParams(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	conv1 := NewConv2D(3, 12, 12, 6, 3, rng)
+	conv2 := NewConv2D(6, 10, 10, 8, 3, rng)
+	pool := NewMaxPool2D(8, 8, 8)
+	net := NewNetwork(
+		conv1, NewReLU(conv1.OutSize()),
+		conv2, NewReLU(conv2.OutSize()), pool,
+		NewDense(pool.OutSize(), 32, rng), NewTanh(32),
+		NewDense(32, 10, rng),
+	)
+	rep := net.Replica()
+	if rep == nil {
+		t.Fatal("built-in layers must all be replicable")
+	}
+	x := randVec(rng, 3*12*12)
+	for round := 0; round < 2; round++ {
+		want := append([]float64(nil), net.Forward(x)...)
+		sameBits(t, "replica logits", rep.Forward(x), want)
+		p := net.Params()
+		for i := range p {
+			p[i] += 0.01 * rng.NormFloat64()
+		}
+		net.SetParams(p)
+	}
+	if NewNetwork(NewDense(4, 4, rng), NewDropout(4, 0.5, rng)).Replica() != nil {
+		t.Error("a network with a layer that draws random numbers in Forward must not be replicable")
+	}
+}

@@ -2,6 +2,11 @@
 // neural-network library is built on. All operations work on flat
 // []float64 slices so that federated-learning aggregation code can treat a
 // whole model as a single parameter vector.
+//
+// The matrix kernels (MatVec, MatVecT, AddOuter) keep the ordering
+// contract described in internal/nn's package comment: every accumulator
+// receives the same floating-point additions in the same order as the
+// plain loop would make, so results are reproducible to the last bit.
 package tensor
 
 import (
@@ -199,6 +204,27 @@ func SoftmaxTo(dst, a []float64) {
 	for i := range dst {
 		dst[i] *= inv
 	}
+}
+
+// SoftmaxAt returns element i of the softmax of a — bit for bit what
+// SoftmaxTo would leave in dst[i] — without materializing the others, so
+// a loss over one label needs no scratch vector.
+func SoftmaxAt(a []float64, i int) float64 {
+	maxv := a[0]
+	for _, v := range a[1:] {
+		if v > maxv {
+			maxv = v
+		}
+	}
+	var sum, ei float64
+	for j, v := range a {
+		e := math.Exp(v - maxv)
+		if j == i {
+			ei = e
+		}
+		sum += e
+	}
+	return ei * (1 / sum)
 }
 
 func mustSameLen(a, b int) {
