@@ -2,7 +2,9 @@
 // spyker-sim -trace or spyker-live -trace. Its default mode summarizes the
 // trace: per-kind event counts, the staleness histogram of aggregated
 // client updates, per-server model-age timelines, token ring round-trip
-// times, and traffic totals. Two provenance modes reconstruct the causal
+// times, and traffic totals (of a live trace: the octets of the frames
+// sent and received; of a simulated one: the sizes the geo model charged).
+// Two provenance modes reconstruct the causal
 // lineage of every client update from the merged-updates frontier the
 // servers stamp on their events:
 //

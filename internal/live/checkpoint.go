@@ -97,8 +97,7 @@ func NewServerFromCheckpoint(addr string, st spyker.State) (*Server, error) {
 	// Uncontended (the accept loop starts below); keeps the guarded-field
 	// discipline uniform from the first write.
 	s.mu.Lock()
-	s.core = core
-	s.memEpoch = core.Epoch()
+	s.installCore(core)
 	if core.HasToken() {
 		s.tokenSeen, s.tokenSeenValid = s.clock(), true
 	}

@@ -9,6 +9,7 @@ package live
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -28,6 +29,21 @@ import (
 const (
 	RoleClient = 1
 	RoleServer = 2
+)
+
+// helloTimeout is how long an accepted connection may take to say who it
+// is; one that never speaks is closed instead of holding a goroutine and a
+// descriptor forever.
+const helloTimeout = 3 * time.Second
+
+// What dispatch refuses beyond what the codec already did (see
+// transport.FrameError): a frame is bound to the hello of its connection.
+var (
+	errNoHello   = &transport.FrameError{Reason: "first frame is not a hello"}
+	errRole      = &transport.FrameError{Reason: "kind not allowed on this connection"}
+	errFrom      = &transport.FrameError{Reason: "sender is not who the hello named"}
+	errNotMember = &transport.FrameError{Reason: "sender is not a ring member"}
+	errRingHdr   = &transport.FrameError{Reason: "malformed membership header"}
 )
 
 // outbox decouples protocol handlers from TCP backpressure: handlers
@@ -140,6 +156,15 @@ type Server struct {
 	// reconciles peers with the new ring.
 	memEpoch int //spyker:guardedby(mu)
 
+	// dim and ringBound are what inbound frames are held to before their
+	// body is read (transport.Conn.Bound), atomics because reader
+	// goroutines load them without s.mu: the model dimension, fixed once
+	// the core is installed, and twice the ring's slot count, refreshed
+	// with memEpoch (followRing). A frame may come from a peer that already
+	// admitted joiners this server has not heard of — each adds one slot —
+	// so the bound lets the ring double between two frames and no more.
+	dim, ringBound atomic.Int64
+
 	// conns tracks every inbound connection currently being read, so Kill
 	// can sever them without waiting for the remote side.
 	conns map[*transport.Conn]struct{} //spyker:guardedby(mu)
@@ -156,6 +181,7 @@ type Server struct {
 	peerDelay   time.Duration // injected one-way latency on peer links
 	clientDelay time.Duration // injected one-way latency on client links
 	updates     atomic.Int64
+	rejects     atomic.Int64 // frames refused, each with its connection closed
 
 	// tokenSeen is the clock() stamp of the last token frame this server
 	// sent or received — the raw input of the token-silence health
@@ -182,9 +208,10 @@ type Server struct {
 	ckptScratch spyker.State //spyker:guardedby(ckptMu)
 
 	// Observability (see Instrument). sink/clock default to no-ops; the
-	// byte totals are always maintained (they are two atomic adds per
-	// frame). txPeer/rxPeer cache per-remote registry counters; both maps
-	// are only touched under mu.
+	// byte totals — exact frame octets, transport.MsgWireBytes — are
+	// always maintained (they are two atomic adds per frame).
+	// txPeer/rxPeer cache per-remote registry counters; both maps are only
+	// touched under mu.
 	sink    obs.Sink //spyker:guardedby(mu)
 	clock   obs.Clock
 	reg     *obs.Registry        //spyker:guardedby(mu)
@@ -240,8 +267,7 @@ func NewServer(id int, addr string, cfg spyker.Config, initial []float64, holdsT
 	// loop starts below), and it keeps the guarded-field discipline
 	// uniform from the first write.
 	s.mu.Lock()
-	s.core = spyker.NewServerCore(cfg, initial, holdsToken, (*serverOutbound)(s))
-	s.memEpoch = s.core.Epoch()
+	s.installCore(spyker.NewServerCore(cfg, initial, holdsToken, (*serverOutbound)(s)))
 	if holdsToken {
 		// The minted token counts as movement: silence starts now.
 		s.tokenSeen, s.tokenSeenValid = s.clock(), true
@@ -252,10 +278,30 @@ func NewServer(id int, addr string, cfg spyker.Config, initial []float64, holdsT
 	return s, nil
 }
 
+// installCore gives the shell its protocol core, before the accept loop
+// starts.
+//
+//spyker:locked(mu)
+func (s *Server) installCore(core *spyker.ServerCore) {
+	s.core = core
+	s.dim.Store(int64(len(core.Params())))
+	s.followRing()
+}
+
+// followRing records the ring the outbox set and the inbound frame bound
+// now follow.
+//
+//spyker:locked(mu)
+func (s *Server) followRing() {
+	s.memEpoch = s.core.Epoch()
+	s.ringBound.Store(int64(2 * s.core.Membership().Slots()))
+}
+
 // Instrument attaches an event sink and/or metrics registry. The core's
 // protocol events and this server's frame send/recv events go to sink,
 // stamped with wall seconds since the server started; per-remote byte
-// counters land in reg under "live.server<ID>.{tx,rx}_bytes.<node>".
+// counters land in reg under "live.server<ID>.{tx,rx}_bytes.<node>" and
+// refused frames under "live.server<ID>.rejects_total".
 // Call before ConnectPeers and before any client connects.
 func (s *Server) Instrument(sink obs.Sink, reg *obs.Registry) {
 	s.mu.Lock()
@@ -366,6 +412,11 @@ func (s *Server) InjectLatency(peer, client time.Duration) {
 
 // Updates reports how many client updates this server has aggregated.
 func (s *Server) Updates() int { return int(s.updates.Load()) }
+
+// Rejects reports how many inbound frames this server refused — malformed,
+// out of bounds, non-finite, or not what the connection's hello allows —
+// closing the connection each arrived on.
+func (s *Server) Rejects() int { return int(s.rejects.Load()) }
 
 // SyncsTriggered reports how many synchronizations this server initiated.
 func (s *Server) SyncsTriggered() int {
@@ -673,7 +724,11 @@ func (s *Server) acceptLoop() {
 }
 
 // readLoop registers the connection based on its hello frame and then
-// dispatches protocol messages into the core.
+// dispatches protocol messages into the core. Every frame, the hello
+// included, is held to the model dimension and the ring bound before its
+// body is read, and after the hello to the identity the hello named; a
+// frame that fails either is counted, reported and never reaches the core
+// (drop), and only its own connection closes.
 func (s *Server) readLoop(conn *transport.Conn) {
 	defer s.wg.Done()
 	s.mu.Lock()
@@ -689,41 +744,73 @@ func (s *Server) readLoop(conn *transport.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	conn.Bound(int(s.dim.Load()), int(s.ringBound.Load()))
+	_ = conn.SetReadDeadline(time.Now().Add(helloTimeout)) // fails only on a closed connection, which Recv reports
 	hello, err := conn.Recv()
 	if err != nil {
-		_ = conn.Close()
+		s.drop(conn, obs.NoPeer, err)
 		return
 	}
+	_ = conn.SetReadDeadline(time.Time{})
 	if hello.Kind == transport.KindJoinRequest {
 		// One-shot sponsorship handshake instead of a hello: admit the
 		// joiner, reply with its identity and snapshot, and close.
 		s.handleJoin(conn, hello)
 		return
 	}
-	if hello.Kind != transport.KindHello {
-		_ = conn.Close()
+	role, id, remote := hello.Bid, hello.From, hello.From
+	switch {
+	case hello.Kind != transport.KindHello || (role != RoleClient && role != RoleServer):
+		s.drop(conn, obs.NoPeer, errNoHello)
 		return
-	}
-	switch hello.Bid {
-	case RoleClient:
-		s.registerClient(hello.From, conn)
-	case RoleServer:
-		// Inbound peer link: read-only; our own dialed link sends.
+	case role == RoleClient:
+		s.registerClient(id, conn)
 	default:
-		_ = conn.Close()
-		return
+		// Inbound peer link: read-only; our own dialed link sends.
+		remote = obs.ServerNode + id
 	}
 	// One reusable frame per connection: RecvInto recycles the Params
 	// backing array across decodes, so a steady-state reader allocates
 	// nothing per frame. The core handlers consume Params synchronously
-	// (dispatch holds s.mu for the whole handler) and Token.Ages — the one
-	// field receivers retain — is never reused (see transport.Msg.Reset).
+	// (dispatch holds s.mu for the whole handler); what receivers retain —
+	// the token's age vector, the membership, the address book — is fresh
+	// on every decode (see the transport package comment).
 	var m transport.Msg
 	for {
-		if err := conn.RecvInto(&m); err != nil {
+		conn.Bound(int(s.dim.Load()), int(s.ringBound.Load()))
+		err := conn.RecvInto(&m)
+		if err == nil {
+			err = s.dispatch(role, id, &m)
+		}
+		if err != nil {
+			s.drop(conn, remote, err)
 			return
 		}
-		s.dispatch(&m)
+	}
+}
+
+// drop ends an inbound connection after err. A peer that went away or
+// never spoke needs no report; a refused frame (*transport.FrameError,
+// from the codec or from dispatch) is counted and emitted as one
+// obs.KindReject event naming the check it failed — before the close, so
+// whoever sees the connection end also sees the count.
+func (s *Server) drop(conn *transport.Conn, remote int, err error) {
+	defer func() { _ = conn.Close() }()
+	var refused *transport.FrameError
+	if !errors.As(err, &refused) {
+		return
+	}
+	s.rejects.Add(1)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.reg != nil {
+		s.reg.Counter(fmt.Sprintf("live.server%d.rejects_total", s.ID)).Inc()
+	}
+	if s.sink.Enabled() {
+		s.sink.Emit(obs.Event{
+			Time: s.clock(), Kind: obs.KindReject,
+			Node: s.ID, Peer: remote, Note: refused.Reason,
+		})
 	}
 }
 
@@ -814,8 +901,7 @@ func JoinCluster(sponsorAddr, listenAddr string) (*Server, error) {
 	// Uncontended (the accept loop starts below); keeps the guarded-field
 	// discipline uniform from the first write.
 	s.mu.Lock()
-	s.core = core
-	s.memEpoch = core.Epoch()
+	s.installCore(core)
 	if len(reply.Addrs) == len(reply.Members) {
 		for i, id := range reply.Members {
 			if a := reply.Addrs[i]; a != "" && id != s.ID {
@@ -857,41 +943,85 @@ func (s *Server) registerClient(id int, conn *transport.Conn) {
 // dispatch routes one received frame into the protocol core — the tail
 // of the pooled receive path: readLoop's reusable Msg arrives here and
 // the core handlers consume its Params synchronously under s.mu, so the
-// steady-state server processes a frame without allocating.
+// steady-state server processes a frame without allocating. role and id
+// are what the connection's hello claimed, and the frame must fit them: a
+// client connection carries only that client's updates, a server
+// connection only that server's three inter-server kinds under a
+// well-formed membership header that (or the ring this server holds,
+// whichever is fresher) lists it. Anything else is returned as a
+// *transport.FrameError before the core is touched.
 //
 //spyker:noalloc
-func (s *Server) dispatch(m *transport.Msg) {
+func (s *Server) dispatch(role, id int, m *transport.Msg) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closing.Load() {
-		return
+		return nil
 	}
-	switch m.Kind {
-	case transport.KindClientUpdate:
-		s.noteRecv(m.From, m)
-		s.core.HandleClientUpdateTraced(m.From, m.Params, m.Age, m.Trace.UID)
+	if m.From != id {
+		return errFrom
+	}
+	if role == RoleClient {
+		if m.Kind != transport.KindClientUpdate {
+			return errRole
+		}
+		s.noteRecv(id, m)
+		s.core.HandleClientUpdateTraced(id, m.Params, m.Age, m.Trace.UID)
 		s.updates.Add(1)
-	case transport.KindServerModel:
-		s.noteRecv(obs.ServerNode+m.From, m)
-		s.absorbHeader(m)
-		s.core.HandleServerModelTraced(m.From, m.Params, m.Age, m.Bid, m.Trace.Front,
-			ring.Membership{Epoch: m.Epoch, Members: m.Members})
-		s.maybeRewire()
-	case transport.KindAge:
-		s.noteRecv(obs.ServerNode+m.From, m)
-		s.absorbHeader(m)
-		s.core.HandleAgeTagged(m.From, m.Age, ring.Membership{Epoch: m.Epoch, Members: m.Members})
-		s.maybeRewire()
-	case transport.KindToken:
-		s.noteRecv(obs.ServerNode+m.From, m)
-		s.tokenSeen, s.tokenSeenValid = s.clock(), true
-		s.absorbHeader(m)
-		s.core.HandleToken(spyker.Token{
-			Bid: m.Bid, Ages: m.Ages,
-			Mem: ring.Membership{Epoch: m.Epoch, Members: m.Members},
-		})
-		s.maybeRewire()
+		return nil
 	}
+	if m.Kind != transport.KindServerModel && m.Kind != transport.KindAge && m.Kind != transport.KindToken {
+		return errRole
+	}
+	mem := ring.Membership{Epoch: m.Epoch, Members: m.Members}
+	if err := s.checkSender(id, mem); err != nil {
+		return err
+	}
+	s.noteRecv(obs.ServerNode+id, m)
+	s.absorbHeader(m)
+	switch m.Kind {
+	case transport.KindServerModel:
+		s.core.HandleServerModelTraced(id, m.Params, m.Age, m.Bid, m.Trace.Front, mem)
+	case transport.KindAge:
+		s.core.HandleAgeTagged(id, m.Age, mem)
+	case transport.KindToken:
+		s.tokenSeen, s.tokenSeenValid = s.clock(), true
+		s.core.HandleToken(spyker.Token{Bid: m.Bid, Ages: m.Ages, Mem: mem})
+	}
+	s.maybeRewire()
+	return nil
+}
+
+// checkSender validates the membership header of an inter-server frame
+// and the sender against it. The core sizes its per-server arrays by the
+// largest member ID it adopts, so a header is only handed on when its IDs
+// are strictly ascending, non-negative and below the ring bound. The
+// sender must be a member of the ring the core will hold once it has seen
+// this header — a joiner's first frames reach members the sponsor's
+// announcement has not. Caller holds s.mu.
+//
+//spyker:locked(mu)
+func (s *Server) checkSender(id int, mem ring.Membership) error {
+	view := s.core.Membership()
+	if !mem.IsZero() {
+		if mem.Epoch < 0 {
+			return errRingHdr
+		}
+		prev, bound := -1, int(s.ringBound.Load())
+		for _, member := range mem.Members {
+			if member <= prev || member >= bound {
+				return errRingHdr
+			}
+			prev = member
+		}
+		if ring.Compare(mem, view) > 0 {
+			view = mem
+		}
+	}
+	if !view.Contains(id) {
+		return errNotMember
+	}
+	return nil
 }
 
 // absorbHeader learns peer addresses riding on a frame's elastic
@@ -916,11 +1046,10 @@ func (s *Server) absorbHeader(m *transport.Msg) {
 //
 //spyker:locked(mu)
 func (s *Server) maybeRewire() {
-	e := s.core.Epoch()
-	if e == s.memEpoch {
+	if s.core.Epoch() == s.memEpoch {
 		return
 	}
-	s.memEpoch = e
+	s.followRing()
 	if s.closing.Load() {
 		return
 	}
@@ -977,7 +1106,7 @@ func (o *serverOutbound) BroadcastModel(params []float64, age float64, bid int, 
 	s := (*Server)(o)
 	// front is a borrow of the core's live frontier and the outboxes encode
 	// asynchronously, so snapshot it once here; the copy is shared by every
-	// frame (outboxes only read it for gob encoding). mem.Members is safe
+	// frame (outboxes only read it to encode). mem.Members is safe
 	// to share un-copied: ring.Membership slices are never mutated in
 	// place (membership changes allocate fresh slices).
 	frontCopy := append([]int64(nil), front...)

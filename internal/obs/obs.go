@@ -83,6 +83,13 @@ const (
 	// the transition (robust z, median cosine, or pairwise similarity),
 	// Stale = the staleness of the client's latest update.
 	KindAudit
+	// KindReject fires when a live server refuses an inbound frame and
+	// closes the connection it arrived on: malformed, over the size the
+	// receiver allows, of the wrong model dimension, non-finite, or not
+	// what the connection's hello permits. Node = refusing server, Peer =
+	// the remote node in the message-event ID space (NoPeer before the
+	// hello), Note = the check that failed.
+	KindReject
 )
 
 // kindNames maps kinds to their stable wire names (used in JSONL traces).
@@ -100,6 +107,7 @@ var kindNames = map[EventKind]string{
 	KindTokenRetire:  "token-retire",
 	KindMembership:   "membership",
 	KindAudit:        "audit",
+	KindReject:       "reject",
 }
 
 // kindByName is the inverse of kindNames, built once at init.

@@ -39,12 +39,14 @@ type Summary struct {
 
 	TokenRTT map[int]RTTStats // per forwarding node
 
+	// Message-event byte totals: exact frame octets in a live trace,
+	// modelled sizes in a simulated one.
 	BytesSent, BytesRecv int64
 	SyncRounds           int // distinct (node,bid) sync participations
 
 	// Incidents is the fault/recovery/membership timeline: every
-	// KindFault, KindTokenRegen, KindTokenRetire, and KindMembership
-	// event in time order.
+	// KindFault, KindTokenRegen, KindTokenRetire, KindMembership, and
+	// KindReject event in time order.
 	Incidents  []Incident
 	EpochSpan  [2]int // lowest/highest membership epoch adopted (when any)
 	EpochMoves int    // KindMembership events
@@ -133,7 +135,7 @@ func Summarize(events []Event) *Summary {
 				s.AuditRaises++
 				flaggedClients[e.Peer] = true
 			}
-		case KindFault, KindTokenRegen, KindTokenRetire, KindMembership:
+		case KindFault, KindTokenRegen, KindTokenRetire, KindMembership, KindReject:
 			s.Incidents = append(s.Incidents, Incident{
 				Time: e.Time, Kind: e.Kind, Node: e.Node, Bid: e.Bid, Note: e.Note,
 			})

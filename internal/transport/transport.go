@@ -1,16 +1,79 @@
 // Package transport implements the wire protocol of the live (non
-// simulated) Spyker runtime: length-delimited gob frames over TCP. It
-// carries exactly the message vocabulary of the Spyker protocol — client
-// updates, model replies, server-model broadcasts, age announcements, and
-// the token.
+// simulated) Spyker runtime: one explicit binary frame per message over
+// TCP. It carries exactly the message vocabulary of the Spyker protocol —
+// client updates, model replies, server-model broadcasts, age
+// announcements, the token, and the join handshake.
+//
+// # Frame layout (wire version 2)
+//
+// A frame is an 80-byte header followed by a body of the length the
+// header declares. All integers are little-endian; a float64 travels as
+// its IEEE-754 bit pattern (math.Float64bits), an int as a two's
+// complement int64.
+//
+//	offset size field
+//	     0    1 version (2)
+//	     1    1 kind (KindHello .. KindJoinReply)
+//	     2    2 reserved, zero
+//	     4    4 body length in bytes
+//	     8    8 From
+//	    16    8 Age
+//	    24    8 LR
+//	    32    8 Bid
+//	    40    8 Trace.UID
+//	    48    8 Epoch
+//	    56    4 len(Params)
+//	    60    4 len(Ages)
+//	    64    4 len(Trace.Front)
+//	    68    4 len(Members)
+//	    72    4 len(Addrs)
+//	    76    4 len(Blob)
+//	    80      body: Params, Ages, Trace.Front and Members as 8-byte
+//	            words, then every address as a 2-byte length and its
+//	            bytes, then Blob
+//
+// A sender writes a frame with one Write from a per-connection buffer;
+// MsgWireBytes is its exact size, so every byte counter downstream
+// (ConnStats, the live server's per-peer counters, trace events) counts
+// true octets.
+//
+// # Validation order
+//
+// RecvInto reads the header alone and refuses the frame — with a
+// *FrameError, before one body byte is buffered — unless, in this order:
+// the version is 2; the kind is known and the reserved bytes are zero;
+// the body is no longer than MaxBody; the six counts account for the
+// body length exactly (every address costs at least its length prefix,
+// and without addresses nothing may be left over); Age and LR are
+// finite; and, once the owner called Bound, Params has the model's
+// dimension on the kinds that carry a model and is empty on the others,
+// the Ages, Front, Members and Addrs counts stay within the ring bound,
+// and there is no Blob. Only then is the body read (into a buffer that
+// grows with the bytes that actually arrive, never with the declared
+// length) and converted; Params and Ages are tested for NaN and ±Inf in
+// the loop that converts them, and the addresses must fill their section
+// exactly.
+//
+// # Ownership of decoded slices
+//
+// Every field of the target Msg is assigned on every decode. Params and
+// Trace.Front reuse the target's backing arrays — receivers consume them
+// before the next decode and never retain them. Ages, Members, Addrs and
+// Blob are fresh on every decode (nil when empty): receivers keep them
+// (the token's age vector and membership end up inside ServerCore, the
+// address book and join snapshot outlive the frame), so a later decode
+// must never write over them.
 package transport
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/spyker-fl/spyker/internal/obs"
 )
@@ -70,13 +133,17 @@ func (k Kind) String() string {
 	}
 }
 
+// carriesModel reports whether frames of kind k carry a whole model in
+// Params.
+func (k Kind) carriesModel() bool {
+	return k == KindClientUpdate || k == KindModelReply || k == KindServerModel
+}
+
 // Trace is the causal provenance context riding on a frame. UID identifies
 // the client update (KindClientUpdate) or sync-round broadcast
 // (KindServerModel, KindToken) the frame carries; Front is the sender's
 // merged-updates frontier snapshot (KindServerModel only). A zero Trace is
-// "untraced" and — because gob omits zero-valued fields — costs nothing on
-// the wire, so peers predating the provenance extension interoperate
-// unchanged.
+// "untraced".
 type Trace struct {
 	UID   obs.UID
 	Front []int64
@@ -97,59 +164,85 @@ type Msg struct {
 	// of the server ring (server-to-server kinds); Addrs carries the
 	// sender's address book aligned with Members so receivers can dial
 	// newly admitted peers; Blob is an opaque payload (KindJoinReply
-	// carries a gob-encoded state snapshot in it). A zero header — the
-	// pre-elastic wire format — costs nothing under gob.
+	// carries a gob-encoded state snapshot in it).
 	Epoch   int
 	Members []int
 	Addrs   []string
 	Blob    []byte
 }
 
-// Reset clears the message for reuse as a gob decode target. Gob leaves
-// fields absent from the wire untouched, so every field must be zeroed
-// here or a previous frame's value would leak into the next. Params keeps
-// its backing array (truncated to length 0) so repeated decodes on a
-// connection reuse one buffer; Ages is dropped entirely because token
-// receivers retain the decoded slice (spyker.ServerCore.HandleToken
-// stores it), so it must never be overwritten by a later decode.
-// Trace.Front keeps its backing array like Params: the frontier is merged
-// into the receiving core before the next decode, never retained.
-// Members is dropped like Ages: token receivers retain the decoded
-// membership slice (it becomes Token.Mem.Members, which ServerCore
-// stores), so a later decode must never scribble over it. Addrs and
-// Blob are dropped for the same reason (the address book and join
-// snapshot outlive the frame).
-func (m *Msg) Reset() {
-	m.Kind = 0
-	m.From = 0
-	m.Params = m.Params[:0]
-	m.Age = 0
-	m.LR = 0
-	m.Bid = 0
-	m.Ages = nil
-	m.Trace.UID = 0
-	m.Trace.Front = m.Trace.Front[:0]
-	m.Epoch = 0
-	m.Members = nil
-	m.Addrs = nil
-	m.Blob = nil
-}
+const (
+	wireVersion = 2
+	headerSize  = 80
 
-// MsgWireBytes estimates the payload size of a message in bytes: the
-// float64 vectors dominate, plus a small fixed overhead for the scalar
-// fields and gob framing. It deliberately ignores gob's type-descriptor
-// preamble (sent once per connection), so the estimate is stable per
-// frame — what byte accounting wants.
+	// MaxBody is the longest frame body any connection accepts or sends
+	// (2^28 bytes: a model of 33 million parameters). A connection whose
+	// owner called Bound accepts far less.
+	MaxBody = 1 << 28
+
+	// maxAddr is the longest address the 2-byte length prefix can carry.
+	maxAddr = 1<<16 - 1
+
+	// firstRead is how much body buffer a connection allocates before any
+	// body byte has arrived; beyond it the buffer only doubles with what
+	// was actually received.
+	firstRead = 64 << 10
+
+	// nonFinite is the exponent field of a float64; all ones means NaN or
+	// ±Inf.
+	nonFinite = 0x7FF << 52
+)
+
+// Header field offsets (see the package comment).
+const (
+	offVersion = 0
+	offKind    = 1
+	offZero    = 2
+	offBody    = 4
+	offFrom    = 8
+	offAge     = 16
+	offLR      = 24
+	offBid     = 32
+	offUID     = 40
+	offEpoch   = 48
+	offParams  = 56
+	offAges    = 60
+	offFront   = 64
+	offMembers = 68
+	offAddrs   = 72
+	offBlob    = 76
+)
+
+// FrameError is a frame the receiver refused; Reason names the check it
+// failed. RecvInto returns one instead of handing the frame on, and the
+// stream is unusable afterwards (the body was not consumed).
+type FrameError struct{ Reason string }
+
+func (e *FrameError) Error() string { return "transport: refused frame: " + e.Reason }
+
+// The refusals, one per check in the package comment's validation order.
+var (
+	errVersion   = &FrameError{"unknown wire version"}
+	errKind      = &FrameError{"unknown kind"}
+	errTooLong   = &FrameError{"body longer than the cap"}
+	errCounts    = &FrameError{"counts do not match the body length"}
+	errNonFinite = &FrameError{"non-finite value"}
+	errDimension = &FrameError{"wrong model dimension"}
+	errRing      = &FrameError{"more entries than the ring allows"}
+	errAddrs     = &FrameError{"addresses do not fill their section"}
+)
+
+// MsgWireBytes is the exact size of m's frame in bytes, header included.
 func MsgWireBytes(m *Msg) int {
-	n := 40 + 8*(len(m.Params)+len(m.Ages)+len(m.Trace.Front)+len(m.Members)) + len(m.Blob)
+	n := headerSize + 8*(len(m.Params)+len(m.Ages)+len(m.Trace.Front)+len(m.Members)) + len(m.Blob)
 	for _, a := range m.Addrs {
-		n += len(a)
+		n += 2 + len(a)
 	}
 	return n
 }
 
 // ConnStats is a snapshot of a connection's frame and byte accounting.
-// Bytes are MsgWireBytes estimates, not TCP-level octets.
+// Bytes are the octets of the frames written to and read from the socket.
 type ConnStats struct {
 	FramesSent, FramesRecv int64
 	BytesSent, BytesRecv   int64
@@ -163,22 +256,29 @@ type Sender interface {
 	Close() error
 }
 
-// Conn is a gob-framed connection. Send is safe for concurrent use;
-// Recv must be driven from a single reader goroutine.
+// Conn is a framed connection. Send is safe for concurrent use; Recv,
+// RecvInto, Bound and SetReadDeadline belong to the single reader
+// goroutine.
 type Conn struct {
 	raw net.Conn
-	enc *gob.Encoder //spyker:guardedby(mu)
-	dec *gob.Decoder
-	mu  sync.Mutex
+
+	mu   sync.Mutex
+	wbuf []byte //spyker:guardedby(mu)
+
+	// Receive side: the header lands in hdr, the body in rbuf.
+	hdr  [headerSize]byte
+	rbuf []byte
+
+	// What the owner told Bound; bounded is false until then.
+	bounded   bool
+	dim, ring int
 
 	framesSent, framesRecv atomic.Int64
 	bytesSent, bytesRecv   atomic.Int64
 }
 
 // NewConn wraps an established net.Conn.
-func NewConn(raw net.Conn) *Conn {
-	return &Conn{raw: raw, enc: gob.NewEncoder(raw), dec: gob.NewDecoder(raw)}
-}
+func NewConn(raw net.Conn) *Conn { return &Conn{raw: raw} }
 
 // Dial connects to addr over TCP.
 func Dial(addr string) (*Conn, error) {
@@ -189,16 +289,131 @@ func Dial(addr string) (*Conn, error) {
 	return NewConn(raw), nil
 }
 
-// Send encodes one message.
+// Bound narrows what RecvInto accepts to what the owner already holds: a
+// frame of a kind that carries a model must have exactly dim parameters
+// and any other kind none, Ages, Front, Members and Addrs may have at
+// most ring entries each, and Blob must be empty. A server calls it on
+// its inbound connections — before every receive, since the ring bound
+// moves with the membership.
+func (c *Conn) Bound(dim, ring int) {
+	c.bounded, c.dim, c.ring = true, dim, ring
+}
+
+// SetReadDeadline sets the deadline of pending and future receives; the
+// zero time means none.
+func (c *Conn) SetReadDeadline(t time.Time) error { return c.raw.SetReadDeadline(t) }
+
+// Send encodes m into the connection's write buffer and writes the frame
+// with one Write.
 func (c *Conn) Send(m *Msg) error {
+	if m.Kind < KindHello || m.Kind > KindJoinReply {
+		return fmt.Errorf("transport: send %v: unknown kind", m.Kind)
+	}
+	for _, a := range m.Addrs {
+		if len(a) > maxAddr {
+			return fmt.Errorf("transport: send %v: address of %d bytes", m.Kind, len(a))
+		}
+	}
+	n := MsgWireBytes(m)
+	if n-headerSize > MaxBody {
+		return fmt.Errorf("transport: send %v: body of %d bytes exceeds the cap", m.Kind, n-headerSize)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.enc.Encode(m); err != nil {
+	if cap(c.wbuf) < n {
+		c.wbuf = make([]byte, n)
+	}
+	b := c.wbuf[:n]
+	encode(b, m)
+	if _, err := c.raw.Write(b); err != nil {
 		return fmt.Errorf("transport: send %v: %w", m.Kind, err)
 	}
 	c.framesSent.Add(1)
-	c.bytesSent.Add(int64(MsgWireBytes(m)))
+	c.bytesSent.Add(int64(n))
 	return nil
+}
+
+// encode writes m's frame into b, which is exactly MsgWireBytes(m) long.
+func encode(b []byte, m *Msg) {
+	le := binary.LittleEndian
+	b[offVersion] = wireVersion
+	b[offKind] = byte(m.Kind)
+	b[offZero], b[offZero+1] = 0, 0
+	le.PutUint32(b[offBody:], uint32(len(b)-headerSize))
+	le.PutUint64(b[offFrom:], uint64(m.From))
+	le.PutUint64(b[offAge:], math.Float64bits(m.Age))
+	le.PutUint64(b[offLR:], math.Float64bits(m.LR))
+	le.PutUint64(b[offBid:], uint64(m.Bid))
+	le.PutUint64(b[offUID:], uint64(m.Trace.UID))
+	le.PutUint64(b[offEpoch:], uint64(m.Epoch))
+	le.PutUint32(b[offParams:], uint32(len(m.Params)))
+	le.PutUint32(b[offAges:], uint32(len(m.Ages)))
+	le.PutUint32(b[offFront:], uint32(len(m.Trace.Front)))
+	le.PutUint32(b[offMembers:], uint32(len(m.Members)))
+	le.PutUint32(b[offAddrs:], uint32(len(m.Addrs)))
+	le.PutUint32(b[offBlob:], uint32(len(m.Blob)))
+
+	b = putFloats(b[headerSize:], m.Params)
+	b = putFloats(b, m.Ages)
+	for _, v := range m.Trace.Front {
+		le.PutUint64(b, uint64(v))
+		b = b[8:]
+	}
+	for _, v := range m.Members {
+		le.PutUint64(b, uint64(v))
+		b = b[8:]
+	}
+	for _, a := range m.Addrs {
+		le.PutUint16(b, uint16(len(a)))
+		b = b[2+copy(b[2:], a):]
+	}
+	copy(b, m.Blob)
+}
+
+// putFloats writes src as 8-byte words at the front of b and returns the
+// rest of b. Four words per iteration over slices that shrink as they are
+// consumed: the form the compiler proves in bounds, which halves the loop's
+// cost against indexing b by 8*i.
+func putFloats(b []byte, src []float64) []byte {
+	le := binary.LittleEndian
+	for len(src) >= 4 && len(b) >= 32 {
+		le.PutUint64(b[0:8], math.Float64bits(src[0]))
+		le.PutUint64(b[8:16], math.Float64bits(src[1]))
+		le.PutUint64(b[16:24], math.Float64bits(src[2]))
+		le.PutUint64(b[24:32], math.Float64bits(src[3]))
+		b, src = b[32:], src[4:]
+	}
+	for _, v := range src {
+		le.PutUint64(b, math.Float64bits(v))
+		b = b[8:]
+	}
+	return b
+}
+
+// getFloats converts the 8-byte words at the front of b into dst and
+// reports whether all of them are finite: the exponent test rides in the
+// conversion loop (shaped like putFloats'), so validating costs no second
+// sweep. It stops at the first NaN or ±Inf.
+func getFloats(dst []float64, b []byte) bool {
+	le := binary.LittleEndian
+	for len(dst) >= 4 && len(b) >= 32 {
+		u0, u1, u2, u3 := le.Uint64(b[0:8]), le.Uint64(b[8:16]), le.Uint64(b[16:24]), le.Uint64(b[24:32])
+		if u0&nonFinite == nonFinite || u1&nonFinite == nonFinite || u2&nonFinite == nonFinite || u3&nonFinite == nonFinite {
+			return false
+		}
+		dst[0], dst[1] = math.Float64frombits(u0), math.Float64frombits(u1)
+		dst[2], dst[3] = math.Float64frombits(u2), math.Float64frombits(u3)
+		b, dst = b[32:], dst[4:]
+	}
+	for i := range dst {
+		u := le.Uint64(b)
+		if u&nonFinite == nonFinite {
+			return false
+		}
+		dst[i] = math.Float64frombits(u)
+		b = b[8:]
+	}
+	return true
 }
 
 // Recv decodes the next message into a fresh Msg.
@@ -210,21 +425,187 @@ func (c *Conn) Recv() (*Msg, error) {
 	return &m, nil
 }
 
-// RecvInto decodes the next message into m, reusing m's Params backing
-// array when its capacity suffices — the allocation-free receive path for
-// a long-lived reader loop. m is Reset first, so any Msg (including one
-// holding a previous frame) is a valid target. (Steady-state gob decodes
-// into a capacious Msg allocate nothing; growth on the first frames is
-// gob's, inside Decode.)
+// RecvInto decodes the next message into m — the allocation-free receive
+// path of a long-lived reader loop: a steady stream of same-sized model
+// frames reuses the connection's body buffer and m's Params. Any Msg,
+// including one holding a previous frame, is a valid target (see the
+// package comment for which of its slices are reused and which replaced).
+// A frame that fails validation yields a *FrameError; after any error m's
+// contents are unspecified.
 //
 //spyker:noalloc
 func (c *Conn) RecvInto(m *Msg) error {
-	m.Reset()
-	if err := c.dec.Decode(m); err != nil {
+	h := c.hdr[:]
+	if _, err := io.ReadFull(c.raw, h); err != nil {
 		return err
 	}
+	le := binary.LittleEndian
+	kind := Kind(h[offKind])
+	switch {
+	case h[offVersion] != wireVersion:
+		return errVersion
+	case kind < KindHello || kind > KindJoinReply || h[offZero] != 0 || h[offZero+1] != 0:
+		return errKind
+	}
+	body := int64(le.Uint32(h[offBody:]))
+	if body > MaxBody {
+		return errTooLong
+	}
+	nParams := int64(le.Uint32(h[offParams:]))
+	nAges := int64(le.Uint32(h[offAges:]))
+	nFront := int64(le.Uint32(h[offFront:]))
+	nMembers := int64(le.Uint32(h[offMembers:]))
+	nAddrs := int64(le.Uint32(h[offAddrs:]))
+	nBlob := int64(le.Uint32(h[offBlob:]))
+	// What the addresses take beyond their length prefixes; the counts
+	// are 32-bit, so the sum cannot overflow an int64.
+	addrBytes := body - 8*(nParams+nAges+nFront+nMembers) - 2*nAddrs - nBlob
+	if addrBytes < 0 || (nAddrs == 0 && addrBytes != 0) {
+		return errCounts
+	}
+	age, lr := le.Uint64(h[offAge:]), le.Uint64(h[offLR:])
+	if age&nonFinite == nonFinite || lr&nonFinite == nonFinite {
+		return errNonFinite
+	}
+	if c.bounded {
+		want := int64(0)
+		if kind.carriesModel() {
+			want = int64(c.dim)
+		}
+		ring := int64(c.ring)
+		switch {
+		case nParams != want:
+			return errDimension
+		case nAges > ring || nFront > ring || nMembers > ring || nAddrs > ring || nBlob != 0:
+			return errRing
+		}
+	}
+
+	b, err := c.readBody(int(body))
+	if err != nil {
+		return err
+	}
+	m.Kind = kind
+	m.From = int(int64(le.Uint64(h[offFrom:])))
+	m.Age = math.Float64frombits(age)
+	m.LR = math.Float64frombits(lr)
+	m.Bid = int(int64(le.Uint64(h[offBid:])))
+	m.Trace.UID = obs.UID(le.Uint64(h[offUID:]))
+	m.Epoch = int(int64(le.Uint64(h[offEpoch:])))
+
+	if int64(cap(m.Params)) < nParams {
+		m.Params = newFloats(int(nParams))
+	}
+	m.Params = m.Params[:nParams]
+	if !getFloats(m.Params, b) {
+		return errNonFinite
+	}
+	m.Trace.Front = m.Trace.Front[:0]
+	m.Ages, m.Members, m.Addrs, m.Blob = nil, nil, nil, nil
+	if nAges|nFront|nMembers|nAddrs|nBlob != 0 {
+		if err := m.decodeTail(b[8*nParams:], int(nAges), int(nFront), int(nMembers), int(nAddrs), int(nBlob)); err != nil {
+			return err
+		}
+	}
 	c.framesRecv.Add(1)
-	c.bytesRecv.Add(int64(MsgWireBytes(m)))
+	c.bytesRecv.Add(headerSize + body)
+	return nil
+}
+
+// readBody reads an n-byte body into the connection's buffer.
+func (c *Conn) readBody(n int) ([]byte, error) {
+	if cap(c.rbuf) < n {
+		return c.readGrowing(n)
+	}
+	b := c.rbuf[:n]
+	_, err := io.ReadFull(c.raw, b)
+	return b, err
+}
+
+// readGrowing is readBody for a body larger than the buffer: the buffer
+// starts at firstRead bytes and then doubles only as the bytes arrive, so
+// a header that declares a long body and sends none of it has allocated a
+// constant. Out of line (and never inlined) so the growth stays outside
+// RecvInto's //spyker:noalloc body.
+//
+//go:noinline
+func (c *Conn) readGrowing(n int) ([]byte, error) {
+	b := c.rbuf[:0]
+	for len(b) < n {
+		step := min(n-len(b), max(len(b), firstRead))
+		if cap(b)-len(b) < step {
+			b = append(make([]byte, 0, len(b)+step), b...)
+		}
+		got, err := io.ReadFull(c.raw, b[len(b):len(b)+step])
+		b = b[:len(b)+got]
+		if err != nil {
+			return nil, err
+		}
+	}
+	c.rbuf = b
+	return b, nil
+}
+
+// newFloats allocates RecvInto's Params when the target's are too small;
+// out of line for the same reason as readGrowing.
+//
+//go:noinline
+func newFloats(n int) []float64 { return make([]float64, n) }
+
+// decodeTail decodes what follows Params in a body: the control-plane
+// vectors of the inter-server and join frames. Front reuses m's backing
+// array; Ages, Members, Addrs and Blob are allocated fresh, because
+// receivers retain them (see the package comment). Out of line: model
+// frames between a client and its server never get here, and the
+// allocations stay outside RecvInto's //spyker:noalloc body.
+//
+//go:noinline
+func (m *Msg) decodeTail(b []byte, nAges, nFront, nMembers, nAddrs, nBlob int) error {
+	le := binary.LittleEndian
+	if nAges > 0 {
+		m.Ages = make([]float64, nAges)
+		if !getFloats(m.Ages, b) {
+			return errNonFinite
+		}
+		b = b[8*nAges:]
+	}
+	if cap(m.Trace.Front) < nFront {
+		m.Trace.Front = make([]int64, nFront)
+	}
+	m.Trace.Front = m.Trace.Front[:nFront]
+	for i := range m.Trace.Front {
+		m.Trace.Front[i] = int64(le.Uint64(b[8*i:]))
+	}
+	b = b[8*nFront:]
+	if nMembers > 0 {
+		m.Members = make([]int, nMembers)
+		for i := range m.Members {
+			m.Members[i] = int(int64(le.Uint64(b[8*i:])))
+		}
+		b = b[8*nMembers:]
+	}
+	if nAddrs > 0 {
+		// One string holds the whole section; the addresses are slices of it.
+		sec := string(b[:len(b)-nBlob])
+		m.Addrs = make([]string, nAddrs)
+		for i := range m.Addrs {
+			if len(sec) < 2 {
+				return errAddrs
+			}
+			n := int(sec[0]) | int(sec[1])<<8
+			if len(sec) < 2+n {
+				return errAddrs
+			}
+			m.Addrs[i], sec = sec[2:2+n], sec[2+n:]
+		}
+		if sec != "" {
+			return errAddrs
+		}
+		b = b[len(b)-nBlob:]
+	}
+	if nBlob > 0 {
+		m.Blob = append([]byte(nil), b...)
+	}
 	return nil
 }
 
@@ -245,7 +626,7 @@ func (c *Conn) Close() error { return c.raw.Close() }
 // RemoteAddr reports the peer address.
 func (c *Conn) RemoteAddr() string { return c.raw.RemoteAddr().String() }
 
-// Listener accepts gob-framed connections.
+// Listener accepts framed connections.
 type Listener struct {
 	l net.Listener
 }
