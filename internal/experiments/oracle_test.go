@@ -5,6 +5,11 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"github.com/spyker-fl/spyker/internal/compress"
+	"github.com/spyker-fl/spyker/internal/fault"
+	"github.com/spyker-fl/spyker/internal/fl"
+	"github.com/spyker-fl/spyker/internal/obs/audit"
 )
 
 // oracleBits is what one tiny seeded run must reproduce to the last bit.
@@ -36,23 +41,67 @@ func TestCrossCommitOracle(t *testing.T) {
 		t.Skipf("oracle bits were recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
 	}
 	cases := []struct {
-		task Task
-		alg  string
-		want oracleBits
+		name  string
+		task  Task
+		alg   string
+		setup func(*Setup)  // nil: the plain configuration
+		env   func(*fl.Env) // nil: the environment as BuildEnv made it
+		want  oracleBits
 	}{
-		{TaskMNIST, "spyker", oracleBits{0x3ffebade72c54d91, 0x3fce4b17e4b17e4b, 0x3ff526fb3f2813b7, 64, 0x2f23f0f9f79083fa}},
-		{TaskMNIST, "fedavg", oracleBits{0x3ffa0595c1c92dd1, 0x3fe1b4e81b4e81b5, 0x401308edb36781aa, 64, 0x222d4877a923c4d8}},
-		{TaskCIFAR, "spyker", oracleBits{0x3ffe809be2ad27ac, 0x3fd7e4b17e4b17e5, 0x3ff520d8e637b799, 64, 0x40bb7b5d9314238}},
-		{TaskCIFAR, "fedavg", oracleBits{0x3ff676b52bcfeb5a, 0x3fe53a06d3a06d3a, 0x4013074af10546f5, 64, 0x614372cd3708a66e}},
-		{TaskWiki, "spyker", oracleBits{0x400af9c20d7dc32a, 0x3fc4514514514514, 0x3ff4b8041087ed39, 64, 0xa0ecbf2833f9aece}},
-		{TaskWiki, "fedavg", oracleBits{0x400a6956ef2552a8, 0x3fc6fbefbefbefbf, 0x4012eb5673c55544, 64, 0x1bd3c37ad079bc26}},
+		{"mnist/spyker", TaskMNIST, "spyker", nil, nil, oracleBits{0x3ffebade72c54d91, 0x3fce4b17e4b17e4b, 0x3ff526fb3f2813b7, 64, 0x2f23f0f9f79083fa}},
+		{"mnist/fedavg", TaskMNIST, "fedavg", nil, nil, oracleBits{0x3ffa0595c1c92dd1, 0x3fe1b4e81b4e81b5, 0x401308edb36781aa, 64, 0x222d4877a923c4d8}},
+		{"cifar/spyker", TaskCIFAR, "spyker", nil, nil, oracleBits{0x3ffe809be2ad27ac, 0x3fd7e4b17e4b17e5, 0x3ff520d8e637b799, 64, 0x40bb7b5d9314238}},
+		{"cifar/fedavg", TaskCIFAR, "fedavg", nil, nil, oracleBits{0x3ff676b52bcfeb5a, 0x3fe53a06d3a06d3a, 0x4013074af10546f5, 64, 0x614372cd3708a66e}},
+		{"wiki/spyker", TaskWiki, "spyker", nil, nil, oracleBits{0x400af9c20d7dc32a, 0x3fc4514514514514, 0x3ff4b8041087ed39, 64, 0xa0ecbf2833f9aece}},
+		{"wiki/fedavg", TaskWiki, "fedavg", nil, nil, oracleBits{0x400a6956ef2552a8, 0x3fc6fbefbefbefbf, 0x4012eb5673c55544, 64, 0x1bd3c37ad079bc26}},
+
+		// Recorded on 6db5d83, the commit before the client-update handler
+		// began to consume its vector and reply in it: the configurations
+		// where that vector is not a view of the client's model (a
+		// Byzantine payload, a codec reconstruction, the private copy of a
+		// fault-armed run) or where the merge is not the fused kernel (the
+		// clip path, which in 64 honest updates never clips and so must
+		// equal the plain row through DiffInto+AxpyInto, and does clip the
+		// sign-flipped payload; audit armed, which must equal the plain row
+		// too).
+		{"mnist/spyker/sign-flip", TaskMNIST, "spyker", nil, func(e *fl.Env) {
+			e.Clients[1].Byzantine = fl.ByzantineSignFlip
+		}, oracleBits{0x40318e1e6cf6fb7e, 0x3fc999999999999a, 0x3ff526fb3f2813b7, 64, 0xbe7405e60660b1fa}},
+		{"mnist/spyker/q8", TaskMNIST, "spyker", func(s *Setup) {
+			s.Codec = compress.Quantize8{}
+		}, nil, oracleBits{0x3ffeb7d3966fd249, 0x3fcd70a3d70a3d71, 0x3ff4c733028dd98d, 64, 0x44b00203ac715bd}},
+		{"mnist/spyker/clip3", TaskMNIST, "spyker", func(s *Setup) {
+			h := fl.DefaultHyper(8, 2)
+			h.RobustClipFactor = 3
+			s.Hyper = &h
+		}, nil, oracleBits{0x3ffebade72c54d91, 0x3fce4b17e4b17e4b, 0x3ff526fb3f2813b7, 64, 0x2f23f0f9f79083fa}},
+		{"mnist/spyker/clip3+sign-flip", TaskMNIST, "spyker", func(s *Setup) {
+			h := fl.DefaultHyper(8, 2)
+			h.RobustClipFactor = 3
+			s.Hyper = &h
+		}, func(e *fl.Env) {
+			e.Clients[1].Byzantine = fl.ByzantineSignFlip
+		}, oracleBits{0x40083a11fbaab289, 0x3fd28f5c28f5c28f, 0x3ff526fb3f2813b7, 64, 0x31eb7641bc0143e3}},
+		{"mnist/spyker/audit", TaskMNIST, "spyker", func(s *Setup) {
+			s.Audit = &audit.Config{}
+		}, nil, oracleBits{0x3ffebade72c54d91, 0x3fce4b17e4b17e4b, 0x3ff526fb3f2813b7, 64, 0x2f23f0f9f79083fa}},
+		{"mnist/spyker/faults", TaskMNIST, "spyker", func(s *Setup) {
+			s.Faults = &fault.Plan{Seed: 3, Events: []fault.Event{
+				{At: 0.2, Kind: fault.KindLinkDup, Src: fault.Any, Dst: fault.Any, Duration: 30, P: 0.5},
+				{At: 0.6, Kind: fault.KindCrash, Server: 1, Duration: 0.3},
+			}}
+		}, nil, oracleBits{0x3fff6d7472fb460c, 0x3fd2c5f92c5f92c6, 0x40005ddc12007600, 64, 0xbc9d2869ecd6ac4f}},
 	}
 	for _, tc := range cases {
-		t.Run(tc.task.String()+"/"+tc.alg, func(t *testing.T) {
-			res, err := Run(tc.alg, Setup{
+		t.Run(tc.name, func(t *testing.T) {
+			setup := Setup{
 				Task: tc.task, NumServers: 2, NumClients: 8, NonIIDLabels: 2,
 				Seed: 7, MaxUpdates: 64, EvalEvery: 8, Horizon: 60,
-			})
+			}
+			if tc.setup != nil {
+				tc.setup(&setup)
+			}
+			res, err := oracleRun(tc.alg, setup, tc.env)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,6 +121,29 @@ func TestCrossCommitOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// oracleRun is Run, or — when the row edits the environment between
+// BuildEnv and Build, which Setup cannot express — the fault-free part of
+// Run spelled out around that edit.
+func oracleRun(alg string, s Setup, edit func(*fl.Env)) (*Result, error) {
+	if edit == nil {
+		return Run(alg, s)
+	}
+	a, err := NewAlgorithm(alg)
+	if err != nil {
+		return nil, err
+	}
+	env, rec, err := BuildEnv(s)
+	if err != nil {
+		return nil, err
+	}
+	edit(env)
+	if err := a.Build(env); err != nil {
+		return nil, err
+	}
+	final := env.Sim.Run(s.Horizon)
+	return &Result{Trace: rec.TraceData, FinalTime: final, Updates: rec.Updates()}, nil
 }
 
 func traceHash(res *Result) uint64 {

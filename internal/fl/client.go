@@ -135,8 +135,14 @@ func (c *SimClient) HandleModel(params []float64, meta any, lr float64) {
 	// has consumed the previous update: Spyker/FedAsync/FedBuff/
 	// Sync-Spyker reply per processed update, and the round-based
 	// protocols (FedAvg, HierFAVG) only start a round after aggregating
-	// all pending updates. The Byzantine and codec paths below produce
-	// owned vectors anyway.
+	// all pending updates. Spyker goes one step further and answers in
+	// the view itself: its server writes the new model over the update it
+	// consumed, so params below may BE this model's view, already holding
+	// what SetParams would copy into it — parked between its update and
+	// the reply, the client has no other use for the vector. The Byzantine,
+	// codec and CopyUpdates paths below must therefore keep producing
+	// vectors of their own: tamper reads params beside the trained view,
+	// and a hardened client may retrain before its update is consumed.
 	update := c.Model.ParamsView()
 	if c.Spec.Byzantine != ByzantineNone {
 		update = c.tamper(params, update)

@@ -197,9 +197,14 @@ type Server struct {
 	reconnects atomic.Int64
 	debugAddr  string //spyker:guardedby(mu)
 
-	// pool recycles the model-sized buffers outbound frames are copied
-	// into (the core's Outbound contract only lends its vector for the
-	// duration of the call); outbox goroutines return them after sending.
+	// pool recycles the model-sized buffers that frames travel in. A client
+	// connection's reader receives into one; the core's handler consumes
+	// the update and turns the same buffer into the reply (the Outbound
+	// contract), the client's outbox returns it after the write, and the
+	// reader takes another for its next frame — so a buffer has one holder
+	// at a time: reader, then core (under mu), then outbox. A first model
+	// and the broadcasts, which the core only lends, are copied into
+	// buffers from here that the outboxes return as well.
 	pool paramvec.Pool
 
 	// ckptScratch is the reusable checkpoint snapshot (see
@@ -771,12 +776,26 @@ func (s *Server) readLoop(conn *transport.Conn) {
 	}
 	// One reusable frame per connection: RecvInto recycles the Params
 	// backing array across decodes, so a steady-state reader allocates
-	// nothing per frame. The core handlers consume Params synchronously
-	// (dispatch holds s.mu for the whole handler); what receivers retain —
-	// the token's age vector, the membership, the address book — is fresh
-	// on every decode (see the transport package comment).
+	// nothing per frame. What receivers retain — the token's age vector, the
+	// membership, the address book — is fresh on every decode (see the
+	// transport package comment). A server connection's Params are only
+	// read, under s.mu, for the length of the handler. A client
+	// connection's are given away: dispatch takes them out of m when the
+	// core has consumed an update (see the pool field), so this reader
+	// receives into a pooled buffer, draws the next one when the last is
+	// gone, and returns the one it still holds when the connection ends.
 	var m transport.Msg
+	if role == RoleClient {
+		defer func() {
+			if m.Params != nil {
+				s.pool.Put(m.Params[:cap(m.Params)])
+			}
+		}()
+	}
 	for {
+		if role == RoleClient && m.Params == nil {
+			m.Params = s.pool.Get(int(s.dim.Load()))
+		}
 		conn.Bound(int(s.dim.Load()), int(s.ringBound.Load()))
 		err := conn.RecvInto(&m)
 		if err == nil {
@@ -942,8 +961,11 @@ func (s *Server) registerClient(id int, conn *transport.Conn) {
 
 // dispatch routes one received frame into the protocol core — the tail
 // of the pooled receive path: readLoop's reusable Msg arrives here and
-// the core handlers consume its Params synchronously under s.mu, so the
-// steady-state server processes a frame without allocating. role and id
+// the core handlers are done with its Params when they return, under s.mu,
+// so the steady-state server processes a frame without allocating. A
+// client update's Params do not come back: the core's handler consumes
+// them and the reply leaves in them, so dispatch clears m.Params and the
+// reader cannot touch a buffer an outbox now holds. role and id
 // are what the connection's hello claimed, and the frame must fit them: a
 // client connection carries only that client's updates, a server
 // connection only that server's three inter-server kinds under a
@@ -967,6 +989,7 @@ func (s *Server) dispatch(role, id int, m *transport.Msg) error {
 		}
 		s.noteRecv(id, m)
 		s.core.HandleClientUpdateTraced(id, m.Params, m.Age, m.Trace.UID)
+		m.Params = nil
 		s.updates.Add(1)
 		return nil
 	}
@@ -1066,24 +1089,29 @@ type serverOutbound Server
 
 var _ spyker.Outbound = (*serverOutbound)(nil)
 
-// ReplyClient runs inside a core handler with s.mu held.
+// ReplyClient runs inside a core handler with s.mu held. params is the
+// reply's own vector (the Outbound contract): the pooled buffer the
+// client's reader received the update into, now holding the new model. It
+// goes to the client's outbox as it is and back to the pool once the frame
+// has left — or right away when there is nobody to send it to. (Every
+// vector that arrives here was drawn from the pool by a reader: dispatch is
+// this runtime's only caller of the update handler, and it never uses the
+// core's ReengageClient, whose reply is a plain allocation.)
 //
 //spyker:locked(mu)
 func (o *serverOutbound) ReplyClient(k int, params []float64, age, lr float64) {
-	if c, ok := o.clients[k]; ok {
-		s := (*Server)(o)
-		// params is a borrow of the core's live vector (Outbound
-		// contract); the outbox sends asynchronously, so copy into a
-		// pooled buffer it returns after the send.
-		buf := s.pool.Get(len(params))
-		buf.CopyFrom(params)
-		m := &transport.Msg{
-			Kind: transport.KindModelReply, From: o.ID,
-			Params: buf, Age: age, LR: lr,
-		}
-		s.noteSend(k, m)
-		c.enqueueRelease(m, func() { s.pool.Put(buf) })
+	s := (*Server)(o)
+	c, ok := o.clients[k]
+	if !ok {
+		s.pool.Put(params)
+		return
 	}
+	m := &transport.Msg{
+		Kind: transport.KindModelReply, From: o.ID,
+		Params: params, Age: age, LR: lr,
+	}
+	s.noteSend(k, m)
+	c.enqueueRelease(m, func() { s.pool.Put(params) })
 }
 
 // addrsFor renders the address book aligned with members (empty string

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"fmt"
+
 	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/simulation"
 	"github.com/spyker-fl/spyker/internal/tensor"
@@ -69,11 +71,7 @@ func (r *Recorder) evaluate(now float64, models [][]float64) {
 	if r.avg == nil {
 		r.avg = make([]float64, len(models[0]))
 	}
-	tensor.Zero(r.avg)
-	share := 1 / float64(len(models))
-	for _, m := range models {
-		tensor.AXPY(share, r.avg, m)
-	}
+	averageInto(r.avg, models)
 	r.EvalModel.SetParams(r.avg)
 	loss, acc := r.EvalModel.Evaluate()
 	r.TraceData = append(r.TraceData, Point{Time: now, Updates: r.updates, Loss: loss, Acc: acc})
@@ -81,6 +79,37 @@ func (r *Recorder) evaluate(now float64, models [][]float64) {
 		r.reached = true
 		r.reachedAt = now
 		r.Sim.Stop()
+	}
+}
+
+// averageInto writes the equal-weight mean of models into avg: avg = 0,
+// then avg += share*m for every model in order. Four models are folded per
+// sweep over avg with the running element held in a register, so a
+// deployment of N servers costs N/4 read-modify-write passes instead of N;
+// each element still receives the same additions in the same order,
+// starting from the same zero, so the result is the bits of Zero followed
+// by one AXPY per model.
+func averageInto(avg []float64, models [][]float64) {
+	share := 1 / float64(len(models))
+	for _, m := range models {
+		if len(m) != len(avg) {
+			panic(fmt.Sprintf("metrics: model of length %d averaged into %d", len(m), len(avg)))
+		}
+	}
+	tensor.Zero(avg)
+	k := 0
+	for ; k+4 <= len(models); k += 4 {
+		m0, m1, m2, m3 := models[k][:len(avg)], models[k+1][:len(avg)], models[k+2][:len(avg)], models[k+3][:len(avg)]
+		for i, v := range avg {
+			v += share * m0[i]
+			v += share * m1[i]
+			v += share * m2[i]
+			v += share * m3[i]
+			avg[i] = v
+		}
+	}
+	for ; k < len(models); k++ {
+		tensor.AXPY(share, avg, models[k])
 	}
 }
 

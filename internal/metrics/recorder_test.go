@@ -1,9 +1,12 @@
 package metrics
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/spyker-fl/spyker/internal/simulation"
+	"github.com/spyker-fl/spyker/internal/tensor"
 )
 
 // stubModel lets the tests control the reported accuracy and inspect what
@@ -107,4 +110,73 @@ func TestUpdateCountSamples(t *testing.T) {
 			t.Fatalf("samples = %v, want %v", got, want)
 		}
 	}
+}
+
+// TestAverageIntoMatchesZeroThenAXPY: folding four models per sweep gives
+// every element the additions of Zero followed by one AXPY per model, in
+// that order, so the evaluated vector has the same bits — for every server
+// count around the group size, including signed zeros (0 + -0 is +0, which
+// the leading zero must keep deciding), denormals, infinities, and NaN
+// exactly where the reference has NaN.
+func TestAverageIntoMatchesZeroThenAXPY(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	special := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64,
+		-0x1p-1050, math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1)}
+	for n := 1; n <= 9; n++ {
+		for _, dim := range []int{1, 7, 64, 1001} {
+			models := make([][]float64, n)
+			for k := range models {
+				models[k] = make([]float64, dim)
+				for i := range models[k] {
+					if rng.Intn(5) == 0 {
+						models[k][i] = special[rng.Intn(len(special))]
+					} else {
+						models[k][i] = rng.NormFloat64() * math.Pow(2, float64(rng.Intn(80)-40))
+					}
+				}
+			}
+			// Column 0 is -0 in every model: the plain sum of -0s is -0,
+			// the average that starts from +0 is +0.
+			for k := range models {
+				models[k][0] = math.Copysign(0, -1)
+			}
+
+			want := make([]float64, dim)
+			for i := range want {
+				want[i] = rng.NormFloat64() // stale contents Zero must erase
+			}
+			got := append([]float64(nil), want...)
+
+			tensor.Zero(want)
+			share := 1 / float64(n)
+			for _, m := range models {
+				tensor.AXPY(share, want, m)
+			}
+			averageInto(got, models)
+
+			for i := range want {
+				if math.IsNaN(got[i]) && math.IsNaN(want[i]) {
+					// Which payload survives when two NaNs are added is the
+					// compiler's choice of operand order, not arithmetic.
+					continue
+				}
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d dim=%d: avg[%d] = %x, Zero+AXPY gives %x", n, dim, i,
+						math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+			if math.Signbit(got[0]) {
+				t.Fatalf("n=%d: the average of -0s lost its leading +0", n)
+			}
+		}
+	}
+}
+
+func TestAverageIntoLengthMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on a model of another length")
+		}
+	}()
+	averageInto(make([]float64, 4), [][]float64{make([]float64, 4), make([]float64, 5)})
 }

@@ -2,6 +2,7 @@ package paramvec
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -185,3 +186,159 @@ func BenchmarkPoolGetPut(b *testing.B) {
 		p.Put(p.Get(25000))
 	}
 }
+
+// mergeReplyReference is the two-line loop MergeReplyInto must reproduce
+// bit for bit: the merge of WeightedMergeInto, then the copy.
+func mergeReplyReference(v []float64, w float64, x []float64) {
+	for i := range v {
+		v[i] += w * (x[i] - v[i])
+		x[i] = v[i]
+	}
+}
+
+// kernelOperands returns n values that cover what a sweep can meet: random
+// magnitudes, ±0, denormals, the largest finite values, NaN and ±Inf.
+func kernelOperands(rng *rand.Rand, n int) []float64 {
+	special := []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0x1p-1040, -0x1p-1060, math.MaxFloat64, -math.MaxFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1), 1, -1,
+	}
+	out := make([]float64, n)
+	for i := range out {
+		switch rng.Intn(4) {
+		case 0:
+			out[i] = special[rng.Intn(len(special))]
+		case 1:
+			out[i] = rng.NormFloat64() * math.Pow(2, float64(rng.Intn(120)-60))
+		default:
+			out[i] = rng.NormFloat64()
+		}
+	}
+	return out
+}
+
+// sameBits compares two vectors bit for bit, except that a NaN matches any
+// NaN: which payload survives when two NaNs meet is the compiler's choice
+// of operand order, not arithmetic.
+func sameBits(a, b []float64) (int, bool) {
+	for i := range a {
+		if math.IsNaN(a[i]) && math.IsNaN(b[i]) {
+			continue
+		}
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// TestMergeReplyIntoMatchesMergeThenCopy: the fused kernel leaves in v the
+// bits WeightedMergeInto leaves there and in x a copy of them, for every
+// length around its four-quarter split (including the page-multiple
+// quarters it shortens), every kind of operand and the weights 0 and 1.
+func TestMergeReplyIntoMatchesMergeThenCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	lengths := []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 63, 100, 1023,
+		4 * pageWords, 4*pageWords + 1, 4*pageWords - 1, 8*pageWords + 6, 16384, 25000}
+	weights := []float64{0, 1, 0.3, -0.5, 1.75, math.SmallestNonzeroFloat64, math.NaN(), math.Inf(1)}
+	for _, n := range lengths {
+		for _, w := range weights {
+			v0, x0 := kernelOperands(rng, n), kernelOperands(rng, n)
+
+			vRef, xRef := append([]float64(nil), v0...), append([]float64(nil), x0...)
+			mergeReplyReference(vRef, w, xRef)
+
+			vLib, xLib := append(Vec(nil), v0...), append([]float64(nil), x0...)
+			vLib.WeightedMergeInto(w, xLib)
+			copy(xLib, vLib)
+
+			vGot, xGot := append(Vec(nil), v0...), append([]float64(nil), x0...)
+			vGot.MergeReplyInto(w, xGot)
+
+			if i, ok := sameBits(vGot, vRef); !ok {
+				t.Fatalf("n=%d w=%v: v[%d] = %x, reference loop gives %x", n, w, i,
+					math.Float64bits(vGot[i]), math.Float64bits(vRef[i]))
+			}
+			if i, ok := sameBits(xGot, xRef); !ok {
+				t.Fatalf("n=%d w=%v: x[%d] = %x, reference loop gives %x", n, w, i,
+					math.Float64bits(xGot[i]), math.Float64bits(xRef[i]))
+			}
+			if i, ok := sameBits(vGot, vLib); !ok {
+				t.Fatalf("n=%d w=%v: v[%d] differs from WeightedMergeInto", n, w, i)
+			}
+			if i, ok := sameBits(xGot, xLib); !ok {
+				t.Fatalf("n=%d w=%v: x[%d] differs from WeightedMergeInto then copy", n, w, i)
+			}
+		}
+	}
+}
+
+// TestMergeReplyIntoEndpoints: w=0 keeps v and copies it out, w=1 adopts x
+// (for finite operands; x - v + v is x only then).
+func TestMergeReplyIntoEndpoints(t *testing.T) {
+	v, x := Vec{1, 2, 3, 4, 5}, []float64{9, 8, 7, 6, 5}
+	v.MergeReplyInto(0, x)
+	for i, want := range []float64{1, 2, 3, 4, 5} {
+		if v[i] != want || x[i] != want {
+			t.Fatalf("w=0: v=%v x=%v", v, x)
+		}
+	}
+	x = []float64{9, 8, 7, 6, 5}
+	v.MergeReplyInto(1, x)
+	for i, want := range []float64{9, 8, 7, 6, 5} {
+		if v[i] != want || x[i] != want {
+			t.Fatalf("w=1: v=%v x=%v", v, x)
+		}
+	}
+}
+
+func TestMergeReplyIntoLengthMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on length mismatch")
+		}
+	}()
+	Vec{1, 2}.MergeReplyInto(1, []float64{1, 2, 3})
+}
+
+func TestMergeReplyIntoAllocatesNothing(t *testing.T) {
+	v, x := New(16384), make([]float64, 16384)
+	if allocs := testing.AllocsPerRun(50, func() { v.MergeReplyInto(0.3, x) }); allocs != 0 {
+		t.Fatalf("MergeReplyInto: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// The fused kernel against the two sweeps it replaces, on one vector that
+// stays in cache and on a set far larger than any cache, visited in an
+// order the prefetchers cannot follow from one vector to the next — the
+// state a server finds a client's update in.
+func benchmarkMergeReply(b *testing.B, vectors int, fused bool) {
+	const dim = 16384
+	rng := rand.New(rand.NewSource(1))
+	xs := make([][]float64, vectors)
+	for i := range xs {
+		xs[i] = make([]float64, dim)
+		for j := range xs[i] {
+			xs[i][j] = rng.NormFloat64()
+		}
+	}
+	order := rng.Perm(vectors)
+	v := New(dim)
+	b.SetBytes(8 * dim)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x := xs[order[i%vectors]]
+		if fused {
+			v.MergeReplyInto(0.3, x)
+		} else {
+			v.WeightedMergeInto(0.3, x)
+			copy(x, v)
+		}
+	}
+}
+
+func BenchmarkMergeReplyIntoCached(b *testing.B)   { benchmarkMergeReply(b, 1, true) }
+func BenchmarkMergeThenCopyCached(b *testing.B)    { benchmarkMergeReply(b, 1, false) }
+func BenchmarkMergeReplyIntoUncached(b *testing.B) { benchmarkMergeReply(b, 1200, true) }
+func BenchmarkMergeThenCopyUncached(b *testing.B)  { benchmarkMergeReply(b, 1200, false) }

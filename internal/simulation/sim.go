@@ -7,7 +7,6 @@
 package simulation
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -21,24 +20,69 @@ type event struct {
 	fn   func()
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
+// before is the queue's order: earlier time first, schedule order among
+// equal times. seq is unique, so the order is total and the sequence of
+// pops is a function of the pushes alone, whatever the heap's shape.
+func (e *event) before(o *event) bool {
+	if e.time != o.time {
+		return e.time < o.time
 	}
-	return q[i].seq < q[j].seq
+	return e.seq < o.seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+
+// eventQueue is a binary min-heap of event values, written out instead of
+// going through container/heap: one event per update-path message makes
+// this the busiest structure of a simulated run, and the generic heap
+// costs a heap object per event, a boxing of every pushed and popped
+// value, and an interface call per comparison and swap.
+type eventQueue []event
+
+// push adds e, sifting the hole up from the new last slot.
+func (q *eventQueue) push(e event) {
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+	*q = h
+}
+
+// pop removes and returns the least event; the queue must not be empty.
+// The vacated last slot is zeroed so the backing array keeps no reference
+// to a closure that already ran.
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{}
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			child := 2*i + 1
+			if child >= n {
+				break
+			}
+			if child+1 < n && h[child+1].before(&h[child]) {
+				child++
+			}
+			if !h[child].before(&last) {
+				break
+			}
+			h[i] = h[child]
+			i = child
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
 }
 
 // Sim is a single-threaded discrete-event simulator. It is not safe for
@@ -85,7 +129,7 @@ func (s *Sim) ScheduleAt(t float64, fn func()) {
 		panic(fmt.Sprintf("simulation: schedule at %v before now %v", t, s.now))
 	}
 	s.seq++
-	heap.Push(&s.queue, &event{time: t, seq: s.seq, fn: fn})
+	s.queue.push(event{time: t, seq: s.seq, fn: fn})
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -109,11 +153,10 @@ func (s *Sim) Instrument(events *obs.Counter, depth *obs.Gauge) {
 func (s *Sim) Run(horizon float64) float64 {
 	s.stopped = false
 	for len(s.queue) > 0 && !s.stopped {
-		e := s.queue[0]
-		if e.time > horizon {
+		if s.queue[0].time > horizon {
 			break
 		}
-		heap.Pop(&s.queue)
+		e := s.queue.pop()
 		s.now = e.time
 		s.processed++
 		e.fn()

@@ -1,7 +1,10 @@
 package simulation
 
 import (
+	"container/heap"
+	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -224,4 +227,140 @@ func TestStopLeavesQueueIntact(t *testing.T) {
 	if s.Processed() != 8 {
 		t.Errorf("Processed() = %d after resume, want 8", s.Processed())
 	}
+}
+
+// refQueue is the queue this package used before its heap was written out:
+// container/heap over event pointers, ordered by the same (time, seq) key.
+// It stays here as the reference the value-typed heap is compared with.
+type refQueue []*event
+
+func (q refQueue) Len() int           { return len(q) }
+func (q refQueue) Less(i, j int) bool { return q[i].before(q[j]) }
+func (q refQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *refQueue) Push(x any)        { *q = append(*q, x.(*event)) }
+func (q *refQueue) Pop() any {
+	old := *q
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = nil
+	*q = old[:n-1]
+	return e
+}
+
+// TestEventQueueMatchesContainerHeap drives the value-typed heap and the
+// container/heap reference with the same random interleaving of pushes and
+// pops — timestamps drawn from a handful of values, so most comparisons
+// are decided by the sequence number — and requires the identical pop
+// sequence. (time, seq) is a total order, so any correct heap must agree.
+func TestEventQueueMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	var q eventQueue
+	var ref refQueue
+	var seq uint64
+	ops := 0
+	pop := func() {
+		got := q.pop()
+		want := heap.Pop(&ref).(*event)
+		if got.time != want.time || got.seq != want.seq {
+			t.Fatalf("op %d: popped (%v, %d), container/heap pops (%v, %d)",
+				ops, got.time, got.seq, want.time, want.seq)
+		}
+	}
+	for ops = 0; ops < 300000; ops++ {
+		// Phases that fill and phases that drain, so the heap is exercised
+		// at every depth from empty to a few thousand.
+		fill := (ops/5000)%2 == 0
+		if len(q) == 0 || (fill && rng.Intn(3) != 0) || (!fill && rng.Intn(3) == 0) {
+			seq++
+			tm := float64(rng.Intn(6))
+			if rng.Intn(20) == 0 {
+				tm = rng.Float64() * 6
+			}
+			q.push(event{time: tm, seq: seq})
+			heap.Push(&ref, &event{time: tm, seq: seq})
+		} else {
+			pop()
+		}
+		if len(q) != ref.Len() {
+			t.Fatalf("op %d: %d queued, reference has %d", ops, len(q), ref.Len())
+		}
+	}
+	for len(q) > 0 {
+		pop()
+	}
+	if ref.Len() != 0 {
+		t.Fatalf("reference still holds %d events", ref.Len())
+	}
+}
+
+// TestPoppedSlotDropsItsClosure: the slot a pop vacates must not keep the
+// event's closure reachable through the queue's backing array, or every
+// closure of a long run would live until the queue is next reallocated.
+func TestPoppedSlotDropsItsClosure(t *testing.T) {
+	var q eventQueue
+	for i := 0; i < 64; i++ {
+		q.push(event{time: float64(i % 5), seq: uint64(i + 1), fn: func() {}})
+	}
+	backing := q[:cap(q)]
+	for n := len(q); n > 0; n-- {
+		q.pop()
+		for i := len(q); i < 64; i++ {
+			if backing[i].fn != nil {
+				t.Fatalf("after %d pops slot %d still references a closure", 64-n+1, i)
+			}
+		}
+	}
+
+	// And through the public surface: a closure that ran is collectable
+	// while later events are still queued.
+	s := New()
+	collected := make(chan struct{})
+	func() {
+		payload := new([1 << 16]byte)
+		runtime.SetFinalizer(payload, func(*[1 << 16]byte) { close(collected) })
+		s.Schedule(1, func() { payload[0]++ })
+	}()
+	s.Schedule(5, func() {})
+	s.Run(2)
+	if s.Pending() != 1 {
+		t.Fatalf("Pending = %d, want the one later event", s.Pending())
+	}
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		default:
+		}
+	}
+	t.Fatal("the closure of an event that ran is still reachable")
+}
+
+// BenchmarkEventQueue400Pending is the queue at the depth the protocol
+// workload keeps it (400 clients, each with one event pending): one
+// schedule and one dispatch per iteration, timestamps tied in groups.
+func BenchmarkEventQueue400Pending(b *testing.B) {
+	s := New()
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]float64, 1024)
+	for i := range delays {
+		delays[i] = 0.1 + float64(rng.Intn(40))/100
+	}
+	var fn func()
+	n, stopAt := 0, 0
+	fn = func() {
+		s.Schedule(delays[n%len(delays)], fn)
+		if n++; n == stopAt {
+			s.Stop()
+		}
+	}
+	for i := 0; i < 400; i++ {
+		s.Schedule(delays[i], fn)
+	}
+	stopAt = 4000
+	s.Run(math.Inf(1)) // reach the steady mix of timestamps first
+	b.ReportAllocs()
+	b.ResetTimer()
+	stopAt = n + b.N
+	s.Run(math.Inf(1))
 }

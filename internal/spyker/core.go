@@ -32,25 +32,32 @@ type Token struct {
 // Outbound is everything a ServerCore needs to talk to the outside world.
 // Implementations route over the discrete-event simulator or over TCP.
 //
-// Borrow contract: the params slice passed to ReplyClient and
-// BroadcastModel is the core's live model vector, valid only for the
-// duration of the call — the core mutates it on the next handler. An
-// implementation that delivers asynchronously (every real transport does)
-// must copy the slice before returning; internal/paramvec pools make that
-// copy allocation-free.
+// Ownership of params differs between the two model-carrying calls.
+// ReplyClient is given the vector: it holds a copy of the new model that
+// nothing else refers to — the buffer the client's update arrived in,
+// overwritten by the merge (see HandleClientUpdate) — and the
+// implementation keeps it for as long as the reply is in flight and
+// disposes of it afterwards, with no copy of its own. BroadcastModel is
+// lent the core's live model vector, valid only for the duration of the
+// call — the core mutates it on the next handler — so an implementation
+// that delivers asynchronously (every real transport does) must copy it
+// before returning; internal/paramvec pools make that copy
+// allocation-free.
 type Outbound interface {
 	// ReplyClient returns the new server model to client k along with the
-	// model age and the client's next learning rate (Alg. 1 l. 19).
+	// model age and the client's next learning rate (Alg. 1 l. 19). params
+	// is owned by the callee from here on.
 	ReplyClient(k int, params []float64, age, lr float64)
 	// BroadcastModel sends this server's model, age and the current
-	// synchronization ID to every other server (Alg. 2 l. 25/35). front is
-	// the sender's merged-updates frontier at broadcast time — the causal
-	// provenance the receiver max-merges so update lineage is traceable
-	// end to end; like params it is a borrow valid only for the duration
-	// of the call. mem is the sender's current ring membership, attached
-	// to the message header so receivers converge on the freshest epoch;
-	// unlike params and front it may be aliased after the call returns
-	// (Membership slices are immutable by the ring package's contract).
+	// synchronization ID to every other server (Alg. 2 l. 25/35). params is
+	// a borrow. front is the sender's merged-updates frontier at broadcast
+	// time — the causal provenance the receiver max-merges so update
+	// lineage is traceable end to end; like params it is a borrow valid
+	// only for the duration of the call. mem is the sender's current ring
+	// membership, attached to the message header so receivers converge on
+	// the freshest epoch; unlike params and front it may be aliased after
+	// the call returns (Membership slices are immutable by the ring
+	// package's contract).
 	BroadcastModel(params []float64, age float64, bid int, front []int64, mem ring.Membership)
 	// BroadcastAge announces this server's model age to every other
 	// server so the token holder can trigger a synchronization
@@ -536,6 +543,11 @@ func ServerAggWeight(phi, localAge, remoteAge float64) float64 {
 // HandleClientUpdate processes a trained model from client k that was
 // based on a server model of age clientAge (Alg. 1, Aggregation).
 //
+// It consumes params: the merge overwrites the vector with the new server
+// model and hands it to Outbound.ReplyClient as the reply, so the caller
+// gives the vector up with the call — it must not read it afterwards, and a
+// caller that may deliver one update twice passes each call a copy.
+//
 // When the decay is enabled, the update's aggregation weight is scaled by
 // the same decay ratio as the client's learning rate. This realizes the
 // paper's stated goal — "the impact of the updates that the most active
@@ -587,10 +599,9 @@ func (s *ServerCore) HandleClientUpdateTraced(k int, params []float64, clientAge
 			UID: uid, Front: s.Frontier(),
 		})
 	}
-	// Borrow: the Outbound implementation copies if it retains (see the
-	// Outbound contract); handing out the live vector keeps this hot path
-	// allocation-free.
-	s.out.ReplyClient(k, s.w, s.age, lr)
+	// params now holds the new model and is the reply (see the Outbound
+	// contract): no copy of s.w is made for it.
+	s.out.ReplyClient(k, params, s.age, lr)
 	s.checkSynchronization()
 }
 
@@ -608,16 +619,18 @@ func (s *ServerCore) ensureScratch(n int) {
 }
 
 // applyClientDelta merges a client update at the given effective weight:
-// W += weight * (params - W). With RobustClipFactor enabled, the delta is
-// first rescaled so its norm stays within the factor times the running
-// average delta norm, bounding what any single (possibly malicious)
-// update can do to the model.
+// W += weight * (params - W), and leaves a copy of the new W in params —
+// the reply. With RobustClipFactor enabled, the delta is first rescaled so
+// its norm stays within the factor times the running average delta norm,
+// bounding what any single (possibly malicious) update can do to the
+// model; that path needs the whole delta's norm before it can move W, so
+// it cannot write the reply in the merging sweep and copies it afterwards.
 //
 //spyker:noalloc
 func (s *ServerCore) applyClientDelta(params []float64, weight float64) {
 	w := paramvec.Vec(s.w)
 	if s.cfg.RobustClipFactor <= 0 {
-		w.WeightedMergeInto(weight, params)
+		w.MergeReplyInto(weight, params)
 		return
 	}
 	s.ensureScratch(len(s.w))
@@ -641,6 +654,7 @@ func (s *ServerCore) applyClientDelta(params []float64, weight float64) {
 	} else {
 		s.deltaNormEMA = 0.9*s.deltaNormEMA + 0.1*post
 	}
+	copy(params, w)
 }
 
 // ReengageClient re-sends the current model to client k without
@@ -648,8 +662,11 @@ func (s *ServerCore) applyClientDelta(params []float64, weight float64) {
 // starved while this server was down: their in-flight updates were
 // discarded, so without a fresh model no reply would ever reach them and
 // their training loop would stay parked forever.
+//
+// There is no update in hand whose buffer could carry the reply, so this
+// rare path gives ReplyClient a copy made for it.
 func (s *ServerCore) ReengageClient(k int) {
-	s.out.ReplyClient(k, s.w, s.age, s.decayedRate(k))
+	s.out.ReplyClient(k, tensor.Clone(s.w), s.age, s.decayedRate(k))
 }
 
 // ClippedUpdates reports how many client updates were norm-clipped.

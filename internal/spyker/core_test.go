@@ -108,9 +108,10 @@ type tokenRec struct {
 	next int
 }
 
-// Outbound hands fakes a borrow of the live model, so records snapshot it.
+// A reply's vector is the fake's to keep (the Outbound contract); a
+// broadcast's is a borrow of the live model, so its record snapshots it.
 func (f *fakeOut) ReplyClient(k int, p []float64, age, lr float64) {
-	f.replies = append(f.replies, replyRec{k, tensor.Clone(p), age, lr})
+	f.replies = append(f.replies, replyRec{k, p, age, lr})
 }
 func (f *fakeOut) BroadcastModel(p []float64, age float64, bid int, _ []int64, _ ring.Membership) {
 	f.models = append(f.models, modelRec{tensor.Clone(p), age, bid})
@@ -391,9 +392,9 @@ func TestFullSyncRoundLoopback(t *testing.T) {
 	// The resulting age announcement reaches the holder (server 0), which
 	// triggers the synchronization; the loopback bus completes the whole
 	// exchange synchronously.
-	own := tensor.Clone(cores[2].Params())
 	for k := 0; k < 6; k++ {
-		cores[2].HandleClientUpdate(0, own, cores[2].Age())
+		// A copy per call: the handler consumes the vector it is given.
+		cores[2].HandleClientUpdate(0, tensor.Clone(cores[2].Params()), cores[2].Age())
 	}
 
 	if cores[0].SyncsTriggered() != 1 {
@@ -504,5 +505,67 @@ func TestRobustClippingDisabledByDefault(t *testing.T) {
 	// The oversized update must have moved the model massively.
 	if tensor.Norm2(s.Params()) < 10 {
 		t.Error("expected undefended model to be dragged far")
+	}
+}
+
+// TestReplyRidesInTheUpdatesBuffer pins the ownership rule of the
+// client-update path: the handler consumes the vector it is given, the
+// reply is that very vector holding a copy of the new model — on the fused
+// path and on the clip path alike — and it shares no storage with the
+// core's live model, so whoever receives it may keep and change it.
+func TestReplyRidesInTheUpdatesBuffer(t *testing.T) {
+	for _, clip := range []float64{0, 1.5} {
+		cfg := coreConfig(0, 2, 2)
+		cfg.RobustClipFactor = clip
+		out := &fakeOut{}
+		s := NewServerCore(cfg, []float64{0, 0, 0, 0, 0}, false, out)
+		for i := 0; i < 4; i++ {
+			u := []float64{1, -2, 3, float64(10 * i), 0.5}
+			s.HandleClientUpdate(i%2, u, s.Age())
+			r := out.replies[len(out.replies)-1]
+			if &r.params[0] != &u[0] || len(r.params) != len(u) {
+				t.Fatalf("clip %v: the reply is not the update's own vector", clip)
+			}
+			w := s.Params()
+			if &r.params[0] == &w[0] {
+				t.Fatalf("clip %v: the reply aliases the live model", clip)
+			}
+			for j := range w {
+				if math.Float64bits(r.params[j]) != math.Float64bits(w[j]) {
+					t.Fatalf("clip %v: reply[%d] = %v, model has %v", clip, j, r.params[j], w[j])
+				}
+			}
+			before := tensor.Clone(w)
+			for j := range r.params {
+				r.params[j] = -99 // the receiver owns it
+			}
+			for j := range w {
+				if w[j] != before[j] {
+					t.Fatalf("clip %v: writing to the reply changed the model", clip)
+				}
+			}
+		}
+	}
+}
+
+// TestReengageReplyIsAnOwnedCopy: the one reply made with no update in
+// hand still hands over a vector of its own, never the live model.
+func TestReengageReplyIsAnOwnedCopy(t *testing.T) {
+	out := &fakeOut{}
+	s := NewServerCore(coreConfig(0, 2, 2), []float64{3, 4}, false, out)
+	s.ReengageClient(1)
+	if len(out.replies) != 1 {
+		t.Fatalf("replies = %d", len(out.replies))
+	}
+	r := out.replies[0]
+	if &r.params[0] == &s.Params()[0] {
+		t.Fatal("re-engagement lent out the live model")
+	}
+	if r.params[0] != 3 || r.params[1] != 4 || r.client != 1 {
+		t.Fatalf("reply = %+v", r)
+	}
+	r.params[0] = -1
+	if s.Params()[0] != 3 {
+		t.Fatal("writing to the reply changed the model")
 	}
 }

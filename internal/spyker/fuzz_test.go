@@ -141,12 +141,14 @@ func runFuzzExecution(t *testing.T, seed int64) {
 	}
 
 	// Interleave client updates with network deliveries.
-	clientParams := []float64{1, -1}
+	// The handler consumes the vector it is given, so every update is a
+	// fresh one.
+	clientParams := func() []float64 { return []float64{1, -1} }
 	updates := 200 + rng.Intn(400)
 	for u := 0; u < updates; u++ {
 		target := rng.Intn(n)
 		core := net.cores[target]
-		core.HandleClientUpdate(rng.Intn(3), clientParams, core.Age())
+		core.HandleClientUpdate(rng.Intn(3), clientParams(), core.Age())
 		// Deliver a random number of in-flight messages.
 		for k := rng.Intn(4); k > 0; k-- {
 			if !net.step() {

@@ -126,14 +126,16 @@ func runMembershipFuzz(t *testing.T, seed int64) {
 		f.net.cores[i] = NewServerCore(mkCfg(i, n0), initial, i == 0, &memOut{id: i, f: f})
 	}
 
-	clientParams := []float64{1, -1}
+	// The handler consumes the vector it is given, so every update is a
+	// fresh one.
+	clientParams := func() []float64 { return []float64{1, -1} }
 	update := func() {
 		ids := f.aliveIDs()
 		if len(ids) == 0 {
 			return
 		}
 		c := f.net.cores[ids[rng.Intn(len(ids))]]
-		c.HandleClientUpdate(rng.Intn(3), clientParams, c.Age())
+		c.HandleClientUpdate(rng.Intn(3), clientParams(), c.Age())
 	}
 	tick := func(dt float64) {
 		f.now += dt
@@ -249,7 +251,7 @@ func runMembershipFuzz(t *testing.T, seed int64) {
 	for ; rounds < 40 && !agreed(); rounds++ {
 		for _, id := range f.aliveIDs() {
 			c := f.net.cores[id]
-			c.HandleClientUpdate(rng.Intn(3), clientParams, c.Age())
+			c.HandleClientUpdate(rng.Intn(3), clientParams(), c.Age())
 		}
 		tick(6) // past TokenTimeout: a lost token regenerates
 		for f.net.step() {

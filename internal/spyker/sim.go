@@ -31,10 +31,12 @@ type Algorithm struct {
 	homeOf []int
 
 	// faultsArmed is set when Env.Faults != nil. It switches the message
-	// glue from pooled zero-copy buffers to plain owned copies (injected
-	// drops and duplicates break the pool's exactly-once release
-	// protocol) and enables the down/epoch guards. Disarmed runs take
-	// exactly the pre-fault code paths.
+	// glue to plain owned copies — a private copy of every delivered
+	// client update, because the handler consumes its vector and an
+	// injected duplicate delivers one vector twice; an unpooled copy of
+	// every broadcast, because drops and duplicates break the pool's
+	// exactly-once release protocol — and enables the down/epoch guards.
+	// Disarmed runs take exactly the pre-fault code paths.
 	faultsArmed bool
 	initial     []float64 // pristine t=0 model, the restart fallback
 	tickPeriod  float64   // recovery tick period, 0 when recovery is off
@@ -185,7 +187,17 @@ func (a *Algorithm) Build(env *fl.Env) error {
 				}
 				srv := a.servers[a.homeOf[clientID]]
 				srv.submit(env.ProcFor(srv.id, env.Hyper.ProcSpyker), func() {
-					srv.core.HandleClientUpdateTraced(clientID, update, age, uid)
+					// The handler consumes update and the reply travels back
+					// in it. Without faults every update is delivered once,
+					// and the client — parked until that reply — has no use
+					// for the vector in between, its own model's view
+					// included. A duplicated delivery would merge the first
+					// one's reply, so a fault-armed run merges a copy.
+					consumed := update
+					if a.faultsArmed {
+						consumed = append([]float64(nil), update...)
+					}
+					srv.core.HandleClientUpdateTraced(clientID, consumed, age, uid)
 					if srv.heardSince != nil {
 						srv.heardSince[clientID] = true
 					}
@@ -564,35 +576,23 @@ func (a *Algorithm) Servers() []*ServerCore {
 	return out
 }
 
-// ReplyClient implements Outbound. params is a borrow of the core's live
-// model (see the Outbound contract), so it is copied into a pooled buffer
-// that the delivery closure returns once the client has consumed it.
+// ReplyClient implements Outbound. params is the reply's own vector (see
+// the Outbound contract) — the one the client's update arrived in — and
+// travels back as it is. For an honest client that is the parameter view
+// of its own model, which the merge has already filled with the new server
+// model, so loading it on arrival moves nothing; any other client loads it
+// into its model as it would a copy.
 func (s *simServer) ReplyClient(k int, params []float64, age, lr float64) {
-	src := s.env.ServerEndpoint(s.id)
-	dst := s.env.ClientEndpoint(k)
 	c := s.client[k]
 	if c == nil {
 		// The client was re-homed away between the update's arrival and
 		// this reply (elastic membership); its new home will engage it.
 		return
 	}
-	if s.alg.faultsArmed {
-		// Owned copy instead of a pooled buffer: an injected duplicate
-		// would release the pooled buffer twice, an injected drop never.
-		own := append([]float64(nil), params...)
-		s.env.Net.Send(src, dst, s.env.ModelBytes, geo.ClientServer, func() {
-			c.HandleModel(own, age, lr)
-		})
-		return
-	}
-	buf := s.env.Pool.Get(len(params))
-	buf.CopyFrom(params)
+	src := s.env.ServerEndpoint(s.id)
+	dst := s.env.ClientEndpoint(k)
 	s.env.Net.Send(src, dst, s.env.ModelBytes, geo.ClientServer, func() {
-		// HandleModel copies the vector into the client model before it
-		// returns (the trained update it schedules is a view of the model,
-		// not of buf), so the buffer can be recycled immediately after.
-		c.HandleModel(buf, age, lr)
-		s.env.Pool.Put(buf)
+		c.HandleModel(params, age, lr)
 	})
 }
 
@@ -608,7 +608,8 @@ func (s *simServer) BroadcastModel(params []float64, age float64, bid int, front
 	if s.alg.faultsArmed {
 		// One owned copy shared read-only by every peer delivery; the
 		// pooled countdown protocol is unsound under injected drops and
-		// duplicates (see ReplyClient), so faulty runs let the GC own it.
+		// duplicates (a duplicate would release the buffer twice, a drop
+		// never), so faulty runs let the GC own it.
 		// mem needs no copy: Membership slices are immutable (ring
 		// package contract).
 		own := append([]float64(nil), params...)

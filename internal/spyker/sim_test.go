@@ -1,9 +1,14 @@
 package spyker_test
 
 import (
+	"math"
 	"testing"
 
 	"github.com/spyker-fl/spyker/internal/experiments"
+	"github.com/spyker-fl/spyker/internal/fault"
+	"github.com/spyker-fl/spyker/internal/fl"
+	"github.com/spyker-fl/spyker/internal/geo"
+	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/spyker"
 )
 
@@ -111,5 +116,81 @@ func TestSpykerAgeCoherence(t *testing.T) {
 	// (4 clients/server x ~6 updates/s x 20s = hundreds of age units).
 	if maxA-minA > 20*env.Hyper.HInter {
 		t.Errorf("server ages drifted %v apart (hInter=%v)", maxA-minA, env.Hyper.HInter)
+	}
+}
+
+// modelLog records the server model after every merged update.
+type modelLog struct {
+	fl.Observer
+	after [][]float64
+}
+
+func (l *modelLog) ClientUpdateProcessed(now float64, server, client int, models func() [][]float64) {
+	l.after = append(l.after, append([]float64(nil), models()[0]...))
+	l.Observer.ClientUpdateProcessed(now, server, client, models)
+}
+
+// TestDuplicatedUpdateMergesTheOriginalTwice: the client-update handler
+// consumes its vector and writes the reply into it, so once faults are
+// armed — and a link may deliver one message twice — every delivery must
+// merge a copy of its own. With one server and one client whose first
+// update is duplicated on the client→server link, the second delivery has
+// to move the model further along the same direction as the first (both
+// merge the same update u: w1-w0 = a1(u-w0), w2-w1 = a2(1-a1)(u-w0)). Had
+// it been handed the first delivery's vector it would have merged the
+// reply, which is the model itself, and moved nothing.
+func TestDuplicatedUpdateMergesTheOriginalTwice(t *testing.T) {
+	env, _, err := experiments.BuildEnv(experiments.Setup{
+		Task:       experiments.TaskMNIST,
+		NumServers: 1,
+		NumClients: 1,
+		Seed:       3,
+		EvalEvery:  1000,
+		MaxUpdates: 2,
+		Faults:     &fault.Plan{}, // arms the fault glue; this test perturbs the link itself
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &modelLog{Observer: env.Observer}
+	env.Observer = log
+	dups := 0
+	env.Net.SetPerturb(func(src, dst geo.Endpoint, _ int, kind geo.Traffic) geo.Verdict {
+		if kind == geo.ClientServer && dst.ID >= obs.ServerNode && dups == 0 {
+			dups++
+			return geo.Verdict{Dup: true}
+		}
+		return geo.Verdict{}
+	})
+
+	alg := &spyker.Algorithm{}
+	if err := alg.Build(env); err != nil {
+		t.Fatal(err)
+	}
+	w0 := append([]float64(nil), alg.ServerParams()[0]...)
+	env.Sim.Run(30)
+
+	if dups != 1 || len(log.after) != 2 {
+		t.Fatalf("%d duplicated sends, %d merged updates; want 1 and 2", dups, len(log.after))
+	}
+	if got := alg.Servers()[0].UpdatesFrom(0); got != 2 {
+		t.Fatalf("server merged %d updates from the client, want both deliveries", got)
+	}
+	w1, w2 := log.after[0], log.after[1]
+	var first, second, cross float64
+	for i := range w0 {
+		d1, d2 := w1[i]-w0[i], w2[i]-w1[i]
+		first += d1 * d1
+		second += d2 * d2
+		cross += d1 * d2
+	}
+	if first == 0 {
+		t.Fatal("the first delivery did not move the model")
+	}
+	if second == 0 {
+		t.Fatal("the duplicate moved nothing: it merged the first delivery's reply, not the client's update")
+	}
+	if cos := cross / math.Sqrt(first*second); cos < 1-1e-9 {
+		t.Fatalf("the duplicate moved the model along another direction (cosine %v): it did not merge the same update", cos)
 	}
 }
