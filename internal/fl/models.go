@@ -176,9 +176,11 @@ type LanguageModel struct {
 
 	// order is Train's shuffle buffer, kept so a call allocates nothing.
 	order []int
-	// windows holds one evaluation result per test window, built on the
+	// windows holds one evaluation result per test window and scratch one
+	// forward-pass working memory per fanOut worker, both built on the
 	// first Evaluate.
 	windows []windowScore
+	scratch [evalWorkers]*nn.SeqScratch
 }
 
 type windowScore struct {
@@ -230,16 +232,20 @@ func (m *LanguageModel) Train(shard []int, epochs int, lr float64) {
 }
 
 // Evaluate implements Model. Windows are scored in parallel (see fanOut;
-// CharLM.SeqLoss only reads the model) and summed here in window order,
-// as a plain loop over them would.
+// CharLM.SeqLossWith only reads the model and writes worker w's scratch)
+// and summed here in window order, as a plain loop over them would.
 func (m *LanguageModel) Evaluate() (loss, acc float64) {
 	if m.windows == nil {
 		m.windows = make([]windowScore, len(m.testWindows))
+		for w := range m.scratch {
+			m.scratch[w] = m.lm.NewSeqScratch()
+		}
 	}
-	fanOut(len(m.windows), evalWorkers, func(_, lo, hi int) {
+	fanOut(len(m.windows), evalWorkers, func(w, lo, hi int) {
+		sc := m.scratch[w]
 		for i := lo; i < hi; i++ {
-			w := &m.windows[i]
-			w.loss, w.preds, w.hits = m.lm.SeqLoss(m.testWindows[i])
+			ws := &m.windows[i]
+			ws.loss, ws.preds, ws.hits = m.lm.SeqLossWith(sc, m.testWindows[i])
 		}
 	})
 	var totalLoss float64

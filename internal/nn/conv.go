@@ -78,7 +78,7 @@ func (c *Conv2D) Forward(x []float64) []float64 {
 			w := c.w[(oc*c.inC+ic)*k*k:][:k*k]
 			xp := x[ic*plane:][:plane]
 			if k == 3 {
-				conv3Forward(out, outW, xp, inW, w)
+				tensor.Conv3x3Add(out, outW, xp, inW, w)
 				continue
 			}
 			for oy := 0; oy < c.outH; oy++ {
@@ -96,27 +96,6 @@ func (c *Conv2D) Forward(x []float64) []float64 {
 		}
 	}
 	return c.outV
-}
-
-// conv3Forward adds one input plane's 3x3 taps to one output plane.
-func conv3Forward(out []float64, outW int, x []float64, inW int, w []float64) {
-	w0, w1, w2, w3, w4, w5, w6, w7, w8 := w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7], w[8]
-	for oy := 0; oy*outW < len(out); oy++ {
-		row := out[oy*outW:][:outW]
-		r0, r1, r2 := x[oy*inW:][:outW+2], x[(oy+1)*inW:][:outW+2], x[(oy+2)*inW:][:outW+2]
-		for i, s := range row {
-			s += r0[i] * w0
-			s += r0[i+1] * w1
-			s += r0[i+2] * w2
-			s += r1[i] * w3
-			s += r1[i+1] * w4
-			s += r1[i+2] * w5
-			s += r2[i] * w6
-			s += r2[i+1] * w7
-			s += r2[i+2] * w8
-			row[i] = s
-		}
-	}
 }
 
 // Backward implements Layer.

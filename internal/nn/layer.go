@@ -21,20 +21,36 @@
 // accumulator chains side by side (one chain is bound by add latency, not
 // by arithmetic throughput), decide ReLU and max-pool outcomes on bit
 // patterns instead of unpredictable branches, and skip an input gradient
-// nobody reads. What the contract rules out is everything that
-// reassociates or rounds differently: split accumulators, math.FMA, a
-// blocked matmul behind im2col, and summing per-worker gradient planes
-// (A + B where the sequential code computes ((A + b1) + b2) + ...), which
-// is why a training batch is not parallelized across samples. Parallelism
-// lives where no sum crosses a worker: held-out evaluation in internal/fl
-// scores samples on forward-only replicas (Network.Replica) and adds the
-// per-sample losses up in index order afterwards.
+// nobody reads. A SIMD lane is one more accumulator running beside the
+// others: internal/tensor's AVX2 backend (the matrix kernels, the 3x3
+// convolution sweep behind Conv2D.Forward and the SGD step behind every
+// Step method) puts four rows of a matrix-vector product, four columns of
+// its transpose, or four neighbouring convolution outputs in the four lanes
+// of a register, multiplies and adds with separate instructions, and never
+// lets a value cross from one lane to another. What the contract rules out
+// is everything that reassociates or rounds differently: split
+// accumulators — and so one accumulator spread over several lanes, and the
+// horizontal add that would collect it — math.FMA and the VFMADD*
+// instructions, a blocked matmul behind im2col, and summing per-worker
+// gradient planes (A + B where the sequential code computes
+// ((A + b1) + b2) + ...), which is why a training batch is not
+// parallelized across samples. Parallelism lives where no sum crosses a
+// worker: held-out evaluation in internal/fl scores samples on
+// forward-only replicas (Network.Replica) and adds the per-sample losses up
+// in index order afterwards.
+//
+// The contract's bits are amd64's. The Go compiler never fuses a multiply
+// into an add there, so the portable loops and the assembly round every
+// product before adding it. On the architectures where it does fuse
+// x*y + z into one rounding (arm64, ppc64le, s390x, riscv64) the same
+// portable loops give other bits — still reproducible run to run on that
+// machine, but not the recorded ones.
 //
 // The plain loops survive as reference implementations in
-// reference_test.go, which demands bit-equal outputs and gradients from
-// the production kernels; internal/experiments' TestCrossCommitOracle
-// pins whole seeded runs to bits recorded before the kernels were
-// rewritten.
+// reference_test.go (and internal/tensor's), which demand bit-equal
+// outputs and gradients from the production kernels on both backends;
+// internal/experiments' TestCrossCommitOracle pins whole seeded runs to
+// bits recorded before the kernels were rewritten.
 package nn
 
 import (

@@ -41,7 +41,7 @@ type CharLM struct {
 	// bptt is SeqLossAndGrad's working memory, built on its first call so
 	// that training allocates nothing per window; models that only
 	// evaluate (SeqLoss, which must stay safe to call concurrently and
-	// therefore owns its scratch per call) never build it.
+	// therefore never touches the model's own scratch) never build it.
 	bptt *bpttScratch
 }
 
@@ -248,27 +248,58 @@ func (m *CharLM) Step(lr float64, count int, clip float64) {
 		panic("nn: CharLM.Step with non-positive count")
 	}
 	scale := 1 / float64(count)
-	sgdStepFlat(m.backing, m.gradBacking, lr, scale, clip)
+	tensor.SGDStep(m.backing, m.gradBacking, lr, scale, clip)
+}
+
+// SeqScratch is the working memory of one SeqLossWith caller: the LSTM
+// state, gate pre-activations and output distribution of a forward pass.
+// It belongs to the model that made it (NewSeqScratch) and to one
+// goroutine at a time.
+type SeqScratch struct {
+	hPrev, cPrev, hCur, cCur []float64 // H
+	z, zh                    []float64 // 4H
+	logits, probs            []float64 // vocab
+	x                        []float64 // embDim
+}
+
+// NewSeqScratch allocates working memory for SeqLossWith on m.
+func (m *CharLM) NewSeqScratch() *SeqScratch {
+	h := m.hidden
+	plane := make([]float64, 12*h+2*m.vocab+m.embDim)
+	claim := func(n int) []float64 {
+		v := plane[:n:n]
+		plane = plane[n:]
+		return v
+	}
+	return &SeqScratch{
+		hPrev: claim(h), cPrev: claim(h), hCur: claim(h), cCur: claim(h),
+		z: claim(4 * h), zh: claim(4 * h),
+		logits: claim(m.vocab), probs: claim(m.vocab), x: claim(m.embDim),
+	}
 }
 
 // SeqLoss evaluates the model on seq without touching gradients, returning
 // the summed cross-entropy, the number of predictions, and the number of
-// correct next-character argmax predictions.
+// correct next-character argmax predictions. It only reads the model and
+// owns its scratch per call, so it is safe to call concurrently; a caller
+// that scores many windows passes its own scratch to SeqLossWith instead.
 func (m *CharLM) SeqLoss(seq []int) (loss float64, preds, correct int) {
+	return m.SeqLossWith(m.NewSeqScratch(), seq)
+}
+
+// SeqLossWith is SeqLoss computing in sc (from m.NewSeqScratch) instead of
+// allocating: the same operations in the same order, so the same bits.
+// Concurrent calls need a scratch each.
+func (m *CharLM) SeqLossWith(sc *SeqScratch, seq []int) (loss float64, preds, correct int) {
 	T := len(seq) - 1
 	if T < 1 {
 		return 0, 0, 0
 	}
 	h := m.hidden
-	hPrev := make([]float64, h)
-	cPrev := make([]float64, h)
-	hCur := make([]float64, h)
-	cCur := make([]float64, h)
-	z := make([]float64, 4*h)
-	zh := make([]float64, 4*h)
-	logits := make([]float64, m.vocab)
-	probs := make([]float64, m.vocab)
-	x := make([]float64, m.embDim)
+	hPrev, cPrev, hCur, cCur := sc.hPrev, sc.cPrev, sc.hCur, sc.cCur
+	z, zh, logits, probs, x := sc.z, sc.zh, sc.logits, sc.probs, sc.x
+	tensor.Zero(hPrev)
+	tensor.Zero(cPrev)
 
 	for t := 0; t < T; t++ {
 		copy(x, m.emb.Row(seq[t]))

@@ -330,5 +330,5 @@ func (m *StackedCharLM) Step(lr float64, count int, clip float64) {
 		panic("nn: StackedCharLM.Step with non-positive count")
 	}
 	scale := 1 / float64(count)
-	sgdStepFlat(m.backing, m.gradBacking, lr, scale, clip)
+	tensor.SGDStep(m.backing, m.gradBacking, lr, scale, clip)
 }

@@ -247,32 +247,15 @@ func (n *Network) Step(lr float64, batchSize int, clip float64) {
 	}
 	scale := 1 / float64(batchSize)
 	if n.backing != nil {
-		sgdStepFlat(n.backing, n.gradBacking, lr, scale, clip)
+		tensor.SGDStep(n.backing, n.gradBacking, lr, scale, clip)
 		return
 	}
 	for _, l := range n.layers {
 		params := l.ParamBlocks()
 		grads := l.GradBlocks()
 		for bi, g := range grads {
-			sgdStepFlat(params[bi], g, lr, scale, clip)
+			tensor.SGDStep(params[bi], g, lr, scale, clip)
 		}
-	}
-}
-
-// sgdStepFlat is the shared SGD inner loop over a flat parameter/gradient
-// pair: p -= lr*clip(g*scale), then g = 0.
-func sgdStepFlat(p, g []float64, lr, scale, clip float64) {
-	for i := range g {
-		gv := g[i] * scale
-		if clip > 0 {
-			if gv > clip {
-				gv = clip
-			} else if gv < -clip {
-				gv = -clip
-			}
-		}
-		p[i] -= lr * gv
-		g[i] = 0
 	}
 }
 

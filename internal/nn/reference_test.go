@@ -14,6 +14,13 @@ import (
 // accumulator the same floating-point additions in the same order, and so
 // the same bits. They live in a test file so the slow forms cannot be
 // called by mistake.
+//
+// Conv2D.Forward, Dense and the Step methods reach internal/tensor's
+// kernels, which have two backends (AVX2 assembly and portable Go loops).
+// internal/tensor's own reference tests drive both backends in one run;
+// from this package only the build can choose, so these tests hold the
+// backend the CPU selects to the reference here and the portable one when
+// CI runs them again with -tags purego.
 
 func refConvForward(c *Conv2D, w, b, x, out []float64) {
 	k := c.k
@@ -135,6 +142,21 @@ func refMatVecT(w []float64, rows, cols int, dst, x []float64) {
 	}
 }
 
+func refSGDStep(p, g []float64, lr, scale, clip float64) {
+	for i := range g {
+		gv := g[i] * scale
+		if clip > 0 {
+			if gv > clip {
+				gv = clip
+			} else if gv < -clip {
+				gv = -clip
+			}
+		}
+		p[i] -= lr * gv
+		g[i] = 0
+	}
+}
+
 func refAddOuter(m []float64, rows, cols int, a, b []float64) {
 	for r := 0; r < rows; r++ {
 		av := 1 * a[r]
@@ -185,16 +207,17 @@ var zeroShares = []float64{0, 0.3, 0.9, 1}
 // TestConvMatchesReferenceBits: outputs, input gradients and parameter
 // gradients accumulated over several Backward calls (a mini-batch between
 // two Steps) equal the reference loops bit for bit, over kernel sizes with
-// and without the k = 3 fast path, one and several input channels, and
-// upstream gradients that are dense, partly zero (what a ReLU hands back)
-// and all zero.
+// and without the k = 3 fast path, one and several input channels, output
+// widths 1 to 13 (every remainder of the k = 3 kernel's four-wide sweep),
+// and upstream gradients that are dense, partly zero (what a ReLU hands
+// back) and all zero.
 func TestConvMatchesReferenceBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 120; trial++ {
+	for trial := 0; trial < 156; trial++ {
 		k := []int{1, 2, 3, 5}[trial%4]
 		inC := []int{1, 3, 6}[(trial/4)%3]
 		outC := 1 + rng.Intn(5)
-		inH, inW := k+rng.Intn(7), k+rng.Intn(7)
+		inH, inW := k+rng.Intn(7), k+(trial/12)%13
 		c := NewConv2D(inC, inH, inW, outC, k, rng)
 		awkward(rng, c.w, 0.1)
 		awkward(rng, c.b, 0.2)
@@ -310,12 +333,25 @@ func TestReLUMatchesReferenceBits(t *testing.T) {
 	}
 }
 
+// denseShapes are (in, out) pairs the dense-layer test always covers: the
+// matrices of the char-LSTM (64x8, 64x16, 32x16 as out x in) and of the
+// MNIST CNN (32x150, 10x32), the degenerate ones, and sizes in every
+// residue class mod 4 and mod 16 on both sides.
+var denseShapes = [][2]int{
+	{8, 64}, {16, 64}, {16, 32}, {150, 32}, {32, 10}, {1, 1}, {3, 5},
+	{17, 17}, {18, 18}, {19, 19}, {35, 33}, {21, 34}, {22, 35}, {49, 20},
+}
+
 // TestDenseMatchesReferenceBits covers the dense layer end to end (bias
-// add included) with output sizes that are not multiples of four.
+// add included) at the model shapes and with sizes that are not multiples
+// of four.
 func TestDenseMatchesReferenceBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 80; trial++ {
+	for trial := 0; trial < 80+len(denseShapes); trial++ {
 		in, out := 1+rng.Intn(21), 1+rng.Intn(13)
+		if trial >= 80 {
+			in, out = denseShapes[trial-80][0], denseShapes[trial-80][1]
+		}
 		d := NewDense(in, out, rng)
 		awkward(rng, d.w.Data, 0.1)
 		awkward(rng, d.b, 0.2)
@@ -339,6 +375,47 @@ func TestDenseMatchesReferenceBits(t *testing.T) {
 			sameBits(t, "dense gw", d.gw.Data, refGW)
 			sameBits(t, "dense gb", d.gb, refGB)
 		}
+	}
+}
+
+// TestStepMatchesReferenceBits: Network.Step and CharLM.Step apply the
+// plain SGD loop bit for bit — parameter planes of 2 to 12 elements (every
+// remainder of a four-wide sweep) and the 2400 of the benchmark's char-LSTM,
+// gradients that scale to exactly +-clip, beyond it and to signed zeros,
+// clipping on and off.
+func TestStepMatchesReferenceBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	type stepper interface {
+		Step(lr float64, n int, clip float64)
+	}
+	check := func(what string, m stepper, params, grads []float64, trial int) {
+		t.Helper()
+		clip := []float64{5, 0.25, 0, -1}[trial%4]
+		batch := 1 + trial%3
+		awkward(rng, params, 0.1)
+		awkward(rng, grads, 0.2)
+		for i := range grads {
+			if rng.Intn(4) == 0 {
+				grads[i] = math.Copysign(clip*float64(batch), rng.NormFloat64())
+			}
+		}
+		wantP, wantG := append([]float64(nil), params...), append([]float64(nil), grads...)
+		refSGDStep(wantP, wantG, 0.05, 1/float64(batch), clip)
+		m.Step(0.05, batch, clip)
+		sameBits(t, what+" params", params, wantP)
+		sameBits(t, what+" grads", grads, wantG)
+	}
+	for trial := 0; trial < 48; trial++ {
+		in, out := 1+trial%4, 1+(trial/4)%3 // in*out + out parameters: 2 to 15
+		net := NewNetwork(NewDense(in, out, rng))
+		check("Network.Step", net, net.backing, net.gradBacking, trial)
+	}
+	lm := NewCharLM(32, 8, 16, rng)
+	if lm.NumParams() != 2400 {
+		t.Fatalf("CharLM(32, 8, 16) has %d parameters, want the benchmark model's 2400", lm.NumParams())
+	}
+	for trial := 0; trial < 8; trial++ {
+		check("CharLM.Step", lm, lm.backing, lm.gradBacking, trial)
 	}
 }
 

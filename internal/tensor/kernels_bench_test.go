@@ -1,0 +1,100 @@
+package tensor
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// The benchmarks below time the five hot kernels at the shapes the models
+// use, once per backend (backend=go, backend=avx2), so one run is a
+// before/after table:
+//
+//	go test -run '^$' -bench Kernel -benchtime 200000x ./internal/tensor
+//
+// Shapes: the char-LSTM's input (64x8), recurrent (64x16) and output
+// (32x16) matrices, the MNIST CNN's dense layers (32x150, 10x32), the
+// convolution of its first layer over one plane (12x12 -> 10x10) and the
+// 26x26 sweep of a full-size MNIST image, and a step over 2400 parameters.
+
+var modelShapes = [][2]int{{64, 8}, {64, 16}, {32, 16}, {32, 150}, {10, 32}}
+
+func randVec(rng *rand.Rand, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	return v
+}
+
+// benchMatrix runs op on a rows x cols matrix and vectors of the two
+// matching lengths, for every model shape and backend.
+func benchMatrix(b *testing.B, op func(m *Matrix, byRows, byCols []float64)) {
+	for _, s := range modelShapes {
+		for _, be := range backends {
+			b.Run(fmt.Sprintf("%dx%d/backend=%s", s[0], s[1], be.name), func(b *testing.B) {
+				be.use(b)
+				rng := rand.New(rand.NewSource(1))
+				m := MatrixFrom(s[0], s[1], randVec(rng, s[0]*s[1]))
+				byRows, byCols := randVec(rng, s[0]), randVec(rng, s[1])
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					op(m, byRows, byCols)
+				}
+			})
+		}
+	}
+}
+
+func BenchmarkKernelMatVec(b *testing.B) {
+	benchMatrix(b, func(m *Matrix, byRows, byCols []float64) { m.MatVec(byRows, byCols) })
+}
+
+func BenchmarkKernelMatVecT(b *testing.B) {
+	benchMatrix(b, func(m *Matrix, byRows, byCols []float64) { m.MatVecT(byCols, byRows) })
+}
+
+// AddOuter accumulates, so alpha alternates in sign to keep the matrix
+// bounded over any b.N.
+func BenchmarkKernelAddOuter(b *testing.B) {
+	alpha := 1e-3
+	benchMatrix(b, func(m *Matrix, byRows, byCols []float64) {
+		alpha = -alpha
+		m.AddOuter(alpha, byRows, byCols)
+	})
+}
+
+func BenchmarkKernelConv3x3Add(b *testing.B) {
+	for _, outW := range []int{10, 26} {
+		for _, be := range backends {
+			b.Run(fmt.Sprintf("%dx%d/backend=%s", outW, outW, be.name), func(b *testing.B) {
+				be.use(b)
+				rng := rand.New(rand.NewSource(1))
+				inW := outW + 2
+				out, x, w := make([]float64, outW*outW), randVec(rng, inW*inW), randVec(rng, 9)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if i%64 == 0 {
+						Zero(out) // the sweep accumulates
+					}
+					Conv3x3Add(out, outW, x, inW, w)
+				}
+			})
+		}
+	}
+}
+
+func BenchmarkKernelSGDStep(b *testing.B) {
+	for _, be := range backends {
+		b.Run(fmt.Sprintf("2400/backend=%s", be.name), func(b *testing.B) {
+			be.use(b)
+			rng := rand.New(rand.NewSource(1))
+			p, g := randVec(rng, 2400), randVec(rng, 2400)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g[i%2400] = 7 // the step zeroes the gradient; keep one clipped entry
+				SGDStep(p, g, 1e-3, 0.1, 0.5)
+			}
+		})
+	}
+}

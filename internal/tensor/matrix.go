@@ -49,43 +49,16 @@ func (m *Matrix) Clone() *Matrix {
 // m.Cols. dst may not alias x.
 //
 // Every dst[r] is one accumulator that starts at +0 and adds row[c]*x[c]
-// for c = 0, 1, ... in that order. Four rows are computed side by side so
-// that four such chains are in flight instead of one — a single chain is
-// bound by the latency of a floating-point add, not by arithmetic
+// for c = 0, 1, ... in that order. Several rows are computed side by side
+// so that several such chains are in flight instead of one — a single
+// chain is bound by the latency of a floating-point add, not by arithmetic
 // throughput — but each row's own order of additions is never touched, so
 // the result is the same to the last bit as the one-row-at-a-time loop.
 func (m *Matrix) MatVec(dst, x []float64) {
 	mustSameLen(len(dst), m.Rows)
 	mustSameLen(len(x), m.Cols)
-	cols := m.Cols
-	r := 0
-	for ; r+4 <= m.Rows; r += 4 {
-		// Re-slicing to len(r0) lets the compiler drop the bounds checks
-		// in the loop.
-		r0 := m.Data[r*cols : (r+1)*cols]
-		r1 := m.Data[(r+1)*cols:][:len(r0)]
-		r2 := m.Data[(r+2)*cols:][:len(r0)]
-		r3 := m.Data[(r+3)*cols:][:len(r0)]
-		x := x[:len(r0)]
-		var s0, s1, s2, s3 float64
-		for c, w0 := range r0 {
-			xv := x[c]
-			s0 += w0 * xv
-			s1 += r1[c] * xv
-			s2 += r2[c] * xv
-			s3 += r3[c] * xv
-		}
-		dst[r], dst[r+1], dst[r+2], dst[r+3] = s0, s1, s2, s3
-	}
-	for ; r < m.Rows; r++ {
-		row := m.Data[r*cols : (r+1)*cols]
-		x := x[:len(row)]
-		var s float64
-		for c, w := range row {
-			s += w * x[c]
-		}
-		dst[r] = s
-	}
+	m.mustBeWhole()
+	m.matVec(dst, x)
 }
 
 // MatVecT computes dst = m^T * x (x has length m.Rows, dst length m.Cols).
@@ -94,71 +67,31 @@ func (m *Matrix) MatVec(dst, x []float64) {
 // Every dst[c] is one accumulator that starts at +0 and adds row_r[c]*x[r]
 // for the rows with x[r] != 0, in increasing r. Rows with x[r] == 0 are
 // skipped, not added: adding a signed zero can change the sign of a zero
-// sum. The next four contributing rows are gathered and applied to dst[c]
-// in row order in one pass, so dst is loaded and stored once per four rows
-// instead of once per row; the additions each dst[c] sees, and their
-// order, are unchanged.
+// sum.
 func (m *Matrix) MatVecT(dst, x []float64) {
 	mustSameLen(len(dst), m.Cols)
 	mustSameLen(len(x), m.Rows)
-	Zero(dst)
-	cols := m.Cols
-	var rows [4][]float64
-	var xs [4]float64
-	n := 0
-	for r, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		rows[n], xs[n] = m.Data[r*cols:(r+1)*cols], xv
-		if n++; n < 4 {
-			continue
-		}
-		n = 0
-		r0, r1, r2, r3 := rows[0][:len(dst)], rows[1][:len(dst)], rows[2][:len(dst)], rows[3][:len(dst)]
-		x0, x1, x2, x3 := xs[0], xs[1], xs[2], xs[3]
-		for c, d := range dst {
-			d += r0[c] * x0
-			d += r1[c] * x1
-			d += r2[c] * x2
-			d += r3[c] * x3
-			dst[c] = d
-		}
-	}
-	for i := 0; i < n; i++ {
-		row, xv := rows[i][:len(dst)], xs[i]
-		for c := range dst {
-			dst[c] += row[c] * xv
-		}
-	}
+	m.mustBeWhole()
+	m.matVecT(dst, x)
 }
 
 // AddOuter accumulates the outer product a*b^T into m:
 // m[r][c] += alpha * a[r] * b[c]. It is the weight-gradient kernel of a
 // dense layer. Each element receives exactly one addition per call, and
-// rows with alpha*a[r] == 0 are skipped, not added. The elements are
-// independent, so the row loop is simply unrolled by four.
+// rows with alpha*a[r] == 0 are skipped, not added.
 func (m *Matrix) AddOuter(alpha float64, a, b []float64) {
 	mustSameLen(len(a), m.Rows)
 	mustSameLen(len(b), m.Cols)
-	for r, ar := range a {
-		av := alpha * ar
-		if av == 0 {
-			continue
-		}
-		row := m.Data[r*m.Cols : (r+1)*m.Cols]
-		b := b[:len(row)]
-		c := 0
-		for ; c+4 <= len(row); c += 4 {
-			r4, b4 := row[c:c+4:c+4], b[c:c+4:c+4]
-			r4[0] += av * b4[0]
-			r4[1] += av * b4[1]
-			r4[2] += av * b4[2]
-			r4[3] += av * b4[3]
-		}
-		for ; c < len(row); c++ {
-			row[c] += av * b[c]
-		}
+	m.mustBeWhole()
+	m.addOuter(alpha, a, b)
+}
+
+// mustBeWhole panics unless Data holds exactly Rows*Cols elements. The
+// fields are exported, so a Matrix can be built by hand, and the assembly
+// kernels do not bounds-check.
+func (m *Matrix) mustBeWhole() {
+	if len(m.Data) != m.Rows*m.Cols {
+		panic(fmt.Sprintf("tensor: matrix data length %d != %d*%d", len(m.Data), m.Rows, m.Cols))
 	}
 }
 

@@ -3,10 +3,19 @@
 // []float64 slices so that federated-learning aggregation code can treat a
 // whole model as a single parameter vector.
 //
-// The matrix kernels (MatVec, MatVecT, AddOuter) keep the ordering
-// contract described in internal/nn's package comment: every accumulator
-// receives the same floating-point additions in the same order as the
-// plain loop would make, so results are reproducible to the last bit.
+// The hot kernels (MatVec, MatVecT, AddOuter, Conv3x3Add, SGDStep) keep
+// the ordering contract described in internal/nn's package comment: every
+// accumulator receives the same floating-point additions in the same order
+// as the plain loop would make, so results are reproducible to the last
+// bit. They have two backends that produce the same bits: portable Go loops
+// (kernels.go) and, on an amd64 CPU with AVX2, hand-written assembly
+// (kernels_amd64.s) in which a SIMD lane is one more accumulator running
+// beside the others — products and sums are separate VMULPD/VADDPD, never
+// VFMADD*, nothing is added across lanes (no horizontal add) and no
+// accumulator is split over lanes. The CPU alone chooses; building with
+// -tags purego leaves only the Go loops. The bits are amd64's: on
+// architectures where the Go compiler fuses x*y + z (arm64, ppc64le,
+// s390x, riscv64) the portable loops round differently.
 package tensor
 
 import (
