@@ -5,6 +5,11 @@
 // (Fig. 12), which makes update compression the natural lever; the
 // compression experiment measures how much traffic quantization saves at
 // what accuracy cost.
+//
+// Simulated study only — not a wire encoding: a Codec is applied to the
+// payload inside the DES and its WireBytes feed the simulated byte
+// accounting; internal/transport and the live runtime always send raw
+// float64 words.
 package compress
 
 import (

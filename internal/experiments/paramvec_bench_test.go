@@ -101,7 +101,7 @@ func benchmarkServerAggregate(b *testing.B, clip float64) {
 	for round := 0; round < 2; round++ {
 		refill()
 		for k, u := range updates {
-			core.HandleClientUpdate(k, u, core.Age())
+			core.HandleClientUpdate(k, u, core.Age(), 0)
 		}
 	}
 	refill()
@@ -114,6 +114,6 @@ func benchmarkServerAggregate(b *testing.B, clip float64) {
 			refill()
 			b.StartTimer()
 		}
-		core.HandleClientUpdate(k, updates[k], core.Age())
+		core.HandleClientUpdate(k, updates[k], core.Age(), 0)
 	}
 }

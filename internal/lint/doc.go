@@ -110,9 +110,11 @@
 // The contract is per-function, not transitive — callees are checked only
 // if they carry their own annotation — and map writes (which may grow the
 // map) remain the annotated function's responsibility. The annotation is
-// the static counterpart of the BENCH_4.json half-allocation guard: the
-// perf suite proves the aggregation hot path runs at 0 allocs/op, the
-// annotation pins which functions that property lives in.
+// the static counterpart of the run-time allocation guards:
+// TestAuditDisarmedZeroAlloc (internal/spyker) proves the aggregation hot
+// path runs at 0 allocs/op and the benchmark's go.allocs_per_update counts
+// what a whole run allocates per update, the annotation pins which
+// functions that property lives in.
 //
 // //lint:sorted goes on (or directly above) a `range` statement over a
 // map in a deterministic layer and documents why the iteration is safe;

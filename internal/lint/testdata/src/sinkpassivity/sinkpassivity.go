@@ -6,6 +6,7 @@ package sinkpassivity
 
 import (
 	"github.com/spyker-fl/spyker/internal/obs"
+	"github.com/spyker-fl/spyker/internal/ring"
 	"github.com/spyker-fl/spyker/internal/spyker"
 )
 
@@ -23,9 +24,9 @@ func (c *ChattySink) Enabled() bool { return true }
 
 // Emit implements obs.Sink.
 func (c *ChattySink) Emit(e obs.Event) {
-	hits++                          // want `writes package-level state sinkpassivity\.hits`
-	c.n++                           // own field: the sink's business
-	c.core.HandleAge(e.Peer, e.Age) // want `calls back into .*internal/spyker`
+	hits++                                             // want `writes package-level state sinkpassivity\.hits`
+	c.n++                                              // own field: the sink's business
+	c.core.HandleAge(e.Peer, e.Age, ring.Membership{}) // want `calls back into .*internal/spyker`
 }
 
 // QuietSink is the compliant shape: records into its own state only.

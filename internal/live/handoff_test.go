@@ -2,6 +2,7 @@ package live
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -162,4 +163,54 @@ func TestReplyBufferReturnsWithoutAReceiver(t *testing.T) {
 	if srv.Updates() > sent {
 		t.Errorf("server counted %d updates of %d sent", srv.Updates(), sent)
 	}
+}
+
+// TestClientOutboxEndsWithItsConnection: one client id connects fifty
+// times. Even rounds hang up before the next hello, so the reader's exit
+// has to retire the outbox; odd rounds stay connected until the next hello
+// has replaced them, so the re-hello has to. Either way no outbox — its
+// channel and drain goroutine — may outlive its connection: after Close
+// every one of the fifty is done and no goroutine of the server is left.
+func TestClientOutboxEndsWithItsConnection(t *testing.T) {
+	before := runtime.NumGoroutine()
+	srv, err := NewServer(0, "127.0.0.1:0", clusterServerConfig(0, 1, 1), make([]float64, handoffDim), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id, rounds = 7, 50
+	var outboxes []*outbox
+	var replaced *transport.Conn
+	for i := 0; i < rounds; i++ {
+		conn := dialClient(t, srv, id)
+		srv.mu.Lock()
+		outboxes = append(outboxes, srv.clients[id])
+		srv.mu.Unlock()
+		if replaced != nil {
+			_ = replaced.Close()
+			replaced = nil
+		}
+		if i%2 == 0 {
+			_ = conn.Close()
+		} else {
+			replaced = conn
+		}
+	}
+	_ = replaced.Close()
+	srv.Close()
+
+	for i, ob := range outboxes {
+		if ob == nil {
+			t.Fatalf("round %d: no outbox registered after the first model arrived", i)
+		}
+		select {
+		case <-ob.done:
+		default:
+			t.Errorf("round %d: the outbox is still draining after Close", i)
+		}
+	}
+	// Close has waited for every reader and drain goroutine; the poll only
+	// covers one between its last statement and its exit.
+	waitFor(t, "the server's goroutines to exit", 5*time.Second, func() bool {
+		return runtime.NumGoroutine() <= before
+	})
 }

@@ -24,8 +24,8 @@ import (
 )
 
 // Roles used in hello frames (Msg.Bid doubles as the role field there).
-// Exported so out-of-package harnesses (internal/perf) can register raw
-// transport connections against a live Server.
+// Exported so that an out-of-package load generator can register raw
+// transport connections against a live Server; benchmark/ pins RoleClient.
 const (
 	RoleClient = 1
 	RoleServer = 2
@@ -769,7 +769,11 @@ func (s *Server) readLoop(conn *transport.Conn) {
 		s.drop(conn, obs.NoPeer, errNoHello)
 		return
 	case role == RoleClient:
-		s.registerClient(id, conn)
+		ob := s.registerClient(id, conn)
+		if ob == nil {
+			return
+		}
+		defer s.unregisterClient(id, ob)
 	default:
 		// Inbound peer link: read-only; our own dialed link sends.
 		remote = obs.ServerNode + id
@@ -935,12 +939,21 @@ func JoinCluster(sponsorAddr, listenAddr string) (*Server, error) {
 	return s, nil
 }
 
-func (s *Server) registerClient(id int, conn *transport.Conn) {
+// registerClient installs the outbox of a client connection that said
+// hello as id and queues the current model on it; nil when the server is
+// closing (the connection is closed). A client that says hello again under
+// an id it already holds replaces its previous connection: that outbox
+// flushes and closes here, because once it is out of the map nothing else
+// would.
+func (s *Server) registerClient(id int, conn *transport.Conn) *outbox {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closing.Load() {
 		_ = conn.Close()
-		return
+		return nil
+	}
+	if old := s.clients[id]; old != nil {
+		old.beginClose()
 	}
 	ob := newOutbox(conn, s.clientDelay)
 	s.clients[id] = ob
@@ -957,6 +970,23 @@ func (s *Server) registerClient(id int, conn *transport.Conn) {
 	}
 	s.noteSend(id, m)
 	ob.enqueueRelease(m, func() { s.pool.Put(buf) })
+	return ob
+}
+
+// unregisterClient ends the outbox of a client connection whose reader has
+// returned, and waits for its drain goroutine. The map entry goes only if
+// it is still this connection's — a re-hello has already closed a replaced
+// outbox — and in the same critical section as beginClose, so ReplyClient,
+// which looks the map up under s.mu, never enqueues on a closed outbox.
+// Once the server is closing, Close or Kill end every outbox in the map.
+func (s *Server) unregisterClient(id int, ob *outbox) {
+	s.mu.Lock()
+	if !s.closing.Load() && s.clients[id] == ob {
+		delete(s.clients, id)
+		ob.beginClose()
+	}
+	s.mu.Unlock()
+	ob.wait()
 }
 
 // dispatch routes one received frame into the protocol core — the tail
@@ -988,7 +1018,7 @@ func (s *Server) dispatch(role, id int, m *transport.Msg) error {
 			return errRole
 		}
 		s.noteRecv(id, m)
-		s.core.HandleClientUpdateTraced(id, m.Params, m.Age, m.Trace.UID)
+		s.core.HandleClientUpdate(id, m.Params, m.Age, m.Trace.UID)
 		m.Params = nil
 		s.updates.Add(1)
 		return nil
@@ -1004,9 +1034,9 @@ func (s *Server) dispatch(role, id int, m *transport.Msg) error {
 	s.absorbHeader(m)
 	switch m.Kind {
 	case transport.KindServerModel:
-		s.core.HandleServerModelTraced(id, m.Params, m.Age, m.Bid, m.Trace.Front, mem)
+		s.core.HandleServerModel(id, m.Params, m.Age, m.Bid, m.Trace.Front, mem)
 	case transport.KindAge:
-		s.core.HandleAgeTagged(id, m.Age, mem)
+		s.core.HandleAge(id, m.Age, mem)
 	case transport.KindToken:
 		s.tokenSeen, s.tokenSeenValid = s.clock(), true
 		s.core.HandleToken(spyker.Token{Bid: m.Bid, Ages: m.Ages, Mem: mem})

@@ -291,3 +291,34 @@ func TestNopSinkSuppressesEmissionKeepsStats(t *testing.T) {
 		t.Fatalf("updates = %d, want 120", rec.Updates())
 	}
 }
+
+// BenchmarkAuditObserve is the marginal per-update price a server pays for
+// arming the audit plane, at model scale: L2 norm, cosine against the
+// reference direction, chunk signature and layer-profile EMAs, windowed
+// robust statistics, and the three anomaly rules.
+func BenchmarkAuditObserve(b *testing.B) {
+	const clients, modelDim = 8, 25000
+	rng := rand.New(rand.NewSource(11))
+	vec := func() []float64 {
+		v := make([]float64, modelDim)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	rec := NewRecorder(Config{}, 0, obs.Nop{})
+	deltas := make([][]float64, clients)
+	for i := range deltas {
+		deltas[i] = vec()
+	}
+	model := vec()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		age := float64(k)
+		rec.Observe(float64(k)*0.01, k%clients, deltas[k%clients], model, age, age+1)
+	}
+	if rec.Updates() != int64(b.N) {
+		b.Fatalf("recorder audited %d of %d updates", rec.Updates(), b.N)
+	}
+}

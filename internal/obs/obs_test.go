@@ -197,3 +197,40 @@ func TestReadJSONLForwardCompat(t *testing.T) {
 		t.Fatalf("legacy lineage: %d updates, %d untracked", len(l.Updates), l.Untracked)
 	}
 }
+
+// BenchmarkEmitTraced is the cost of observing: a representative
+// protocol-event mix through the full instrumented-path sink (ring-buffer
+// tracer + the derived-metrics bridge), the composition every traced sim
+// or live run attaches.
+func BenchmarkEmitTraced(b *testing.B) {
+	const batch, modelBytes = 1000, 8 * 25000
+	tracer := NewTracer(4096)
+	sink := Multi(tracer, NewMetricsSink(NewRegistry()))
+	front := []int64{3, 1, 4, 1}
+	events := make([]Event, batch)
+	for i := range events {
+		t := float64(i) * 0.001
+		switch i % 5 {
+		case 0:
+			events[i] = Event{Time: t, Kind: KindClientUpdate, Node: i % 4, Peer: i % 32,
+				Age: float64(i), Stale: 1, UID: UpdateUID(i%32, int64(i)), Front: front}
+		case 1:
+			events[i] = Event{Time: t, Kind: KindMsgSend, Node: i % 32, Peer: ServerNode + i%4, Bytes: modelBytes}
+		case 2:
+			events[i] = Event{Time: t, Kind: KindMsgRecv, Node: ServerNode + i%4, Peer: i % 32, Bytes: modelBytes}
+		case 3:
+			events[i] = Event{Time: t, Kind: KindServerAgg, Node: i % 4, Peer: (i + 1) % 4,
+				Age: float64(i), Bid: i / 5, UID: RoundUID(i%4, i/5), Front: front}
+		default:
+			events[i] = Event{Time: t, Kind: KindTokenPass, Node: i % 4, Peer: (i + 1) % 4, Bid: i / 5}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink.Emit(events[i%batch])
+	}
+	if tracer.Total() != uint64(b.N) {
+		b.Fatalf("tracer saw %d of %d events", tracer.Total(), b.N)
+	}
+}

@@ -1,13 +1,17 @@
 package simulation
 
 import (
+	"bytes"
 	"container/heap"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"github.com/spyker-fl/spyker/internal/obs"
 )
 
 func TestEventsRunInTimeOrder(t *testing.T) {
@@ -226,6 +230,74 @@ func TestStopLeavesQueueIntact(t *testing.T) {
 	}
 	if s.Processed() != 8 {
 		t.Errorf("Processed() = %d after resume, want 8", s.Processed())
+	}
+}
+
+// runScheduleWorkload runs n events at deterministic pseudo-random times
+// on a tenth-of-a-second grid — most events share their timestamp with
+// others, so the order depends on the tiebreak — each appending its
+// identity and execution time to schedule. reg, when non-nil, attaches the
+// counters every experiment run attaches (Sim.Instrument). It returns the
+// final virtual time.
+func runScheduleWorkload(seed int64, n int, reg *obs.Registry, schedule *[]byte) float64 {
+	sim := New()
+	if reg != nil {
+		sim.Instrument(reg.Counter(obs.MetricSimEvents), reg.Gauge(obs.MetricSimQueueDepth))
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i++ {
+		i := i
+		sim.Schedule(float64(rng.Intn(1000))/10, func() {
+			var rec [16]byte
+			binary.LittleEndian.PutUint64(rec[:8], uint64(i))
+			binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(sim.Now()))
+			*schedule = append(*schedule, rec[:]...)
+		})
+	}
+	// All events land within 100 virtual seconds; the finite horizon
+	// keeps the returned time comparable across runs.
+	return sim.Run(1e6)
+}
+
+// TestInstrumentDoesNotPerturbSchedule is the determinism guard for the
+// event loop's own counters (companion to obs's
+// TestTracingDoesNotPerturbSimulation): attaching them must leave the event
+// schedule byte-identical — same events, same order, same virtual
+// timestamps — to an uninstrumented run. If instrumentation ever steals a
+// tiebreak or reorders the heap, the measured system is no longer the
+// shipped system and every number taken from it is suspect.
+func TestInstrumentDoesNotPerturbSchedule(t *testing.T) {
+	const seed, n = 11, 5000
+
+	var bare []byte
+	tBare := runScheduleWorkload(seed, n, nil, &bare)
+
+	reg := obs.NewRegistry()
+	var instrumented []byte
+	tInst := runScheduleWorkload(seed, n, reg, &instrumented)
+
+	if tBare != tInst {
+		t.Errorf("final virtual time diverged: bare %v, instrumented %v", tBare, tInst)
+	}
+	if len(bare) != 16*n {
+		t.Fatalf("bare run recorded %d bytes, want %d", len(bare), 16*n)
+	}
+	if !bytes.Equal(bare, instrumented) {
+		// Locate the first diverging event for the failure message.
+		at := -1
+		for i := 0; i < len(bare) && i < len(instrumented); i++ {
+			if bare[i] != instrumented[i] {
+				at = i / 16
+				break
+			}
+		}
+		t.Fatalf("event schedule diverged under instrumentation (first divergence at event record %d)", at)
+	}
+
+	// And the counter must actually have observed the run — a guard that
+	// passes because instrumentation silently no-opped proves nothing.
+	if got := reg.Counter(obs.MetricSimEvents).Value(); got != int64(n) {
+		t.Errorf("instrumented run counted %d events, want %d", got, n)
 	}
 }
 

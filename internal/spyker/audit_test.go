@@ -1,4 +1,4 @@
-package perf
+package spyker
 
 import (
 	"math/rand"
@@ -6,23 +6,76 @@ import (
 
 	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/obs/audit"
-	"github.com/spyker-fl/spyker/internal/spyker"
+	"github.com/spyker-fl/spyker/internal/tensor"
 )
 
-// The allocation assertions below run the exact fixture the
-// spyker/server-aggregate scenario measures (newAggregateStep), so they
-// gate the same hot path the benchmark history (BENCH_*.json) tracks.
+// aggregateClients is how many clients take turns in the aggregate
+// fixture; aggregateDim is the flat-model size the aggregation benchmarks
+// standardized on (~25k parameters, the MNIST CNN).
+const (
+	aggregateClients = 8
+	aggregateDim     = 25000
+)
+
+// aggregateConfig is a lone server that never synchronizes: only the
+// client-update path runs.
+func aggregateConfig() Config {
+	cfg := coreConfig(0, 1, aggregateClients)
+	cfg.HInter, cfg.HIntra = 1e18, 1e18
+	cfg.DecayEnabled = false
+	return cfg
+}
+
+// loneOutbound is an Outbound for a core with no peers: the reply is
+// dropped and there is nobody to broadcast to.
+func loneOutbound() Outbound { return &loopbackOut{cores: new([]*ServerCore)} }
+
+func randVec(rng *rand.Rand, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	return v
+}
+
+// newAggregateStep builds the aggregate fixture: one core and the step
+// that hands it the next client's update. The handler consumes an update —
+// the vector comes back holding the server's model, the reply — so merging
+// one vector twice would merge a fixed point, with a zero delta the second
+// time. Every client therefore has a vector of its own, and the step that
+// starts a round first re-fills all of them from two pristine updates in
+// alternation — two, because a model fed one update for ever converges
+// onto it and the deltas vanish all the same.
+func newAggregateStep(seed int64, dim int) (*ServerCore, func()) {
+	rng := rand.New(rand.NewSource(seed))
+	core := NewServerCore(aggregateConfig(), randVec(rng, dim), false, loneOutbound())
+	pristine := [2][]float64{randVec(rng, dim), randVec(rng, dim)}
+	updates := make([][]float64, aggregateClients)
+	for k := range updates {
+		updates[k] = make([]float64, dim)
+	}
+	k := 0
+	return core, func() {
+		if k%aggregateClients == 0 {
+			for i, u := range updates {
+				copy(u, pristine[i%2])
+			}
+		}
+		core.HandleClientUpdate(k%aggregateClients, updates[k%aggregateClients], core.Age(), 0)
+		k++
+	}
+}
 
 // TestAuditDisarmedZeroAlloc pins the passivity contract's perf half:
 // with no auditor armed, the client-update hot path stays at 0
 // allocs/op — the audit extension costs exactly one nil check.
 func TestAuditDisarmedZeroAlloc(t *testing.T) {
-	core, step := newAggregateStep(7, modelDim)
+	core, step := newAggregateStep(7, aggregateDim)
 	// Warm up: the first merge may grow the clip-path scratch once.
 	for i := 0; i < 16; i++ {
 		step()
 	}
-	before := append([]float64(nil), core.Params()...)
+	before := tensor.Clone(core.Params())
 	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
 		t.Fatalf("disarmed server-aggregate: %.1f allocs/op, want 0", allocs)
 	}
@@ -33,13 +86,13 @@ func TestAuditDisarmedZeroAlloc(t *testing.T) {
 // every client's profile exists, auditing a merge reuses pooled scratch
 // and allocates nothing.
 func TestAuditArmedZeroAllocSteadyState(t *testing.T) {
-	core, step := newAggregateStep(7, modelDim)
+	core, step := newAggregateStep(7, aggregateDim)
 	core.ArmAudit(audit.NewRecorder(audit.Config{}, 0, obs.Nop{}))
 	// Warm up past profile creation and window fills for all 8 clients.
 	for i := 0; i < aggregateClients*24; i++ {
 		step()
 	}
-	before := append([]float64(nil), core.Params()...)
+	before := tensor.Clone(core.Params())
 	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
 		t.Fatalf("armed server-aggregate: %.1f allocs/op, want 0", allocs)
 	}
@@ -65,15 +118,9 @@ func TestAuditArmedByteIdenticalModel(t *testing.T) {
 	// A small dimension keeps 300 merges fast; the merge math is
 	// dimension-uniform.
 	const dim = 512
-	cfg := spyker.Config{
-		ID: 0, NumServers: 1, NumClients: 8,
-		EtaServer: 0.6, Phi: 1.5, EtaA: 0.6,
-		HInter: 1e18, HIntra: 1e18,
-		ClientLR: 0.05,
-	}
-	mk := func() *spyker.ServerCore {
+	mk := func() *ServerCore {
 		r := rand.New(rand.NewSource(7))
-		return spyker.NewServerCore(cfg, randVec(r, dim), false, nopOutbound{})
+		return NewServerCore(aggregateConfig(), randVec(r, dim), false, loneOutbound())
 	}
 	plain := mk()
 	armed := mk()
@@ -84,8 +131,8 @@ func TestAuditArmedByteIdenticalModel(t *testing.T) {
 		// The handler consumes its vector (the reply is written into it),
 		// so each core merges a copy of its own.
 		u := randVec(rng, dim)
-		plain.HandleClientUpdate(i%8, append([]float64(nil), u...), plain.Age())
-		armed.HandleClientUpdate(i%8, u, armed.Age())
+		plain.HandleClientUpdate(i%8, tensor.Clone(u), plain.Age(), 0)
+		armed.HandleClientUpdate(i%8, u, armed.Age(), 0)
 	}
 	if plain.Age() != armed.Age() {
 		t.Fatalf("ages diverged: plain %v armed %v", plain.Age(), armed.Age())

@@ -555,17 +555,13 @@ func ServerAggWeight(phi, localAge, remoteAge float64) float64 {
 // without it, a client whose learning rate has been floored at eta_min
 // returns an (almost) unchanged copy of an old server model, and merging
 // that echo at full weight drags the server back toward its own past.
-func (s *ServerCore) HandleClientUpdate(k int, params []float64, clientAge float64) {
-	s.HandleClientUpdateTraced(k, params, clientAge, 0)
-}
-
-// HandleClientUpdateTraced is HandleClientUpdate carrying the update's
-// trace context: uid is the causal ID the client minted when the trained
-// update left it (obs.UpdateUID), zero for untraced callers. The merge
-// advances this server's own frontier coordinate either way, so lineage
-// stays reconstructable from the server-side (origin, seq) identity even
-// when clients do not mint IDs.
-func (s *ServerCore) HandleClientUpdateTraced(k int, params []float64, clientAge float64, uid obs.UID) {
+//
+// uid is the update's trace context: the causal ID the client minted when
+// the trained update left it (obs.UpdateUID), zero for untraced callers.
+// The merge advances this server's own frontier coordinate either way, so
+// lineage stays reconstructable from the server-side (origin, seq) identity
+// even when clients do not mint IDs.
+func (s *ServerCore) HandleClientUpdate(k int, params []float64, clientAge float64, uid obs.UID) {
 	s.updates[k]++
 	s.total++
 	lr := s.decayedRate(k)
@@ -702,15 +698,11 @@ func (s *ServerCore) decayedRate(k int) float64 {
 // instead (see DESIGN.md, deviation 10).
 
 // HandleAge processes an age announcement from server j (Alg. 2 RcvAge).
-func (s *ServerCore) HandleAge(j int, age float64) {
-	s.HandleAgeTagged(j, age, ring.Membership{})
-}
-
-// HandleAgeTagged is HandleAge carrying the sender's membership header
-// (zero from legacy senders). The header is observed first, so an age
-// announcement from a just-joined server both grows the local arrays
-// and installs the new epoch before the age lands.
-func (s *ServerCore) HandleAgeTagged(j int, age float64, mem ring.Membership) {
+// mem is the sender's membership header (zero when the caller carries
+// none). The header is observed first, so an age announcement from a
+// just-joined server both grows the local arrays and installs the new
+// epoch before the age lands.
+func (s *ServerCore) HandleAge(j int, age float64, mem ring.Membership) {
 	s.observeMembership(mem)
 	if j < 0 {
 		return
@@ -907,19 +899,13 @@ func (s *ServerCore) TokenRegens() int { return s.tokenRegens }
 func (s *ServerCore) MaxBidSeen() int { return s.maxBidSeen }
 
 // HandleServerModel processes another server's model broadcast
-// (Alg. 2 RcvModel).
-func (s *ServerCore) HandleServerModel(j int, params []float64, age float64, bid int) {
-	s.HandleServerModelTraced(j, params, age, bid, nil, ring.Membership{})
-}
-
-// HandleServerModelTraced is HandleServerModel carrying the broadcast's
-// provenance and membership header: front is the sender's merged-updates
-// frontier at broadcast time (nil from untraced peers or pre-extension
-// checkpoints), mem the sender's ring membership (zero from legacy
-// senders). The local frontier max-merges front, because the weighted
-// model merge incorporates the causal influence of every update the
-// remote model had seen.
-func (s *ServerCore) HandleServerModelTraced(j int, params []float64, age float64, bid int, front []int64, mem ring.Membership) {
+// (Alg. 2 RcvModel) with its provenance and membership header: front is
+// the sender's merged-updates frontier at broadcast time (nil from
+// untraced peers or pre-extension checkpoints), mem the sender's ring
+// membership (zero when the caller carries none). The local frontier
+// max-merges front, because the weighted model merge incorporates the
+// causal influence of every update the remote model had seen.
+func (s *ServerCore) HandleServerModel(j int, params []float64, age float64, bid int, front []int64, mem ring.Membership) {
 	s.observeMembership(mem)
 	// Fresh ring traffic resets the silence timer — but a holder's
 	// SyncRetry re-broadcast of an already-served round does not, or a

@@ -2,6 +2,7 @@ package spyker
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -134,7 +135,7 @@ func TestClientUpdateAgesAndReplies(t *testing.T) {
 	out := &fakeOut{}
 	s := NewServerCore(coreConfig(0, 2, 2), []float64{0, 0}, false, out)
 
-	s.HandleClientUpdate(7, []float64{1, 1}, 0)
+	s.HandleClientUpdate(7, []float64{1, 1}, 0, 0)
 	if s.Age() != 1 {
 		t.Errorf("age = %v, want 1", s.Age())
 	}
@@ -161,7 +162,7 @@ func TestDecayReducesOveractiveClientRate(t *testing.T) {
 	s := NewServerCore(coreConfig(0, 2, 4), make([]float64, 2), false, out)
 	// Client 0 sends 12 updates, clients 1..3 none.
 	for i := 0; i < 12; i++ {
-		s.HandleClientUpdate(0, []float64{1, 1}, s.Age())
+		s.HandleClientUpdate(0, []float64{1, 1}, s.Age(), 0)
 	}
 	last := out.replies[len(out.replies)-1]
 	if last.lr >= 0.05 {
@@ -179,7 +180,7 @@ func TestDecayDisabled(t *testing.T) {
 	out := &fakeOut{}
 	s := NewServerCore(cfg, make([]float64, 2), false, out)
 	for i := 0; i < 12; i++ {
-		s.HandleClientUpdate(0, []float64{1, 1}, s.Age())
+		s.HandleClientUpdate(0, []float64{1, 1}, s.Age(), 0)
 	}
 	for _, r := range out.replies {
 		if r.lr != 0.05 {
@@ -191,7 +192,7 @@ func TestDecayDisabled(t *testing.T) {
 func TestServerAggMovesModelAndAge(t *testing.T) {
 	out := &fakeOut{}
 	s := NewServerCore(coreConfig(0, 2, 2), []float64{0, 0}, false, out)
-	s.HandleServerModel(1, []float64{10, 10}, 100, 1)
+	s.HandleServerModel(1, []float64{10, 10}, 100, 1, nil, ring.Membership{})
 	p := s.Params()
 	if p[0] <= 0 || p[0] >= 10 {
 		t.Errorf("param after agg = %v, want strictly between", p[0])
@@ -205,7 +206,7 @@ func TestTokenHolderTriggersSyncOnInterDrift(t *testing.T) {
 	out := &fakeOut{}
 	s := NewServerCore(coreConfig(0, 3, 2), make([]float64, 2), true, out)
 	// Learn that server 2's model is far ahead.
-	s.HandleAge(2, 10) // drift 10 >= hInter 5
+	s.HandleAge(2, 10, ring.Membership{}) // drift 10 >= hInter 5
 	if len(out.models) != 1 {
 		t.Fatalf("expected one model broadcast, got %d", len(out.models))
 	}
@@ -216,7 +217,7 @@ func TestTokenHolderTriggersSyncOnInterDrift(t *testing.T) {
 		t.Errorf("SyncsTriggered = %d", s.SyncsTriggered())
 	}
 	// A second trigger before completion must not re-broadcast.
-	s.HandleAge(2, 20)
+	s.HandleAge(2, 20, ring.Membership{})
 	if len(out.models) != 1 {
 		t.Errorf("re-broadcast during ongoing sync: %d", len(out.models))
 	}
@@ -227,10 +228,10 @@ func TestNonHolderBroadcastsAge(t *testing.T) {
 	s := NewServerCore(coreConfig(1, 3, 2), make([]float64, 2), false, out)
 	// Give the server a bit of local age so the rate limiter (min age gap
 	// of 1 between announcements) lets the first broadcast through.
-	s.HandleClientUpdate(0, []float64{1, 1}, 0)
-	s.HandleClientUpdate(0, []float64{1, 1}, 1)
+	s.HandleClientUpdate(0, []float64{1, 1}, 0, 0)
+	s.HandleClientUpdate(0, []float64{1, 1}, 1, 0)
 	out.ages = nil // ignore anything emitted during warm-up
-	s.HandleAge(2, 10)
+	s.HandleAge(2, 10, ring.Membership{})
 	if len(out.models) != 0 {
 		t.Error("non-holder must not broadcast its model")
 	}
@@ -239,7 +240,7 @@ func TestNonHolderBroadcastsAge(t *testing.T) {
 	}
 	// Age announcements are rate limited: an immediate re-trigger with the
 	// same local age must not re-broadcast.
-	s.HandleAge(2, 11)
+	s.HandleAge(2, 11, ring.Membership{})
 	if len(out.ages) != 1 {
 		t.Errorf("age broadcast not rate limited: %d", len(out.ages))
 	}
@@ -252,7 +253,7 @@ func TestHIntraTriggersSync(t *testing.T) {
 	out := &fakeOut{}
 	s := NewServerCore(cfg, make([]float64, 2), true, out)
 	for i := 0; i < 3; i++ {
-		s.HandleClientUpdate(0, []float64{1, 1}, s.Age())
+		s.HandleClientUpdate(0, []float64{1, 1}, s.Age(), 0)
 	}
 	if len(out.models) != 1 {
 		t.Errorf("hIntra trigger broadcasts = %d, want 1", len(out.models))
@@ -262,7 +263,7 @@ func TestHIntraTriggersSync(t *testing.T) {
 func TestNonHolderJoinsSyncOnUnknownBid(t *testing.T) {
 	out := &fakeOut{}
 	s := NewServerCore(coreConfig(1, 3, 2), make([]float64, 2), false, out)
-	s.HandleServerModel(0, []float64{1, 1}, 5, 42)
+	s.HandleServerModel(0, []float64{1, 1}, 5, 42, nil, ring.Membership{})
 	if len(out.models) != 1 {
 		t.Fatalf("expected join broadcast, got %d", len(out.models))
 	}
@@ -273,7 +274,7 @@ func TestNonHolderJoinsSyncOnUnknownBid(t *testing.T) {
 		t.Errorf("SyncsJoined = %d", s.SyncsJoined())
 	}
 	// Receiving the same bid from another server must not re-broadcast.
-	s.HandleServerModel(2, []float64{2, 2}, 6, 42)
+	s.HandleServerModel(2, []float64{2, 2}, 6, 42, nil, ring.Membership{})
 	if len(out.models) != 1 {
 		t.Errorf("duplicate join broadcast: %d", len(out.models))
 	}
@@ -282,15 +283,15 @@ func TestNonHolderJoinsSyncOnUnknownBid(t *testing.T) {
 func TestTokenForwardedAfterAllModels(t *testing.T) {
 	out := &fakeOut{}
 	s := NewServerCore(coreConfig(0, 3, 2), make([]float64, 2), true, out)
-	s.HandleAge(1, 10) // trigger sync; cnt[1] = 1 (own model)
+	s.HandleAge(1, 10, ring.Membership{}) // trigger sync; cnt[1] = 1 (own model)
 	if len(out.tokens) != 0 {
 		t.Fatal("token forwarded before models arrived")
 	}
-	s.HandleServerModel(1, []float64{1, 1}, 10, 1)
+	s.HandleServerModel(1, []float64{1, 1}, 10, 1, nil, ring.Membership{})
 	if len(out.tokens) != 0 {
 		t.Fatal("token forwarded after only one model")
 	}
-	s.HandleServerModel(2, []float64{2, 2}, 3, 1)
+	s.HandleServerModel(2, []float64{2, 2}, 3, 1, nil, ring.Membership{})
 	if len(out.tokens) != 1 {
 		t.Fatalf("token not forwarded after all models: %d", len(out.tokens))
 	}
@@ -324,7 +325,7 @@ func TestRcvTokenIncrementsBid(t *testing.T) {
 func TestAgesFollowFreshReports(t *testing.T) {
 	out := &fakeOut{}
 	s := NewServerCore(coreConfig(0, 3, 2), make([]float64, 2), false, out)
-	s.HandleAge(1, 3)
+	s.HandleAge(1, 3, ring.Membership{})
 	if s.ages[1] != 3 {
 		t.Errorf("ages[1] = %v, want 3", s.ages[1])
 	}
@@ -332,7 +333,7 @@ func TestAgesFollowFreshReports(t *testing.T) {
 	// links make every direct report causally fresher than the previous
 	// one, so knowledge follows the report rather than max-merging — the
 	// max-merge of the paper's pseudo-code livelocks (see core.go).
-	s.HandleAge(1, 2)
+	s.HandleAge(1, 2, ring.Membership{})
 	if s.ages[1] != 2 {
 		t.Errorf("ages[1] = %v, want 2 (fresh report adopted)", s.ages[1])
 	}
@@ -341,7 +342,7 @@ func TestAgesFollowFreshReports(t *testing.T) {
 func TestTokenRefreshesOwnAgeEntry(t *testing.T) {
 	out := &fakeOut{}
 	s := NewServerCore(coreConfig(1, 3, 2), make([]float64, 2), false, out)
-	s.HandleClientUpdate(0, []float64{1, 1}, 0) // own age 1
+	s.HandleClientUpdate(0, []float64{1, 1}, 0, 0) // own age 1
 	s.HandleToken(Token{Bid: 1, Ages: []float64{5, 99, 5}})
 	if s.ages[1] != s.Age() {
 		t.Errorf("token overwrote own age entry: %v vs %v", s.ages[1], s.Age())
@@ -357,7 +358,7 @@ func TestSingleServerNeverSyncs(t *testing.T) {
 	out := &fakeOut{}
 	s := NewServerCore(cfg, make([]float64, 2), true, out)
 	for i := 0; i < 10; i++ {
-		s.HandleClientUpdate(0, []float64{1, 1}, s.Age())
+		s.HandleClientUpdate(0, []float64{1, 1}, s.Age(), 0)
 	}
 	if len(out.models) != 0 || len(out.tokens) != 0 || len(out.ages) != 0 {
 		t.Error("single-server deployment attempted a synchronization")
@@ -394,7 +395,7 @@ func TestFullSyncRoundLoopback(t *testing.T) {
 	// exchange synchronously.
 	for k := 0; k < 6; k++ {
 		// A copy per call: the handler consumes the vector it is given.
-		cores[2].HandleClientUpdate(0, tensor.Clone(cores[2].Params()), cores[2].Age())
+		cores[2].HandleClientUpdate(0, tensor.Clone(cores[2].Params()), cores[2].Age(), 0)
 	}
 
 	if cores[0].SyncsTriggered() != 1 {
@@ -435,19 +436,54 @@ func (l *loopbackOut) ReplyClient(int, []float64, float64, float64) {}
 func (l *loopbackOut) BroadcastModel(p []float64, age float64, bid int, _ []int64, _ ring.Membership) {
 	for i, c := range *l.cores {
 		if i != l.id && c != nil {
-			c.HandleServerModel(l.id, tensor.Clone(p), age, bid)
+			c.HandleServerModel(l.id, tensor.Clone(p), age, bid, nil, ring.Membership{})
 		}
 	}
 }
 func (l *loopbackOut) BroadcastAge(age float64, _ ring.Membership) {
 	for i, c := range *l.cores {
 		if i != l.id && c != nil {
-			c.HandleAge(l.id, age)
+			c.HandleAge(l.id, age, ring.Membership{})
 		}
 	}
 }
 func (l *loopbackOut) SendToken(t Token, next int) {
 	(*l.cores)[next].HandleToken(t)
+}
+
+// BenchmarkTokenSyncRound times one full token-triggered synchronization
+// round (Alg. 2) across four servers on the synchronous loopback ring:
+// trigger at the token holder, N model broadcasts, N*(N-1) sigmoid merges,
+// token forwarded to the ring successor.
+func BenchmarkTokenSyncRound(b *testing.B) {
+	const n = 4
+	rng := rand.New(rand.NewSource(8))
+	cores := make([]*ServerCore, n)
+	for i := range cores {
+		cfg := coreConfig(i, n, aggregateClients)
+		cfg.HIntra = 1e18
+		cores[i] = NewServerCore(cfg, randVec(rng, aggregateDim), i == 0,
+			&loopbackOut{id: i, cores: &cores})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		holder := 0
+		for !cores[holder].HasToken() {
+			holder++
+		}
+		// Feigning a drifted peer age trips the h_inter trigger; the
+		// round's own direct reports overwrite it with the true ages.
+		h := cores[holder]
+		h.HandleAge((holder+1)%n, h.Age()+h.cfg.HInter+1, ring.Membership{})
+	}
+	b.StopTimer()
+	// Every server merges the n-1 models of each round it joins.
+	joined := 0
+	for _, c := range cores {
+		joined += c.SyncsJoined()
+	}
+	b.ReportMetric(float64(joined*(n-1))/float64(b.N), "merges/round")
 }
 
 func pairwiseDist(cores []*ServerCore) float64 {
@@ -470,7 +506,7 @@ func TestRobustClippingBoundsOversizedDeltas(t *testing.T) {
 	// Establish an honest delta-norm baseline.
 	for i := 0; i < 5; i++ {
 		honest := []float64{s.Params()[0] + 0.1, s.Params()[1] + 0.1}
-		s.HandleClientUpdate(0, honest, s.Age())
+		s.HandleClientUpdate(0, honest, s.Age(), 0)
 	}
 	if s.ClippedUpdates() != 0 {
 		t.Fatalf("honest updates were clipped: %d", s.ClippedUpdates())
@@ -479,7 +515,7 @@ func TestRobustClippingBoundsOversizedDeltas(t *testing.T) {
 
 	// A poisoned update 100x the honest norm must be clipped.
 	poison := []float64{before[0] - 50, before[1] - 50}
-	s.HandleClientUpdate(1, poison, s.Age())
+	s.HandleClientUpdate(1, poison, s.Age(), 0)
 	if s.ClippedUpdates() != 1 {
 		t.Fatalf("oversized delta not clipped")
 	}
@@ -497,8 +533,8 @@ func TestRobustClippingDisabledByDefault(t *testing.T) {
 	cfg.DecayEnabled = false
 	out := &fakeOut{}
 	s := NewServerCore(cfg, []float64{0, 0}, false, out)
-	s.HandleClientUpdate(0, []float64{0.1, 0.1}, 0)
-	s.HandleClientUpdate(1, []float64{-100, -100}, s.Age())
+	s.HandleClientUpdate(0, []float64{0.1, 0.1}, 0, 0)
+	s.HandleClientUpdate(1, []float64{-100, -100}, s.Age(), 0)
 	if s.ClippedUpdates() != 0 {
 		t.Error("clipping active although RobustClipFactor is 0")
 	}
@@ -521,7 +557,7 @@ func TestReplyRidesInTheUpdatesBuffer(t *testing.T) {
 		s := NewServerCore(cfg, []float64{0, 0, 0, 0, 0}, false, out)
 		for i := 0; i < 4; i++ {
 			u := []float64{1, -2, 3, float64(10 * i), 0.5}
-			s.HandleClientUpdate(i%2, u, s.Age())
+			s.HandleClientUpdate(i%2, u, s.Age(), 0)
 			r := out.replies[len(out.replies)-1]
 			if &r.params[0] != &u[0] || len(r.params) != len(u) {
 				t.Fatalf("clip %v: the reply is not the update's own vector", clip)

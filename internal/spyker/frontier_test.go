@@ -17,8 +17,8 @@ func TestFrontierAdvancesOnClientUpdates(t *testing.T) {
 	if got := s.Frontier(); len(got) != 3 || got[0] != 0 || got[1] != 0 || got[2] != 0 {
 		t.Fatalf("initial frontier = %v, want zeros", got)
 	}
-	s.HandleClientUpdate(0, []float64{1, 1}, 0)
-	s.HandleClientUpdate(1, []float64{1, 1}, 1)
+	s.HandleClientUpdate(0, []float64{1, 1}, 0, 0)
+	s.HandleClientUpdate(1, []float64{1, 1}, 1, 0)
 	got := s.Frontier()
 	if got[1] != 2 || got[0] != 0 || got[2] != 0 {
 		t.Fatalf("frontier = %v, want [0 2 0] (own coordinate only)", got)
@@ -32,10 +32,10 @@ func TestFrontierAdvancesOnClientUpdates(t *testing.T) {
 
 func TestFrontierMergesFromBroadcasts(t *testing.T) {
 	s := NewServerCore(coreConfig(0, 3, 2), []float64{0, 0}, false, &fakeOut{})
-	s.HandleClientUpdate(0, []float64{1, 1}, 0)
+	s.HandleClientUpdate(0, []float64{1, 1}, 0, 0)
 
 	// A peer broadcast carrying front [0 5 2] max-merges into [1 5 2].
-	s.HandleServerModelTraced(1, []float64{2, 2}, 1, 1, []int64{0, 5, 2}, ring.Membership{})
+	s.HandleServerModel(1, []float64{2, 2}, 1, 1, []int64{0, 5, 2}, ring.Membership{})
 	got := s.Frontier()
 	if got[0] != 1 || got[1] != 5 || got[2] != 2 {
 		t.Fatalf("frontier = %v, want [1 5 2]", got)
@@ -43,8 +43,8 @@ func TestFrontierMergesFromBroadcasts(t *testing.T) {
 
 	// A stale broadcast (lower coordinates) must not regress the frontier,
 	// and untraced broadcasts (nil front) must merge nothing.
-	s.HandleServerModelTraced(2, []float64{2, 2}, 1, 2, []int64{0, 3, 1}, ring.Membership{})
-	s.HandleServerModelTraced(1, []float64{2, 2}, 1, 3, nil, ring.Membership{})
+	s.HandleServerModel(2, []float64{2, 2}, 1, 2, []int64{0, 3, 1}, ring.Membership{})
+	s.HandleServerModel(1, []float64{2, 2}, 1, 3, nil, ring.Membership{})
 	got = s.Frontier()
 	if got[0] != 1 || got[1] != 5 || got[2] != 2 {
 		t.Fatalf("frontier regressed: %v, want [1 5 2]", got)
@@ -62,8 +62,8 @@ func TestBroadcastCarriesFrontier(t *testing.T) {
 	cfg.HIntra = 2 // trigger a sync after two local updates
 	cfg.HInter = 1e9
 	s := NewServerCore(cfg, []float64{0, 0}, true, out)
-	s.HandleClientUpdate(0, []float64{1, 1}, s.Age())
-	s.HandleClientUpdate(0, []float64{1, 1}, s.Age())
+	s.HandleClientUpdate(0, []float64{1, 1}, s.Age(), 0)
+	s.HandleClientUpdate(0, []float64{1, 1}, s.Age(), 0)
 	if gotFront == nil {
 		t.Fatal("sync never triggered a broadcast")
 	}
@@ -88,8 +88,8 @@ func TestTracedEventsCarryUIDAndFrontier(t *testing.T) {
 	s.Instrument(tr, func() float64 { return 1 })
 
 	uid := obs.UpdateUID(4, 1)
-	s.HandleClientUpdateTraced(0, []float64{1, 1}, 0, uid)
-	s.HandleServerModelTraced(1, []float64{2, 2}, 1, 3, []int64{0, 7}, ring.Membership{})
+	s.HandleClientUpdate(0, []float64{1, 1}, 0, uid)
+	s.HandleServerModel(1, []float64{2, 2}, 1, 3, []int64{0, 7}, ring.Membership{})
 
 	evs := tr.Events()
 	var sawUpdate, sawAgg bool
@@ -120,8 +120,8 @@ func TestTracedEventsCarryUIDAndFrontier(t *testing.T) {
 
 func TestSnapshotRestoresFrontier(t *testing.T) {
 	s := NewServerCore(coreConfig(0, 3, 2), []float64{0, 0}, false, &fakeOut{})
-	s.HandleClientUpdate(0, []float64{1, 1}, 0)
-	s.HandleServerModelTraced(1, []float64{2, 2}, 1, 1, []int64{0, 4, 0}, ring.Membership{})
+	s.HandleClientUpdate(0, []float64{1, 1}, 0, 0)
+	s.HandleServerModel(1, []float64{2, 2}, 1, 1, []int64{0, 4, 0}, ring.Membership{})
 
 	st := s.Snapshot()
 	if len(st.Frontier) != 3 || st.Frontier[0] != 1 || st.Frontier[1] != 4 {
@@ -139,7 +139,7 @@ func TestSnapshotRestoresFrontier(t *testing.T) {
 
 func TestRestoreLegacySnapshotWithoutFrontier(t *testing.T) {
 	s := NewServerCore(coreConfig(0, 2, 1), []float64{0, 0}, false, &fakeOut{})
-	s.HandleClientUpdate(0, []float64{1, 1}, 0)
+	s.HandleClientUpdate(0, []float64{1, 1}, 0, 0)
 	st := s.Snapshot()
 	st.Frontier = nil // checkpoint written before the provenance extension
 	r, err := RestoreServerCore(st, &fakeOut{})

@@ -82,7 +82,7 @@ func (o *fuzzOut) BroadcastModel(p []float64, age float64, bid int, _ []int64, _
 		}
 		dst := i
 		o.net.send(o.id, dst, func() {
-			o.net.cores[dst].HandleServerModel(o.id, snapshot, age, bid)
+			o.net.cores[dst].HandleServerModel(o.id, snapshot, age, bid, nil, ring.Membership{})
 		})
 	}
 }
@@ -94,7 +94,7 @@ func (o *fuzzOut) BroadcastAge(age float64, _ ring.Membership) {
 		}
 		dst := i
 		o.net.send(o.id, dst, func() {
-			o.net.cores[dst].HandleAge(o.id, age)
+			o.net.cores[dst].HandleAge(o.id, age, ring.Membership{})
 		})
 	}
 }
@@ -148,7 +148,7 @@ func runFuzzExecution(t *testing.T, seed int64) {
 	for u := 0; u < updates; u++ {
 		target := rng.Intn(n)
 		core := net.cores[target]
-		core.HandleClientUpdate(rng.Intn(3), clientParams(), core.Age())
+		core.HandleClientUpdate(rng.Intn(3), clientParams(), core.Age(), 0)
 		// Deliver a random number of in-flight messages.
 		for k := rng.Intn(4); k > 0; k-- {
 			if !net.step() {
@@ -243,7 +243,7 @@ func TestProtocolFuzzTokenNeverDuplicated(t *testing.T) {
 	_ = tokensInFlight
 	for u := 0; u < 600; u++ {
 		core := net.cores[rng.Intn(n)]
-		core.HandleClientUpdate(0, []float64{1, 1}, core.Age())
+		core.HandleClientUpdate(0, []float64{1, 1}, core.Age(), 0)
 		for k := rng.Intn(3); k > 0; k-- {
 			if !net.step() {
 				break

@@ -57,7 +57,7 @@ func (o *memOut) BroadcastModel(p []float64, age float64, bid int, front []int64
 		dst := i
 		o.f.net.send(o.id, dst, func() {
 			if o.f.alive(dst) {
-				o.f.net.cores[dst].HandleServerModelTraced(o.id, snap, age, bid, fr, m)
+				o.f.net.cores[dst].HandleServerModel(o.id, snap, age, bid, fr, m)
 			}
 		})
 	}
@@ -72,7 +72,7 @@ func (o *memOut) BroadcastAge(age float64, mem ring.Membership) {
 		dst := i
 		o.f.net.send(o.id, dst, func() {
 			if o.f.alive(dst) {
-				o.f.net.cores[dst].HandleAgeTagged(o.id, age, m)
+				o.f.net.cores[dst].HandleAge(o.id, age, m)
 			}
 		})
 	}
@@ -135,7 +135,7 @@ func runMembershipFuzz(t *testing.T, seed int64) {
 			return
 		}
 		c := f.net.cores[ids[rng.Intn(len(ids))]]
-		c.HandleClientUpdate(rng.Intn(3), clientParams(), c.Age())
+		c.HandleClientUpdate(rng.Intn(3), clientParams(), c.Age(), 0)
 	}
 	tick := func(dt float64) {
 		f.now += dt
@@ -251,7 +251,7 @@ func runMembershipFuzz(t *testing.T, seed int64) {
 	for ; rounds < 40 && !agreed(); rounds++ {
 		for _, id := range f.aliveIDs() {
 			c := f.net.cores[id]
-			c.HandleClientUpdate(rng.Intn(3), clientParams(), c.Age())
+			c.HandleClientUpdate(rng.Intn(3), clientParams(), c.Age(), 0)
 		}
 		tick(6) // past TokenTimeout: a lost token regenerates
 		for f.net.step() {

@@ -197,7 +197,7 @@ func (a *Algorithm) Build(env *fl.Env) error {
 					if a.faultsArmed {
 						consumed = append([]float64(nil), update...)
 					}
-					srv.core.HandleClientUpdateTraced(clientID, consumed, age, uid)
+					srv.core.HandleClientUpdate(clientID, consumed, age, uid)
 					if srv.heardSince != nil {
 						srv.heardSince[clientID] = true
 					}
@@ -623,7 +623,7 @@ func (s *simServer) BroadcastModel(params []float64, age float64, bid int, front
 			dst := s.env.ServerEndpoint(p.id)
 			s.env.Net.SendTraced(src, dst, s.env.ModelBytes, geo.ServerServer, uid, func() {
 				p.submit(s.env.ProcFor(p.id, s.env.Hyper.ProcSpyker), func() {
-					p.core.HandleServerModelTraced(s.id, own, age, bid, frontOwn, mem)
+					p.core.HandleServerModel(s.id, own, age, bid, frontOwn, mem)
 				})
 			})
 		}
@@ -646,7 +646,7 @@ func (s *simServer) BroadcastModel(params []float64, age float64, bid int, front
 		dst := s.env.ServerEndpoint(p.id)
 		s.env.Net.SendTraced(src, dst, s.env.ModelBytes, geo.ServerServer, uid, func() {
 			p.queue.Submit(s.env.ProcFor(p.id, s.env.Hyper.ProcSpyker), func() {
-				p.core.HandleServerModelTraced(s.id, buf, age, bid, frontCopy, mem)
+				p.core.HandleServerModel(s.id, buf, age, bid, frontCopy, mem)
 				if remaining--; remaining == 0 {
 					s.env.Pool.Put(buf)
 				}
@@ -666,7 +666,7 @@ func (s *simServer) BroadcastAge(age float64, mem ring.Membership) {
 		dst := s.env.ServerEndpoint(p.id)
 		s.env.Net.Send(src, dst, fl.AgeWireBytes, geo.ServerServer, func() {
 			p.submit(0, func() {
-				p.core.HandleAgeTagged(s.id, age, mem)
+				p.core.HandleAge(s.id, age, mem)
 			})
 		})
 	}

@@ -12,10 +12,10 @@ import (
 // outbound action through a fakeOut.
 func driveCore(s *ServerCore) *fakeOut {
 	out := s.out.(*fakeOut)
-	s.HandleClientUpdate(0, []float64{1, 1}, s.Age())
-	s.HandleAge(2, 7)
-	s.HandleServerModel(1, []float64{3, -3}, 4, 9)
-	s.HandleClientUpdate(1, []float64{-1, 2}, s.Age())
+	s.HandleClientUpdate(0, []float64{1, 1}, s.Age(), 0)
+	s.HandleAge(2, 7, ring.Membership{})
+	s.HandleServerModel(1, []float64{3, -3}, 4, 9, nil, ring.Membership{})
+	s.HandleClientUpdate(1, []float64{-1, 2}, s.Age(), 0)
 	return out
 }
 
@@ -25,9 +25,9 @@ func TestSnapshotRestoreBehavioralEquivalence(t *testing.T) {
 	outA := &fakeOut{}
 	a := NewServerCore(coreConfig(0, 3, 4), []float64{0.5, -0.5}, true, outA)
 	// Put the core into a nontrivial state.
-	a.HandleClientUpdate(0, []float64{2, 2}, 0)
-	a.HandleAge(1, 3)
-	a.HandleServerModel(2, []float64{1, 1}, 2, 5)
+	a.HandleClientUpdate(0, []float64{2, 2}, 0, 0)
+	a.HandleAge(1, 3, ring.Membership{})
+	a.HandleServerModel(2, []float64{1, 1}, 2, 5, nil, ring.Membership{})
 
 	st := a.Snapshot()
 	outB := &fakeOut{}
@@ -77,7 +77,7 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 	out := &fakeOut{}
 	s := NewServerCore(coreConfig(0, 2, 2), []float64{1, 1}, true, out)
 	st := s.Snapshot()
-	s.HandleClientUpdate(0, []float64{9, 9}, 0)
+	s.HandleClientUpdate(0, []float64{9, 9}, 0, 0)
 	if st.Age != 0 || st.W[0] != 1 {
 		t.Error("snapshot aliased live state")
 	}
@@ -95,8 +95,8 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 func TestSnapshotGobRoundTrip(t *testing.T) {
 	out := &fakeOut{}
 	s := NewServerCore(coreConfig(1, 3, 2), []float64{1, 2}, false, out)
-	s.HandleClientUpdate(0, []float64{3, 4}, 0)
-	s.HandleServerModel(2, []float64{5, 6}, 3, 7)
+	s.HandleClientUpdate(0, []float64{3, 4}, 0, 0)
+	s.HandleServerModel(2, []float64{5, 6}, 3, 7, nil, ring.Membership{})
 	st := s.Snapshot()
 
 	var buf bytes.Buffer
@@ -125,7 +125,7 @@ func TestSnapshotGobRoundTrip(t *testing.T) {
 // strict validations.
 func TestRestoreLegacySnapshotFixedRing(t *testing.T) {
 	s := NewServerCore(coreConfig(1, 3, 2), []float64{1, 2}, false, &fakeOut{})
-	s.HandleClientUpdate(0, []float64{3, 4}, 0)
+	s.HandleClientUpdate(0, []float64{3, 4}, 0, 0)
 	st := s.Snapshot()
 	st.Mem = nil // what a pre-elastic gob decodes to
 	r, err := RestoreServerCore(st, &fakeOut{})
