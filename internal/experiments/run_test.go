@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/obs"
 )
 
@@ -141,5 +146,77 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 	}
 	if full == 0 {
 		t.Error("no update propagated to every server over 60 virtual seconds")
+	}
+}
+
+// inlineModel hides a model behind the fl.Model interface alone, so the
+// simulated client trains it on the event loop: the run a detached
+// training must reproduce.
+type inlineModel struct{ fl.Model }
+
+// yieldingObserver gives up the processor at every observer callback, i.e.
+// on the event loop between a client's update and the reply that starts
+// its next training — the moments that decide whether a worker or the
+// joining loop claims a training.
+type yieldingObserver struct{ fl.Observer }
+
+func (o yieldingObserver) ClientUpdateProcessed(now float64, server, client int, models func() [][]float64) {
+	runtime.Gosched()
+	o.Observer.ClientUpdateProcessed(now, server, client, models)
+	runtime.Gosched()
+}
+
+// TestTrainingOffTheLoopCannotMoveResults: local training runs detached
+// from the event loop (fl.SimClient). A whole seeded run must not depend on
+// it — the trace of a run trained inline, of a plain run, and of a run
+// whose goroutines are jostled (the loop yields around every update while
+// a busy neighbour competes for the processors) are the same to the last
+// bit, for the per-update and the round-based protocol and for both models
+// that train off the loop. Run it with -cpu 1,4: one processor makes nearly
+// every join steal, four nearly none.
+func TestTrainingOffTheLoopCannotMoveResults(t *testing.T) {
+	for _, tc := range []struct {
+		task Task
+		alg  string
+	}{{TaskMNIST, "spyker"}, {TaskMNIST, "fedavg"}, {TaskWiki, "spyker"}} {
+		t.Run(tc.task.String()+"/"+tc.alg, func(t *testing.T) {
+			setup := Setup{
+				Task: tc.task, NumServers: 2, NumClients: 8, NonIIDLabels: 2,
+				Seed: 11, MaxUpdates: 96, EvalEvery: 8, Horizon: 60,
+			}
+			run := func(edit func(*fl.Env)) (uint64, uint64, int) {
+				res, err := oracleRun(tc.alg, setup, edit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return traceHash(res), math.Float64bits(res.FinalTime), res.Updates
+			}
+			wantTrace, wantTime, wantUpdates := run(func(e *fl.Env) {
+				newModel := e.NewModel
+				e.NewModel = func(seed int64) fl.Model { return inlineModel{newModel(seed)} }
+			})
+
+			var stop atomic.Bool
+			var neighbour sync.WaitGroup
+			neighbour.Add(1)
+			go func() {
+				defer neighbour.Done()
+				for !stop.Load() {
+					runtime.Gosched()
+				}
+			}()
+			arms := map[string]func(*fl.Env){
+				"detached":         func(*fl.Env) {},
+				"detached, yields": func(e *fl.Env) { e.Observer = yieldingObserver{e.Observer} },
+			}
+			for arm, edit := range arms {
+				if trace, at, updates := run(edit); trace != wantTrace || at != wantTime || updates != wantUpdates {
+					t.Errorf("%s: trace %#x, final time %#x, %d updates; trained inline: %#x, %#x, %d",
+						arm, trace, at, updates, wantTrace, wantTime, wantUpdates)
+				}
+			}
+			stop.Store(true)
+			neighbour.Wait()
+		})
 	}
 }

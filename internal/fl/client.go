@@ -6,6 +6,7 @@ import (
 
 	"github.com/spyker-fl/spyker/internal/geo"
 	"github.com/spyker-fl/spyker/internal/obs"
+	"github.com/spyker-fl/spyker/internal/simulation"
 )
 
 // SimClient is the simulated client actor shared by the asynchronous
@@ -37,6 +38,12 @@ type SimClient struct {
 	attackRNG *rand.Rand
 	sent      int64 // updates sent, the per-client UID sequence
 	busyUntil float64
+
+	// training is the local training in flight, if the model trains off
+	// the event loop (see train); trainLR is its learning rate. The task
+	// lives here and is reused so that an update allocates nothing for it.
+	training simulation.Task
+	trainLR  float64
 }
 
 // tamper replaces an honest update with the configured attack payload.
@@ -115,35 +122,55 @@ func deltaNorm(received, trained []float64) float64 {
 }
 
 // HandleModel is invoked when a server model reaches the client. It
-// performs the real local training immediately (the simulator's wall-clock
-// time is free) and schedules the reply after the client's modeled
-// training delay. If the client is inside an absence window, training is
-// postponed to the window's end, so the eventual update is based on a
+// starts the real local training at once (the simulator's wall-clock time
+// is free) and schedules the reply after the client's modeled training
+// delay. If the client is inside an absence window, training is postponed
+// to the window's end, so the eventual update is based on a
 // correspondingly stale model.
+//
+// Nothing reads the trained model before its update is delivered, one
+// TrainDelay and one link latency of virtual time — many other clients'
+// events — later, so the training of a model that can train in isolation
+// (see Model) is detached from the event loop and joined where its result
+// is first looked at. When it executes decides nothing: the send time
+// comes from TrainDelay, the bits from the model's own state.
 func (c *SimClient) HandleModel(params []float64, meta any, lr float64) {
 	if c.CopyUpdates && c.Env.Sim.Now() < c.busyUntil {
 		// A duplicated reply (or a redundant restart re-engagement)
 		// arrived mid-cycle; starting a second overlapping cycle would
-		// permanently double this client's update rate.
+		// permanently double this client's update rate. This return comes
+		// before any join: a duplicate must stay a no-op, not a stall.
 		return
 	}
+	// Join point 1: the model is about to be overwritten. Every protocol
+	// here hands a client its next model only after consuming the previous
+	// update, so this finds the task idle; it is what keeps a protocol
+	// that does not from racing.
+	c.training.Join()
+	// SetParams stays on the loop: params is a borrow and may be the
+	// server's live vector, valid only during this call.
 	c.Model.SetParams(params)
-	c.Model.Train(c.Spec.Shard, c.Spec.Epochs, lr)
-	// The honest update is the model's live parameter view, not a copy.
-	// This is safe because every protocol in this repository only hands
-	// this client a new model (the next SetParams/Train) after the server
-	// has consumed the previous update: Spyker/FedAsync/FedBuff/
-	// Sync-Spyker reply per processed update, and the round-based
-	// protocols (FedAvg, HierFAVG) only start a round after aggregating
-	// all pending updates. Spyker goes one step further and answers in
-	// the view itself: its server writes the new model over the update it
-	// consumed, so params below may BE this model's view, already holding
-	// what SetParams would copy into it — parked between its update and
-	// the reply, the client has no other use for the vector. The Byzantine,
-	// codec and CopyUpdates paths below must therefore keep producing
-	// vectors of their own: tamper reads params beside the trained view,
-	// and a hardened client may retrain before its update is consumed.
+	c.train(lr)
+	// The honest update is the model's live parameter view, not a copy:
+	// the header taken here is stable while Train runs, the contents are
+	// read only after the join. Sending the view is safe because, as above,
+	// the next SetParams/Train comes only after the server has consumed
+	// this update: Spyker/FedAsync/FedBuff/Sync-Spyker reply per processed
+	// update, and the round-based protocols (FedAvg, HierFAVG) only start
+	// a round after aggregating all pending updates. Spyker goes one step
+	// further and answers in the view itself: its server writes the new
+	// model over the update it consumed, so params above may BE this
+	// model's view, already holding what SetParams would copy into it —
+	// parked between its update and the reply, the client has no other use
+	// for the vector.
 	update := c.Model.ParamsView()
+	if c.Spec.Byzantine != ByzantineNone || c.CopyUpdates || c.Env.Codec != nil {
+		// Join point 2: these paths read the trained vector now. Each must
+		// keep producing a vector of its own: tamper reads params beside
+		// the trained view, a hardened client may retrain before its
+		// update is consumed, a codec sends its reconstruction.
+		c.training.Join()
+	}
 	if c.Spec.Byzantine != ByzantineNone {
 		update = c.tamper(params, update)
 	} else if c.CopyUpdates {
@@ -173,7 +200,29 @@ func (c *SimClient) HandleModel(params []float64, meta any, lr float64) {
 	dst := c.Env.ServerEndpoint(c.Spec.Server)
 	c.Env.Sim.Schedule(sendAt-now, func() {
 		c.Env.Net.SendTraced(src, dst, c.Env.ClientUpdateBytes(), geo.ClientServer, uid, func() {
+			// Join point 3: the server is about to read the update.
+			c.training.Join()
 			c.Deliver(c.Spec.ID, update, meta, uid)
 		})
 	})
+}
+
+// train runs one local training on the model HandleModel just loaded:
+// detached when the model says its Train keeps to itself, inline — exactly
+// as before there was anything to detach to — for every other Model.
+func (c *SimClient) train(lr float64) {
+	if m, ok := c.Model.(isolatedTrainer); !ok || m.trainsIsolated() != c.Model {
+		c.Model.Train(c.Spec.Shard, c.Spec.Epochs, lr)
+		return
+	}
+	if c.training.Fn == nil {
+		c.training.Fn = c.runTraining
+	}
+	c.trainLR = lr
+	c.Env.Sim.Detach(&c.training)
+}
+
+// runTraining is the detached task's body; see Model for what it may touch.
+func (c *SimClient) runTraining() {
+	c.Model.Train(c.Spec.Shard, c.Spec.Epochs, c.trainLR)
 }

@@ -21,6 +21,14 @@ import (
 // Model is a trainable model bound to its datasets. Federated algorithms
 // only ever see flat parameter vectors; Train and Evaluate hide the
 // task-specific details (CNN classification or LSTM language modeling).
+//
+// A model belongs to one goroutine at a time. The simulated client goes
+// further for the two models of this package (see isolatedTrainer): their
+// Train touches nothing but the model's own state — parameters, gradient
+// and scratch planes, its RNG — and data nobody writes, so it may run on
+// another goroutine while the event loop carries on, as long as nothing
+// else uses the model until the training has been joined. Any other
+// implementation is trained on the event loop and need promise nothing.
 type Model interface {
 	// NumParams reports the flat parameter count.
 	NumParams() int
@@ -30,7 +38,10 @@ type Model interface {
 	// borrow: callers must not modify it, and its contents are only valid
 	// until the model's next SetParams or Train. It exists so the hot
 	// exchange paths can serialize or merge a model without first copying
-	// it; anything retained longer must be copied (use Params).
+	// it; anything retained longer must be copied (use Params). For a
+	// model trained off the event loop the slice header is stable while
+	// Train runs — it may be taken then — but the contents are read only
+	// after the training has been joined.
 	ParamsView() []float64
 	// SetParams loads a flat parameter vector.
 	SetParams(p []float64)

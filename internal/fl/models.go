@@ -34,6 +34,18 @@ type Classifier struct {
 
 var _ Model = (*Classifier)(nil)
 
+// isolatedTrainer marks the models whose Train meets the isolation
+// contract of Model, so SimClient may run it off the event loop. The
+// method is unexported and returns its receiver: no type outside this
+// package can declare it, and a wrapper that embeds one of these models
+// and substitutes its own Train is told apart by not being the value
+// returned. A foreign Model is therefore always trained on the loop.
+type isolatedTrainer interface{ trainsIsolated() Model }
+
+// trainsIsolated: Train writes the network's own planes and scratch, rng
+// and order; the dataset accessors are pure reads.
+func (c *Classifier) trainsIsolated() Model { return c }
+
 // evalWorkers is the fan-out of held-out evaluation. It is a constant,
 // not the machine's core count: where the code runs must not decide how
 // the work is cut (internal/lint's paridiom rule).
@@ -189,6 +201,10 @@ type windowScore struct {
 }
 
 var _ Model = (*LanguageModel)(nil)
+
+// trainsIsolated: Train writes the LSTM's own planes and BPTT scratch, rng
+// and order; Text.Window is a pure read.
+func (m *LanguageModel) trainsIsolated() Model { return m }
 
 // NewLanguageModel wraps lm for federated training over text.
 func NewLanguageModel(lm *nn.CharLM, text *data.Text, seed int64) *LanguageModel {

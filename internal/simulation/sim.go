@@ -4,11 +4,21 @@
 // training) and advance the clock only through scheduled delays, exactly
 // like the paper's emulation, which maintains per-node logical time and
 // advances it by benchmarked computation and network delays.
+//
+// Events run one at a time on the goroutine that calls Run, in an order
+// that is a function of the Schedule calls alone. The one thing that may
+// run elsewhere is the body of a Task a handler has detached (detach.go):
+// work whose result only a later event needs, such as a client's local
+// training, which that event joins before it looks. Virtual time never
+// depended on when such work executes — only on the delay the model
+// schedules for it — so the event order, and with it every seeded result,
+// is the same whether a task ran on a worker, on the loop, early or late.
 package simulation
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/spyker-fl/spyker/internal/obs"
 )
@@ -86,7 +96,10 @@ func (q *eventQueue) pop() event {
 }
 
 // Sim is a single-threaded discrete-event simulator. It is not safe for
-// concurrent use; all handlers run on the goroutine that calls Run.
+// concurrent use; all handlers run on the goroutine that calls Run, and
+// every method belongs to that goroutine. The bodies of detached tasks
+// (Detach) are the one exception: they may run on a worker goroutine while
+// Run is in progress, and must keep to state of their own (see Task.Fn).
 type Sim struct {
 	now     float64
 	seq     uint64
@@ -94,6 +107,13 @@ type Sim struct {
 	stopped bool
 	// processed counts events executed, useful for loop guards in tests.
 	processed uint64
+
+	// The detached-task pool (detach.go). running is true inside Run;
+	// tasks and the goroutines counted by workers exist from the first
+	// Detach of a Run until that Run returns.
+	running bool
+	tasks   chan *Task
+	workers sync.WaitGroup
 
 	// Optional observability hooks (see Instrument). They only record;
 	// they can never alter the schedule, so an instrumented run executes
@@ -149,9 +169,11 @@ func (s *Sim) Instrument(events *obs.Counter, depth *obs.Gauge) {
 // Run executes events in timestamp order until the queue drains, the
 // horizon is passed, or Stop is called. It returns the final virtual time.
 // Events scheduled exactly at the horizon still run; events beyond it stay
-// queued.
+// queued. Every task detached along the way has finished when Run returns.
 func (s *Sim) Run(horizon float64) float64 {
 	s.stopped = false
+	s.running = true
+	defer s.finish()
 	for len(s.queue) > 0 && !s.stopped {
 		if s.queue[0].time > horizon {
 			break
@@ -167,9 +189,11 @@ func (s *Sim) Run(horizon float64) float64 {
 			s.obsDepth.Set(float64(len(s.queue)))
 		}
 	}
-	if s.now < horizon && len(s.queue) == 0 {
+	if s.now < horizon && len(s.queue) == 0 && !math.IsInf(horizon, 1) {
 		// A drained queue still advances the clock to the horizon so that
-		// successive Run calls observe monotone time.
+		// successive Run calls observe monotone time. Run(+Inf) means
+		// "drain everything" and has no horizon to land on: the clock
+		// stays at the last event, where later Schedule calls can use it.
 		s.now = horizon
 	}
 	return s.now

@@ -237,17 +237,31 @@ func TestStopLeavesQueueIntact(t *testing.T) {
 // on a tenth-of-a-second grid — most events share their timestamp with
 // others, so the order depends on the tiebreak — each appending its
 // identity and execution time to schedule. reg, when non-nil, attaches the
-// counters every experiment run attaches (Sim.Instrument). It returns the
-// final virtual time.
-func runScheduleWorkload(seed int64, n int, reg *obs.Registry, schedule *[]byte) float64 {
+// counters every experiment run attaches (Sim.Instrument). With detach
+// set every event also keeps a detached task in flight, joined by a later
+// event or by nobody. It returns the final virtual time.
+func runScheduleWorkload(seed int64, n int, reg *obs.Registry, detach bool, schedule *[]byte) float64 {
 	sim := New()
 	if reg != nil {
 		sim.Instrument(reg.Counter(obs.MetricSimEvents), reg.Gauge(obs.MetricSimQueueDepth))
+	}
+	var spun [8]int
+	var tasks [8]Task
+	for k := range tasks {
+		tasks[k].Fn = func() {
+			for j := 0; j < 2000; j++ {
+				spun[k] += j
+			}
+		}
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
 		i := i
 		sim.Schedule(float64(rng.Intn(1000))/10, func() {
+			if detach {
+				tasks[i%len(tasks)].Join()
+				sim.Detach(&tasks[i%len(tasks)])
+			}
 			var rec [16]byte
 			binary.LittleEndian.PutUint64(rec[:8], uint64(i))
 			binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(sim.Now()))
@@ -265,16 +279,18 @@ func runScheduleWorkload(seed int64, n int, reg *obs.Registry, schedule *[]byte)
 // schedule byte-identical — same events, same order, same virtual
 // timestamps — to an uninstrumented run. If instrumentation ever steals a
 // tiebreak or reorders the heap, the measured system is no longer the
-// shipped system and every number taken from it is suspect.
+// shipped system and every number taken from it is suspect. The
+// instrumented run also keeps detached tasks in flight: work off the loop
+// must not move an event either.
 func TestInstrumentDoesNotPerturbSchedule(t *testing.T) {
 	const seed, n = 11, 5000
 
 	var bare []byte
-	tBare := runScheduleWorkload(seed, n, nil, &bare)
+	tBare := runScheduleWorkload(seed, n, nil, false, &bare)
 
 	reg := obs.NewRegistry()
 	var instrumented []byte
-	tInst := runScheduleWorkload(seed, n, reg, &instrumented)
+	tInst := runScheduleWorkload(seed, n, reg, true, &instrumented)
 
 	if tBare != tInst {
 		t.Errorf("final virtual time diverged: bare %v, instrumented %v", tBare, tInst)
