@@ -50,6 +50,7 @@ import (
 	"github.com/spyker-fl/spyker/internal/nn"
 	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/obs/audit"
+	"github.com/spyker-fl/spyker/internal/spyker"
 )
 
 func main() {
@@ -243,12 +244,8 @@ func runServer(o serverOpts) error {
 		serveServerDebug(o.debugAddr, srv, reg, tracer)
 	}
 
-	if o.tokenTimeout > 0 || o.syncRetry > 0 {
-		shortest := o.tokenTimeout
-		if o.syncRetry > 0 && (shortest == 0 || o.syncRetry < shortest) {
-			shortest = o.syncRetry
-		}
-		srv.StartTokenTicker(time.Duration(shortest / 4 * float64(time.Second)))
+	if tick := (spyker.Config{TokenTimeout: o.tokenTimeout, SyncRetry: o.syncRetry}).TickPeriod(); tick > 0 {
+		srv.StartTokenTicker(time.Duration(tick * float64(time.Second)))
 	}
 	srv.StartPeerReconnect(o.reconnectEvery, func(peer int) string {
 		if peer >= 0 && peer < len(o.peers) {

@@ -141,10 +141,6 @@ func (q *Quantized) DequantizeInto(dst []float64) []float64 {
 	return dst
 }
 
-// MaxError reports the worst-case reconstruction error of the encoding:
-// half a bucket.
-func (q *Quantized) MaxError() float64 { return q.Scale / 2 }
-
 // TopK sends only the K largest-magnitude *deltas* against a reference
 // vector the receiver already has (the model the client received); all
 // other coordinates are treated as unchanged. Fraction selects K as a

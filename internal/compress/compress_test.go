@@ -34,7 +34,7 @@ func TestQuantize8ErrorBound(t *testing.T) {
 		}
 		q := QuantizeVector(in)
 		out := q.Dequantize()
-		bound := q.MaxError() + 1e-12
+		bound := q.Scale/2 + 1e-12 // half a bucket
 		for i := range in {
 			if math.Abs(out[i]-in[i]) > bound {
 				return false

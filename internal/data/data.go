@@ -211,18 +211,3 @@ func gammaSample(rng *rand.Rand, shape float64) float64 {
 		}
 	}
 }
-
-// LabelSet returns the sorted distinct labels present in shard.
-func LabelSet(ds Classification, shard []int) []int {
-	seen := make(map[int]bool)
-	for _, i := range shard {
-		seen[ds.Label(i)] = true
-	}
-	out := make([]int, 0, len(seen))
-	for l := 0; l < ds.NumClasses(); l++ {
-		if seen[l] {
-			out = append(out, l)
-		}
-	}
-	return out
-}

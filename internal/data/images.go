@@ -149,9 +149,6 @@ func (d *Images) TestSet() Classification {
 	return &imageTestView{d}
 }
 
-// Dim returns the flattened input dimensionality.
-func (d *Images) Dim() int { return d.cfg.Channels * d.cfg.Height * d.cfg.Width }
-
 // Shape returns (channels, height, width).
 func (d *Images) Shape() (ch, h, w int) { return d.cfg.Channels, d.cfg.Height, d.cfg.Width }
 

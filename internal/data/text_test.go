@@ -23,9 +23,6 @@ func TestGenerateTextBasics(t *testing.T) {
 			}
 		}
 	}
-	if txt.UniformPerplexity() != 32 {
-		t.Errorf("UniformPerplexity = %v", txt.UniformPerplexity())
-	}
 }
 
 func TestTextWindowsOverlap(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/obs/audit"
+	"github.com/spyker-fl/spyker/internal/spyker"
 )
 
 // ByzantineStudy exercises the "Byzantine Learning" keyword the paper
@@ -100,12 +101,11 @@ func RunByzantineStudy(scale float64, seed int64) (*ByzantineStudy, error) {
 			Trace:        collector,
 			Audit:        &audit.Config{},
 		}
-		env, rec, err := BuildEnv(setup)
-		if err != nil {
-			return err
-		}
 		truth := map[int]bool{}
-		if attack != fl.ByzantineNone {
+		_, rec, _, err := runOn(&spyker.Algorithm{}, setup, func(env *fl.Env) {
+			if attack == fl.ByzantineNone {
+				return
+			}
 			stride := int(1 / fraction)
 			for ci := range env.Clients {
 				if ci%stride == 0 {
@@ -113,15 +113,10 @@ func RunByzantineStudy(scale float64, seed int64) (*ByzantineStudy, error) {
 					truth[ci] = true
 				}
 			}
-		}
-		alg, err := NewAlgorithm("spyker")
+		})
 		if err != nil {
 			return err
 		}
-		if err := alg.Build(env); err != nil {
-			return err
-		}
-		env.Sim.Run(setup.Horizon)
 
 		row := ByzantineRow{
 			Name:      name,

@@ -21,19 +21,3 @@ func WriteTraceCSV(w io.Writer, trace metrics.Trace) error {
 	}
 	return nil
 }
-
-// WriteQueueCSV writes the queue-length traces of all servers as CSV:
-// server, time_s, length.
-func WriteQueueCSV(w io.Writer, queues map[int]metrics.QueueTrace) error {
-	if _, err := fmt.Fprintln(w, "server,time_s,length"); err != nil {
-		return err
-	}
-	for s := 0; s < len(queues); s++ {
-		for _, p := range queues[s] {
-			if _, err := fmt.Fprintf(w, "%d,%.6f,%d\n", s, p.Time, p.Length); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}

@@ -27,18 +27,3 @@ func TestWriteTraceCSV(t *testing.T) {
 		t.Errorf("row = %q", lines[1])
 	}
 }
-
-func TestWriteQueueCSV(t *testing.T) {
-	var b strings.Builder
-	queues := map[int]metrics.QueueTrace{
-		0: {{Time: 1, Length: 2}},
-		1: {{Time: 2, Length: 3}, {Time: 4, Length: 0}},
-	}
-	if err := WriteQueueCSV(&b, queues); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "0,1.000000,2") || !strings.Contains(out, "1,4.000000,0") {
-		t.Errorf("csv = %q", out)
-	}
-}

@@ -65,24 +65,11 @@ func RunElasticStudy(scale float64, seed int64) (*ElasticStudy, error) {
 			Metrics:      reg,
 			Faults:       plan,
 		}
-		env, rec, err := BuildEnv(setup)
+		alg := &spyker.Algorithm{}
+		_, rec, inj, err := runOn(alg, setup, nil)
 		if err != nil {
 			return err
 		}
-		alg := &spyker.Algorithm{}
-		if err := alg.Build(env); err != nil {
-			return err
-		}
-		var inj *fault.SimInjector
-		if env.Faults != nil {
-			inj, err = fault.NewSimInjector(*env.Faults, env.Sim, env.Net, alg)
-			if err != nil {
-				return err
-			}
-			inj.Instrument(env.Trace)
-			inj.Arm()
-		}
-		env.Sim.Run(horizon)
 
 		row := ElasticRow{
 			Name:         name,

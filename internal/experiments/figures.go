@@ -259,17 +259,6 @@ func queueSeries(name string, tr metrics.QueueTrace) plot.Series {
 	return s
 }
 
-// MaxSpykerQueue returns the worst queue length across Spyker's servers.
-func (q *QueueStudy) MaxSpykerQueue() int {
-	best := 0
-	for _, tr := range q.Spyker.Queues {
-		if m := tr.Max(); m > best {
-			best = m
-		}
-	}
-	return best
-}
-
 // KDEStudy is the data behind Fig. 10: the distribution of per-client
 // update counts for Spyker and FedAsync.
 type KDEStudy struct {

@@ -57,33 +57,49 @@ func NewAlgorithm(name string) (fl.Algorithm, error) {
 // figures list them.
 var ComparisonAlgorithms = []string{"fedavg", "fedasync", "hierfavg", "spyker", "sync-spyker"}
 
+// runOn is the harness every DES study shares: build the environment, let
+// prepare (nil for none) adjust it, build alg on it, arm the setup's fault
+// plan if it has one, and run the event loop to the horizon. The injector
+// is nil for a fault-free setup.
+func runOn(alg fl.Algorithm, s Setup, prepare func(*fl.Env)) (*fl.Env, *metrics.Recorder, *fault.SimInjector, error) {
+	env, rec, err := BuildEnv(s)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if prepare != nil {
+		prepare(env)
+	}
+	if err := alg.Build(env); err != nil {
+		return nil, nil, nil, fmt.Errorf("build %s: %w", alg.Name(), err)
+	}
+	var inj *fault.SimInjector
+	if env.Faults != nil {
+		cl, ok := alg.(fault.Cluster)
+		if !ok {
+			return nil, nil, nil, fmt.Errorf("experiments: %s does not support failure injection", alg.Name())
+		}
+		inj, err = fault.NewSimInjector(*env.Faults, env.Sim, env.Net, cl)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		inj.Instrument(env.Trace)
+		inj.Arm()
+	}
+	env.Sim.Run(s.withDefaults().Horizon)
+	return env, rec, inj, nil
+}
+
 // Run executes one algorithm on one setup and collects every measurement.
 func Run(algName string, s Setup) (*Result, error) {
 	alg, err := NewAlgorithm(algName)
 	if err != nil {
 		return nil, err
 	}
-	env, rec, err := BuildEnv(s)
+	env, rec, _, err := runOn(alg, s, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := alg.Build(env); err != nil {
-		return nil, fmt.Errorf("build %s: %w", alg.Name(), err)
-	}
-	if env.Faults != nil {
-		cl, ok := alg.(fault.Cluster)
-		if !ok {
-			return nil, fmt.Errorf("experiments: %s does not support failure injection", alg.Name())
-		}
-		inj, err := fault.NewSimInjector(*env.Faults, env.Sim, env.Net, cl)
-		if err != nil {
-			return nil, err
-		}
-		inj.Instrument(env.Trace)
-		inj.Arm()
-	}
-	horizon := s.withDefaults().Horizon
-	final := env.Sim.Run(horizon)
+	final := env.Sim.Now()
 
 	series := make([]int, 10)
 	for i := range series {

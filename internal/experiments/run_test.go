@@ -95,7 +95,7 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if tracer.Total() == 0 {
+	if tracer.Len() == 0 {
 		t.Fatal("tracer saw no events — instrumentation is not wired")
 	}
 	if len(plain.Trace) != len(instr.Trace) {
@@ -134,7 +134,7 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 	}
 	full := 0
 	for _, u := range lin.Updates {
-		if !u.UID.IsUpdate() {
+		if _, _, ok := u.UID.Update(); !ok {
 			t.Fatalf("update lineage without client-minted UID: %+v", u)
 		}
 		if u.ReachedAll(setup.NumServers) {

@@ -457,7 +457,6 @@ func BuildEnv(s Setup) (*fl.Env, *metrics.Recorder, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	sim.Instrument(reg.Counter(obs.MetricSimEvents), reg.Gauge(obs.MetricSimQueueDepth))
 	// The metrics bridge rides along whenever tracing is on, so a traced
 	// run also fills the registry's protocol metrics.
 	sink := obs.Sink(obs.Nop{})

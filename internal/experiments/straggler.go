@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
+
+	"github.com/spyker-fl/spyker/internal/fl"
 )
 
 // StragglerStudy puts one slow machine under one of the four servers
@@ -60,21 +62,18 @@ func RunStragglerStudy(scale float64, seed int64) (*StragglerStudy, error) {
 				TargetAcc:    target,
 				Horizon:      240,
 			}
-			env, rec, err := BuildEnv(setup)
-			if err != nil {
-				return nil, err
-			}
-			if slow {
-				env.ServerProcMult = []float64{factor, 1, 1, 1}
-			}
 			alg, err := NewAlgorithm(name)
 			if err != nil {
 				return nil, err
 			}
-			if err := alg.Build(env); err != nil {
+			_, rec, _, err := runOn(alg, setup, func(env *fl.Env) {
+				if slow {
+					env.ServerProcMult = []float64{factor, 1, 1, 1}
+				}
+			})
+			if err != nil {
 				return nil, err
 			}
-			env.Sim.Run(setup.Horizon)
 			row.Algorithm = alg.Name()
 			tt, ok := rec.TraceData.TimeToAcc(target)
 			if !ok {

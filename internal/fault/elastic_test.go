@@ -8,6 +8,7 @@ import (
 	"github.com/spyker-fl/spyker/internal/experiments"
 	"github.com/spyker-fl/spyker/internal/fault"
 	"github.com/spyker-fl/spyker/internal/fl"
+	"github.com/spyker-fl/spyker/internal/geo"
 	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/spyker"
 )
@@ -71,7 +72,7 @@ func runDESElastic(t *testing.T, servers int, grow bool) desElastic {
 	out := desElastic{
 		finalAcc: rec.TraceData.Final().Acc,
 		bestAcc:  rec.TraceData.BestAcc(),
-		bytes:    env.Net.AllBytes(),
+		bytes:    env.Net.TotalBytes(geo.ClientServer) + env.Net.TotalBytes(geo.ServerServer),
 		events:   tracer.Events(),
 	}
 	for i, c := range alg.Servers() {

@@ -8,6 +8,7 @@ import (
 	"github.com/spyker-fl/spyker/internal/experiments"
 	"github.com/spyker-fl/spyker/internal/fault"
 	"github.com/spyker-fl/spyker/internal/fl"
+	"github.com/spyker-fl/spyker/internal/geo"
 	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/ring"
 	"github.com/spyker-fl/spyker/internal/spyker"
@@ -69,7 +70,7 @@ func runDESFailover(t *testing.T, crash bool) desFailover {
 	out := desFailover{
 		finalAcc: rec.TraceData.Final().Acc,
 		bestAcc:  rec.TraceData.BestAcc(),
-		bytes:    env.Net.AllBytes(),
+		bytes:    env.Net.TotalBytes(geo.ClientServer) + env.Net.TotalBytes(geo.ServerServer),
 		events:   tracer.Events(),
 	}
 	for _, c := range alg.Servers() {

@@ -1,75 +1,22 @@
 package fault_test
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
-	"github.com/spyker-fl/spyker/internal/experiments"
-	"github.com/spyker-fl/spyker/internal/fault"
-	"github.com/spyker-fl/spyker/internal/fl"
-	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/obs/health"
-	"github.com/spyker-fl/spyker/internal/spyker"
 )
 
-// runDESFailoverWithHealth mirrors runDESFailover(t, true) but attaches
-// the online health evaluator as an extra passive sink next to the
-// tracer — the DES-consumer deployment mode of the health plane.
-func runDESFailoverWithHealth(t *testing.T) ([]obs.Event, *health.Sink) {
-	t.Helper()
-	hyper := fl.DefaultHyper(12, 3)
-	hyper.TokenTimeout = 4
-	hyper.SyncRetry = 2
-	tracer := obs.NewTracer(1 << 15)
-	sink := health.NewSink(health.New(health.Config{TokenTimeout: hyper.TokenTimeout}))
-	setup := experiments.Setup{
-		Task: experiments.TaskMNIST, NumServers: 3, NumClients: 12,
-		NonIIDLabels: 2, Seed: 7, Horizon: desHorizon, EvalEvery: 50,
-		Hyper: &hyper, Trace: obs.Multi(tracer, sink), Metrics: obs.NewRegistry(),
-	}
-	plan := fault.Plan{Seed: 7, Events: []fault.Event{
-		{At: desCrashAt, Kind: fault.KindCrash, Server: fault.TokenHolder, Duration: desDowntime},
-	}}
-	setup.Faults = &plan
-	env, _, err := experiments.BuildEnv(setup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alg := &spyker.Algorithm{}
-	if err := alg.Build(env); err != nil {
-		t.Fatal(err)
-	}
-	inj, err := fault.NewSimInjector(plan, env.Sim, env.Net, alg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj.Instrument(env.Trace)
-	inj.Arm()
-	env.Sim.Run(desHorizon)
-	return tracer.Events(), sink
-}
-
 // TestDESHealthStallDetection crashes the token holder in the DES and
-// checks the health plane end to end: attached online as a passive sink
-// it must raise the token-silence stall while the ring is stuck on the
-// dead member's round, clear it once the restarted server lets the
-// round finish, and — being passive — leave the protocol's event stream
-// byte-identical to a run without it. The offline path (health.Run over
-// the recorded trace) must reach the same verdict.
+// checks the health plane the way spyker-trace ships it: health.Run over
+// the trace an obs.Tracer recorded must raise the token-silence stall
+// while the ring is stuck on the dead member's round and clear it once
+// the restarted server lets the round finish.
 func TestDESHealthStallDetection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models; skipped in -short")
 	}
-	baseline := runDESFailover(t, true)
-	events, sink := runDESFailoverWithHealth(t)
-
-	// Passivity: the evaluator observed everything without perturbing
-	// the schedule — identical traces with and without it attached.
-	if !reflect.DeepEqual(baseline.events, events) {
-		t.Fatalf("attaching the health sink changed the event stream (%d vs %d events)",
-			len(baseline.events), len(events))
-	}
+	events := runDESFailover(t, true).events
 
 	checkStall := func(name string, alerts []health.Alert) {
 		t.Helper()
@@ -104,11 +51,6 @@ func TestDESHealthStallDetection(t *testing.T) {
 		}
 	}
 
-	// Online (sink) and offline (replay) must agree.
-	checkStall("online sink", sink.Alerts())
-	if got := sink.State(); got != health.Healthy {
-		t.Errorf("online state after recovery = %v", got)
-	}
 	offline := health.Run(events, health.Config{TokenTimeout: 4})
 	checkStall("offline replay", offline.Alerts())
 	if got := offline.State(); got != health.Healthy {

@@ -175,8 +175,8 @@ func TestProcQueueBusyUntil(t *testing.T) {
 	sim := simulation.New()
 	q := NewProcQueue(sim, 0, nil)
 	q.Submit(2, func() {})
-	if q.BusyUntil() != 2 {
-		t.Errorf("BusyUntil = %v", q.BusyUntil())
+	if q.busyUntil != 2 {
+		t.Errorf("busyUntil = %v", q.busyUntil)
 	}
 }
 

@@ -26,7 +26,8 @@ func refClassifierEvaluate(net *nn.Network, test data.Classification) (loss, acc
 		if tensor.ArgMax(logits) == label {
 			correct++
 		}
-		probs := tensor.Softmax(logits)
+		probs := make([]float64, len(logits))
+		tensor.SoftmaxTo(probs, logits)
 		loss += -math.Log(math.Max(probs[label], 1e-12))
 	}
 	return loss / float64(n), float64(correct) / float64(n)
@@ -38,7 +39,7 @@ func refLanguageModelEvaluate(lm *nn.CharLM, windows [][]int) (loss, acc float64
 	var totalLoss float64
 	var preds, correct int
 	for _, w := range windows {
-		l, p, c := lm.SeqLoss(w)
+		l, p, c := lm.SeqLossWith(lm.NewSeqScratch(), w)
 		totalLoss += l
 		preds += p
 		correct += c
@@ -100,19 +101,28 @@ func TestClassifierEvaluateMatchesSequential(t *testing.T) {
 	}
 }
 
+// foreignLayer is a layer from outside internal/nn: an identity that
+// cannot copy itself, so a network holding one has no forward-only replica.
+type foreignLayer struct{ size int }
+
+func (foreignLayer) Forward(x []float64) []float64   { return x }
+func (foreignLayer) Backward(dy []float64) []float64 { return dy }
+func (foreignLayer) ParamBlocks() [][]float64        { return nil }
+func (foreignLayer) GradBlocks() [][]float64         { return nil }
+func (f foreignLayer) OutSize() int                  { return f.size }
+
 // TestClassifierEvaluateWithoutReplicas: a network that cannot be
-// replicated (Dropout draws random numbers in Forward) is scored by the
-// network alone, in sample order.
+// replicated (it holds a foreign layer) is scored by the network alone, in
+// sample order.
 func TestClassifierEvaluateWithoutReplicas(t *testing.T) {
 	ds := data.GenerateImages(data.MNISTLike(50, 20, 1))
 	rng := rand.New(rand.NewSource(1))
-	drop := nn.NewDropout(ds.Dim(), 0.2, rng)
-	drop.SetTraining(false)
-	net := nn.NewNetwork(drop, nn.NewDense(ds.Dim(), 10, rng))
+	dim := len(ds.Input(0))
+	net := nn.NewNetwork(foreignLayer{dim}, nn.NewDense(dim, 10, rng))
 	m := NewClassifier(net, ds, ds.TestSet(), 10, 1)
 	wantLoss, wantAcc := refClassifierEvaluate(net, ds.TestSet())
 	loss, acc := m.Evaluate()
-	sameResult(t, "dropout net", loss, acc, wantLoss, wantAcc)
+	sameResult(t, "foreign-layer net", loss, acc, wantLoss, wantAcc)
 	if len(m.scorers) != 1 {
 		t.Errorf("%d scorers for a network without replicas, want 1", len(m.scorers))
 	}

@@ -292,10 +292,11 @@ type Env struct {
 	Faults *fault.Plan
 }
 
-// ServerProcMultiplier optionally scales each server's processing
-// delays (index = server ID; nil or 1.0 = the Tab. 3 baseline). It
-// models heterogeneous server hardware — the straggler-server study puts
-// a slow machine under one server.
+// ProcFor returns server's processing delay for a job whose Tab. 3
+// baseline is base: base scaled by ServerProcMult[server] when the
+// environment sets one (index = server ID; nil, missing or <= 0 = the
+// baseline). It models heterogeneous server hardware — the
+// straggler-server study puts a slow machine under one server.
 func (e *Env) ProcFor(server int, base float64) float64 {
 	if server < len(e.ServerProcMult) && e.ServerProcMult != nil {
 		if m := e.ServerProcMult[server]; m > 0 {
@@ -343,10 +344,6 @@ func (e *Env) Validate() error {
 	if e.Pool == nil {
 		e.Pool = &paramvec.Pool{}
 	}
-	e.Pool.Instrument(
-		e.Metrics.Gauge("sim.pool_live_vecs"),
-		e.Metrics.Counter("sim.pool_recycled_total"),
-	)
 	return nil
 }
 

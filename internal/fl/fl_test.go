@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/spyker-fl/spyker/internal/geo"
@@ -123,15 +124,10 @@ func TestProcQueueSerializesJobs(t *testing.T) {
 			t.Errorf("job %d completed at %v, want %v", i, doneAt[i], want[i])
 		}
 	}
-	// Queue lengths observed: 1,2,3 on arrival then 2,1,0 on completion.
-	if len(obs.samples) != 6 {
-		t.Fatalf("queue samples = %v", obs.samples)
-	}
-	if obs.samples[2] != 3 || obs.samples[5] != 0 {
-		t.Errorf("queue samples = %v", obs.samples)
-	}
-	if q.Served() != 3 || q.Pending() != 0 {
-		t.Errorf("Served=%d Pending=%d", q.Served(), q.Pending())
+	// The observer is told of every depth change — 1,2,3 on arrival, then
+	// 2,1,0 on completion: Fig. 9 is drawn from exactly this sequence.
+	if want := []int{1, 2, 3, 2, 1, 0}; !reflect.DeepEqual(obs.samples, want) {
+		t.Errorf("queue samples = %v, want %v", obs.samples, want)
 	}
 }
 

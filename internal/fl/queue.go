@@ -1,9 +1,6 @@
 package fl
 
-import (
-	"github.com/spyker-fl/spyker/internal/obs"
-	"github.com/spyker-fl/spyker/internal/simulation"
-)
+import "github.com/spyker-fl/spyker/internal/simulation"
 
 // ProcQueue models the single-threaded processing loop of a server: jobs
 // (client updates, server models, token handling) are served in arrival
@@ -16,10 +13,6 @@ type ProcQueue struct {
 	observer  Observer
 	busyUntil float64
 	pending   int
-	served    int
-
-	depthGauge *obs.Gauge
-	depthHist  *obs.Histogram
 }
 
 // NewProcQueue creates the processing queue of one server.
@@ -30,14 +23,6 @@ func NewProcQueue(sim *simulation.Sim, server int, obs Observer) *ProcQueue {
 	return &ProcQueue{sim: sim, server: server, observer: obs}
 }
 
-// Instrument mirrors the jobs-in-system count into a gauge (current
-// depth) and a histogram (depth distribution over submissions). Either
-// may be nil; the hooks are passive recorders.
-func (q *ProcQueue) Instrument(depth *obs.Gauge, dist *obs.Histogram) {
-	q.depthGauge = depth
-	q.depthHist = dist
-}
-
 // Submit enqueues a job that occupies the server for proc seconds; fn runs
 // at the job's completion time, i.e. all state changes the job makes
 // become visible when the server has actually finished processing it.
@@ -45,12 +30,6 @@ func (q *ProcQueue) Submit(proc float64, fn func()) {
 	now := q.sim.Now()
 	q.pending++
 	q.observer.QueueLength(now, q.server, q.pending)
-	if q.depthGauge != nil {
-		q.depthGauge.Set(float64(q.pending))
-	}
-	if q.depthHist != nil {
-		q.depthHist.Observe(float64(q.pending))
-	}
 
 	start := now
 	if q.busyUntil > start {
@@ -60,20 +39,7 @@ func (q *ProcQueue) Submit(proc float64, fn func()) {
 	q.busyUntil = done
 	q.sim.ScheduleAt(done, func() {
 		q.pending--
-		q.served++
 		q.observer.QueueLength(q.sim.Now(), q.server, q.pending)
-		if q.depthGauge != nil {
-			q.depthGauge.Set(float64(q.pending))
-		}
 		fn()
 	})
 }
-
-// Pending reports jobs currently queued or in service.
-func (q *ProcQueue) Pending() int { return q.pending }
-
-// Served reports jobs completed so far.
-func (q *ProcQueue) Served() int { return q.served }
-
-// BusyUntil reports the virtual time at which the server becomes idle.
-func (q *ProcQueue) BusyUntil() float64 { return q.busyUntil }

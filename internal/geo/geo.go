@@ -57,24 +57,6 @@ func AWSLatency(src, dst Region) float64 {
 	return awsLatencySeconds[src][dst]
 }
 
-// MeanAWSLatency returns the average off-diagonal AWS latency; the paper's
-// "No lat." configuration replaces the matrix with a uniform latency of
-// equal average so total delay budgets match.
-func MeanAWSLatency() float64 {
-	var sum float64
-	var n int
-	for i := Region(0); i < numRegions; i++ {
-		for j := Region(0); j < numRegions; j++ {
-			if i == j {
-				continue
-			}
-			sum += awsLatencySeconds[i][j]
-			n++
-		}
-	}
-	return sum / float64(n)
-}
-
 // Traffic categorizes transfers for the bandwidth evaluation.
 type Traffic int
 
@@ -98,17 +80,6 @@ func (t Traffic) String() string {
 
 // LatencyFunc maps an ordered region pair to a one-way latency in seconds.
 type LatencyFunc func(src, dst Region) float64
-
-// UniformLatency returns a LatencyFunc with constant latency l between
-// distinct regions and the AWS intra-region latency on the diagonal.
-func UniformLatency(l float64) LatencyFunc {
-	return func(src, dst Region) float64 {
-		if src == dst {
-			return awsLatencySeconds[src][dst]
-		}
-		return l
-	}
-}
 
 // ConstantLatency returns a LatencyFunc that charges the same latency on
 // every link, including intra-region ones. It models the paper's "No
@@ -277,16 +248,6 @@ func (n *Network) SendTraced(src, dst Endpoint, size int, kind Traffic, uid obs.
 
 // TotalBytes reports the cumulative bytes sent for a traffic category.
 func (n *Network) TotalBytes(kind Traffic) int { return n.totalBytes[kind] }
-
-// AllBytes reports cumulative bytes across categories.
-func (n *Network) AllBytes() int {
-	var s int
-	//lint:sorted integer sum is exactly commutative; order cannot matter
-	for _, v := range n.totalBytes {
-		s += v
-	}
-	return s
-}
 
 // Transfers returns the transfer log (aliased; callers must not modify).
 func (n *Network) Transfers() []Transfer { return n.transfers }

@@ -28,23 +28,6 @@ func TestLatencyMatrixMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestMeanAWSLatencyExcludesDiagonal(t *testing.T) {
-	m := MeanAWSLatency()
-	if m < 0.1 || m > 0.3 {
-		t.Errorf("mean off-diagonal latency %v looks wrong", m)
-	}
-}
-
-func TestUniformLatency(t *testing.T) {
-	lat := UniformLatency(0.1)
-	if got := lat(Paris, Sydney); got != 0.1 {
-		t.Errorf("uniform cross-region = %v", got)
-	}
-	if got := lat(Paris, Paris); got != AWSLatency(Paris, Paris) {
-		t.Errorf("uniform intra-region should keep AWS diagonal, got %v", got)
-	}
-}
-
 func TestRegionString(t *testing.T) {
 	for _, r := range Regions {
 		if r.String() == "" {
@@ -102,9 +85,6 @@ func TestByteAccounting(t *testing.T) {
 	}
 	if got := net.TotalBytes(ServerServer); got != 50 {
 		t.Errorf("server-server bytes = %d", got)
-	}
-	if got := net.AllBytes(); got != 350 {
-		t.Errorf("all bytes = %d", got)
 	}
 	if got := len(net.Transfers()); got != 3 {
 		t.Errorf("transfer log has %d entries", got)

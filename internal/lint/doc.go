@@ -101,6 +101,36 @@
 // whose combine is provably order-independent carries
 // //spyker:ordered(reason).
 //
+// # Reachability
+//
+// Only what runs: every non-test declaration of the module — function,
+// method, type, package-level variable or constant — must be reached from
+// a binary, an example or the benchmark. TestReachability (reach_test.go;
+// a test, not an analyzer: it needs the whole module at once and has no
+// flag, directive or waiver comment) loads the module with Load, takes as
+// roots every func main under cmd/ and examples/, every file of the
+// benchmark module, every init and every package-level initialiser, and
+// follows references: a function, type, variable or constant is reached
+// when reached code names it; a method is reached when its receiver type
+// is and reached code either names the method or mentions an interface
+// whose method names the type provides (the standard library's
+// reflection-dispatched String, Error, MarshalJSON and UnmarshalJSON count
+// as always mentioned). A blank declaration (`var _ I = (*T)(nil)`) asserts
+// and does not reach. Files a build tag excludes on the host platform are
+// out of scope. An unreached declaration is deleted, together with the
+// tests that had nothing else to check.
+//
+// Test support is the one exception: a declaration in a shipping file that
+// no root reaches but that tests need in order to drive or observe shipped
+// behaviour — the live fault harness (fault.Conn, fault.Proc, Server.Kill),
+// and one-line read accessors over state the shipped code maintains anyway
+// (Server.HoldsToken, FedAvg.Rounds). Each is named in reach_test.go's
+// testSupport list with a one-line reason; a type entry covers its methods;
+// the list is capped at 30 entries, and an entry that becomes reached or
+// disappears fails the test. Code that exists only so a test can call it —
+// a second constructor, an alternative implementation, an adapter — is not
+// test support: it belongs in a _test.go file or nowhere.
+//
 // # Annotation contract
 //
 // //spyker:noalloc goes on the doc comment of a function or method. It

@@ -112,8 +112,8 @@ func RunCluster(cfg ClusterConfig, duration time.Duration) (*ClusterStats, error
 		if cfg.Audit != nil {
 			srv.ArmAudit(*cfg.Audit)
 		}
-		if cfg.Hyper.TokenTimeout > 0 || cfg.Hyper.SyncRetry > 0 {
-			srv.StartTokenTicker(tickerPeriod(cfg.Hyper.TokenTimeout, cfg.Hyper.SyncRetry))
+		if tick := score.TickPeriod(); tick > 0 {
+			srv.StartTokenTicker(time.Duration(tick * float64(time.Second)))
 		}
 		servers[i] = srv
 		addrs[i] = srv.Addr()
@@ -199,16 +199,6 @@ func RunCluster(cfg ClusterConfig, duration time.Duration) (*ClusterStats, error
 	}
 	stats.FinalParams = finals
 	return stats, nil
-}
-
-// tickerPeriod picks the recovery tick from the armed timeouts: a
-// quarter of the shortest one, mirroring the DES runtime's choice.
-func tickerPeriod(tokenTimeout, syncRetry float64) time.Duration {
-	shortest := tokenTimeout
-	if syncRetry > 0 && (shortest == 0 || syncRetry < shortest) {
-		shortest = syncRetry
-	}
-	return time.Duration(shortest / 4 * float64(time.Second))
 }
 
 func closeAll(servers []*Server) {

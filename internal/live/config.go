@@ -5,25 +5,6 @@ import (
 	"github.com/spyker-fl/spyker/internal/spyker"
 )
 
-// clusterServerConfig builds the spyker.Config of one server in an
-// n-server deployment with the library defaults (paper Tab. 2).
-func clusterServerConfig(id, n, clients int) spyker.Config {
-	return spyker.Config{
-		ID:           id,
-		NumServers:   n,
-		NumClients:   clients,
-		EtaServer:    0.6,
-		Phi:          1.5,
-		EtaA:         0.6,
-		HInter:       float64(clients*n) / (5 * float64(n)),
-		HIntra:       350,
-		ClientLR:     0.05,
-		DecayEnabled: true,
-		Beta:         1,
-		EtaMin:       1e-6,
-	}
-}
-
 // ServerConfig builds the spyker.Config of server id in an n-server
 // deployment driven by hyper h, with clientsHere of the deployment's
 // clients attached to this server. Multi-process deployments

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/ring"
 	"github.com/spyker-fl/spyker/internal/spyker"
 )
@@ -26,7 +27,7 @@ func TestLiveHotAdd(t *testing.T) {
 	initial := factory(1).Params()
 
 	mkCfg := func(id int) spyker.Config {
-		cfg := clusterServerConfig(id, n, 2)
+		cfg := ServerConfig(id, n, 2, fl.DefaultHyper(n*2, n))
 		cfg.HInter = 3
 		cfg.HIntra = 20
 		cfg.TokenTimeout = 1.0 // wall seconds
@@ -94,10 +95,10 @@ func TestLiveHotAdd(t *testing.T) {
 	servers = append(servers, joiner)
 	start(joiner)
 
-	want := ring.New(1, []int{0, 1, 2})
+	want := ring.Membership{Epoch: 1, Members: []int{0, 1, 2}}
 	waitFor(t, "every server to adopt the three-member ring", 10*time.Second, func() bool {
 		for _, srv := range servers {
-			if !srv.Membership().Equal(want) {
+			if ring.Compare(srv.Membership(), want) != 0 {
 				return false
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/spyker"
 )
 
@@ -57,7 +58,7 @@ func TestLiveFailover(t *testing.T) {
 	initial := factory(1).Params()
 
 	mkCfg := func(id int) spyker.Config {
-		cfg := clusterServerConfig(id, n, 2)
+		cfg := ServerConfig(id, n, 2, fl.DefaultHyper(n*2, n))
 		cfg.HInter = 3
 		cfg.HIntra = 20
 		cfg.TokenTimeout = 1.0 // wall seconds

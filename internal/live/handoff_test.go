@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/transport"
 )
 
@@ -18,7 +19,7 @@ func handoffRing(t *testing.T) []*Server {
 	servers := make([]*Server, 2)
 	addrs := make([]string, 2)
 	for i := range servers {
-		srv, err := NewServer(i, "127.0.0.1:0", clusterServerConfig(i, 2, 1), make([]float64, handoffDim), i == 0)
+		srv, err := NewServer(i, "127.0.0.1:0", ServerConfig(i, 2, 1, fl.DefaultHyper(2, 2)), make([]float64, handoffDim), i == 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +174,7 @@ func TestReplyBufferReturnsWithoutAReceiver(t *testing.T) {
 // every one of the fifty is done and no goroutine of the server is left.
 func TestClientOutboxEndsWithItsConnection(t *testing.T) {
 	before := runtime.NumGoroutine()
-	srv, err := NewServer(0, "127.0.0.1:0", clusterServerConfig(0, 1, 1), make([]float64, handoffDim), true)
+	srv, err := NewServer(0, "127.0.0.1:0", ServerConfig(0, 1, 1, fl.DefaultHyper(1, 1)), make([]float64, handoffDim), true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,7 +103,7 @@ func TestClusterValidation(t *testing.T) {
 func TestServerCloseIdempotent(t *testing.T) {
 	factory, _, _ := liveFactory(t)
 	initial := factory(1).Params()
-	cfg := clusterServerConfig(0, 1, 3)
+	cfg := ServerConfig(0, 1, 3, fl.DefaultHyper(3, 1))
 	srv, err := NewServer(0, "127.0.0.1:0", cfg, initial, true)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestLiveClusterWithInjectedLatency(t *testing.T) {
 func TestCheckpointRestart(t *testing.T) {
 	factory, _, _ := liveFactory(t)
 	initial := factory(1).Params()
-	cfg := clusterServerConfig(0, 1, 2)
+	cfg := ServerConfig(0, 1, 2, fl.DefaultHyper(2, 1))
 
 	srv, err := NewServer(0, "127.0.0.1:0", cfg, initial, true)
 	if err != nil {

@@ -96,7 +96,7 @@ func TestLiveClusterObservability(t *testing.T) {
 	// broadcast hop.
 	for _, e := range events {
 		if e.Kind == obs.KindClientUpdate {
-			if !e.UID.IsUpdate() {
+			if _, _, ok := e.UID.Update(); !ok {
 				t.Fatalf("client-update event without update UID: %+v", e)
 			}
 			if len(e.Front) == 0 {
@@ -156,7 +156,7 @@ func TestLiveClusterObservability(t *testing.T) {
 func TestCheckpointEmitsEvent(t *testing.T) {
 	factory, _, _ := liveFactory(t)
 	initial := factory(1).Params()
-	cfg := clusterServerConfig(0, 2, 3)
+	cfg := ServerConfig(0, 2, 3, fl.DefaultHyper(6, 2))
 	srv, err := NewServer(0, "127.0.0.1:0", cfg, initial, true)
 	if err != nil {
 		t.Fatal(err)

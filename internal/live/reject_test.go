@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/transport"
 )
@@ -30,7 +31,7 @@ func newRejectRig(t *testing.T) *rejectRig {
 	servers := make([]*Server, 2)
 	addrs := make([]string, 2)
 	for i := range servers {
-		cfg := clusterServerConfig(i, 2, 1)
+		cfg := ServerConfig(i, 2, 1, fl.DefaultHyper(2, 2))
 		cfg.HInter, cfg.HIntra = math.Inf(1), math.Inf(1) // no sync round moves the model behind the test's back
 		srv, err := NewServer(i, "127.0.0.1:0", cfg, make([]float64, rejectDim), i == 0)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/obs/audit"
 	"github.com/spyker-fl/spyker/internal/spyker"
@@ -24,7 +25,7 @@ func TestServerTelemetry(t *testing.T) {
 	const n = 2
 	initial := make([]float64, 8)
 	mk := func(id int) spyker.Config {
-		cfg := clusterServerConfig(id, n, 1)
+		cfg := ServerConfig(id, n, 1, fl.DefaultHyper(n*1, n))
 		cfg.HInter = 2 // two updates trigger a sync round
 		cfg.TokenTimeout = 5
 		cfg.SyncRetry = 2.5
@@ -168,7 +169,7 @@ func TestServerTelemetryAudit(t *testing.T) {
 		t.Skip("live TCP test skipped in -short mode")
 	}
 	initial := make([]float64, 8)
-	cfg := clusterServerConfig(0, 1, 1)
+	cfg := ServerConfig(0, 1, 1, fl.DefaultHyper(1, 1))
 	cfg.HInter = 100 // never sync: this test only watches client merges
 	srv, err := NewServer(0, "127.0.0.1:0", cfg, initial, true)
 	if err != nil {

@@ -2,48 +2,6 @@ package metrics
 
 import "math"
 
-// Crossover returns the first virtual time at which trace a's accuracy
-// overtakes trace b's and stays strictly ahead at every later b-sample,
-// comparing at b's sample times by step interpolation. A momentary
-// overtake that b later reverses does not count; the reported time is the
-// start of the final, permanent lead. It reports whether such a crossover
-// exists; a trace that is ahead at every sample crosses at b's first
-// point.
-func Crossover(a, b Trace) (float64, bool) {
-	if len(a) == 0 || len(b) == 0 {
-		return 0, false
-	}
-	// Scan backwards: the crossover is the earliest b-sample such that a
-	// is strictly ahead there and at every sample after it.
-	crossAt := -1
-	for i := len(b) - 1; i >= 0; i-- {
-		av, ok := ValueAt(a, b[i].Time)
-		if !ok || av <= b[i].Acc {
-			break
-		}
-		crossAt = i
-	}
-	if crossAt < 0 {
-		return 0, false
-	}
-	return b[crossAt].Time, true
-}
-
-// ValueAt returns the trace's accuracy at time t using last-sample-holds
-// interpolation, and whether the trace has begun by t.
-func ValueAt(tr Trace, t float64) (float64, bool) {
-	var acc float64
-	found := false
-	for _, p := range tr {
-		if p.Time > t {
-			break
-		}
-		acc = p.Acc
-		found = true
-	}
-	return acc, found
-}
-
 // AUC integrates accuracy over time between the trace's first and last
 // samples (piecewise constant), normalized by the span — a scalar summary
 // of "how high and how early" a curve sits; 1.0 is a run pinned at 100%
@@ -64,27 +22,6 @@ func AUC(tr Trace) float64 {
 		return tr[0].Acc
 	}
 	return area / span
-}
-
-// Smooth returns an exponential-moving-average copy of the trace's
-// accuracy (alpha in (0,1]; 1 = no smoothing). Loss is smoothed the same
-// way; times and update counts are preserved.
-func Smooth(tr Trace, alpha float64) Trace {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 1
-	}
-	out := make(Trace, len(tr))
-	var acc, loss float64
-	for i, p := range tr {
-		if i == 0 {
-			acc, loss = p.Acc, p.Loss
-		} else {
-			acc = alpha*p.Acc + (1-alpha)*acc
-			loss = alpha*p.Loss + (1-alpha)*loss
-		}
-		out[i] = Point{Time: p.Time, Updates: p.Updates, Loss: loss, Acc: acc}
-	}
-	return out
 }
 
 // ConvergenceRate fits acc(t) ~ final*(1 - exp(-t/tau)) by estimating tau

@@ -13,41 +13,6 @@ func linearTrace(times []float64, accs []float64) Trace {
 	return tr
 }
 
-func TestValueAt(t *testing.T) {
-	tr := linearTrace([]float64{1, 2, 3}, []float64{0.1, 0.5, 0.9})
-	if v, ok := ValueAt(tr, 0.5); ok || v != 0 {
-		t.Errorf("before start: %v,%v", v, ok)
-	}
-	if v, ok := ValueAt(tr, 2.5); !ok || v != 0.5 {
-		t.Errorf("ValueAt(2.5) = %v,%v", v, ok)
-	}
-	if v, _ := ValueAt(tr, 100); v != 0.9 {
-		t.Errorf("ValueAt(100) = %v", v)
-	}
-}
-
-func TestCrossover(t *testing.T) {
-	fast := linearTrace([]float64{1, 2, 3}, []float64{0.2, 0.6, 0.9})
-	slow := linearTrace([]float64{1, 2, 3}, []float64{0.3, 0.4, 0.5})
-	// fast is behind at t=1 (0.2 < 0.3) and ahead at t=2 (0.6 > 0.4).
-	at, ok := Crossover(fast, slow)
-	if !ok || at != 2 {
-		t.Errorf("Crossover = %v,%v, want 2,true", at, ok)
-	}
-	// slow leads only at t=1 and is behind from t=2 on: a transient lead
-	// that does not last is not a crossover.
-	if at, ok := Crossover(slow, fast); ok {
-		t.Errorf("reverse Crossover reported transient lead at %v", at)
-	}
-	if _, ok := Crossover(nil, fast); ok {
-		t.Error("empty trace crossed")
-	}
-	never := linearTrace([]float64{1, 2, 3}, []float64{0, 0, 0})
-	if _, ok := Crossover(never, fast); ok {
-		t.Error("flat-zero trace should never overtake")
-	}
-}
-
 func TestAUC(t *testing.T) {
 	// Accuracy 0.5 for 2s then 1.0 for 2s: area = 0.5*2 + 1*2 = 3 over 4s.
 	tr := linearTrace([]float64{0, 2, 4}, []float64{0.5, 1.0, 1.0})
@@ -66,31 +31,6 @@ func TestAUC(t *testing.T) {
 	}
 }
 
-func TestSmooth(t *testing.T) {
-	tr := linearTrace([]float64{0, 1, 2}, []float64{0, 1, 0})
-	sm := Smooth(tr, 0.5)
-	if sm[0].Acc != 0 {
-		t.Error("first point must be unchanged")
-	}
-	if math.Abs(sm[1].Acc-0.5) > 1e-12 {
-		t.Errorf("smoothed[1] = %v", sm[1].Acc)
-	}
-	if math.Abs(sm[2].Acc-0.25) > 1e-12 {
-		t.Errorf("smoothed[2] = %v", sm[2].Acc)
-	}
-	// alpha=1 (or invalid) leaves the trace unchanged.
-	same := Smooth(tr, 0)
-	for i := range tr {
-		if same[i] != tr[i] {
-			t.Error("alpha fallback changed the trace")
-		}
-	}
-	// Times preserved.
-	if sm[2].Time != 2 {
-		t.Error("time not preserved")
-	}
-}
-
 func TestConvergenceRate(t *testing.T) {
 	// Reaches 63.2% of its final 1.0 at t=3.
 	tr := linearTrace([]float64{0, 1, 2, 3, 4}, []float64{0, 0.2, 0.4, 0.7, 1.0})
@@ -104,112 +44,5 @@ func TestConvergenceRate(t *testing.T) {
 	}
 	if ConvergenceRate(nil) != 0 || ConvergenceRate(Trace{{Acc: 1}}) != 0 {
 		t.Error("degenerate traces should return 0")
-	}
-}
-
-// TestValueAtBoundaries pins the edge behaviour of the step
-// interpolation: empty traces, exact sample-time hits, and duplicate
-// timestamps (the last sample at a tied time wins, matching the
-// emission order of equal-timestamp simulator events).
-func TestValueAtBoundaries(t *testing.T) {
-	if v, ok := ValueAt(nil, 1); ok || v != 0 {
-		t.Errorf("empty trace: %v,%v, want 0,false", v, ok)
-	}
-	if v, ok := ValueAt(Trace{}, 0); ok || v != 0 {
-		t.Errorf("zero-length trace: %v,%v, want 0,false", v, ok)
-	}
-
-	tr := linearTrace([]float64{1, 2, 3}, []float64{0.1, 0.5, 0.9})
-	// Exact hits take the sample at that time, not the previous one.
-	if v, ok := ValueAt(tr, 1); !ok || v != 0.1 {
-		t.Errorf("ValueAt(first sample) = %v,%v, want 0.1,true", v, ok)
-	}
-	if v, ok := ValueAt(tr, 3); !ok || v != 0.9 {
-		t.Errorf("ValueAt(last sample) = %v,%v, want 0.9,true", v, ok)
-	}
-
-	// Duplicate timestamps: the later entry at the tied time holds.
-	dup := linearTrace([]float64{1, 2, 2, 3}, []float64{0.1, 0.4, 0.6, 0.9})
-	if v, _ := ValueAt(dup, 2); v != 0.6 {
-		t.Errorf("tied timestamps: ValueAt(2) = %v, want 0.6 (last wins)", v)
-	}
-	if v, _ := ValueAt(dup, 2.5); v != 0.6 {
-		t.Errorf("after tie: ValueAt(2.5) = %v, want 0.6", v)
-	}
-
-	// Single-point trace.
-	one := Trace{{Time: 5, Acc: 0.7}}
-	if v, ok := ValueAt(one, 4.999); ok || v != 0 {
-		t.Errorf("before single point: %v,%v, want 0,false", v, ok)
-	}
-	if v, ok := ValueAt(one, 5); !ok || v != 0.7 {
-		t.Errorf("at single point: %v,%v, want 0.7,true", v, ok)
-	}
-}
-
-// TestCrossoverBoundaries covers the degenerate comparisons: empty
-// traces on either side, identical traces (never strictly ahead), exact
-// ties at every sample, and a comparison trace that starts before the
-// candidate has begun.
-func TestCrossoverBoundaries(t *testing.T) {
-	tr := linearTrace([]float64{1, 2}, []float64{0.5, 0.8})
-	if _, ok := Crossover(nil, nil); ok {
-		t.Error("two empty traces crossed")
-	}
-	if _, ok := Crossover(tr, nil); ok {
-		t.Error("crossover against an empty reference")
-	}
-	if _, ok := Crossover(nil, tr); ok {
-		t.Error("empty candidate crossed")
-	}
-
-	// Identical traces tie everywhere; ties are not "strictly ahead".
-	if at, ok := Crossover(tr, tr); ok {
-		t.Errorf("identical traces crossed at %v", at)
-	}
-
-	// b's first samples predate a: those comparison points are skipped,
-	// and the crossover lands on the first b-sample where a has begun and
-	// leads.
-	a := linearTrace([]float64{2, 3}, []float64{0.9, 0.95})
-	b := linearTrace([]float64{1, 2, 3}, []float64{0.3, 0.4, 0.5})
-	at, ok := Crossover(a, b)
-	if !ok || at != 2 {
-		t.Errorf("late-start crossover = %v,%v, want 2,true", at, ok)
-	}
-
-	// A candidate that only ever ties at shared times never crosses.
-	tie := linearTrace([]float64{1, 2}, []float64{0.5, 0.8})
-	if _, ok := Crossover(tie, tr); ok {
-		t.Error("tie-everywhere candidate crossed")
-	}
-}
-
-// TestCrossoverStaysAhead pins the "stays strictly ahead" promise: a
-// momentary overtake that the reference later reverses is not a
-// crossover, and the reported time is the start of the permanent lead,
-// not the first transient one.
-func TestCrossoverStaysAhead(t *testing.T) {
-	// a spikes ahead at t=2 but b retakes the lead at t=3 and keeps it.
-	a := linearTrace([]float64{1, 2, 3, 4}, []float64{0.1, 0.6, 0.5, 0.5})
-	b := linearTrace([]float64{1, 2, 3, 4}, []float64{0.3, 0.4, 0.7, 0.8})
-	if at, ok := Crossover(a, b); ok {
-		t.Errorf("transient overtake reported as crossover at %v", at)
-	}
-
-	// a overtakes at t=2, falls back at t=3, then overtakes for good at
-	// t=4: the crossover is the start of the final lead, not the blip.
-	a = linearTrace([]float64{1, 2, 3, 4, 5}, []float64{0.1, 0.6, 0.5, 0.8, 0.9})
-	b = linearTrace([]float64{1, 2, 3, 4, 5}, []float64{0.3, 0.4, 0.7, 0.7, 0.75})
-	at, ok := Crossover(a, b)
-	if !ok || at != 4 {
-		t.Errorf("overtake-dip-overtake crossover = %v,%v, want 4,true", at, ok)
-	}
-
-	// Falling to a tie (not strictly behind) still breaks the lead.
-	a = linearTrace([]float64{1, 2, 3}, []float64{0.6, 0.5, 0.5})
-	b = linearTrace([]float64{1, 2, 3}, []float64{0.3, 0.5, 0.5})
-	if at, ok := Crossover(a, b); ok {
-		t.Errorf("lead that decays to a tie crossed at %v", at)
 	}
 }

@@ -232,10 +232,6 @@ func (c *Conv2D) GradBlocks() [][]float64 { return [][]float64{c.gw, c.gb} }
 // OutSize implements Layer.
 func (c *Conv2D) OutSize() int { return c.outC * c.outH * c.outW }
 
-// OutShape reports the (channels, height, width) of the layer output, which
-// callers need to stack further spatial layers.
-func (c *Conv2D) OutShape() (ch, h, w int) { return c.outC, c.outH, c.outW }
-
 // MaxPool2D is a non-overlapping 2x2 max-pooling layer over CHW input.
 // Input height and width must be even.
 type MaxPool2D struct {
@@ -326,6 +322,3 @@ func (p *MaxPool2D) GradBlocks() [][]float64 { return nil }
 
 // OutSize implements Layer.
 func (p *MaxPool2D) OutSize() int { return p.ch * p.outH * p.outW }
-
-// OutShape reports the (channels, height, width) of the pooled output.
-func (p *MaxPool2D) OutShape() (ch, h, w int) { return p.ch, p.outH, p.outW }

@@ -2,38 +2,6 @@ package nn
 
 import "fmt"
 
-// flattenLen returns the total length of all blocks.
-func flattenLen(blocks [][]float64) int {
-	n := 0
-	for _, b := range blocks {
-		n += len(b)
-	}
-	return n
-}
-
-// flattenCopy concatenates all blocks into a fresh vector.
-func flattenCopy(blocks [][]float64) []float64 {
-	out := make([]float64, flattenLen(blocks))
-	i := 0
-	for _, b := range blocks {
-		i += copy(out[i:], b)
-	}
-	return out
-}
-
-// unflattenInto scatters src back into blocks; src must have exactly the
-// flattened length.
-func unflattenInto(blocks [][]float64, src []float64) {
-	want := flattenLen(blocks)
-	if len(src) != want {
-		panic(fmt.Sprintf("nn: unflatten length %d != %d", len(src), want))
-	}
-	i := 0
-	for _, b := range blocks {
-		i += copy(b, src[i:i+len(b)])
-	}
-}
-
 // flatCursor hands out successive non-overlapping (param, grad) view pairs
 // of two contiguous backing arrays. Models built over one cursor therefore
 // store every parameter block inside a single []float64, which is what

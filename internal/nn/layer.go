@@ -63,8 +63,8 @@ import (
 // Layer is one differentiable stage of a feed-forward network. Forward and
 // Backward are stateful: Backward must be called with the gradient of the
 // loss with respect to the output of the immediately preceding Forward
-// call, and it accumulates parameter gradients internally until Step or
-// ZeroGrads is invoked by the owning network.
+// call, and it accumulates parameter gradients internally until the owning
+// network's Step applies and zeroes them.
 type Layer interface {
 	// Forward computes the layer output for input x. The returned slice
 	// is owned by the layer and is overwritten by the next call.
@@ -209,43 +209,3 @@ func (r *ReLU) GradBlocks() [][]float64 { return nil }
 
 // OutSize implements Layer.
 func (r *ReLU) OutSize() int { return r.size }
-
-// Tanh is the hyperbolic-tangent activation.
-type Tanh struct {
-	size int
-	outV []float64
-	dx   []float64
-}
-
-// NewTanh creates a Tanh over vectors of the given size.
-func NewTanh(size int) *Tanh {
-	return &Tanh{size: size, outV: make([]float64, size), dx: make([]float64, size)}
-}
-
-// Forward implements Layer.
-func (t *Tanh) Forward(x []float64) []float64 {
-	for i, v := range x {
-		t.outV[i] = tanh(v)
-	}
-	return t.outV
-}
-
-// Backward implements Layer.
-func (t *Tanh) Backward(dy []float64) []float64 {
-	for i, y := range t.outV {
-		t.dx[i] = dy[i] * (1 - y*y)
-	}
-	return t.dx
-}
-
-// replica implements replicator.
-func (t *Tanh) replica() Layer { return &Tanh{size: t.size, outV: isolated(t.size)} }
-
-// ParamBlocks implements Layer.
-func (t *Tanh) ParamBlocks() [][]float64 { return nil }
-
-// GradBlocks implements Layer.
-func (t *Tanh) GradBlocks() [][]float64 { return nil }
-
-// OutSize implements Layer.
-func (t *Tanh) OutSize() int { return t.size }

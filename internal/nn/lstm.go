@@ -12,13 +12,12 @@ import (
 // LSTM layer, and a dense projection back to the vocabulary, matching the
 // WikiText-2 model described in the paper (embedding -> LSTM -> fully
 // connected over the character vocabulary). It trains with truncated
-// backpropagation through time over fixed-length windows. For a deeper
-// recurrent stack, see StackedCharLM.
+// backpropagation through time over fixed-length windows.
 type CharLM struct {
 	vocab, embDim, hidden int
 
 	// backing/gradBacking are the contiguous parameter and gradient
-	// planes all blocks below alias, in paramBlocks order.
+	// planes all blocks below alias, in declaration order.
 	backing     []float64
 	gradBacking []float64
 
@@ -40,7 +39,7 @@ type CharLM struct {
 	steps []lstmStep
 	// bptt is SeqLossAndGrad's working memory, built on its first call so
 	// that training allocates nothing per window; models that only
-	// evaluate (SeqLoss, which must stay safe to call concurrently and
+	// evaluate (SeqLossWith, which must stay safe to call concurrently and
 	// therefore never touches the model's own scratch) never build it.
 	bptt *bpttScratch
 }
@@ -70,8 +69,8 @@ func NewCharLM(vocab, embDim, hidden int, rng *rand.Rand) *CharLM {
 		backing:     make([]float64, total),
 		gradBacking: make([]float64, total),
 	}
-	// Carve every block out of the contiguous planes, in paramBlocks
-	// order, so the flat layout matches Params() exactly.
+	// Carve every block out of the contiguous planes, in the order the
+	// struct declares them: that order is the flat layout of Params().
 	cur := &flatCursor{params: m.backing, grads: m.gradBacking}
 	p, g := cur.claim(vocab * embDim)
 	m.emb, m.gEmb = tensor.MatrixFrom(vocab, embDim, p), tensor.MatrixFrom(vocab, embDim, g)
@@ -97,14 +96,6 @@ func NewCharLM(vocab, embDim, hidden int, rng *rand.Rand) *CharLM {
 	return m
 }
 
-func (m *CharLM) paramBlocks() [][]float64 {
-	return [][]float64{m.emb.Data, m.wx.Data, m.wh.Data, m.bg, m.wy.Data, m.by}
-}
-
-func (m *CharLM) gradBlocks() [][]float64 {
-	return [][]float64{m.gEmb.Data, m.gWx.Data, m.gWh.Data, m.gBg, m.gWy.Data, m.gBy}
-}
-
 // NumParams returns the total trainable parameter count.
 func (m *CharLM) NumParams() int { return len(m.backing) }
 
@@ -126,14 +117,6 @@ func (m *CharLM) SetParams(p []float64) {
 		panic(fmt.Sprintf("nn: CharLM.SetParams length %d != %d", len(p), len(m.backing)))
 	}
 	copy(m.backing, p)
-}
-
-// Grads returns a copy of the accumulated gradients flattened the same way
-// as Params; primarily for gradient-checking tests.
-func (m *CharLM) Grads() []float64 {
-	out := make([]float64, len(m.gradBacking))
-	copy(out, m.gradBacking)
-	return out
 }
 
 func (m *CharLM) ensureSteps(n int) {
@@ -278,18 +261,11 @@ func (m *CharLM) NewSeqScratch() *SeqScratch {
 	}
 }
 
-// SeqLoss evaluates the model on seq without touching gradients, returning
-// the summed cross-entropy, the number of predictions, and the number of
-// correct next-character argmax predictions. It only reads the model and
-// owns its scratch per call, so it is safe to call concurrently; a caller
-// that scores many windows passes its own scratch to SeqLossWith instead.
-func (m *CharLM) SeqLoss(seq []int) (loss float64, preds, correct int) {
-	return m.SeqLossWith(m.NewSeqScratch(), seq)
-}
-
-// SeqLossWith is SeqLoss computing in sc (from m.NewSeqScratch) instead of
-// allocating: the same operations in the same order, so the same bits.
-// Concurrent calls need a scratch each.
+// SeqLossWith evaluates the model on seq without touching gradients,
+// returning the summed cross-entropy, the number of predictions, and the
+// number of correct next-character argmax predictions. It only reads the
+// model and computes in sc (from m.NewSeqScratch), so concurrent calls are
+// safe with a scratch each.
 func (m *CharLM) SeqLossWith(sc *SeqScratch, seq []int) (loss float64, preds, correct int) {
 	T := len(seq) - 1
 	if T < 1 {
@@ -328,9 +304,6 @@ func (m *CharLM) SeqLossWith(sc *SeqScratch, seq []int) (loss float64, preds, co
 	}
 	return loss, T, correct
 }
-
-// Vocab returns the vocabulary size the model was built for.
-func (m *CharLM) Vocab() int { return m.vocab }
 
 // String describes the architecture.
 func (m *CharLM) String() string {

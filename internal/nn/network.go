@@ -40,8 +40,7 @@ type paramBackwarder interface {
 // replicator is implemented by layers that can produce a forward-only
 // copy of themselves: one that aliases the original's parameter storage
 // (read-only) and owns only the scratch Forward writes. All built-in
-// layers implement it except Dropout, whose Forward draws from a private
-// random stream.
+// layers implement it.
 type replicator interface {
 	replica() Layer
 }
@@ -167,23 +166,6 @@ func (n *Network) SetParams(p []float64) {
 	}
 }
 
-// Grads returns a copy of the accumulated gradients flattened the same
-// way as Params; primarily for gradient-checking tests.
-func (n *Network) Grads() []float64 {
-	out := make([]float64, n.nParams)
-	if n.gradBacking != nil {
-		copy(out, n.gradBacking)
-		return out
-	}
-	i := 0
-	for _, l := range n.layers {
-		for _, blk := range l.GradBlocks() {
-			i += copy(out[i:], blk)
-		}
-	}
-	return out
-}
-
 // Forward runs the full stack and returns the logits (aliased layer
 // storage; copy before retaining).
 func (n *Network) Forward(x []float64) []float64 {
@@ -192,11 +174,6 @@ func (n *Network) Forward(x []float64) []float64 {
 		h = l.Forward(h)
 	}
 	return h
-}
-
-// Predict returns the class with the highest logit for input x.
-func (n *Network) Predict(x []float64) int {
-	return tensor.ArgMax(n.Forward(x))
 }
 
 // LossAndGrad runs forward on one example, accumulates parameter gradients
@@ -222,10 +199,9 @@ func (n *Network) LossAndGrad(x []float64, label int) float64 {
 // Replica returns a forward-only copy of the network for evaluating it
 // from another goroutine: the copy's layers alias this network's
 // parameter storage, so it always computes with the current parameters,
-// and own only the scratch Forward writes. Use nothing but Forward and
-// Predict on it, and do not run it while the original trains or loads
-// parameters. It returns nil when a layer cannot be replicated (a foreign
-// layer, or Dropout).
+// and own only the scratch Forward writes. Use nothing but Forward on it,
+// and do not run it while the original trains or loads parameters. It
+// returns nil when a layer cannot be replicated (a foreign layer).
 func (n *Network) Replica() *Network {
 	layers := make([]Layer, len(n.layers))
 	for i, l := range n.layers {
@@ -264,17 +240,4 @@ func (n *Network) Step(lr float64, batchSize int, clip float64) {
 // allocating: it is called once per held-out sample.
 func CrossEntropyFromLogits(logits []float64, label int) float64 {
 	return -math.Log(math.Max(tensor.SoftmaxAt(logits, label), 1e-12))
-}
-
-// ZeroGrads clears all accumulated gradients without applying them.
-func (n *Network) ZeroGrads() {
-	if n.gradBacking != nil {
-		tensor.Zero(n.gradBacking)
-		return
-	}
-	for _, l := range n.layers {
-		for _, g := range l.GradBlocks() {
-			tensor.Zero(g)
-		}
-	}
 }

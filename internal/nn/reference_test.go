@@ -430,7 +430,7 @@ func TestReplicaForwardMatchesAndTracksParams(t *testing.T) {
 	net := NewNetwork(
 		conv1, NewReLU(conv1.OutSize()),
 		conv2, NewReLU(conv2.OutSize()), pool,
-		NewDense(pool.OutSize(), 32, rng), NewTanh(32),
+		NewDense(pool.OutSize(), 32, rng), NewReLU(32),
 		NewDense(32, 10, rng),
 	)
 	rep := net.Replica()
@@ -447,7 +447,17 @@ func TestReplicaForwardMatchesAndTracksParams(t *testing.T) {
 		}
 		net.SetParams(p)
 	}
-	if NewNetwork(NewDense(4, 4, rng), NewDropout(4, 0.5, rng)).Replica() != nil {
-		t.Error("a network with a layer that draws random numbers in Forward must not be replicable")
+	if NewNetwork(NewDense(4, 4, rng), foreignLayer{4}).Replica() != nil {
+		t.Error("a network with a layer that cannot copy itself must not be replicable")
 	}
 }
+
+// foreignLayer is a layer from outside the package: an identity with no
+// replica method, so a network holding one has no forward-only copy.
+type foreignLayer struct{ size int }
+
+func (foreignLayer) Forward(x []float64) []float64   { return x }
+func (foreignLayer) Backward(dy []float64) []float64 { return dy }
+func (foreignLayer) ParamBlocks() [][]float64        { return nil }
+func (foreignLayer) GradBlocks() [][]float64         { return nil }
+func (f foreignLayer) OutSize() int                  { return f.size }

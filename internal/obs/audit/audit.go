@@ -344,12 +344,6 @@ func NewRecorder(cfg Config, server int, sink obs.Sink) *Recorder {
 	return r
 }
 
-// Server reports the ID of the server this recorder audits for.
-func (r *Recorder) Server() int { return r.server }
-
-// Updates reports how many client updates were audited.
-func (r *Recorder) Updates() int64 { return r.updates }
-
 func (r *Recorder) profile(id int) *profile {
 	if p, ok := r.profiles[id]; ok {
 		return p

@@ -287,8 +287,8 @@ func TestNopSinkSuppressesEmissionKeepsStats(t *testing.T) {
 	if !hasFlag(rec.Flags(0), RuleNormOutlier) {
 		t.Fatal("statistics must keep running under a Nop sink")
 	}
-	if rec.Updates() != 120 {
-		t.Fatalf("updates = %d, want 120", rec.Updates())
+	if rec.updates != 120 {
+		t.Fatalf("updates = %d, want 120", rec.updates)
 	}
 }
 
@@ -318,7 +318,7 @@ func BenchmarkAuditObserve(b *testing.B) {
 		age := float64(k)
 		rec.Observe(float64(k)*0.01, k%clients, deltas[k%clients], model, age, age+1)
 	}
-	if rec.Updates() != int64(b.N) {
-		b.Fatalf("recorder audited %d of %d updates", rec.Updates(), b.N)
+	if rec.updates != int64(b.N) {
+		b.Fatalf("recorder audited %d of %d updates", rec.updates, b.N)
 	}
 }

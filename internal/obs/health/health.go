@@ -261,10 +261,6 @@ func New(cfg Config) *Evaluator {
 	}
 }
 
-// TokenTimeout reports the effective regeneration timeout the evaluator
-// is judging silence against (configured, adopted, or 0 if unknown).
-func (e *Evaluator) TokenTimeout() float64 { return e.tokenTmo }
-
 // Now reports the latest stream time the evaluator has advanced to.
 func (e *Evaluator) Now() float64 { return e.now }
 

@@ -81,8 +81,8 @@ func TestTokenSilenceFromTelemetry(t *testing.T) {
 	}
 	snap(0, 1, 0.1, 1.5)
 	snap(1, 1, 0.4, 1.5)
-	if e.TokenTimeout() != 1.5 {
-		t.Fatalf("adopted timeout = %v", e.TokenTimeout())
+	if e.tokenTmo != 1.5 {
+		t.Fatalf("adopted timeout = %v", e.tokenTmo)
 	}
 	if got := e.State(); got != Healthy {
 		t.Fatalf("state = %v", got)
@@ -241,8 +241,8 @@ func TestOfflineRunAndReport(t *testing.T) {
 	events = append(events, pass(at+20, 0, 1), pass(at+21, 1, 2))
 
 	ev := Run(events, Config{}) // TokenTimeout calibrated: 4 x median gap 1s
-	if ev.TokenTimeout() != 4 {
-		t.Fatalf("calibrated timeout = %v", ev.TokenTimeout())
+	if ev.tokenTmo != 4 {
+		t.Fatalf("calibrated timeout = %v", ev.tokenTmo)
 	}
 	alerts := ev.Alerts()
 	a := findAlert(alerts, RuleTokenSilence)
@@ -265,22 +265,6 @@ func TestOfflineRunAndReport(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestSinkAdapter(t *testing.T) {
-	s := NewSink(New(Config{TokenTimeout: 2}))
-	if !s.Enabled() {
-		t.Fatal("sink disabled")
-	}
-	s.Emit(pass(0, 0, 1))
-	s.Emit(pass(1, 1, 0))
-	s.AdvanceTo(10)
-	if got := s.State(); got != Stalled {
-		t.Fatalf("state through sink = %v", got)
-	}
-	if len(s.ActiveAlerts()) != 1 || len(s.Alerts()) != 1 {
-		t.Fatalf("alerts through sink: %+v", s.Alerts())
 	}
 }
 

@@ -152,16 +152,6 @@ func BuildLineage(events []Event) *Lineage {
 	return l
 }
 
-// Update looks a journey up by its UID (nil when absent or untraced).
-func (l *Lineage) Update(uid UID) *UpdateLineage {
-	for _, u := range l.Updates {
-		if u.UID == uid && uid != 0 {
-			return u
-		}
-	}
-	return nil
-}
-
 // HopChain reconstructs the causal path an update took to reach server:
 // the sequence of arrivals, origin-side first, ending at server. It
 // follows each arrival's Via pointer backwards — influence reached

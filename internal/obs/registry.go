@@ -245,22 +245,20 @@ func (r *Registry) StatsLine() string {
 }
 
 // Standard metric names fed by the MetricsSink bridge. Runtime-specific
-// metrics (per-peer bytes, per-server queue depth) use prefixed names
-// built with fmt.Sprintf at instrumentation sites.
+// metrics (the live server's per-peer bytes, rejects and pool occupancy) use
+// prefixed names built with fmt.Sprintf at instrumentation sites.
 const (
-	MetricUpdates       = "spyker.updates_aggregated"
-	MetricServerAggs    = "spyker.server_aggs"
-	MetricTokenPasses   = "spyker.token_passes"
-	MetricSyncs         = "spyker.syncs_started"
-	MetricStaleness     = "spyker.staleness"
-	MetricSyncDuration  = "spyker.sync_duration_s"
-	MetricBytesSent     = "net.bytes_sent"
-	MetricBytesRecv     = "net.bytes_recv"
-	MetricMsgsSent      = "net.msgs_sent"
-	MetricMsgsRecv      = "net.msgs_recv"
-	MetricCheckpoints   = "live.checkpoints"
-	MetricSimEvents     = "sim.events_processed"
-	MetricSimQueueDepth = "sim.queue_depth"
+	MetricUpdates      = "spyker.updates_aggregated"
+	MetricServerAggs   = "spyker.server_aggs"
+	MetricTokenPasses  = "spyker.token_passes"
+	MetricSyncs        = "spyker.syncs_started"
+	MetricStaleness    = "spyker.staleness"
+	MetricSyncDuration = "spyker.sync_duration_s"
+	MetricBytesSent    = "net.bytes_sent"
+	MetricBytesRecv    = "net.bytes_recv"
+	MetricMsgsSent     = "net.msgs_sent"
+	MetricMsgsRecv     = "net.msgs_recv"
+	MetricCheckpoints  = "live.checkpoints"
 	// MetricLinkUnmatched counts msg-recv events with no pending msg-send
 	// on their link (one-sided instrumentation, ring-buffer loss) plus
 	// sends evicted from an over-full pending queue.

@@ -32,12 +32,6 @@ func RoundUID(server, bid int) UID {
 	return -UID(int64(server+1)*uidBase + int64(bid))
 }
 
-// IsUpdate reports whether the UID names a client update.
-func (u UID) IsUpdate() bool { return u > 0 }
-
-// IsRound reports whether the UID names a sync-round broadcast.
-func (u UID) IsRound() bool { return u < 0 }
-
 // Update decodes an update UID into (client, seq); ok is false for
 // round UIDs and the zero UID.
 func (u UID) Update() (client int, seq int64, ok bool) {
@@ -68,42 +62,4 @@ func (u UID) String() string {
 		return fmt.Sprintf("s%d/sync#%d", s, bid)
 	}
 	return "-"
-}
-
-// SyncSpan is one server's participation in a synchronization round,
-// reconstructed from a SyncStart/SyncEnd event pair.
-type SyncSpan struct {
-	Node  int
-	Bid   int
-	Start float64
-	End   float64 // Start of the last observed event when the round never closed
-	Role  string  // "trigger" or "join"
-}
-
-// SyncSpans pairs SyncStart with SyncEnd events per node. Only the token
-// holder emits SyncEnd, so join-role spans close at the trace end; they
-// are still useful for timeline rendering. Events must be time-ordered
-// (Summarize's ordering); spans come back ordered by start time.
-func SyncSpans(events []Event) []SyncSpan {
-	var spans []SyncSpan
-	open := make(map[int]int) // node -> index into spans
-	var last float64
-	for i := range events {
-		e := &events[i]
-		last = e.Time
-		switch e.Kind {
-		case KindSyncStart:
-			open[e.Node] = len(spans)
-			spans = append(spans, SyncSpan{Node: e.Node, Bid: e.Bid, Start: e.Time, Role: e.Note})
-		case KindSyncEnd:
-			if idx, ok := open[e.Node]; ok {
-				spans[idx].End = e.Time
-				delete(open, e.Node)
-			}
-		}
-	}
-	for _, idx := range open {
-		spans[idx].End = last
-	}
-	return spans
 }

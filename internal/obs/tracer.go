@@ -60,13 +60,6 @@ func (t *Tracer) Len() int {
 	return t.next
 }
 
-// Total reports how many events were ever emitted.
-func (t *Tracer) Total() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
 // Dropped reports how many events were overwritten by ring wraparound.
 func (t *Tracer) Dropped() uint64 {
 	t.mu.Lock()
@@ -94,15 +87,6 @@ func (t *Tracer) Events() []Event {
 	}
 	out = append(out, t.buf[:t.next]...)
 	return out
-}
-
-// Reset discards all retained events and counters.
-func (t *Tracer) Reset() {
-	t.mu.Lock()
-	t.next = 0
-	t.wrapped = false
-	t.total = 0
-	t.mu.Unlock()
 }
 
 // WriteJSONL writes the retained events as one JSON object per line.

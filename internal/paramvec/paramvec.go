@@ -42,14 +42,6 @@ func (v Vec) AxpyInto(alpha float64, x []float64) {
 	}
 }
 
-// ScaleAdd computes v = alpha*v + beta*x in one fused pass.
-func (v Vec) ScaleAdd(alpha float64, beta float64, x []float64) {
-	mustSameLen(len(v), len(x))
-	for i := range v {
-		v[i] = alpha*v[i] + beta*x[i]
-	}
-}
-
 // WeightedMergeInto moves v toward x by weight w: v += w*(x - v). This is
 // the staleness-weighted client merge (Alg. 1) and the sigmoid-weighted
 // server merge (Alg. 2) of the Spyker protocol, and the convex-combination
@@ -144,19 +136,6 @@ func (v Vec) DiffInto(x, y []float64) {
 	}
 }
 
-// Dot returns the inner product of v and x — the projection kernel the
-// contribution audit plane uses to compare update directions.
-//
-//spyker:noalloc
-func (v Vec) Dot(x []float64) float64 {
-	mustSameLen(len(v), len(x))
-	var s float64
-	for i := range v {
-		s += v[i] * x[i]
-	}
-	return s
-}
-
 // L2Norm returns the Euclidean norm of v.
 func (v Vec) L2Norm() float64 {
 	var s float64
@@ -164,23 +143,6 @@ func (v Vec) L2Norm() float64 {
 		s += x * x
 	}
 	return math.Sqrt(s)
-}
-
-// ClipNorm rescales v in place so its L2 norm does not exceed max, and
-// returns the pre-clip norm. max <= 0 disables clipping. The scale is
-// applied only when the norm actually exceeds max, so vectors inside the
-// ball are untouched bit-for-bit.
-//
-//spyker:noalloc
-func (v Vec) ClipNorm(max float64) (norm float64) {
-	norm = v.L2Norm()
-	if max > 0 && norm > max {
-		scale := max / norm
-		for i := range v {
-			v[i] *= scale
-		}
-	}
-	return norm
 }
 
 func mustSameLen(a, b int) {

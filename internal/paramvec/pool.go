@@ -99,6 +99,3 @@ func (p *Pool) Put(v Vec) {
 
 // Live reports the number of vectors currently checked out.
 func (p *Pool) Live() int64 { return p.live.Load() }
-
-// Recycled reports how many Gets were served from the free-list.
-func (p *Pool) Recycled() int64 { return p.recycled.Load() }

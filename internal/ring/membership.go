@@ -39,25 +39,6 @@ func Fixed(n int) Membership {
 	return Membership{Epoch: 0, Members: m}
 }
 
-// New builds a membership at the given epoch from an arbitrary member
-// set; the IDs are copied, deduplicated, and sorted ascending. It panics
-// on negative IDs — server identities are array-indexable by design.
-func New(epoch int, members []int) Membership {
-	out := make([]int, 0, len(members))
-	seen := make(map[int]bool, len(members))
-	for _, id := range members {
-		if id < 0 {
-			panic(fmt.Sprintf("ring: negative member ID %d", id))
-		}
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	sort.Ints(out)
-	return Membership{Epoch: epoch, Members: out}
-}
-
 // IsZero reports whether m carries no membership information (the state
 // of a header from a sender that predates elastic membership).
 func (m Membership) IsZero() bool { return m.Members == nil }
@@ -202,12 +183,6 @@ func Compare(a, b Membership) int {
 	}
 	return 0
 }
-
-// Equal reports whether a and b have the same epoch and member list.
-func Equal(a, b Membership) bool { return Compare(a, b) == 0 }
-
-// Equal reports whether m and o have the same epoch and member list.
-func (m Membership) Equal(o Membership) bool { return Compare(m, o) == 0 }
 
 // Clone returns a deep copy whose Members slice shares no storage with
 // the receiver. Cores clone on adoption so retaining a membership never

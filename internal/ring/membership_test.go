@@ -23,22 +23,6 @@ func TestFixed(t *testing.T) {
 	}
 }
 
-func TestNewSortsAndDedups(t *testing.T) {
-	m := New(3, []int{5, 1, 5, 3, 1})
-	want := []int{1, 3, 5}
-	if m.Epoch != 3 || len(m.Members) != len(want) {
-		t.Fatalf("New = %s", m)
-	}
-	for i, id := range want {
-		if m.Members[i] != id {
-			t.Fatalf("New members = %v, want %v", m.Members, want)
-		}
-	}
-	if m.Slots() != 6 || m.NextID() != 6 {
-		t.Fatalf("Slots/NextID of %s = %d/%d, want 6/6", m, m.Slots(), m.NextID())
-	}
-}
-
 // TestSuccessor pins the generalized ring arithmetic: on fixed rings it
 // must match the historical (id+1) % n, on sparse rings it skips holes,
 // and a singleton ring is its own successor.
@@ -52,11 +36,11 @@ func TestSuccessor(t *testing.T) {
 		{"fixed-mid", Fixed(4), 1, 2},
 		{"fixed-wrap", Fixed(4), 3, 0},
 		{"fixed-matches-modulo", Fixed(5), 2, (2 + 1) % 5},
-		{"sparse-skips-hole", New(1, []int{0, 2, 3}), 0, 2},
-		{"sparse-wrap", New(1, []int{0, 2, 3}), 3, 0},
-		{"nonmember-id", New(1, []int{0, 2, 3}), 1, 2},
-		{"singleton", New(2, []int{4}), 4, 4},
-		{"empty", New(9, nil), 7, 7},
+		{"sparse-skips-hole", Membership{Epoch: 1, Members: []int{0, 2, 3}}, 0, 2},
+		{"sparse-wrap", Membership{Epoch: 1, Members: []int{0, 2, 3}}, 3, 0},
+		{"nonmember-id", Membership{Epoch: 1, Members: []int{0, 2, 3}}, 1, 2},
+		{"singleton", Membership{Epoch: 2, Members: []int{4}}, 4, 4},
+		{"empty", Membership{Epoch: 9}, 7, 7},
 	}
 	for _, tt := range tests {
 		if got := tt.m.Successor(tt.id); got != tt.want {
@@ -77,8 +61,8 @@ func TestRegenBid(t *testing.T) {
 	}{
 		{"fixed-s0", Fixed(4), 10, 0, 10 + 4 + 1 + 0},
 		{"fixed-s3", Fixed(4), 10, 3, 10 + 4 + 1 + 3},
-		{"sparse-uses-index", New(1, []int{0, 2, 5}), 7, 5, 7 + 3 + 1 + 2},
-		{"singleton", New(2, []int{3}), 0, 3, 0 + 1 + 1 + 0},
+		{"sparse-uses-index", Membership{Epoch: 1, Members: []int{0, 2, 5}}, 7, 5, 7 + 3 + 1 + 2},
+		{"singleton", Membership{Epoch: 2, Members: []int{3}}, 0, 3, 0 + 1 + 1 + 0},
 	}
 	for _, tt := range tests {
 		if got := tt.m.RegenBid(tt.maxBid, tt.id); got != tt.want {
@@ -87,7 +71,7 @@ func TestRegenBid(t *testing.T) {
 	}
 	// Distinctness: every member of a ring regenerating against the same
 	// maxBidSeen must mint a different bid.
-	m := New(1, []int{0, 2, 5, 9})
+	m := Membership{Epoch: 1, Members: []int{0, 2, 5, 9}}
 	seen := map[int]int{}
 	for _, id := range m.Members {
 		b := m.RegenBid(42, id)
@@ -114,7 +98,7 @@ func TestWithMember(t *testing.T) {
 		t.Fatalf("WithMember mutated receiver: %s", base)
 	}
 	// Insert into the middle keeps ascending order.
-	mid := New(4, []int{0, 5}).WithMember(3)
+	mid := Membership{Epoch: 4, Members: []int{0, 5}}.WithMember(3)
 	if mid.Members[0] != 0 || mid.Members[1] != 3 || mid.Members[2] != 5 {
 		t.Fatalf("middle insert = %v", mid.Members)
 	}
@@ -161,11 +145,11 @@ func TestCompare(t *testing.T) {
 		a, b Membership
 		want int // sign
 	}{
-		{"higher-epoch-wins", New(2, []int{0}), New(1, []int{0, 1, 2}), 1},
-		{"lower-epoch-loses", New(0, []int{0, 1, 2, 3}), New(1, []int{0}), -1},
-		{"equal", Fixed(3), New(0, []int{0, 1, 2}), 0},
-		{"leave-beats-join", New(1, []int{0, 1}), New(1, []int{0, 1, 2}), 1},
-		{"element-tiebreak", New(1, []int{0, 3}), New(1, []int{0, 2}), 1},
+		{"higher-epoch-wins", Membership{Epoch: 2, Members: []int{0}}, Membership{Epoch: 1, Members: []int{0, 1, 2}}, 1},
+		{"lower-epoch-loses", Membership{Epoch: 0, Members: []int{0, 1, 2, 3}}, Membership{Epoch: 1, Members: []int{0}}, -1},
+		{"equal", Fixed(3), Membership{Epoch: 0, Members: []int{0, 1, 2}}, 0},
+		{"leave-beats-join", Membership{Epoch: 1, Members: []int{0, 1}}, Membership{Epoch: 1, Members: []int{0, 1, 2}}, 1},
+		{"element-tiebreak", Membership{Epoch: 1, Members: []int{0, 3}}, Membership{Epoch: 1, Members: []int{0, 2}}, 1},
 		{"zero-loses-to-fixed", Membership{}, Fixed(2), -1},
 	}
 	for _, tt := range tests {
@@ -175,9 +159,6 @@ func TestCompare(t *testing.T) {
 		}
 		if sign(Compare(tt.b, tt.a)) != -tt.want {
 			t.Errorf("%s: Compare not antisymmetric", tt.name)
-		}
-		if (tt.want == 0) != tt.a.Equal(tt.b) {
-			t.Errorf("%s: Equal disagrees with Compare", tt.name)
 		}
 	}
 }
@@ -195,7 +176,7 @@ func sign(v int) int {
 func TestCloneIsDeep(t *testing.T) {
 	m := Fixed(3)
 	c := m.Clone()
-	if !c.Equal(m) {
+	if Compare(c, m) != 0 {
 		t.Fatalf("Clone = %s, want %s", c, m)
 	}
 	c.Members[0] = 99
@@ -209,7 +190,7 @@ func TestCloneIsDeep(t *testing.T) {
 }
 
 func TestString(t *testing.T) {
-	if got := New(3, []int{0, 2, 4}).String(); got != "e3{0,2,4}" {
+	if got := (Membership{Epoch: 3, Members: []int{0, 2, 4}}).String(); got != "e3{0,2,4}" {
 		t.Fatalf("String = %q", got)
 	}
 }

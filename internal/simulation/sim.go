@@ -19,8 +19,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-
-	"github.com/spyker-fl/spyker/internal/obs"
 )
 
 // Event is a scheduled callback.
@@ -114,12 +112,6 @@ type Sim struct {
 	running bool
 	tasks   chan *Task
 	workers sync.WaitGroup
-
-	// Optional observability hooks (see Instrument). They only record;
-	// they can never alter the schedule, so an instrumented run executes
-	// the exact same event sequence as a bare one.
-	obsEvents *obs.Counter
-	obsDepth  *obs.Gauge
 }
 
 // New creates an empty simulator at time 0.
@@ -157,15 +149,6 @@ func (s *Sim) ScheduleAt(t float64, fn func()) {
 // them in order.
 func (s *Sim) Stop() { s.stopped = true }
 
-// Instrument attaches runtime metrics to the event loop: events counts
-// dispatched events, depth tracks the queue length after each dispatch.
-// Either may be nil. The hooks are passive — two atomic writes per event
-// — and never feed back into scheduling.
-func (s *Sim) Instrument(events *obs.Counter, depth *obs.Gauge) {
-	s.obsEvents = events
-	s.obsDepth = depth
-}
-
 // Run executes events in timestamp order until the queue drains, the
 // horizon is passed, or Stop is called. It returns the final virtual time.
 // Events scheduled exactly at the horizon still run; events beyond it stay
@@ -182,12 +165,6 @@ func (s *Sim) Run(horizon float64) float64 {
 		s.now = e.time
 		s.processed++
 		e.fn()
-		if s.obsEvents != nil {
-			s.obsEvents.Inc()
-		}
-		if s.obsDepth != nil {
-			s.obsDepth.Set(float64(len(s.queue)))
-		}
 	}
 	if s.now < horizon && len(s.queue) == 0 && !math.IsInf(horizon, 1) {
 		// A drained queue still advances the clock to the horizon so that

@@ -10,8 +10,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-
-	"github.com/spyker-fl/spyker/internal/obs"
 )
 
 func TestEventsRunInTimeOrder(t *testing.T) {
@@ -236,15 +234,11 @@ func TestStopLeavesQueueIntact(t *testing.T) {
 // runScheduleWorkload runs n events at deterministic pseudo-random times
 // on a tenth-of-a-second grid — most events share their timestamp with
 // others, so the order depends on the tiebreak — each appending its
-// identity and execution time to schedule. reg, when non-nil, attaches the
-// counters every experiment run attaches (Sim.Instrument). With detach
-// set every event also keeps a detached task in flight, joined by a later
-// event or by nobody. It returns the final virtual time.
-func runScheduleWorkload(seed int64, n int, reg *obs.Registry, detach bool, schedule *[]byte) float64 {
+// identity and execution time to schedule. With detach set every event
+// also keeps a detached task in flight, joined by a later event or by
+// nobody. It returns the final virtual time and the events the loop counted.
+func runScheduleWorkload(seed int64, n int, detach bool, schedule *[]byte) (float64, uint64) {
 	sim := New()
-	if reg != nil {
-		sim.Instrument(reg.Counter(obs.MetricSimEvents), reg.Gauge(obs.MetricSimQueueDepth))
-	}
 	var spun [8]int
 	var tasks [8]Task
 	for k := range tasks {
@@ -270,50 +264,44 @@ func runScheduleWorkload(seed int64, n int, reg *obs.Registry, detach bool, sche
 	}
 	// All events land within 100 virtual seconds; the finite horizon
 	// keeps the returned time comparable across runs.
-	return sim.Run(1e6)
+	return sim.Run(1e6), sim.Processed()
 }
 
-// TestInstrumentDoesNotPerturbSchedule is the determinism guard for the
-// event loop's own counters (companion to obs's
-// TestTracingDoesNotPerturbSimulation): attaching them must leave the event
-// schedule byte-identical — same events, same order, same virtual
-// timestamps — to an uninstrumented run. If instrumentation ever steals a
-// tiebreak or reorders the heap, the measured system is no longer the
-// shipped system and every number taken from it is suspect. The
-// instrumented run also keeps detached tasks in flight: work off the loop
-// must not move an event either.
-func TestInstrumentDoesNotPerturbSchedule(t *testing.T) {
+// TestDetachDoesNotPerturbSchedule is the determinism guard for work off
+// the event loop: a run that keeps detached tasks in flight must leave the
+// event schedule byte-identical — same events, same order, same virtual
+// timestamps — to a run that detaches nothing. If a worker ever steals a
+// tiebreak or reorders the heap, every seeded result moves. Both runs must
+// also count exactly the events they ran: Processed() is what the
+// benchmark reports as simulation.events.
+func TestDetachDoesNotPerturbSchedule(t *testing.T) {
 	const seed, n = 11, 5000
 
-	var bare []byte
-	tBare := runScheduleWorkload(seed, n, nil, false, &bare)
+	var inline []byte
+	tInline, ranInline := runScheduleWorkload(seed, n, false, &inline)
 
-	reg := obs.NewRegistry()
-	var instrumented []byte
-	tInst := runScheduleWorkload(seed, n, reg, true, &instrumented)
+	var detached []byte
+	tDetached, ranDetached := runScheduleWorkload(seed, n, true, &detached)
 
-	if tBare != tInst {
-		t.Errorf("final virtual time diverged: bare %v, instrumented %v", tBare, tInst)
+	if tInline != tDetached {
+		t.Errorf("final virtual time diverged: inline %v, detached %v", tInline, tDetached)
 	}
-	if len(bare) != 16*n {
-		t.Fatalf("bare run recorded %d bytes, want %d", len(bare), 16*n)
+	if len(inline) != 16*n {
+		t.Fatalf("inline run recorded %d bytes, want %d", len(inline), 16*n)
 	}
-	if !bytes.Equal(bare, instrumented) {
+	if !bytes.Equal(inline, detached) {
 		// Locate the first diverging event for the failure message.
 		at := -1
-		for i := 0; i < len(bare) && i < len(instrumented); i++ {
-			if bare[i] != instrumented[i] {
+		for i := 0; i < len(inline) && i < len(detached); i++ {
+			if inline[i] != detached[i] {
 				at = i / 16
 				break
 			}
 		}
-		t.Fatalf("event schedule diverged under instrumentation (first divergence at event record %d)", at)
+		t.Fatalf("event schedule diverged with tasks detached (first divergence at event record %d)", at)
 	}
-
-	// And the counter must actually have observed the run — a guard that
-	// passes because instrumentation silently no-opped proves nothing.
-	if got := reg.Counter(obs.MetricSimEvents).Value(); got != int64(n) {
-		t.Errorf("instrumented run counted %d events, want %d", got, n)
+	if ranInline != n || ranDetached != n {
+		t.Errorf("Processed() = %d inline, %d detached, want %d", ranInline, ranDetached, n)
 	}
 }
 

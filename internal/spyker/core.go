@@ -122,6 +122,20 @@ type Config struct {
 	SyncRetry float64
 }
 
+// TickPeriod is how often, in clock seconds, a runtime must call Tick for
+// the recovery timers: a quarter of the shortest armed timeout (detection
+// latency at most 1.25x the configured window), 0 when both are off.
+func (c Config) TickPeriod() float64 {
+	shortest := c.TokenTimeout
+	if c.SyncRetry > 0 && (shortest <= 0 || c.SyncRetry < shortest) {
+		shortest = c.SyncRetry
+	}
+	if shortest <= 0 {
+		return 0
+	}
+	return shortest / 4
+}
+
 // ServerCore is the Spyker server state machine. It is not safe for
 // concurrent use; callers serialize handler invocations (the simulator is
 // single-threaded, the live runtime uses one mutex per server).
@@ -664,9 +678,6 @@ func (s *ServerCore) applyClientDelta(params []float64, weight float64) {
 func (s *ServerCore) ReengageClient(k int) {
 	s.out.ReplyClient(k, tensor.Clone(s.w), s.age, s.decayedRate(k))
 }
-
-// ClippedUpdates reports how many client updates were norm-clipped.
-func (s *ServerCore) ClippedUpdates() int { return s.clipped }
 
 // decayedRate implements the Decay function of Sec. 4.1: clients that have
 // contributed more updates than the per-server average get their learning

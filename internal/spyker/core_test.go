@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/spyker-fl/spyker/internal/paramvec"
 	"github.com/spyker-fl/spyker/internal/ring"
 	"github.com/spyker-fl/spyker/internal/tensor"
 )
@@ -486,11 +487,18 @@ func BenchmarkTokenSyncRound(b *testing.B) {
 	b.ReportMetric(float64(joined*(n-1))/float64(b.N), "merges/round")
 }
 
+// l2dist is the Euclidean distance between two parameter vectors.
+func l2dist(a, b []float64) float64 {
+	d := make(paramvec.Vec, len(a))
+	d.DiffInto(a, b)
+	return d.L2Norm()
+}
+
 func pairwiseDist(cores []*ServerCore) float64 {
 	var d float64
 	for i := range cores {
 		for j := i + 1; j < len(cores); j++ {
-			d += tensor.Norm2(tensor.Sub(cores[i].Params(), cores[j].Params()))
+			d += l2dist(cores[i].Params(), cores[j].Params())
 		}
 	}
 	return d
@@ -508,18 +516,18 @@ func TestRobustClippingBoundsOversizedDeltas(t *testing.T) {
 		honest := []float64{s.Params()[0] + 0.1, s.Params()[1] + 0.1}
 		s.HandleClientUpdate(0, honest, s.Age(), 0)
 	}
-	if s.ClippedUpdates() != 0 {
-		t.Fatalf("honest updates were clipped: %d", s.ClippedUpdates())
+	if s.clipped != 0 {
+		t.Fatalf("honest updates were clipped: %d", s.clipped)
 	}
 	before := tensor.Clone(s.Params())
 
 	// A poisoned update 100x the honest norm must be clipped.
 	poison := []float64{before[0] - 50, before[1] - 50}
 	s.HandleClientUpdate(1, poison, s.Age(), 0)
-	if s.ClippedUpdates() != 1 {
+	if s.clipped != 1 {
 		t.Fatalf("oversized delta not clipped")
 	}
-	moved := tensor.Norm2(tensor.Sub(s.Params(), before))
+	moved := l2dist(s.Params(), before)
 	// Unclipped, the update would have moved the model by
 	// etaServer * ||delta|| ~ 0.6*70; clipped it is bounded by
 	// etaServer * 1.5 * EMA ~ 0.6*1.5*0.14.
@@ -535,11 +543,11 @@ func TestRobustClippingDisabledByDefault(t *testing.T) {
 	s := NewServerCore(cfg, []float64{0, 0}, false, out)
 	s.HandleClientUpdate(0, []float64{0.1, 0.1}, 0, 0)
 	s.HandleClientUpdate(1, []float64{-100, -100}, s.Age(), 0)
-	if s.ClippedUpdates() != 0 {
+	if s.clipped != 0 {
 		t.Error("clipping active although RobustClipFactor is 0")
 	}
 	// The oversized update must have moved the model massively.
-	if tensor.Norm2(s.Params()) < 10 {
+	if paramvec.Vec(s.Params()).L2Norm() < 10 {
 		t.Error("expected undefended model to be dragged far")
 	}
 }

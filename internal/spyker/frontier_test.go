@@ -123,7 +123,8 @@ func TestSnapshotRestoresFrontier(t *testing.T) {
 	s.HandleClientUpdate(0, []float64{1, 1}, 0, 0)
 	s.HandleServerModel(1, []float64{2, 2}, 1, 1, []int64{0, 4, 0}, ring.Membership{})
 
-	st := s.Snapshot()
+	var st State
+	s.SnapshotInto(&st)
 	if len(st.Frontier) != 3 || st.Frontier[0] != 1 || st.Frontier[1] != 4 {
 		t.Fatalf("snapshot frontier = %v, want [1 4 0]", st.Frontier)
 	}
@@ -140,7 +141,8 @@ func TestSnapshotRestoresFrontier(t *testing.T) {
 func TestRestoreLegacySnapshotWithoutFrontier(t *testing.T) {
 	s := NewServerCore(coreConfig(0, 2, 1), []float64{0, 0}, false, &fakeOut{})
 	s.HandleClientUpdate(0, []float64{1, 1}, 0, 0)
-	st := s.Snapshot()
+	var st State
+	s.SnapshotInto(&st)
 	st.Frontier = nil // checkpoint written before the provenance extension
 	r, err := RestoreServerCore(st, &fakeOut{})
 	if err != nil {

@@ -204,7 +204,7 @@ func runFuzzExecution(t *testing.T, seed int64) {
 	// would allow if exchanges never happened.
 	for i := range net.cores {
 		for j := i + 1; j < len(net.cores); j++ {
-			d := tensor.Norm2(tensor.Sub(net.cores[i].Params(), net.cores[j].Params()))
+			d := l2dist(net.cores[i].Params(), net.cores[j].Params())
 			if d > 2 {
 				t.Errorf("servers %d,%d ended %v apart", i, j, d)
 			}

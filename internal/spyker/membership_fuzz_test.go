@@ -241,7 +241,7 @@ func runMembershipFuzz(t *testing.T, seed int64) {
 	agreed := func() bool {
 		ids := f.aliveIDs()
 		for _, id := range ids[1:] {
-			if !f.net.cores[id].Membership().Equal(f.net.cores[ids[0]].Membership()) {
+			if ring.Compare(f.net.cores[id].Membership(), f.net.cores[ids[0]].Membership()) != 0 {
 				return false
 			}
 		}

@@ -213,7 +213,8 @@ func TestRecoveryStateRoundTripsThroughSnapshot(t *testing.T) {
 	s.Tick(0)
 	s.Tick(11) // regenerate once
 
-	st := s.Snapshot()
+	var st State
+	s.SnapshotInto(&st)
 	if st.MaxBidSeen != s.MaxBidSeen() || st.TokenRegens != 1 {
 		t.Fatalf("snapshot recovery state = (%d,%d), want (%d,1)",
 			st.MaxBidSeen, st.TokenRegens, s.MaxBidSeen())
@@ -232,7 +233,8 @@ func TestLegacySnapshotDerivesMaxBidFromToken(t *testing.T) {
 	s := NewServerCore(coreConfig(0, 3, 2), []float64{0, 0}, true, out)
 	s.HandleToken(Token{Bid: 6, Ages: []float64{0, 0, 0}}) // now holds bid 7
 
-	st := s.Snapshot()
+	var st State
+	s.SnapshotInto(&st)
 	st.MaxBidSeen = 0 // simulate a pre-extension checkpoint
 	r, err := RestoreServerCore(st, &fakeOut{})
 	if err != nil {
@@ -240,5 +242,23 @@ func TestLegacySnapshotDerivesMaxBidFromToken(t *testing.T) {
 	}
 	if r.MaxBidSeen() != 7 {
 		t.Fatalf("restored maxBidSeen = %d, want the held token's bid 7", r.MaxBidSeen())
+	}
+}
+
+// TestTickPeriod: both runtimes drive Tick at a quarter of the shortest
+// armed timeout, and not at all when neither is armed.
+func TestTickPeriod(t *testing.T) {
+	for _, tt := range []struct{ tokenTimeout, syncRetry, want float64 }{
+		{0, 0, 0},
+		{5, 0, 1.25},
+		{0, 2.5, 0.625},
+		{5, 2.5, 0.625},
+		{2, 8, 0.5},
+	} {
+		cfg := Config{TokenTimeout: tt.tokenTimeout, SyncRetry: tt.syncRetry}
+		if got := cfg.TickPeriod(); got != tt.want {
+			t.Errorf("TickPeriod(TokenTimeout=%v, SyncRetry=%v) = %v, want %v",
+				tt.tokenTimeout, tt.syncRetry, got, tt.want)
+		}
 	}
 }

@@ -128,10 +128,6 @@ func (a *Algorithm) Build(env *fl.Env) error {
 			queue:  fl.NewProcQueue(env.Sim, i, env.Observer),
 			client: make(map[int]*fl.SimClient),
 		}
-		s.queue.Instrument(
-			env.Metrics.Gauge(fmt.Sprintf("sim.server%d.queue_depth", i)),
-			env.Metrics.Histogram(fmt.Sprintf("sim.server%d.queue_depth_dist", i), nil),
-		)
 		cfg := Config{
 			ID:           i,
 			NumServers:   n,
@@ -215,19 +211,13 @@ func (a *Algorithm) Build(env *fl.Env) error {
 // scheduleTicks drives ServerCore.Tick for the recovery timers. Nothing
 // is scheduled when both timeouts are off, so a recovery-disabled run's
 // event schedule is byte-identical to one predating this extension. The
-// tick period quarters the tightest timeout (detection latency at most
-// 1.25× the configured window), and the first tick of each server is
-// staggered by one period/n so simultaneous survivors do not all
-// regenerate in the same instant.
+// first tick of each server is staggered by one period/n so simultaneous
+// survivors do not all regenerate in the same instant.
 func (a *Algorithm) scheduleTicks(env *fl.Env) {
-	period := env.Hyper.TokenTimeout
-	if r := env.Hyper.SyncRetry; r > 0 && (period == 0 || r < period) {
-		period = r
-	}
-	if period <= 0 {
+	a.tickPeriod = a.servers[0].core.cfg.TickPeriod() // the timeouts are the deployment's, the same in every core
+	if a.tickPeriod == 0 {
 		return
 	}
-	a.tickPeriod = period / 4
 	n := len(a.servers)
 	for _, s := range a.servers {
 		a.scheduleTickFor(env, s, a.tickPeriod*(1+float64(s.id)/float64(n)))
@@ -389,10 +379,6 @@ func (a *Algorithm) Join(sponsor int) int {
 		queue:  fl.NewProcQueue(env.Sim, newID, env.Observer),
 		client: make(map[int]*fl.SimClient),
 	}
-	ns.queue.Instrument(
-		env.Metrics.Gauge(fmt.Sprintf("sim.server%d.queue_depth", newID)),
-		env.Metrics.Histogram(fmt.Sprintf("sim.server%d.queue_depth_dist", newID), nil),
-	)
 	if a.faultsArmed {
 		ns.heardSince = make(map[int]bool)
 	}

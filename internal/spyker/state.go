@@ -55,17 +55,10 @@ type State struct {
 	Mem *ring.Membership
 }
 
-// Snapshot captures the core's full protocol state. The returned State
-// shares no storage with the core.
-func (s *ServerCore) Snapshot() State {
-	var st State
-	s.SnapshotInto(&st)
-	return st
-}
-
-// SnapshotInto is Snapshot writing into a caller-owned State, reusing its
-// slices and maps — the allocation-free path for periodic checkpointing
-// with a scratch State. The result shares no storage with the core.
+// SnapshotInto captures the core's full protocol state in a caller-owned
+// State, reusing its slices and maps — the allocation-free path for
+// periodic checkpointing with a scratch State. The result shares no
+// storage with the core.
 func (s *ServerCore) SnapshotInto(st *State) {
 	st.Config = s.cfg
 	st.W = append(st.W[:0], s.w...)

@@ -29,7 +29,8 @@ func TestSnapshotRestoreBehavioralEquivalence(t *testing.T) {
 	a.HandleAge(1, 3, ring.Membership{})
 	a.HandleServerModel(2, []float64{1, 1}, 2, 5, nil, ring.Membership{})
 
-	st := a.Snapshot()
+	var st State
+	a.SnapshotInto(&st)
 	outB := &fakeOut{}
 	b, err := RestoreServerCore(st, outB)
 	if err != nil {
@@ -76,7 +77,8 @@ func TestSnapshotRestoreBehavioralEquivalence(t *testing.T) {
 func TestSnapshotIsDeepCopy(t *testing.T) {
 	out := &fakeOut{}
 	s := NewServerCore(coreConfig(0, 2, 2), []float64{1, 1}, true, out)
-	st := s.Snapshot()
+	var st State
+	s.SnapshotInto(&st)
 	s.HandleClientUpdate(0, []float64{9, 9}, 0, 0)
 	if st.Age != 0 || st.W[0] != 1 {
 		t.Error("snapshot aliased live state")
@@ -97,7 +99,8 @@ func TestSnapshotGobRoundTrip(t *testing.T) {
 	s := NewServerCore(coreConfig(1, 3, 2), []float64{1, 2}, false, out)
 	s.HandleClientUpdate(0, []float64{3, 4}, 0, 0)
 	s.HandleServerModel(2, []float64{5, 6}, 3, 7, nil, ring.Membership{})
-	st := s.Snapshot()
+	var st State
+	s.SnapshotInto(&st)
 
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
@@ -126,13 +129,14 @@ func TestSnapshotGobRoundTrip(t *testing.T) {
 func TestRestoreLegacySnapshotFixedRing(t *testing.T) {
 	s := NewServerCore(coreConfig(1, 3, 2), []float64{1, 2}, false, &fakeOut{})
 	s.HandleClientUpdate(0, []float64{3, 4}, 0, 0)
-	st := s.Snapshot()
+	var st State
+	s.SnapshotInto(&st)
 	st.Mem = nil // what a pre-elastic gob decodes to
 	r, err := RestoreServerCore(st, &fakeOut{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := r.Membership(), ring.Fixed(3); !got.Equal(want) {
+	if got, want := r.Membership(), ring.Fixed(3); ring.Compare(got, want) != 0 {
 		t.Fatalf("legacy restore membership = %v, want %v", got, want)
 	}
 	if r.Epoch() != 0 {
@@ -165,20 +169,21 @@ func TestSnapshotRoundTripsMembership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ring.New(1, []int{0, 1, 2, 3})
-	if got := joiner.Membership(); !got.Equal(want) {
+	want := ring.Membership{Epoch: 1, Members: []int{0, 1, 2, 3}}
+	if got := joiner.Membership(); ring.Compare(got, want) != 0 {
 		t.Fatalf("joiner membership = %v, want %v", got, want)
 	}
 
 	// The sponsor's own snapshot carries the same epoch-1 view; after an
 	// exclusion the hole in the slot space must round-trip too.
 	sponsor.ExcludeMember(1)
-	sst := sponsor.Snapshot()
+	var sst State
+	sponsor.SnapshotInto(&sst)
 	r, err := RestoreServerCore(sst, &fakeOut{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := r.Membership(), ring.New(2, []int{0, 2, 3}); !got.Equal(want) {
+	if got, want := r.Membership(), (ring.Membership{Epoch: 2, Members: []int{0, 2, 3}}); ring.Compare(got, want) != 0 {
 		t.Fatalf("sponsor membership after exclusion = %v, want %v", got, want)
 	}
 }

@@ -31,19 +31,11 @@ func MatrixFrom(rows, cols int, data []float64) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
-// At returns the element at row r, column c.
-func (m *Matrix) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
-
 // Set writes v at row r, column c.
 func (m *Matrix) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
 
 // Row returns the slice aliasing row r.
 func (m *Matrix) Row(r int) []float64 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: Clone(m.Data)}
-}
 
 // MatVec computes dst = m * x. dst must have length m.Rows and x length
 // m.Cols. dst may not alias x.

@@ -391,10 +391,11 @@ func TestSoftmaxAtMatchesSoftmaxBits(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		a := make([]float64, 1+rng.Intn(40))
 		awkward(rng, a, 0.1)
-		want := Softmax(a)
+		want := make([]float64, len(a))
+		SoftmaxTo(want, a)
 		for i := range a {
 			if got := SoftmaxAt(a, i); math.Float64bits(got) != math.Float64bits(want[i]) {
-				t.Fatalf("SoftmaxAt(%v, %d) = %v, Softmax gives %v", a, i, got, want[i])
+				t.Fatalf("SoftmaxAt(%v, %d) = %v, SoftmaxTo gives %v", a, i, got, want[i])
 			}
 		}
 	}

@@ -23,39 +23,11 @@ import (
 	"math"
 )
 
-// Add returns a new vector containing a + b element-wise.
-func Add(a, b []float64) []float64 {
-	mustSameLen(len(a), len(b))
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// Sub returns a new vector containing a - b element-wise.
-func Sub(a, b []float64) []float64 {
-	mustSameLen(len(a), len(b))
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
 // AddInPlace accumulates b into a element-wise.
 func AddInPlace(a, b []float64) {
 	mustSameLen(len(a), len(b))
 	for i := range a {
 		a[i] += b[i]
-	}
-}
-
-// SubInPlace subtracts b from a element-wise.
-func SubInPlace(a, b []float64) {
-	mustSameLen(len(a), len(b))
-	for i := range a {
-		a[i] -= b[i]
 	}
 }
 
@@ -66,46 +38,6 @@ func AXPY(alpha float64, a, b []float64) {
 	for i := range a {
 		a[i] += alpha * b[i]
 	}
-}
-
-// Lerp moves a toward b by fraction t in place: a = a + t*(b-a).
-// t=0 leaves a unchanged; t=1 replaces a with b.
-func Lerp(a, b []float64, t float64) {
-	mustSameLen(len(a), len(b))
-	for i := range a {
-		a[i] += t * (b[i] - a[i])
-	}
-}
-
-// Scale returns a new vector alpha*a.
-func Scale(alpha float64, a []float64) []float64 {
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = alpha * a[i]
-	}
-	return out
-}
-
-// ScaleInPlace multiplies every element of a by alpha.
-func ScaleInPlace(alpha float64, a []float64) {
-	for i := range a {
-		a[i] *= alpha
-	}
-}
-
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	mustSameLen(len(a), len(b))
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of a.
-func Norm2(a []float64) float64 {
-	return math.Sqrt(Dot(a, a))
 }
 
 // Clone returns a copy of a.
@@ -129,45 +61,6 @@ func Fill(a []float64, v float64) {
 	}
 }
 
-// Mean returns the arithmetic mean of a, or 0 for an empty slice.
-func Mean(a []float64) float64 {
-	if len(a) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range a {
-		s += v
-	}
-	return s / float64(len(a))
-}
-
-// WeightedMean returns sum(w[i]*a[i]) / sum(w). It panics if the weight sum
-// is zero.
-func WeightedMean(a, w []float64) float64 {
-	mustSameLen(len(a), len(w))
-	var num, den float64
-	for i := range a {
-		num += w[i] * a[i]
-		den += w[i]
-	}
-	if den == 0 {
-		panic("tensor: WeightedMean with zero total weight")
-	}
-	return num / den
-}
-
-// ClipInPlace clamps every element of a to [-bound, bound]. It is used to
-// keep SGD numerically stable on aggressive learning rates.
-func ClipInPlace(a []float64, bound float64) {
-	for i := range a {
-		if a[i] > bound {
-			a[i] = bound
-		} else if a[i] < -bound {
-			a[i] = -bound
-		}
-	}
-}
-
 // ArgMax returns the index of the largest element, or -1 for an empty slice.
 func ArgMax(a []float64) int {
 	if len(a) == 0 {
@@ -180,14 +73,6 @@ func ArgMax(a []float64) int {
 		}
 	}
 	return best
-}
-
-// Softmax returns the softmax of a, computed with the max-subtraction trick
-// for numerical stability.
-func Softmax(a []float64) []float64 {
-	out := make([]float64, len(a))
-	SoftmaxTo(out, a)
-	return out
 }
 
 // SoftmaxTo writes the softmax of a into dst, which must have the same

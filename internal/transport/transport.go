@@ -33,9 +33,8 @@
 //	            bytes, then Blob
 //
 // A sender writes a frame with one Write from a per-connection buffer;
-// MsgWireBytes is its exact size, so every byte counter downstream
-// (ConnStats, the live server's per-peer counters, trace events) counts
-// true octets.
+// MsgWireBytes is its exact size, so every byte counter downstream (the
+// live server's per-peer counters, trace events) counts true octets.
 //
 // # Validation order
 //
@@ -72,7 +71,6 @@ import (
 	"math"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/spyker-fl/spyker/internal/obs"
@@ -241,13 +239,6 @@ func MsgWireBytes(m *Msg) int {
 	return n
 }
 
-// ConnStats is a snapshot of a connection's frame and byte accounting.
-// Bytes are the octets of the frames written to and read from the socket.
-type ConnStats struct {
-	FramesSent, FramesRecv int64
-	BytesSent, BytesRecv   int64
-}
-
 // Sender is the writable half of a connection — what outboxes and fault
 // injectors need. *Conn implements it; internal/fault wraps one to
 // interpose drop/delay/sever faults between a server and the wire.
@@ -272,9 +263,6 @@ type Conn struct {
 	// What the owner told Bound; bounded is false until then.
 	bounded   bool
 	dim, ring int
-
-	framesSent, framesRecv atomic.Int64
-	bytesSent, bytesRecv   atomic.Int64
 }
 
 // NewConn wraps an established net.Conn.
@@ -328,8 +316,6 @@ func (c *Conn) Send(m *Msg) error {
 	if _, err := c.raw.Write(b); err != nil {
 		return fmt.Errorf("transport: send %v: %w", m.Kind, err)
 	}
-	c.framesSent.Add(1)
-	c.bytesSent.Add(int64(n))
 	return nil
 }
 
@@ -507,8 +493,6 @@ func (c *Conn) RecvInto(m *Msg) error {
 			return err
 		}
 	}
-	c.framesRecv.Add(1)
-	c.bytesRecv.Add(headerSize + body)
 	return nil
 }
 
@@ -609,22 +593,8 @@ func (m *Msg) decodeTail(b []byte, nAges, nFront, nMembers, nAddrs, nBlob int) e
 	return nil
 }
 
-// Stats reports the connection's cumulative frame/byte accounting. Safe
-// for concurrent use with Send and Recv.
-func (c *Conn) Stats() ConnStats {
-	return ConnStats{
-		FramesSent: c.framesSent.Load(),
-		FramesRecv: c.framesRecv.Load(),
-		BytesSent:  c.bytesSent.Load(),
-		BytesRecv:  c.bytesRecv.Load(),
-	}
-}
-
 // Close closes the underlying connection; pending Recv calls fail.
 func (c *Conn) Close() error { return c.raw.Close() }
-
-// RemoteAddr reports the peer address.
-func (c *Conn) RemoteAddr() string { return c.raw.RemoteAddr().String() }
 
 // Listener accepts framed connections.
 type Listener struct {

@@ -283,37 +283,6 @@ func TestMsgWireBytes(t *testing.T) {
 	}
 }
 
-// TestConnStats checks that Send/Recv maintain the frame and byte
-// counters symmetrically on both ends of a connection.
-func TestConnStats(t *testing.T) {
-	client, server := pipePair(t)
-	msgs := []*Msg{
-		{Kind: KindHello, From: 1},
-		{Kind: KindClientUpdate, From: 1, Params: make([]float64, 16), Age: 2},
-		{Kind: KindToken, From: 0, Ages: make([]float64, 3), Addrs: []string{"a:1"}},
-	}
-	wantBytes := int64(0)
-	for _, m := range msgs {
-		wantBytes += int64(MsgWireBytes(m))
-		if err := client.Send(m); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := server.Recv(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cs, ss := client.Stats(), server.Stats()
-	if cs.FramesSent != int64(len(msgs)) || cs.BytesSent != wantBytes {
-		t.Errorf("client sent stats = %+v, want %d frames / %d bytes", cs, len(msgs), wantBytes)
-	}
-	if ss.FramesRecv != int64(len(msgs)) || ss.BytesRecv != wantBytes {
-		t.Errorf("server recv stats = %+v, want %d frames / %d bytes", ss, len(msgs), wantBytes)
-	}
-	if cs.FramesRecv != 0 || ss.FramesSent != 0 {
-		t.Errorf("unused directions should be zero: client %+v server %+v", cs, ss)
-	}
-}
-
 // TestSteadyStateAllocatesNothing pins what //spyker:noalloc promises for
 // the path every update takes twice: once the buffers have grown, sending
 // and receiving a client-update frame allocates nothing.
