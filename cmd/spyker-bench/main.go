@@ -42,64 +42,42 @@ type job struct {
 	fn   func(p params) (renderer, error)
 }
 
+// study adapts a study runner of the common (scale, seed) shape to a job.
+func study[R renderer](run func(scale float64, seed int64) (R, error)) func(params) (renderer, error) {
+	return func(p params) (renderer, error) { return run(p.scale, p.seed) }
+}
+
+// comparison is the five-algorithm comparison on one task as a job.
+func comparison(task experiments.Task) func(params) (renderer, error) {
+	return study(func(scale float64, seed int64) (*experiments.Comparison, error) {
+		return experiments.RunComparison(task, scale, seed)
+	})
+}
+
 var jobs = []job{
-	{"fig3", "Wiki char-LM: Spyker vs baselines, accuracy over time", func(p params) (renderer, error) {
-		return experiments.RunComparison(experiments.TaskWiki, p.scale, p.seed)
-	}},
-	{"fig5", "MNIST CNN: Spyker vs baselines, accuracy over time", func(p params) (renderer, error) {
-		return experiments.RunComparison(experiments.TaskMNIST, p.scale, p.seed)
-	}},
-	{"fig7", "CIFAR CNN: Spyker vs baselines, accuracy over time", func(p params) (renderer, error) {
-		return experiments.RunComparison(experiments.TaskCIFAR, p.scale, p.seed)
-	}},
+	{"fig3", "Wiki char-LM: Spyker vs baselines, accuracy over time", comparison(experiments.TaskWiki)},
+	{"fig5", "MNIST CNN: Spyker vs baselines, accuracy over time", comparison(experiments.TaskMNIST)},
+	{"fig7", "CIFAR CNN: Spyker vs baselines, accuracy over time", comparison(experiments.TaskCIFAR)},
 	{"table5", "time-to-target-accuracy across deployment scales", func(p params) (renderer, error) {
 		return experiments.RunScalabilityStudy(p.scale, 0.88, p.seed)
 	}},
 	{"table6", "time to 90%/95% targets under geo latency", func(p params) (renderer, error) {
 		return experiments.RunLatencyStudy(p.scale, p.t90, p.t95, p.seed)
 	}},
-	{"fig9", "server queue depth over time", func(p params) (renderer, error) {
-		return experiments.RunQueueStudy(p.scale, p.seed)
-	}},
-	{"fig10", "update-staleness KDE", func(p params) (renderer, error) {
-		return experiments.RunKDEStudy(p.scale, p.seed)
-	}},
-	{"table7", "client-imbalance sensitivity", func(p params) (renderer, error) {
-		return experiments.RunImbalanceStudy(p.scale, p.seed)
-	}},
-	{"fig11", "staleness-decay (phi) sweep", func(p params) (renderer, error) {
-		return experiments.RunDecayStudy(p.scale, p.seed)
-	}},
-	{"fig12", "bandwidth usage accounting", func(p params) (renderer, error) {
-		return experiments.RunBandwidthStudy(p.scale, p.seed)
-	}},
-	{"churn", "client churn robustness", func(p params) (renderer, error) {
-		return experiments.RunChurnStudy(p.scale, p.seed)
-	}},
-	{"ablations", "component ablations", func(p params) (renderer, error) {
-		return experiments.RunAblations(p.scale, p.seed)
-	}},
-	{"clustering", "client-to-server assignment strategies", func(p params) (renderer, error) {
-		return experiments.RunClusteringStudy(p.scale, p.seed)
-	}},
-	{"compression", "update-compression operating points", func(p params) (renderer, error) {
-		return experiments.RunCompressionStudy(p.scale, p.seed)
-	}},
-	{"servers", "server-count scaling", func(p params) (renderer, error) {
-		return experiments.RunServerScalingStudy(p.scale, p.seed)
-	}},
-	{"byzantine", "byzantine-client resilience", func(p params) (renderer, error) {
-		return experiments.RunByzantineStudy(p.scale, p.seed)
-	}},
-	{"failover", "token-holder crash-rate sweep with recovery", func(p params) (renderer, error) {
-		return experiments.RunFailoverStudy(p.scale, p.seed)
-	}},
-	{"straggler", "straggler-client sensitivity", func(p params) (renderer, error) {
-		return experiments.RunStragglerStudy(p.scale, p.seed)
-	}},
-	{"elastic", "runtime 2->4 server scale-out vs fixed baselines", func(p params) (renderer, error) {
-		return experiments.RunElasticStudy(p.scale, p.seed)
-	}},
+	{"fig9", "server queue depth over time", study(experiments.RunQueueStudy)},
+	{"fig10", "update-staleness KDE", study(experiments.RunKDEStudy)},
+	{"table7", "client-imbalance sensitivity", study(experiments.RunImbalanceStudy)},
+	{"fig11", "staleness-decay (phi) sweep", study(experiments.RunDecayStudy)},
+	{"fig12", "bandwidth usage accounting", study(experiments.RunBandwidthStudy)},
+	{"churn", "client churn robustness", study(experiments.RunChurnStudy)},
+	{"ablations", "component ablations", study(experiments.RunAblations)},
+	{"clustering", "client-to-server assignment strategies", study(experiments.RunClusteringStudy)},
+	{"compression", "update-compression operating points", study(experiments.RunCompressionStudy)},
+	{"servers", "server-count scaling", study(experiments.RunServerScalingStudy)},
+	{"byzantine", "byzantine-client resilience", study(experiments.RunByzantineStudy)},
+	{"failover", "token-holder crash-rate sweep with recovery", study(experiments.RunFailoverStudy)},
+	{"straggler", "straggler-client sensitivity", study(experiments.RunStragglerStudy)},
+	{"elastic", "runtime 2->4 server scale-out vs fixed baselines", study(experiments.RunElasticStudy)},
 }
 
 // aliases map the paper's sibling figure numbers (loss panels) onto the
@@ -113,6 +91,14 @@ func expNames() string {
 		names = append(names, j.name)
 	}
 	return strings.Join(append(names, "all"), "|")
+}
+
+// exitOn reports a fatal error and exits; nil is no error.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 }
 
 func main() {
@@ -144,14 +130,8 @@ func main() {
 	var cpuFile *os.File
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(err)
+		exitOn(pprof.StartCPUProfile(f))
 		cpuFile = f
 	}
 
@@ -165,22 +145,13 @@ func main() {
 	}
 	if *memprofile != "" {
 		f, merr := os.Create(*memprofile)
-		if merr != nil {
-			fmt.Fprintln(os.Stderr, merr)
-			os.Exit(1)
-		}
+		exitOn(merr)
 		runtime.GC() // flush garbage so the profile shows live allocations
-		if merr := pprof.WriteHeapProfile(f); merr != nil {
-			fmt.Fprintln(os.Stderr, merr)
-			os.Exit(1)
-		}
+		exitOn(pprof.WriteHeapProfile(f))
 		_ = f.Close()
 	}
 
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	exitOn(err)
 }
 
 func run(exp string, p params) error {

@@ -36,7 +36,6 @@ import (
 	"expvar"
 	"flag"
 	"fmt"
-	"math/rand"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -47,7 +46,6 @@ import (
 	"github.com/spyker-fl/spyker/internal/data"
 	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/live"
-	"github.com/spyker-fl/spyker/internal/nn"
 	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/obs/audit"
 	"github.com/spyker-fl/spyker/internal/spyker"
@@ -122,18 +120,7 @@ func splitPeers(s string) []string {
 // same flags build bit-identical initial models.
 func deployment(clients, servers int, seed int64, tokenTimeout, syncRetry float64) (fl.ModelFactory, [][]int, *data.Images, fl.Hyper) {
 	ds := data.GenerateImages(data.MNISTLike(10*clients, 300, seed))
-	factory := func(s int64) fl.Model {
-		rng := rand.New(rand.NewSource(s))
-		ch, h, w := ds.Shape()
-		conv := nn.NewConv2D(ch, h, w, 6, 3, rng)
-		pool := nn.NewMaxPool2D(6, 10, 10)
-		net := nn.NewNetwork(
-			conv, nn.NewReLU(conv.OutSize()), pool,
-			nn.NewDense(pool.OutSize(), 32, rng), nn.NewReLU(32),
-			nn.NewDense(32, ds.NumClasses(), rng),
-		)
-		return fl.NewClassifier(net, ds, ds.TestSet(), 10, s)
-	}
+	factory := func(s int64) fl.Model { return fl.NewMNISTClassifier(ds, 6, 32, s) }
 	hyper := fl.DefaultHyper(clients, servers)
 	hyper.HInter = 5
 	hyper.HIntra = 100
@@ -210,12 +197,7 @@ func runServer(o serverOpts) error {
 			srv.ID, o.ckptPath, st.Age, st.SyncsTriggered)
 	} else {
 		factory, _, _, hyper := deployment(o.clients, n, o.seed, o.tokenTimeout, o.syncRetry)
-		perServer := o.clients / n
-		clientsHere := perServer
-		if o.id == n-1 {
-			clientsHere = o.clients - perServer*(n-1)
-		}
-		cfg := live.ServerConfig(o.id, n, clientsHere, hyper)
+		cfg := live.ServerConfig(o.id, n, live.ClientsAt(o.id, o.clients, n), hyper)
 		var err error
 		srv, err = live.NewServer(o.id, o.addr, cfg, factory(o.seed).Params(), o.token)
 		if err != nil {
@@ -241,7 +223,7 @@ func runServer(o serverOpts) error {
 	}
 	if o.debugAddr != "" {
 		srv.SetDebugAddr(o.debugAddr)
-		serveServerDebug(o.debugAddr, srv, reg, tracer)
+		serveDebug(o.debugAddr, srv, reg, tracer)
 	}
 
 	if tick := (spyker.Config{TokenTimeout: o.tokenTimeout, SyncRetry: o.syncRetry}).TickPeriod(); tick > 0 {
@@ -299,40 +281,48 @@ func runServer(o serverOpts) error {
 	return nil
 }
 
-// serveServerDebug starts the server-role debug endpoint: expvar
-// (/debug/vars), pprof (/debug/pprof), the Prometheus text exposition
-// (/debug/metrics), the health-plane telemetry snapshot
-// (/debug/telemetry, consumed by spyker-mon), and — when tracing — the
-// live event buffer as JSONL (/debug/trace, mergeable across processes
-// with spyker-trace).
-func serveServerDebug(addr string, srv *live.Server, reg *obs.Registry, tracer *obs.Tracer) {
+// serveDebug starts the debug endpoint: expvar (/debug/vars), pprof
+// (/debug/pprof) and the Prometheus text exposition of reg
+// (/debug/metrics). In server role (srv non-nil) it adds the health-plane
+// telemetry snapshot (/debug/telemetry, consumed by spyker-mon) and — when
+// tracing — the live event buffer as JSONL (/debug/trace, mergeable across
+// processes with spyker-trace).
+func serveDebug(addr string, srv *live.Server, reg *obs.Registry, tracer *obs.Tracer) {
 	expvar.Publish("spyker", expvar.Func(func() any { return reg.Snapshot() }))
-	http.HandleFunc("/debug/telemetry", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := obs.WriteTelemetry(w, srv.Telemetry()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
 	http.HandleFunc("/debug/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		srv.Telemetry() // refresh the health gauges before rendering
+		if srv != nil {
+			srv.Telemetry() // refresh the health gauges before rendering
+		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := reg.WritePrometheus(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	if tracer != nil {
-		http.HandleFunc("/debug/trace", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/jsonl")
-			_ = tracer.WriteJSONL(w)
+	paths := "/debug/vars, /debug/metrics and /debug/pprof"
+	if srv != nil {
+		paths = "/debug/telemetry, /debug/metrics, /debug/vars, /debug/pprof"
+		http.HandleFunc("/debug/telemetry", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			if err := obs.WriteTelemetry(w, srv.Telemetry()); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+			}
 		})
+		if tracer != nil {
+			http.HandleFunc("/debug/trace", func(w http.ResponseWriter, _ *http.Request) {
+				w.Header().Set("Content-Type", "application/jsonl")
+				_ = tracer.WriteJSONL(w)
+			})
+		}
 	}
 	//spyker:detached(debug HTTP endpoint serves for the process lifetime; the kernel reclaims the listener on exit)
 	go func() {
+		// DefaultServeMux already carries /debug/pprof (via the pprof
+		// import) and /debug/vars (via expvar).
 		if err := http.ListenAndServe(addr, nil); err != nil {
 			fmt.Fprintf(os.Stderr, "debug server: %v\n", err)
 		}
 	}()
-	fmt.Printf("debug endpoint: http://%s/debug/telemetry, /debug/metrics, /debug/vars, /debug/pprof\n", addr)
+	fmt.Printf("debug endpoint: http://%s%s\n", addr, paths)
 }
 
 func writeTraceFile(path string, tracer *obs.Tracer) error {
@@ -355,24 +345,19 @@ func runClients(peers []string, clients int, seed int64, duration time.Duration)
 		return fmt.Errorf("clients role needs -peers and -clients >= len(peers)")
 	}
 	factory, shards, _, hyper := deployment(clients, n, seed, 0, 0)
-	perServer := clients / n
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	cs := make([]*live.Client, clients)
 	for ci := 0; ci < clients; ci++ {
-		home := ci / perServer
-		if home >= n {
-			home = n - 1
-		}
 		c := &live.Client{
 			ID:     ci,
-			Model:  factory(seed + int64(1000+ci)),
+			Model:  factory(fl.ClientModelSeed(seed, ci)),
 			Shard:  shards[ci],
 			Epochs: hyper.LocalEpochs,
 		}
 		cs[ci] = c
-		addr := peers[home]
+		addr := peers[live.HomeOf(ci, clients, n)]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -410,24 +395,7 @@ func run(servers, clients int, duration time.Duration, seed int64, peerLat, clie
 		auditCfg = &audit.Config{}
 	}
 	if debugAddr != "" {
-		expvar.Publish("spyker", expvar.Func(func() any { return reg.Snapshot() }))
-		// Prometheus-style plaintext exposition of the same registry, for
-		// scrapers that speak the text format rather than expvar JSON.
-		http.HandleFunc("/debug/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			if err := reg.WritePrometheus(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
-		//spyker:detached(debug HTTP endpoint serves for the process lifetime; the kernel reclaims the listener on exit)
-		go func() {
-			// DefaultServeMux already carries /debug/pprof (via the pprof
-			// import) and /debug/vars (via expvar).
-			if err := http.ListenAndServe(debugAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "debug server: %v\n", err)
-			}
-		}()
-		fmt.Printf("debug endpoint: http://%s/debug/vars, /debug/metrics and /debug/pprof\n", debugAddr)
+		serveDebug(debugAddr, nil, reg, nil)
 	}
 
 	fmt.Printf("spyker-live: %d TCP servers, %d clients, %s\n", servers, clients, duration)
@@ -457,30 +425,13 @@ func run(servers, clients int, duration time.Duration, seed int64, peerLat, clie
 	fmt.Printf("token synchronizations triggered: %d\n", stats.SyncsTriggered)
 	fmt.Printf("final server-model spread (max pairwise L2): %.4f\n", stats.ModelSpread)
 
-	// Evaluate the average of the final server models on the held-out set.
-	avg := make([]float64, len(stats.FinalParams[0]))
-	for _, p := range stats.FinalParams {
-		for i, v := range p {
-			avg[i] += v / float64(len(stats.FinalParams))
-		}
-	}
-	eval := factory(seed)
-	eval.SetParams(avg)
-	loss, acc := eval.Evaluate()
+	loss, acc := stats.EvaluateAverage(factory(seed))
 	fmt.Printf("global model after %s of real training: loss %.4f, accuracy %.1f%%\n",
 		duration, loss, 100*acc)
 
 	fmt.Printf("runtime metrics: %s\n", reg.StatsLine())
 	if tracer != nil {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := tracer.WriteJSONL(f); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeTraceFile(tracePath, tracer); err != nil {
 			return err
 		}
 		fmt.Printf("event trace (%d events) written to %s\n", tracer.Len(), tracePath)

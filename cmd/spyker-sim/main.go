@@ -101,12 +101,9 @@ func run(alg, task string, servers, clients, nonIID int, target, horizon float64
 	fmt.Printf("traffic: %.2f MB client-server, %.2f MB server-server\n",
 		float64(res.BytesClientServer)/1e6, float64(res.BytesServerServer)/1e6)
 	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := experiments.WriteTraceCSV(f, res.Trace); err != nil {
+		if err := writeEventFile(csvPath, func(w io.Writer) error {
+			return experiments.WriteTraceCSV(w, res.Trace)
+		}); err != nil {
 			return err
 		}
 		fmt.Printf("trace written to %s\n", csvPath)
@@ -134,7 +131,7 @@ func run(alg, task string, servers, clients, nonIID int, target, horizon float64
 	return nil
 }
 
-// writeEventFile creates path and streams the trace into it via write.
+// writeEventFile creates path and streams a trace into it via write.
 func writeEventFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {

@@ -7,13 +7,11 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 	"time"
 
 	"github.com/spyker-fl/spyker/internal/data"
 	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/live"
-	"github.com/spyker-fl/spyker/internal/nn"
 )
 
 func main() {
@@ -29,18 +27,9 @@ func run() error {
 		duration = 2 * time.Second
 	)
 	ds := data.GenerateImages(data.MNISTLike(10*clients, 200, 3))
-	factory := func(s int64) fl.Model {
-		rng := rand.New(rand.NewSource(s))
-		ch, h, w := ds.Shape()
-		conv := nn.NewConv2D(ch, h, w, 4, 3, rng)
-		pool := nn.NewMaxPool2D(4, 10, 10)
-		net := nn.NewNetwork(
-			conv, nn.NewReLU(conv.OutSize()), pool,
-			nn.NewDense(pool.OutSize(), 24, rng), nn.NewReLU(24),
-			nn.NewDense(24, ds.NumClasses(), rng),
-		)
-		return fl.NewClassifier(net, ds, ds.TestSet(), 10, s)
-	}
+	// The paper's CNN, narrowed (4 filters, 24 hidden units instead of 6 and
+	// 32) so two seconds of wall-clock training go further.
+	factory := func(s int64) fl.Model { return fl.NewMNISTClassifier(ds, 4, 24, s) }
 
 	hyper := fl.DefaultHyper(clients, servers)
 	hyper.HInter = 4
@@ -64,15 +53,7 @@ func run() error {
 	fmt.Printf("token syncs: %d, final model spread: %.4f, ages: %.1f\n",
 		stats.SyncsTriggered, stats.ModelSpread, stats.FinalAges)
 
-	avg := make([]float64, len(stats.FinalParams[0]))
-	for _, p := range stats.FinalParams {
-		for i, v := range p {
-			avg[i] += v / float64(len(stats.FinalParams))
-		}
-	}
-	eval := factory(3)
-	eval.SetParams(avg)
-	loss, acc := eval.Evaluate()
+	loss, acc := stats.EvaluateAverage(factory(3))
 	fmt.Printf("global model: held-out loss %.4f, accuracy %.1f%%\n", loss, 100*acc)
 	return nil
 }

@@ -10,18 +10,70 @@ import (
 	"math"
 
 	"github.com/spyker-fl/spyker/internal/fl"
-	"github.com/spyker-fl/spyker/internal/geo"
 	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/paramvec"
 	"github.com/spyker-fl/spyker/internal/tensor"
 )
+
+// asyncServer is the single asynchronous server FedAsync and FedBuff both
+// run: the deployment collapses onto server 0 — every client talks to it
+// across whatever latency separates their regions — and each update,
+// tagged with the model version it was trained from, is handled the moment
+// the server's queue gets to it.
+type asyncServer struct {
+	env     *fl.Env
+	queue   *fl.ProcQueue
+	w       []float64
+	version int
+	clients map[int]*fl.SimClient
+}
+
+// buildAsyncServer builds the server and its clients and starts every
+// client on the initial model, which it also returns. handle sees each
+// update once it has cleared the processing queue.
+func buildAsyncServer(env *fl.Env, handle func(client int, update []float64, ver int)) (*asyncServer, []float64, error) {
+	if err := env.Validate(); err != nil {
+		return nil, nil, err
+	}
+	initial := env.NewModel(env.Seed).Params()
+	s := &asyncServer{
+		env:     env,
+		queue:   fl.NewProcQueue(env.Sim, 0, env.Observer),
+		w:       tensor.Clone(initial),
+		clients: make(map[int]*fl.SimClient, len(env.Clients)),
+	}
+	for ci := range env.Clients {
+		c := env.NewSimClient(ci, 0, func(clientID int, update []float64, meta any, _ obs.UID) {
+			ver, ok := meta.(int)
+			if !ok {
+				panic(fmt.Sprintf("baselines: update meta %T is not a model version", meta))
+			}
+			s.queue.Submit(env.Hyper.ProcFedAsync, func() { handle(clientID, update, ver) })
+		})
+		s.clients[ci] = c
+		c.HandleModel(initial, int(0), env.Hyper.ClientLR)
+	}
+	return s, initial, nil
+}
+
+// stalenessDiscount is (1+staleness)^(-StalenessExp) for an update trained
+// from model version ver.
+func (s *asyncServer) stalenessDiscount(ver int) float64 {
+	staleness := float64(s.version - ver)
+	if staleness < 0 {
+		staleness = 0
+	}
+	return math.Pow(1+staleness, -s.env.Hyper.StalenessExp)
+}
+
+func (s *asyncServer) params() [][]float64 { return [][]float64{s.w} }
 
 // FedAsync is the asynchronous single-server baseline (Xie et al. 2019):
 // the server merges every client update the moment it arrives, weighted by
 // alpha * (1+staleness)^(-a), and immediately returns the new global model
 // to that client.
 type FedAsync struct {
-	server *fedAsyncServer
+	server *asyncServer
 }
 
 var _ fl.Algorithm = (*FedAsync)(nil)
@@ -29,85 +81,20 @@ var _ fl.Algorithm = (*FedAsync)(nil)
 // Name implements fl.Algorithm.
 func (f *FedAsync) Name() string { return "FedAsync" }
 
-type fedAsyncServer struct {
-	env     *fl.Env
-	queue   *fl.ProcQueue
-	w       []float64
-	version int
-	clients map[int]*fl.SimClient
-	shares  map[int]float64 // d_k/d per client
+// Build implements fl.Algorithm.
+func (f *FedAsync) Build(env *fl.Env) (err error) {
+	f.server, _, err = buildAsyncServer(env, f.handleUpdate)
+	return err
 }
 
-// Build implements fl.Algorithm. FedAsync ignores all but the first server
-// spec: it is a single-server system; every client talks to server 0
-// across whatever latency separates their regions.
-func (f *FedAsync) Build(env *fl.Env) error {
-	if err := env.Validate(); err != nil {
-		return err
-	}
-	initial := env.NewModel(env.Seed).Params()
-	s := &fedAsyncServer{
-		env:     env,
-		queue:   fl.NewProcQueue(env.Sim, 0, env.Observer),
-		w:       tensor.Clone(initial),
-		clients: make(map[int]*fl.SimClient),
-		shares:  make(map[int]float64),
-	}
-	f.server = s
-
-	total := 0
-	for _, c := range env.Clients {
-		total += len(c.Shard)
-	}
-	for ci := range env.Clients {
-		spec := env.Clients[ci]
-		spec.Server = 0 // single server system
-		s.shares[ci] = float64(len(spec.Shard)) / float64(total)
-		c := &fl.SimClient{
-			Env:   env,
-			Spec:  spec,
-			Model: env.NewModel(env.Seed + int64(1000+ci)),
-			Deliver: func(clientID int, update []float64, meta any, _ obs.UID) {
-				ver, ok := meta.(int)
-				if !ok {
-					panic(fmt.Sprintf("baselines: fedasync meta %T is not a version", meta))
-				}
-				s.queue.Submit(env.Hyper.ProcFedAsync, func() {
-					s.handleUpdate(clientID, update, ver, f.params)
-				})
-			},
-		}
-		s.clients[ci] = c
-		c.HandleModel(initial, int(0), env.Hyper.ClientLR)
-	}
-	return nil
-}
-
-func (f *FedAsync) params() [][]float64 { return [][]float64{f.server.w} }
-
-func (s *fedAsyncServer) handleUpdate(client int, update []float64, ver int, models func() [][]float64) {
-	staleness := float64(s.version - ver)
-	if staleness < 0 {
-		staleness = 0
-	}
-	alphaT := s.env.Hyper.Alpha * math.Pow(1+staleness, -s.env.Hyper.StalenessExp)
+func (f *FedAsync) handleUpdate(client int, update []float64, ver int) {
+	s := f.server
+	alphaT := s.env.Hyper.Alpha * s.stalenessDiscount(ver)
 	paramvec.Vec(s.w).WeightedMergeInto(alphaT, update)
 	s.version++
 
-	s.env.Observer.ClientUpdateProcessed(s.env.Sim.Now(), 0, client, models)
-
-	src := s.env.ServerEndpoint(0)
-	dst := s.env.ClientEndpoint(client)
-	c := s.clients[client]
-	// The reply travels in a pooled buffer; HandleModel copies it into the
-	// client's model before returning, so it can be recycled right after.
-	reply := s.env.Pool.Get(len(s.w))
-	reply.CopyFrom(s.w)
-	ver = s.version
-	s.env.Net.Send(src, dst, s.env.ModelBytes, geo.ClientServer, func() {
-		c.HandleModel(reply, ver, s.env.Hyper.ClientLR)
-		s.env.Pool.Put(reply)
-	})
+	s.env.Observer.ClientUpdateProcessed(s.env.Sim.Now(), 0, client, s.params)
+	s.env.SendModel(0, s.clients[client], s.w, s.version, s.env.Hyper.ClientLR)
 }
 
 // GlobalParams exposes the live global model for tests.

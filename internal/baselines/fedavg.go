@@ -5,10 +5,6 @@ import (
 	"sort"
 
 	"github.com/spyker-fl/spyker/internal/fl"
-	"github.com/spyker-fl/spyker/internal/geo"
-	"github.com/spyker-fl/spyker/internal/obs"
-	"github.com/spyker-fl/spyker/internal/paramvec"
-	"github.com/spyker-fl/spyker/internal/tensor"
 )
 
 // FedAvg is the original synchronous single-server baseline (McMahan et
@@ -17,7 +13,7 @@ import (
 // waits for every sampled update, and replaces the model with the
 // data-weighted average over the round's participants.
 type FedAvg struct {
-	server *fedAvgServer
+	server *roundServer
 }
 
 var _ fl.Algorithm = (*FedAvg)(nil)
@@ -25,151 +21,45 @@ var _ fl.Algorithm = (*FedAvg)(nil)
 // Name implements fl.Algorithm.
 func (f *FedAvg) Name() string { return "FedAvg" }
 
-type fedAvgServer struct {
-	env     *fl.Env
-	queue   *fl.ProcQueue
-	w       []float64
-	clients map[int]*fl.SimClient
-	shares  map[int]float64
-	rng     *rand.Rand
-
-	// round state
-	pending  map[int][]float64 // client -> update of the current round
-	selected map[int]bool      // clients sampled for the current round
-	round    int
-}
-
 // Build implements fl.Algorithm. Like FedAsync, FedAvg collapses the
 // deployment onto server 0.
 func (f *FedAvg) Build(env *fl.Env) error {
 	if err := env.Validate(); err != nil {
 		return err
 	}
-	initial := env.NewModel(env.Seed).Params()
-	s := &fedAvgServer{
-		env:     env,
-		queue:   fl.NewProcQueue(env.Sim, 0, env.Observer),
-		w:       tensor.Clone(initial),
-		clients: make(map[int]*fl.SimClient),
-		shares:  make(map[int]float64),
-		rng:     rand.New(rand.NewSource(env.Seed + 31)),
-		pending: make(map[int][]float64),
+	all := make([]int, len(env.Clients))
+	for ci := range all {
+		all[ci] = ci
 	}
+	shares, _ := env.DataShares(all)
+	s := newRoundServer(env, 0, env.Hyper.ProcFedAvg, env.NewModel(env.Seed).Params(), all, shares)
 	f.server = s
-
-	total := 0
-	for _, c := range env.Clients {
-		total += len(c.Shard)
-	}
-	for ci := range env.Clients {
-		spec := env.Clients[ci]
-		spec.Server = 0
-		s.shares[ci] = float64(len(spec.Shard)) / float64(total)
-		c := &fl.SimClient{
-			Env:   env,
-			Spec:  spec,
-			Model: env.NewModel(env.Seed + int64(1000+ci)),
-			Deliver: func(clientID int, update []float64, _ any, _ obs.UID) {
-				// Processing one received client model costs the paper's
-				// Tab. 3 FedAvg aggregation delay; the per-round weighted
-				// average itself is then cheap. With full participation
-				// this makes round length grow linearly with the client
-				// count, the server-side bottleneck Tab. 5 exposes.
-				s.queue.Submit(env.Hyper.ProcFedAvg, func() {
-					s.receive(clientID, update, f.params)
-				})
-			},
-		}
-		s.clients[ci] = c
-	}
+	s.models = func() [][]float64 { return [][]float64{s.w} }
+	rng := rand.New(rand.NewSource(env.Seed + 31))
+	s.sample = func() []int { return sampleClients(all, env.Hyper.FedAvgFraction, rng) }
+	s.after = s.startRound
 	s.startRound()
 	return nil
 }
 
-func (f *FedAvg) params() [][]float64 { return [][]float64{f.server.w} }
-
-// startRound samples the round's participants (the paper's "the server
-// selects a set of clients"; FedAvgFraction 0 or 1 = everyone) and ships
-// them the current global model.
-func (s *fedAvgServer) startRound() {
-	s.round++
-	s.selected = s.sampleClients()
-	src := s.env.ServerEndpoint(0)
-	// One pooled snapshot serves the whole round; the countdown (safe:
-	// the simulator is single-threaded) recycles it once the last sampled
-	// client has copied it into its model.
-	snapshot := s.env.Pool.Get(len(s.w))
-	snapshot.CopyFrom(s.w)
-	remaining := len(s.selected)
-	if remaining == 0 {
-		s.env.Pool.Put(snapshot)
-		return
-	}
-	// Sorted walk: the send order schedules simulator events, so it must
-	// not depend on map iteration order.
-	for _, ci := range sortedKeys(s.selected) {
-		dst := s.env.ClientEndpoint(ci)
-		cc := s.clients[ci]
-		s.env.Net.Send(src, dst, s.env.ModelBytes, geo.ClientServer, func() {
-			cc.HandleModel(snapshot, nil, s.env.Hyper.ClientLR)
-			if remaining--; remaining == 0 {
-				s.env.Pool.Put(snapshot)
-			}
-		})
-	}
-}
-
-// sampleClients draws the round's participant set.
-func (s *fedAvgServer) sampleClients() map[int]bool {
-	frac := s.env.Hyper.FedAvgFraction
-	all := make([]int, 0, len(s.clients))
-	//lint:sorted keys are collected and sorted just below
-	for ci := range s.clients {
-		all = append(all, ci)
-	}
-	sort.Ints(all) // deterministic base order for the seeded shuffle
-	selected := make(map[int]bool, len(all))
+// sampleClients draws a round's participant set from all (ascending) — the
+// paper's "the server selects a set of clients"; a fraction of 0 or 1
+// means everyone — and returns it in ascending order.
+func sampleClients(all []int, frac float64, rng *rand.Rand) []int {
 	if frac <= 0 || frac >= 1 {
-		for _, ci := range all {
-			selected[ci] = true
-		}
-		return selected
+		return all
 	}
 	k := int(float64(len(all)) * frac)
 	if k < 1 {
 		k = 1
 	}
-	s.rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
-	for _, ci := range all[:k] {
-		selected[ci] = true
-	}
-	return selected
-}
-
-// receive stores one processed client update; when every sampled client
-// reported, it computes the new global model (weighted over the round's
-// participants) and starts the next round.
-func (s *fedAvgServer) receive(client int, update []float64, models func() [][]float64) {
-	s.pending[client] = update
-	s.env.Observer.ClientUpdateProcessed(s.env.Sim.Now(), 0, client, models)
-	if len(s.pending) < len(s.selected) {
-		return
-	}
-	round := s.pending
-	s.pending = make(map[int][]float64)
-	// Sorted walks: float accumulation is not associative, so the merge
-	// order must not depend on map iteration order.
-	order := sortedKeys(round)
-	var totalShare float64
-	for _, ci := range order {
-		totalShare += s.shares[ci]
-	}
-	w := paramvec.Vec(s.w)
-	w.Zero()
-	for _, ci := range order {
-		w.AxpyInto(s.shares[ci]/totalShare, round[ci])
-	}
-	s.startRound()
+	// Shuffle a copy: the seeded draw must start from the same ascending
+	// base order every round.
+	picked := append([]int(nil), all...)
+	rng.Shuffle(len(picked), func(i, j int) { picked[i], picked[j] = picked[j], picked[i] })
+	picked = picked[:k]
+	sort.Ints(picked)
+	return picked
 }
 
 // GlobalParams exposes the live global model for tests.

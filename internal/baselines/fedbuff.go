@@ -1,11 +1,8 @@
 package baselines
 
 import (
-	"math"
-
 	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/geo"
-	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/paramvec"
 	"github.com/spyker-fl/spyker/internal/tensor"
 )
@@ -17,20 +14,7 @@ import (
 // the global model once K of them have accumulated. Buffering trades a
 // little freshness for much lower variance per aggregation.
 type FedBuff struct {
-	server *fedBuffServer
-}
-
-var _ fl.Algorithm = (*FedBuff)(nil)
-
-// Name implements fl.Algorithm.
-func (f *FedBuff) Name() string { return "FedBuff" }
-
-type fedBuffServer struct {
-	env     *fl.Env
-	queue   *fl.ProcQueue
-	w       []float64
-	version int
-	clients map[int]*fl.SimClient
+	server *asyncServer
 
 	// lastSent remembers the exact model each client received, so the
 	// server can recover the client's local delta from the returned
@@ -42,87 +26,60 @@ type fedBuffServer struct {
 	flushes  int
 }
 
-// Build implements fl.Algorithm. Like the other single-server baselines,
-// FedBuff collapses the deployment onto server 0.
+var _ fl.Algorithm = (*FedBuff)(nil)
+
+// Name implements fl.Algorithm.
+func (f *FedBuff) Name() string { return "FedBuff" }
+
+// Build implements fl.Algorithm.
 func (f *FedBuff) Build(env *fl.Env) error {
-	if err := env.Validate(); err != nil {
+	s, initial, err := buildAsyncServer(env, f.handleUpdate)
+	if err != nil {
 		return err
 	}
-	initial := env.NewModel(env.Seed).Params()
-	s := &fedBuffServer{
-		env:      env,
-		queue:    fl.NewProcQueue(env.Sim, 0, env.Observer),
-		w:        tensor.Clone(initial),
-		clients:  make(map[int]*fl.SimClient),
-		lastSent: make(map[int][]float64),
-		buffer:   make([]float64, len(initial)),
-	}
 	f.server = s
-
+	f.lastSent = make(map[int][]float64, len(env.Clients))
 	for ci := range env.Clients {
-		spec := env.Clients[ci]
-		spec.Server = 0
-		c := &fl.SimClient{
-			Env:   env,
-			Spec:  spec,
-			Model: env.NewModel(env.Seed + int64(1000+ci)),
-			Deliver: func(clientID int, update []float64, meta any, _ obs.UID) {
-				ver, _ := meta.(int)
-				s.queue.Submit(env.Hyper.ProcFedAsync, func() {
-					s.handleUpdate(clientID, update, ver, f.params)
-				})
-			},
-		}
-		s.clients[ci] = c
-		s.lastSent[ci] = initial
-		c.HandleModel(initial, int(0), env.Hyper.ClientLR)
+		f.lastSent[ci] = initial
 	}
+	f.buffer = make([]float64, len(initial))
 	return nil
 }
-
-func (f *FedBuff) params() [][]float64 { return [][]float64{f.server.w} }
 
 // bufferK returns the aggregation buffer size: one tenth of the client
 // population, at least 4 — the K≈10..30 regime the FedBuff paper uses for
 // populations like ours.
-func (s *fedBuffServer) bufferK() int {
-	k := len(s.clients) / 10
+func (f *FedBuff) bufferK() int {
+	k := len(f.server.clients) / 10
 	if k < 4 {
 		k = 4
 	}
 	return k
 }
 
-func (s *fedBuffServer) handleUpdate(client int, update []float64, ver int, models func() [][]float64) {
-	staleness := float64(s.version - ver)
-	if staleness < 0 {
-		staleness = 0
-	}
-	scale := math.Pow(1+staleness, -s.env.Hyper.StalenessExp)
-	base := s.lastSent[client]
-	paramvec.Vec(s.buffer).AddScaledDiff(scale, update, base)
-	s.buffered++
+func (f *FedBuff) handleUpdate(client int, update []float64, ver int) {
+	s := f.server
+	paramvec.Vec(f.buffer).AddScaledDiff(s.stalenessDiscount(ver), update, f.lastSent[client])
+	f.buffered++
 
-	if s.buffered >= s.bufferK() {
-		inv := 1 / float64(s.buffered)
-		paramvec.Vec(s.w).AxpyInto(s.env.Hyper.Alpha*2*inv, s.buffer)
-		paramvec.Vec(s.buffer).Zero()
-		s.buffered = 0
+	if f.buffered >= f.bufferK() {
+		inv := 1 / float64(f.buffered)
+		paramvec.Vec(s.w).AxpyInto(s.env.Hyper.Alpha*2*inv, f.buffer)
+		paramvec.Vec(f.buffer).Zero()
+		f.buffered = 0
 		s.version++
-		s.flushes++
+		f.flushes++
 	}
 
-	s.env.Observer.ClientUpdateProcessed(s.env.Sim.Now(), 0, client, models)
+	s.env.Observer.ClientUpdateProcessed(s.env.Sim.Now(), 0, client, s.params)
 
-	src := s.env.ServerEndpoint(0)
-	dst := s.env.ClientEndpoint(client)
 	c := s.clients[client]
 	// The reply stays owned (not pooled): lastSent legitimately retains it
 	// until the client's next update, to recover the local delta.
 	reply := tensor.Clone(s.w)
-	s.lastSent[client] = reply
+	f.lastSent[client] = reply
 	ver = s.version
-	s.env.Net.Send(src, dst, s.env.ModelBytes, geo.ClientServer, func() {
+	s.env.Net.Send(s.env.ServerEndpoint(0), s.env.ClientEndpoint(client), s.env.ModelBytes, geo.ClientServer, func() {
 		c.HandleModel(reply, ver, s.env.Hyper.ClientLR)
 	})
 }
@@ -131,4 +88,4 @@ func (s *fedBuffServer) handleUpdate(client int, update []float64, ver int, mode
 func (f *FedBuff) GlobalParams() []float64 { return f.server.w }
 
 // Flushes reports how many buffer aggregations have been applied.
-func (f *FedBuff) Flushes() int { return f.server.flushes }
+func (f *FedBuff) Flushes() int { return f.flushes }

@@ -3,9 +3,7 @@ package baselines
 import (
 	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/geo"
-	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/paramvec"
-	"github.com/spyker-fl/spyker/internal/tensor"
 )
 
 // HierFAVG is the hierarchical multi-server baseline (Liu et al. 2020):
@@ -15,28 +13,16 @@ import (
 // redistributes it. The cloud is colocated with edge server 0, as the
 // paper places the principal server in one of the regions.
 type HierFAVG struct {
-	env   *fl.Env
-	edges []*hierEdge
-	cloud *hierCloud
+	env     *fl.Env
+	edges   []*roundServer
+	weights []float64 // each edge's share of the global data
+	cloud   *hierCloud
 }
 
 var _ fl.Algorithm = (*HierFAVG)(nil)
 
 // Name implements fl.Algorithm.
 func (h *HierFAVG) Name() string { return "HierFAVG" }
-
-type hierEdge struct {
-	alg     *HierFAVG
-	id      int
-	queue   *fl.ProcQueue
-	w       []float64
-	clients map[int]*fl.SimClient
-	shares  map[int]float64 // within-edge data share
-	weight  float64         // edge data share of the global total
-
-	pending map[int][]float64
-	round   int
-}
 
 type hierCloud struct {
 	alg      *HierFAVG
@@ -66,39 +52,21 @@ func (h *HierFAVG) Build(env *fl.Env) error {
 		pending:  make(map[int][]float64),
 	}
 
-	h.edges = make([]*hierEdge, len(env.Servers))
+	h.edges = make([]*roundServer, len(env.Servers))
+	h.weights = make([]float64, len(env.Servers))
 	for si := range env.Servers {
-		e := &hierEdge{
-			alg:     h,
-			id:      si,
-			queue:   fl.NewProcQueue(env.Sim, si, env.Observer),
-			w:       tensor.Clone(initial),
-			clients: make(map[int]*fl.SimClient),
-			shares:  make(map[int]float64),
-			pending: make(map[int][]float64),
-		}
-		edgeData := 0
-		for _, ci := range env.Servers[si].Clients {
-			edgeData += len(env.Clients[ci].Shard)
-		}
-		e.weight = float64(edgeData) / float64(total)
-		for _, ci := range env.Servers[si].Clients {
-			spec := env.Clients[ci]
-			e.shares[ci] = float64(len(spec.Shard)) / float64(edgeData)
-			edge := e
-			c := &fl.SimClient{
-				Env:   env,
-				Spec:  spec,
-				Model: env.NewModel(env.Seed + int64(1000+ci)),
-				Deliver: func(clientID int, update []float64, _ any, _ obs.UID) {
-					// Each received client model costs the Tab. 3 HierFAVG
-					// aggregation delay on the edge server's queue.
-					edge.queue.Submit(env.ProcFor(edge.id, env.Hyper.ProcHier), func() {
-						edge.receive(clientID, update)
-					})
-				},
+		// Within-edge shares weigh the edge's round average, the edge's
+		// share of all data its model in the cloud's.
+		shares, edgeData := env.DataShares(env.Servers[si].Clients)
+		h.weights[si] = float64(edgeData) / float64(total)
+		e := newRoundServer(env, si, env.ProcFor(si, env.Hyper.ProcHier), initial, env.Servers[si].Clients, shares)
+		e.models = h.params
+		e.after = func() {
+			if e.round%env.Hyper.HierEdgeRounds == 0 {
+				h.sendToCloud(e)
+			} else {
+				e.startRound()
 			}
-			e.clients[ci] = c
 		}
 		h.edges[si] = e
 	}
@@ -116,64 +84,14 @@ func (h *HierFAVG) params() [][]float64 {
 	return out
 }
 
-func (e *hierEdge) startRound() {
-	e.round++
-	env := e.alg.env
-	src := env.ServerEndpoint(e.id)
-	// One pooled snapshot per round, recycled after the last client of the
-	// edge has copied it (single-threaded simulator, so a countdown works).
-	snapshot := env.Pool.Get(len(e.w))
-	snapshot.CopyFrom(e.w)
-	remaining := len(e.clients)
-	if remaining == 0 {
-		env.Pool.Put(snapshot)
-		return
-	}
-	// Sorted walk: the send order schedules simulator events, so it must
-	// not depend on map iteration order.
-	for _, ci := range sortedKeys(e.clients) {
-		dst := env.ClientEndpoint(ci)
-		cc := e.clients[ci]
-		env.Net.Send(src, dst, env.ModelBytes, geo.ClientServer, func() {
-			cc.HandleModel(snapshot, nil, env.Hyper.ClientLR)
-			if remaining--; remaining == 0 {
-				env.Pool.Put(snapshot)
-			}
-		})
-	}
-}
-
-func (e *hierEdge) receive(client int, update []float64) {
-	env := e.alg.env
-	e.pending[client] = update
-	env.Observer.ClientUpdateProcessed(env.Sim.Now(), e.id, client, e.alg.params)
-	if len(e.pending) < len(e.clients) {
-		return
-	}
-	round := e.pending
-	e.pending = make(map[int][]float64)
-	w := paramvec.Vec(e.w)
-	w.Zero()
-	// Sorted walk: float accumulation order must not depend on map order.
-	for _, ci := range sortedKeys(round) {
-		w.AxpyInto(e.shares[ci], round[ci])
-	}
-	if e.round%env.Hyper.HierEdgeRounds == 0 {
-		e.sendToCloud()
-	} else {
-		e.startRound()
-	}
-}
-
-func (e *hierEdge) sendToCloud() {
-	env := e.alg.env
-	src := env.ServerEndpoint(e.id)
+func (h *HierFAVG) sendToCloud(e *roundServer) {
+	env := h.env
 	// Pooled: the cloud holds the snapshot in pending until the global
 	// round completes, then recycles it (see hierCloud.receive).
 	snapshot := env.Pool.Get(len(e.w))
 	snapshot.CopyFrom(e.w)
-	cloud := e.alg.cloud
-	env.Net.Send(src, cloud.endpoint, env.ModelBytes, geo.ServerServer, func() {
+	cloud := h.cloud
+	env.Net.Send(env.ServerEndpoint(e.id), cloud.endpoint, env.ModelBytes, geo.ServerServer, func() {
 		// Each edge model costs one aggregation delay on the cloud queue.
 		cloud.queue.Submit(env.Hyper.ProcHier, func() {
 			cloud.receive(e.id, snapshot)
@@ -190,24 +108,20 @@ func (c *hierCloud) receive(edge int, model paramvec.Vec) {
 	c.pending = make(map[int][]float64)
 	env := c.alg.env
 	c.rounds++
-	global := env.Pool.Get(len(round[0]))
-	global.Zero()
+	sum := env.Pool.Get(len(round[0]))
+	sum.Zero()
 	// Sorted walk: float accumulation order must not depend on map order.
-	for _, ei := range sortedKeys(round) {
-		global.AxpyInto(c.alg.edges[ei].weight, round[ei])
+	for _, ei := range fl.SortedKeys(round) {
+		sum.AxpyInto(c.alg.weights[ei], round[ei])
 		env.Pool.Put(round[ei])
 	}
-	remaining := len(c.alg.edges)
-	for _, e := range c.alg.edges {
-		edge := e
-		dst := env.ServerEndpoint(edge.id)
-		env.Net.Send(c.endpoint, dst, env.ModelBytes, geo.ServerServer, func() {
-			edge.queue.Submit(env.ProcFor(edge.id, env.Hyper.ProcHier), func() {
-				copy(edge.w, global)
+	global := env.Share(sum, len(c.alg.edges))
+	for _, edge := range c.alg.edges {
+		env.Net.Send(c.endpoint, env.ServerEndpoint(edge.id), env.ModelBytes, geo.ServerServer, func() {
+			edge.queue.Submit(edge.proc, func() {
+				copy(edge.w, global.Vec)
 				edge.startRound()
-				if remaining--; remaining == 0 {
-					env.Pool.Put(global)
-				}
+				global.Release()
 			})
 		})
 	}

@@ -53,7 +53,7 @@ type bufferedUpdate struct {
 }
 
 type serverModel struct {
-	params []float64
+	params *fl.SharedVec
 	age    float64
 }
 
@@ -81,20 +81,13 @@ func (s *SyncSpyker) Build(env *fl.Env) error {
 		}
 		s.servers[si] = srv
 		for _, ci := range env.Servers[si].Clients {
-			spec := env.Clients[ci]
-			server := srv
-			c := &fl.SimClient{
-				Env:   env,
-				Spec:  spec,
-				Model: env.NewModel(env.Seed + int64(1000+ci)),
-				Deliver: func(clientID int, update []float64, meta any, _ obs.UID) {
-					age, ok := meta.(float64)
-					if !ok {
-						panic(fmt.Sprintf("baselines: sync-spyker meta %T is not an age", meta))
-					}
-					server.deliverUpdate(clientID, update, age)
-				},
-			}
+			c := env.NewSimClient(ci, si, func(clientID int, update []float64, meta any, _ obs.UID) {
+				age, ok := meta.(float64)
+				if !ok {
+					panic(fmt.Sprintf("baselines: sync-spyker meta %T is not an age", meta))
+				}
+				srv.deliverUpdate(clientID, update, age)
+			})
 			srv.clients[ci] = c
 			c.HandleModel(initial, float64(0), env.Hyper.ClientLR)
 		}
@@ -168,17 +161,7 @@ func (srv *syncServer) processUpdate(client int, params []float64, age float64) 
 		srv.age++
 		env.Observer.ClientUpdateProcessed(env.Sim.Now(), srv.id, client, srv.alg.params)
 
-		src := env.ServerEndpoint(srv.id)
-		dst := env.ClientEndpoint(client)
-		c := srv.clients[client]
-		// Pooled reply, recycled once the client copied it into its model.
-		reply := env.Pool.Get(len(srv.w))
-		reply.CopyFrom(srv.w)
-		replyAge := srv.age
-		env.Net.Send(src, dst, env.ModelBytes, geo.ClientServer, func() {
-			c.HandleModel(reply, replyAge, lr)
-			env.Pool.Put(reply)
-		})
+		env.SendModel(srv.id, srv.clients[client], srv.w, srv.age, lr)
 	})
 }
 
@@ -186,39 +169,26 @@ func (srv *syncServer) processUpdate(client int, params []float64, age float64) 
 // buffering state.
 func (srv *syncServer) beginSync() {
 	env := srv.alg.env
-	if srv.syncing {
-		// The previous exchange is still in flight (the period is shorter
-		// than the exchange latency); skip this round rather than mixing
-		// two rounds' models.
-		return
-	}
 	srv.syncing = true
-	// Every model of the exchange travels in its own pooled buffer; each
-	// ends up in exactly one server's received map and is recycled after
-	// that server's aggregation (see maybeFinishSync).
-	own := env.Pool.Get(len(srv.w))
-	own.CopyFrom(srv.w)
-	srv.received[srv.id] = serverModel{own, srv.age}
+	// One pooled snapshot serves the whole exchange: this server's own
+	// aggregation and every peer's read it, and the last to finish recycles
+	// it (see maybeFinishSync).
+	model := serverModel{env.Snapshot(srv.w, len(srv.alg.servers)), srv.age}
+	srv.received[srv.id] = model
 	src := env.ServerEndpoint(srv.id)
-	for _, peer := range srv.alg.servers {
-		if peer.id == srv.id {
+	for _, p := range srv.alg.servers {
+		if p.id == srv.id {
 			continue
 		}
-		p := peer
-		dst := env.ServerEndpoint(p.id)
-		snapshot := env.Pool.Get(len(srv.w))
-		snapshot.CopyFrom(srv.w)
-		age := srv.age
-		from := srv.id
-		env.Net.Send(src, dst, env.ModelBytes, geo.ServerServer, func() {
-			p.receiveModel(from, snapshot, age)
+		env.Net.Send(src, env.ServerEndpoint(p.id), env.ModelBytes, geo.ServerServer, func() {
+			p.receiveModel(srv.id, model)
 		})
 	}
 	srv.maybeFinishSync()
 }
 
-func (srv *syncServer) receiveModel(from int, params []float64, age float64) {
-	srv.received[from] = serverModel{params, age}
+func (srv *syncServer) receiveModel(from int, m serverModel) {
+	srv.received[from] = m
 	srv.maybeFinishSync()
 }
 
@@ -242,18 +212,18 @@ func (srv *syncServer) maybeFinishSync() {
 		if totalAge > 0 {
 			for id := range srv.alg.servers {
 				m := round[id]
-				w.AxpyInto(m.age/totalAge, m.params)
+				w.AxpyInto(m.age/totalAge, m.params.Vec)
 			}
 			srv.age = totalAge / float64(len(srv.alg.servers))
 		} else {
 			// Nothing trained anywhere yet: plain average keeps servers
 			// identical.
 			for id := range srv.alg.servers {
-				w.AxpyInto(1/float64(len(srv.alg.servers)), round[id].params)
+				w.AxpyInto(1/float64(len(srv.alg.servers)), round[id].params.Vec)
 			}
 		}
 		for id := range srv.alg.servers {
-			env.Pool.Put(round[id].params)
+			round[id].params.Release()
 		}
 		srv.syncs++
 		srv.syncing = false

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/spyker-fl/spyker/internal/fl"
@@ -26,79 +27,43 @@ type AblationPoint struct {
 	TimeToTarget float64 // 0 = not reached
 	Updates      int
 	ServerBytes  int // server-server traffic, the cost of synchronizing
-	Syncs        int // updates-triggered evaluations are not counted
 }
 
 // RunAblations executes all three sweeps on the MNIST task.
 func RunAblations(scale float64, seed int64) (*Ablations, error) {
-	if scale <= 0 || scale > 1 {
-		scale = 1
-	}
-	clients := int(100 * scale)
-	if clients < 8 {
-		clients = 8
-	}
+	clients := population(100, scale, 8)
 	const target = 0.92
 	a := &Ablations{Target: target}
-
-	run := func(mod func(h *fl.Hyper)) (AblationPoint, error) {
-		hyper := fl.DefaultHyper(clients, 4)
-		mod(&hyper)
-		setup := Setup{
-			Task:         TaskMNIST,
-			NumServers:   4,
-			NumClients:   clients,
-			NonIIDLabels: 2,
-			Seed:         seed,
-			TargetAcc:    target,
-			Horizon:      120,
-			Hyper:        &hyper,
-		}
-		res, err := Run("spyker", setup)
-		if err != nil {
-			return AblationPoint{}, err
-		}
-		tt, ok := res.Trace.TimeToAcc(target)
-		if !ok {
-			tt = 0
-		}
-		upd, _ := res.Trace.UpdatesToAcc(target)
-		return AblationPoint{
-			TimeToTarget: tt,
-			Updates:      upd,
-			ServerBytes:  res.BytesServerServer,
-		}, nil
-	}
-
 	base := fl.DefaultHyper(clients, 4)
-	for _, v := range []float64{base.HInter / 4, base.HInter, base.HInter * 4, base.HInter * 16} {
-		v := v
-		p, err := run(func(h *fl.Hyper) { h.HInter = v })
-		if err != nil {
-			return nil, err
+
+	// vary runs Spyker once per value, with set writing the value into
+	// the otherwise default hyper-parameters.
+	var w sweep
+	vary := func(values []float64, set func(h *fl.Hyper, v float64)) []AblationPoint {
+		var points []AblationPoint
+		for _, v := range values {
+			hyper := base
+			set(&hyper, v)
+			setup := baseSetup(clients, seed)
+			setup.TargetAcc = target
+			setup.Horizon = 120
+			setup.Hyper = &hyper
+			res := w.run("spyker", setup, nil)
+			upd, _ := res.Trace.UpdatesToAcc(target)
+			points = append(points, AblationPoint{
+				Value:        v,
+				TimeToTarget: timeTo(res.Trace, target),
+				Updates:      upd,
+				ServerBytes:  res.BytesServerServer,
+			})
 		}
-		p.Value = v
-		a.HInter = append(a.HInter, p)
+		return points
 	}
-	for _, v := range []float64{0.15, 0.3, 0.6, 0.9} {
-		v := v
-		p, err := run(func(h *fl.Hyper) { h.EtaA = v })
-		if err != nil {
-			return nil, err
-		}
-		p.Value = v
-		a.EtaA = append(a.EtaA, p)
-	}
-	for _, v := range []float64{0.5, 1.5, 3, 6} {
-		v := v
-		p, err := run(func(h *fl.Hyper) { h.Phi = v })
-		if err != nil {
-			return nil, err
-		}
-		p.Value = v
-		a.Phi = append(a.Phi, p)
-	}
-	return a, nil
+	a.HInter = vary([]float64{base.HInter / 4, base.HInter, base.HInter * 4, base.HInter * 16},
+		func(h *fl.Hyper, v float64) { h.HInter = v })
+	a.EtaA = vary([]float64{0.15, 0.3, 0.6, 0.9}, func(h *fl.Hyper, v float64) { h.EtaA = v })
+	a.Phi = vary([]float64{0.5, 1.5, 3, 6}, func(h *fl.Hyper, v float64) { h.Phi = v })
+	return a, w.err
 }
 
 // Render prints the three sweep tables.
@@ -106,15 +71,10 @@ func (a *Ablations) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "=== Spyker design-knob ablations (target %.0f%%%% accuracy) ===\n", 100*a.Target)
 	render := func(name string, pts []AblationPoint) {
-		fmt.Fprintf(&b, "\n-- %s sweep --\n%10s %12s %10s %14s\n",
-			name, name, "t(target)", "updates", "srv-srv bytes")
+		fmt.Fprintf(&b, "\n-- %s sweep --\n", name)
+		t := newTable(&b, col{name, 10, ""}, col{"t(target)", 12, ""}, col{"updates", 10, ""}, col{"srv-srv bytes", 14, "MB"})
 		for _, p := range pts {
-			tt := "(n/r)"
-			if p.TimeToTarget > 0 {
-				tt = fmt.Sprintf("%.2fs", p.TimeToTarget)
-			}
-			fmt.Fprintf(&b, "%10.3f %12s %10d %13.2fMB\n",
-				p.Value, tt, p.Updates, float64(p.ServerBytes)/1e6)
+			t.row(fixed(p.Value, 3), timeCell(p.TimeToTarget), strconv.Itoa(p.Updates), fixed(mb(p.ServerBytes), 2))
 		}
 	}
 	render("h_inter", a.HInter)

@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/obs/audit"
-	"github.com/spyker-fl/spyker/internal/spyker"
 )
 
 // ByzantineStudy exercises the "Byzantine Learning" keyword the paper
@@ -39,9 +38,8 @@ type ByzantineStudy struct {
 
 // ByzantineRow is one configuration's outcome.
 type ByzantineRow struct {
-	Name     string
-	FinalAcc float64
-	BestAcc  float64
+	Name string
+	SpykerRun
 
 	// Detection quality of the audit plane on this run: Attackers is the
 	// ground-truth malicious population, Flagged how many clients had a
@@ -74,35 +72,24 @@ func (c *auditCollector) Emit(e obs.Event) {
 
 // RunByzantineStudy runs the attack configurations on non-IID MNIST.
 func RunByzantineStudy(scale float64, seed int64) (*ByzantineStudy, error) {
-	if scale <= 0 || scale > 1 {
-		scale = 1
-	}
-	clients := int(100 * scale)
-	if clients < 10 {
-		clients = 10
-	}
+	clients := population(100, scale, 10)
 	const fraction = 0.2
 	const detectionWindow = 5 // see ByzantineStudy.DetectionWindow
 	study := &ByzantineStudy{MaliciousFraction: fraction, DetectionWindow: detectionWindow}
 
-	run := func(name string, attack fl.Byzantine, clip float64) error {
+	var w sweep
+	run := func(name string, attack fl.Byzantine, clip float64) {
 		hyper := fl.DefaultHyper(clients, 4)
 		hyper.RobustClipFactor = clip
 		collector := &auditCollector{}
-		setup := Setup{
-			Task:         TaskMNIST,
-			NumServers:   4,
-			NumClients:   clients,
-			NonIIDLabels: 2,
-			Seed:         seed,
-			Horizon:      45,
-			EvalEvery:    100,
-			Hyper:        &hyper,
-			Trace:        collector,
-			Audit:        &audit.Config{},
-		}
+		setup := baseSetup(clients, seed)
+		setup.Horizon = 45
+		setup.EvalEvery = 100
+		setup.Hyper = &hyper
+		setup.Trace = collector
+		setup.Audit = &audit.Config{}
 		truth := map[int]bool{}
-		_, rec, _, err := runOn(&spyker.Algorithm{}, setup, func(env *fl.Env) {
+		row := ByzantineRow{Name: name, SpykerRun: w.spyker(setup, func(env *fl.Env) {
 			if attack == fl.ByzantineNone {
 				return
 			}
@@ -113,17 +100,8 @@ func RunByzantineStudy(scale float64, seed int64) (*ByzantineStudy, error) {
 					truth[ci] = true
 				}
 			}
-		})
-		if err != nil {
-			return err
-		}
-
-		row := ByzantineRow{
-			Name:      name,
-			FinalAcc:  rec.TraceData.Final().Acc,
-			BestAcc:   rec.TraceData.BestAcc(),
-			Attackers: len(truth),
-		}
+		})}
+		row.Attackers = len(truth)
 		// Score detection at the deadline: replay the verdicts up to the
 		// window and count the clients whose flags are still standing —
 		// the dashboard view at the instant the model is still worth
@@ -157,65 +135,33 @@ func RunByzantineStudy(scale float64, seed int64) (*ByzantineStudy, error) {
 			row.MeanTTFF = ttff / float64(row.TruePos)
 		}
 		study.Rows = append(study.Rows, row)
-		return nil
 	}
 
-	if err := run("honest reference", fl.ByzantineNone, 0); err != nil {
-		return nil, err
+	run("honest reference", fl.ByzantineNone, 0)
+	for _, a := range []struct {
+		name   string
+		attack fl.Byzantine
+	}{{"sign-flip", fl.ByzantineSignFlip}, {"noise", fl.ByzantineNoise},
+		{"scaled noise", fl.ByzantineScaledNoise}, {"collusion", fl.ByzantineCollude}} {
+		run(a.name+", undefended", a.attack, 0)
+		run(a.name+", norm clip x1.2", a.attack, 1.2)
 	}
-	if err := run("sign-flip, undefended", fl.ByzantineSignFlip, 0); err != nil {
-		return nil, err
-	}
-	if err := run("sign-flip, norm clip x1.2", fl.ByzantineSignFlip, 1.2); err != nil {
-		return nil, err
-	}
-	if err := run("noise, undefended", fl.ByzantineNoise, 0); err != nil {
-		return nil, err
-	}
-	if err := run("noise, norm clip x1.2", fl.ByzantineNoise, 1.2); err != nil {
-		return nil, err
-	}
-	if err := run("scaled noise, undefended", fl.ByzantineScaledNoise, 0); err != nil {
-		return nil, err
-	}
-	if err := run("scaled noise, norm clip x1.2", fl.ByzantineScaledNoise, 1.2); err != nil {
-		return nil, err
-	}
-	if err := run("collusion, undefended", fl.ByzantineCollude, 0); err != nil {
-		return nil, err
-	}
-	if err := run("collusion, norm clip x1.2", fl.ByzantineCollude, 1.2); err != nil {
-		return nil, err
-	}
-	return study, nil
+	return study, w.err
 }
 
 // Render prints the comparison.
 func (b *ByzantineStudy) Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "=== Byzantine extension: %.0f%%%% malicious clients (Spyker) ===\n",
-		100*b.MaliciousFraction)
-	fmt.Fprintf(&sb, "detection columns: flags standing at the t=%gs deadline\n",
-		b.DetectionWindow)
-	fmt.Fprintf(&sb, "%-28s %10s %10s %9s %8s %10s %8s %8s\n",
-		"configuration", "final acc", "best acc", "attackers", "flagged", "precision", "recall", "ttff")
+	t := titled(fmt.Sprintf("=== Byzantine extension: %.0f%%%% malicious clients (Spyker) ===\n"+
+		"detection columns: flags standing at the t=%gs deadline\n", 100*b.MaliciousFraction, b.DetectionWindow),
+		col{"configuration", -28, ""}, col{"final acc", 10, "%"}, col{"best acc", 10, "%"},
+		col{"attackers", 9, ""}, col{"flagged", 8, ""}, col{"precision", 10, ""}, col{"recall", 8, ""}, col{"ttff", 8, ""})
 	for _, r := range b.Rows {
-		prec, rec, ttff := "-", "-", "-"
-		if r.Flagged > 0 {
-			prec = fmt.Sprintf("%.2f", r.Precision)
-		}
-		if r.Attackers > 0 {
-			rec = fmt.Sprintf("%.2f", r.Recall)
-		}
-		if r.TruePos > 0 {
-			ttff = fmt.Sprintf("%.1fs", r.MeanTTFF)
-		}
-		fmt.Fprintf(&sb, "%-28s %9.1f%% %9.1f%% %9d %8d %10s %8s %8s\n",
-			r.Name, 100*r.FinalAcc, 100*r.BestAcc, r.Attackers, r.Flagged, prec, rec, ttff)
+		t.row(r.Name, fixed(100*r.FinalAcc, 1), fixed(100*r.BestAcc, 1), strconv.Itoa(r.Attackers), strconv.Itoa(r.Flagged),
+			orDash(r.Flagged > 0, fixed(r.Precision, 2)), orDash(r.Attackers > 0, fixed(r.Recall, 2)),
+			orDash(r.TruePos > 0, fixed(r.MeanTTFF, 1)+"s"))
 	}
-	sb.WriteString("\nnorm clipping bounds each update's influence, containing poisoning\n" +
+	return t.b.String() + "\nnorm clipping bounds each update's influence, containing poisoning\n" +
 		"that collapses the undefended run; the audit plane (internal/obs/audit)\n" +
 		"independently flags the attackers from their update statistics while\n" +
-		"the model is still intact (ttff = mean time to an attacker's first flag).\n")
-	return sb.String()
+		"the model is still intact (ttff = mean time to an attacker's first flag).\n"
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 )
 
 // ChurnStudy goes beyond the paper's evaluation (an extension exercising
@@ -20,40 +19,21 @@ type ChurnStudy struct {
 // RunChurnStudy trains MNIST with 100*scale clients; Fraction of them are
 // offline during the middle third of the horizon.
 func RunChurnStudy(scale float64, seed int64) (*ChurnStudy, error) {
-	if scale <= 0 || scale > 1 {
-		scale = 1
-	}
-	clients := int(100 * scale)
-	if clients < 9 {
-		clients = 9
-	}
 	const (
 		horizon  = 36.0
 		from     = 12.0
 		till     = 24.0
 		fraction = 1.0 / 3
 	)
-	setup := Setup{
-		Task:          TaskMNIST,
-		NumServers:    4,
-		NumClients:    clients,
-		NonIIDLabels:  2,
-		ChurnFraction: fraction,
-		ChurnFrom:     from,
-		ChurnUntil:    till,
-		Seed:          seed,
-		Horizon:       horizon,
-		EvalEvery:     50,
-	}
-	sp, err := Run("spyker", setup)
-	if err != nil {
-		return nil, err
-	}
-	fa, err := Run("fedasync", setup)
-	if err != nil {
-		return nil, err
-	}
-	return &ChurnStudy{Fraction: fraction, From: from, Till: till, Spyker: sp, FedAsync: fa}, nil
+	setup := baseSetup(population(100, scale, 9), seed)
+	setup.ChurnFraction = fraction
+	setup.ChurnFrom = from
+	setup.ChurnUntil = till
+	setup.Horizon = horizon
+	setup.EvalEvery = 50
+	var w sweep
+	res := w.each(spykerAndFedAsync, setup)
+	return &ChurnStudy{Fraction: fraction, From: from, Till: till, Spyker: res[0], FedAsync: res[1]}, w.err
 }
 
 // AccuracyDip returns, for the given result, the largest accuracy drop
@@ -76,10 +56,8 @@ func (c *ChurnStudy) AccuracyDip(r *Result) float64 {
 
 // Render prints both traces with the churn window marked.
 func (c *ChurnStudy) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "=== churn extension: %.0f%%%% of clients offline during [%.0fs, %.0fs) ===\n",
-		100*c.Fraction, c.From, c.Till)
-	fmt.Fprintf(&b, "%10s %12s %12s\n", "time(s)", "Spyker", "FedAsync")
+	t := titled(fmt.Sprintf("=== churn extension: %.0f%%%% of clients offline during [%.0fs, %.0fs) ===\n",
+		100*c.Fraction, c.From, c.Till), col{"time(s)", 10, ""}, col{"Spyker", 12, "%"}, col{"FedAsync", 12, "%"})
 	sp := thinTrace(c.Spyker.Trace, 14)
 	fa := thinTrace(c.FedAsync.Trace, 14)
 	for i := 0; i < len(sp) && i < len(fa); i++ {
@@ -87,11 +65,11 @@ func (c *ChurnStudy) Render() string {
 		if sp[i].Time >= c.From && sp[i].Time < c.Till {
 			marker = "*" // churn window
 		}
-		fmt.Fprintf(&b, "%9.2f%s %11.1f%% %11.1f%%\n", sp[i].Time, marker, 100*sp[i].Acc, 100*fa[i].Acc)
+		t.row(fixed(sp[i].Time, 2)+marker, fixed(100*sp[i].Acc, 1), fixed(100*fa[i].Acc, 1))
 	}
-	fmt.Fprintf(&b, "max accuracy dip after churn onset: Spyker %.1f%%, FedAsync %.1f%%\n",
+	fmt.Fprintf(t.b, "max accuracy dip after churn onset: Spyker %.1f%%, FedAsync %.1f%%\n",
 		100*c.AccuracyDip(c.Spyker), 100*c.AccuracyDip(c.FedAsync))
-	fmt.Fprintf(&b, "final: Spyker %.1f%%, FedAsync %.1f%%\n",
+	fmt.Fprintf(t.b, "final: Spyker %.1f%%, FedAsync %.1f%%\n",
 		100*c.Spyker.Trace.Final().Acc, 100*c.FedAsync.Trace.Final().Acc)
-	return b.String()
+	return t.b.String()
 }

@@ -21,6 +21,7 @@ func TestChurnStudyRecovers(t *testing.T) {
 			t.Errorf("%s dipped %.2f after churn onset", r.Algorithm, dip)
 		}
 	}
+	golden(t, "churn", c.Render())
 	if !strings.Contains(c.Render(), "churn") {
 		t.Error("render incomplete")
 	}
@@ -74,6 +75,7 @@ func TestAblationsStructure(t *testing.T) {
 		t.Errorf("h_inter sweep bandwidth not monotone-ish: %d < %d",
 			a.HInter[0].ServerBytes, a.HInter[len(a.HInter)-1].ServerBytes)
 	}
+	golden(t, "ablations", a.Render())
 	if !strings.Contains(a.Render(), "h_inter sweep") {
 		t.Error("render incomplete")
 	}

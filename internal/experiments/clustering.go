@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 )
 
 // ClusteringStudy implements the paper's future-work proposal (Sec. 7):
@@ -30,58 +29,32 @@ type ClusteringRow struct {
 
 // RunClusteringStudy runs Spyker under the three placements.
 func RunClusteringStudy(scale float64, seed int64) (*ClusteringStudy, error) {
-	if scale <= 0 || scale > 1 {
-		scale = 1
-	}
-	clients := int(100 * scale)
-	if clients < 8 {
-		clients = 8
-	}
 	const target = 0.92
 	study := &ClusteringStudy{Target: target}
+	setup := baseSetup(population(100, scale, 8), seed)
+	setup.TargetAcc = target
+	setup.Horizon = 120
+	var w sweep
 	for _, a := range []Assignment{AssignGeo, AssignSimilar, AssignStratified} {
-		setup := Setup{
-			Task:         TaskMNIST,
-			NumServers:   4,
-			NumClients:   clients,
-			NonIIDLabels: 2,
-			Assignment:   a,
-			Seed:         seed,
-			TargetAcc:    target,
-			Horizon:      120,
-		}
-		res, err := Run("spyker", setup)
-		if err != nil {
-			return nil, err
-		}
-		tt, ok := res.Trace.TimeToAcc(target)
-		if !ok {
-			tt = 0
-		}
+		setup.Assignment = a
+		res := w.run("spyker", setup, nil)
 		study.Results = append(study.Results, &ClusteringRow{
 			Assignment:   a,
-			TimeToTarget: tt,
+			TimeToTarget: timeTo(res.Trace, target),
 			FinalAcc:     res.Trace.BestAcc(),
 			BytesTotal:   res.BytesClientServer + res.BytesServerServer,
 		})
 	}
-	return study, nil
+	return study, w.err
 }
 
 // Render prints the comparison.
 func (c *ClusteringStudy) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "=== clustering extension (paper Sec. 7 future work), target %.0f%%%% ===\n", 100*c.Target)
-	fmt.Fprintf(&b, "%-12s %12s %10s %12s\n", "placement", "t(target)", "best acc", "total MB")
+	t := titled(fmt.Sprintf("=== clustering extension (paper Sec. 7 future work), target %.0f%%%% ===\n", 100*c.Target),
+		col{"placement", -12, ""}, col{"t(target)", 12, ""}, col{"best acc", 10, "%"}, col{"total MB", 12, "MB"})
 	for _, r := range c.Results {
-		tt := "(n/r)"
-		if r.TimeToTarget > 0 {
-			tt = fmt.Sprintf("%.2fs", r.TimeToTarget)
-		}
-		fmt.Fprintf(&b, "%-12s %12s %9.1f%% %11.1fMB\n",
-			r.Assignment, tt, 100*r.FinalAcc, float64(r.BytesTotal)/1e6)
+		t.row(r.Assignment.String(), timeCell(r.TimeToTarget), fixed(100*r.FinalAcc, 1), fixed(mb(r.BytesTotal), 1))
 	}
-	b.WriteString("\nstratified placement trades cross-region client latency for unbiased\n" +
-		"server models; similar placement maximizes per-server bias.\n")
-	return b.String()
+	return t.b.String() + "\nstratified placement trades cross-region client latency for unbiased\n" +
+		"server models; similar placement maximizes per-server bias.\n"
 }

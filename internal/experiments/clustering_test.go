@@ -21,6 +21,7 @@ func TestClusteringStudyStructure(t *testing.T) {
 			t.Errorf("%v placement recorded no traffic", r.Assignment)
 		}
 	}
+	golden(t, "clustering", s.Render())
 	if !strings.Contains(s.Render(), "stratified") {
 		t.Error("render incomplete")
 	}
@@ -127,6 +128,7 @@ func TestCompressionStudyStructure(t *testing.T) {
 		q8.ClientServerBytes >= raw.ClientServerBytes {
 		t.Errorf("q8 client-server bytes %d >= raw %d", q8.ClientServerBytes, raw.ClientServerBytes)
 	}
+	golden(t, "compression", s.Render())
 	if !strings.Contains(s.Render(), "codec") {
 		t.Error("render incomplete")
 	}
@@ -158,6 +160,7 @@ func TestServerScalingStudyShape(t *testing.T) {
 	if single > 0 && multi > 0 && multi >= single {
 		t.Errorf("4 servers (%.2fs) not faster than 1 server (%.2fs)", multi, single)
 	}
+	golden(t, "serverscaling", s.Render())
 	if !strings.Contains(s.Render(), "servers") {
 		t.Error("render incomplete")
 	}
@@ -211,6 +214,7 @@ func TestByzantineStudyShape(t *testing.T) {
 			t.Errorf("missing row %q", name)
 		}
 	}
+	golden(t, "byzantine", s.Render())
 	if !strings.Contains(s.Render(), "Byzantine") {
 		t.Error("render incomplete")
 	}
@@ -241,6 +245,7 @@ func TestStragglerStudyShape(t *testing.T) {
 	if hier.Slowdown() > 0 && spyker.Slowdown() >= hier.Slowdown() {
 		t.Errorf("Spyker slowdown %.2f >= HierFAVG %.2f", spyker.Slowdown(), hier.Slowdown())
 	}
+	golden(t, "straggler", s.Render())
 	if !strings.Contains(s.Render(), "straggler") {
 		t.Error("render incomplete")
 	}

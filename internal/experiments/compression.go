@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/spyker-fl/spyker/internal/compress"
 )
@@ -29,66 +28,35 @@ type CompressionRow struct {
 
 // RunCompressionStudy runs Spyker on non-IID MNIST under each codec.
 func RunCompressionStudy(scale float64, seed int64) (*CompressionStudy, error) {
-	if scale <= 0 || scale > 1 {
-		scale = 1
-	}
-	clients := int(100 * scale)
-	if clients < 8 {
-		clients = 8
-	}
 	const target = 0.92
 	study := &CompressionStudy{Target: target}
-	codecs := []compress.Codec{
-		compress.Raw{},
-		compress.Quantize8{},
-		compress.TopK{Fraction: 0.10},
-	}
-	for _, codec := range codecs {
-		setup := Setup{
-			Task:         TaskMNIST,
-			NumServers:   4,
-			NumClients:   clients,
-			NonIIDLabels: 2,
-			Codec:        codec,
-			Seed:         seed,
-			TargetAcc:    target,
-			Horizon:      120,
-		}
-		res, err := Run("spyker", setup)
-		if err != nil {
-			return nil, err
-		}
-		tt, ok := res.Trace.TimeToAcc(target)
-		if !ok {
-			tt = 0
-		}
+	setup := baseSetup(population(100, scale, 8), seed)
+	setup.TargetAcc = target
+	setup.Horizon = 120
+	var w sweep
+	for _, codec := range []compress.Codec{compress.Raw{}, compress.Quantize8{}, compress.TopK{Fraction: 0.10}} {
+		setup.Codec = codec
+		res := w.run("spyker", setup, nil)
 		study.Rows = append(study.Rows, CompressionRow{
 			Codec:             codec.Name(),
-			TimeToTarget:      tt,
+			TimeToTarget:      timeTo(res.Trace, target),
 			FinalAcc:          res.Trace.BestAcc(),
 			ClientServerBytes: res.BytesClientServer,
 			ServerServerBytes: res.BytesServerServer,
 		})
 	}
-	return study, nil
+	return study, w.err
 }
 
 // Render prints the codec comparison.
 func (c *CompressionStudy) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "=== update-compression extension (Spyker, target %.0f%%%%) ===\n", 100*c.Target)
-	fmt.Fprintf(&b, "%-10s %12s %10s %16s %14s\n",
-		"codec", "t(target)", "best acc", "client-server", "server-server")
+	t := titled(fmt.Sprintf("=== update-compression extension (Spyker, target %.0f%%%%) ===\n", 100*c.Target),
+		col{"codec", -10, ""}, col{"t(target)", 12, ""}, col{"best acc", 10, "%"},
+		col{"client-server", 16, "MB"}, col{"server-server", 14, "MB"})
 	for _, r := range c.Rows {
-		tt := "(n/r)"
-		if r.TimeToTarget > 0 {
-			tt = fmt.Sprintf("%.2fs", r.TimeToTarget)
-		}
-		fmt.Fprintf(&b, "%-10s %12s %9.1f%% %15.1fMB %13.1fMB\n",
-			r.Codec, tt, 100*r.FinalAcc,
-			float64(r.ClientServerBytes)/1e6, float64(r.ServerServerBytes)/1e6)
+		t.row(r.Codec, timeCell(r.TimeToTarget), fixed(100*r.FinalAcc, 1),
+			fixed(mb(r.ClientServerBytes), 1), fixed(mb(r.ServerServerBytes), 1))
 	}
-	b.WriteString("\nclient->server traffic shrinks ~8x under q8 and further under top-k;\n" +
-		"server->client and server<->server traffic is unchanged (updates only).\n")
-	return b.String()
+	return t.b.String() + "\nclient->server traffic shrinks ~8x under q8 and further under top-k;\n" +
+		"server->client and server<->server traffic is unchanged (updates only).\n"
 }

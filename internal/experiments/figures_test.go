@@ -27,6 +27,7 @@ func TestRunComparisonStructure(t *testing.T) {
 		}
 	}
 	out := c.Render()
+	golden(t, "comparison-mnist", out)
 	for _, want := range []string{"FedAvg", "FedAsync", "HierFAVG", "Spyker", "Sync-Spyker", "time to reach"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
@@ -40,6 +41,7 @@ func TestRunComparisonWikiUsesPerplexity(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := c.Render()
+	golden(t, "comparison-wiki", out)
 	if !strings.Contains(out, "ppl") || !strings.Contains(out, "perplexity") {
 		t.Error("wikitext render does not report perplexity")
 	}
@@ -71,6 +73,7 @@ func TestQueueStudyShape(t *testing.T) {
 				q.FedAsync.Queues[0].Max(), s, tr.Max())
 		}
 	}
+	golden(t, "queue", q.Render())
 	if !strings.Contains(q.Render(), "FedAsync") {
 		t.Error("render incomplete")
 	}
@@ -94,6 +97,7 @@ func TestKDEStudyShape(t *testing.T) {
 	if sp <= fa {
 		t.Errorf("Spyker total updates %v <= FedAsync %v", sp, fa)
 	}
+	golden(t, "kde", k.Render())
 	if !strings.Contains(k.Render(), "median") {
 		t.Error("render incomplete")
 	}
@@ -110,6 +114,7 @@ func TestDecayStudyStructure(t *testing.T) {
 	if d.WithDecay.Algorithm == d.WithoutDecay.Algorithm {
 		t.Error("both runs used the same variant")
 	}
+	golden(t, "decay", d.Render())
 	if !strings.Contains(d.Render(), "decay") {
 		t.Error("render incomplete")
 	}
@@ -145,6 +150,7 @@ func TestBandwidthStudyOrdering(t *testing.T) {
 	if byName["Spyker"].ServerServerBytes == 0 || byName["HierFAVG"].ServerServerBytes == 0 {
 		t.Error("multi-server systems recorded no server-server traffic")
 	}
+	golden(t, "bandwidth", s.Render())
 }
 
 func TestScalabilityStudyStructure(t *testing.T) {
@@ -160,6 +166,7 @@ func TestScalabilityStudyStructure(t *testing.T) {
 			t.Errorf("%s factors incomplete: %+v", r.Algorithm, r)
 		}
 	}
+	golden(t, "scalability", s.Render())
 	if !strings.Contains(s.Render(), "Tab. 5") {
 		t.Error("render incomplete")
 	}
@@ -174,6 +181,7 @@ func TestLatencyStudyStructure(t *testing.T) {
 		t.Fatalf("rows = %d", len(s.Rows))
 	}
 	out := s.Render()
+	golden(t, "latency", out)
 	if !strings.Contains(out, "Lat.") || !strings.Contains(out, "No lat.") {
 		t.Error("render incomplete")
 	}
@@ -190,6 +198,7 @@ func TestImbalanceStudyStructure(t *testing.T) {
 	if s.Scenarios[0].HotClients >= s.Scenarios[3].HotClients {
 		t.Error("hotspot sizes not increasing")
 	}
+	golden(t, "imbalance", s.Render())
 	if !strings.Contains(s.Render(), "hot-server size") {
 		t.Error("render incomplete")
 	}

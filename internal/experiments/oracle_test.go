@@ -94,6 +94,23 @@ func TestCrossCommitOracle(t *testing.T) {
 				{At: 0.6, Kind: fault.KindCrash, Server: 1, Duration: 0.3},
 			}}
 		}, nil, oracleBits{0x3fff6d7472fb460c, 0x3fd2c5f92c5f92c6, 0x40005ddc12007600, 64, 0xbc9d2869ecd6ac4f}},
+
+		// Recorded on 81b658e, the commit before the six DES glues moved
+		// onto internal/fl's shared actor kit and FedAvg's server and
+		// HierFAVG's edge became one round server: the four algorithms no
+		// earlier row runs, and FedAsync once more on the LSTM task.
+		{"mnist/fedasync", TaskMNIST, "fedasync", nil, nil, oracleBits{0x3ffd81005a4b7b7e, 0x3fd999999999999a, 0x40003b4b168db1e3, 64, 0xa8415873223605bd}},
+		{"mnist/hierfavg", TaskMNIST, "hierfavg", nil, nil, oracleBits{0x3ff956d0dc32fa4b, 0x3fe23d70a3d70a3d, 0x40075a6c9a688dd8, 64, 0xe7bf4663e18913e}},
+		{"mnist/sync-spyker", TaskMNIST, "sync-spyker", nil, nil, oracleBits{0x3ffed028a435d380, 0x3fcc28f5c28f5c29, 0x3ff526fb3f2813b7, 64, 0xd6598242b8a01d25}},
+		// The plain row ends (1.3 virtual s) before the first 5 s exchange;
+		// this one has several, so the synchronous exchange is pinned too.
+		{"mnist/sync-spyker/period0.3", TaskMNIST, "sync-spyker", func(s *Setup) {
+			h := fl.DefaultHyper(8, 2)
+			h.SyncPeriod = 0.3
+			s.Hyper = &h
+		}, nil, oracleBits{0x3ffedd14b4d9843f, 0x3fca06d3a06d3a07, 0x40027543434baf29, 64, 0xd9a8ad6d011681a0}},
+		{"mnist/fedbuff", TaskMNIST, "fedbuff", nil, nil, oracleBits{0x3ff76e6d87971575, 0x3fe2e147ae147ae1, 0x40003b4b168db1e3, 64, 0xdc9e34aca0a9aecc}},
+		{"wiki/fedasync", TaskWiki, "fedasync", nil, nil, oracleBits{0x400a433590439a81, 0x3fc77df7df7df7df, 0x400011592dd31fca, 64, 0x8104498e7c13991a}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -27,6 +27,9 @@ type Result struct {
 	Updates         int
 	ReachedTarget   bool
 	TimeToTarget    float64
+
+	cores       []*spyker.ServerCore // Spyker's post-run protocol state, for the fault studies
+	faultEvents int                  // fault-plan events actually applied
 }
 
 // NewAlgorithm instantiates an algorithm by its paper name. Valid names:
@@ -57,49 +60,42 @@ func NewAlgorithm(name string) (fl.Algorithm, error) {
 // figures list them.
 var ComparisonAlgorithms = []string{"fedavg", "fedasync", "hierfavg", "spyker", "sync-spyker"}
 
-// runOn is the harness every DES study shares: build the environment, let
-// prepare (nil for none) adjust it, build alg on it, arm the setup's fault
-// plan if it has one, and run the event loop to the horizon. The injector
-// is nil for a fault-free setup.
-func runOn(alg fl.Algorithm, s Setup, prepare func(*fl.Env)) (*fl.Env, *metrics.Recorder, *fault.SimInjector, error) {
+// Run executes one algorithm on one setup and collects every measurement.
+func Run(algName string, s Setup) (*Result, error) { return runPrepared(algName, s, nil) }
+
+// runPrepared is the harness every DES study shares: build the
+// environment, let prepare (nil for none) adjust it, build the algorithm on
+// it, arm the setup's fault plan if it has one, run the event loop to the
+// horizon, and collect every measurement.
+func runPrepared(algName string, s Setup, prepare func(*fl.Env)) (*Result, error) {
+	alg, err := NewAlgorithm(algName)
+	if err != nil {
+		return nil, err
+	}
 	env, rec, err := BuildEnv(s)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if prepare != nil {
 		prepare(env)
 	}
 	if err := alg.Build(env); err != nil {
-		return nil, nil, nil, fmt.Errorf("build %s: %w", alg.Name(), err)
+		return nil, fmt.Errorf("build %s: %w", alg.Name(), err)
 	}
 	var inj *fault.SimInjector
 	if env.Faults != nil {
 		cl, ok := alg.(fault.Cluster)
 		if !ok {
-			return nil, nil, nil, fmt.Errorf("experiments: %s does not support failure injection", alg.Name())
+			return nil, fmt.Errorf("experiments: %s does not support failure injection", alg.Name())
 		}
 		inj, err = fault.NewSimInjector(*env.Faults, env.Sim, env.Net, cl)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		inj.Instrument(env.Trace)
 		inj.Arm()
 	}
-	env.Sim.Run(s.withDefaults().Horizon)
-	return env, rec, inj, nil
-}
-
-// Run executes one algorithm on one setup and collects every measurement.
-func Run(algName string, s Setup) (*Result, error) {
-	alg, err := NewAlgorithm(algName)
-	if err != nil {
-		return nil, err
-	}
-	env, rec, _, err := runOn(alg, s, nil)
-	if err != nil {
-		return nil, err
-	}
-	final := env.Sim.Now()
+	final := env.Sim.Run(s.withDefaults().Horizon)
 
 	series := make([]int, 10)
 	for i := range series {
@@ -108,7 +104,7 @@ func Run(algName string, s Setup) (*Result, error) {
 	}
 
 	reached, at := rec.Reached()
-	return &Result{
+	res := &Result{
 		Algorithm:          alg.Name(),
 		Trace:              rec.TraceData,
 		Queues:             rec.QueueData,
@@ -120,18 +116,12 @@ func Run(algName string, s Setup) (*Result, error) {
 		Updates:            rec.Updates(),
 		ReachedTarget:      reached,
 		TimeToTarget:       at,
-	}, nil
-}
-
-// RunAll executes every algorithm in names on the same setup.
-func RunAll(names []string, s Setup) ([]*Result, error) {
-	out := make([]*Result, 0, len(names))
-	for _, n := range names {
-		r, err := Run(n, s)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
 	}
-	return out, nil
+	if sp, ok := alg.(*spyker.Algorithm); ok {
+		res.cores = sp.Servers()
+	}
+	if inj != nil {
+		res.faultEvents = inj.Injected()
+	}
+	return res, nil
 }

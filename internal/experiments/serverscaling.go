@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // ServerScalingStudy completes the paper's scalability story: Sec. 5
@@ -28,60 +28,34 @@ type ServerScalingRow struct {
 // RunServerScalingStudy runs Spyker with 1, 2, 4 and 8 servers over the
 // same fixed client population.
 func RunServerScalingStudy(scale float64, seed int64) (*ServerScalingStudy, error) {
-	if scale <= 0 || scale > 1 {
-		scale = 1
-	}
-	clients := int(120 * scale)
-	if clients < 16 {
-		clients = 16
-	}
 	const target = 0.92
-	study := &ServerScalingStudy{Target: target, Clients: clients}
+	setup := baseSetup(population(120, scale, 16), seed)
+	setup.SpreadClientRegions = true // clients stay geo-distributed even with 1 server
+	setup.TargetAcc = target
+	setup.Horizon = 180
+	study := &ServerScalingStudy{Target: target, Clients: setup.NumClients}
+	var w sweep
 	for _, servers := range []int{1, 2, 4, 8} {
-		setup := Setup{
-			Task:                TaskMNIST,
-			NumServers:          servers,
-			NumClients:          clients,
-			NonIIDLabels:        2,
-			SpreadClientRegions: true, // clients stay geo-distributed even with 1 server
-			Seed:                seed,
-			TargetAcc:           target,
-			Horizon:             180,
-		}
-		res, err := Run("spyker", setup)
-		if err != nil {
-			return nil, err
-		}
-		tt, ok := res.Trace.TimeToAcc(target)
-		if !ok {
-			tt = 0
-		}
+		setup.NumServers = servers
+		res := w.run("spyker", setup, nil)
 		upd, _ := res.Trace.UpdatesToAcc(target)
 		study.Rows = append(study.Rows, ServerScalingRow{
 			Servers:           servers,
-			TimeToTarget:      tt,
+			TimeToTarget:      timeTo(res.Trace, target),
 			Updates:           upd,
 			ServerServerBytes: res.BytesServerServer,
 		})
 	}
-	return study, nil
+	return study, w.err
 }
 
 // Render prints the study.
 func (s *ServerScalingStudy) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "=== server-count scaling: %d clients, target %.0f%%%% ===\n",
-		s.Clients, 100*s.Target)
-	fmt.Fprintf(&b, "%8s %12s %10s %16s\n", "servers", "t(target)", "updates", "srv-srv bytes")
+	t := titled(fmt.Sprintf("=== server-count scaling: %d clients, target %.0f%%%% ===\n", s.Clients, 100*s.Target),
+		col{"servers", 8, ""}, col{"t(target)", 12, ""}, col{"updates", 10, ""}, col{"srv-srv bytes", 16, "MB"})
 	for _, r := range s.Rows {
-		tt := "(n/r)"
-		if r.TimeToTarget > 0 {
-			tt = fmt.Sprintf("%.2fs", r.TimeToTarget)
-		}
-		fmt.Fprintf(&b, "%8d %12s %10d %15.2fMB\n",
-			r.Servers, tt, r.Updates, float64(r.ServerServerBytes)/1e6)
+		t.row(strconv.Itoa(r.Servers), timeCell(r.TimeToTarget), strconv.Itoa(r.Updates), fixed(mb(r.ServerServerBytes), 2))
 	}
-	b.WriteString("\nmore servers shorten client-server paths and split the aggregation\n" +
-		"load, at the cost of more synchronization traffic.\n")
-	return b.String()
+	return t.b.String() + "\nmore servers shorten client-server paths and split the aggregation\n" +
+		"load, at the cost of more synchronization traffic.\n"
 }

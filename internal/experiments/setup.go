@@ -32,17 +32,14 @@ const (
 )
 
 // String implements fmt.Stringer.
-func (t Task) String() string {
-	switch t {
-	case TaskMNIST:
-		return "mnist"
-	case TaskCIFAR:
-		return "cifar"
-	case TaskWiki:
-		return "wikitext"
-	default:
-		return fmt.Sprintf("Task(%d)", int(t))
+func (t Task) String() string { return enumName("Task", int(t), "", "mnist", "cifar", "wikitext") }
+
+// enumName is names[v], or kind(v) for a value outside the enumeration.
+func enumName(kind string, v int, names ...string) string {
+	if v >= 0 && v < len(names) && names[v] != "" {
+		return names[v]
 	}
+	return fmt.Sprintf("%s(%d)", kind, v)
 }
 
 // Setup describes one experimental deployment.
@@ -189,16 +186,7 @@ const (
 
 // String implements fmt.Stringer.
 func (a Assignment) String() string {
-	switch a {
-	case AssignGeo:
-		return "geo"
-	case AssignSimilar:
-		return "similar"
-	case AssignStratified:
-		return "stratified"
-	default:
-		return fmt.Sprintf("Assignment(%d)", int(a))
-	}
+	return enumName("Assignment", int(a), "geo", "similar", "stratified")
 }
 
 // workload bundles the dataset-specific pieces of an environment.
@@ -239,24 +227,8 @@ func scale(base int, f float64) int {
 func buildMNIST(s Setup) workload {
 	train := scale(10*s.NumClients, s.DatasetScale)
 	ds := data.GenerateImages(data.MNISTLike(train, 300, s.Seed))
-	factory := func(seed int64) fl.Model {
-		rng := rand.New(rand.NewSource(seed))
-		ch, h, w := ds.Shape()
-		conv := nn.NewConv2D(ch, h, w, 6, 3, rng) // 6 x 10 x 10
-		pool := nn.NewMaxPool2D(6, 10, 10)        // 6 x 5 x 5
-		net := nn.NewNetwork(
-			conv,
-			nn.NewReLU(conv.OutSize()),
-			pool,
-			nn.NewDense(pool.OutSize(), 32, rng),
-			nn.NewReLU(32),
-			nn.NewDense(32, ds.NumClasses(), rng),
-		)
-		return fl.NewClassifier(net, ds, ds.TestSet(), 10, seed)
-	}
-	shards := imageShards(ds, s)
-	return workload{factory: factory, shards: shards,
-		labelOf: shardLabeler(ds, shards), hists: cluster.LabelHistograms(ds, shards)}
+	factory := func(seed int64) fl.Model { return fl.NewMNISTClassifier(ds, 6, 32, seed) }
+	return imageWorkload(ds, s, factory)
 }
 
 func buildCIFAR(s Setup) workload {
@@ -280,6 +252,11 @@ func buildCIFAR(s Setup) workload {
 		)
 		return fl.NewClassifier(net, ds, ds.TestSet(), 10, seed)
 	}
+	return imageWorkload(ds, s, factory)
+}
+
+// imageWorkload splits an image dataset over the setup's clients.
+func imageWorkload(ds *data.Images, s Setup, factory fl.ModelFactory) workload {
 	shards := imageShards(ds, s)
 	return workload{factory: factory, shards: shards,
 		labelOf: shardLabeler(ds, shards), hists: cluster.LabelHistograms(ds, shards)}
@@ -514,28 +491,21 @@ func assignServers(s Setup, wl workload, perServer []int, regionOf []geo.Region)
 				ci++
 			}
 		}
-	case AssignSimilar:
+	case AssignSimilar, AssignStratified:
 		if wl.hists == nil {
 			return nil, fmt.Errorf("experiments: %v assignment needs label histograms (image tasks only)", s.Assignment)
 		}
-		groups := cluster.BalancedGroups(wl.hists, s.NumServers, s.Seed+13)
-		for si, g := range groups {
+		// One similarity group per server, or each group dealt round-robin
+		// over the servers so every server receives a slice of every
+		// distribution.
+		next := 0
+		for si, g := range cluster.BalancedGroups(wl.hists, s.NumServers, s.Seed+13) {
 			for _, ci := range g {
 				serverOf[ci] = si
-			}
-		}
-	case AssignStratified:
-		if wl.hists == nil {
-			return nil, fmt.Errorf("experiments: %v assignment needs label histograms (image tasks only)", s.Assignment)
-		}
-		groups := cluster.BalancedGroups(wl.hists, s.NumServers, s.Seed+13)
-		// Deal each similarity group round-robin over the servers, so
-		// every server receives a slice of every distribution.
-		next := 0
-		for _, g := range groups {
-			for _, ci := range g {
-				serverOf[ci] = next % s.NumServers
-				next++
+				if s.Assignment == AssignStratified {
+					serverOf[ci] = next % s.NumServers
+					next++
+				}
 			}
 		}
 	default:

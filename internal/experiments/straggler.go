@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/spyker-fl/spyker/internal/fl"
 )
@@ -38,48 +37,25 @@ func (r StragglerRow) Slowdown() float64 {
 // RunStragglerStudy compares Spyker, Sync-Spyker and HierFAVG with and
 // without a 20x-slow server 0.
 func RunStragglerStudy(scale float64, seed int64) (*StragglerStudy, error) {
-	if scale <= 0 || scale > 1 {
-		scale = 1
-	}
-	clients := int(100 * scale)
-	if clients < 12 {
-		clients = 12
-	}
 	const (
 		target = 0.92
 		factor = 20.0
 	)
+	setup := baseSetup(population(100, scale, 12), seed)
+	setup.TargetAcc = target
+	setup.Horizon = 240
 	study := &StragglerStudy{SlowFactor: factor}
+	var w sweep
 	for _, name := range []string{"spyker", "sync-spyker", "hierfavg"} {
 		row := StragglerRow{}
 		for _, slow := range []bool{false, true} {
-			setup := Setup{
-				Task:         TaskMNIST,
-				NumServers:   4,
-				NumClients:   clients,
-				NonIIDLabels: 2,
-				Seed:         seed,
-				TargetAcc:    target,
-				Horizon:      240,
-			}
-			alg, err := NewAlgorithm(name)
-			if err != nil {
-				return nil, err
-			}
-			_, rec, _, err := runOn(alg, setup, func(env *fl.Env) {
+			res := w.run(name, setup, func(env *fl.Env) {
 				if slow {
 					env.ServerProcMult = []float64{factor, 1, 1, 1}
 				}
 			})
-			if err != nil {
-				return nil, err
-			}
-			row.Algorithm = alg.Name()
-			tt, ok := rec.TraceData.TimeToAcc(target)
-			if !ok {
-				tt = 0
-			}
-			if slow {
+			row.Algorithm = res.Algorithm
+			if tt := timeTo(res.Trace, target); slow {
 				row.StraggledTime = tt
 			} else {
 				row.HealthyTime = tt
@@ -87,29 +63,17 @@ func RunStragglerStudy(scale float64, seed int64) (*StragglerStudy, error) {
 		}
 		study.Rows = append(study.Rows, row)
 	}
-	return study, nil
+	return study, w.err
 }
 
 // Render prints the study.
 func (s *StragglerStudy) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "=== straggler server extension: server 0 processing x%.0f slower ===\n", s.SlowFactor)
-	fmt.Fprintf(&b, "%-14s %12s %14s %10s\n", "algorithm", "healthy", "straggled", "slowdown")
+	t := titled(fmt.Sprintf("=== straggler server extension: server 0 processing x%.0f slower ===\n", s.SlowFactor),
+		col{"algorithm", -14, ""}, col{"healthy", 12, ""}, col{"straggled", 14, ""}, col{"slowdown", 10, ""})
 	for _, r := range s.Rows {
-		h, st := "(n/r)", "(n/r)"
-		if r.HealthyTime > 0 {
-			h = fmt.Sprintf("%.2fs", r.HealthyTime)
-		}
-		if r.StraggledTime > 0 {
-			st = fmt.Sprintf("%.2fs", r.StraggledTime)
-		}
-		sd := "-"
-		if v := r.Slowdown(); v > 0 {
-			sd = fmt.Sprintf("%.2fx", v)
-		}
-		fmt.Fprintf(&b, "%-14s %12s %14s %10s\n", r.Algorithm, h, st, sd)
+		t.row(r.Algorithm, timeCell(r.HealthyTime), timeCell(r.StraggledTime),
+			orDash(r.Slowdown() > 0, fixed(r.Slowdown(), 2)+"x"))
 	}
-	b.WriteString("\nexpected: Spyker degrades least (only the straggler's own clients slow\n" +
-		"down); synchronous coordination spreads the damage to everyone.\n")
-	return b.String()
+	return t.b.String() + "\nexpected: Spyker degrades least (only the straggler's own clients slow\n" +
+		"down); synchronous coordination spreads the damage to everyone.\n"
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/spyker-fl/spyker/internal/metrics"
@@ -32,60 +33,44 @@ type ScalabilityRow struct {
 // RunScalabilityStudy reproduces Tab. 5 (MNIST, 4 servers, populations of
 // 100/200/300 clients at scale 1). scale shrinks all populations.
 func RunScalabilityStudy(scale float64, target float64, seed int64) (*ScalabilityStudy, error) {
-	if scale <= 0 || scale > 1 {
-		scale = 1
-	}
 	if target <= 0 {
 		target = 0.90
 	}
-	pops := []int{int(100 * scale), int(200 * scale), int(300 * scale)}
+	pops := make([]int, 3)
 	for i := range pops {
-		if pops[i] < 8 {
+		if pops[i] = population(100*(i+1), scale, 0); pops[i] < 8 {
 			pops[i] = 8 * (i + 1)
 		}
 	}
 	study := &ScalabilityStudy{Target: target, Populations: pops}
-
+	var w sweep
 	for _, name := range ComparisonAlgorithms {
 		row := ScalabilityRow{}
 		for pi, pop := range pops {
-			setup := Setup{
-				Task:         TaskMNIST,
-				NumServers:   4,
-				NumClients:   pop,
-				NonIIDLabels: 2,
-				Seed:         seed,
-				TargetAcc:    target,
-				Horizon:      420,
-			}
-			res, err := Run(name, setup)
-			if err != nil {
-				return nil, err
-			}
+			setup := baseSetup(pop, seed)
+			setup.TargetAcc = target
+			setup.Horizon = 420
+			res := w.run(name, setup, nil)
 			row.Algorithm = res.Algorithm
-			tt, tok := res.Trace.TimeToAcc(target)
+			// Both read 0 when the target was never reached; against a
+			// baseline that missed it the factors are meaningless and
+			// recorded as zeros too.
+			tt, reached := res.Trace.TimeToAcc(target)
 			uu, _ := res.Trace.UpdatesToAcc(target)
-			if pi == 0 {
-				if !tok {
-					// Baseline never reached the target; factors are
-					// meaningless, record zeros.
-					row.BaseTime, row.BaseUpdates = 0, 0
-				} else {
-					row.BaseTime, row.BaseUpdates = tt, uu
-				}
-				continue
-			}
-			if !tok || row.BaseTime == 0 {
+			switch {
+			case pi == 0:
+				row.BaseTime, row.BaseUpdates = tt, uu
+			case !reached || row.BaseTime == 0:
 				row.TimeFactors = append(row.TimeFactors, 0)
 				row.UpdateFactors = append(row.UpdateFactors, 0)
-				continue
+			default:
+				row.TimeFactors = append(row.TimeFactors, tt/row.BaseTime)
+				row.UpdateFactors = append(row.UpdateFactors, float64(uu)/float64(row.BaseUpdates))
 			}
-			row.TimeFactors = append(row.TimeFactors, tt/row.BaseTime)
-			row.UpdateFactors = append(row.UpdateFactors, float64(uu)/float64(row.BaseUpdates))
 		}
 		study.Rows = append(study.Rows, row)
 	}
-	return study, nil
+	return study, w.err
 }
 
 // Render prints the table in the paper's layout.
@@ -102,7 +87,7 @@ func (s *ScalabilityStudy) Render() string {
 		fmt.Fprintf(&b, "%-14s", r.Algorithm)
 		for i := range r.TimeFactors {
 			if r.TimeFactors[i] == 0 {
-				fmt.Fprintf(&b, " |       (n/r)     ")
+				fmt.Fprintf(&b, " |       %s     ", notReached)
 			} else {
 				fmt.Fprintf(&b, " |      %5.2f %5.2f", r.TimeFactors[i], r.UpdateFactors[i])
 			}
@@ -130,48 +115,33 @@ type LatencyRow struct {
 // RunLatencyStudy reproduces Tab. 6. The accuracy targets can be lowered
 // (target90/target95) when running at reduced scale.
 func RunLatencyStudy(scale, target90, target95 float64, seed int64) (*LatencyStudy, error) {
-	if scale <= 0 || scale > 1 {
-		scale = 1
-	}
 	if target90 <= 0 {
 		target90 = 0.90
 	}
 	if target95 <= 0 {
 		target95 = 0.95
 	}
-	clients := int(100 * scale)
-	if clients < 8 {
-		clients = 8
-	}
+	setup := baseSetup(population(100, scale, 8), seed)
+	setup.TargetAcc = target95
+	setup.Horizon = 420
 	study := &LatencyStudy{}
+	var w sweep
 	for _, uniform := range []bool{false, true} {
 		network := "Lat."
+		setup.Latency = nil // the AWS matrix
 		if uniform {
 			network = "No lat."
+			setup.Latency = UniformMeanLatency()
 		}
 		for _, name := range []string{"fedasync", "spyker"} {
-			setup := Setup{
-				Task:         TaskMNIST,
-				NumServers:   4,
-				NumClients:   clients,
-				NonIIDLabels: 2,
-				Latency:      latencyForStudy(uniform),
-				Seed:         seed,
-				TargetAcc:    target95,
-				Horizon:      420,
-			}
-			res, err := Run(name, setup)
-			if err != nil {
-				return nil, err
-			}
-			t90, _ := res.Trace.TimeToAcc(target90)
-			t95, _ := res.Trace.TimeToAcc(target95)
+			res := w.run(name, setup, nil)
 			study.Rows = append(study.Rows, LatencyRow{
-				Network: network, Algorithm: res.Algorithm, Time90: t90, Time95: t95,
+				Network: network, Algorithm: res.Algorithm,
+				Time90: timeTo(res.Trace, target90), Time95: timeTo(res.Trace, target95),
 			})
 		}
 	}
-	return study, nil
+	return study, w.err
 }
 
 // Improvement returns Spyker's relative speedup over FedAsync for the
@@ -197,15 +167,13 @@ func (s *LatencyStudy) Improvement(network string) float64 {
 
 // Render prints the table in the paper's layout.
 func (s *LatencyStudy) Render() string {
-	var b strings.Builder
-	b.WriteString("=== Tab. 6: time to target accuracy, AWS latency vs uniform ===\n")
-	fmt.Fprintf(&b, "%-8s %-10s %10s %10s\n", "network", "method", "t(90%)", "t(95%)")
+	t := titled("=== Tab. 6: time to target accuracy, AWS latency vs uniform ===\n",
+		col{"network", -8, ""}, col{"method", -10, ""}, col{"t(90%)", 10, "s"}, col{"t(95%)", 10, "s"})
 	for _, r := range s.Rows {
-		fmt.Fprintf(&b, "%-8s %-10s %9.1fs %9.1fs\n", r.Network, r.Algorithm, r.Time90, r.Time95)
+		t.row(r.Network, r.Algorithm, fixed(r.Time90, 1), fixed(r.Time95, 1))
 	}
-	fmt.Fprintf(&b, "improvement with latency:    %5.1f%%\n", 100*s.Improvement("Lat."))
-	fmt.Fprintf(&b, "improvement without latency: %5.1f%%\n", 100*s.Improvement("No lat."))
-	return b.String()
+	return t.b.String() + fmt.Sprintf("improvement with latency:    %5.1f%%\nimprovement without latency: %5.1f%%\n",
+		100*s.Improvement("Lat."), 100*s.Improvement("No lat."))
 }
 
 // ImbalanceStudy is the data behind Tab. 7: the effect of concentrating
@@ -230,35 +198,19 @@ type ImbalanceScenario struct {
 // the queueing-induced staleness of the imbalanced scenarios shows up as
 // an accuracy delta, as in the paper's table.
 func RunImbalanceStudy(scale float64, seed int64) (*ImbalanceStudy, error) {
-	if scale <= 0 || scale > 1 {
-		scale = 1
-	}
-	total := int(140 * scale)
-	if total < 12 {
-		total = 12
-	}
+	total := population(140, scale, 12)
 	const target = 0.95
 	hotShares := []float64{0.25, 0.52, 0.63, 0.70}
 	study := &ImbalanceStudy{}
+	var w sweep
 	var deadline float64
 	for i, share := range hotShares {
 		hot := int(float64(total) * share)
-		rest := evenSplit(total-hot, 3)
-		per := append([]int{hot}, rest...)
-		setup := Setup{
-			Task:             TaskMNIST,
-			NumServers:       4,
-			NumClients:       total,
-			ClientsPerServer: per,
-			NonIIDLabels:     2,
-			Seed:             seed,
-			Horizon:          90,
-			TargetAcc:        target,
-		}
-		res, err := Run("spyker", setup)
-		if err != nil {
-			return nil, err
-		}
+		setup := baseSetup(total, seed)
+		setup.ClientsPerServer = append([]int{hot}, evenSplit(total-hot, 3)...)
+		setup.Horizon = 90
+		setup.TargetAcc = target
+		res := w.run("spyker", setup, nil)
 		dur, reached := res.Trace.TimeToAcc(target)
 		if !reached {
 			dur = res.FinalTime
@@ -276,7 +228,7 @@ func RunImbalanceStudy(scale float64, seed int64) (*ImbalanceStudy, error) {
 			Duration:   dur,
 		})
 	}
-	return study, nil
+	return study, w.err
 }
 
 // accAt returns the last accuracy at or before virtual time t (0 if the
@@ -295,30 +247,23 @@ func accAt(tr metrics.Trace, t float64) float64 {
 // Render prints the table in the paper's delta layout: the balanced
 // scenario in absolute terms, the others as differences.
 func (s *ImbalanceStudy) Render() string {
-	var b strings.Builder
-	b.WriteString("=== Tab. 7: imbalanced clients per server (Spyker) ===\n")
-	fmt.Fprintf(&b, "%-16s", "hot-server size")
-	for _, sc := range s.Scenarios {
-		fmt.Fprintf(&b, " %10d", sc.HotClients)
-	}
-	b.WriteString("\n")
-	fmt.Fprintf(&b, "%-16s", "accuracy")
+	// One column per scenario; the first in absolute terms, the others
+	// signed against it.
+	cols := []col{{"hot-server size", -16, ""}}
+	acc, dur := []string{"accuracy"}, []string{"duration (s)"}
 	for i, sc := range s.Scenarios {
+		base := s.Scenarios[0]
+		cols = append(cols, col{strconv.Itoa(sc.HotClients), 10, ""})
 		if i == 0 {
-			fmt.Fprintf(&b, " %9.1f%%", 100*sc.Accuracy)
+			acc = append(acc, fmt.Sprintf("%.1f%%", 100*sc.Accuracy))
+			dur = append(dur, fixed(sc.Duration, 1))
 		} else {
-			fmt.Fprintf(&b, " %+9.1f%%", 100*(sc.Accuracy-s.Scenarios[0].Accuracy))
+			acc = append(acc, fmt.Sprintf("%+.1f%%", 100*(sc.Accuracy-base.Accuracy)))
+			dur = append(dur, fmt.Sprintf("%+.1f", sc.Duration-base.Duration))
 		}
 	}
-	b.WriteString("\n")
-	fmt.Fprintf(&b, "%-16s", "duration (s)")
-	for i, sc := range s.Scenarios {
-		if i == 0 {
-			fmt.Fprintf(&b, " %10.1f", sc.Duration)
-		} else {
-			fmt.Fprintf(&b, " %+10.1f", sc.Duration-s.Scenarios[0].Duration)
-		}
-	}
-	b.WriteString("\n")
-	return b.String()
+	t := titled("=== Tab. 7: imbalanced clients per server (Spyker) ===\n", cols...)
+	t.row(acc...)
+	t.row(dur...)
+	return t.b.String()
 }

@@ -46,6 +46,23 @@ type SimClient struct {
 	trainLR  float64
 }
 
+// ClientModelSeed is the seed of client ci's own model in a deployment
+// seeded seed. Every runtime derives it here — the six DES algorithms
+// through NewSimClient, the live cluster and the separate OS processes of
+// a multi-process run directly — so the same client starts from the same
+// weights wherever it runs.
+func ClientModelSeed(seed int64, ci int) int64 { return seed + int64(1000+ci) }
+
+// NewSimClient makes the simulated client ci of the environment, homed at
+// server (its spec's own for the multi-server algorithms, 0 for the
+// single-server ones that collapse the deployment), with a model of its
+// own and deliver as its Deliver.
+func (e *Env) NewSimClient(ci, server int, deliver func(clientID int, update []float64, meta any, uid obs.UID)) *SimClient {
+	spec := e.Clients[ci]
+	spec.Server = server
+	return &SimClient{Env: e, Spec: spec, Model: e.NewModel(ClientModelSeed(e.Seed, ci)), Deliver: deliver}
+}
+
 // tamper replaces an honest update with the configured attack payload.
 func (c *SimClient) tamper(received, trained []float64) []float64 {
 	out := make([]float64, len(trained))
@@ -66,43 +83,35 @@ func (c *SimClient) tamper(received, trained []float64) []float64 {
 		if c.attackRNG == nil {
 			c.attackRNG = rand.New(rand.NewSource(int64(7919 * (c.Spec.ID + 1))))
 		}
-		// Noise whose norm is five honest-deltas: each component is drawn
-		// independently, then the whole vector is rescaled.
-		scale := 5 * deltaNorm(received, trained)
-		var norm float64
-		for i := range out {
-			out[i] = c.attackRNG.NormFloat64()
-			norm += out[i] * out[i]
-		}
-		norm = math.Sqrt(norm)
-		if norm == 0 {
-			norm = 1
-		}
-		for i := range out {
-			out[i] = received[i] + scale*out[i]/norm
-		}
+		// Noise whose norm is five honest-deltas.
+		pushAlong(out, received, c.attackRNG, 5*deltaNorm(received, trained))
 	case ByzantineCollude:
 		// All colluders derive the same direction from the same fixed seed
 		// — deliberately NOT per-client — so their pushes add up instead of
 		// cancelling.
-		dir := rand.New(rand.NewSource(424242))
-		scale := 3 * deltaNorm(received, trained)
-		var norm float64
-		for i := range out {
-			out[i] = dir.NormFloat64()
-			norm += out[i] * out[i]
-		}
-		norm = math.Sqrt(norm)
-		if norm == 0 {
-			norm = 1
-		}
-		for i := range out {
-			out[i] = received[i] + scale*out[i]/norm
-		}
+		pushAlong(out, received, rand.New(rand.NewSource(424242)), 3*deltaNorm(received, trained))
 	default:
 		copy(out, trained)
 	}
 	return out
+}
+
+// pushAlong writes received plus a step of length scale along a direction
+// drawn from rng into out: each component is drawn independently, then the
+// whole vector is rescaled.
+func pushAlong(out, received []float64, rng *rand.Rand, scale float64) {
+	var norm float64
+	for i := range out {
+		out[i] = rng.NormFloat64()
+		norm += out[i] * out[i]
+	}
+	norm = math.Sqrt(norm)
+	if norm == 0 {
+		norm = 1
+	}
+	for i := range out {
+		out[i] = received[i] + scale*out[i]/norm
+	}
 }
 
 // deltaNorm is the L2 norm of the honest training delta, the natural

@@ -93,6 +93,27 @@ func NewClassifier(net *nn.Network, train, test data.Classification, batchSize i
 	}
 }
 
+// NewMNISTClassifier builds the paper's MNIST CNN over ds — one 3x3
+// convolution of `filters` feature maps, ReLU, 2x2 max-pooling, a dense
+// layer of `hidden` units, ReLU, and the output layer — as a Classifier
+// with batch size 10. The paper's sizes are 6 filters and 32 hidden units;
+// every weight is drawn from seed.
+func NewMNISTClassifier(ds *data.Images, filters, hidden int, seed int64) *Classifier {
+	rng := rand.New(rand.NewSource(seed))
+	ch, h, w := ds.Shape()
+	conv := nn.NewConv2D(ch, h, w, filters, 3, rng) // filters x (h-2) x (w-2)
+	pool := nn.NewMaxPool2D(filters, h-2, w-2)
+	net := nn.NewNetwork(
+		conv,
+		nn.NewReLU(conv.OutSize()),
+		pool,
+		nn.NewDense(pool.OutSize(), hidden, rng),
+		nn.NewReLU(hidden),
+		nn.NewDense(hidden, ds.NumClasses(), rng),
+	)
+	return NewClassifier(net, ds, ds.TestSet(), 10, seed)
+}
+
 // NumParams implements Model.
 func (c *Classifier) NumParams() int { return c.net.NumParams() }
 

@@ -57,6 +57,37 @@ type ClusterStats struct {
 	ModelSpread float64
 }
 
+// EvaluateAverage loads the average of the final server models into model
+// and returns its held-out loss and accuracy: the run's global model.
+func (s ClusterStats) EvaluateAverage(model fl.Model) (loss, acc float64) {
+	avg := make([]float64, len(s.FinalParams[0]))
+	for _, p := range s.FinalParams {
+		for i, v := range p {
+			avg[i] += v / float64(len(s.FinalParams))
+		}
+	}
+	model.SetParams(avg)
+	return model.Evaluate()
+}
+
+// HomeOf is the live runtime's client-placement rule: the deployment's
+// clients home at its n servers in contiguous blocks of clients/n, and the
+// last server also takes the remainder. Separate OS processes
+// (spyker-live -role server / -role clients) must agree on it, so it is
+// written here once; clients >= n >= 1.
+func HomeOf(ci, clients, n int) int {
+	return min(ci/(clients/n), n-1)
+}
+
+// ClientsAt reports how many of the deployment's clients home at server
+// under HomeOf's rule.
+func ClientsAt(server, clients, n int) int {
+	if server == n-1 {
+		return clients - (clients/n)*(n-1)
+	}
+	return clients / n
+}
+
 // TotalUpdates sums the per-server update counts.
 func (s ClusterStats) TotalUpdates() int {
 	total := 0
@@ -78,7 +109,6 @@ func RunCluster(cfg ClusterConfig, duration time.Duration) (*ClusterStats, error
 	}
 
 	initial := cfg.NewModel(cfg.Seed).Params()
-	perServer := cfg.NumClients / cfg.NumServers
 
 	// Compose the observability sink shared by all servers: the caller's
 	// trace plus (when a registry is given) a metrics deriver, so counters
@@ -95,11 +125,7 @@ func RunCluster(cfg ClusterConfig, duration time.Duration) (*ClusterStats, error
 	servers := make([]*Server, cfg.NumServers)
 	addrs := make([]string, cfg.NumServers)
 	for i := range servers {
-		clientsHere := perServer
-		if i == cfg.NumServers-1 {
-			clientsHere = cfg.NumClients - perServer*(cfg.NumServers-1)
-		}
-		score := ServerConfig(i, cfg.NumServers, clientsHere, cfg.Hyper)
+		score := ServerConfig(i, cfg.NumServers, ClientsAt(i, cfg.NumClients, cfg.NumServers), cfg.Hyper)
 		srv, err := NewServer(i, "127.0.0.1:0", score, initial, i == 0)
 		if err != nil {
 			closeAll(servers[:i])
@@ -128,18 +154,14 @@ func RunCluster(cfg ClusterConfig, duration time.Duration) (*ClusterStats, error
 	clients := make([]*Client, cfg.NumClients)
 	var wg sync.WaitGroup
 	for ci := 0; ci < cfg.NumClients; ci++ {
-		server := ci / perServer
-		if server >= cfg.NumServers {
-			server = cfg.NumServers - 1
-		}
 		c := &Client{
 			ID:     ci,
-			Model:  cfg.NewModel(cfg.Seed + int64(1000+ci)),
+			Model:  cfg.NewModel(fl.ClientModelSeed(cfg.Seed, ci)),
 			Shard:  cfg.Shards[ci],
 			Epochs: cfg.Hyper.LocalEpochs,
 		}
 		clients[ci] = c
-		addr := addrs[server]
+		addr := addrs[HomeOf(ci, cfg.NumClients, cfg.NumServers)]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

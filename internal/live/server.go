@@ -346,44 +346,38 @@ func (s *Server) ArmAudit(cfg audit.Config) {
 // (the counter maps) — true for every enqueue site.
 //
 //spyker:locked(mu)
-func (s *Server) noteSend(remote int, m *transport.Msg) {
-	size := transport.MsgWireBytes(m)
-	s.txBytes.Add(int64(size))
-	if s.reg != nil {
-		c, ok := s.txPeer[remote]
-		if !ok {
-			c = s.reg.Counter(fmt.Sprintf("live.server%d.tx_bytes.%s", s.ID, obs.NodeName(remote)))
-			s.txPeer[remote] = c
-		}
-		c.Add(int64(size))
-	}
-	if s.sink.Enabled() {
-		s.sink.Emit(obs.Event{
-			Time: s.clock(), Kind: obs.KindMsgSend,
-			Node: obs.ServerNode + s.ID, Peer: remote, Bytes: size,
-			Note: m.Kind.String(), UID: m.Trace.UID,
-		})
-	}
-}
+func (s *Server) noteSend(remote int, m *transport.Msg) { s.note(true, remote, m) }
 
 // noteRecv records one incoming frame from the remote node; callers hold
 // s.mu.
 //
 //spyker:locked(mu)
-func (s *Server) noteRecv(remote int, m *transport.Msg) {
+func (s *Server) noteRecv(remote int, m *transport.Msg) { s.note(false, remote, m) }
+
+// note counts one frame in one direction: the server's byte total, the
+// per-remote registry series, the message event.
+//
+//spyker:locked(mu)
+func (s *Server) note(sent bool, remote int, m *transport.Msg) {
 	size := transport.MsgWireBytes(m)
-	s.rxBytes.Add(int64(size))
+	perPeer, series, kind := s.rxPeer, "rx_bytes", obs.KindMsgRecv
+	if sent {
+		perPeer, series, kind = s.txPeer, "tx_bytes", obs.KindMsgSend
+		s.txBytes.Add(int64(size))
+	} else {
+		s.rxBytes.Add(int64(size))
+	}
 	if s.reg != nil {
-		c, ok := s.rxPeer[remote]
+		c, ok := perPeer[remote]
 		if !ok {
-			c = s.reg.Counter(fmt.Sprintf("live.server%d.rx_bytes.%s", s.ID, obs.NodeName(remote)))
-			s.rxPeer[remote] = c
+			c = s.reg.Counter(fmt.Sprintf("live.server%d.%s.%s", s.ID, series, obs.NodeName(remote)))
+			perPeer[remote] = c
 		}
 		c.Add(int64(size))
 	}
 	if s.sink.Enabled() {
 		s.sink.Emit(obs.Event{
-			Time: s.clock(), Kind: obs.KindMsgRecv,
+			Time: s.clock(), Kind: kind,
 			Node: obs.ServerNode + s.ID, Peer: remote, Bytes: size,
 			Note: m.Kind.String(), UID: m.Trace.UID,
 		})
@@ -524,33 +518,41 @@ func (s *Server) SetPeerWrapper(w func(peer int, conn transport.Sender) transpor
 	s.peerWrap = w
 }
 
-// StartTokenTicker drives the core's token-loss recovery clock: every
-// period it feeds the wall time into spyker.ServerCore.Tick, which is
-// what arms the silence-timeout regeneration and stuck-round retry
-// configured by Config.TokenTimeout / Config.SyncRetry. Without a ticker
-// a live server never detects a lost token.
-func (s *Server) StartTokenTicker(every time.Duration) {
-	if every <= 0 {
+// every runs fn once per period on a goroutine of the server's own, until
+// Close; a non-positive period starts nothing.
+func (s *Server) every(period time.Duration, fn func()) {
+	if period <= 0 {
 		return
 	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		tick := time.NewTicker(every)
+		tick := time.NewTicker(period)
 		defer tick.Stop()
 		for {
 			select {
 			case <-s.stop:
 				return
 			case <-tick.C:
-				s.mu.Lock()
-				if !s.closing.Load() {
-					s.core.Tick(s.clock())
-				}
-				s.mu.Unlock()
+				fn()
 			}
 		}
 	}()
+}
+
+// StartTokenTicker drives the core's token-loss recovery clock: every
+// period it feeds the wall time into spyker.ServerCore.Tick, which is
+// what arms the silence-timeout regeneration and stuck-round retry
+// configured by Config.TokenTimeout / Config.SyncRetry. Without a ticker
+// a live server never detects a lost token.
+func (s *Server) StartTokenTicker(every time.Duration) {
+	s.every(every, func() {
+		s.mu.Lock()
+		if !s.closing.Load() {
+			s.core.Tick(s.clock())
+		}
+		s.mu.Unlock()
+	})
 }
 
 // StartPeerReconnect keeps the ring wired through peer crashes: every
@@ -559,23 +561,7 @@ func (s *Server) StartTokenTicker(every time.Duration) {
 // may have changed across a restart. An empty address skips the peer
 // this round.
 func (s *Server) StartPeerReconnect(every time.Duration, addrOf func(id int) string) {
-	if every <= 0 {
-		return
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		for {
-			select {
-			case <-s.stop:
-				return
-			case <-tick.C:
-				s.redialFailedPeers(addrOf)
-			}
-		}
-	}()
+	s.every(every, func() { s.redialFailedPeers(addrOf) })
 }
 
 // redialFailedPeers reconciles the outbox set with the current

@@ -2,8 +2,8 @@ package live
 
 import (
 	"fmt"
-	"sort"
 
+	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/obs"
 )
 
@@ -61,12 +61,7 @@ func (s *Server) Telemetry() *obs.Telemetry {
 		t.TokenSilence = now // never saw the token: silent since start
 	}
 
-	ids := make([]int, 0, len(s.peers))
-	for id := range s.peers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for _, id := range fl.SortedKeys(s.peers) {
 		p := s.peers[id]
 		if p == nil {
 			continue

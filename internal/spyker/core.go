@@ -384,23 +384,11 @@ func (s *ServerCore) adoptMembership(mem ring.Membership, note string) {
 	s.mem = mem.Clone() // wire headers alias transport buffers; own it
 	s.growTo(s.mem.Slots())
 	s.ringSeq++
-	if s.sink.Enabled() {
-		s.sink.Emit(obs.Event{
-			Time: s.clock(), Kind: obs.KindMembership,
-			Node: s.cfg.ID, Peer: obs.NoPeer, Bid: s.mem.Epoch, Note: note,
-		})
-	}
+	s.emit(obs.KindMembership, obs.NoPeer, s.mem.Epoch, note)
 	if !s.mem.Contains(s.cfg.ID) {
 		if s.hasToken {
-			if s.sink.Enabled() {
-				s.sink.Emit(obs.Event{
-					Time: s.clock(), Kind: obs.KindTokenRetire,
-					Node: s.cfg.ID, Peer: obs.NoPeer, Bid: s.token.Bid, Note: "excluded",
-				})
-			}
-			s.token = nil
-			s.hasToken = false
-			s.ongoingSynchro = false
+			s.emit(obs.KindTokenRetire, obs.NoPeer, s.token.Bid, "excluded")
+			s.releaseToken()
 		}
 		return
 	}
@@ -482,12 +470,7 @@ func (s *ServerCore) YieldToken() bool {
 	t.Mem = s.mem
 	s.token = nil
 	s.hasToken = false
-	if s.sink.Enabled() {
-		s.sink.Emit(obs.Event{
-			Time: s.clock(), Kind: obs.KindTokenPass,
-			Node: s.cfg.ID, Peer: next, Bid: t.Bid, Note: "yield",
-		})
-	}
+	s.emit(obs.KindTokenPass, next, t.Bid, "yield")
 	s.out.SendToken(t, next)
 	return true
 }
@@ -743,12 +726,7 @@ func (s *ServerCore) HandleToken(t Token) {
 	// token incarnation brings the news.
 	s.observeMembership(t.Mem)
 	if t.Bid+1 <= s.maxBidSeen {
-		if s.sink.Enabled() {
-			s.sink.Emit(obs.Event{
-				Time: s.clock(), Kind: obs.KindTokenRetire,
-				Node: s.cfg.ID, Peer: obs.NoPeer, Bid: t.Bid, Note: "stale-incoming",
-			})
-		}
+		s.emit(obs.KindTokenRetire, obs.NoPeer, t.Bid, "stale-incoming")
 		return
 	}
 	if !s.mem.Contains(s.cfg.ID) {
@@ -762,12 +740,7 @@ func (s *ServerCore) HandleToken(t Token) {
 			return
 		}
 		t.Mem = s.mem
-		if s.sink.Enabled() {
-			s.sink.Emit(obs.Event{
-				Time: s.clock(), Kind: obs.KindTokenPass,
-				Node: s.cfg.ID, Peer: next, Bid: t.Bid, Note: "relay-excluded",
-			})
-		}
+		s.emit(obs.KindTokenPass, next, t.Bid, "relay-excluded")
 		s.out.SendToken(t, next)
 		return
 	}
@@ -791,19 +764,30 @@ func (s *ServerCore) HandleToken(t Token) {
 	s.checkSynchronization()
 }
 
+// emit sends one protocol event about this server, stamped with the core's
+// clock, to the attached sink; without one it costs the Enabled check and
+// neither reads the clock nor builds the event. The two events that carry
+// a frontier copy (KindClientUpdate, KindServerAgg) keep their own guard:
+// Frontier() allocates, and must not run for a sink that is not there.
+func (s *ServerCore) emit(kind obs.EventKind, peer, bid int, note string) {
+	if s.sink.Enabled() {
+		s.sink.Emit(obs.Event{Time: s.clock(), Kind: kind, Node: s.cfg.ID, Peer: peer, Bid: bid, Note: note})
+	}
+}
+
+// releaseToken forgets the held token and whatever round it was brokering.
+func (s *ServerCore) releaseToken() {
+	s.token = nil
+	s.hasToken = false
+	s.ongoingSynchro = false
+}
+
 // retireOwnToken discards the held token (it lost a bid comparison to a
 // fresher round or token). Any round it was brokering is abandoned; the
 // fresher round that superseded it redistributes the models anyway.
 func (s *ServerCore) retireOwnToken() {
-	if s.sink.Enabled() {
-		s.sink.Emit(obs.Event{
-			Time: s.clock(), Kind: obs.KindTokenRetire,
-			Node: s.cfg.ID, Peer: obs.NoPeer, Bid: s.token.Bid, Note: "superseded",
-		})
-	}
-	s.token = nil
-	s.hasToken = false
-	s.ongoingSynchro = false
+	s.emit(obs.KindTokenRetire, obs.NoPeer, s.token.Bid, "superseded")
+	s.releaseToken()
 }
 
 // DropToken discards a held token without forwarding it, simulating the
@@ -814,15 +798,8 @@ func (s *ServerCore) DropToken() bool {
 	if !s.hasToken {
 		return false
 	}
-	if s.sink.Enabled() {
-		s.sink.Emit(obs.Event{
-			Time: s.clock(), Kind: obs.KindTokenRetire,
-			Node: s.cfg.ID, Peer: obs.NoPeer, Bid: s.token.Bid, Note: "injected-drop",
-		})
-	}
-	s.token = nil
-	s.hasToken = false
-	s.ongoingSynchro = false
+	s.emit(obs.KindTokenRetire, obs.NoPeer, s.token.Bid, "injected-drop")
+	s.releaseToken()
 	return true
 }
 
@@ -855,12 +832,7 @@ func (s *ServerCore) Tick(now float64) {
 				// re-aggregate, while a restarted server joins late and its
 				// broadcast finally completes the count.
 				s.stuckSince = now
-				if s.sink.Enabled() {
-					s.sink.Emit(obs.Event{
-						Time: now, Kind: obs.KindSyncStart,
-						Node: s.cfg.ID, Peer: obs.NoPeer, Bid: s.token.Bid, Note: "retry",
-					})
-				}
+				s.emit(obs.KindSyncStart, obs.NoPeer, s.token.Bid, "retry")
 				s.out.BroadcastModel(s.w, s.age, s.token.Bid, s.frontier, s.mem)
 			}
 		} else {
@@ -876,7 +848,7 @@ func (s *ServerCore) Tick(now float64) {
 		}
 		if now-s.quietSince >= s.cfg.TokenTimeout {
 			s.quietSince = now
-			s.regenerateToken(now)
+			s.regenerateToken()
 		}
 	}
 }
@@ -887,18 +859,13 @@ func (s *ServerCore) Tick(now float64) {
 // seen) plus its member index (ring.RegenBid) — so concurrent
 // regenerations at different servers mint distinct bids, and the
 // strictly highest one wins every later comparison, retiring the others.
-func (s *ServerCore) regenerateToken(now float64) {
+func (s *ServerCore) regenerateToken() {
 	bid := s.mem.RegenBid(s.maxBidSeen, s.cfg.ID)
 	s.token = &Token{Bid: bid, Ages: tensor.Clone(s.ages), Mem: s.mem}
 	s.hasToken = true
 	s.maxBidSeen = bid
 	s.tokenRegens++
-	if s.sink.Enabled() {
-		s.sink.Emit(obs.Event{
-			Time: now, Kind: obs.KindTokenRegen,
-			Node: s.cfg.ID, Peer: obs.NoPeer, Bid: bid,
-		})
-	}
+	s.emit(obs.KindTokenRegen, obs.NoPeer, bid, "")
 	s.checkSynchronization()
 }
 
@@ -947,12 +914,7 @@ func (s *ServerCore) HandleServerModel(j int, params []float64, age float64, bid
 		s.didBroadcast[bid] = true
 		s.agePrev = s.age
 		s.syncsJoined++
-		if s.sink.Enabled() {
-			s.sink.Emit(obs.Event{
-				Time: s.clock(), Kind: obs.KindSyncStart,
-				Node: s.cfg.ID, Peer: obs.NoPeer, Bid: bid, Note: "join",
-			})
-		}
+		s.emit(obs.KindSyncStart, obs.NoPeer, bid, "join")
 		s.out.BroadcastModel(s.w, s.age, bid, s.frontier, s.mem)
 	}
 	s.serverAgg(j, params, age, bid, front)
@@ -972,31 +934,15 @@ func (s *ServerCore) forwardToken() {
 	next := s.mem.Successor(s.cfg.ID)
 	if next == s.cfg.ID {
 		s.ongoingSynchro = false
-		if s.sink.Enabled() {
-			s.sink.Emit(obs.Event{
-				Time: s.clock(), Kind: obs.KindSyncEnd,
-				Node: s.cfg.ID, Peer: obs.NoPeer, Bid: s.token.Bid,
-			})
-		}
+		s.emit(obs.KindSyncEnd, obs.NoPeer, s.token.Bid, "")
 		return
 	}
 	t := *s.token
 	t.Ages = tensor.Clone(s.ages)
 	t.Mem = s.mem
-	s.token = nil
-	s.hasToken = false
-	s.ongoingSynchro = false
-	if s.sink.Enabled() {
-		now := s.clock()
-		s.sink.Emit(obs.Event{
-			Time: now, Kind: obs.KindSyncEnd,
-			Node: s.cfg.ID, Peer: obs.NoPeer, Bid: t.Bid,
-		})
-		s.sink.Emit(obs.Event{
-			Time: now, Kind: obs.KindTokenPass,
-			Node: s.cfg.ID, Peer: next, Bid: t.Bid,
-		})
-	}
+	s.releaseToken()
+	s.emit(obs.KindSyncEnd, obs.NoPeer, t.Bid, "")
+	s.emit(obs.KindTokenPass, next, t.Bid, "")
 	s.out.SendToken(t, next)
 }
 
@@ -1071,12 +1017,7 @@ func (s *ServerCore) checkSynchronization() {
 		s.cnt[bid] = 1 // counts our own model
 		s.syncsTriggered++
 		s.syncsJoined++
-		if s.sink.Enabled() {
-			s.sink.Emit(obs.Event{
-				Time: s.clock(), Kind: obs.KindSyncStart,
-				Node: s.cfg.ID, Peer: obs.NoPeer, Bid: bid, Note: "trigger",
-			})
-		}
+		s.emit(obs.KindSyncStart, obs.NoPeer, bid, "trigger")
 		s.out.BroadcastModel(s.w, s.age, bid, s.frontier, s.mem)
 	} else if !s.hasToken {
 		if s.age-s.lastAgeBroadcast >= s.cfg.MinAgeGapForAgeBroadcast {

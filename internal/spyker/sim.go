@@ -2,7 +2,6 @@ package spyker
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/spyker-fl/spyker/internal/cluster"
 	"github.com/spyker-fl/spyker/internal/fl"
@@ -52,6 +51,34 @@ func (a *Algorithm) Name() string {
 	return "Spyker"
 }
 
+// ConfigFromHyper derives the Config of server id in an n-server
+// deployment driven by hyper h, with clients of the deployment's clients
+// attached to it. It is the one place the two field lists meet: the DES
+// glue below and the live runtime (live.ServerConfig, hence every process
+// of a multi-process run) both call it, so a knob one runtime honours is
+// never silently dropped by the other.
+func ConfigFromHyper(id, n, clients int, h fl.Hyper) Config {
+	return Config{
+		ID:           id,
+		NumServers:   n,
+		NumClients:   clients,
+		EtaServer:    h.EtaServer,
+		Phi:          h.Phi,
+		EtaA:         h.EtaA,
+		HInter:       h.HInter,
+		HIntra:       h.HIntra,
+		ClientLR:     h.ClientLR,
+		DecayEnabled: h.DecayEnabled,
+		Beta:         h.Beta,
+		EtaMin:       h.EtaMin,
+
+		RobustClipFactor: h.RobustClipFactor,
+
+		TokenTimeout: h.TokenTimeout,
+		SyncRetry:    h.SyncRetry,
+	}
+}
+
 // simServer glues a ServerCore to the simulator: it owns the processing
 // queue that models server occupancy and implements Outbound by sending
 // messages through the geo network.
@@ -88,6 +115,36 @@ type simServer struct {
 
 var _ Outbound = (*simServer)(nil)
 
+// newSimServer makes the shell of server id: queue and client table, no
+// core yet.
+func (a *Algorithm) newSimServer(env *fl.Env, id int) *simServer {
+	s := &simServer{
+		env:    env,
+		alg:    a,
+		id:     id,
+		queue:  fl.NewProcQueue(env.Sim, id, env.Observer),
+		client: make(map[int]*fl.SimClient),
+	}
+	if a.faultsArmed {
+		s.heardSince = make(map[int]bool)
+	}
+	return s
+}
+
+// adopt installs core as the server's protocol state — at build, after a
+// restart, on joining — instrumented and, when the environment arms the
+// audit plane, feeding the server's one recorder.
+func (s *simServer) adopt(core *ServerCore) {
+	s.core = core
+	core.Instrument(s.env.Trace, s.env.Sim.Now)
+	if s.env.Audit != nil {
+		if s.audit == nil {
+			s.audit = audit.NewRecorder(*s.env.Audit, s.id, s.env.Trace)
+		}
+		core.ArmAudit(s.audit)
+	}
+}
+
 // submit queues fn on the server's processing queue. With faults armed it
 // adds the crash guards: a message reaching a down server is discarded,
 // and queued work from before a crash is not applied to the restarted
@@ -121,42 +178,10 @@ func (a *Algorithm) Build(env *fl.Env) error {
 
 	a.servers = make([]*simServer, n)
 	for i := range a.servers {
-		s := &simServer{
-			env:    env,
-			alg:    a,
-			id:     i,
-			queue:  fl.NewProcQueue(env.Sim, i, env.Observer),
-			client: make(map[int]*fl.SimClient),
-		}
-		cfg := Config{
-			ID:           i,
-			NumServers:   n,
-			NumClients:   len(env.Servers[i].Clients),
-			EtaServer:    env.Hyper.EtaServer,
-			Phi:          env.Hyper.Phi,
-			EtaA:         env.Hyper.EtaA,
-			HInter:       env.Hyper.HInter,
-			HIntra:       env.Hyper.HIntra,
-			ClientLR:     env.Hyper.ClientLR,
-			DecayEnabled: env.Hyper.DecayEnabled && !a.DisableDecay,
-			Beta:         env.Hyper.Beta,
-			EtaMin:       env.Hyper.EtaMin,
-
-			RobustClipFactor: env.Hyper.RobustClipFactor,
-
-			TokenTimeout: env.Hyper.TokenTimeout,
-			SyncRetry:    env.Hyper.SyncRetry,
-		}
-		s.cfg = cfg
-		if a.faultsArmed {
-			s.heardSince = make(map[int]bool)
-		}
-		s.core = NewServerCore(cfg, initial, i == 0, s)
-		s.core.Instrument(env.Trace, env.Sim.Now)
-		if env.Audit != nil {
-			s.audit = audit.NewRecorder(*env.Audit, i, env.Trace)
-			s.core.ArmAudit(s.audit)
-		}
+		s := a.newSimServer(env, i)
+		s.cfg = ConfigFromHyper(i, n, len(env.Servers[i].Clients), env.Hyper)
+		s.cfg.DecayEnabled = s.cfg.DecayEnabled && !a.DisableDecay
+		s.adopt(NewServerCore(s.cfg, initial, i == 0, s))
 		a.servers[i] = s
 	}
 	a.scheduleTicks(env)
@@ -169,40 +194,35 @@ func (a *Algorithm) Build(env *fl.Env) error {
 	// client's current home.
 	a.homeOf = make([]int, len(env.Clients))
 	for ci := range env.Clients {
-		spec := env.Clients[ci]
-		a.homeOf[ci] = spec.Server
-		c := &fl.SimClient{
-			Env:         env,
-			Spec:        spec,
-			Model:       env.NewModel(env.Seed + int64(1000+ci)),
-			CopyUpdates: a.faultsArmed,
-			Deliver: func(clientID int, update []float64, meta any, uid obs.UID) {
-				age, ok := meta.(float64)
-				if !ok {
-					panic(fmt.Sprintf("spyker: client meta %T is not an age", meta))
+		home := env.Clients[ci].Server
+		a.homeOf[ci] = home
+		c := env.NewSimClient(ci, home, func(clientID int, update []float64, meta any, uid obs.UID) {
+			age, ok := meta.(float64)
+			if !ok {
+				panic(fmt.Sprintf("spyker: client meta %T is not an age", meta))
+			}
+			srv := a.servers[a.homeOf[clientID]]
+			srv.submit(env.ProcFor(srv.id, env.Hyper.ProcSpyker), func() {
+				// The handler consumes update and the reply travels back
+				// in it. Without faults every update is delivered once,
+				// and the client — parked until that reply — has no use
+				// for the vector in between, its own model's view
+				// included. A duplicated delivery would merge the first
+				// one's reply, so a fault-armed run merges a copy.
+				consumed := update
+				if a.faultsArmed {
+					consumed = append([]float64(nil), update...)
 				}
-				srv := a.servers[a.homeOf[clientID]]
-				srv.submit(env.ProcFor(srv.id, env.Hyper.ProcSpyker), func() {
-					// The handler consumes update and the reply travels back
-					// in it. Without faults every update is delivered once,
-					// and the client — parked until that reply — has no use
-					// for the vector in between, its own model's view
-					// included. A duplicated delivery would merge the first
-					// one's reply, so a fault-armed run merges a copy.
-					consumed := update
-					if a.faultsArmed {
-						consumed = append([]float64(nil), update...)
-					}
-					srv.core.HandleClientUpdate(clientID, consumed, age, uid)
-					if srv.heardSince != nil {
-						srv.heardSince[clientID] = true
-					}
-					env.Observer.ClientUpdateProcessed(
-						env.Sim.Now(), srv.id, clientID, a.ServerParams)
-				})
-			},
-		}
-		a.servers[spec.Server].client[ci] = c
+				srv.core.HandleClientUpdate(clientID, consumed, age, uid)
+				if srv.heardSince != nil {
+					srv.heardSince[clientID] = true
+				}
+				env.Observer.ClientUpdateProcessed(
+					env.Sim.Now(), srv.id, clientID, a.ServerParams)
+			})
+		})
+		c.CopyUpdates = a.faultsArmed
+		a.servers[home].client[ci] = c
 		c.HandleModel(initial, float64(0), env.Hyper.ClientLR)
 	}
 	return nil
@@ -302,13 +322,9 @@ func (a *Algorithm) Restart(i int) {
 		if err != nil {
 			panic(fmt.Sprintf("spyker: restart server %d: %v", i, err))
 		}
-		s.core = core
+		s.adopt(core)
 	} else {
-		s.core = NewServerCore(s.cfg, a.initial, false, s)
-	}
-	s.core.Instrument(s.env.Trace, s.env.Sim.Now)
-	if s.audit != nil {
-		s.core.ArmAudit(s.audit)
+		s.adopt(NewServerCore(s.cfg, a.initial, false, s))
 	}
 	s.down = false
 	s.epoch++
@@ -318,12 +334,7 @@ func (a *Algorithm) Restart(i int) {
 		if s.down || s.epoch != epoch {
 			return
 		}
-		ids := make([]int, 0, len(s.client))
-		//lint:sorted keys are collected and sorted just below
-		for ci := range s.client {
-			ids = append(ids, ci)
-		}
-		sort.Ints(ids)
+		ids := fl.SortedKeys(s.client)
 		for _, ci := range ids {
 			if !s.heardSince[ci] {
 				s.core.ReengageClient(ci)
@@ -372,16 +383,7 @@ func (a *Algorithm) Join(sponsor int) int {
 	// adds capacity where the load is, and keeping the region fixed makes
 	// the DES comparison against a fixed larger ring apples-to-apples.
 	env.Servers = append(env.Servers, fl.ServerSpec{ID: newID, Region: env.Servers[sponsor].Region})
-	ns := &simServer{
-		env:    env,
-		alg:    a,
-		id:     newID,
-		queue:  fl.NewProcQueue(env.Sim, newID, env.Observer),
-		client: make(map[int]*fl.SimClient),
-	}
-	if a.faultsArmed {
-		ns.heardSince = make(map[int]bool)
-	}
+	ns := a.newSimServer(env, newID)
 	// The shell must be registered before AdmitMember: the sponsor's
 	// membership announcement fans out to a.servers, and the newcomer's
 	// queue has to exist to receive it (the announcement lands after the
@@ -397,12 +399,7 @@ func (a *Algorithm) Join(sponsor int) int {
 	if err != nil {
 		panic(fmt.Sprintf("spyker: bootstrap joined server %d: %v", newID, err))
 	}
-	ns.core = core
-	core.Instrument(env.Trace, env.Sim.Now)
-	if env.Audit != nil {
-		ns.audit = audit.NewRecorder(*env.Audit, newID, env.Trace)
-		core.ArmAudit(ns.audit)
-	}
+	ns.adopt(core)
 	if a.tickPeriod > 0 {
 		a.scheduleTickFor(env, ns, a.tickPeriod*(1+float64(newID)/float64(len(a.servers))))
 	}
@@ -411,12 +408,7 @@ func (a *Algorithm) Join(sponsor int) int {
 	// stable ID order) moves to the newcomer. Both are in the same
 	// region, so nearest-server placement degenerates to alternation —
 	// the balanced split.
-	ids := make([]int, 0, len(sp.client))
-	//lint:sorted keys are collected and sorted just below
-	for ci := range sp.client {
-		ids = append(ids, ci)
-	}
-	sort.Ints(ids)
+	ids := fl.SortedKeys(sp.client)
 	for idx, ci := range ids {
 		if idx%2 == 1 {
 			a.rehome(ci, newID)
@@ -465,12 +457,7 @@ func (a *Algorithm) Leave(target int) bool {
 	// Re-home target's clients to the nearest surviving servers,
 	// balanced by current load (the same placement heuristic the static
 	// geo assignment uses).
-	ids := make([]int, 0, len(t.client))
-	//lint:sorted keys are collected and sorted just below
-	for ci := range t.client {
-		ids = append(ids, ci)
-	}
-	sort.Ints(ids)
+	ids := fl.SortedKeys(t.client)
 	if len(ids) > 0 {
 		env := t.env
 		survivors := make([]int, 0, len(a.servers))
@@ -583,9 +570,8 @@ func (s *simServer) ReplyClient(k int, params []float64, age, lr float64) {
 }
 
 // BroadcastModel implements Outbound. One pooled copy of the borrowed
-// params is shared by every peer delivery; a countdown (safe because the
-// simulator is single-threaded) returns it after the last peer consumed
-// the model. The frontier is also copied once at broadcast time: delivery
+// params is shared by every peer delivery (fl.SharedVec) and recycled
+// after the last peer consumed the model. The frontier is also copied once at broadcast time: delivery
 // happens later in virtual time, while the origin's live frontier keeps
 // advancing, so aliasing it would corrupt the causal snapshot the
 // broadcast carries.
@@ -615,15 +601,9 @@ func (s *simServer) BroadcastModel(params []float64, age float64, bid int, front
 		}
 		return
 	}
-	buf := s.env.Pool.Get(len(params))
-	buf.CopyFrom(params)
+	buf := s.env.Snapshot(params, len(s.alg.servers)-1)
 	frontCopy := append([]int64(nil), front...)
 	uid := obs.RoundUID(s.id, bid)
-	remaining := len(s.alg.servers) - 1
-	if remaining <= 0 {
-		s.env.Pool.Put(buf)
-		return
-	}
 	for _, peer := range s.alg.servers {
 		if peer.id == s.id {
 			continue
@@ -632,10 +612,8 @@ func (s *simServer) BroadcastModel(params []float64, age float64, bid int, front
 		dst := s.env.ServerEndpoint(p.id)
 		s.env.Net.SendTraced(src, dst, s.env.ModelBytes, geo.ServerServer, uid, func() {
 			p.queue.Submit(s.env.ProcFor(p.id, s.env.Hyper.ProcSpyker), func() {
-				p.core.HandleServerModel(s.id, buf, age, bid, frontCopy, mem)
-				if remaining--; remaining == 0 {
-					s.env.Pool.Put(buf)
-				}
+				p.core.HandleServerModel(s.id, buf.Vec, age, bid, frontCopy, mem)
+				buf.Release()
 			})
 		})
 	}
