@@ -47,7 +47,6 @@ import (
 	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/live"
 	"github.com/spyker-fl/spyker/internal/obs"
-	"github.com/spyker-fl/spyker/internal/obs/audit"
 	"github.com/spyker-fl/spyker/internal/spyker"
 )
 
@@ -78,28 +77,106 @@ func main() {
 	join := flag.String("join", "", "join a running ring through the server at this address (server role); the sponsor assigns the ID")
 	flag.Parse()
 
-	var err error
-	switch *role {
-	case "cluster":
-		err = run(*servers, *clients, *duration, *seed, *peerLatency, *clientLatency,
-			*statsEvery, *tracePath, *debugAddr, *tokenTimeout, *syncRetry, *auditOn)
-	case "server":
-		err = runServer(serverOpts{
-			id: *id, addr: *addr, peers: splitPeers(*peerList), clients: *clients,
-			seed: *seed, token: *token, ckptPath: *ckptPath, ckptEvery: *ckptEvery,
-			resume: *resume, tokenTimeout: *tokenTimeout, syncRetry: *syncRetry,
-			reconnectEvery: *reconnectEvery, statsEvery: *statsEvery, duration: *duration,
-			join: *join, debugAddr: *debugAddr, tracePath: *tracePath, audit: *auditOn,
-		})
-	case "clients":
-		err = runClients(splitPeers(*peerList), *clients, *seed, *duration)
-	default:
-		err = fmt.Errorf("unknown -role %q (cluster | server | clients)", *role)
+	o := opts{
+		role: *role, servers: *servers, clients: *clients, duration: *duration, seed: *seed,
+		peerLatency: *peerLatency, clientLatency: *clientLatency, statsEvery: *statsEvery,
+		tracePath: *tracePath, audit: *auditOn, debugAddr: *debugAddr,
+		id: *id, addr: *addr, peers: splitPeers(*peerList), token: *token,
+		ckptPath: *ckptPath, ckptEvery: *ckptEvery, resume: *resume,
+		tokenTimeout: *tokenTimeout, syncRetry: *syncRetry, reconnectEvery: *reconnectEvery, join: *join,
+	}
+	err := validate(o)
+	if err == nil {
+		switch o.role {
+		case "cluster":
+			err = run(o)
+		case "server":
+			err = runServer(o)
+		case "clients":
+			err = runClients(o)
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// opts is the parsed command line.
+type opts struct {
+	role          string
+	servers       int
+	clients       int
+	duration      time.Duration
+	seed          int64
+	peerLatency   time.Duration
+	clientLatency time.Duration
+	statsEvery    time.Duration
+	tracePath     string
+	audit         bool
+	debugAddr     string
+
+	id             int
+	addr           string
+	peers          []string
+	token          bool
+	ckptPath       string
+	ckptEvery      time.Duration
+	resume         bool
+	tokenTimeout   float64
+	syncRetry      float64
+	reconnectEvery time.Duration
+	join           string
+}
+
+// validate refuses a command line no role can run as written, before any
+// dataset is generated or listener opened. Every role sizes the deployment
+// the same way — at least one client per server — and a negative period or
+// timeout is refused rather than read as "off": a typo'd
+// -reconnect-every -500ms would otherwise run a server that never redials
+// a failed peer.
+func validate(o opts) error {
+	for _, f := range []struct {
+		name string
+		neg  bool
+	}{
+		{"-token-timeout", o.tokenTimeout < 0}, {"-sync-retry", o.syncRetry < 0},
+		{"-checkpoint-every", o.ckptEvery < 0}, {"-reconnect-every", o.reconnectEvery < 0},
+	} {
+		if f.neg {
+			return fmt.Errorf("%s must not be negative (0 = off)", f.name)
+		}
+	}
+	n := len(o.peers)
+	switch o.role {
+	case "cluster":
+		if o.servers < 1 || o.clients < o.servers {
+			return fmt.Errorf("cluster role needs -servers >= 1 and -clients >= -servers (got %d servers, %d clients)", o.servers, o.clients)
+		}
+	case "clients":
+		if n < 1 || o.clients < n {
+			return fmt.Errorf("clients role needs -peers and -clients >= len(peers) (got %d peers, %d clients)", n, o.clients)
+		}
+	case "server":
+		if o.resume && o.ckptPath == "" {
+			return fmt.Errorf("-resume needs -checkpoint")
+		}
+		if o.join != "" {
+			if o.resume {
+				return fmt.Errorf("-join and -resume exclude each other: a joiner's state comes from its sponsor")
+			}
+			break
+		}
+		if n < 1 || o.id < 0 || o.id >= n {
+			return fmt.Errorf("server role needs -peers with the -id'th entry (got %d peers, id %d)", n, o.id)
+		}
+		if o.clients < n {
+			return fmt.Errorf("server role needs -clients >= len(peers) (got %d peers, %d clients)", n, o.clients)
+		}
+	default:
+		return fmt.Errorf("unknown -role %q (cluster | server | clients)", o.role)
+	}
+	return nil
 }
 
 func splitPeers(s string) []string {
@@ -129,34 +206,10 @@ func deployment(clients, servers int, seed int64, tokenTimeout, syncRetry float6
 	return factory, data.PartitionByLabel(ds, clients, 2, seed), ds, hyper
 }
 
-type serverOpts struct {
-	id             int
-	addr           string
-	peers          []string
-	clients        int
-	seed           int64
-	token          bool
-	ckptPath       string
-	ckptEvery      time.Duration
-	resume         bool
-	tokenTimeout   float64
-	syncRetry      float64
-	reconnectEvery time.Duration
-	statsEvery     time.Duration
-	duration       time.Duration
-	join           string
-	debugAddr      string
-	tracePath      string
-	audit          bool
-}
-
 // runServer hosts exactly one live server in this process — the unit a
 // failure-injection harness kills and restarts.
-func runServer(o serverOpts) error {
+func runServer(o opts) error {
 	n := len(o.peers)
-	if o.join == "" && (n < 1 || o.id < 0 || o.id >= n) {
-		return fmt.Errorf("server role needs -peers with the -id'th entry (got %d peers, id %d)", n, o.id)
-	}
 	if o.addr == "" {
 		if o.join != "" {
 			o.addr = "127.0.0.1:0" // the sponsor learns our address from the handshake
@@ -177,9 +230,6 @@ func runServer(o serverOpts) error {
 		fmt.Printf("server %d joined the ring via %s (membership %v)\n",
 			srv.ID, o.join, srv.Membership())
 	} else if o.resume {
-		if o.ckptPath == "" {
-			return fmt.Errorf("-resume needs -checkpoint")
-		}
 		f, err := os.Open(o.ckptPath)
 		if err != nil {
 			return err
@@ -219,7 +269,7 @@ func runServer(o serverOpts) error {
 	}
 	srv.Instrument(sink, reg)
 	if o.audit {
-		srv.ArmAudit(audit.Config{})
+		srv.ArmAudit()
 	}
 	if o.debugAddr != "" {
 		srv.SetDebugAddr(o.debugAddr)
@@ -339,33 +389,30 @@ func writeTraceFile(path string, tracer *obs.Tracer) error {
 
 // runClients runs the whole deployment's client population in this
 // process, each on a redialing loop so server restarts are survived.
-func runClients(peers []string, clients int, seed int64, duration time.Duration) error {
-	n := len(peers)
-	if n < 1 || clients < n {
-		return fmt.Errorf("clients role needs -peers and -clients >= len(peers)")
-	}
-	factory, shards, _, hyper := deployment(clients, n, seed, 0, 0)
+func runClients(o opts) error {
+	n := len(o.peers)
+	factory, shards, _, hyper := deployment(o.clients, n, o.seed, 0, 0)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	cs := make([]*live.Client, clients)
-	for ci := 0; ci < clients; ci++ {
+	cs := make([]*live.Client, o.clients)
+	for ci := 0; ci < o.clients; ci++ {
 		c := &live.Client{
 			ID:     ci,
-			Model:  factory(fl.ClientModelSeed(seed, ci)),
+			Model:  factory(fl.ClientModelSeed(o.seed, ci)),
 			Shard:  shards[ci],
 			Epochs: hyper.LocalEpochs,
 		}
 		cs[ci] = c
-		addr := peers[live.HomeOf(ci, clients, n)]
+		addr := o.peers[live.HomeOf(ci, o.clients, n)]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			c.RunLoop(func() string { return addr }, 200*time.Millisecond, stop)
 		}()
 	}
-	if duration > 0 {
-		time.Sleep(duration)
+	if o.duration > 0 {
+		time.Sleep(o.duration)
 		close(stop)
 	}
 	wg.Wait()
@@ -373,47 +420,42 @@ func runClients(peers []string, clients int, seed int64, duration time.Duration)
 	for _, c := range cs {
 		total += c.Updates()
 	}
-	fmt.Printf("clients done: %d local trainings across %d clients\n", total, clients)
+	fmt.Printf("clients done: %d local trainings across %d clients\n", total, o.clients)
 	return nil
 }
 
-func run(servers, clients int, duration time.Duration, seed int64, peerLat, clientLat time.Duration,
-	statsEvery time.Duration, tracePath, debugAddr string, tokenTimeout, syncRetry float64, auditOn bool) error {
-	factory, shards, _, hyper := deployment(clients, servers, seed, tokenTimeout, syncRetry)
+func run(o opts) error {
+	factory, shards, _, hyper := deployment(o.clients, o.servers, o.seed, o.tokenTimeout, o.syncRetry)
 
 	// Observability: a metrics registry always runs (it backs /debug/vars);
 	// the event tracer only when a trace file is requested.
 	reg := obs.NewRegistry()
 	var tracer *obs.Tracer
 	var sink obs.Sink
-	if tracePath != "" {
+	if o.tracePath != "" {
 		tracer = obs.NewTracer(0)
 		sink = tracer
 	}
-	var auditCfg *audit.Config
-	if auditOn {
-		auditCfg = &audit.Config{}
-	}
-	if debugAddr != "" {
-		serveDebug(debugAddr, nil, reg, nil)
+	if o.debugAddr != "" {
+		serveDebug(o.debugAddr, nil, reg, nil)
 	}
 
-	fmt.Printf("spyker-live: %d TCP servers, %d clients, %s\n", servers, clients, duration)
+	fmt.Printf("spyker-live: %d TCP servers, %d clients, %s\n", o.servers, o.clients, o.duration)
 	stats, err := live.RunCluster(live.ClusterConfig{
-		NumServers:    servers,
-		NumClients:    clients,
+		NumServers:    o.servers,
+		NumClients:    o.clients,
 		Hyper:         hyper,
 		NewModel:      factory,
 		Shards:        shards,
-		Seed:          seed,
-		PeerLatency:   peerLat,
-		ClientLatency: clientLat,
+		Seed:          o.seed,
+		PeerLatency:   o.peerLatency,
+		ClientLatency: o.clientLatency,
 		Trace:         sink,
 		Metrics:       reg,
-		Audit:         auditCfg,
-		StatsEvery:    statsEvery,
+		Audit:         o.audit,
+		StatsEvery:    o.statsEvery,
 		StatsOut:      os.Stderr,
-	}, duration)
+	}, o.duration)
 	if err != nil {
 		return err
 	}
@@ -425,16 +467,16 @@ func run(servers, clients int, duration time.Duration, seed int64, peerLat, clie
 	fmt.Printf("token synchronizations triggered: %d\n", stats.SyncsTriggered)
 	fmt.Printf("final server-model spread (max pairwise L2): %.4f\n", stats.ModelSpread)
 
-	loss, acc := stats.EvaluateAverage(factory(seed))
+	loss, acc := stats.EvaluateAverage(factory(o.seed))
 	fmt.Printf("global model after %s of real training: loss %.4f, accuracy %.1f%%\n",
-		duration, loss, 100*acc)
+		o.duration, loss, 100*acc)
 
 	fmt.Printf("runtime metrics: %s\n", reg.StatsLine())
 	if tracer != nil {
-		if err := writeTraceFile(tracePath, tracer); err != nil {
+		if err := writeTraceFile(o.tracePath, tracer); err != nil {
 			return err
 		}
-		fmt.Printf("event trace (%d events) written to %s\n", tracer.Len(), tracePath)
+		fmt.Printf("event trace (%d events) written to %s\n", tracer.Len(), o.tracePath)
 	}
 	return nil
 }

@@ -15,7 +15,6 @@ import (
 
 	"github.com/spyker-fl/spyker/internal/experiments"
 	"github.com/spyker-fl/spyker/internal/obs"
-	"github.com/spyker-fl/spyker/internal/obs/audit"
 )
 
 func main() {
@@ -63,6 +62,7 @@ func run(alg, task string, servers, clients, nonIID int, target, horizon float64
 		TargetAcc:    target,
 		Horizon:      horizon,
 		MaxUpdates:   maxUpdates,
+		Audit:        auditOn,
 	}
 	if uniform {
 		setup.Latency = experiments.UniformMeanLatency()
@@ -71,9 +71,6 @@ func run(alg, task string, servers, clients, nonIID int, target, horizon float64
 	if tracePath != "" || chromePath != "" {
 		tracer = obs.NewTracer(0)
 		setup.Trace = tracer
-	}
-	if auditOn {
-		setup.Audit = &audit.Config{}
 	}
 	res, err := experiments.Run(alg, setup)
 	if err != nil {

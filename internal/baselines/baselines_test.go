@@ -171,31 +171,3 @@ func TestFedBuffBuffersAndConverges(t *testing.T) {
 		t.Error("no global model")
 	}
 }
-
-func TestFedAvgClientSampling(t *testing.T) {
-	env, rec := buildSmallEnv(t, 9)
-	env.Hyper.FedAvgFraction = 0.5 // 4 of 8 clients per round
-	alg := &baselines.FedAvg{}
-	if err := alg.Build(env); err != nil {
-		t.Fatal(err)
-	}
-	env.Sim.Run(20)
-	if alg.Rounds() < 3 {
-		t.Fatalf("only %d rounds", alg.Rounds())
-	}
-	// Each completed round contributes exactly 4 updates.
-	perRound := float64(rec.Updates()) / float64(alg.Rounds()-1)
-	if perRound < 3.5 || perRound > 4.5 {
-		t.Errorf("~%v updates per round, want ~4", perRound)
-	}
-	// All clients participate over time (sampling rotates).
-	zero := 0
-	for c := 0; c < len(env.Clients); c++ {
-		if rec.ClientUpdates[c] == 0 {
-			zero++
-		}
-	}
-	if zero > 2 {
-		t.Errorf("%d clients never sampled across %d rounds", zero, alg.Rounds())
-	}
-}

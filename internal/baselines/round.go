@@ -9,11 +9,10 @@ import (
 )
 
 // roundServer is the synchronous-round actor FedAvg's server and
-// HierFAVG's edges both are: ship the model to the round's participants,
-// wait for every one of their updates, replace the model with their
-// data-weighted average, and let afterRound decide what follows — the next
-// round (FedAvg, and an edge between cloud rounds) or the trip to the
-// cloud.
+// HierFAVG's edges both are: ship the model to every client, wait for all
+// their updates, replace the model with their data-weighted average, and
+// let after decide what follows — the next round (FedAvg, and an edge
+// between cloud rounds) or the trip to the cloud.
 type roundServer struct {
 	env     *fl.Env
 	id      int
@@ -23,12 +22,10 @@ type roundServer struct {
 	clients map[int]*fl.SimClient
 	shares  map[int]float64    // averaging weight per client
 	models  func() [][]float64 // every server model of the algorithm, for the observer
-	sample  func() []int       // the next round's participants in ascending order; nil = every client
 	after   func()             // runs once a round's average is in w
 
-	pending      map[int][]float64 // client -> update of the current round
-	participants int               // updates the current round waits for
-	round        int
+	pending map[int][]float64 // client -> update of the current round
+	round   int
 }
 
 // newRoundServer builds server id's actor and its clients; shares weighs
@@ -57,22 +54,14 @@ func newRoundServer(env *fl.Env, id int, proc float64, initial []float64, client
 	return s
 }
 
-// startRound picks the round's participants and ships them one shared
-// snapshot of the current model.
+// startRound ships every client one shared snapshot of the current model.
 func (s *roundServer) startRound() {
 	s.round++
-	var participants []int
-	if s.sample != nil {
-		participants = s.sample()
-	} else {
-		participants = fl.SortedKeys(s.clients)
-	}
-	s.participants = len(participants)
-	snapshot := s.env.Snapshot(s.w, len(participants))
+	snapshot := s.env.Snapshot(s.w, len(s.clients))
 	src := s.env.ServerEndpoint(s.id)
 	// Ascending walk: the send order schedules simulator events, so it
 	// must not depend on map iteration order.
-	for _, ci := range participants {
+	for _, ci := range fl.SortedKeys(s.clients) {
 		cc := s.clients[ci]
 		s.env.Net.Send(src, s.env.ClientEndpoint(ci), s.env.ModelBytes, geo.ClientServer, func() {
 			cc.HandleModel(snapshot.Vec, nil, s.env.Hyper.ClientLR)
@@ -81,33 +70,22 @@ func (s *roundServer) startRound() {
 	}
 }
 
-// receive stores one processed client update; when every participant has
+// receive stores one processed client update; when every client has
 // reported it averages the round into w and hands over to after.
 func (s *roundServer) receive(client int, update []float64) {
 	s.pending[client] = update
 	s.env.Observer.ClientUpdateProcessed(s.env.Sim.Now(), s.id, client, s.models)
-	if len(s.pending) < s.participants {
+	if len(s.pending) < len(s.clients) {
 		return
 	}
 	round := s.pending
 	s.pending = make(map[int][]float64)
 	// Sorted walks: float accumulation is not associative, so the merge
 	// order must not depend on map iteration order.
-	order := fl.SortedKeys(round)
-	// A sampled round renormalizes the shares over whoever took part; with
-	// every client in every round they already sum to one and are used as
-	// they are (x/1 is x to the bit).
-	total := 1.0
-	if s.sample != nil {
-		total = 0
-		for _, ci := range order {
-			total += s.shares[ci]
-		}
-	}
 	w := paramvec.Vec(s.w)
 	w.Zero()
-	for _, ci := range order {
-		w.AxpyInto(s.shares[ci]/total, round[ci])
+	for _, ci := range fl.SortedKeys(round) {
+		w.AxpyInto(s.shares[ci], round[ci])
 	}
 	s.after()
 }

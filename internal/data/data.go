@@ -12,14 +12,8 @@ package data
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
-
-// Thin aliases keep the sampling code readable.
-func pow(x, y float64) float64 { return math.Pow(x, y) }
-func sqrt(x float64) float64   { return math.Sqrt(x) }
-func logf(x float64) float64   { return math.Log(x) }
 
 // Classification is a labeled vector dataset.
 type Classification interface {
@@ -115,99 +109,4 @@ func PartitionByLabel(ds Classification, numClients, labelsPerClient int, seed i
 		}
 	}
 	return shards
-}
-
-// PartitionDirichlet produces the other standard non-IID split of the FL
-// literature: for every label, the examples are divided over clients with
-// proportions drawn from a symmetric Dirichlet(alpha) distribution. Small
-// alpha (e.g. 0.1) gives extreme skew; large alpha approaches IID. Unlike
-// PartitionByLabel, every client can hold every label, just in very
-// different proportions.
-func PartitionDirichlet(ds Classification, numClients int, alpha float64, seed int64) [][]int {
-	if numClients <= 0 || alpha <= 0 {
-		panic(fmt.Sprintf("data: PartitionDirichlet(%d clients, alpha=%v)", numClients, alpha))
-	}
-	rng := rand.New(rand.NewSource(seed))
-
-	byLabel := make([][]int, ds.NumClasses())
-	for i := 0; i < ds.Len(); i++ {
-		l := ds.Label(i)
-		byLabel[l] = append(byLabel[l], i)
-	}
-	shards := make([][]int, numClients)
-	for _, bucket := range byLabel {
-		rng.Shuffle(len(bucket), func(i, j int) { bucket[i], bucket[j] = bucket[j], bucket[i] })
-		props := dirichlet(rng, numClients, alpha)
-		// Convert proportions to cumulative cut points over the bucket.
-		pos := 0
-		var acc float64
-		for c := 0; c < numClients; c++ {
-			acc += props[c]
-			end := int(acc*float64(len(bucket)) + 0.5)
-			if c == numClients-1 {
-				end = len(bucket)
-			}
-			if end > len(bucket) {
-				end = len(bucket)
-			}
-			if end > pos {
-				shards[c] = append(shards[c], bucket[pos:end]...)
-				pos = end
-			}
-		}
-	}
-	return shards
-}
-
-// dirichlet samples a symmetric Dirichlet(alpha) vector of length n using
-// the Gamma(alpha,1) construction (Marsaglia-Tsang for alpha >= 1, with
-// the boost transform for alpha < 1).
-func dirichlet(rng *rand.Rand, n int, alpha float64) []float64 {
-	out := make([]float64, n)
-	var sum float64
-	for i := range out {
-		out[i] = gammaSample(rng, alpha)
-		sum += out[i]
-	}
-	if sum == 0 {
-		// Numerically degenerate draw; fall back to uniform.
-		for i := range out {
-			out[i] = 1 / float64(n)
-		}
-		return out
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-	return out
-}
-
-// gammaSample draws from Gamma(shape, 1).
-func gammaSample(rng *rand.Rand, shape float64) float64 {
-	if shape < 1 {
-		// Boost: Gamma(a) = Gamma(a+1) * U^(1/a).
-		u := rng.Float64()
-		for u == 0 {
-			u = rng.Float64()
-		}
-		return gammaSample(rng, shape+1) * pow(u, 1/shape)
-	}
-	// Marsaglia & Tsang (2000).
-	d := shape - 1.0/3
-	c := 1 / sqrt(9*d)
-	for {
-		x := rng.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v
-		}
-		if u > 0 && logf(u) < 0.5*x*x+d*(1-v+logf(v)) {
-			return d * v
-		}
-	}
 }

@@ -200,86 +200,3 @@ func TestImagesLearnable(t *testing.T) {
 		t.Errorf("nearest-template accuracy %.2f, dataset too noisy", acc)
 	}
 }
-
-func TestPartitionDirichletCoversExactly(t *testing.T) {
-	ds := GenerateImages(MNISTLike(400, 0, 1))
-	shards := PartitionDirichlet(ds, 16, 0.3, 1)
-	if len(shards) != 16 {
-		t.Fatalf("shards = %d", len(shards))
-	}
-	seen := make(map[int]bool)
-	for _, s := range shards {
-		for _, i := range s {
-			if seen[i] {
-				t.Fatalf("example %d assigned twice", i)
-			}
-			seen[i] = true
-		}
-	}
-	if len(seen) != ds.Len() {
-		t.Errorf("covered %d of %d examples", len(seen), ds.Len())
-	}
-}
-
-func TestPartitionDirichletSkewDependsOnAlpha(t *testing.T) {
-	ds := GenerateImages(MNISTLike(1000, 0, 2))
-	skew := func(alpha float64) float64 {
-		shards := PartitionDirichlet(ds, 10, alpha, 3)
-		// Average per-client max-label share: 1.0 = single-label clients,
-		// 0.1 = perfectly uniform over 10 labels.
-		var total float64
-		var counted int
-		for _, s := range shards {
-			if len(s) == 0 {
-				continue
-			}
-			counts := make([]int, ds.NumClasses())
-			for _, i := range s {
-				counts[ds.Label(i)]++
-			}
-			maxc := 0
-			for _, c := range counts {
-				if c > maxc {
-					maxc = c
-				}
-			}
-			total += float64(maxc) / float64(len(s))
-			counted++
-		}
-		return total / float64(counted)
-	}
-	low := skew(0.1)  // strongly non-IID
-	high := skew(100) // nearly IID
-	if low <= high {
-		t.Errorf("alpha=0.1 skew %v should exceed alpha=100 skew %v", low, high)
-	}
-	if high > 0.3 {
-		t.Errorf("alpha=100 should be near-IID, got max-label share %v", high)
-	}
-}
-
-func TestPartitionDirichletInvalidPanics(t *testing.T) {
-	ds := GenerateImages(MNISTLike(50, 0, 1))
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	PartitionDirichlet(ds, 5, 0, 1)
-}
-
-func TestGammaSampleMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, shape := range []float64{0.3, 1, 2.5} {
-		var sum float64
-		const n = 20000
-		for i := 0; i < n; i++ {
-			sum += gammaSample(rng, shape)
-		}
-		mean := sum / n
-		// Gamma(shape,1) has mean = shape.
-		if mean < shape*0.9 || mean > shape*1.1 {
-			t.Errorf("Gamma(%v) sample mean %v", shape, mean)
-		}
-	}
-}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/spyker-fl/spyker/internal/fl"
@@ -37,7 +38,7 @@ func runAudited(t *testing.T, setup Setup, attack fl.Byzantine) ([]obs.Event, ma
 	t.Helper()
 	collector := &auditCollector{}
 	setup.Trace = collector
-	setup.Audit = &audit.Config{}
+	setup.Audit = true
 	env, _, err := BuildEnv(setup)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +78,7 @@ func TestAuditDoesNotPerturbSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	audited := setup
-	audited.Audit = &audit.Config{}
+	audited.Audit = true
 	armed, err := Run("spyker", audited)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +177,11 @@ func TestAuditCleanRunZeroFalsePositives(t *testing.T) {
 // TestAuditEventDeterminism: two identical attacked runs must emit
 // byte-identical verdict streams — the audit plane sits in the
 // deterministic layer (spyker-lint's DeterministicPkgs) and its scores
-// are pure functions of the update sequence.
+// are pure functions of the update sequence. The stream is also pinned
+// across commits: testdata/golden/audit-report.txt is its offline report
+// (what `spyker-trace -mode audit` prints) as recorded on e1f27cf, when
+// the recorder's thresholds were still Config fields left at their
+// defaults, so it proves that each constant equals the default it replaced.
 func TestAuditEventDeterminism(t *testing.T) {
 	a, _ := runAudited(t, auditSetup(7, 20), fl.ByzantineSignFlip)
 	b, _ := runAudited(t, auditSetup(7, 20), fl.ByzantineSignFlip)
@@ -186,4 +191,9 @@ func TestAuditEventDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("audit verdict streams differ across identical runs: %d vs %d events", len(a), len(b))
 	}
+	var report strings.Builder
+	if err := audit.Replay(a).WriteReport(&report); err != nil {
+		t.Fatal(err)
+	}
+	golden(t, "audit-report", report.String())
 }

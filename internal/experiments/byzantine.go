@@ -87,7 +87,7 @@ func RunByzantineStudy(scale float64, seed int64) (*ByzantineStudy, error) {
 		setup.EvalEvery = 100
 		setup.Hyper = &hyper
 		setup.Trace = collector
-		setup.Audit = &audit.Config{}
+		setup.Audit = true
 		truth := map[int]bool{}
 		row := ByzantineRow{Name: name, SpykerRun: w.spyker(setup, func(env *fl.Env) {
 			if attack == fl.ByzantineNone {

@@ -13,8 +13,6 @@ func TestDecayProbe(t *testing.T) {
 		NumServers:      4,
 		NumClients:      32,
 		NonIIDLabels:    2,
-		TrainDelayMean:  0.150,
-		TrainDelayStd:   0.0075,
 		CorrelatedSpeed: true,
 		Seed:            3,
 		Horizon:         50,

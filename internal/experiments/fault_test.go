@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/spyker-fl/spyker/internal/fault"
+	"github.com/spyker-fl/spyker/internal/obs"
+	"github.com/spyker-fl/spyker/internal/obs/health"
 )
 
 // TestFaultPlumbingDoesNotPerturbSimulation is the zero-cost-when-disarmed
@@ -60,4 +63,25 @@ func TestRunRejectsFaultsOnUnsupportedAlgorithm(t *testing.T) {
 	if _, err := Run("fedavg", setup); err == nil {
 		t.Fatal("Run accepted a fault plan for an algorithm without injection support")
 	}
+}
+
+// TestFailoverRunHealthReport pins the health plane's verdict on one row
+// of the failover study (two token-holder crashes, the study's recovery
+// deployment and tracer) byte for byte: health.Run over the run's trace,
+// with nothing configured, is what `spyker-trace -mode health` prints.
+// testdata/golden/health-report.txt was recorded on e1f27cf, when the
+// rules' thresholds were still Config fields left at their defaults, so
+// it proves that each constant equals the default it replaced.
+func TestFailoverRunHealthReport(t *testing.T) {
+	const horizon, downtime = 60.0, 10.0
+	plan := fault.CrashPlan(1, 2, horizon, downtime)
+	setup, _ := recoverySetup(10, 4, 1, horizon, &plan)
+	if _, err := Run("spyker", setup); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := health.Run(setup.Trace.(*obs.Tracer).Events(), health.Config{}).WriteReport(&b); err != nil {
+		t.Fatal(err)
+	}
+	golden(t, "health-report", b.String())
 }

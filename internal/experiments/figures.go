@@ -211,7 +211,7 @@ func (k *KDEStudy) Render() string {
 		name    string
 		samples []float64
 	}{{"Spyker", k.SpykerCounts}, {"FedAsync", k.FedAsyncCounts}} {
-		grid, density := metrics.KDE(row.samples, 0, 128)
+		grid, density := metrics.KDE(row.samples, 128)
 		peaks := metrics.Peaks(grid, density, 0.15)
 		fmt.Fprintf(&b, "%-9s median=%.0f p10=%.0f p90=%.0f peaks at ~%s\n",
 			row.name,

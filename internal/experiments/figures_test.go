@@ -234,22 +234,3 @@ func TestTaskString(t *testing.T) {
 		t.Error("task names wrong")
 	}
 }
-
-func TestDirichletSetupRuns(t *testing.T) {
-	res, err := Run("spyker", Setup{
-		Task:           TaskMNIST,
-		NumServers:     2,
-		NumClients:     8,
-		DirichletAlpha: 0.3,
-		Seed:           1,
-		Horizon:        8,
-		EvalEvery:      100,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Updates == 0 || res.Trace.BestAcc() < 0.2 {
-		t.Errorf("Dirichlet split run broken: %d updates, best %.2f",
-			res.Updates, res.Trace.BestAcc())
-	}
-}

@@ -9,7 +9,6 @@ import (
 	"github.com/spyker-fl/spyker/internal/compress"
 	"github.com/spyker-fl/spyker/internal/fault"
 	"github.com/spyker-fl/spyker/internal/fl"
-	"github.com/spyker-fl/spyker/internal/obs/audit"
 )
 
 // oracleBits is what one tiny seeded run must reproduce to the last bit.
@@ -86,7 +85,7 @@ func TestCrossCommitOracle(t *testing.T) {
 			e.Clients[1].Byzantine = fl.ByzantineSignFlip
 		}, oracleBits{0x40083a11fbaab289, 0x3fd28f5c28f5c28f, 0x3ff526fb3f2813b7, 64, 0x31eb7641bc0143e3}},
 		{"mnist/spyker/audit", TaskMNIST, "spyker", func(s *Setup) {
-			s.Audit = &audit.Config{}
+			s.Audit = true
 		}, nil, oracleBits{0x3ffebade72c54d91, 0x3fce4b17e4b17e4b, 0x3ff526fb3f2813b7, 64, 0x2f23f0f9f79083fa}},
 		{"mnist/spyker/faults", TaskMNIST, "spyker", func(s *Setup) {
 			s.Faults = &fault.Plan{Seed: 3, Events: []fault.Event{

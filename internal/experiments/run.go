@@ -100,7 +100,7 @@ func runPrepared(algName string, s Setup, prepare func(*fl.Env)) (*Result, error
 	series := make([]int, 10)
 	for i := range series {
 		t := final * float64(i+1) / float64(len(series))
-		series[i] = env.Net.BytesUntil(t, 0)
+		series[i] = env.Net.BytesUntil(t)
 	}
 
 	reached, at := rec.Reached()

@@ -17,7 +17,6 @@ import (
 	"github.com/spyker-fl/spyker/internal/metrics"
 	"github.com/spyker-fl/spyker/internal/nn"
 	"github.com/spyker-fl/spyker/internal/obs"
-	"github.com/spyker-fl/spyker/internal/obs/audit"
 	"github.com/spyker-fl/spyker/internal/simulation"
 )
 
@@ -42,6 +41,10 @@ func enumName(kind string, v int, names ...string) string {
 	return fmt.Sprintf("%s(%d)", kind, v)
 }
 
+// trainDelayMean is the mean of every client's local-training delay in
+// virtual seconds: the paper's 150 ms.
+const trainDelayMean = 0.150
+
 // Setup describes one experimental deployment.
 type Setup struct {
 	Task       Task
@@ -56,15 +59,10 @@ type Setup struct {
 	// stretches of the stream (naturally non-IID).
 	NonIIDLabels int
 
-	// DirichletAlpha > 0 selects the Dirichlet(alpha) label-skew split
-	// instead of the paper's fixed-labels-per-client split; it takes
-	// precedence over NonIIDLabels. Image tasks only.
-	DirichletAlpha float64
-
-	// TrainDelayMean/Std parameterize the per-client Gaussian training
-	// delay (paper: N(150ms, 7.5ms); N(150ms, 60ms) for Figs. 9-10).
-	TrainDelayMean float64
-	TrainDelayStd  float64
+	// TrainDelayStd is the deviation of the per-client Gaussian training
+	// delay around trainDelayMean (paper: N(150ms, 7.5ms); N(150ms, 60ms)
+	// for Figs. 9-10). 0 means 7.5 ms.
+	TrainDelayStd float64
 
 	// CorrelatedSpeed makes client speed depend on the data a client
 	// holds: clients whose labels fall in the lower half of the label
@@ -131,10 +129,10 @@ type Setup struct {
 	Trace obs.Sink
 	// Audit arms the per-client contribution audit plane
 	// (internal/obs/audit) on every server; verdicts are emitted as
-	// KindAudit events into Trace. Nil disables auditing entirely —
+	// KindAudit events into Trace. False disables auditing entirely —
 	// like Trace, the audit plane is passive and leaves the schedule
 	// byte-identical (see TestAuditDoesNotPerturbSimulation).
-	Audit *audit.Config
+	Audit bool
 	// Metrics collects runtime counters/gauges/histograms; nil creates a
 	// private registry. When tracing is enabled the event stream is also
 	// bridged into the registry (staleness distribution, sync durations,
@@ -149,9 +147,6 @@ func (s Setup) withDefaults() Setup {
 	}
 	if s.NumClients == 0 {
 		s.NumClients = 100
-	}
-	if s.TrainDelayMean == 0 {
-		s.TrainDelayMean = 0.150
 	}
 	if s.TrainDelayStd == 0 {
 		s.TrainDelayStd = 0.0075
@@ -263,9 +258,6 @@ func imageWorkload(ds *data.Images, s Setup, factory fl.ModelFactory) workload {
 }
 
 func imageShards(ds data.Classification, s Setup) [][]int {
-	if s.DirichletAlpha > 0 {
-		return data.PartitionDirichlet(ds, s.NumClients, s.DirichletAlpha, s.Seed+7)
-	}
 	if s.NonIIDLabels > 0 {
 		return data.PartitionByLabel(ds, s.NumClients, s.NonIIDLabels, s.Seed+7)
 	}
@@ -389,7 +381,7 @@ func BuildEnv(s Setup) (*fl.Env, *metrics.Recorder, error) {
 	}
 	clients := make([]fl.ClientSpec, 0, s.NumClients)
 	for ci := 0; ci < s.NumClients; ci++ {
-		delay := s.TrainDelayMean + rng.NormFloat64()*s.TrainDelayStd
+		delay := trainDelayMean + rng.NormFloat64()*s.TrainDelayStd
 		if s.CorrelatedSpeed && wl.labelOf != nil {
 			// Clients holding low labels are fast, the rest slow (both
 			// image tasks have 10 classes); see the Setup field docs.

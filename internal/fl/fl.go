@@ -13,7 +13,6 @@ import (
 	"github.com/spyker-fl/spyker/internal/fault"
 	"github.com/spyker-fl/spyker/internal/geo"
 	"github.com/spyker-fl/spyker/internal/obs"
-	"github.com/spyker-fl/spyker/internal/obs/audit"
 	"github.com/spyker-fl/spyker/internal/paramvec"
 	"github.com/spyker-fl/spyker/internal/simulation"
 )
@@ -158,11 +157,6 @@ type Hyper struct {
 	Alpha        float64 // 0.5
 	StalenessExp float64 // 0.5
 
-	// FedAvgFraction is the share of clients FedAvg samples each round
-	// (the paper's "the server selects a set of clients"); 0 or 1 means
-	// full participation.
-	FedAvgFraction float64
-
 	// HierFAVG: edge rounds between two cloud aggregations.
 	HierEdgeRounds int
 
@@ -274,14 +268,14 @@ type Env struct {
 	// and returned exactly once.
 	Pool *paramvec.Pool
 
-	// Audit, when non-nil, arms the per-client contribution audit plane
+	// Audit arms the per-client contribution audit plane
 	// (internal/obs/audit) on every server that supports it: each
 	// ServerCore gets its own streaming profiler, fed at delta-apply
 	// time, emitting KindAudit verdicts into Trace. Auditing is passive —
 	// it observes deltas and never feeds back — so an audited run's
-	// event schedule is byte-identical to an unaudited one. Nil (the
+	// event schedule is byte-identical to an unaudited one. False (the
 	// default) skips the statistics entirely.
-	Audit *audit.Config
+	Audit bool
 
 	// Faults, when non-nil, declares the failure-injection plan for this
 	// run (internal/fault). Algorithms that support injection arm their

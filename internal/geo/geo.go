@@ -115,9 +115,8 @@ type Transfer struct {
 // region-dependent latency, a shared per-link bandwidth, FIFO ordering per
 // directed link, and byte accounting.
 type Network struct {
-	sim       *simulation.Sim
-	latency   LatencyFunc
-	bandwidth float64 // bytes per second
+	sim     *simulation.Sim
+	latency LatencyFunc
 
 	lastDelivery map[linkKey]float64
 	transfers    []Transfer
@@ -129,10 +128,13 @@ type Network struct {
 
 type linkKey struct{ src, dst int }
 
+// bandwidth is every link's capacity in bytes/second: the paper's
+// 100 Mbps.
+const bandwidth = 100e6 / 8
+
 // Config parameterizes a Network.
 type Config struct {
-	Latency   LatencyFunc // defaults to AWSLatency
-	Bandwidth float64     // bytes/second; defaults to 100 Mbps
+	Latency LatencyFunc // defaults to AWSLatency
 }
 
 // NewNetwork creates a network on the given simulator.
@@ -141,14 +143,9 @@ func NewNetwork(sim *simulation.Sim, cfg Config) *Network {
 	if lat == nil {
 		lat = AWSLatency
 	}
-	bw := cfg.Bandwidth
-	if bw <= 0 {
-		bw = 100e6 / 8 // 100 Mbps in bytes/second
-	}
 	return &Network{
 		sim:          sim,
 		latency:      lat,
-		bandwidth:    bw,
 		lastDelivery: make(map[linkKey]float64),
 		totalBytes:   make(map[Traffic]int),
 		sink:         obs.Nop{},
@@ -217,7 +214,7 @@ func (n *Network) SendTraced(src, dst Endpoint, size int, kind Traffic, uid obs.
 		return
 	}
 
-	arrive := n.sim.Now() + n.latency(src.Region, dst.Region) + float64(size)/n.bandwidth + v.ExtraDelay
+	arrive := n.sim.Now() + n.latency(src.Region, dst.Region) + float64(size)/bandwidth + v.ExtraDelay
 	key := linkKey{src.ID, dst.ID}
 	if last := n.lastDelivery[key]; arrive < last {
 		arrive = last
@@ -252,17 +249,14 @@ func (n *Network) TotalBytes(kind Traffic) int { return n.totalBytes[kind] }
 // Transfers returns the transfer log (aliased; callers must not modify).
 func (n *Network) Transfers() []Transfer { return n.transfers }
 
-// BytesUntil reports cumulative bytes sent at or before virtual time t,
-// optionally filtered by kind (pass 0 for all).
-func (n *Network) BytesUntil(t float64, kind Traffic) int {
+// BytesUntil reports cumulative bytes sent at or before virtual time t.
+func (n *Network) BytesUntil(t float64) int {
 	var s int
 	for _, tr := range n.transfers {
 		if tr.Time > t {
 			break // transfers are appended in time order
 		}
-		if kind == 0 || tr.Kind == kind {
-			s += tr.Bytes
-		}
+		s += tr.Bytes
 	}
 	return s
 }

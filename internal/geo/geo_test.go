@@ -44,11 +44,11 @@ func TestRegionString(t *testing.T) {
 
 func TestSendDeliversAfterLatencyAndBandwidth(t *testing.T) {
 	sim := simulation.New()
-	net := NewNetwork(sim, Config{Bandwidth: 1000}) // 1000 B/s to make it visible
+	net := NewNetwork(sim, Config{})
 	src := Endpoint{ID: 1, Region: Paris}
 	dst := Endpoint{ID: 2, Region: Sydney}
 	var deliveredAt float64
-	net.Send(src, dst, 500, ClientServer, func() { deliveredAt = sim.Now() })
+	net.Send(src, dst, bandwidth/2, ClientServer, func() { deliveredAt = sim.Now() })
 	sim.Run(10)
 	want := AWSLatency(Paris, Sydney) + 0.5
 	if diff := deliveredAt - want; diff > 1e-9 || diff < -1e-9 {
@@ -58,13 +58,13 @@ func TestSendDeliversAfterLatencyAndBandwidth(t *testing.T) {
 
 func TestFIFOPerLink(t *testing.T) {
 	sim := simulation.New()
-	net := NewNetwork(sim, Config{Bandwidth: 100}) // slow link
+	net := NewNetwork(sim, Config{})
 	src := Endpoint{ID: 1, Region: Paris}
 	dst := Endpoint{ID: 2, Region: Paris}
 	var order []int
 	// First message is big (10s serialization), second tiny: without FIFO
 	// the second would arrive first.
-	net.Send(src, dst, 1000, ClientServer, func() { order = append(order, 1) })
+	net.Send(src, dst, 10*bandwidth, ClientServer, func() { order = append(order, 1) })
 	net.Send(src, dst, 1, ClientServer, func() { order = append(order, 2) })
 	sim.Run(100)
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
@@ -101,14 +101,11 @@ func TestBytesUntil(t *testing.T) {
 		net.Send(a, b, 200, ServerServer, func() {})
 	})
 	sim.Run(10)
-	if got := net.BytesUntil(1, 0); got != 100 {
+	if got := net.BytesUntil(1); got != 100 {
 		t.Errorf("BytesUntil(1) = %d", got)
 	}
-	if got := net.BytesUntil(10, 0); got != 300 {
+	if got := net.BytesUntil(10); got != 300 {
 		t.Errorf("BytesUntil(10) = %d", got)
-	}
-	if got := net.BytesUntil(10, ServerServer); got != 200 {
-		t.Errorf("BytesUntil(10, server) = %d", got)
 	}
 }
 
@@ -144,7 +141,7 @@ func TestFIFOPropertyRandomTraffic(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		sim := simulation.New()
-		net := NewNetwork(sim, Config{Bandwidth: 1000})
+		net := NewNetwork(sim, Config{})
 		eps := []Endpoint{
 			{ID: 0, Region: HongKong}, {ID: 1, Region: Paris},
 			{ID: 2, Region: Sydney},
@@ -164,7 +161,7 @@ func TestFIFOPropertyRandomTraffic(t *testing.T) {
 			plan[i] = planned{
 				src: src, dst: dst,
 				at:   rng.Float64() * 2,
-				size: rng.Intn(5000),
+				size: rng.Intn(5000) * (bandwidth / 1000), // up to 5s of serialization
 				link: src.ID*10 + dst.ID,
 			}
 		}

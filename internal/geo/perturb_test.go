@@ -27,7 +27,7 @@ func TestPerturbDropSkipsDeliveryButAccountsBytes(t *testing.T) {
 
 func TestPerturbDropDoesNotAdvanceFIFOWatermark(t *testing.T) {
 	sim := simulation.New()
-	net := NewNetwork(sim, Config{Bandwidth: 100}) // slow link
+	net := NewNetwork(sim, Config{})
 	drop := true
 	net.SetPerturb(func(src, dst Endpoint, size int, kind Traffic) Verdict {
 		return Verdict{Drop: drop}
@@ -37,10 +37,10 @@ func TestPerturbDropDoesNotAdvanceFIFOWatermark(t *testing.T) {
 	// Drop a big message (10s serialization would push the watermark to
 	// ~10s), then send a tiny one clean: it must arrive on its own
 	// schedule, not behind the ghost of the dropped one.
-	net.Send(a, b, 1000, ClientServer, func() {})
+	net.Send(a, b, 10*bandwidth, ClientServer, func() {})
 	drop = false
 	var deliveredAt float64
-	net.Send(a, b, 1, ClientServer, func() { deliveredAt = sim.Now() })
+	net.Send(a, b, bandwidth/100, ClientServer, func() { deliveredAt = sim.Now() })
 	sim.Run(100)
 	want := AWSLatency(Paris, Paris) + 0.01
 	if diff := deliveredAt - want; diff > 1e-9 || diff < -1e-9 {
@@ -66,14 +66,14 @@ func TestPerturbDupDeliversTwice(t *testing.T) {
 
 func TestPerturbExtraDelayShiftsArrival(t *testing.T) {
 	sim := simulation.New()
-	net := NewNetwork(sim, Config{Bandwidth: 1000})
+	net := NewNetwork(sim, Config{})
 	net.SetPerturb(func(src, dst Endpoint, size int, kind Traffic) Verdict {
 		return Verdict{ExtraDelay: 2.5}
 	})
 	src := Endpoint{ID: 1, Region: Paris}
 	dst := Endpoint{ID: 2, Region: Sydney}
 	var deliveredAt float64
-	net.Send(src, dst, 500, ClientServer, func() { deliveredAt = sim.Now() })
+	net.Send(src, dst, bandwidth/2, ClientServer, func() { deliveredAt = sim.Now() })
 	sim.Run(10)
 	want := AWSLatency(Paris, Sydney) + 0.5 + 2.5
 	if diff := deliveredAt - want; diff > 1e-9 || diff < -1e-9 {
@@ -84,7 +84,7 @@ func TestPerturbExtraDelayShiftsArrival(t *testing.T) {
 func TestZeroVerdictMatchesUnperturbedSchedule(t *testing.T) {
 	run := func(hook bool) (times []float64) {
 		sim := simulation.New()
-		net := NewNetwork(sim, Config{Bandwidth: 1000})
+		net := NewNetwork(sim, Config{})
 		if hook {
 			net.SetPerturb(func(src, dst Endpoint, size int, kind Traffic) Verdict {
 				return Verdict{}
@@ -93,7 +93,7 @@ func TestZeroVerdictMatchesUnperturbedSchedule(t *testing.T) {
 		a := Endpoint{ID: 1, Region: Paris}
 		b := Endpoint{ID: 2, Region: Sydney}
 		for i := 0; i < 5; i++ {
-			size := 100 * (i + 1)
+			size := bandwidth / 10 * (i + 1) // 0.1s of serialization each step
 			net.Send(a, b, size, ClientServer, func() { times = append(times, sim.Now()) })
 			net.Send(b, a, size, ServerServer, func() { times = append(times, sim.Now()) })
 		}

@@ -131,6 +131,22 @@
 // a second constructor, an alternative implementation, an adapter — is not
 // test support: it belongs in a _test.go file or nowhere.
 //
+// # Options
+//
+// Only what is set: a branch behind an option nobody sets is reached, just
+// never taken, so reachability cannot see it. TestOptionsAreSet
+// (options_test.go; a test for the same reasons) takes every exported
+// field of every struct type of the module whose name ends in Config,
+// Hyper, Setup or Plan and requires one write — a keyed composite literal
+// or an assignment — in a non-test file of cmd/, examples/, internal/ or
+// the benchmark module that is not inside a method of that struct type. A
+// field only its own withDefaults writes has one value in use and becomes
+// that constant; a field nobody writes goes, with the code its other
+// values selected. Fields that stay unset by decision are named in
+// options_test.go's unsetOptions list with a reason each; the list is
+// capped at 4 entries, and an entry that becomes set or disappears fails
+// the test.
+//
 // # Annotation contract
 //
 // //spyker:noalloc goes on the doc comment of a function or method. It

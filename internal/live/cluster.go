@@ -9,7 +9,6 @@ import (
 
 	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/obs"
-	"github.com/spyker-fl/spyker/internal/obs/audit"
 )
 
 // ClusterConfig describes a local live deployment: n servers on ephemeral
@@ -35,8 +34,8 @@ type ClusterConfig struct {
 	Metrics *obs.Registry
 	// Audit arms the per-client contribution audit plane
 	// (internal/obs/audit) on every server; verdicts land in Trace as
-	// KindAudit events. Nil disables auditing.
-	Audit *audit.Config
+	// KindAudit events.
+	Audit bool
 
 	// StatsEvery > 0 logs a one-line per-server stats snapshot to StatsOut
 	// at that period while the cluster runs (StatsOut nil = discard).
@@ -135,8 +134,8 @@ func RunCluster(cfg ClusterConfig, duration time.Duration) (*ClusterStats, error
 		if sink != nil || cfg.Metrics != nil {
 			srv.Instrument(sink, cfg.Metrics)
 		}
-		if cfg.Audit != nil {
-			srv.ArmAudit(*cfg.Audit)
+		if cfg.Audit {
+			srv.ArmAudit()
 		}
 		if tick := score.TickPeriod(); tick > 0 {
 			srv.StartTokenTicker(time.Duration(tick * float64(time.Second)))

@@ -334,10 +334,10 @@ func (s *Server) Instrument(sink obs.Sink, reg *obs.Registry) {
 // instrumented sink, and Telemetry grows an Audit section. Call after
 // Instrument (the recorder captures the sink once) and before clients
 // connect. Auditing is passive — it never changes what the core merges.
-func (s *Server) ArmAudit(cfg audit.Config) {
+func (s *Server) ArmAudit() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.audit = audit.NewRecorder(cfg, s.ID, s.sink)
+	s.audit = audit.NewRecorder(s.ID, s.sink)
 	s.core.ArmAudit(s.audit)
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/obs"
-	"github.com/spyker-fl/spyker/internal/obs/audit"
 	"github.com/spyker-fl/spyker/internal/spyker"
 	"github.com/spyker-fl/spyker/internal/transport"
 )
@@ -178,7 +177,7 @@ func TestServerTelemetryAudit(t *testing.T) {
 	defer srv.Close()
 	sink := obs.NewTracer(256)
 	srv.Instrument(sink, nil)
-	srv.ArmAudit(audit.Config{})
+	srv.ArmAudit()
 
 	if srv.Telemetry().Audit == nil {
 		t.Fatal("armed server missing telemetry audit section")

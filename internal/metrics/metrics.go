@@ -130,9 +130,10 @@ func (q QueueTrace) MeanAbove(t0 float64) float64 {
 
 // KDE computes a Gaussian kernel density estimate of samples on a uniform
 // grid of n points spanning [min(samples), max(samples)] padded by one
-// bandwidth on each side. Bandwidth <= 0 selects Silverman's rule of
-// thumb. It returns the grid and the density values (integrating to ~1).
-func KDE(samples []float64, bandwidth float64, n int) (grid, density []float64) {
+// bandwidth on each side; the bandwidth is Silverman's rule of thumb (1
+// for samples with no spread). It returns the grid and the density values
+// (integrating to ~1).
+func KDE(samples []float64, n int) (grid, density []float64) {
 	if len(samples) == 0 || n <= 1 {
 		return nil, nil
 	}
@@ -141,11 +142,9 @@ func KDE(samples []float64, bandwidth float64, n int) (grid, density []float64) 
 		lo = math.Min(lo, s)
 		hi = math.Max(hi, s)
 	}
+	bandwidth := silverman(samples)
 	if bandwidth <= 0 {
-		bandwidth = silverman(samples)
-		if bandwidth <= 0 {
-			bandwidth = 1
-		}
+		bandwidth = 1
 	}
 	lo -= bandwidth
 	hi += bandwidth

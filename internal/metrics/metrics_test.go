@@ -88,7 +88,7 @@ func TestKDEIntegratesToOne(t *testing.T) {
 	for i := range samples {
 		samples[i] = rng.NormFloat64() * 3
 	}
-	grid, density := KDE(samples, 0, 256)
+	grid, density := KDE(samples, 256)
 	if len(grid) != 256 || len(density) != 256 {
 		t.Fatal("grid size wrong")
 	}
@@ -110,7 +110,7 @@ func TestKDEBimodalPeaks(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		samples = append(samples, 50+float64(i%5)*0.1)
 	}
-	grid, density := KDE(samples, 2, 256)
+	grid, density := KDE(samples, 256)
 	peaks := Peaks(grid, density, 0.15)
 	if len(peaks) != 2 {
 		t.Fatalf("peaks = %v, want 2", peaks)
@@ -121,11 +121,11 @@ func TestKDEBimodalPeaks(t *testing.T) {
 }
 
 func TestKDEEmptyAndDegenerate(t *testing.T) {
-	if g, d := KDE(nil, 1, 10); g != nil || d != nil {
+	if g, d := KDE(nil, 10); g != nil || d != nil {
 		t.Error("empty samples should return nil")
 	}
 	// All-identical samples: Silverman bandwidth is 0, must fall back.
-	g, d := KDE([]float64{5, 5, 5}, 0, 16)
+	g, d := KDE([]float64{5, 5, 5}, 16)
 	if len(g) != 16 || len(d) != 16 {
 		t.Error("degenerate samples broke KDE")
 	}

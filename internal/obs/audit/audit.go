@@ -88,114 +88,76 @@ var ruleNames = [numRules]string{RuleNormOutlier, RuleDirectionInversion, RuleCo
 // server; see Recorder.snapAges).
 const snapRing = 128
 
-// Config tunes the audit plane. The zero value is usable: every field
-// defaults as documented.
-type Config struct {
-	// Window is the per-client ring of recent norm/cosine samples the
-	// robust statistics are computed over (default 16).
-	Window int
-	// MinSamples is how many samples a client needs before any rule may
-	// judge it (default 6) — fresh clients are never flagged on noise.
-	MinSamples int
-	// MinPeers is how many clients (including the judged one) must have
-	// reached MinSamples before the cross-client norm rule arms
-	// (default 4): a robust z-score over two clients is meaningless.
-	MinPeers int
-	// NormZ is the robust z-score (median/MAD, consistency-scaled) a
-	// client's median norm must exceed to be a norm outlier (default 6);
-	// NormRatio the multiple of the population median it must also
-	// exceed (default 2.5). Both conditions must hold — the ratio floor
-	// keeps tightly clustered honest populations (tiny MAD) from turning
-	// ordinary heterogeneity into huge z-scores.
-	NormZ     float64
-	NormRatio float64
-	// CosInvert flags a client whose windowed median cosine against the
-	// reference direction sits at or below this (default -0.25), but
-	// only while the client's norm-outlier flag is armed: inversion
-	// refines an already-convicted magnitude outlier by direction
-	// (sign-flip pushes backwards, noise pushes nowhere). Direction
-	// alone cannot convict under non-IID data — an honest minority label
-	// group legitimately anti-correlates with the population's mixture
-	// direction, so an ungated cosine rule would flag exactly the
-	// clients whose data is rarest.
-	CosInvert float64
-	// SimThreshold is the windowed-median pairwise similarity of
-	// residual instantaneous signatures at or above which a candidate
-	// client is deemed colluding (default 0.9999). The threshold sits at
-	// near-exactness deliberately: honest clients sharing a label shard
-	// reach 0.999x similarity of their drift-corrected contributions,
-	// but only coordinated payloads — the same chosen direction injected
-	// every round — sustain a windowed median at 1.0 (to float rounding).
-	// SimConsistency is the minimum length of a client's residual EMA
+// The audit plane's thresholds. They are constants because every runtime
+// ships one value of each; the byzantine study (internal/experiments)
+// measures detection quality at exactly these. The fractional ones are
+// typed float64 so that a derived threshold (0.8*normZ, 2*simThreshold-1)
+// is rounded the way a float64 product is, not computed exactly.
+const (
+	// window is the per-client ring of recent norm/cosine samples the
+	// robust statistics are computed over.
+	window = 16
+	// minSamples is how many samples a client needs before any rule may
+	// judge it — fresh clients are never flagged on noise.
+	minSamples = 6
+	// minPeers is how many clients (including the judged one) must have
+	// reached minSamples before the cross-client norm rule arms: a robust
+	// z-score over two clients is meaningless.
+	minPeers = 4
+	// normZ is the robust z-score (median/MAD, consistency-scaled) a
+	// client's median norm must exceed to be a norm outlier; normRatio the
+	// multiple of the population median it must also exceed. Both
+	// conditions must hold — the ratio floor keeps tightly clustered honest
+	// populations (tiny MAD) from turning ordinary heterogeneity into huge
+	// z-scores.
+	normZ     float64 = 6
+	normRatio float64 = 2.5
+	// cosInvert flags a client whose windowed median cosine against the
+	// reference direction sits at or below this, but only while the
+	// client's norm-outlier flag is armed: inversion refines an
+	// already-convicted magnitude outlier by direction (sign-flip pushes
+	// backwards, noise pushes nowhere). Direction alone cannot convict
+	// under non-IID data — an honest minority label group legitimately
+	// anti-correlates with the population's mixture direction, so an
+	// ungated cosine rule would flag exactly the clients whose data is
+	// rarest.
+	cosInvert float64 = -0.25
+	// simThreshold is the windowed-median pairwise similarity of residual
+	// instantaneous signatures at or above which a candidate client is
+	// deemed colluding. The threshold sits at near-exactness deliberately:
+	// honest clients sharing a label shard reach 0.999x similarity of
+	// their drift-corrected contributions, but only coordinated payloads —
+	// the same chosen direction injected every round — sustain a windowed
+	// median at 1.0 (to float rounding).
+	simThreshold float64 = 0.9999
+	// simConsistency is the minimum length of a client's residual EMA
 	// signature (its direction EMA minus the population's per-chunk
 	// median, common mode projected out) for the client to enter pairing
-	// at all (default 0.5) — honest residuals are averaged-out rotation
-	// noise and stay well below it, so tiny residuals never compare as
-	// pure noise.
-	SimThreshold   float64
-	SimConsistency float64
-	// RefRate is the EMA rate of the reference direction (default 0.05).
-	RefRate float64
-	// SigChunks is the dimensionality of the chunked direction signature
-	// (default 16). LayerBounds, when set, are the cumulative end
-	// offsets of the model's layers and select the layer-norm profile's
-	// segmentation; otherwise the delta is profiled over SigChunks equal
-	// segments.
-	SigChunks   int
-	LayerBounds []int
-	// ReassertEvery re-emits the raise event of a still-flagged client
-	// every that many of its updates (default 16), so downstream
-	// consumers (the health evaluator's sustained-anomaly rule) can tell
-	// persistent anomalies from one-off blips.
-	ReassertEvery int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = 16
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 6
-	}
-	if c.MinSamples > c.Window {
-		c.MinSamples = c.Window
-	}
-	if c.MinPeers <= 0 {
-		c.MinPeers = 4
-	}
-	if c.NormZ <= 0 {
-		c.NormZ = 6
-	}
-	if c.NormRatio <= 0 {
-		c.NormRatio = 2.5
-	}
-	if c.CosInvert == 0 {
-		c.CosInvert = -0.25
-	}
-	if c.SimThreshold <= 0 {
-		c.SimThreshold = 0.9999
-	}
-	if c.SimConsistency <= 0 {
-		c.SimConsistency = 0.5
-	}
-	if c.RefRate <= 0 {
-		c.RefRate = 0.05
-	}
-	if c.SigChunks <= 0 {
-		c.SigChunks = 64
-	}
-	if c.ReassertEvery <= 0 {
-		c.ReassertEvery = 16
-	}
-	return c
-}
+	// at all — honest residuals are averaged-out rotation noise and stay
+	// well below it, so tiny residuals never compare as pure noise.
+	simConsistency float64 = 0.5
+	// refRate is the EMA rate of the reference direction.
+	refRate float64 = 0.05
+	// sigChunks is the dimensionality of the chunked direction signature,
+	// and the number of equal segments the layer-norm profile is taken
+	// over. It is 64 (the field this replaces was documented as 16 and
+	// defaulted to 64): the similarity figures simThreshold separates —
+	// exact 1.0 for colluders, 0.9996 for honest label twins — and the
+	// byzantine study's precision and recall were all measured at 64.
+	sigChunks = 64
+	// reassertEvery re-emits the raise event of a still-flagged client
+	// every that many of its updates, so downstream consumers (the health
+	// evaluator's sustained-anomaly rule) can tell persistent anomalies
+	// from one-off blips.
+	reassertEvery = 16
+)
 
 // profile is the streaming state of one audited client.
 type profile struct {
 	id    int
 	count int64
 
-	// norm window (ring buffer of size cfg.Window) and its cached median.
+	// norm window (ring buffer of size window) and its cached median.
 	norms    []float64
 	normHead int
 	normN    int
@@ -262,7 +224,6 @@ type profile struct {
 // serialization that guards the ServerCore (the DES is single-threaded,
 // the live runtime holds the server mutex).
 type Recorder struct {
-	cfg    Config
 	server int
 	sink   obs.Sink
 
@@ -314,32 +275,31 @@ type Recorder struct {
 // emitted into sink (stamped with the clock value the caller passes to
 // Observe); obs.Nop suppresses emission but keeps the statistics, which
 // live telemetry still surfaces.
-func NewRecorder(cfg Config, server int, sink obs.Sink) *Recorder {
+func NewRecorder(server int, sink obs.Sink) *Recorder {
 	if sink == nil {
 		sink = obs.Nop{}
 	}
-	cfg = cfg.withDefaults()
 	r := &Recorder{
-		cfg:        cfg,
 		server:     server,
 		sink:       sink,
 		refMin:     3,
 		profiles:   make(map[int]*profile),
-		ref:        make([]float64, cfg.SigChunks),
-		modelSig:   make([]float64, cfg.SigChunks),
-		contrib:    make([]float64, cfg.SigChunks),
-		medScratch: make([]float64, 0, cfg.Window),
-		popSig:     make([]float64, cfg.SigChunks),
-		popInst:    make([]float64, cfg.SigChunks),
-		residA:     make([]float64, cfg.SigChunks),
-		residB:     make([]float64, cfg.SigChunks),
-		instA:      make([]float64, cfg.SigChunks),
-		instB:      make([]float64, cfg.SigChunks),
+		ref:        make([]float64, sigChunks),
+		modelSig:   make([]float64, sigChunks),
+		contrib:    make([]float64, sigChunks),
+		layScratch: make([]float64, sigChunks),
+		medScratch: make([]float64, 0, window),
+		popSig:     make([]float64, sigChunks),
+		popInst:    make([]float64, sigChunks),
+		residA:     make([]float64, sigChunks),
+		residB:     make([]float64, sigChunks),
+		instA:      make([]float64, sigChunks),
+		instB:      make([]float64, sigChunks),
 		snapAges:   make([]float64, snapRing),
 		snapSigs:   make([][]float64, snapRing),
 	}
 	for i := range r.snapSigs {
-		r.snapSigs[i] = make([]float64, cfg.SigChunks)
+		r.snapSigs[i] = make([]float64, sigChunks)
 	}
 	return r
 }
@@ -350,12 +310,12 @@ func (r *Recorder) profile(id int) *profile {
 	}
 	p := &profile{
 		id:       id,
-		norms:    make([]float64, r.cfg.Window),
-		rawNorms: make([]float64, r.cfg.Window),
-		coss:     make([]float64, r.cfg.Window),
-		sims:     make([]float64, r.cfg.Window),
-		sig:      make([]float64, r.cfg.SigChunks),
-		inst:     make([]float64, r.cfg.SigChunks),
+		norms:    make([]float64, window),
+		rawNorms: make([]float64, window),
+		coss:     make([]float64, window),
+		sims:     make([]float64, window),
+		sig:      make([]float64, sigChunks),
+		inst:     make([]float64, sigChunks),
 	}
 	r.profiles[id] = p
 	r.order = append(r.order, id)
@@ -421,8 +381,8 @@ func (r *Recorder) Observe(now float64, client int, delta, model []float64, base
 	if r.refSeen >= r.refMin && r.refNorm > 0 && cNorm > 0 {
 		cos := sigDot(r.ref, r.contrib) / r.refNorm
 		p.coss[p.cosHead] = cos
-		p.cosHead = (p.cosHead + 1) % r.cfg.Window
-		if p.cosN < r.cfg.Window {
+		p.cosHead = (p.cosHead + 1) % window
+		if p.cosN < window {
 			p.cosN++
 		}
 		p.medCos = r.windowMedian(p.coss, p.cosN)
@@ -450,14 +410,14 @@ func (r *Recorder) Observe(now float64, client int, delta, model []float64, base
 	// the raw delta norm scales with how stale an update happens to be,
 	// which is scheduling luck, not client behaviour.
 	p.norms[p.normHead] = cNorm
-	p.normHead = (p.normHead + 1) % r.cfg.Window
-	if p.normN < r.cfg.Window {
+	p.normHead = (p.normHead + 1) % window
+	if p.normN < window {
 		p.normN++
 	}
 	p.median = r.windowMedian(p.norms, p.normN)
 	// The raw wire norm rides a parallel window (same fill count).
 	p.rawNorms[p.rawHead] = norm
-	p.rawHead = (p.rawHead + 1) % r.cfg.Window
+	p.rawHead = (p.rawHead + 1) % window
 	p.rawMedian = r.windowMedian(p.rawNorms, p.normN)
 
 	r.judge(now, p)
@@ -467,7 +427,7 @@ func (r *Recorder) Observe(now float64, client int, delta, model []float64, base
 	// steering the baseline it is compared against.
 	if cNorm > 0 && p.flags == 0 {
 		for i, s := range r.contrib {
-			r.ref[i] = (1-r.cfg.RefRate)*r.ref[i] + r.cfg.RefRate*s
+			r.ref[i] = (1-refRate)*r.ref[i] + refRate*s
 		}
 		r.refNorm = sigLen(r.ref)
 		r.refSeen++
@@ -541,40 +501,16 @@ func sigDot(a, b []float64) float64 {
 	return dot
 }
 
-// layerProfile fills layScratch with each segment's share of the delta
-// norm: LayerBounds segments when configured, SigChunks equal segments
-// otherwise.
+// layerProfile fills layScratch with the share of the delta norm that
+// falls in each of sigChunks equal segments.
 func (r *Recorder) layerProfile(delta []float64, norm float64) {
-	nSeg := len(r.cfg.LayerBounds)
-	if nSeg == 0 {
-		nSeg = r.cfg.SigChunks
-	}
-	if cap(r.layScratch) < nSeg {
-		r.layScratch = make([]float64, nSeg)
-	}
-	r.layScratch = r.layScratch[:nSeg]
 	for i := range r.layScratch {
 		r.layScratch[i] = 0
 	}
 	if norm <= 0 || len(delta) == 0 {
 		return
 	}
-	if len(r.cfg.LayerBounds) > 0 {
-		lo := 0
-		for i, hi := range r.cfg.LayerBounds {
-			if hi > len(delta) {
-				hi = len(delta)
-			}
-			var s float64
-			for _, d := range delta[lo:hi] {
-				s += d * d
-			}
-			r.layScratch[i] = math.Sqrt(s) / norm
-			lo = hi
-		}
-		return
-	}
-	per := (len(delta) + nSeg - 1) / nSeg
+	per := (len(delta) + sigChunks - 1) / sigChunks
 	for i, d := range delta {
 		r.layScratch[i/per] += d * d
 	}
@@ -585,7 +521,7 @@ func (r *Recorder) layerProfile(delta []float64, norm float64) {
 
 // judge re-evaluates every rule for the client that just sent an update.
 func (r *Recorder) judge(now float64, p *profile) {
-	if p.normN < r.cfg.MinSamples {
+	if p.normN < minSamples {
 		return
 	}
 
@@ -600,31 +536,31 @@ func (r *Recorder) judge(now float64, p *profile) {
 	// clients in exactly the way this rule would misread as outliers.
 	popMed, spread, popOK := r.popStats(p, false)
 	rawMed, rawSpread, rawOK := r.popStats(p, true)
-	if popOK && p.normN >= r.cfg.Window {
+	if popOK && p.normN >= window {
 		z := (p.median - popMed) / spread
-		raise := z >= r.cfg.NormZ && p.median >= r.cfg.NormRatio*popMed
-		hold := z >= 0.8*r.cfg.NormZ && p.median >= 0.8*r.cfg.NormRatio*popMed
+		raise := z >= normZ && p.median >= normRatio*popMed
+		hold := z >= 0.8*normZ && p.median >= 0.8*normRatio*popMed
 		if rawOK {
 			zRaw := (p.rawMedian - rawMed) / rawSpread
 			if zRaw > z {
 				z = zRaw
 			}
-			raise = raise || (zRaw >= r.cfg.NormZ && p.rawMedian >= r.cfg.NormRatio*rawMed)
-			hold = hold || (zRaw >= 0.8*r.cfg.NormZ && p.rawMedian >= 0.8*r.cfg.NormRatio*rawMed)
+			raise = raise || (zRaw >= normZ && p.rawMedian >= normRatio*rawMed)
+			hold = hold || (zRaw >= 0.8*normZ && p.rawMedian >= 0.8*normRatio*rawMed)
 		}
 		p.lastZ = z
 		r.setFlag(now, p, ruleNorm, raise, hold, z)
 	}
 
 	// Direction inversion: refines an armed norm-outlier flag by
-	// direction (see Config.CosInvert for why direction alone cannot
+	// direction (see cosInvert for why direction alone cannot
 	// convict under non-IID data). Gating on the norm flag makes the
 	// rule inherit its false-positive behaviour: it can never flag a
 	// client the magnitude rule would not.
-	if p.cosN >= r.cfg.MinSamples {
+	if p.cosN >= minSamples {
 		normArmed := p.flags&(1<<ruleNorm) != 0
-		raise := normArmed && p.medCos <= r.cfg.CosInvert
-		hold := normArmed && p.medCos <= r.cfg.CosInvert+0.15
+		raise := normArmed && p.medCos <= cosInvert
+		hold := normArmed && p.medCos <= cosInvert+0.15
 		r.setFlag(now, p, ruleInvert, raise, hold, p.medCos)
 	}
 
@@ -664,18 +600,18 @@ func (r *Recorder) judge(now float64, p *profile) {
 			p.lastSim = best
 			if best > -1 {
 				p.sims[p.simHead] = best
-				p.simHead = (p.simHead + 1) % r.cfg.Window
-				if p.simN < r.cfg.Window {
+				p.simHead = (p.simHead + 1) % window
+				if p.simN < window {
 					p.simN++
 				}
 				p.medSim = r.windowMedian(p.sims, p.simN)
 			}
-			sustained := p.simN >= r.cfg.MinSamples
-			raise := sustained && p.medSim >= r.cfg.SimThreshold
+			sustained := p.simN >= minSamples
+			raise := sustained && p.medSim >= simThreshold
 			// Hysteresis margin scales with the threshold's distance
 			// from exactness (2T-1 = T - (1-T)): a near-1 threshold gets
 			// a correspondingly tight hold band.
-			hold := sustained && p.medSim >= 2*r.cfg.SimThreshold-1
+			hold := sustained && p.medSim >= 2*simThreshold-1
 			r.setFlag(now, p, ruleCollude, raise, hold, p.medSim)
 		} else if p.flags&(1<<ruleCollude) != 0 {
 			r.setFlag(now, p, ruleCollude, false, false, p.medSim)
@@ -694,7 +630,7 @@ func (r *Recorder) popStats(p *profile, raw bool) (popMed, spread float64, ok bo
 	r.popScratch = r.popScratch[:0]
 	for _, id := range r.order {
 		q := r.profiles[id]
-		if q.normN >= r.cfg.MinSamples && (q.flags == 0 || q == p) {
+		if q.normN >= minSamples && (q.flags == 0 || q == p) {
 			if raw {
 				r.popScratch = append(r.popScratch, q.rawMedian)
 			} else {
@@ -702,7 +638,7 @@ func (r *Recorder) popStats(p *profile, raw bool) (popMed, spread float64, ok bo
 			}
 		}
 	}
-	if len(r.popScratch) < r.cfg.MinPeers {
+	if len(r.popScratch) < minPeers {
 		return 0, 0, false
 	}
 	sort.Float64s(r.popScratch)
@@ -730,18 +666,18 @@ func (r *Recorder) popStats(p *profile, raw bool) (popMed, spread float64, ok bo
 func (r *Recorder) popSignature() bool {
 	mature := 0
 	for _, id := range r.order {
-		if r.profiles[id].sigN >= int64(r.cfg.MinSamples) {
+		if r.profiles[id].sigN >= minSamples {
 			mature++
 		}
 	}
-	if mature < r.cfg.MinPeers {
+	if mature < minPeers {
 		return false
 	}
 	for c := range r.popSig {
 		r.simScratch = r.simScratch[:0]
 		for _, id := range r.order {
 			q := r.profiles[id]
-			if q.sigN >= int64(r.cfg.MinSamples) {
+			if q.sigN >= minSamples {
 				r.simScratch = append(r.simScratch, q.sig[c])
 			}
 		}
@@ -756,7 +692,7 @@ func (r *Recorder) popSignature() bool {
 		r.simScratch = r.simScratch[:0]
 		for _, id := range r.order {
 			q := r.profiles[id]
-			if q.instValid && q.sigN >= int64(r.cfg.MinSamples) {
+			if q.instValid && q.sigN >= minSamples {
 				r.simScratch = append(r.simScratch, q.inst[c])
 			}
 		}
@@ -777,11 +713,11 @@ func (r *Recorder) popSignature() bool {
 // signature whose residual is long enough to encode a persistent
 // private direction.
 func (r *Recorder) colludeCandidate(p *profile, dst []float64) bool {
-	if p.sigN < int64(r.cfg.MinSamples) {
+	if p.sigN < minSamples {
 		return false
 	}
 	residualize(p.sig, dst, r.popSig, r.popNorm)
-	return sigLen(dst) >= r.cfg.SimConsistency
+	return sigLen(dst) >= simConsistency
 }
 
 // residualize writes src minus the base population signature into dst,
@@ -828,7 +764,7 @@ func sigCosine(a, b []float64) float64 {
 
 // setFlag applies one rule's verdict with hysteresis: raise arms the
 // flag, hold keeps an armed flag armed, and a still-armed flag re-emits
-// its raise event every ReassertEvery updates so sustained anomalies
+// its raise event every reassertEvery updates so sustained anomalies
 // stay visible downstream.
 func (r *Recorder) setFlag(now float64, p *profile, ri int, raise, hold bool, score float64) {
 	bit := uint8(1) << ri
@@ -839,7 +775,7 @@ func (r *Recorder) setFlag(now float64, p *profile, ri int, raise, hold bool, sc
 		r.emit(now, p, ri, score, false)
 	case (raise || hold) && p.flags&bit != 0:
 		p.sinceEmit[ri]++
-		if p.sinceEmit[ri] >= r.cfg.ReassertEvery {
+		if p.sinceEmit[ri] >= reassertEvery {
 			p.sinceEmit[ri] = 0
 			r.emit(now, p, ri, score, false)
 		}

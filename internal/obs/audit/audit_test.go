@@ -69,7 +69,7 @@ func hasFlag(flags []string, rule string) bool {
 
 func TestNormOutlierFlagged(t *testing.T) {
 	sink := &memSink{}
-	rec := NewRecorder(Config{}, 0, sink)
+	rec := NewRecorder(0, sink)
 	rng := rand.New(rand.NewSource(1))
 	feedRounds(rec, 6, 20, func(c, t int) []float64 {
 		if c == 0 {
@@ -95,7 +95,7 @@ func TestNormOutlierFlagged(t *testing.T) {
 }
 
 func TestDirectionInversionFlagged(t *testing.T) {
-	rec := NewRecorder(Config{}, 0, nil)
+	rec := NewRecorder(0, nil)
 	rng := rand.New(rand.NewSource(2))
 	common := randUnit(rng, 1)
 	mk := func(c, t int) []float64 {
@@ -129,7 +129,7 @@ func TestDirectionInversionFlagged(t *testing.T) {
 }
 
 func TestCollusionFlaggedPairwise(t *testing.T) {
-	rec := NewRecorder(Config{}, 0, nil)
+	rec := NewRecorder(0, nil)
 	rng := rand.New(rand.NewSource(3))
 	attack := randUnit(rng, 1) // fixed shared attack direction, honest-sized norm
 	mk := func(c, t int) []float64 {
@@ -158,7 +158,7 @@ func TestCollusionFlaggedPairwise(t *testing.T) {
 
 func TestCleanRunNoFlags(t *testing.T) {
 	sink := &memSink{}
-	rec := NewRecorder(Config{}, 0, sink)
+	rec := NewRecorder(0, sink)
 	rng := rand.New(rand.NewSource(4))
 	feedRounds(rec, 8, 50, func(c, t int) []float64 {
 		return randUnit(rng, 0.7+0.6*rng.Float64())
@@ -173,7 +173,7 @@ func TestCleanRunNoFlags(t *testing.T) {
 
 func TestFlagClearsWhenBehaviorNormalizes(t *testing.T) {
 	sink := &memSink{}
-	rec := NewRecorder(Config{}, 0, sink)
+	rec := NewRecorder(0, sink)
 	rng := rand.New(rand.NewSource(5))
 	phase2 := false
 	mk := func(c, t int) []float64 {
@@ -202,11 +202,15 @@ func TestFlagClearsWhenBehaviorNormalizes(t *testing.T) {
 	}
 }
 
+// TestReassertEmitsPeriodically: the norm flag raises once the attacker's
+// window is full and is re-emitted every reassertEvery of its updates
+// while it stands.
 func TestReassertEmitsPeriodically(t *testing.T) {
 	sink := &memSink{}
-	rec := NewRecorder(Config{ReassertEvery: 4}, 0, sink)
+	rec := NewRecorder(0, sink)
 	rng := rand.New(rand.NewSource(6))
-	feedRounds(rec, 6, 40, func(c, t int) []float64 {
+	const rounds = 56
+	feedRounds(rec, 6, rounds, func(c, t int) []float64 {
 		if c == 0 {
 			return randUnit(rng, 12)
 		}
@@ -218,8 +222,8 @@ func TestReassertEmitsPeriodically(t *testing.T) {
 			raises++
 		}
 	}
-	if raises < 3 {
-		t.Fatalf("sustained anomaly produced only %d raise events, want reasserts", raises)
+	if want := 1 + (rounds-window)/reassertEvery; raises != want {
+		t.Fatalf("sustained anomaly produced %d raise events over %d updates, want %d", raises, rounds, want)
 	}
 }
 
@@ -228,7 +232,7 @@ func TestReassertEmitsPeriodically(t *testing.T) {
 func TestObserveDeterminism(t *testing.T) {
 	run := func() ([]obs.Event, *obs.TelemetryAudit) {
 		sink := &memSink{}
-		rec := NewRecorder(Config{}, 0, sink)
+		rec := NewRecorder(0, sink)
 		rng := rand.New(rand.NewSource(7))
 		feedRounds(rec, 6, 25, func(c, t int) []float64 {
 			if c == 0 {
@@ -249,7 +253,7 @@ func TestObserveDeterminism(t *testing.T) {
 }
 
 func TestSnapshotShape(t *testing.T) {
-	rec := NewRecorder(Config{}, 3, nil)
+	rec := NewRecorder(3, nil)
 	rng := rand.New(rand.NewSource(8))
 	feedRounds(rec, 4, 10, func(c, t int) []float64 {
 		return randUnit(rng, 1)
@@ -276,7 +280,7 @@ func TestSnapshotShape(t *testing.T) {
 }
 
 func TestNopSinkSuppressesEmissionKeepsStats(t *testing.T) {
-	rec := NewRecorder(Config{}, 0, obs.Nop{})
+	rec := NewRecorder(0, obs.Nop{})
 	rng := rand.New(rand.NewSource(9))
 	feedRounds(rec, 6, 20, func(c, t int) []float64 {
 		if c == 0 {
@@ -306,7 +310,7 @@ func BenchmarkAuditObserve(b *testing.B) {
 		}
 		return v
 	}
-	rec := NewRecorder(Config{}, 0, obs.Nop{})
+	rec := NewRecorder(0, obs.Nop{})
 	deltas := make([][]float64, clients)
 	for i := range deltas {
 		deltas[i] = vec()

@@ -76,7 +76,7 @@ func TestReplayEmptyTrace(t *testing.T) {
 // appear in the replayed report with the same active rules.
 func TestReplayMatchesOnlineRecorder(t *testing.T) {
 	sink := &memSink{}
-	rec := NewRecorder(Config{}, 2, sink)
+	rec := NewRecorder(2, sink)
 	rng := rand.New(rand.NewSource(10))
 	feedRounds(rec, 6, 25, func(c, t int) []float64 {
 		if c == 0 {

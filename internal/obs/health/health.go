@@ -58,26 +58,26 @@ const (
 	// of it means even recovery is not restoring circulation. Stalled.
 	RuleTokenSilence Rule = "token-silence"
 	// RuleEpochDivergence: servers report different membership epochs for
-	// longer than EpochGrace. Transient divergence is normal while an
+	// longer than two token timeouts (epochGrace). Transient divergence is normal while an
 	// epoch propagates; a persistent split means part of the ring is
 	// partitioned from membership news. Degraded.
 	RuleEpochDivergence Rule = "epoch-divergence"
 	// RuleOutboxBacklog: a peer link's outbox depth grew monotonically
-	// across BacklogRise consecutive snapshots and sits at or above
-	// BacklogMin — the receiver is slower than the sender or gone.
+	// across backlogRise consecutive snapshots and sits at or above
+	// backlogMin — the receiver is slower than the sender or gone.
 	// Telemetry-only (traces do not carry queue depths). Degraded.
 	RuleOutboxBacklog Rule = "outbox-backlog"
 	// RuleStalenessBlowup: the mean staleness of aggregated client
-	// updates rose across StalenessRise consecutive chunks and exceeds
-	// StalenessFactor x the best chunk mean seen — updates are aging
+	// updates rose across stalenessRise consecutive chunks and exceeds
+	// stalenessFactor x the best chunk mean seen — updates are aging
 	// faster than the ring refreshes models. Degraded.
 	RuleStalenessBlowup Rule = "staleness-blowup"
 	// RuleSyncFlatline: client updates keep flowing but no
-	// synchronization round has started for FlatlineFactor x the
+	// synchronization round has started for flatlineFactor x the
 	// observed round cadence. Degraded.
 	RuleSyncFlatline Rule = "sync-flatline"
 	// RuleClientAnomaly: the contribution audit plane
-	// (internal/obs/audit) has flagged a client AuditSustain or more
+	// (internal/obs/audit) has flagged a client auditSustain or more
 	// times in a row — from KindAudit verdict events (traces, DES) or
 	// from consecutive flagged telemetry polls — without an intervening
 	// full clear. One anomalous client degrades the server merging it,
@@ -104,10 +104,9 @@ type Alert struct {
 	Cleared float64
 }
 
-// Config tunes the detection rules. The zero value is usable: every
-// field defaults as documented, and rules whose inputs are absent
-// (e.g. TokenTimeout unknown and uncalibrated) stay silent rather than
-// guessing.
+// Config holds what a deployment knows about its ring and the evaluator
+// cannot. The zero value is usable: rules whose inputs are absent (e.g.
+// TokenTimeout unknown and uncalibrated) stay silent rather than guessing.
 type Config struct {
 	// TokenTimeout is the cluster's token regeneration timeout in stream
 	// seconds. 0 means unknown: the evaluator adopts the largest value
@@ -117,66 +116,32 @@ type Config struct {
 	// SilenceFactor scales TokenTimeout into the stall threshold
 	// (default 2).
 	SilenceFactor float64
-	// EpochGrace is how long membership epochs may diverge before the
-	// alert (default 2 x TokenTimeout, or 5s when that is unknown).
-	EpochGrace float64
-	// FlatlineFactor scales the observed sync cadence into the flatline
-	// threshold (default 4).
-	FlatlineFactor float64
-	// BacklogRise is how many consecutive strictly-rising snapshots of
-	// one outbox arm the backlog alert (default 3); BacklogMin is the
-	// minimum depth that may alert (default 8).
-	BacklogRise int
-	BacklogMin  int
-	// StalenessRise is how many consecutive rising staleness chunks arm
-	// the blow-up alert (default 4); StalenessFactor the multiple of the
-	// best chunk mean that must be exceeded (default 4); StalenessChunk
-	// the number of aggregated updates per chunk (default 32).
-	StalenessRise   int
-	StalenessFactor float64
-	StalenessChunk  int
-	// AuditSustain is how many consecutive audit verdicts (raise or
-	// reassert events, or flagged telemetry polls) a client must
-	// accumulate before the anomaly alert raises (default 2 — a single
-	// transient verdict is the audit plane's hysteresis to manage, not
-	// an operator page).
-	AuditSustain int
 }
 
-func (c Config) withDefaults() Config {
-	if c.SilenceFactor <= 0 {
-		c.SilenceFactor = 2
-	}
-	if c.EpochGrace <= 0 {
-		if c.TokenTimeout > 0 {
-			c.EpochGrace = 2 * c.TokenTimeout
-		} else {
-			c.EpochGrace = 5
-		}
-	}
-	if c.FlatlineFactor <= 0 {
-		c.FlatlineFactor = 4
-	}
-	if c.BacklogRise <= 0 {
-		c.BacklogRise = 3
-	}
-	if c.BacklogMin <= 0 {
-		c.BacklogMin = 8
-	}
-	if c.StalenessRise <= 0 {
-		c.StalenessRise = 4
-	}
-	if c.StalenessFactor <= 0 {
-		c.StalenessFactor = 4
-	}
-	if c.StalenessChunk <= 0 {
-		c.StalenessChunk = 32
-	}
-	if c.AuditSustain <= 0 {
-		c.AuditSustain = 2
-	}
-	return c
-}
+// The detection rules' thresholds.
+const (
+	// flatlineFactor scales the observed sync cadence into the flatline
+	// threshold.
+	flatlineFactor = 4
+	// backlogRise is how many consecutive strictly-rising snapshots of one
+	// outbox arm the backlog alert; backlogMin is the minimum depth that
+	// may alert.
+	backlogRise = 3
+	backlogMin  = 8
+	// stalenessRise is how many consecutive rising staleness chunks arm
+	// the blow-up alert; stalenessFactor the multiple of the best chunk
+	// mean that must be exceeded; stalenessChunk the number of aggregated
+	// updates per chunk.
+	stalenessRise   = 4
+	stalenessFactor = 4
+	stalenessChunk  = 32
+	// auditSustain is how many consecutive audit verdicts (raise or
+	// reassert events, or flagged telemetry polls) a client must
+	// accumulate before the anomaly alert raises — a single transient
+	// verdict is the audit plane's hysteresis to manage, not an operator
+	// page.
+	auditSustain = 2
+)
 
 type serverState struct {
 	epochValid bool
@@ -250,7 +215,9 @@ type Evaluator struct {
 
 // New returns an evaluator with cfg's defaults applied.
 func New(cfg Config) *Evaluator {
-	cfg = cfg.withDefaults()
+	if cfg.SilenceFactor <= 0 {
+		cfg.SilenceFactor = 2
+	}
 	return &Evaluator{
 		cfg:      cfg,
 		perSrv:   map[int]*serverState{},
@@ -380,7 +347,7 @@ func (e *Evaluator) noteAudit(ev obs.Event) {
 	}
 	a.rules[ev.Note] = true
 	a.streak++
-	if a.streak >= e.cfg.AuditSustain {
+	if a.streak >= auditSustain {
 		e.raise(RuleClientAnomaly, Degraded, ev.Time, ev.Node, ev.Peer,
 			fmt.Sprintf("server %d audit flagged client %d: %s (%d verdicts, score %.3f)",
 				ev.Node, ev.Peer, ev.Note, a.streak, ev.Score))
@@ -412,7 +379,7 @@ func (e *Evaluator) noteAuditFlags(server, client int, flags []string, at float6
 		a.rules[f] = true
 	}
 	a.streak++
-	if a.streak >= e.cfg.AuditSustain {
+	if a.streak >= auditSustain {
 		e.raise(RuleClientAnomaly, Degraded, at, server, client,
 			fmt.Sprintf("server %d audit flagged client %d: %s (%d polls)",
 				server, client, strings.Join(flags, ","), a.streak))
@@ -502,7 +469,7 @@ func (e *Evaluator) checkFlatline() {
 	if cad <= 0 {
 		return
 	}
-	thr := e.cfg.FlatlineFactor * cad
+	thr := flatlineFactor * cad
 	if e.now-e.lastSync > thr {
 		e.raise(RuleSyncFlatline, Degraded, e.lastSync+thr, obs.NoPeer, obs.NoPeer,
 			fmt.Sprintf("%d updates merged but no sync round for %.2fs (cadence ~%.2fs)",
@@ -544,12 +511,24 @@ func (e *Evaluator) checkEpochs(at float64) {
 	}
 }
 
+// epochGrace is how long membership epochs may diverge before the alert:
+// two token timeouts, or 5s while the timeout is still unknown. It is read
+// off the effective timeout at every check, not fixed at New: an online
+// evaluator learns the ring's timeout from telemetry only after it starts,
+// and must then judge by it as an offline pass over the same stream does.
+func (e *Evaluator) epochGrace() float64 {
+	if e.tokenTmo > 0 {
+		return 2 * e.tokenTmo
+	}
+	return 5
+}
+
 func (e *Evaluator) checkDivergence() {
 	if !e.divergedValid {
 		return
 	}
-	if e.now-e.divergedSince > e.cfg.EpochGrace {
-		e.raise(RuleEpochDivergence, Degraded, e.divergedSince+e.cfg.EpochGrace,
+	if grace := e.epochGrace(); e.now-e.divergedSince > grace {
+		e.raise(RuleEpochDivergence, Degraded, e.divergedSince+grace,
 			e.divergedLag, obs.NoPeer,
 			fmt.Sprintf("membership epochs split %d..%d for %.2fs (server %d lagging)",
 				e.divergedSpan[0], e.divergedSpan[1], e.now-e.divergedSince, e.divergedLag))
@@ -564,7 +543,7 @@ func (e *Evaluator) noteStaleness(sum float64, n int64, at float64) {
 	}
 	e.chunkSum += sum
 	e.chunkN += n
-	if e.chunkN < int64(e.cfg.StalenessChunk) {
+	if e.chunkN < stalenessChunk {
 		return
 	}
 	mean := e.chunkSum / float64(e.chunkN)
@@ -590,7 +569,7 @@ func (e *Evaluator) noteStaleness(sum float64, n int64, at float64) {
 	if base < 1 {
 		base = 1
 	}
-	if e.riseRun >= e.cfg.StalenessRise && mean >= e.cfg.StalenessFactor*base {
+	if e.riseRun >= stalenessRise && mean >= stalenessFactor*base {
 		e.raise(RuleStalenessBlowup, Degraded, at, obs.NoPeer, obs.NoPeer,
 			fmt.Sprintf("mean staleness rose %d chunks to %.3f (%.1fx the floored best chunk %.3f)",
 				e.riseRun, mean, mean/base, base))
@@ -612,10 +591,10 @@ func (e *Evaluator) noteBacklog(node, peer, depth int, at float64) {
 	}
 	prev := l.depth
 	l.depth, l.valid = depth, true
-	if l.streak >= e.cfg.BacklogRise && depth >= e.cfg.BacklogMin {
+	if l.streak >= backlogRise && depth >= backlogMin {
 		e.raise(RuleOutboxBacklog, Degraded, at, node, peer,
 			fmt.Sprintf("outbox s%d->s%d grew %d polls to depth %d", node, peer, l.streak, depth))
-	} else if depth <= prev || depth < e.cfg.BacklogMin {
+	} else if depth <= prev || depth < backlogMin {
 		e.clear(RuleOutboxBacklog, at, node, peer)
 	}
 }

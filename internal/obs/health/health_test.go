@@ -101,7 +101,7 @@ func TestTokenSilenceFromTelemetry(t *testing.T) {
 }
 
 func TestEpochDivergenceRule(t *testing.T) {
-	e := New(Config{EpochGrace: 3})
+	e := New(Config{TokenTimeout: 1.5}) // grace 2 x 1.5 = 3s
 	e.Observe(epoch(0, 0, 1))
 	e.Observe(epoch(0, 1, 1))
 	e.AdvanceTo(10)
@@ -127,8 +127,48 @@ func TestEpochDivergenceRule(t *testing.T) {
 	}
 }
 
+// TestDivergenceGraceFollowsAdoptedTimeout: an evaluator started without a
+// token timeout (spyker-mon's default) adopts the ring's from telemetry,
+// and from then on a membership split alerts after two of THOSE timeouts,
+// at the instant an offline pass that calibrated the same timeout before
+// it started reports — not after the 5s that applies to an unknown one.
+func TestDivergenceGraceFollowsAdoptedTimeout(t *testing.T) {
+	var events []obs.Event
+	for i := 0; i <= 96; i++ { // a pass every 0.125s calibrates 4 x 0.125 = 0.5s
+		at := float64(i) * 0.125
+		events = append(events, pass(at, i%2, (i+1)%2))
+		switch at {
+		case 0:
+			events = append(events, epoch(at, 0, 1), epoch(at, 1, 1))
+		case 10:
+			events = append(events, epoch(at, 1, 2)) // server 0 lags from here on
+		}
+	}
+	offline := Run(events, Config{})
+	if offline.tokenTmo != 0.5 {
+		t.Fatalf("calibrated timeout = %v, want 0.5", offline.tokenTmo)
+	}
+	online := New(Config{})
+	online.ObserveTelemetry(&obs.Telemetry{
+		Version: obs.TelemetryVersion, Server: 0, Epoch: 1,
+		TokenSilence: -1, TokenTimeout: 0.5,
+	}, 0)
+	for _, ev := range events {
+		online.Observe(ev)
+	}
+	for name, e := range map[string]*Evaluator{"offline": offline, "online": online} {
+		a := findAlert(e.Alerts(), RuleEpochDivergence)
+		if a == nil {
+			t.Fatalf("%s: no epoch-divergence alert: %+v", name, e.Alerts())
+		}
+		if a.Raised != 11 {
+			t.Errorf("%s: raised at %v, want 11 (the split at 10 + 2 x 0.5s)", name, a.Raised)
+		}
+	}
+}
+
 func TestOutboxBacklogRule(t *testing.T) {
-	e := New(Config{BacklogRise: 3, BacklogMin: 8})
+	e := New(Config{})
 	snap := func(at float64, depth int) {
 		e.ObserveTelemetry(&obs.Telemetry{
 			Version: obs.TelemetryVersion, Server: 0,
@@ -150,7 +190,7 @@ func TestOutboxBacklogRule(t *testing.T) {
 		t.Fatalf("state after drain = %v", got)
 	}
 	// shallow queues may rise forever without alerting
-	e2 := New(Config{BacklogRise: 3, BacklogMin: 8})
+	e2 := New(Config{})
 	for i, d := range []int{1, 2, 3, 4, 5, 6, 7} {
 		e2.ObserveTelemetry(&obs.Telemetry{
 			Version: obs.TelemetryVersion, Server: 0,
@@ -163,22 +203,23 @@ func TestOutboxBacklogRule(t *testing.T) {
 }
 
 func TestStalenessBlowupRule(t *testing.T) {
-	e := New(Config{StalenessChunk: 4, StalenessRise: 3, StalenessFactor: 2})
+	e := New(Config{})
 	at := 0.0
 	chunk := func(mean float64) {
-		for i := 0; i < 4; i++ {
+		for i := 0; i < stalenessChunk; i++ {
 			e.Observe(update(at, 0, mean))
 			at += 0.1
 		}
 	}
 	chunk(1) // baseline
 	chunk(1)
-	chunk(2)
-	chunk(3)
+	chunk(4) // already 4x the best chunk, but only the first rise
+	chunk(5)
+	chunk(6)
 	if got := e.State(); got != Healthy {
 		t.Fatalf("state before the full rise streak = %v", got)
 	}
-	chunk(4) // third consecutive rise, 4x the best chunk
+	chunk(7) // fourth consecutive rise
 	if got := e.State(); got != Degraded {
 		t.Fatalf("state after staleness blow-up = %v", got)
 	}
@@ -190,10 +231,19 @@ func TestStalenessBlowupRule(t *testing.T) {
 	if got := e.State(); got != Healthy {
 		t.Fatalf("state after staleness recovery = %v", got)
 	}
+
+	// a streak of rises that stays under 4x the best chunk never alerts
+	e = New(Config{})
+	for _, mean := range []float64{1, 1.5, 2, 2.5, 3, 3.5} {
+		chunk(mean)
+	}
+	if got := e.State(); got != Healthy {
+		t.Fatalf("slow drift under the factor flagged: %v", got)
+	}
 }
 
 func TestSyncFlatlineRule(t *testing.T) {
-	e := New(Config{FlatlineFactor: 4})
+	e := New(Config{})
 	for i := 0; i < 4; i++ { // cadence ~1s
 		e.Observe(syncStart(float64(i), 0))
 	}
@@ -220,7 +270,7 @@ func TestSyncFlatlineRule(t *testing.T) {
 	}
 
 	// a quiet cluster (no updates flowing) never flatlines
-	e2 := New(Config{FlatlineFactor: 4})
+	e2 := New(Config{})
 	for i := 0; i < 4; i++ {
 		e2.Observe(syncStart(float64(i), 0))
 	}
@@ -273,14 +323,14 @@ func auditEvent(t float64, srv, client int, note string) obs.Event {
 }
 
 // TestClientAnomalyRuleFromEvents drives each audit sub-rule through the
-// verdict-event path: AuditSustain verdicts raise the per-(server,
+// verdict-event path: auditSustain verdicts raise the per-(server,
 // client) alert, and the alert clears only once every still-armed
 // sub-rule has emitted its clear.
 func TestClientAnomalyRuleFromEvents(t *testing.T) {
 	for _, rule := range []string{"norm-outlier", "direction-inversion", "collusion"} {
 		rule := rule
 		t.Run(rule, func(t *testing.T) {
-			e := New(Config{}) // AuditSustain default 2
+			e := New(Config{})
 			e.Observe(auditEvent(1, 0, 5, rule))
 			if a := findAlert(e.ActiveAlerts(), RuleClientAnomaly); a != nil {
 				t.Fatalf("single verdict raised an alert: %+v", *a)

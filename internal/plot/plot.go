@@ -24,23 +24,13 @@ type Chart struct {
 	Title  string
 	XLabel string
 	YLabel string
-	Width  int // plot-area columns (default 64)
-	Height int // plot-area rows (default 16)
-	// YMin/YMax fix the y-range; both zero = auto.
-	YMin, YMax float64
 }
 
-// Render draws the series into a bordered ASCII chart with a legend.
-// Series with fewer than two points are skipped. Returns "" if nothing is
-// drawable.
+// Render draws the series into a bordered ASCII chart with a legend, the
+// axes spanning the data. Series with fewer than two points are skipped.
+// Returns "" if nothing is drawable.
 func (c Chart) Render(series []Series) string {
-	w, h := c.Width, c.Height
-	if w <= 0 {
-		w = 64
-	}
-	if h <= 0 {
-		h = 16
-	}
+	const w, h = 64, 16 // plot-area columns and rows
 
 	var drawable []Series
 	for _, s := range series {
@@ -61,9 +51,6 @@ func (c Chart) Render(series []Series) string {
 			ymin = math.Min(ymin, s.Y[i])
 			ymax = math.Max(ymax, s.Y[i])
 		}
-	}
-	if c.YMin != 0 || c.YMax != 0 {
-		ymin, ymax = c.YMin, c.YMax
 	}
 	if xmax == xmin {
 		xmax = xmin + 1

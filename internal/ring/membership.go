@@ -28,9 +28,8 @@ type Membership struct {
 	Members []int
 }
 
-// Fixed is the construction-time ring of the pre-elastic world: epoch 0
-// with members 0..n-1. Legacy checkpoints and fixed-size deployments
-// restore to exactly this value.
+// Fixed is the construction-time ring: epoch 0 with members 0..n-1, the
+// ring every deployment starts on before any join or leave.
 func Fixed(n int) Membership {
 	m := make([]int, n)
 	for i := range m {

@@ -87,7 +87,7 @@ func TestAuditDisarmedZeroAlloc(t *testing.T) {
 // and allocates nothing.
 func TestAuditArmedZeroAllocSteadyState(t *testing.T) {
 	core, step := newAggregateStep(7, aggregateDim)
-	core.ArmAudit(audit.NewRecorder(audit.Config{}, 0, obs.Nop{}))
+	core.ArmAudit(audit.NewRecorder(0, obs.Nop{}))
 	// Warm up past profile creation and window fills for all 8 clients.
 	for i := 0; i < aggregateClients*24; i++ {
 		step()
@@ -124,7 +124,7 @@ func TestAuditArmedByteIdenticalModel(t *testing.T) {
 	}
 	plain := mk()
 	armed := mk()
-	armed.ArmAudit(audit.NewRecorder(audit.Config{}, 0, obs.Nop{}))
+	armed.ArmAudit(audit.NewRecorder(0, obs.Nop{}))
 
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 300; i++ {

@@ -85,12 +85,6 @@ type Config struct {
 	Beta         float64 // relative decay per excess update
 	EtaMin       float64 // learning-rate floor
 
-	// MinAgeGapForAgeBroadcast rate-limits age announcements from
-	// non-token holders: a server only re-broadcasts its age after its
-	// model aged by at least this much since the previous announcement.
-	// Zero defaults to 1.
-	MinAgeGapForAgeBroadcast float64
-
 	// RobustClipFactor > 0 enables Byzantine-robust norm clipping of
 	// client updates (an extension; the paper lists "Byzantine Learning"
 	// as a keyword but evaluates only honest clients): the delta a client
@@ -256,9 +250,6 @@ func NewServerCore(cfg Config, initial []float64, holdsToken bool, out Outbound)
 func newServerCore(cfg Config, mem ring.Membership, initial []float64, holdsToken bool, out Outbound) *ServerCore {
 	if !mem.Contains(cfg.ID) {
 		panic(fmt.Sprintf("spyker: server %d not a member of %s", cfg.ID, mem))
-	}
-	if cfg.MinAgeGapForAgeBroadcast <= 0 {
-		cfg.MinAgeGapForAgeBroadcast = 1
 	}
 	slots := mem.Slots()
 	s := &ServerCore{
@@ -1020,7 +1011,10 @@ func (s *ServerCore) checkSynchronization() {
 		s.emit(obs.KindSyncStart, obs.NoPeer, bid, "trigger")
 		s.out.BroadcastModel(s.w, s.age, bid, s.frontier, s.mem)
 	} else if !s.hasToken {
-		if s.age-s.lastAgeBroadcast >= s.cfg.MinAgeGapForAgeBroadcast {
+		// Age announcements from non-token holders are rate-limited: a
+		// server only re-broadcasts its age after its model aged by at
+		// least 1 since the previous announcement.
+		if s.age-s.lastAgeBroadcast >= 1 {
 			s.lastAgeBroadcast = s.age
 			s.out.BroadcastAge(s.age, s.mem)
 		}

@@ -138,18 +138,18 @@ func TestSnapshotRestoresFrontier(t *testing.T) {
 	}
 }
 
+// TestRestoreLegacySnapshotWithoutFrontier: a checkpoint written before
+// the provenance extension decodes with a nil Frontier. No writer in this
+// tree produces one; it is refused with an error, as is a frontier of the
+// wrong length.
 func TestRestoreLegacySnapshotWithoutFrontier(t *testing.T) {
 	s := NewServerCore(coreConfig(0, 2, 1), []float64{0, 0}, false, &fakeOut{})
 	s.HandleClientUpdate(0, []float64{1, 1}, 0, 0)
 	var st State
 	s.SnapshotInto(&st)
 	st.Frontier = nil // checkpoint written before the provenance extension
-	r, err := RestoreServerCore(st, &fakeOut{})
-	if err != nil {
-		t.Fatalf("legacy snapshot must restore: %v", err)
-	}
-	if got := r.Frontier(); got[0] != 0 || got[1] != 0 {
-		t.Fatalf("legacy restore frontier = %v, want zeros", got)
+	if _, err := RestoreServerCore(st, &fakeOut{}); err == nil {
+		t.Fatal("a snapshot without a frontier was restored")
 	}
 
 	st.Frontier = []int64{1, 2, 3} // wrong length must be rejected

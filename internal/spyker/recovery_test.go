@@ -228,6 +228,11 @@ func TestRecoveryStateRoundTripsThroughSnapshot(t *testing.T) {
 	}
 }
 
+// TestLegacySnapshotDerivesMaxBidFromToken: a checkpoint written before
+// the recovery extension decodes with MaxBidSeen 0 beside a held token,
+// and restore used to derive the floor from the token's bid. No writer in
+// this tree produces one, and a core that has witnessed less than the
+// token it holds would accept that token's stale twins: it is refused.
 func TestLegacySnapshotDerivesMaxBidFromToken(t *testing.T) {
 	out := &fakeOut{}
 	s := NewServerCore(coreConfig(0, 3, 2), []float64{0, 0}, true, out)
@@ -235,13 +240,12 @@ func TestLegacySnapshotDerivesMaxBidFromToken(t *testing.T) {
 
 	var st State
 	s.SnapshotInto(&st)
-	st.MaxBidSeen = 0 // simulate a pre-extension checkpoint
-	r, err := RestoreServerCore(st, &fakeOut{})
-	if err != nil {
-		t.Fatal(err)
+	if st.MaxBidSeen != 7 {
+		t.Fatalf("snapshot MaxBidSeen = %d, want the held token's bid 7", st.MaxBidSeen)
 	}
-	if r.MaxBidSeen() != 7 {
-		t.Fatalf("restored maxBidSeen = %d, want the held token's bid 7", r.MaxBidSeen())
+	st.MaxBidSeen = 0 // simulate a pre-extension checkpoint
+	if _, err := RestoreServerCore(st, &fakeOut{}); err == nil {
+		t.Fatal("a snapshot that witnessed less than the token it holds was restored")
 	}
 }
 

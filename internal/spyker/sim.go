@@ -137,9 +137,9 @@ func (a *Algorithm) newSimServer(env *fl.Env, id int) *simServer {
 func (s *simServer) adopt(core *ServerCore) {
 	s.core = core
 	core.Instrument(s.env.Trace, s.env.Sim.Now)
-	if s.env.Audit != nil {
+	if s.env.Audit {
 		if s.audit == nil {
-			s.audit = audit.NewRecorder(*s.env.Audit, s.id, s.env.Trace)
+			s.audit = audit.NewRecorder(s.id, s.env.Trace)
 		}
 		core.ArmAudit(s.audit)
 	}

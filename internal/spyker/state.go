@@ -34,24 +34,16 @@ type State struct {
 	SyncsJoined    int
 
 	// MaxBidSeen and TokenRegens are the token-loss recovery state (see
-	// Config.TokenTimeout): the freshest round bid witnessed and the
-	// number of regenerations performed. Zero in checkpoints written
-	// before the recovery extension — restore then re-derives a safe
-	// MaxBidSeen floor from the held token's bid.
+	// Config.TokenTimeout): the freshest round bid witnessed, never below
+	// a held token's bid, and the number of regenerations performed.
 	MaxBidSeen  int
 	TokenRegens int
 
 	// Frontier is the merged-updates vector clock (causal provenance; see
-	// ServerCore.Frontier). Nil in checkpoints written before the
-	// provenance extension — restore then starts it at zero, which only
-	// resets lineage counting, never protocol behaviour.
+	// ServerCore.Frontier), as long as Ages.
 	Frontier []int64
 
-	// Mem is the epoch-versioned ring membership (the elastic-membership
-	// extension). Nil in checkpoints written before the extension —
-	// restore then rebuilds the fixed construction-time ring
-	// ring.Fixed(Config.NumServers) at epoch 0, exactly the ring such a
-	// core was running on.
+	// Mem is the epoch-versioned ring membership the core was running on.
 	Mem *ring.Membership
 }
 
@@ -112,43 +104,40 @@ func (s *ServerCore) SnapshotInto(st *State) {
 }
 
 // RestoreServerCore rebuilds a core from a snapshot, attaching the given
-// outbound. The state is copied, not aliased. A legacy snapshot (nil
-// Mem, written before the elastic-membership extension) restores onto
-// the fixed construction-time ring at epoch 0 under the original strict
-// length validations; a membership-carrying snapshot restores onto
-// exactly that ring, with the server's stable ID free of the 0..N-1
-// constraint as long as it is a member.
+// outbound. The state is copied, not aliased. The core restores onto
+// exactly the snapshot's ring, with the server's stable ID free of the
+// 0..N-1 constraint as long as it is a member. A snapshot is outside
+// input: one that SnapshotInto cannot have written — no membership, no
+// frontier, lengths that disagree — is refused with an error.
 func RestoreServerCore(st State, out Outbound) (*ServerCore, error) {
-	var mem ring.Membership
-	if st.Mem == nil {
-		if st.Config.NumServers <= 0 || st.Config.ID < 0 || st.Config.ID >= st.Config.NumServers {
-			return nil, fmt.Errorf("spyker: snapshot has invalid config %+v", st.Config)
-		}
-		if len(st.Ages) != st.Config.NumServers {
-			return nil, fmt.Errorf("spyker: snapshot ages length %d != %d servers",
-				len(st.Ages), st.Config.NumServers)
-		}
-		if st.Token != nil && len(st.Token.Ages) != st.Config.NumServers {
-			return nil, fmt.Errorf("spyker: snapshot token ages length %d != %d servers",
-				len(st.Token.Ages), st.Config.NumServers)
-		}
-		mem = ring.Fixed(st.Config.NumServers)
-	} else {
-		mem = st.Mem.Clone()
-		if !mem.Contains(st.Config.ID) {
-			return nil, fmt.Errorf("spyker: snapshot server %d not a member of %s",
-				st.Config.ID, mem)
-		}
-		if len(st.Ages) < mem.Slots() {
-			return nil, fmt.Errorf("spyker: snapshot ages length %d < %d membership slots",
-				len(st.Ages), mem.Slots())
-		}
+	if st.Mem == nil || st.Frontier == nil {
+		return nil, fmt.Errorf("spyker: snapshot carries no ring membership or no frontier")
+	}
+	mem := st.Mem.Clone()
+	if !mem.Contains(st.Config.ID) {
+		return nil, fmt.Errorf("spyker: snapshot server %d not a member of %s",
+			st.Config.ID, mem)
+	}
+	if len(st.Ages) < mem.Slots() {
+		return nil, fmt.Errorf("spyker: snapshot ages length %d < %d membership slots",
+			len(st.Ages), mem.Slots())
+	}
+	// Ages and frontier grow in lockstep (growTo), so their lengths must
+	// agree.
+	if len(st.Frontier) != len(st.Ages) {
+		return nil, fmt.Errorf("spyker: snapshot frontier length %d != ages length %d",
+			len(st.Frontier), len(st.Ages))
+	}
+	if st.Token != nil && st.MaxBidSeen < st.Token.Bid {
+		return nil, fmt.Errorf("spyker: snapshot holds token bid %d above its freshest witnessed bid %d",
+			st.Token.Bid, st.MaxBidSeen)
 	}
 	s := newServerCore(st.Config, mem, st.W, false, out)
 	s.age = st.Age
 	s.agePrev = st.AgePrev
 	s.growTo(len(st.Ages))
 	copy(s.ages, st.Ages)
+	copy(s.frontier, st.Frontier)
 	if st.Token != nil {
 		t := Token{Bid: st.Token.Bid, Ages: tensor.Clone(st.Token.Ages), Mem: s.mem}
 		s.token = &t
@@ -172,24 +161,5 @@ func RestoreServerCore(st State, out Outbound) (*ServerCore, error) {
 	s.syncsJoined = st.SyncsJoined
 	s.maxBidSeen = st.MaxBidSeen
 	s.tokenRegens = st.TokenRegens
-	if s.hasToken && s.maxBidSeen < s.token.Bid {
-		// Pre-extension checkpoint: the held token's bid is the best
-		// available floor for the freshest witnessed round.
-		s.maxBidSeen = s.token.Bid
-	}
-	if st.Frontier != nil {
-		if st.Mem == nil && len(st.Frontier) != st.Config.NumServers {
-			return nil, fmt.Errorf("spyker: snapshot frontier length %d != %d servers",
-				len(st.Frontier), st.Config.NumServers)
-		}
-		// Elastic snapshots grow ages and frontier in lockstep (growTo),
-		// so their lengths must agree.
-		if st.Mem != nil && len(st.Frontier) != len(st.Ages) {
-			return nil, fmt.Errorf("spyker: snapshot frontier length %d != ages length %d",
-				len(st.Frontier), len(st.Ages))
-		}
-		s.growTo(len(st.Frontier))
-		copy(s.frontier, st.Frontier)
-	}
 	return s, nil
 }

@@ -122,25 +122,21 @@ func TestSnapshotGobRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestoreLegacySnapshotFixedRing: checkpoints written before the
-// elastic-membership extension decode with a nil Mem; they must restore
-// onto the construction-time fixed ring at epoch 0 under the original
-// strict validations.
+// TestRestoreLegacySnapshotFixedRing: a checkpoint written before the
+// elastic-membership extension decodes with a nil Mem. No writer in this
+// tree produces one; it is refused with an error, not guessed onto the
+// construction-time fixed ring.
 func TestRestoreLegacySnapshotFixedRing(t *testing.T) {
 	s := NewServerCore(coreConfig(1, 3, 2), []float64{1, 2}, false, &fakeOut{})
 	s.HandleClientUpdate(0, []float64{3, 4}, 0, 0)
 	var st State
 	s.SnapshotInto(&st)
+	if _, err := RestoreServerCore(st, &fakeOut{}); err != nil {
+		t.Fatalf("the snapshot as written must restore: %v", err)
+	}
 	st.Mem = nil // what a pre-elastic gob decodes to
-	r, err := RestoreServerCore(st, &fakeOut{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := r.Membership(), ring.Fixed(3); ring.Compare(got, want) != 0 {
-		t.Fatalf("legacy restore membership = %v, want %v", got, want)
-	}
-	if r.Epoch() != 0 {
-		t.Fatalf("legacy restore epoch = %d, want 0", r.Epoch())
+	if _, err := RestoreServerCore(st, &fakeOut{}); err == nil {
+		t.Fatal("a snapshot without a ring membership was restored")
 	}
 }
 
@@ -192,13 +188,15 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 	if _, err := RestoreServerCore(State{}, &fakeOut{}); err == nil {
 		t.Error("empty state accepted")
 	}
-	st := State{Config: coreConfig(0, 3, 2), W: []float64{1}, Ages: []float64{1, 2}}
+	mem := ring.Fixed(3)
+	st := State{Config: coreConfig(0, 3, 2), W: []float64{1}, Mem: &mem,
+		Ages: []float64{1, 2}, Frontier: []int64{0, 0}}
 	if _, err := RestoreServerCore(st, &fakeOut{}); err == nil {
-		t.Error("wrong ages length accepted")
+		t.Error("ages shorter than the membership's slots accepted")
 	}
-	st = State{Config: coreConfig(0, 2, 2), W: []float64{1}, Ages: []float64{1, 2},
-		Token: &Token{Bid: 1, Ages: []float64{1}}}
+	st.Config.ID = 5
+	st.Ages, st.Frontier = []float64{1, 2, 3}, []int64{0, 0, 0}
 	if _, err := RestoreServerCore(st, &fakeOut{}); err == nil {
-		t.Error("wrong token ages length accepted")
+		t.Error("a server outside its own membership accepted")
 	}
 }
