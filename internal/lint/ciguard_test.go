@@ -41,6 +41,64 @@ func TestRaceListCoversConcurrentPackages(t *testing.T) {
 	}
 }
 
+// unsafeFile is the one non-test file of the module that may import
+// unsafe: internal/transport's view backend, which sends and receives a
+// model's words as the bytes they already are.
+const unsafeFile = "internal/transport/words_view.go"
+
+// TestUnsafeIsConfined keeps that a fact: every other non-test file, in
+// this module and in the benchmark's, stays inside the type system, and
+// the view backend still exists under the name this test guards.
+func TestUnsafeIsConfined(t *testing.T) {
+	var importers []string
+	walkNonTestGo(t, findModuleRoot(t), parser.ImportsOnly, func(rel string, file *ast.File) {
+		for _, imp := range file.Imports {
+			if imp.Path.Value == `"unsafe"` {
+				importers = append(importers, rel)
+			}
+		}
+	})
+	if len(importers) != 1 || importers[0] != unsafeFile {
+		t.Errorf("non-test files importing unsafe: %v, want exactly %s", importers, unsafeFile)
+	}
+}
+
+// walkNonTestGo parses every non-test Go file under root (build outputs,
+// .git and testdata aside) and hands it to visit with its
+// module-relative slash path.
+func walkNonTestGo(t *testing.T, root string, mode parser.Mode, visit func(rel string, file *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch d.Name() {
+			case ".git", ".bench_build", "testdata":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, mode)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		visit(filepath.ToSlash(rel), file)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("walking module: %v", err)
+	}
+}
+
 // findModuleRoot walks up from the test's working directory to go.mod.
 func findModuleRoot(t *testing.T) string {
 	t.Helper()
@@ -90,43 +148,17 @@ func raceList(t *testing.T, root string) map[string]bool {
 // human reason.
 func concurrentPackages(t *testing.T, root string) map[string]string {
 	t.Helper()
-	fset := token.NewFileSet()
 	found := map[string]string{}
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			switch d.Name() {
-			case ".git", "testdata":
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
+	walkNonTestGo(t, root, 0, func(rel string, file *ast.File) {
 		reason := concurrencyMarker(file)
 		if reason == "" {
-			return nil
+			return
 		}
-		rel, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		pkg := filepath.ToSlash(rel)
+		pkg := filepath.ToSlash(filepath.Dir(rel))
 		if found[pkg] == "" || reason < found[pkg] {
 			found[pkg] = reason
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatalf("walking module: %v", err)
-	}
 	return found
 }
 

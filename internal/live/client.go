@@ -65,10 +65,10 @@ func (c *Client) runOnce(serverAddr string) (shutdown bool, _ error) {
 	if err := conn.Send(&transport.Msg{Kind: transport.KindHello, From: c.ID, Bid: RoleClient}); err != nil {
 		return false, err
 	}
-	// Both frames are reused across iterations: RecvInto recycles the
-	// inbound Params buffer, and the outbound update serializes straight
-	// from the model's parameter view — Send encodes synchronously, so
-	// the borrow never outlives the call and the loop allocates nothing
+	// Both frames are reused across iterations: RecvInto reads into the
+	// inbound Params buffer in place, and the outbound update leaves
+	// straight from the model's parameter view — Send writes synchronously,
+	// so the borrow never outlives the call and the loop allocates nothing
 	// per round.
 	var in, out transport.Msg
 	for {

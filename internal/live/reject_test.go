@@ -26,6 +26,10 @@ type rejectRig struct {
 
 const rejectDim = 8
 
+// poolIdle is how many pooled vectors server 0 has out while the rig is
+// idle: the one its reader for the honest client waits in.
+const poolIdle = 1
+
 func newRejectRig(t *testing.T) *rejectRig {
 	t.Helper()
 	servers := make([]*Server, 2)
@@ -86,10 +90,18 @@ func (r *rejectRig) serveHonest(t *testing.T) {
 		t.Fatalf("honest client got %+v", r.reply)
 	}
 	r.updates++
-	// The reply leaves just before the server counts the update.
+	// The reply leaves just before the server counts the update and the
+	// outbox returns the reply's buffer.
 	waitFor(t, "the honest client's update to be counted", 5*time.Second, func() bool {
-		return r.srv.Updates() == r.updates
+		return r.srv.Updates() == r.updates && r.srv.pool.Live() == poolIdle
 	})
+	// No sync round runs, so the reply is the server's model — whatever
+	// the buffer it travelled in held before (a refused frame's words).
+	for i, v := range r.srv.Params() {
+		if got := r.reply.Params[i]; got != v || math.IsNaN(got) || math.IsInf(got, 0) {
+			t.Fatalf("honest client's model at %d is %v, the server's is %v", i, got, v)
+		}
+	}
 }
 
 func (r *rejectRig) rejectEvents() (events []obs.Event) {
@@ -115,9 +127,13 @@ func rawHeader(kind transport.Kind, body, nParams uint32) []byte {
 // offending frame per case, each on a connection of its own. Every case
 // must end the same way: that connection is closed, exactly one reject is
 // counted and one reject event emitted, the model and the update count
-// are untouched, and the honest client on another connection is served
-// afterwards. (Before wire v2 the first case was a paramvec length panic
-// in the reader goroutine, i.e. the end of the process.)
+// are untouched, every pooled buffer the connection drew is back in the
+// pool — a frame refused for its parameters is in one by then — and the
+// honest client on another connection is served the server's model
+// afterwards. A case without a reason is a frame that merely stops half
+// way: the same ending, and no reject. (Before wire v2 the first case was
+// a paramvec length panic in the reader goroutine, i.e. the end of the
+// process.)
 func TestRejectedFramesNeverReachTheCore(t *testing.T) {
 	r := newRejectRig(t)
 	r.serveHonest(t)
@@ -148,6 +164,7 @@ func TestRejectedFramesNeverReachTheCore(t *testing.T) {
 		{"age on a client connection", &client, &transport.Msg{Kind: transport.KindAge, From: 7, Age: 1e9}, nil, 7, "kind not allowed on this connection"},
 		{"update as another client", &client, &transport.Msg{Kind: transport.KindClientUpdate, From: 100, Params: good()}, nil, 7, "sender is not who the hello named"},
 		{"declared length over the cap", &client, nil, rawHeader(transport.KindClientUpdate, transport.MaxBody+1, (transport.MaxBody+1)/8), 7, "body longer than the cap"},
+		{"half a model, then the end of the stream", &client, nil, append(rawHeader(transport.KindClientUpdate, 8*rejectDim, rejectDim), make([]byte, 4*rejectDim)...), 7, ""},
 		{"declared length over the model", &client, nil, rawHeader(transport.KindClientUpdate, 8<<20, 1<<20), 7, "wrong model dimension"},
 		{"blob on a server's inbound link", &client, &transport.Msg{Kind: transport.KindClientUpdate, From: 7, Params: good(), Blob: []byte{1}}, nil, 7, "more entries than the ring allows"},
 		{"garbage instead of a hello", nil, nil, append([]byte("\x7f\xff\x81\x03\x01\x01\x03Msg\x01\xff\x82"), make([]byte, 80)...), obs.NoPeer, "unknown wire version"},
@@ -161,9 +178,13 @@ func TestRejectedFramesNeverReachTheCore(t *testing.T) {
 		{"negative epoch", &peer, &transport.Msg{Kind: transport.KindAge, From: 1, Age: 1, Epoch: -1, Members: []int{0, 1}}, nil, obs.ServerNode + 1, "malformed membership header"},
 		{"token with a long age vector", &peer, &transport.Msg{Kind: transport.KindToken, From: 1, Bid: 99, Ages: make([]float64, 5)}, nil, obs.ServerNode + 1, "more entries than the ring allows"},
 	}
-	for i, c := range cases {
+	rejects := 0
+	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			params, age := r.srv.Params(), r.srv.Age()
+			if c.reason != "" {
+				rejects++
+			}
 
 			raw, err := net.Dial("tcp", r.srv.Addr())
 			if err != nil {
@@ -190,6 +211,11 @@ func TestRejectedFramesNeverReachTheCore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if c.reason == "" {
+				if err := raw.(*net.TCPConn).CloseWrite(); err != nil {
+					t.Fatal(err)
+				}
+			}
 			// The server says nothing more on this connection and closes it.
 			_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
 			if err := conn.RecvInto(&in); err == nil {
@@ -198,19 +224,25 @@ func TestRejectedFramesNeverReachTheCore(t *testing.T) {
 				t.Fatal("the offending connection was not closed")
 			}
 
-			if got := r.srv.Rejects(); got != i+1 {
-				t.Errorf("%d rejects counted, want %d", got, i+1)
+			if got := r.srv.Rejects(); got != rejects {
+				t.Errorf("%d rejects counted, want %d", got, rejects)
 			}
-			if got := r.reg.Counter("live.server0.rejects_total").Value(); got != int64(i+1) {
-				t.Errorf("registry counts %d rejects, want %d", got, i+1)
+			if got := r.reg.Counter("live.server0.rejects_total").Value(); got != int64(rejects) {
+				t.Errorf("registry counts %d rejects, want %d", got, rejects)
 			}
 			events := r.rejectEvents()
-			if len(events) != i+1 {
-				t.Fatalf("%d reject events, want %d", len(events), i+1)
+			if len(events) != rejects {
+				t.Fatalf("%d reject events, want %d", len(events), rejects)
 			}
-			if e := events[i]; e.Node != 0 || e.Peer != c.remote || e.Note != c.reason {
-				t.Errorf("reject event %+v, want node 0, peer %d, note %q", e, c.remote, c.reason)
+			if c.reason != "" {
+				if e := events[rejects-1]; e.Node != 0 || e.Peer != c.remote || e.Note != c.reason {
+					t.Errorf("reject event %+v, want node 0, peer %d, note %q", e, c.remote, c.reason)
+				}
 			}
+			// The reader returns its buffer after it closed the connection.
+			waitFor(t, "the connection's pooled buffers to return", 5*time.Second, func() bool {
+				return r.srv.pool.Live() == poolIdle
+			})
 			if got := r.srv.Updates(); got != r.updates {
 				t.Errorf("update count moved to %d, want %d", got, r.updates)
 			}

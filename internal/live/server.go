@@ -764,16 +764,18 @@ func (s *Server) readLoop(conn *transport.Conn) {
 		// Inbound peer link: read-only; our own dialed link sends.
 		remote = obs.ServerNode + id
 	}
-	// One reusable frame per connection: RecvInto recycles the Params
-	// backing array across decodes, so a steady-state reader allocates
-	// nothing per frame. What receivers retain — the token's age vector, the
-	// membership, the address book — is fresh on every decode (see the
-	// transport package comment). A server connection's Params are only
-	// read, under s.mu, for the length of the handler. A client
-	// connection's are given away: dispatch takes them out of m when the
-	// core has consumed an update (see the pool field), so this reader
-	// receives into a pooled buffer, draws the next one when the last is
-	// gone, and returns the one it still holds when the connection ends.
+	// One reusable frame per connection: RecvInto reads a model's bytes
+	// from the socket straight into the Params m already owns, so a
+	// steady-state reader allocates and copies nothing per frame. What
+	// receivers retain — the token's age vector, the membership, the address
+	// book — is fresh on every decode (see the transport package comment). A
+	// server connection's Params are only read, under s.mu, for the length
+	// of the handler. A client connection's are given away: dispatch takes
+	// them out of m when the core has consumed an update (see the pool
+	// field), so this reader receives into a pooled buffer, draws the next
+	// one when the last is gone, and returns the one it still holds when the
+	// connection ends — which is where a frame refused for a NaN in its
+	// parameters is by then: in m, never dispatched.
 	var m transport.Msg
 	if role == RoleClient {
 		defer func() {

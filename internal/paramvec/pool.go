@@ -24,7 +24,7 @@ type CounterAdder interface{ Add(n int64) }
 // ready to use and safe for concurrent use.
 type Pool struct {
 	mu      sync.Mutex
-	classes map[int]*sync.Pool //spyker:guardedby(mu)
+	classes map[int]*class //spyker:guardedby(mu)
 
 	live     atomic.Int64 // vectors handed out and not yet returned
 	recycled atomic.Int64 // Gets served from the free-list rather than fresh
@@ -33,6 +33,15 @@ type Pool struct {
 	gauge   atomic.Pointer[gaugeBox]
 	counter atomic.Pointer[counterBox]
 }
+
+// class is the free-list of one vector length. A sync.Pool holds
+// pointers, so a vector waits in full inside a *Vec box; empty parks the
+// box from the Get that emptied it to the Put that needs one, so that
+// returning a vector allocates no slice header. A class is allocated on
+// its own: the runtime keeps every sync.Pool in use reachable for two GC
+// cycles, and one embedded in Pool would keep Pool's owner (a whole
+// live.Server) alive with it.
+type class struct{ full, empty sync.Pool }
 
 type gaugeBox struct{ g GaugeSetter }
 type counterBox struct{ c CounterAdder }
@@ -50,25 +59,27 @@ func (p *Pool) Instrument(live GaugeSetter, recycled CounterAdder) {
 	}
 }
 
-func (p *Pool) class(n int) *sync.Pool {
+func (p *Pool) class(n int) *class {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.classes == nil {
-		p.classes = make(map[int]*sync.Pool)
+		p.classes = make(map[int]*class)
 	}
-	sp, ok := p.classes[n]
+	cl, ok := p.classes[n]
 	if !ok {
-		sp = &sync.Pool{}
-		p.classes[n] = sp
+		cl = &class{}
+		p.classes[n] = cl
 	}
-	return sp
+	return cl
 }
 
 // Get returns a vector of length n with unspecified contents.
 func (p *Pool) Get(n int) Vec {
 	var v Vec
-	if got := p.class(n).Get(); got != nil {
-		v = *(got.(*Vec))
+	cl := p.class(n)
+	if box, _ := cl.full.Get().(*Vec); box != nil {
+		v, *box = *box, nil
+		cl.empty.Put(box)
 		p.recycled.Add(1)
 		if cb := p.counter.Load(); cb != nil {
 			cb.c.Add(1)
@@ -90,7 +101,13 @@ func (p *Pool) Put(v Vec) {
 	if v == nil {
 		return
 	}
-	p.class(len(v)).Put(&v)
+	cl := p.class(len(v))
+	box, _ := cl.empty.Get().(*Vec)
+	if box == nil {
+		box = new(Vec)
+	}
+	*box = v
+	cl.full.Put(box)
 	live := p.live.Add(-1)
 	if gb := p.gauge.Load(); gb != nil {
 		gb.g.Set(float64(live))

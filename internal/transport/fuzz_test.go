@@ -8,7 +8,9 @@ import (
 
 // FuzzRecvInto feeds arbitrary bytes to the decoder, on an unbounded
 // connection and on one bounded the way a server bounds its inbound
-// links. Whatever arrives, RecvInto must not panic; must not allocate
+// links, into a fresh Msg and into one that owns a model's worth of Params
+// the way a server's reader does (so that both ways a body is read are
+// driven). Whatever arrives, RecvInto must not panic; must not allocate
 // beyond a constant multiple of the bytes supplied plus a constant —
 // never in proportion to a length the header merely declares; and a frame
 // it accepts must re-encode to exactly the bytes it was decoded from.
@@ -25,7 +27,8 @@ func FuzzRecvInto(f *testing.F) {
 		f.Add(c.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, bounded := range []bool{false, true} {
+		for variant := 0; variant < 4; variant++ {
+			bounded, owned := variant&1 != 0, variant&2 != 0
 			mc := &memConn{}
 			mc.in.Write(data)
 			c := NewConn(mc)
@@ -33,19 +36,22 @@ func FuzzRecvInto(f *testing.F) {
 				c.Bound(4, 3)
 			}
 			var m Msg
+			if owned {
+				m.Params = make([]float64, 4)
+			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			err := c.RecvInto(&m)
 			runtime.ReadMemStats(&after)
 			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(data)+firstRead+4096); got > limit {
-				t.Fatalf("allocated %d bytes for %d supplied (limit %d, bounded=%v, err=%v)", got, len(data), limit, bounded, err)
+				t.Fatalf("allocated %d bytes for %d supplied (limit %d, bounded=%v, owned=%v, err=%v)", got, len(data), limit, bounded, owned, err)
 			}
 			if err != nil {
 				continue
 			}
 			n := MsgWireBytes(&m)
 			if n > len(data) || !bytes.Equal(frame(&m), data[:n]) {
-				t.Fatalf("accepted frame does not re-encode to its bytes (bounded=%v): %+v", bounded, m)
+				t.Fatalf("accepted frame does not re-encode to its bytes (bounded=%v, owned=%v): %+v", bounded, owned, m)
 			}
 		}
 	})

@@ -32,9 +32,32 @@
 //	            words, then every address as a 2-byte length and its
 //	            bytes, then Blob
 //
-// A sender writes a frame with one Write from a per-connection buffer;
-// MsgWireBytes is its exact size, so every byte counter downstream (the
-// live server's per-peer counters, trace events) counts true octets.
+// MsgWireBytes is a frame's exact size, so every byte counter downstream
+// (the live server's per-peer counters, trace events) counts true octets.
+//
+// # The frame body is the vector
+//
+// Params is the one section that is as large as a model, and on a
+// little-endian host its wire image is the vector's own memory. So Params
+// are neither converted nor staged. A sender encodes header and tail (all
+// that follows Params) into a small per-connection buffer and writes
+// header, Params and tail as one net.Buffers — one writev on a TCP
+// connection, at most three Writes on any other net.Conn; a frame without
+// Params is one Write. A receiver whose target Msg already owns the
+// capacity (a reader's pooled buffer, a client's reused Msg) reads the
+// Params bytes from the socket straight into it and then sweeps the words
+// for NaN and ±Inf in place; only the tail is buffered. A target that does
+// not own the capacity yet (a first frame) takes the buffered path: the
+// whole body into the connection's buffer, then Params allocated for the
+// bytes that arrived and converted out of it.
+//
+// Two files provide the two operations this needs, bytes-of-a-vector
+// (wordBytes) and read-words-into-a-vector (readWords); the build picks
+// one. words_view.go (little-endian GOARCHs) views the vector's memory as
+// bytes — the module's only use of unsafe. words_portable.go (every other
+// GOARCH, and any build with -tags purego) converts through a
+// per-connection scratch with putFloats/getFloats. Same bytes on the wire,
+// same checks, same tests.
 //
 // # Validation order
 //
@@ -47,11 +70,14 @@
 // finite; and, once the owner called Bound, Params has the model's
 // dimension on the kinds that carry a model and is empty on the others,
 // the Ages, Front, Members and Addrs counts stay within the ring bound,
-// and there is no Blob. Only then is the body read (into a buffer that
-// grows with the bytes that actually arrive, never with the declared
-// length) and converted; Params and Ages are tested for NaN and ±Inf in
-// the loop that converts them, and the addresses must fill their section
-// exactly.
+// and there is no Blob. Only then is the body read: Params into memory
+// the target already owns, everything else into a buffer that grows with
+// the bytes that actually arrive — nothing is ever sized by the declared
+// length alone. Params and Ages are then tested for NaN and ±Inf, and the
+// addresses must fill their section exactly. A frame refused at that
+// point has already written over the target's Params: they stay the
+// target owner's to reuse or release (the live reader returns its pooled
+// buffer), and, as after any error, hold nothing anyone may read.
 //
 // # Ownership of decoded slices
 //
@@ -213,7 +239,7 @@ const (
 
 // FrameError is a frame the receiver refused; Reason names the check it
 // failed. RecvInto returns one instead of handing the frame on, and the
-// stream is unusable afterwards (the body was not consumed).
+// stream is unusable afterwards (the body may not have been consumed).
 type FrameError struct{ Reason string }
 
 func (e *FrameError) Error() string { return "transport: refused frame: " + e.Reason }
@@ -253,10 +279,19 @@ type Sender interface {
 type Conn struct {
 	raw net.Conn
 
-	mu   sync.Mutex
-	wbuf []byte //spyker:guardedby(mu)
+	// Send side: header and tail are encoded into wbuf, and a frame with
+	// Params leaves as bufs (header, Params, tail), which slices iov anew
+	// for every frame because WriteTo consumes it. stage is where the
+	// portable backend converts Params; the view backend leaves it nil.
+	mu    sync.Mutex
+	wbuf  []byte      //spyker:guardedby(mu)
+	stage []byte      //spyker:guardedby(mu)
+	iov   [3][]byte   //spyker:guardedby(mu)
+	bufs  net.Buffers //spyker:guardedby(mu)
 
-	// Receive side: the header lands in hdr, the body in rbuf.
+	// Receive side: the header lands in hdr; rbuf takes the tail, a whole
+	// body whose Params the target cannot hold yet, and the Params the
+	// portable backend converts.
 	hdr  [headerSize]byte
 	rbuf []byte
 
@@ -291,8 +326,9 @@ func (c *Conn) Bound(dim, ring int) {
 // zero time means none.
 func (c *Conn) SetReadDeadline(t time.Time) error { return c.raw.SetReadDeadline(t) }
 
-// Send encodes m into the connection's write buffer and writes the frame
-// with one Write.
+// Send writes m's frame: header and tail from the connection's write
+// buffer, Params from where they are (see the package comment). m.Params
+// are borrowed until Send returns.
 func (c *Conn) Send(m *Msg) error {
 	if m.Kind < KindHello || m.Kind > KindJoinReply {
 		return fmt.Errorf("transport: send %v: unknown kind", m.Kind)
@@ -302,30 +338,44 @@ func (c *Conn) Send(m *Msg) error {
 			return fmt.Errorf("transport: send %v: address of %d bytes", m.Kind, len(a))
 		}
 	}
-	n := MsgWireBytes(m)
-	if n-headerSize > MaxBody {
-		return fmt.Errorf("transport: send %v: body of %d bytes exceeds the cap", m.Kind, n-headerSize)
+	body := MsgWireBytes(m) - headerSize
+	if body > MaxBody {
+		return fmt.Errorf("transport: send %v: body of %d bytes exceeds the cap", m.Kind, body)
 	}
+	n := headerSize + body - 8*len(m.Params) // header and tail
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if cap(c.wbuf) < n {
 		c.wbuf = make([]byte, n)
 	}
 	b := c.wbuf[:n]
-	encode(b, m)
-	if _, err := c.raw.Write(b); err != nil {
+	encodeHeader(b, m, body)
+	encodeTail(b[headerSize:], m)
+	var err error
+	if len(m.Params) == 0 {
+		_, err = c.raw.Write(b)
+	} else {
+		c.bufs = append(c.iov[:0], b[:headerSize], c.wordBytes(m.Params))
+		if n > headerSize {
+			c.bufs = append(c.bufs, b[headerSize:])
+		}
+		_, err = c.bufs.WriteTo(c.raw)
+		c.iov = [3][]byte{} // a failed write leaves the borrowed Params behind
+	}
+	if err != nil {
 		return fmt.Errorf("transport: send %v: %w", m.Kind, err)
 	}
 	return nil
 }
 
-// encode writes m's frame into b, which is exactly MsgWireBytes(m) long.
-func encode(b []byte, m *Msg) {
+// encodeHeader writes the header of m's frame, whose body is body bytes
+// long, at the front of b.
+func encodeHeader(b []byte, m *Msg, body int) {
 	le := binary.LittleEndian
 	b[offVersion] = wireVersion
 	b[offKind] = byte(m.Kind)
 	b[offZero], b[offZero+1] = 0, 0
-	le.PutUint32(b[offBody:], uint32(len(b)-headerSize))
+	le.PutUint32(b[offBody:], uint32(body))
 	le.PutUint64(b[offFrom:], uint64(m.From))
 	le.PutUint64(b[offAge:], math.Float64bits(m.Age))
 	le.PutUint64(b[offLR:], math.Float64bits(m.LR))
@@ -338,8 +388,12 @@ func encode(b []byte, m *Msg) {
 	le.PutUint32(b[offMembers:], uint32(len(m.Members)))
 	le.PutUint32(b[offAddrs:], uint32(len(m.Addrs)))
 	le.PutUint32(b[offBlob:], uint32(len(m.Blob)))
+}
 
-	b = putFloats(b[headerSize:], m.Params)
+// encodeTail writes what follows Params in m's body into b, which is
+// exactly that long.
+func encodeTail(b []byte, m *Msg) {
+	le := binary.LittleEndian
 	b = putFloats(b, m.Ages)
 	for _, v := range m.Trace.Front {
 		le.PutUint64(b, uint64(v))
@@ -413,11 +467,12 @@ func (c *Conn) Recv() (*Msg, error) {
 
 // RecvInto decodes the next message into m — the allocation-free receive
 // path of a long-lived reader loop: a steady stream of same-sized model
-// frames reuses the connection's body buffer and m's Params. Any Msg,
+// frames lands in m's Params, read from the socket in place. Any Msg,
 // including one holding a previous frame, is a valid target (see the
 // package comment for which of its slices are reused and which replaced).
 // A frame that fails validation yields a *FrameError; after any error m's
-// contents are unspecified.
+// contents are unspecified (its Params may be half a frame) and still m's
+// owner's to release.
 //
 //spyker:noalloc
 func (c *Conn) RecvInto(m *Msg) error {
@@ -467,10 +522,6 @@ func (c *Conn) RecvInto(m *Msg) error {
 		}
 	}
 
-	b, err := c.readBody(int(body))
-	if err != nil {
-		return err
-	}
 	m.Kind = kind
 	m.From = int(int64(le.Uint64(h[offFrom:])))
 	m.Age = math.Float64frombits(age)
@@ -479,24 +530,36 @@ func (c *Conn) RecvInto(m *Msg) error {
 	m.Trace.UID = obs.UID(le.Uint64(h[offUID:]))
 	m.Epoch = int(int64(le.Uint64(h[offEpoch:])))
 
-	if int64(cap(m.Params)) < nParams {
+	var b []byte // what follows Params
+	var err error
+	if int64(cap(m.Params)) >= nParams {
+		m.Params = m.Params[:nParams]
+		if err = c.readWords(m.Params); err != nil {
+			return err
+		}
+		if b, err = c.readBody(int(body - 8*nParams)); err != nil {
+			return err
+		}
+	} else {
+		// A target without the capacity is given it for bytes that arrived.
+		if b, err = c.readBody(int(body)); err != nil {
+			return err
+		}
 		m.Params = newFloats(int(nParams))
-	}
-	m.Params = m.Params[:nParams]
-	if !getFloats(m.Params, b) {
-		return errNonFinite
+		if !getFloats(m.Params, b) {
+			return errNonFinite
+		}
+		b = b[8*nParams:]
 	}
 	m.Trace.Front = m.Trace.Front[:0]
 	m.Ages, m.Members, m.Addrs, m.Blob = nil, nil, nil, nil
 	if nAges|nFront|nMembers|nAddrs|nBlob != 0 {
-		if err := m.decodeTail(b[8*nParams:], int(nAges), int(nFront), int(nMembers), int(nAddrs), int(nBlob)); err != nil {
-			return err
-		}
+		return m.decodeTail(b, int(nAges), int(nFront), int(nMembers), int(nAddrs), int(nBlob))
 	}
 	return nil
 }
 
-// readBody reads an n-byte body into the connection's buffer.
+// readBody reads the next n bytes of a body into the connection's buffer.
 func (c *Conn) readBody(n int) ([]byte, error) {
 	if cap(c.rbuf) < n {
 		return c.readGrowing(n)
@@ -530,8 +593,9 @@ func (c *Conn) readGrowing(n int) ([]byte, error) {
 	return b, nil
 }
 
-// newFloats allocates RecvInto's Params when the target's are too small;
-// out of line for the same reason as readGrowing.
+// newFloats allocates RecvInto's Params when the target's are too small,
+// for a body that has arrived; out of line for the same reason as
+// readGrowing.
 //
 //go:noinline
 func newFloats(n int) []float64 { return make([]float64, n) }

@@ -64,6 +64,14 @@ func (c *memConn) SetDeadline(time.Time) error      { return nil }
 func (c *memConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *memConn) SetWriteDeadline(time.Time) error { return nil }
 
+// encode writes m's frame into b, which is exactly MsgWireBytes(m) long:
+// the reference wire image, Params converted word by word on either
+// backend.
+func encode(b []byte, m *Msg) {
+	encodeHeader(b, m, len(b)-headerSize)
+	encodeTail(putFloats(b[headerSize:], m.Params), m)
+}
+
 // frame is m's wire image.
 func frame(m *Msg) []byte {
 	b := make([]byte, MsgWireBytes(m))
@@ -263,8 +271,10 @@ func TestLargeModelPayload(t *testing.T) {
 }
 
 // TestMsgWireBytes: MsgWireBytes is the frame's size, so it must equal
-// the octets counted on the net.Conn under the codec, for every kind; and
-// a frame is one Write.
+// the octets counted on the net.Conn under the codec, for every kind. On a
+// plain net.Conn a frame is one Write without Params and at most three
+// (header, Params, tail) with them; on a TCP connection it is one vectored
+// write and no Write at all.
 func TestMsgWireBytes(t *testing.T) {
 	for _, m := range oneOfEachKind() {
 		mc := &memConn{}
@@ -274,18 +284,115 @@ func TestMsgWireBytes(t *testing.T) {
 		if got, want := MsgWireBytes(m), mc.out.Len(); got != want {
 			t.Errorf("MsgWireBytes(%v) = %d, the wire carried %d", m.Kind, got, want)
 		}
-		if mc.writes != 1 {
-			t.Errorf("%v frame took %d writes, want 1", m.Kind, mc.writes)
+		most := 1
+		if len(m.Params) > 0 {
+			most = 3
+		}
+		if mc.writes > most {
+			t.Errorf("%v frame took %d writes, want at most %d", m.Kind, mc.writes, most)
 		}
 	}
 	if got, want := MsgWireBytes(&Msg{Kind: KindClientUpdate, Params: make([]float64, 16384)}), 80+8*16384; got != want {
 		t.Errorf("a D=16384 update is %d bytes, want %d", got, want)
 	}
+
+	client, far := pipePair(t)
+	tcp := &tcpWrites{TCPConn: client.raw.(*net.TCPConn)}
+	near := NewConn(tcp)
+	for _, m := range oneOfEachKind() {
+		tcp.writes = 0
+		if err := near.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		got, err := far.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(frame(got), frame(m)) {
+			t.Errorf("%v frame over TCP: got %+v, want %+v", m.Kind, *got, *m)
+		}
+		if want := 1 - min(len(m.Params), 1); tcp.writes != want {
+			t.Errorf("%v frame over TCP took %d Writes, want %d (Params leave by writev)", m.Kind, tcp.writes, want)
+		}
+	}
+}
+
+// tcpWrites counts the Write calls on a TCP connection. Embedding the
+// *net.TCPConn keeps its vectored-write method, so a net.Buffers written
+// to it still leaves by writev, past Write.
+type tcpWrites struct {
+	*net.TCPConn
+	writes int
+}
+
+func (c *tcpWrites) Write(p []byte) (int, error) { c.writes++; return c.TCPConn.Write(p) }
+
+// TestParamsCrossTheWireBitForBit is the differential test of the two
+// Params backends against the word-by-word reference (encode): for a frame
+// of every kind carrying awkward words, what Send puts on the wire is the
+// reference image byte for byte, both receive paths (a target that owns
+// the capacity, and a fresh one) give the words back bit for bit, and both
+// refuse NaN and ±Inf wherever in Params they sit.
+func TestParamsCrossTheWireBitForBit(t *testing.T) {
+	awkward := []float64{math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64, 2.2250738585072014e-308, 1.5, -2.5, 0} // 9 words: both unrolled loops and their remainders
+	sent := func(m *Msg) []byte {
+		t.Helper()
+		mc := &memConn{}
+		if err := NewConn(mc).Send(m); err != nil {
+			t.Fatal(err)
+		}
+		return mc.out.Bytes()
+	}
+	// Both ways a body is read, each into a target of its own.
+	decode := func(data []byte, check func(how string, m *Msg, err error)) {
+		for how, m := range map[string]*Msg{"in place": {Params: make([]float64, len(awkward)+3)}, "fresh target": {}} {
+			mc := &memConn{}
+			mc.in.Write(data)
+			check(how, m, NewConn(mc).RecvInto(m))
+		}
+	}
+	for _, m := range oneOfEachKind() {
+		m.Params = append([]float64(nil), awkward...)
+		want := frame(m)
+		if got := sent(m); !bytes.Equal(got, want) {
+			t.Fatalf("%v: Send wrote\n%x\nthe reference image is\n%x", m.Kind, got, want)
+		}
+		decode(want, func(how string, got *Msg, err error) {
+			if err != nil || len(got.Params) != len(awkward) {
+				t.Fatalf("%v, %s: %d words, error %v", m.Kind, how, len(got.Params), err)
+			}
+			for i, v := range got.Params {
+				if math.Float64bits(v) != math.Float64bits(awkward[i]) {
+					t.Errorf("%v, %s: word %d is %x, want %x", m.Kind, how, i, math.Float64bits(v), math.Float64bits(awkward[i]))
+				}
+			}
+			if !bytes.Equal(frame(got), want) {
+				t.Errorf("%v, %s: got %+v, want %+v", m.Kind, how, *got, *m)
+			}
+		})
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, at := range []int{0, len(awkward) / 2, len(awkward) - 1} {
+				copy(m.Params, awkward)
+				m.Params[at] = bad
+				want := frame(m)
+				if got := sent(m); !bytes.Equal(got, want) {
+					t.Fatalf("%v with %v at %d: Send wrote\n%x\nthe reference image is\n%x", m.Kind, bad, at, got, want)
+				}
+				decode(want, func(how string, _ *Msg, err error) {
+					if !errors.Is(err, errNonFinite) {
+						t.Errorf("%v with %v at %d, %s: got %v, want %v", m.Kind, bad, at, how, err, errNonFinite)
+					}
+				})
+			}
+		}
+	}
 }
 
 // TestSteadyStateAllocatesNothing pins what //spyker:noalloc promises for
 // the path every update takes twice: once the buffers have grown, sending
-// and receiving a client-update frame allocates nothing.
+// and receiving a client-update frame allocates nothing — the net.Buffers
+// the frame leaves as included.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
 	mc := &memConn{}
 	mc.in.Grow(1 << 20)
