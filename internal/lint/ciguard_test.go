@@ -63,6 +63,71 @@ func TestUnsafeIsConfined(t *testing.T) {
 	}
 }
 
+// asmDir is the one package of the module with assembly: internal/tensor,
+// whose AVX2 kernels share one CPU check (hasAVX2), one dispatch variable
+// and one -tags purego fallback.
+const asmDir = "internal/tensor"
+
+// TestAssemblyIsConfined keeps that a fact: every .s file of the module
+// (the benchmark's included) is in asmDir, and exactly one routine executes
+// CPUID, so no second CPU check can disagree with the first.
+func TestAssemblyIsConfined(t *testing.T) {
+	root := findModuleRoot(t)
+	var files []string
+	cpuid := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch d.Name() {
+			case ".git", ".bench_build", "testdata":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".s") {
+			return nil
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		files = append(files, rel)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		routine := ""
+		for _, line := range strings.Split(string(raw), "\n") {
+			line, _, _ = strings.Cut(line, "//")
+			fields := strings.Fields(line)
+			switch {
+			case len(fields) >= 2 && fields[0] == "TEXT":
+				routine = rel + ":" + strings.TrimSuffix(fields[1], ",")
+			case len(fields) >= 1 && fields[0] == "CPUID":
+				cpuid[routine] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("walking module: %v", err)
+	}
+	if len(files) == 0 {
+		t.Fatalf("no .s file in the module: the %s backend is gone or the walk is broken", asmDir)
+	}
+	for _, f := range files {
+		if filepath.ToSlash(filepath.Dir(f)) != asmDir {
+			t.Errorf("assembly outside %s: %s", asmDir, f)
+		}
+	}
+	if len(cpuid) != 1 {
+		t.Errorf("routines executing CPUID: %v, want exactly one", cpuid)
+	}
+}
+
 // walkNonTestGo parses every non-test Go file under root (build outputs,
 // .git and testdata aside) and hands it to visit with its
 // module-relative slash path.

@@ -1,8 +1,6 @@
 package metrics
 
 import (
-	"fmt"
-
 	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/simulation"
 	"github.com/spyker-fl/spyker/internal/tensor"
@@ -87,30 +85,11 @@ func (r *Recorder) evaluate(now float64, models [][]float64) {
 // sweep over avg with the running element held in a register, so a
 // deployment of N servers costs N/4 read-modify-write passes instead of N;
 // each element still receives the same additions in the same order,
-// starting from the same zero, so the result is the bits of Zero followed
-// by one AXPY per model.
+// starting from the same zero (the first fold starts from +0 rather than
+// reading a zeroed avg), so the result is the bits of Zero followed by one
+// AXPY per model. The sweep is tensor.MeanInto.
 func averageInto(avg []float64, models [][]float64) {
-	share := 1 / float64(len(models))
-	for _, m := range models {
-		if len(m) != len(avg) {
-			panic(fmt.Sprintf("metrics: model of length %d averaged into %d", len(m), len(avg)))
-		}
-	}
-	tensor.Zero(avg)
-	k := 0
-	for ; k+4 <= len(models); k += 4 {
-		m0, m1, m2, m3 := models[k][:len(avg)], models[k+1][:len(avg)], models[k+2][:len(avg)], models[k+3][:len(avg)]
-		for i, v := range avg {
-			v += share * m0[i]
-			v += share * m1[i]
-			v += share * m2[i]
-			v += share * m3[i]
-			avg[i] = v
-		}
-	}
-	for ; k < len(models); k++ {
-		tensor.AXPY(share, avg, models[k])
-	}
+	tensor.MeanInto(avg, models)
 }
 
 // Updates reports the total number of client updates observed.

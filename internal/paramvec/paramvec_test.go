@@ -229,8 +229,9 @@ func sameBits(a, b []float64) (int, bool) {
 // quarters it shortens), every kind of operand and the weights 0 and 1.
 func TestMergeReplyIntoMatchesMergeThenCopy(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
+	// 2048 and 4102 split into quarters of one and two 512-word pages.
 	lengths := []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 63, 100, 1023,
-		4 * pageWords, 4*pageWords + 1, 4*pageWords - 1, 8*pageWords + 6, 16384, 25000}
+		2048, 2049, 2047, 4102, 16384, 25000}
 	weights := []float64{0, 1, 0.3, -0.5, 1.75, math.SmallestNonzeroFloat64, math.NaN(), math.Inf(1)}
 	for _, n := range lengths {
 		for _, w := range weights {
@@ -298,37 +299,3 @@ func TestMergeReplyIntoAllocatesNothing(t *testing.T) {
 		t.Fatalf("MergeReplyInto: %.1f allocs/op, want 0", allocs)
 	}
 }
-
-// The fused kernel against the two sweeps it replaces, on one vector that
-// stays in cache and on a set far larger than any cache, visited in an
-// order the prefetchers cannot follow from one vector to the next — the
-// state a server finds a client's update in.
-func benchmarkMergeReply(b *testing.B, vectors int, fused bool) {
-	const dim = 16384
-	rng := rand.New(rand.NewSource(1))
-	xs := make([][]float64, vectors)
-	for i := range xs {
-		xs[i] = make([]float64, dim)
-		for j := range xs[i] {
-			xs[i][j] = rng.NormFloat64()
-		}
-	}
-	order := rng.Perm(vectors)
-	v := New(dim)
-	b.SetBytes(8 * dim)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x := xs[order[i%vectors]]
-		if fused {
-			v.MergeReplyInto(0.3, x)
-		} else {
-			v.WeightedMergeInto(0.3, x)
-			copy(x, v)
-		}
-	}
-}
-
-func BenchmarkMergeReplyIntoCached(b *testing.B)   { benchmarkMergeReply(b, 1, true) }
-func BenchmarkMergeThenCopyCached(b *testing.B)    { benchmarkMergeReply(b, 1, false) }
-func BenchmarkMergeReplyIntoUncached(b *testing.B) { benchmarkMergeReply(b, 1200, true) }
-func BenchmarkMergeThenCopyUncached(b *testing.B)  { benchmarkMergeReply(b, 1200, false) }

@@ -1,13 +1,18 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// This file holds the portable backend of the five hot kernels — the Go
-// loops, which run on every architecture and are the fallback on an amd64
-// CPU without AVX2 — and the exported entry points of the two kernels that
-// are not Matrix methods. kernels_amd64.go (AVX2 assembly, chosen by the
-// CPU) and kernels_generic.go (everything else, and -tags purego) decide
-// which backend a call reaches; both backends produce the same bits.
+// This file holds the portable backend of the hot kernels — the Go loops,
+// which run on every architecture and are the fallback on an amd64 CPU
+// without AVX2 — and the exported entry points of the kernels that are not
+// Matrix methods: the two nn sweeps (Conv3x3Add, SGDStep) and the four
+// sweeps of the protocol path (WeightedMerge, MergeReply, MeanInto,
+// AllFinite). kernels_amd64.go (AVX2 assembly, chosen by the CPU) and
+// kernels_generic.go (everything else, and -tags purego) decide which
+// backend a call reaches; both backends produce the same bits.
 
 // Conv3x3Add adds one input plane's 3x3 "valid" convolution to one output
 // plane: out[oy*outW+ox] += sum over (ky, kx) of
@@ -42,6 +47,84 @@ func SGDStep(p, g []float64, lr, scale, clip float64) {
 	}
 	sgdStep(p, g, lr, scale, clip)
 }
+
+// WeightedMerge moves v toward x by weight w: v[i] += w*(x[i] - v[i]).
+// Lengths must match.
+func WeightedMerge(v []float64, w float64, x []float64) {
+	mustSameLen(len(v), len(x))
+	if len(v) == 0 {
+		return
+	}
+	weightedMerge(v, w, x)
+}
+
+// MergeReply is WeightedMerge that also writes the merged vector back over
+// x: v[i] += w*(x[i] - v[i]); x[i] = v[i], in one sweep. x must not overlap
+// v.
+//
+// The vector is walked as four quarters side by side, so that eight
+// streams keep loads in flight where one sequential stream would wait on
+// memory (the prefetchers restart at every page). Element for element it
+// is still WeightedMerge's expression and nothing is summed across
+// elements, so v ends up with the same bits and x with a copy of them.
+func MergeReply(v []float64, w float64, x []float64) {
+	mustSameLen(len(v), len(x))
+	if len(v) == 0 {
+		return
+	}
+	q := (len(v) / 4) &^ 1
+	if q%pageWords == 0 && q > 0 {
+		// Quarters a whole number of pages apart would put all eight
+		// streams in one cache set.
+		q -= lineWords
+	}
+	mergeReply(v, w, x, q)
+}
+
+// A 4 KiB page and a 64-byte cache line, in float64 words.
+const (
+	pageWords = 512
+	lineWords = 8
+)
+
+// MeanInto writes the equal-weight mean of models into avg: avg = 0, then
+// avg += share*m for every model in order, share = 1/len(models). Every
+// model must be as long as avg. Four models are folded per sweep over avg,
+// the first four starting from +0 instead of a zeroed avg; every element
+// still receives the same additions in the same order.
+func MeanInto(avg []float64, models [][]float64) {
+	for _, m := range models {
+		if len(m) != len(avg) {
+			panic(fmt.Sprintf("tensor: model of length %d averaged into %d", len(m), len(avg)))
+		}
+	}
+	if len(avg) == 0 {
+		return
+	}
+	share := 1 / float64(len(models))
+	if len(models) < 4 {
+		Zero(avg)
+	}
+	k := 0
+	for ; k+4 <= len(models); k += 4 {
+		mean4(avg, share, models[k], models[k+1], models[k+2], models[k+3], k == 0)
+	}
+	for ; k < len(models); k++ {
+		AXPY(share, avg, models[k])
+	}
+}
+
+// AllFinite reports whether no element of v is NaN or ±Inf.
+func AllFinite(v []float64) bool {
+	if len(v) == 0 {
+		return true
+	}
+	return allFinite(v)
+}
+
+// exponentBits is the exponent field of a float64; all ones means NaN or
+// ±Inf.
+const exponentBits = 0x7FF << 52
 
 // matVecGo: four rows are computed side by side, each row's own order of
 // additions untouched.
@@ -171,4 +254,64 @@ func sgdStepGo(p, g []float64, lr, scale, clip float64) {
 		p[i] -= lr * gv
 		g[i] = 0
 	}
+}
+
+func weightedMergeGo(v []float64, w float64, x []float64) {
+	for i := range v {
+		v[i] += w * (x[i] - v[i])
+	}
+}
+
+// mergeReplyGo: two elements of each quarter per iteration, then the
+// elements past the fourth quarter.
+func mergeReplyGo(v []float64, w float64, x []float64, q int) {
+	v0, v1, v2, v3 := v[:q], v[q:2*q], v[2*q:3*q], v[3*q:4*q]
+	x0, x1, x2, x3 := x[:q], x[q:2*q], x[2*q:3*q], x[3*q:4*q]
+	v1, v2, v3 = v1[:len(v0)], v2[:len(v0)], v3[:len(v0)] // bounds-check hints
+	x0, x1, x2, x3 = x0[:len(v0)], x1[:len(v0)], x2[:len(v0)], x3[:len(v0)]
+	for i := 0; i < len(v0)-1; i += 2 {
+		a, b, c, d := v0[i], v0[i+1], v1[i], v1[i+1]
+		a += w * (x0[i] - a)
+		b += w * (x0[i+1] - b)
+		c += w * (x1[i] - c)
+		d += w * (x1[i+1] - d)
+		v0[i], v0[i+1], v1[i], v1[i+1] = a, b, c, d
+		x0[i], x0[i+1], x1[i], x1[i+1] = a, b, c, d
+		e, f, g, h := v2[i], v2[i+1], v3[i], v3[i+1]
+		e += w * (x2[i] - e)
+		f += w * (x2[i+1] - f)
+		g += w * (x3[i] - g)
+		h += w * (x3[i+1] - h)
+		v2[i], v2[i+1], v3[i], v3[i+1] = e, f, g, h
+		x2[i], x2[i+1], x3[i], x3[i+1] = e, f, g, h
+	}
+	for i := 4 * q; i < len(v); i++ {
+		v[i] += w * (x[i] - v[i])
+		x[i] = v[i]
+	}
+}
+
+// mean4Go folds four models into avg in one sweep, the running element
+// held in a register; fresh starts every element from +0 instead of avg.
+func mean4Go(avg []float64, share float64, m0, m1, m2, m3 []float64, fresh bool) {
+	if fresh {
+		Zero(avg)
+	}
+	m0, m1, m2, m3 = m0[:len(avg)], m1[:len(avg)], m2[:len(avg)], m3[:len(avg)]
+	for i, v := range avg {
+		v += share * m0[i]
+		v += share * m1[i]
+		v += share * m2[i]
+		v += share * m3[i]
+		avg[i] = v
+	}
+}
+
+func allFiniteGo(v []float64) bool {
+	for _, x := range v {
+		if math.Float64bits(x)&exponentBits == exponentBits {
+			return false
+		}
+	}
+	return true
 }

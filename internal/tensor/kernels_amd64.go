@@ -37,6 +37,18 @@ func conv3x3AddAVX2(out *float64, outH, outW int, x *float64, inW int, w *float6
 //go:noescape
 func sgdStepAVX2(p, grad *float64, n int, lr, scale, clip float64)
 
+//go:noescape
+func weightedMergeAVX2(v, x *float64, n int, w float64)
+
+//go:noescape
+func mergeReplyAVX2(v, x *float64, n, q int, w float64)
+
+//go:noescape
+func mean4AVX2(avg, m0, m1, m2, m3 *float64, n int, share float64, fresh bool)
+
+//go:noescape
+func allFiniteAVX2(v *float64, n int) bool
+
 func (m *Matrix) matVec(dst, x []float64) {
 	if useAVX2 && m.Rows > 0 && m.Cols > 0 {
 		matVecAVX2(&dst[0], &m.Data[0], m.Rows, m.Cols, &x[0])
@@ -82,4 +94,40 @@ func sgdStep(p, g []float64, lr, scale, clip float64) {
 		return
 	}
 	sgdStepGo(p, g, lr, scale, clip)
+}
+
+// weightedMerge: WeightedMerge has checked len(v) == len(x) >= 1.
+func weightedMerge(v []float64, w float64, x []float64) {
+	if useAVX2 {
+		weightedMergeAVX2(&v[0], &x[0], len(v), w)
+		return
+	}
+	weightedMergeGo(v, w, x)
+}
+
+// mergeReply: MergeReply has checked len(v) == len(x) >= 1 and chosen the
+// quarter length q, 0 <= 4*q <= len(v).
+func mergeReply(v []float64, w float64, x []float64, q int) {
+	if useAVX2 {
+		mergeReplyAVX2(&v[0], &x[0], len(v), q, w)
+		return
+	}
+	mergeReplyGo(v, w, x, q)
+}
+
+// mean4: MeanInto has checked that every model is as long as avg, >= 1.
+func mean4(avg []float64, share float64, m0, m1, m2, m3 []float64, fresh bool) {
+	if useAVX2 {
+		mean4AVX2(&avg[0], &m0[0], &m1[0], &m2[0], &m3[0], len(avg), share, fresh)
+		return
+	}
+	mean4Go(avg, share, m0, m1, m2, m3, fresh)
+}
+
+// allFinite: AllFinite has checked len(v) >= 1.
+func allFinite(v []float64) bool {
+	if useAVX2 {
+		return allFiniteAVX2(&v[0], len(v))
+	}
+	return allFiniteGo(v)
 }

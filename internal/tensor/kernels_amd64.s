@@ -2,8 +2,9 @@
 
 #include "textflag.h"
 
-// AVX2 backend of the five hot kernels. The rules every routine keeps (the
-// ordering contract of internal/nn's package comment):
+// AVX2 backend of the hot kernels: the five nn kernels and the four sweeps
+// of the protocol path. The rules every routine keeps (the ordering
+// contract of internal/nn's package comment):
 //
 //   - a SIMD lane is one accumulator; lanes are never added to each other
 //     and an accumulator is never split across lanes;
@@ -630,5 +631,290 @@ sg_one:
 	JMP       sg_one
 
 sg_done:
+	VZEROUPPER
+	RET
+
+// The protocol sweeps below are element-wise: a lane is one element, which
+// receives exactly the operations of the Go loop, each rounded on its own.
+
+// One element-wise merge step on the vector (or, with the X registers and
+// W = X15, the pair) at VA and XA: V = v + w*(x - v), stored to v.
+#define MERGE(VA, XA, V, D, W) \
+	VMOVUPD VA, V; \
+	VMOVUPD XA, D; \
+	VSUBPD  V, D, D; \
+	VMULPD  W, D, D; \
+	VADDPD  D, V, V; \
+	VMOVUPD V, VA
+
+// MERGE, with the result also stored over x.
+#define REPLY(VA, XA, V, D, W) \
+	MERGE(VA, XA, V, D, W); \
+	VMOVUPD V, XA
+
+// WeightedMerge: v += w*(x - v), eight elements per iteration, then one at
+// a time.
+//
+// func weightedMergeAVX2(v, x *float64, n int, w float64)
+TEXT ·weightedMergeAVX2(SB), NOSPLIT, $0-32
+	MOVQ         v+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSD w+24(FP), Y15
+
+wm_eight:
+	CMPQ  CX, $8
+	JLT   wm_one
+	MERGE((DI), (SI), Y0, Y4, Y15)
+	MERGE(32(DI), 32(SI), Y1, Y5, Y15)
+	ADDQ  $64, DI
+	ADDQ  $64, SI
+	SUBQ  $8, CX
+	JMP   wm_eight
+
+wm_one:
+	TESTQ  CX, CX
+	JZ     wm_done
+	VMOVSD (DI), X0
+	VMOVSD (SI), X4
+	VSUBSD X0, X4, X4
+	VMULSD X15, X4, X4
+	VADDSD X4, X0, X0
+	VMOVSD X0, (DI)
+	ADDQ   $8, DI
+	ADDQ   $8, SI
+	DECQ   CX
+	JMP    wm_one
+
+wm_done:
+	VZEROUPPER
+	RET
+
+// MergeReply: v += w*(x - v); x = v, over the four quarters of q elements
+// side by side as mergeReplyGo walks them — eight elements of each quarter
+// per iteration (one cache line of each), with the four x streams, which
+// are the ones that come from memory, prefetched 1 KiB ahead; then two of
+// each at a time (q is even); then the n - 4q elements past the fourth
+// quarter one at a time. AX is the byte offset into every quarter.
+//
+// func mergeReplyAVX2(v, x *float64, n, q int, w float64)
+TEXT ·mergeReplyAVX2(SB), NOSPLIT, $0-40
+	MOVQ         v+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         n+16(FP), CX
+	MOVQ         q+24(FP), R8
+	VBROADCASTSD w+32(FP), Y15
+	SHLQ         $3, R8           // the quarter stride in bytes
+	LEAQ         (DI)(R8*1), R10  // v's second quarter
+	LEAQ         (DI)(R8*2), R11  // third
+	LEAQ         (R10)(R8*2), R12 // fourth
+	LEAQ         (SI)(R8*1), R13  // x's second quarter
+	LEAQ         (SI)(R8*2), BX   // third
+	LEAQ         (R13)(R8*2), R9  // fourth
+	XORQ         AX, AX
+
+mr_eight:
+	LEAQ       64(AX), DX
+	CMPQ       DX, R8
+	JGT        mr_two
+	PREFETCHT0 1024(SI)(AX*1)
+	PREFETCHT0 1024(R13)(AX*1)
+	PREFETCHT0 1024(BX)(AX*1)
+	PREFETCHT0 1024(R9)(AX*1)
+	REPLY((DI)(AX*1), (SI)(AX*1), Y0, Y4, Y15)
+	REPLY(32(DI)(AX*1), 32(SI)(AX*1), Y1, Y5, Y15)
+	REPLY((R10)(AX*1), (R13)(AX*1), Y2, Y6, Y15)
+	REPLY(32(R10)(AX*1), 32(R13)(AX*1), Y3, Y7, Y15)
+	REPLY((R11)(AX*1), (BX)(AX*1), Y0, Y4, Y15)
+	REPLY(32(R11)(AX*1), 32(BX)(AX*1), Y1, Y5, Y15)
+	REPLY((R12)(AX*1), (R9)(AX*1), Y2, Y6, Y15)
+	REPLY(32(R12)(AX*1), 32(R9)(AX*1), Y3, Y7, Y15)
+	MOVQ       DX, AX
+	JMP        mr_eight
+
+mr_two:
+	LEAQ 16(AX), DX
+	CMPQ DX, R8
+	JGT  mr_rest
+	REPLY((DI)(AX*1), (SI)(AX*1), X0, X4, X15)
+	REPLY((R10)(AX*1), (R13)(AX*1), X1, X5, X15)
+	REPLY((R11)(AX*1), (BX)(AX*1), X2, X6, X15)
+	REPLY((R12)(AX*1), (R9)(AX*1), X3, X7, X15)
+	MOVQ DX, AX
+	JMP  mr_two
+
+mr_rest:
+	LEAQ (DI)(R8*4), DI
+	LEAQ (SI)(R8*4), SI
+	SHRQ $1, R8 // 4q elements
+	SUBQ R8, CX
+
+mr_one:
+	TESTQ  CX, CX
+	JZ     mr_done
+	VMOVSD (DI), X0
+	VMOVSD (SI), X4
+	VSUBSD X0, X4, X4
+	VMULSD X15, X4, X4
+	VADDSD X4, X0, X0
+	VMOVSD X0, (DI)
+	VMOVSD X0, (SI)
+	ADDQ   $8, DI
+	ADDQ   $8, SI
+	DECQ   CX
+	JMP    mr_one
+
+mr_done:
+	VZEROUPPER
+	RET
+
+// Four models folded into the running element ACC, which starts as START:
+// ACC = START + share*m0; ACC += share*m1; ... ; stored to avg. T holds
+// each rounded product.
+#define FOLD4(START, ACC, T) \
+	VMULPD  (R8)(AX*1), Y15, T; \
+	VADDPD  T, START, ACC; \
+	VMULPD  (R9)(AX*1), Y15, T; \
+	VADDPD  T, ACC, ACC; \
+	VMULPD  (R10)(AX*1), Y15, T; \
+	VADDPD  T, ACC, ACC; \
+	VMULPD  (R11)(AX*1), Y15, T; \
+	VADDPD  T, ACC, ACC; \
+	VMOVUPD ACC, (DI)(AX*1)
+
+// FOLD4 for one element.
+#define FOLD1(START, ACC, T) \
+	VMULSD (R8)(AX*1), X15, T; \
+	VADDSD T, START, ACC; \
+	VMULSD (R9)(AX*1), X15, T; \
+	VADDSD T, ACC, ACC; \
+	VMULSD (R10)(AX*1), X15, T; \
+	VADDSD T, ACC, ACC; \
+	VMULSD (R11)(AX*1), X15, T; \
+	VADDSD T, ACC, ACC; \
+	VMOVSD ACC, (DI)(AX*1)
+
+// MeanInto's fold of four models, four elements per iteration, then one at
+// a time. fresh starts every element from the +0 in Y14 instead of
+// loading avg, which is what the Zero sweep before the first fold gave.
+//
+// func mean4AVX2(avg, m0, m1, m2, m3 *float64, n int, share float64, fresh bool)
+TEXT ·mean4AVX2(SB), NOSPLIT, $0-57
+	MOVQ         avg+0(FP), DI
+	MOVQ         m0+8(FP), R8
+	MOVQ         m1+16(FP), R9
+	MOVQ         m2+24(FP), R10
+	MOVQ         m3+32(FP), R11
+	MOVQ         n+40(FP), CX
+	VBROADCASTSD share+48(FP), Y15
+	VXORPD       Y14, Y14, Y14
+	XORQ         AX, AX
+	SHLQ         $3, CX      // n in bytes
+	LEAQ         -32(CX), DX // the last offset a full vector starts at
+	CMPB         fresh+56(FP), $0
+	JEQ          mn_four
+
+mn_fresh_four:
+	CMPQ  AX, DX
+	JGT   mn_fresh_one
+	FOLD4(Y14, Y0, Y1)
+	ADDQ  $32, AX
+	JMP   mn_fresh_four
+
+mn_fresh_one:
+	CMPQ  AX, CX
+	JGE   mn_done
+	FOLD1(X14, X0, X1)
+	ADDQ  $8, AX
+	JMP   mn_fresh_one
+
+mn_four:
+	CMPQ    AX, DX
+	JGT     mn_one
+	VMOVUPD (DI)(AX*1), Y0
+	FOLD4(Y0, Y0, Y1)
+	ADDQ    $32, AX
+	JMP     mn_four
+
+mn_one:
+	CMPQ   AX, CX
+	JGE    mn_done
+	VMOVSD (DI)(AX*1), X0
+	FOLD1(X0, X0, X1)
+	ADDQ   $8, AX
+	JMP    mn_one
+
+mn_done:
+	VZEROUPPER
+	RET
+
+// AllFinite: the exponent field of every word is masked out and compared
+// with all ones (VPAND, VPCMPEQQ) and the verdicts are ORed together, over
+// the whole vector; only then is the OR tested. The last n%4 words are
+// tested one at a time.
+//
+// func allFiniteAVX2(v *float64, n int) bool
+TEXT ·allFiniteAVX2(SB), NOSPLIT, $0-17
+	MOVQ         v+0(FP), SI
+	MOVQ         n+8(FP), CX
+	MOVQ         $0x7FF0000000000000, AX
+	VMOVQ        AX, X15
+	VPBROADCASTQ X15, Y15
+	VPXOR        Y0, Y0, Y0
+	VPXOR        Y1, Y1, Y1
+	XORL         DX, DX      // 1 once a non-finite word is seen
+
+af_sixteen:
+	CMPQ     CX, $16
+	JLT      af_four
+	VPAND    (SI), Y15, Y2
+	VPAND    32(SI), Y15, Y3
+	VPAND    64(SI), Y15, Y4
+	VPAND    96(SI), Y15, Y5
+	VPCMPEQQ Y15, Y2, Y2
+	VPCMPEQQ Y15, Y3, Y3
+	VPCMPEQQ Y15, Y4, Y4
+	VPCMPEQQ Y15, Y5, Y5
+	VPOR     Y2, Y0, Y0
+	VPOR     Y3, Y1, Y1
+	VPOR     Y4, Y0, Y0
+	VPOR     Y5, Y1, Y1
+	ADDQ     $128, SI
+	SUBQ     $16, CX
+	JMP      af_sixteen
+
+af_four:
+	CMPQ     CX, $4
+	JLT      af_test
+	VPAND    (SI), Y15, Y2
+	VPCMPEQQ Y15, Y2, Y2
+	VPOR     Y2, Y0, Y0
+	ADDQ     $32, SI
+	SUBQ     $4, CX
+	JMP      af_four
+
+af_test:
+	VPOR   Y1, Y0, Y0
+	VPTEST Y0, Y0
+	JZ     af_one
+	MOVL   $1, DX
+
+af_one:
+	TESTQ CX, CX
+	JZ    af_done
+	MOVQ  (SI), BX
+	ANDQ  AX, BX
+	CMPQ  BX, AX
+	JNE   af_next
+	MOVL  $1, DX
+
+af_next:
+	ADDQ $8, SI
+	DECQ CX
+	JMP  af_one
+
+af_done:
+	XORL $1, DX
+	MOVB DX, ret+16(FP)
 	VZEROUPPER
 	RET

@@ -98,3 +98,70 @@ func BenchmarkKernelSGDStep(b *testing.B) {
 		})
 	}
 }
+
+// The protocol sweeps at the benchmark models' dimension, 16384. The merge
+// runs on one update that stays in cache and on a set far larger than any
+// cache, visited in an order the prefetchers cannot follow from one vector
+// to the next — the state a server finds a client's update in:
+//
+//	go test -run '^$' -bench 'MergeReply|AllFinite|Average4' ./internal/tensor
+const sweepDim = 16384
+
+func benchmarkMergeReply(b *testing.B, vectors int) {
+	for _, be := range backends {
+		b.Run("backend="+be.name, func(b *testing.B) {
+			be.use(b)
+			rng := rand.New(rand.NewSource(1))
+			xs := make([][]float64, vectors)
+			for i := range xs {
+				xs[i] = randVec(rng, sweepDim)
+			}
+			order := rng.Perm(vectors)
+			v := make([]float64, sweepDim)
+			b.SetBytes(8 * sweepDim)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MergeReply(v, 0.3, xs[order[i%vectors]])
+			}
+		})
+	}
+}
+
+func BenchmarkMergeReplyIntoCached(b *testing.B)   { benchmarkMergeReply(b, 1) }
+func BenchmarkMergeReplyIntoUncached(b *testing.B) { benchmarkMergeReply(b, 1200) }
+
+// A received model's finiteness test, on words that just arrived.
+func BenchmarkAllFinite(b *testing.B) {
+	for _, be := range backends {
+		b.Run("backend="+be.name, func(b *testing.B) {
+			be.use(b)
+			v := randVec(rand.New(rand.NewSource(1)), sweepDim)
+			b.SetBytes(8 * sweepDim)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !AllFinite(v) {
+					b.Fatal("finite vector refused")
+				}
+			}
+		})
+	}
+}
+
+// The Recorder's readout of four server models.
+func BenchmarkAverage4(b *testing.B) {
+	for _, be := range backends {
+		b.Run("backend="+be.name, func(b *testing.B) {
+			be.use(b)
+			rng := rand.New(rand.NewSource(1))
+			models := make([][]float64, 4)
+			for i := range models {
+				models[i] = randVec(rng, sweepDim)
+			}
+			avg := make([]float64, sweepDim)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MeanInto(avg, models)
+			}
+		})
+	}
+}

@@ -14,3 +14,11 @@ func conv3x3Add(out []float64, outH, outW int, x []float64, inW int, w []float64
 }
 
 func sgdStep(p, g []float64, lr, scale, clip float64) { sgdStepGo(p, g, lr, scale, clip) }
+
+func weightedMerge(v []float64, w float64, x []float64)     { weightedMergeGo(v, w, x) }
+func mergeReply(v []float64, w float64, x []float64, q int) { mergeReplyGo(v, w, x, q) }
+func allFinite(v []float64) bool                            { return allFiniteGo(v) }
+
+func mean4(avg []float64, share float64, m0, m1, m2, m3 []float64, fresh bool) {
+	mean4Go(avg, share, m0, m1, m2, m3, fresh)
+}

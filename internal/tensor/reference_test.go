@@ -343,6 +343,9 @@ func TestKernelsRejectShortOperands(t *testing.T) {
 		"Conv3x3Add taps":        func() { Conv3x3Add(v4, 2, make([]float64, 16), 4, v9[:8]) },
 		"Conv3x3Add outW":        func() { Conv3x3Add(v4, 0, make([]float64, 16), 4, v9) },
 		"SGDStep short p":        func() { SGDStep(v4, v9, 0.1, 1, 0) },
+		"WeightedMerge short x":  func() { WeightedMerge(v4, 0.5, v4[:3]) },
+		"MergeReply long x":      func() { MergeReply(v4, 0.5, v9) },
+		"MeanInto ragged models": func() { MeanInto(v4, [][]float64{v4, v4, v4, v9}) },
 	}
 	for _, be := range backends {
 		t.Run("backend="+be.name, func(t *testing.T) {

@@ -3,12 +3,13 @@
 // []float64 slices so that federated-learning aggregation code can treat a
 // whole model as a single parameter vector.
 //
-// The hot kernels (MatVec, MatVecT, AddOuter, Conv3x3Add, SGDStep) keep
-// the ordering contract described in internal/nn's package comment: every
-// accumulator receives the same floating-point additions in the same order
-// as the plain loop would make, so results are reproducible to the last
-// bit. They have two backends that produce the same bits: portable Go loops
-// (kernels.go) and, on an amd64 CPU with AVX2, hand-written assembly
+// The hot kernels (MatVec, MatVecT, AddOuter, Conv3x3Add, SGDStep, and the
+// protocol path's sweeps WeightedMerge, MergeReply, MeanInto, AllFinite)
+// keep the ordering contract described in internal/nn's package comment:
+// every accumulator receives the same floating-point additions in the same
+// order as the plain loop would make, so results are reproducible to the
+// last bit. They have two backends that produce the same bits: portable Go
+// loops (kernels.go) and, on an amd64 CPU with AVX2, hand-written assembly
 // (kernels_amd64.s) in which a SIMD lane is one more accumulator running
 // beside the others — products and sums are separate VMULPD/VADDPD, never
 // VFMADD*, nothing is added across lanes (no horizontal add) and no

@@ -49,7 +49,9 @@
 // for NaN and ±Inf in place; only the tail is buffered. A target that does
 // not own the capacity yet (a first frame) takes the buffered path: the
 // whole body into the connection's buffer, then Params allocated for the
-// bytes that arrived and converted out of it.
+// bytes that arrived and converted out of it; a buffer that frame grew
+// past what a tail needs is then let go, so a connection does not hold a
+// model-sized buffer for the rest of its life.
 //
 // Two files provide the two operations this needs, bytes-of-a-vector
 // (wordBytes) and read-words-into-a-vector (readWords); the build picks
@@ -546,10 +548,16 @@ func (c *Conn) RecvInto(m *Msg) error {
 			return err
 		}
 		m.Params = newFloats(int(nParams))
-		if !getFloats(m.Params, b) {
+		finite := getFloats(m.Params, b)
+		b = b[8*nParams:]
+		if cap(c.rbuf) > firstRead {
+			// The Params are out; the connection keeps no model-sized
+			// buffer for the tails of later frames (b holds this one's).
+			c.rbuf = nil
+		}
+		if !finite {
 			return errNonFinite
 		}
-		b = b[8*nParams:]
 	}
 	m.Trace.Front = m.Trace.Front[:0]
 	m.Ages, m.Members, m.Addrs, m.Blob = nil, nil, nil, nil

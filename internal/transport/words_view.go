@@ -4,8 +4,9 @@ package transport
 
 import (
 	"io"
-	"math"
 	"unsafe"
+
+	"github.com/spyker-fl/spyker/internal/tensor"
 )
 
 // The view backend: on a little-endian host a []float64 in memory is
@@ -24,15 +25,14 @@ func floatBytes(v []float64) []byte {
 func (c *Conn) wordBytes(v []float64) []byte { return floatBytes(v) }
 
 // readWords reads len(dst) words from the connection straight into dst
-// and then refuses NaN and ±Inf with one sweep over them.
+// and then refuses NaN and ±Inf with one sweep over them
+// (tensor.AllFinite).
 func (c *Conn) readWords(dst []float64) error {
 	if _, err := io.ReadFull(c.raw, floatBytes(dst)); err != nil {
 		return err
 	}
-	for _, v := range dst {
-		if math.Float64bits(v)&nonFinite == nonFinite {
-			return errNonFinite
-		}
+	if !tensor.AllFinite(dst) {
+		return errNonFinite
 	}
 	return nil
 }
