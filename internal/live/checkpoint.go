@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/spyker"
@@ -51,24 +52,51 @@ func (s *Server) WriteCheckpoint(w io.Writer) error {
 	return nil
 }
 
-// CheckpointToFile writes the checkpoint atomically: to a temp file first,
-// then renamed into place.
+// CheckpointToFile writes the checkpoint atomically and durably (see
+// writeFileAtomic): path holds either the previous checkpoint or the whole
+// new one, also after a crash or power loss.
 func (s *Server) CheckpointToFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	return writeFileAtomic(path, s.WriteCheckpoint)
+}
+
+// writeFileAtomic replaces the file at path with what write produces. It
+// writes to a temp file of its own in path's directory (so concurrent
+// writers of one path never share one), syncs it, renames it over path,
+// and syncs the directory so that the rename itself survives a power loss.
+// On any error path is left as it was and the temp file is removed.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	dir, base := filepath.Split(path)
+	if dir == "" {
+		dir = "."
+	}
+	f, err := os.CreateTemp(dir, base+".tmp*")
 	if err != nil {
 		return err
 	}
-	if err := s.WriteCheckpoint(f); err != nil {
-		_ = f.Close()
+	tmp := f.Name()
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		_ = os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
+	d, err := os.Open(dir)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // ReadCheckpoint decodes a state previously written by WriteCheckpoint.

@@ -30,14 +30,20 @@
 // lets a value cross from one lane to another. What the contract rules out
 // is everything that reassociates or rounds differently: split
 // accumulators — and so one accumulator spread over several lanes, and the
-// horizontal add that would collect it — math.FMA and the VFMADD*
-// instructions, a blocked matmul behind im2col, and summing per-worker
-// gradient planes (A + B where the sequential code computes
-// ((A + b1) + b2) + ...), which is why a training batch is not
-// parallelized across samples. Parallelism lives where no sum crosses a
-// worker: held-out evaluation in internal/fl scores samples on
-// forward-only replicas (Network.Replica) and adds the per-sample losses up
-// in index order afterwards.
+// horizontal add that would collect it — fusing a multiply into an add the
+// Go code writes (math.FMA, or a VFMADD* instruction in its place), a
+// blocked matmul behind im2col, and summing per-worker gradient planes
+// (A + B where the sequential code computes ((A + b1) + b2) + ...), which
+// is why a training batch is not parallelized across samples. A function
+// the Go code calls is a different matter: it keeps its bits when the
+// kernel runs that function's own instructions. The LSTM's gates
+// (tensor.SigmoidTo, tensor.TanhTo) and the softmax's exponentials run
+// math.Exp's amd64 assembly four lanes at a time, fused exactly where that
+// assembly fuses, and only in a process where a probe has seen them agree
+// with math.Exp. Parallelism lives where no sum crosses a worker: held-out
+// evaluation in internal/fl scores samples on forward-only replicas
+// (Network.Replica) and adds the per-sample losses up in index order
+// afterwards.
 //
 // The contract's bits are amd64's. The Go compiler never fuses a multiply
 // into an add there, so the portable loops and the assembly round every

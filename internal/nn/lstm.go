@@ -54,7 +54,8 @@ type bpttScratch struct {
 
 type lstmStep struct {
 	x          []float64 // embedding input
-	i, f, g, o []float64
+	gates      []float64 // 4H activations in gate order i, f, g, o
+	i, f, g, o []float64 // the four quarters of gates
 	c, tc, h   []float64 // cell, tanh(cell), hidden
 	probs      []float64
 }
@@ -122,10 +123,10 @@ func (m *CharLM) SetParams(p []float64) {
 func (m *CharLM) ensureSteps(n int) {
 	for len(m.steps) < n {
 		h := m.hidden
+		gates := make([]float64, 4*h)
 		m.steps = append(m.steps, lstmStep{
-			x: make([]float64, m.embDim),
-			i: make([]float64, h), f: make([]float64, h),
-			g: make([]float64, h), o: make([]float64, h),
+			x: make([]float64, m.embDim), gates: gates,
+			i: gates[:h], f: gates[h : 2*h], g: gates[2*h : 3*h], o: gates[3*h:],
 			c: make([]float64, h), tc: make([]float64, h), h: make([]float64, h),
 			probs: make([]float64, m.vocab),
 		})
@@ -165,13 +166,14 @@ func (m *CharLM) SeqLossAndGrad(seq []int) (loss float64, preds int) {
 		for j := range z {
 			z[j] += zh[j] + m.bg[j]
 		}
-		for j := 0; j < h; j++ {
-			st.i[j] = sigmoid(z[j])
-			st.f[j] = sigmoid(z[h+j])
-			st.g[j] = tanh(z[2*h+j])
-			st.o[j] = sigmoid(z[3*h+j])
+		tensor.SigmoidTo(st.gates[:2*h], z[:2*h]) // i and f
+		tensor.TanhTo(st.g, z[2*h:3*h])
+		tensor.SigmoidTo(st.o, z[3*h:])
+		for j := range st.c {
 			st.c[j] = st.f[j]*cPrev[j] + st.i[j]*st.g[j]
-			st.tc[j] = tanh(st.c[j])
+		}
+		tensor.TanhTo(st.tc, st.c)
+		for j := range st.h {
 			st.h[j] = st.o[j] * st.tc[j]
 		}
 		m.wy.MatVec(logits, st.h)
@@ -284,13 +286,17 @@ func (m *CharLM) SeqLossWith(sc *SeqScratch, seq []int) (loss float64, preds, co
 		for j := range z {
 			z[j] += zh[j] + m.bg[j]
 		}
-		for j := 0; j < h; j++ {
-			ig := sigmoid(z[j])
-			fg := sigmoid(z[h+j])
-			gg := tanh(z[2*h+j])
-			og := sigmoid(z[3*h+j])
-			cCur[j] = fg*cPrev[j] + ig*gg
-			hCur[j] = og * tanh(cCur[j])
+		// The gates replace their pre-activations in z.
+		tensor.SigmoidTo(z[:2*h], z[:2*h])
+		tensor.TanhTo(z[2*h:3*h], z[2*h:3*h])
+		tensor.SigmoidTo(z[3*h:], z[3*h:])
+		ig, fg, gg, og := z[:h], z[h:2*h], z[2*h:3*h], z[3*h:]
+		for j := range cCur {
+			cCur[j] = fg[j]*cPrev[j] + ig[j]*gg[j]
+		}
+		tensor.TanhTo(hCur, cCur)
+		for j := range hCur {
+			hCur[j] = og[j] * hCur[j]
 		}
 		m.wy.MatVec(logits, hCur)
 		tensor.AddInPlace(logits, m.by)

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -166,6 +167,216 @@ func refAddOuter(m []float64, rows, cols int, a, b []float64) {
 		row := m[r*cols : (r+1)*cols]
 		for c := range row {
 			row[c] += av * b[c]
+		}
+	}
+}
+
+func refSigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
+
+// refSeqLossAndGrad is CharLM.SeqLossAndGrad as it stood with per-unit gate
+// loops — one sigmoid or tanh call per element — on working memory of its
+// own. It accumulates into m's gradients.
+func refSeqLossAndGrad(m *CharLM, seq []int) (loss float64, preds int) {
+	T := len(seq) - 1
+	if T < 1 {
+		return 0, 0
+	}
+	h := m.hidden
+	vec := func(n int) []float64 { return make([]float64, n) }
+	type step struct{ x, i, f, g, o, c, tc, h, probs []float64 }
+	steps := make([]step, T)
+	for t := range steps {
+		steps[t] = step{vec(m.embDim), vec(h), vec(h), vec(h), vec(h), vec(h), vec(h), vec(h), vec(m.vocab)}
+	}
+	zero := vec(h)
+	hPrev, cPrev := zero, zero
+	z, zh, logits := vec(4*h), vec(4*h), vec(m.vocab)
+
+	for t := 0; t < T; t++ {
+		st := &steps[t]
+		copy(st.x, m.emb.Row(seq[t]))
+		m.wx.MatVec(z, st.x)
+		m.wh.MatVec(zh, hPrev)
+		for j := range z {
+			z[j] += zh[j] + m.bg[j]
+		}
+		for j := 0; j < h; j++ {
+			st.i[j] = refSigmoid(z[j])
+			st.f[j] = refSigmoid(z[h+j])
+			st.g[j] = math.Tanh(z[2*h+j])
+			st.o[j] = refSigmoid(z[3*h+j])
+			st.c[j] = st.f[j]*cPrev[j] + st.i[j]*st.g[j]
+			st.tc[j] = math.Tanh(st.c[j])
+			st.h[j] = st.o[j] * st.tc[j]
+		}
+		m.wy.MatVec(logits, st.h)
+		tensor.AddInPlace(logits, m.by)
+		refSoftmax(st.probs, logits)
+		loss += -math.Log(math.Max(st.probs[seq[t+1]], 1e-12))
+		hPrev, cPrev = st.h, st.c
+	}
+
+	dh, dc, dz, dhRec, dLogits, dx := vec(h), vec(h), vec(4*h), vec(h), vec(m.vocab), vec(m.embDim)
+	for t := T - 1; t >= 0; t-- {
+		st := &steps[t]
+		copy(dLogits, st.probs)
+		dLogits[seq[t+1]] -= 1
+		m.gWy.AddOuter(1, dLogits, st.h)
+		tensor.AddInPlace(m.gBy, dLogits)
+		m.wy.MatVecT(dhRec, dLogits)
+		for j := 0; j < h; j++ {
+			dh[j] += dhRec[j]
+		}
+		hp, cp := zero, zero
+		if t > 0 {
+			hp, cp = steps[t-1].h, steps[t-1].c
+		}
+		for j := 0; j < h; j++ {
+			dcj := dc[j] + dh[j]*st.o[j]*(1-st.tc[j]*st.tc[j])
+			doj := dh[j] * st.tc[j]
+			dij := dcj * st.g[j]
+			dfj := dcj * cp[j]
+			dgj := dcj * st.i[j]
+			dz[j] = dij * st.i[j] * (1 - st.i[j])
+			dz[h+j] = dfj * st.f[j] * (1 - st.f[j])
+			dz[2*h+j] = dgj * (1 - st.g[j]*st.g[j])
+			dz[3*h+j] = doj * st.o[j] * (1 - st.o[j])
+			dc[j] = dcj * st.f[j]
+		}
+		m.gWx.AddOuter(1, dz, st.x)
+		m.gWh.AddOuter(1, dz, hp)
+		tensor.AddInPlace(m.gBg, dz)
+		m.wh.MatVecT(dh, dz)
+		m.wx.MatVecT(dx, dz)
+		tensor.AddInPlace(m.gEmb.Row(seq[t]), dx)
+	}
+	return loss, T
+}
+
+// refSeqLossWith is CharLM.SeqLossWith as it stood with its per-unit gate
+// loop.
+func refSeqLossWith(m *CharLM, seq []int) (loss float64, preds, correct int) {
+	T := len(seq) - 1
+	if T < 1 {
+		return 0, 0, 0
+	}
+	h := m.hidden
+	hPrev, cPrev, hCur, cCur := make([]float64, h), make([]float64, h), make([]float64, h), make([]float64, h)
+	z, zh := make([]float64, 4*h), make([]float64, 4*h)
+	logits, probs := make([]float64, m.vocab), make([]float64, m.vocab)
+	for t := 0; t < T; t++ {
+		m.wx.MatVec(z, m.emb.Row(seq[t]))
+		m.wh.MatVec(zh, hPrev)
+		for j := range z {
+			z[j] += zh[j] + m.bg[j]
+		}
+		for j := 0; j < h; j++ {
+			ig := refSigmoid(z[j])
+			fg := refSigmoid(z[h+j])
+			gg := math.Tanh(z[2*h+j])
+			og := refSigmoid(z[3*h+j])
+			cCur[j] = fg*cPrev[j] + ig*gg
+			hCur[j] = og * math.Tanh(cCur[j])
+		}
+		m.wy.MatVec(logits, hCur)
+		tensor.AddInPlace(logits, m.by)
+		refSoftmax(probs, logits)
+		loss += -math.Log(math.Max(probs[seq[t+1]], 1e-12))
+		if tensor.ArgMax(probs) == seq[t+1] {
+			correct++
+		}
+		hPrev, hCur = hCur, hPrev
+		cPrev, cCur = cCur, cPrev
+	}
+	return loss, T, correct
+}
+
+// refSoftmax is tensor.SoftmaxTo with its exponentials inline.
+func refSoftmax(dst, a []float64) {
+	maxv := a[0]
+	for _, v := range a[1:] {
+		if v > maxv {
+			maxv = v
+		}
+	}
+	var sum float64
+	for i, v := range a {
+		e := math.Exp(v - maxv)
+		dst[i] = e
+		sum += e
+	}
+	inv := 1 / sum
+	for i := range dst {
+		dst[i] *= inv
+	}
+}
+
+// TestCharLMMatchesReferenceBits: SeqLossAndGrad's loss and every gradient
+// block, accumulated over several windows, and SeqLossWith's loss,
+// prediction and hit counts equal the per-unit loops' bit for bit — at the
+// benchmark's shape (vocabulary 32, embedding 8, hidden 16), at an odd one
+// (hidden 5, vocabulary 7: every sweep has a tail), and with gate biases
+// that saturate the gates, drive |c| past math.tanh's 0.5*MAXLOG and send
+// math.Exp off its main path (arguments beyond ±709), so the sweeps' hand
+// back to the scalar code is exercised.
+func TestCharLMMatchesReferenceBits(t *testing.T) {
+	for trial, tc := range []struct {
+		vocab, emb, hidden int
+		saturate           bool
+	}{{32, 8, 16, false}, {7, 3, 5, false}, {32, 8, 16, true}, {7, 3, 5, true}} {
+		rng := rand.New(rand.NewSource(int64(40 + trial)))
+		m := NewCharLM(tc.vocab, tc.emb, tc.hidden, rng)
+		h := tc.hidden
+		window := 30
+		if tc.saturate {
+			// Input and forget gates open, g at ±1 for each unit over the
+			// whole window: |c| grows by about one per step.
+			window = 80
+			pick := func(p ...float64) float64 { return p[rng.Intn(len(p))] }
+			for j := 0; j < h; j++ {
+				m.bg[j] = pick(30, 800, 745.2, 709.9)
+				m.bg[h+j] = 30
+				m.bg[2*h+j] = pick(30, -30, 50, -50)
+				m.bg[3*h+j] = pick(800, -800, 745.2, -745.2, 709.9, -709.9, 0)
+			}
+		}
+		ref := NewCharLM(tc.vocab, tc.emb, tc.hidden, rng)
+		ref.SetParams(m.Params())
+		sc := m.NewSeqScratch()
+		maxC := 0.0
+		for w := 0; w < 5; w++ {
+			seq := make([]int, 2+rng.Intn(window))
+			for i := range seq {
+				seq[i] = rng.Intn(tc.vocab)
+			}
+			what := fmt.Sprintf("CharLM(%d, %d, %d) saturate=%v window %d", tc.vocab, tc.emb, h, tc.saturate, w)
+			loss, preds := m.SeqLossAndGrad(seq)
+			wantLoss, wantPreds := refSeqLossAndGrad(ref, seq)
+			if preds != wantPreds {
+				t.Fatalf("%s: %d predictions, reference %d", what, preds, wantPreds)
+			}
+			sameBits(t, what+" loss", []float64{loss}, []float64{wantLoss})
+			for b, blocks := range [][2][]float64{
+				{m.gEmb.Data, ref.gEmb.Data}, {m.gWx.Data, ref.gWx.Data}, {m.gWh.Data, ref.gWh.Data},
+				{m.gBg, ref.gBg}, {m.gWy.Data, ref.gWy.Data}, {m.gBy, ref.gBy},
+			} {
+				sameBits(t, fmt.Sprintf("%s gradient block %d", what, b), blocks[0], blocks[1])
+			}
+			for _, st := range m.steps[:len(seq)-1] {
+				for _, c := range st.c {
+					maxC = math.Max(maxC, math.Abs(c))
+				}
+			}
+
+			loss, preds, correct := m.SeqLossWith(sc, seq)
+			wantLoss, wantPreds, wantCorrect := refSeqLossWith(ref, seq)
+			if preds != wantPreds || correct != wantCorrect {
+				t.Fatalf("%s: SeqLossWith %d predictions %d correct, reference %d %d", what, preds, correct, wantPreds, wantCorrect)
+			}
+			sameBits(t, what+" SeqLossWith loss", []float64{loss}, []float64{wantLoss})
+		}
+		if tc.saturate && maxC <= 0.5*8.8029691931113054295988e+01 {
+			t.Errorf("CharLM(%d, %d, %d): |c| peaked at %v, below the 44.01 where tanh leaves its exp branch", tc.vocab, tc.emb, h, maxC)
 		}
 	}
 }

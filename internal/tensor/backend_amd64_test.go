@@ -17,7 +17,7 @@ type backend struct {
 // dispatch variable; it skips when b is the assembly backend and the CPU
 // cannot run it.
 func (b backend) use(tb testing.TB) {
-	if b.avx2 && !hasAVX2() {
+	if avx2, _ := cpuFeatures(); b.avx2 && !avx2 {
 		tb.Skip("this CPU lacks AVX2: only the portable backend can be exercised")
 	}
 	old := useAVX2

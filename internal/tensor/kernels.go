@@ -8,9 +8,10 @@ import (
 // This file holds the portable backend of the hot kernels — the Go loops,
 // which run on every architecture and are the fallback on an amd64 CPU
 // without AVX2 — and the exported entry points of the kernels that are not
-// Matrix methods: the two nn sweeps (Conv3x3Add, SGDStep) and the four
-// sweeps of the protocol path (WeightedMerge, MergeReply, MeanInto,
-// AllFinite). kernels_amd64.go (AVX2 assembly, chosen by the CPU) and
+// Matrix methods: the two nn sweeps (Conv3x3Add, SGDStep), the two
+// activation sweeps (SigmoidTo, TanhTo) and the four sweeps of the
+// protocol path (WeightedMerge, MergeReply, MeanInto, AllFinite).
+// kernels_amd64.go (AVX2 assembly, chosen by the CPU) and
 // kernels_generic.go (everything else, and -tags purego) decide which
 // backend a call reaches; both backends produce the same bits.
 
@@ -46,6 +47,21 @@ func SGDStep(p, g []float64, lr, scale, clip float64) {
 		return
 	}
 	sgdStep(p, g, lr, scale, clip)
+}
+
+// SigmoidTo writes the logistic function of every element of src to dst:
+// dst[i] = 1/(1+math.Exp(-src[i])), bit for bit. Lengths must match; dst
+// may be src.
+func SigmoidTo(dst, src []float64) {
+	mustSameLen(len(dst), len(src))
+	sigmoidTo(dst, src)
+}
+
+// TanhTo writes dst[i] = math.Tanh(src[i]), bit for bit. Lengths must
+// match; dst may be src.
+func TanhTo(dst, src []float64) {
+	mustSameLen(len(dst), len(src))
+	tanhTo(dst, src)
 }
 
 // WeightedMerge moves v toward x by weight w: v[i] += w*(x[i] - v[i]).
@@ -314,4 +330,29 @@ func allFiniteGo(v []float64) bool {
 		}
 	}
 	return true
+}
+
+// The exp sweeps: each element is read before its own slot of dst is
+// written, so dst may be src.
+
+func sigmoidGo(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, x := range src {
+		dst[i] = 1 / (1 + math.Exp(-x))
+	}
+}
+
+func tanhGo(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, x := range src {
+		dst[i] = math.Tanh(x)
+	}
+}
+
+// expShiftGo is SoftmaxTo's exponentials: dst[i] = math.Exp(src[i] - shift).
+func expShiftGo(dst, src []float64, shift float64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = math.Exp(v - shift)
+	}
 }

@@ -6,21 +6,57 @@ import "math"
 
 // useAVX2 selects the assembly backend of kernels_amd64.s. It is decided
 // once, by the CPU alone; building with -tags purego is the only way to
-// force the portable loops on a machine that has AVX2.
-var useAVX2 = hasAVX2()
+// force the portable loops on a machine that has AVX2. cpuFMA is whether
+// the CPU also has FMA, which the exp kernels need (expFused).
+var useAVX2, cpuFMA = cpuFeatures()
 
-// hasAVX2 reports whether the CPU implements AVX2 and the operating system
-// saves the YMM registers (CPUID leaves 1 and 7, XGETBV).
-func hasAVX2() bool
+// cpuFeatures reports whether the CPU implements AVX2 and the operating
+// system saves the YMM registers (CPUID leaves 1 and 7, XGETBV), and
+// whether it also implements FMA (leaf 1).
+func cpuFeatures() (avx2, fma bool)
+
+// expFused holds the exp kernels (SigmoidTo, TanhTo, SoftmaxTo's
+// exponentials) to math.Exp. They copy the fused path of math.Exp's amd64
+// assembly, which math takes when the CPU has FMA and GODEBUG has not
+// switched it off (cpu.fma=off sends it down the unfused path), so they
+// run only on an AVX2 CPU with FMA, and only if they agree with math.Exp
+// on every input of expProbe, where the two paths round differently. It
+// is decided once; nothing else can turn it on or off.
+var expFused = useAVX2 && cpuFMA && expMatchesMath()
+
+// expProbe: inputs on which math.Exp's fused and unfused paths give
+// different bits (TestExpProbeSeparatesPaths), both signs, across the
+// range of k.
+var expProbe = [...]float64{
+	12.033678535466372, -4.982865025041585, 2.446857228056416, -1.020860113570441,
+	18.418518183584666, -324.69931750226226, 187.49657416760664, 679.4707336289484,
+}
+
+func expMatchesMath() bool {
+	var got [len(expProbe)]float64
+	if expShiftAVX2(&got[0], &expProbe[0], len(expProbe), 0) != len(expProbe) {
+		return false
+	}
+	for i, x := range expProbe {
+		if math.Float64bits(got[i]) != math.Float64bits(math.Exp(x)) {
+			return false
+		}
+	}
+	return true
+}
 
 // The assembly kernels take element pointers and counts, check nothing,
 // and must never be handed an empty operand: the callers below validate
 // every length first (as the exported wrappers do for both backends) and
 // route zero rows, zero columns and empty slices to the Go loops.
 //
-// In every one of them a SIMD lane is one accumulator of the ordering
-// contract, fed by a separate multiply and add (never a fused one), and no
-// sum ever crosses lanes.
+// In every one of them but the exp sweeps a SIMD lane is one accumulator
+// of the ordering contract, fed by a separate multiply and add (never a
+// fused one), and no sum ever crosses lanes. The exp sweeps' lanes are
+// elements, each run through math.Exp's own instructions (fused where
+// they fuse); they take whole groups of four and return how many elements
+// they wrote, stopping before a group that has a lane off math.Exp's main
+// path.
 
 //go:noescape
 func matVecAVX2(dst, a *float64, rows, cols int, x *float64)
@@ -48,6 +84,15 @@ func mean4AVX2(avg, m0, m1, m2, m3 *float64, n int, share float64, fresh bool)
 
 //go:noescape
 func allFiniteAVX2(v *float64, n int) bool
+
+//go:noescape
+func sigmoidAVX2(dst, src *float64, n int) int
+
+//go:noescape
+func tanhAVX2(dst, src *float64, n int) int
+
+//go:noescape
+func expShiftAVX2(dst, src *float64, n int, shift float64) int
 
 func (m *Matrix) matVec(dst, x []float64) {
 	if useAVX2 && m.Rows > 0 && m.Cols > 0 {
@@ -130,4 +175,47 @@ func allFinite(v []float64) bool {
 		return allFiniteAVX2(&v[0], len(v))
 	}
 	return allFiniteGo(v)
+}
+
+// sigmoidTo, tanhTo and expShift: the wrappers have checked
+// len(dst) == len(src); either may be empty.
+func sigmoidTo(dst, src []float64) {
+	i := 0
+	if useAVX2 && expFused {
+		i = byGroups(dst, src, sigmoidAVX2, sigmoidGo)
+	}
+	sigmoidGo(dst[i:], src[i:])
+}
+
+func tanhTo(dst, src []float64) {
+	i := 0
+	if useAVX2 && expFused {
+		i = byGroups(dst, src, tanhAVX2, tanhGo)
+	}
+	tanhGo(dst[i:], src[i:])
+}
+
+func expShift(dst, src []float64, shift float64) {
+	i := 0
+	if useAVX2 && expFused {
+		i = byGroups(dst, src,
+			func(d, s *float64, n int) int { return expShiftAVX2(d, s, n, shift) },
+			func(d, s []float64) { expShiftGo(d, s, shift) })
+	}
+	expShiftGo(dst[i:], src[i:], shift)
+}
+
+// byGroups runs an exp kernel over the whole groups of four of src, giving
+// each group it stops at to the scalar loop and resuming after it, and
+// returns where the last len(src)%4 elements, which are the caller's,
+// begin.
+func byGroups(dst, src []float64, kernel func(dst, src *float64, n int) int, scalar func(dst, src []float64)) int {
+	i, n := 0, len(src)&^3
+	for i < n {
+		if i += kernel(&dst[i], &src[i], n-i); i < n {
+			scalar(dst[i:i+4], src[i:i+4])
+			i += 4
+		}
+	}
+	return i
 }

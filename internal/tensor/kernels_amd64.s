@@ -2,14 +2,18 @@
 
 #include "textflag.h"
 
-// AVX2 backend of the hot kernels: the five nn kernels and the four sweeps
-// of the protocol path. The rules every routine keeps (the ordering
-// contract of internal/nn's package comment):
+// AVX2 backend of the hot kernels: the five nn kernels, the four sweeps
+// of the protocol path and the three exp sweeps (sigmoid, tanh, softmax's
+// exponentials). The rules every routine keeps (the ordering contract of
+// internal/nn's package comment):
 //
 //   - a SIMD lane is one accumulator; lanes are never added to each other
 //     and an accumulator is never split across lanes;
-//   - every product is rounded before it is added: VMULPD then VADDPD,
-//     never a fused multiply-add;
+//   - a sum the Go code writes is never fused: every product is rounded
+//     before it is added, VMULPD then VADDPD;
+//   - a function the Go code calls (math.Exp, math.Tanh) is reproduced
+//     with that function's own instructions, each one its lane's copy of
+//     the scalar one — fused exactly where math.Exp's assembly fuses;
 //   - each accumulator receives its additions in the order the plain loop
 //     makes them, and an operand the plain loop skips (a zero of either
 //     sign, never a NaN) is skipped.
@@ -19,15 +23,17 @@
 // Callers guarantee non-empty operands and in-range extents; nothing here
 // checks a bound. VZEROUPPER precedes every RET that follows YMM use.
 
-// func hasAVX2() bool
-TEXT ·hasAVX2(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
+// func cpuFeatures() (avx2, fma bool)
+TEXT ·cpuFeatures(SB), NOSPLIT, $0-2
+	MOVB $0, avx2+0(FP)
+	MOVB $0, fma+1(FP)
 	XORL AX, AX
 	CPUID
 	CMPL AX, $7
 	JLT  done
 	MOVL $1, AX
 	CPUID
+	MOVL CX, R8          // leaf 1's feature bits, for FMA below
 	ANDL $0x18000000, CX // OSXSAVE (bit 27) and AVX (bit 28)
 	CMPL CX, $0x18000000
 	JNE  done
@@ -41,7 +47,10 @@ TEXT ·hasAVX2(SB), NOSPLIT, $0-1
 	CPUID
 	BTL  $5, BX // AVX2
 	JCC  done
-	MOVB $1, ret+0(FP)
+	MOVB $1, avx2+0(FP)
+	BTL  $12, R8 // FMA
+	JCC  done
+	MOVB $1, fma+1(FP)
 done:
 	RET
 
@@ -916,5 +925,251 @@ af_next:
 af_done:
 	XORL $1, DX
 	MOVB DX, ret+16(FP)
+	VZEROUPPER
+	RET
+
+// The exp sweeps below are element-wise too, and the Go expression each
+// one reproduces calls math.Exp. On amd64 math.Exp is archExp
+// ($GOROOT/src/math/exp_amd64.s): a fixed, branch-free run of IEEE
+// operations on its main path. EXP4 is that run on four lanes — archExp's
+// FMA path (the one math takes when the CPU has FMA), instruction for
+// instruction, with archExp's constants written the way archExp writes
+// them. The Go side runs these routines only after a probe has seen them
+// give math.Exp's bits (kernels_amd64.go).
+//
+// Each routine takes whole groups of four and returns how many elements it
+// wrote. It stops, storing nothing of that group, at the first group with
+// a lane archExp would take off its main path; the Go side computes that
+// group with the scalar expression and calls again after it.
+
+// Every constant is repeated over a 32-byte slot, so that it can be a
+// VEX memory operand.
+#define DUP4(OFF, V) \
+	DATA expdata<>+(OFF)(SB)/8, V; \
+	DATA expdata<>+(OFF+8)(SB)/8, V; \
+	DATA expdata<>+(OFF+16)(SB)/8, V; \
+	DATA expdata<>+(OFF+24)(SB)/8, V
+
+// archExp's constants (LOG2E, LN2U, LN2L, its reduction factor and
+// exprodata<>) ...
+DUP4(0, $1.4426950408889634073599246810018920)
+DUP4(32, $0.69314718055966295651160180568695068359375)
+DUP4(64, $0.28235290563031577122588448175013436025525412068e-12)
+DUP4(96, $0.0625)
+DUP4(128, $2.4801587301587301587e-5)
+DUP4(160, $1.9841269841269841270e-4)
+DUP4(192, $1.3888888888888888889e-3)
+DUP4(224, $8.3333333333333333333e-3)
+DUP4(256, $4.1666666666666666667e-2)
+DUP4(288, $1.6666666666666666667e-1)
+DUP4(320, $0.5)
+DUP4(352, $1.0)
+DUP4(384, $2.0)
+// ... the bounds of its main path as int32 pairs: k <= 1023 (also the
+// exponent bias) and k > -1023 ...
+DUP4(416, $0x000003FF000003FF)
+DUP4(448, $0xFFFFFC01FFFFFC01)
+// ... the sign and magnitude masks ...
+DUP4(480, $0x8000000000000000)
+DUP4(512, $0x7FFFFFFFFFFFFFFF)
+// ... and math.tanh's: the 0.625 its branches split at, tanhP and tanhQ.
+DUP4(544, $0.625)
+DUP4(576, $-9.64399179425052238628e-1)
+DUP4(608, $-9.92877231001918586564e1)
+DUP4(640, $-1.61468768441708447952e3)
+DUP4(672, $1.12811678491632931402e2)
+DUP4(704, $2.23548839060100448583e3)
+DUP4(736, $4.84406305325125486048e3)
+GLOBL expdata<>(SB), RODATA, $768
+
+#define E_LOG2E expdata<>+0(SB)
+#define E_LN2U expdata<>+32(SB)
+#define E_LN2L expdata<>+64(SB)
+#define E_SIXTEENTH expdata<>+96(SB)
+#define E_C64 expdata<>+128(SB)
+#define E_C56 expdata<>+160(SB)
+#define E_C48 expdata<>+192(SB)
+#define E_C40 expdata<>+224(SB)
+#define E_C32 expdata<>+256(SB)
+#define E_C24 expdata<>+288(SB)
+#define E_HALF expdata<>+320(SB)
+#define E_ONE expdata<>+352(SB)
+#define E_TWO expdata<>+384(SB)
+#define E_KMAX expdata<>+416(SB)
+#define E_KMIN expdata<>+448(SB)
+#define E_SIGN expdata<>+480(SB)
+#define E_ABS expdata<>+512(SB)
+#define E_FIVE8THS expdata<>+544(SB)
+#define E_P0 expdata<>+576(SB)
+#define E_P1 expdata<>+608(SB)
+#define E_P2 expdata<>+640(SB)
+#define E_Q0 expdata<>+672(SB)
+#define E_Q1 expdata<>+704(SB)
+#define E_Q2 expdata<>+736(SB)
+
+// EXP4: Y0 = math.Exp(Y0) in four lanes, or a jump to BAIL. First the
+// test: archExp leaves its main path for a NaN, ±Inf, an argument above
+// Overflow, or a k = round(x*LOG2E) whose biased exponent k+1023 is
+// outside [1, 0x7FE] (its denormal and overflow exits). All of them show
+// in k: a NaN, an infinity or a product too large for an int32 converts
+// to 0x80000000, and above Overflow k is at least 1024; so the main path
+// is -1023 < k <= 1023 in every lane. Then archExp's avxfma run, each
+// scalar instruction become its packed twin: the reduction
+// x - k*LN2U - k*LN2L fused, the Taylor polynomial by fused
+// multiply-adds, four squarings (the last fused with its +1), and the
+// multiply by 2**k built in the exponent field. Clobbers Y1-Y4 and AX.
+#define EXP4(BAIL) \
+	VMULPD       E_LOG2E, Y0, Y1; \
+	VCVTPD2DQY   Y1, X2; \
+	VPCMPGTD     E_KMIN, X2, X3; \
+	VPCMPGTD     E_KMAX, X2, X4; \
+	VPANDN       X3, X4, X4; \
+	VMOVMSKPS    X4, AX; \
+	CMPL         AX, $15; \
+	JNE          BAIL; \
+	VCVTDQ2PD    X2, Y1; \
+	VFNMADD231PD E_LN2U, Y1, Y0; \
+	VFNMADD231PD E_LN2L, Y1, Y0; \
+	VMULPD       E_SIXTEENTH, Y0, Y0; \
+	VMOVUPD      E_C64, Y1; \
+	VFMADD213PD  E_C56, Y0, Y1; \
+	VFMADD213PD  E_C48, Y0, Y1; \
+	VFMADD213PD  E_C40, Y0, Y1; \
+	VFMADD213PD  E_C32, Y0, Y1; \
+	VFMADD213PD  E_C24, Y0, Y1; \
+	VFMADD213PD  E_HALF, Y0, Y1; \
+	VFMADD213PD  E_ONE, Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       E_TWO, Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       E_TWO, Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       E_TWO, Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       E_TWO, Y0, Y1; \
+	VFMADD213PD  E_ONE, Y1, Y0; \
+	VPADDD       E_KMAX, X2, X2; \
+	VPMOVZXDQ    X2, Y3; \
+	VPSLLQ       $52, Y3, Y3; \
+	VMULPD       Y3, Y0, Y0
+
+// Sigmoid: dst = 1/(1 + math.Exp(-src)). -x is the sign flip Go's negation
+// is; the add and the divide are the scalar code's ADDSD and DIVSD.
+//
+// func sigmoidAVX2(dst, src *float64, n int) int
+TEXT ·sigmoidAVX2(SB), NOSPLIT, $0-32
+	MOVQ    dst+0(FP), DI
+	MOVQ    src+8(FP), SI
+	MOVQ    n+16(FP), CX
+	SHLQ    $3, CX
+	XORQ    DX, DX // byte offset of the group
+	VMOVUPD E_ONE, Y7
+
+sig_four:
+	CMPQ    DX, CX
+	JGE     sig_done
+	VMOVUPD (SI)(DX*1), Y0
+	VXORPD  E_SIGN, Y0, Y0
+	EXP4(sig_done)
+	VADDPD  Y7, Y0, Y0
+	VDIVPD  Y0, Y7, Y0
+	VMOVUPD Y0, (DI)(DX*1)
+	ADDQ    $32, DX
+	JMP     sig_four
+
+sig_done:
+	SHRQ       $3, DX
+	MOVQ       DX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// Softmax's exponentials: dst = math.Exp(src - shift).
+//
+// func expShiftAVX2(dst, src *float64, n int, shift float64) int
+TEXT ·expShiftAVX2(SB), NOSPLIT, $0-40
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSD shift+24(FP), Y7
+	SHLQ         $3, CX
+	XORQ         DX, DX
+
+ex_four:
+	CMPQ    DX, CX
+	JGE     ex_done
+	VMOVUPD (SI)(DX*1), Y0
+	VSUBPD  Y7, Y0, Y0
+	EXP4(ex_done)
+	VMOVUPD Y0, (DI)(DX*1)
+	ADDQ    $32, DX
+	JMP     ex_four
+
+ex_done:
+	SHRQ       $3, DX
+	MOVQ       DX, ret+32(FP)
+	VZEROUPPER
+	RET
+
+// Tanh: math.tanh (plain Go, which the compiler does not fuse on amd64)
+// with its two computed branches evaluated in every lane and the lane's
+// own branch selected:
+//   - |x| >= 0.625: s = math.Exp(2|x|), 1 - 2/(s+1), negated for x < 0
+//     (the value is positive, so OR-ing in x's sign bit negates it);
+//   - below: x + x*s*P(s)/Q(s), s = x*x, the products and quotient in the
+//     scalar code's order; x itself for x = ±0.
+// math.tanh's third branch, ±1 for |x| > 0.5*MAXLOG, needs no test of its
+// own: there s > 2**127, so 1 - 2/(s+1) rounds to exactly 1, until 2|x|
+// leaves archExp's main path — where EXP4 hands the group back, as it
+// does for a NaN. Y8 = x, Y9 = |x|, Y10 = the first branch, Y14 the
+// second.
+//
+// func tanhAVX2(dst, src *float64, n int) int
+TEXT ·tanhAVX2(SB), NOSPLIT, $0-32
+	MOVQ    dst+0(FP), DI
+	MOVQ    src+8(FP), SI
+	MOVQ    n+16(FP), CX
+	SHLQ    $3, CX
+	XORQ    DX, DX
+	VMOVUPD E_TWO, Y6
+	VMOVUPD E_ONE, Y7
+	VXORPD  Y15, Y15, Y15
+
+th_four:
+	CMPQ      DX, CX
+	JGE       th_done
+	VMOVUPD   (SI)(DX*1), Y8
+	VANDPD    E_ABS, Y8, Y9
+	VADDPD    Y9, Y9, Y0
+	EXP4(th_done)
+	VADDPD    Y7, Y0, Y0
+	VDIVPD    Y0, Y6, Y1
+	VSUBPD    Y1, Y7, Y1
+	VANDPD    E_SIGN, Y8, Y2
+	VORPD     Y2, Y1, Y10
+	VMULPD    Y8, Y8, Y11
+	VMULPD    E_P0, Y11, Y12
+	VADDPD    E_P1, Y12, Y12
+	VMULPD    Y11, Y12, Y12
+	VADDPD    E_P2, Y12, Y12
+	VADDPD    E_Q0, Y11, Y13
+	VMULPD    Y11, Y13, Y13
+	VADDPD    E_Q1, Y13, Y13
+	VMULPD    Y11, Y13, Y13
+	VADDPD    E_Q2, Y13, Y13
+	VMULPD    Y11, Y8, Y14
+	VMULPD    Y12, Y14, Y14
+	VDIVPD    Y13, Y14, Y14
+	VADDPD    Y14, Y8, Y14
+	VCMPPD    $0x00, Y15, Y8, Y3
+	VBLENDVPD Y3, Y8, Y14, Y14
+	VCMPPD    $0x1d, E_FIVE8THS, Y9, Y3
+	VBLENDVPD Y3, Y10, Y14, Y14
+	VMOVUPD   Y14, (DI)(DX*1)
+	ADDQ      $32, DX
+	JMP       th_four
+
+th_done:
+	SHRQ       $3, DX
+	MOVQ       DX, ret+24(FP)
 	VZEROUPPER
 	RET

@@ -22,3 +22,7 @@ func allFinite(v []float64) bool                            { return allFiniteGo
 func mean4(avg []float64, share float64, m0, m1, m2, m3 []float64, fresh bool) {
 	mean4Go(avg, share, m0, m1, m2, m3, fresh)
 }
+
+func sigmoidTo(dst, src []float64)               { sigmoidGo(dst, src) }
+func tanhTo(dst, src []float64)                  { tanhGo(dst, src) }
+func expShift(dst, src []float64, shift float64) { expShiftGo(dst, src, shift) }

@@ -346,6 +346,8 @@ func TestKernelsRejectShortOperands(t *testing.T) {
 		"WeightedMerge short x":  func() { WeightedMerge(v4, 0.5, v4[:3]) },
 		"MergeReply long x":      func() { MergeReply(v4, 0.5, v9) },
 		"MeanInto ragged models": func() { MeanInto(v4, [][]float64{v4, v4, v4, v9}) },
+		"SigmoidTo long src":     func() { SigmoidTo(v4, v9) },
+		"TanhTo short src":       func() { TanhTo(v9, v4) },
 	}
 	for _, be := range backends {
 		t.Run("backend="+be.name, func(t *testing.T) {

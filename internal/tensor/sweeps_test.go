@@ -198,16 +198,25 @@ func TestAllFiniteFindsEveryNonFinite(t *testing.T) {
 }
 
 // TestSweepsAllocateNothing: none of the four wrappers allocates, on
-// either backend.
+// either backend, and neither do the exp sweeps, over groups the assembly
+// takes and groups it hands back to the scalar code (-1000, -Inf).
 func TestSweepsAllocateNothing(t *testing.T) {
 	const n = 16384
 	v, x := make([]float64, n), make([]float64, n)
 	models := [][]float64{x, x, x, x, x, x, x, x}
+	e := make([]float64, 67)
+	for i := range e {
+		e[i] = float64(i%9) - 4
+	}
+	e[13], e[40] = -1000, math.Inf(-1)
 	sweeps := map[string]func(){
 		"WeightedMerge": func() { WeightedMerge(v, 0.3, x) },
 		"MergeReply":    func() { MergeReply(v, 0.3, x) },
 		"MeanInto":      func() { MeanInto(v, models) },
 		"AllFinite":     func() { AllFinite(v) },
+		"SigmoidTo":     func() { SigmoidTo(v[:len(e)], e) },
+		"TanhTo":        func() { TanhTo(v[:len(e)], e) },
+		"SoftmaxTo":     func() { SoftmaxTo(v[:len(e)], e) },
 	}
 	for _, be := range backends {
 		t.Run("backend="+be.name, func(t *testing.T) {

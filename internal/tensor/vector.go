@@ -3,20 +3,25 @@
 // []float64 slices so that federated-learning aggregation code can treat a
 // whole model as a single parameter vector.
 //
-// The hot kernels (MatVec, MatVecT, AddOuter, Conv3x3Add, SGDStep, and the
-// protocol path's sweeps WeightedMerge, MergeReply, MeanInto, AllFinite)
-// keep the ordering contract described in internal/nn's package comment:
-// every accumulator receives the same floating-point additions in the same
-// order as the plain loop would make, so results are reproducible to the
-// last bit. They have two backends that produce the same bits: portable Go
-// loops (kernels.go) and, on an amd64 CPU with AVX2, hand-written assembly
-// (kernels_amd64.s) in which a SIMD lane is one more accumulator running
-// beside the others — products and sums are separate VMULPD/VADDPD, never
-// VFMADD*, nothing is added across lanes (no horizontal add) and no
-// accumulator is split over lanes. The CPU alone chooses; building with
-// -tags purego leaves only the Go loops. The bits are amd64's: on
-// architectures where the Go compiler fuses x*y + z (arm64, ppc64le,
-// s390x, riscv64) the portable loops round differently.
+// The hot kernels (MatVec, MatVecT, AddOuter, Conv3x3Add, SGDStep, the
+// activation sweeps SigmoidTo and TanhTo with SoftmaxTo's exponentials,
+// and the protocol path's sweeps WeightedMerge, MergeReply, MeanInto,
+// AllFinite) keep the ordering contract described in internal/nn's
+// package comment: every accumulator receives the same floating-point
+// additions in the same order as the plain loop would make, so results
+// are reproducible to the last bit. They have two backends that produce
+// the same bits: portable Go loops (kernels.go) and, on an amd64 CPU with
+// AVX2, hand-written assembly (kernels_amd64.s) in which a SIMD lane is
+// one more accumulator running beside the others — a sum the Go code
+// writes is a separate VMULPD and VADDPD, never fused, nothing is added
+// across lanes (no horizontal add) and no accumulator is split over
+// lanes. A function the Go code calls is reproduced with that function's
+// own instructions: the exp sweeps run math.Exp's amd64 assembly on four
+// lanes, fused exactly where it fuses, and only once a probe has seen
+// them agree with math.Exp in this process. The CPU alone chooses;
+// building with -tags purego leaves only the Go loops. The bits are
+// amd64's: on architectures where the Go compiler fuses x*y + z (arm64,
+// ppc64le, s390x, riscv64) the portable loops round differently.
 package tensor
 
 import (
@@ -89,10 +94,9 @@ func SoftmaxTo(dst, a []float64) {
 			maxv = v
 		}
 	}
+	expShift(dst, a, maxv)
 	var sum float64
-	for i, v := range a {
-		e := math.Exp(v - maxv)
-		dst[i] = e
+	for _, e := range dst {
 		sum += e
 	}
 	inv := 1 / sum
