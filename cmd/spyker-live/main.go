@@ -70,7 +70,7 @@ func main() {
 	token := flag.Bool("token", false, "this server holds the initial token (server role)")
 	ckptPath := flag.String("checkpoint", "", "checkpoint file path (server role)")
 	ckptEvery := flag.Duration("checkpoint-every", 500*time.Millisecond, "periodic checkpoint interval (server role)")
-	resume := flag.Bool("resume", false, "restore protocol state from -checkpoint instead of starting fresh (server role)")
+	resume := flag.Bool("resume", false, "restore protocol state from -checkpoint instead of starting fresh (server role); the checkpoint must be this -id's and hold this deployment's model")
 	tokenTimeout := flag.Float64("token-timeout", 0, "seconds of ring silence before regenerating the token (0 = recovery off)")
 	syncRetry := flag.Float64("sync-retry", 0, "seconds before re-broadcasting a stuck synchronization round (0 = off)")
 	reconnectEvery := flag.Duration("reconnect-every", 500*time.Millisecond, "peer redial period (server role)")
@@ -230,12 +230,8 @@ func runServer(o opts) error {
 		fmt.Printf("server %d joined the ring via %s (membership %v)\n",
 			srv.ID, o.join, srv.Membership())
 	} else if o.resume {
-		f, err := os.Open(o.ckptPath)
-		if err != nil {
-			return err
-		}
-		st, err := live.ReadCheckpoint(f)
-		_ = f.Close()
+		factory, _, _, _ := deployment(o.clients, n, o.seed, o.tokenTimeout, o.syncRetry)
+		st, err := readResume(o.ckptPath, o.id, factory(o.seed).NumParams())
 		if err != nil {
 			return err
 		}
@@ -329,6 +325,29 @@ func runServer(o opts) error {
 		}
 	}
 	return nil
+}
+
+// readResume reads the checkpoint a -resume run restarts from and refuses
+// one that is not this server's: written by another -id, the process would
+// run as that server; holding a model of another size, no peer or client
+// could merge with it.
+func readResume(path string, id, numParams int) (spyker.State, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return spyker.State{}, err
+	}
+	st, err := live.ReadCheckpoint(f)
+	_ = f.Close()
+	if err != nil {
+		return spyker.State{}, err
+	}
+	if st.Config.ID != id {
+		return spyker.State{}, fmt.Errorf("-checkpoint %s is server %d's, not -id %d's", path, st.Config.ID, id)
+	}
+	if len(st.W) != numParams {
+		return spyker.State{}, fmt.Errorf("-checkpoint %s holds a model of %d parameters, the deployment's has %d", path, len(st.W), numParams)
+	}
+	return st, nil
 }
 
 // serveDebug starts the debug endpoint: expvar (/debug/vars), pprof

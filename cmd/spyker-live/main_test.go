@@ -1,9 +1,16 @@
 package main
 
 import (
+	"encoding/gob"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/spyker-fl/spyker/internal/live"
+	"github.com/spyker-fl/spyker/internal/spyker"
 )
 
 // TestValidateRefusesUnrunnableFlags: every role refuses the same
@@ -56,5 +63,61 @@ func TestValidateRefusesUnrunnableFlags(t *testing.T) {
 		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
 			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestResumeRefusesAnotherServersCheckpoint: a resumed server runs as
+// whatever its checkpoint holds, so -resume refuses a checkpoint written by
+// another -id, or holding a model of another size than the deployment's,
+// naming both values — before it opens a listener — and accepts its own.
+func TestResumeRefusesAnotherServersCheckpoint(t *testing.T) {
+	const seed, clients = 1, 8
+	factory, _, _, hyper := deployment(clients, 2, seed, 0, 0)
+	initial := factory(seed).Params()
+	dir := t.TempDir()
+	write := func(name string, id int, w []float64) string {
+		var st spyker.State
+		cfg := live.ServerConfig(id, 2, live.ClientsAt(id, clients, 2), hyper)
+		spyker.NewServerCore(cfg, w, false, nil).SnapshotInto(&st)
+		path := filepath.Join(dir, name)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if err := gob.NewEncoder(f).Encode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	// A server that got past the check would listen, run for a millisecond
+	// and return no error.
+	server1 := opts{role: "server", id: 1, addr: "127.0.0.1:0", peers: []string{"127.0.0.1:7070", "127.0.0.1:7071"},
+		clients: clients, seed: seed, resume: true, duration: time.Millisecond}
+	for _, tc := range []struct {
+		name string
+		path string
+		want []string // substrings of the error
+	}{
+		{"another server's", write("s0.gob", 0, initial), []string{"server 0's", "-id 1's"}},
+		{"another model's", write("small.gob", 1, initial[:100]), []string{"100 parameters", fmt.Sprintf("has %d", len(initial))}},
+	} {
+		o := server1
+		o.ckptPath = tc.path
+		if err := validate(o); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		err := runServer(o)
+		if err == nil {
+			t.Fatalf("%s: resumed", tc.name)
+		}
+		for _, sub := range tc.want {
+			if !strings.Contains(err.Error(), sub) {
+				t.Errorf("%s: error %q does not name %q", tc.name, err, sub)
+			}
+		}
+	}
+	if _, err := readResume(write("s1.gob", 1, initial), 1, len(initial)); err != nil {
+		t.Errorf("the server's own checkpoint was refused: %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -60,6 +61,67 @@ func TestUnsafeIsConfined(t *testing.T) {
 	})
 	if len(importers) != 1 || importers[0] != unsafeFile {
 		t.Errorf("non-test files importing unsafe: %v, want exactly %s", importers, unsafeFile)
+	}
+}
+
+// modelNamers are the only functions of internal/spyker that may name the
+// server model, ServerCore.w: the settling accessor, which joins the
+// client merge that may still be running off the event loop before it
+// hands the model out, the body of that merge, and the constructor that
+// allocates the model before any merge exists.
+var modelNamers = map[string]bool{"ServerCore.model": true, "ServerCore.runMerge": true, "newServerCore": true}
+
+// TestServerModelHasOneReader keeps every other read and write of the
+// server model behind the join: code that named w directly could look at a
+// model a worker is still merging into, and nothing but a race would say
+// so. It also fails when the accessor or the merge body is renamed.
+func TestServerModelHasOneReader(t *testing.T) {
+	pkgs, err := Load(findModuleRoot(t), "./internal/spyker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := pkgs[0]
+	core, ok := pkg.Types.Scope().Lookup("ServerCore").(*types.TypeName)
+	if !ok {
+		t.Fatal("internal/spyker declares no ServerCore type")
+	}
+	var model *types.Var
+	st := core.Type().Underlying().(*types.Struct)
+	for i := 0; i < st.NumFields(); i++ {
+		if st.Field(i).Name() == "w" {
+			model = st.Field(i)
+		}
+	}
+	if model == nil {
+		t.Fatal("ServerCore has no model field w")
+	}
+	named := map[string]bool{}
+	for _, f := range pkg.Files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			name := fn.Name.Name
+			if key := recvKey(pkg.Info.Defs[fn.Name].(*types.Func)); key != "" {
+				name = key[strings.LastIndex(key, ".")+1:] + "." + name
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && pkg.Info.Uses[id] == model {
+					named[name] = true
+					if !modelNamers[name] {
+						t.Errorf("%s: %s names ServerCore.w directly; reach the model through ServerCore.model, which joins the merge first",
+							pkg.Fset.Position(id.Pos()), name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for name := range modelNamers {
+		if !named[name] {
+			t.Errorf("%s does not name ServerCore.w: it was renamed or removed, so this guard no longer knows the accessor", name)
+		}
 	}
 }
 

@@ -30,7 +30,9 @@ const (
 // hands it to a worker, Join makes its effects visible. It is meant to be
 // embedded in its owner and reused, one Detach/Join cycle after another —
 // a cycle allocates nothing. The zero value with Fn set is ready; a Task
-// must not be copied after its first Detach.
+// must not be copied after its first Detach. Its owners are fl.SimClient
+// (local training) and spyker.ServerCore (the client merge); an owner whose
+// result has several readers joins at every one of them.
 type Task struct {
 	// Fn is the work. While the task is detached it may run on a goroutine
 	// other than the event loop's, concurrently with handlers and with
@@ -74,8 +76,10 @@ func (s *Sim) Detach(t *Task) {
 // Join returns once the last Detach of t has run to completion, with
 // everything Fn wrote visible to the caller. It is a stealing join: a task
 // no worker has claimed yet runs on the caller, so Join waits only for a
-// task that is mid-run. On an idle task it is a no-op. Like Detach it
-// belongs to the event-loop goroutine.
+// task that is mid-run. On an idle task it is a no-op, one atomic load,
+// which is why an owner that may never be detached (a ServerCore outside
+// the simulator) can join from any goroutine that serializes its use.
+// Otherwise, like Detach, it belongs to the event-loop goroutine.
 func (t *Task) Join() {
 	if t.state.Load() == taskIdle || t.steal() {
 		return

@@ -8,8 +8,10 @@
 // Events run one at a time on the goroutine that calls Run, in an order
 // that is a function of the Schedule calls alone. The one thing that may
 // run elsewhere is the body of a Task a handler has detached (detach.go):
-// work whose result only a later event needs, such as a client's local
-// training, which that event joins before it looks. Virtual time never
+// work whose result only a later event needs — a client's local training,
+// joined when its update is delivered, or a Spyker server's merge of a
+// client update, joined when that server's model or that reply is next
+// read — and which that event joins before it looks. Virtual time never
 // depended on when such work executes — only on the delay the model
 // schedules for it — so the event order, and with it every seeded result,
 // is the same whether a task ran on a worker, on the loop, early or late.

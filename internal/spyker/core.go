@@ -14,6 +14,7 @@ import (
 	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/paramvec"
 	"github.com/spyker-fl/spyker/internal/ring"
+	"github.com/spyker-fl/spyker/internal/simulation"
 	"github.com/spyker-fl/spyker/internal/tensor"
 )
 
@@ -37,16 +38,19 @@ type Token struct {
 // nothing else refers to — the buffer the client's update arrived in,
 // overwritten by the merge (see HandleClientUpdate) — and the
 // implementation keeps it for as long as the reply is in flight and
-// disposes of it afterwards, with no copy of its own. BroadcastModel is
-// lent the core's live model vector, valid only for the duration of the
-// call — the core mutates it on the next handler — so an implementation
-// that delivers asynchronously (every real transport does) must copy it
-// before returning; internal/paramvec pools make that copy
-// allocation-free.
+// disposes of it afterwards, with no copy of its own. Under the simulator
+// the merge may still be writing that vector when ReplyClient is called
+// (see ServerCore.sim): the DES glue joins it before it delivers or drops
+// the reply. BroadcastModel is lent the core's live model vector, valid
+// only for the duration of the call — the core mutates it on the next
+// handler — so an implementation that delivers asynchronously (every real
+// transport does) must copy it before returning; internal/paramvec pools
+// make that copy allocation-free.
 type Outbound interface {
 	// ReplyClient returns the new server model to client k along with the
 	// model age and the client's next learning rate (Alg. 1 l. 19). params
-	// is owned by the callee from here on.
+	// is owned by the callee from here on; in the DES it may still be being
+	// written until the glue joins the merge at delivery.
 	ReplyClient(k int, params []float64, age, lr float64)
 	// BroadcastModel sends this server's model, age and the current
 	// synchronization ID to every other server (Alg. 2 l. 25/35). params is
@@ -131,8 +135,10 @@ func (c Config) TickPeriod() float64 {
 }
 
 // ServerCore is the Spyker server state machine. It is not safe for
-// concurrent use; callers serialize handler invocations (the simulator is
-// single-threaded, the live runtime uses one mutex per server).
+// concurrent use; callers serialize handler invocations (the simulator
+// runs them on its event loop, the live runtime uses one mutex per
+// server). Under the simulator the core's own client merge may run on a
+// worker between handlers; the core joins it itself (see sim).
 type ServerCore struct {
 	cfg Config
 	out Outbound
@@ -145,6 +151,10 @@ type ServerCore struct {
 	// frontiers never need re-indexing.
 	mem ring.Membership
 
+	// w is the model. Everything reaches it through model(), which first
+	// joins the client merge that may still be running on it; the merge's
+	// own body (runMerge) is the one other code that names it, which
+	// internal/lint's TestServerModelHasOneReader enforces.
 	w       []float64
 	age     float64
 	agePrev float64
@@ -214,6 +224,19 @@ type ServerCore struct {
 	// auditor skips the statistics entirely — the disarmed hot path is
 	// one pointer check, byte-identical to a pre-audit core.
 	audit Auditor
+
+	// sim, set by the DES glue alone, moves the plain client merge off the
+	// event loop: applyClientDelta stores the merge's weight and reply
+	// vector beside merge and detaches it onto sim's worker pool, model()
+	// joins it before w is read or written again, and the glue joins it
+	// (joinReply) before it delivers the reply. The sweep is element-wise,
+	// so it computes the same bits wherever it runs. The live runtime
+	// leaves sim nil: its merge runs inline, and each join is one atomic
+	// load on an idle task.
+	sim         *simulation.Sim
+	merge       simulation.Task
+	mergeWeight float64
+	mergeReply  []float64
 }
 
 // Auditor receives every merged client-update delta — the contribution
@@ -266,6 +289,7 @@ func newServerCore(cfg Config, mem ring.Membership, initial []float64, holdsToke
 		sink:         obs.Nop{},
 		clock:        zeroClock,
 	}
+	s.merge.Fn = s.runMerge
 	if holdsToken {
 		s.token = &Token{Bid: 1, Ages: make([]float64, slots), Mem: s.mem}
 		s.hasToken = true
@@ -300,7 +324,30 @@ func (s *ServerCore) Instrument(sink obs.Sink, clock obs.Clock) {
 func (s *ServerCore) ArmAudit(a Auditor) { s.audit = a }
 
 // Params returns the live parameter vector (callers must not modify).
-func (s *ServerCore) Params() []float64 { return s.w }
+func (s *ServerCore) Params() []float64 { return s.model() }
+
+// model is the one way to the model: w, once the client merge last
+// detached onto it has finished.
+func (s *ServerCore) model() []float64 {
+	s.merge.Join()
+	return s.w
+}
+
+// runMerge is the detached merge's body: the plain merge-and-reply sweep
+// of applyClientDelta.
+func (s *ServerCore) runMerge() {
+	paramvec.Vec(s.w).MergeReplyInto(s.mergeWeight, s.mergeReply)
+}
+
+// joinReply makes the reply vector params whole before the DES delivers
+// or drops it: it joins the pending merge if that merge writes params. A
+// merge detached later has already joined the one that wrote params, so
+// it is left running.
+func (s *ServerCore) joinReply(params []float64) {
+	if len(params) > 0 && len(s.mergeReply) > 0 && &params[0] == &s.mergeReply[0] {
+		s.merge.Join()
+	}
+}
 
 // Age returns the current model age A_i.
 func (s *ServerCore) Age() float64 { return s.age }
@@ -566,10 +613,11 @@ func (s *ServerCore) HandleClientUpdate(k int, params []float64, clientAge float
 		// the same difference into the same scratch below — the model is
 		// untouched in between — so arming audit costs one extra diff
 		// and never an allocation.
-		s.ensureScratch(len(s.w))
-		d := s.deltaScratch[:len(s.w)]
-		d.DiffInto(params, s.w)
-		s.audit.Observe(s.clock(), k, d, s.w, clientAge, s.age)
+		w := s.model()
+		s.ensureScratch(len(w))
+		d := s.deltaScratch[:len(w)]
+		d.DiffInto(params, w)
+		s.audit.Observe(s.clock(), k, d, w, clientAge, s.age)
 	}
 	s.applyClientDelta(params, s.cfg.EtaServer*wk*damp)
 	s.age++
@@ -583,8 +631,9 @@ func (s *ServerCore) HandleClientUpdate(k int, params []float64, clientAge float
 			UID: uid, Front: s.Frontier(),
 		})
 	}
-	// params now holds the new model and is the reply (see the Outbound
-	// contract): no copy of s.w is made for it.
+	// params now holds the new model, or will once the merge has run, and
+	// is the reply (see the Outbound contract): no copy of the model is
+	// made for it.
 	s.out.ReplyClient(k, params, s.age, lr)
 	s.checkSynchronization()
 }
@@ -609,17 +658,24 @@ func (s *ServerCore) ensureScratch(n int) {
 // bounding what any single (possibly malicious) update can do to the
 // model; that path needs the whole delta's norm before it can move W, so
 // it cannot write the reply in the merging sweep and copies it afterwards.
+// Under the simulator the plain sweep is detached (see sim) and may still
+// be running when this returns.
 //
 //spyker:noalloc
 func (s *ServerCore) applyClientDelta(params []float64, weight float64) {
-	w := paramvec.Vec(s.w)
+	w := paramvec.Vec(s.model())
 	if s.cfg.RobustClipFactor <= 0 {
-		w.MergeReplyInto(weight, params)
+		s.mergeWeight, s.mergeReply = weight, params
+		if s.sim == nil {
+			s.runMerge()
+		} else {
+			s.sim.Detach(&s.merge)
+		}
 		return
 	}
-	s.ensureScratch(len(s.w))
-	delta := s.deltaScratch[:len(s.w)]
-	delta.DiffInto(params, s.w)
+	s.ensureScratch(len(w))
+	delta := s.deltaScratch[:len(w)]
+	delta.DiffInto(params, w)
 	norm := delta.L2Norm()
 	scale := 1.0
 	if s.emaReady {
@@ -650,7 +706,7 @@ func (s *ServerCore) applyClientDelta(params []float64, weight float64) {
 // There is no update in hand whose buffer could carry the reply, so this
 // rare path gives ReplyClient a copy made for it.
 func (s *ServerCore) ReengageClient(k int) {
-	s.out.ReplyClient(k, tensor.Clone(s.w), s.age, s.decayedRate(k))
+	s.out.ReplyClient(k, tensor.Clone(s.model()), s.age, s.decayedRate(k))
 }
 
 // decayedRate implements the Decay function of Sec. 4.1: clients that have
@@ -824,7 +880,7 @@ func (s *ServerCore) Tick(now float64) {
 				// broadcast finally completes the count.
 				s.stuckSince = now
 				s.emit(obs.KindSyncStart, obs.NoPeer, s.token.Bid, "retry")
-				s.out.BroadcastModel(s.w, s.age, s.token.Bid, s.frontier, s.mem)
+				s.out.BroadcastModel(s.model(), s.age, s.token.Bid, s.frontier, s.mem)
 			}
 		} else {
 			s.stuckValid = false
@@ -906,7 +962,7 @@ func (s *ServerCore) HandleServerModel(j int, params []float64, age float64, bid
 		s.agePrev = s.age
 		s.syncsJoined++
 		s.emit(obs.KindSyncStart, obs.NoPeer, bid, "join")
-		s.out.BroadcastModel(s.w, s.age, bid, s.frontier, s.mem)
+		s.out.BroadcastModel(s.model(), s.age, bid, s.frontier, s.mem)
 	}
 	s.serverAgg(j, params, age, bid, front)
 	if s.hasToken && s.token.Bid == bid && s.mem.Contains(j) {
@@ -953,7 +1009,7 @@ func (s *ServerCore) serverAgg(from int, params []float64, remoteAge float64, bi
 	ageDrift := remoteAge - s.age
 	w := ServerAggWeight(s.cfg.Phi, s.age, remoteAge)
 	ew := s.cfg.EtaA * w
-	paramvec.Vec(s.w).WeightedMergeInto(ew, params)
+	paramvec.Vec(s.model()).WeightedMergeInto(ew, params)
 	s.age = (1-ew)*s.age + ew*remoteAge
 	s.ages[s.cfg.ID] = s.age
 	for o, v := range front {
@@ -1009,7 +1065,7 @@ func (s *ServerCore) checkSynchronization() {
 		s.syncsTriggered++
 		s.syncsJoined++
 		s.emit(obs.KindSyncStart, obs.NoPeer, bid, "trigger")
-		s.out.BroadcastModel(s.w, s.age, bid, s.frontier, s.mem)
+		s.out.BroadcastModel(s.model(), s.age, bid, s.frontier, s.mem)
 	} else if !s.hasToken {
 		// Age announcements from non-token holders are rate-limited: a
 		// server only re-broadcasts its age after its model aged by at

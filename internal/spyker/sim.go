@@ -132,9 +132,16 @@ func (a *Algorithm) newSimServer(env *fl.Env, id int) *simServer {
 }
 
 // adopt installs core as the server's protocol state — at build, after a
-// restart, on joining — instrumented and, when the environment arms the
-// audit plane, feeding the server's one recorder.
+// restart, on joining — instrumented, merging off the event loop (see
+// ServerCore.sim) and, when the environment arms the audit plane, feeding
+// the server's one recorder. The core it replaces is joined first: its
+// last merge may still be writing a reply in flight, and the delivery
+// joins only the current core's.
 func (s *simServer) adopt(core *ServerCore) {
+	if s.core != nil {
+		s.core.merge.Join()
+	}
+	core.sim = s.env.Sim
 	s.core = core
 	core.Instrument(s.env.Trace, s.env.Sim.Now)
 	if s.env.Audit {
@@ -552,19 +559,24 @@ func (a *Algorithm) Servers() []*ServerCore {
 // ReplyClient implements Outbound. params is the reply's own vector (see
 // the Outbound contract) — the one the client's update arrived in — and
 // travels back as it is. For an honest client that is the parameter view
-// of its own model, which the merge has already filled with the new server
-// model, so loading it on arrival moves nothing; any other client loads it
-// into its model as it would a copy.
+// of its own model, which the merge fills with the new server model, so
+// loading it on arrival moves nothing; any other client loads it into its
+// model as it would a copy. The merge may still be running off the loop
+// here; the delivery joins it before the client looks.
 func (s *simServer) ReplyClient(k int, params []float64, age, lr float64) {
 	c := s.client[k]
 	if c == nil {
 		// The client was re-homed away between the update's arrival and
 		// this reply (elastic membership); its new home will engage it.
+		// The vector is let go here, so its merge is finished first: no
+		// worker is left writing a vector nobody holds.
+		s.core.joinReply(params)
 		return
 	}
 	src := s.env.ServerEndpoint(s.id)
 	dst := s.env.ClientEndpoint(k)
 	s.env.Net.Send(src, dst, s.env.ModelBytes, geo.ClientServer, func() {
+		s.core.joinReply(params)
 		c.HandleModel(params, age, lr)
 	})
 }

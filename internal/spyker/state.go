@@ -53,7 +53,7 @@ type State struct {
 // storage with the core.
 func (s *ServerCore) SnapshotInto(st *State) {
 	st.Config = s.cfg
-	st.W = append(st.W[:0], s.w...)
+	st.W = append(st.W[:0], s.model()...)
 	st.Age = s.age
 	st.AgePrev = s.agePrev
 	st.Ages = append(st.Ages[:0], s.ages...)
