@@ -27,7 +27,11 @@
 // Step method) puts four rows of a matrix-vector product, four columns of
 // its transpose, or four neighbouring convolution outputs in the four lanes
 // of a register, multiplies and adds with separate instructions, and never
-// lets a value cross from one lane to another. What the contract rules out
+// lets a value cross from one lane to another. ReLU, MaxPool2D and
+// Conv2D's bias fill run there too (tensor.ReLUTo, ReLUGradTo, MaxPool2x2,
+// Fill), four elements or pooling windows per register, and add nothing:
+// each lane takes one operand's bits or +0 through a mask decided as the
+// Go loop decides it. What the contract rules out
 // is everything that reassociates or rounds differently: split
 // accumulators — and so one accumulator spread over several lanes, and the
 // horizontal add that would collect it — fusing a multiply into an add the
@@ -60,7 +64,6 @@
 package nn
 
 import (
-	"math"
 	"math/rand"
 
 	"github.com/spyker-fl/spyker/internal/tensor"
@@ -173,34 +176,18 @@ func NewReLU(size int) *ReLU {
 }
 
 // Forward implements Layer: out = v where v > 0, else +0 (so -0, every
-// negative and every NaN map to +0).
-//
-// Pre-activations are positive about half the time with no pattern a
-// branch predictor can learn, so the comparison is done on the bit
-// pattern instead of with a branch. Read as a signed integer b, v > 0
-// fails when b < 0 (sign bit set: negatives, -0, NaNs with the sign bit)
-// and when b > 0x7FF0000000000000 (NaNs without it); zero needs no case
-// because masking it or keeping it gives +0 either way.
+// negative and every NaN map to +0), decided on the bit pattern by
+// tensor.ReLUTo.
 func (r *ReLU) Forward(x []float64) []float64 {
-	out := r.outV[:len(x)]
-	for i, v := range x {
-		b := int64(math.Float64bits(v))
-		keep := ((b - 0x7FF0000000000001) >> 63) &^ (b >> 63) // all ones iff v > 0 or v == +0
-		out[i] = math.Float64frombits(uint64(b & keep))
-	}
+	tensor.ReLUTo(r.outV[:len(x)], x)
 	return r.outV
 }
 
 // Backward implements Layer: dx = dy where the output was > 0, else +0.
 // An output of Forward is +0 or a positive number, never -0 or NaN, so
-// "> 0" is "bit pattern not zero", again taken without a branch.
+// "> 0" is "bit pattern not zero", tensor.ReLUGradTo's test.
 func (r *ReLU) Backward(dy []float64) []float64 {
-	dy, dx := dy[:len(r.outV)], r.dx[:len(r.outV)]
-	for i, v := range r.outV {
-		b := math.Float64bits(v)
-		keep := uint64(int64(b|-b) >> 63) // all ones iff b != 0
-		dx[i] = math.Float64frombits(math.Float64bits(dy[i]) & keep)
-	}
+	tensor.ReLUGradTo(r.dx, dy[:len(r.outV)], r.outV)
 	return r.dx
 }
 

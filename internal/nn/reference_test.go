@@ -98,6 +98,13 @@ func refMaxPoolForward(p *MaxPool2D, x, out []float64, argmax []int) {
 	}
 }
 
+func refMaxPoolBackward(argmax []int, dy, dx []float64) {
+	tensor.Zero(dx)
+	for o, idx := range argmax {
+		dx[idx] += dy[o]
+	}
+}
+
 func refReLUForward(x, out []float64) {
 	for i, v := range x {
 		if v > 0 {
@@ -499,31 +506,77 @@ func TestFirstLayerSkipsOnlyInputGradient(t *testing.T) {
 	}
 }
 
+// TestMaxPoolMatchesReference: Forward's values and winner indices and
+// Backward's input gradient equal the plain loops' (Backward's: a zeroed
+// plane and one += per window) over two rounds on one layer, at random
+// shapes, at the pools the models run — MNIST's 6x26x26 (13 windows a
+// row), CIFAR's 8x8x8 and the live tests' 4x10x10 — and at every output
+// width 1 to 9. Inputs have many ties (zeros of both signs), so the
+// first-wins rule of the strict comparison is exercised; in every third
+// trial they also have NaNs and infinities, and dy has -0 (the winner
+// gets +0) and NaNs, quiet and signalling (the winner gets the quiet NaN
+// with the same payload).
 func TestMaxPoolMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 60; trial++ {
+	shapes := [][3]int{{6, 26, 26}, {8, 8, 8}, {4, 10, 10}}
+	for outW := 1; outW <= 9; outW++ {
+		shapes = append(shapes, [3]int{1 + outW%3, 2 * (1 + outW%4), 2 * outW})
+	}
+	oddNaN := math.Float64frombits(0xFFF00000DEAD0001)
+	for trial := 0; trial < 60+len(shapes); trial++ {
 		ch, inH, inW := 1+rng.Intn(4), 2*(1+rng.Intn(5)), 2*(1+rng.Intn(5))
+		if trial >= 60 {
+			ch, inH, inW = shapes[trial-60][0], shapes[trial-60][1], shapes[trial-60][2]
+		}
 		p := NewMaxPool2D(ch, inH, inW)
 		x := make([]float64, ch*inH*inW)
-		// Many ties (zeros of both signs) so the first-wins rule of the
-		// strict comparison is exercised, not only distinct values.
-		awkward(rng, x, zeroShares[trial%4])
-		refOut := make([]float64, len(p.outV))
-		refArg := make([]int, len(p.argmax))
-		refMaxPoolForward(p, x, refOut, refArg)
-		sameBits(t, "pool out", p.Forward(x), refOut)
-		for i := range refArg {
-			if p.argmax[i] != refArg[i] {
-				t.Fatalf("argmax[%d] = %d, reference %d", i, p.argmax[i], refArg[i])
+		dy := make([]float64, len(p.outV))
+		for round := 0; round < 2; round++ {
+			awkward(rng, x, zeroShares[(trial+round)%4])
+			awkward(rng, dy, 0.2)
+			if (trial+round)%3 == 0 {
+				for i := range x {
+					if rng.Intn(8) == 0 {
+						x[i] = []float64{math.Inf(1), math.Inf(-1), math.NaN(), oddNaN}[rng.Intn(4)]
+					}
+				}
+				for i := range dy {
+					switch rng.Intn(6) {
+					case 0:
+						dy[i] = math.Copysign(0, -1)
+					case 1:
+						dy[i] = []float64{math.NaN(), oddNaN}[rng.Intn(2)]
+					}
+				}
 			}
+			what := fmt.Sprintf("pool %dx%dx%d round %d", ch, inH, inW, round)
+			refOut := make([]float64, len(p.outV))
+			refArg := make([]int, len(p.argmax))
+			refMaxPoolForward(p, x, refOut, refArg)
+			sameBits(t, what+" out", p.Forward(x), refOut)
+			for i := range refArg {
+				if p.argmax[i] != refArg[i] {
+					t.Fatalf("%s: argmax[%d] = %d, reference %d", what, i, p.argmax[i], refArg[i])
+				}
+			}
+			refDX := make([]float64, len(p.dx))
+			refMaxPoolBackward(refArg, dy, refDX)
+			sameBits(t, what+" dx", p.Backward(dy), refDX)
 		}
 	}
 }
 
+// TestReLUMatchesReferenceBits: Forward and Backward equal the branching
+// loops at lengths 1 to 40 and at the MNIST CNN's first activation (4056)
+// and the lengths after it (every residue mod 4 past the sweep's groups).
 func TestReLUMatchesReferenceBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 60; trial++ {
+	long := []int{4056, 4057, 4058, 4059}
+	for trial := 0; trial < 60+len(long); trial++ {
 		n := 1 + rng.Intn(40)
+		if trial >= 60 {
+			n = long[trial-60]
+		}
 		r := NewReLU(n)
 		x, dy := make([]float64, n), make([]float64, n)
 		awkward(rng, x, zeroShares[trial%4])

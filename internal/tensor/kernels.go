@@ -9,8 +9,10 @@ import (
 // which run on every architecture and are the fallback on an amd64 CPU
 // without AVX2 — and the exported entry points of the kernels that are not
 // Matrix methods: the two nn sweeps (Conv3x3Add, SGDStep), the two
-// activation sweeps (SigmoidTo, TanhTo) and the four sweeps of the
-// protocol path (WeightedMerge, MergeReply, MeanInto, AllFinite).
+// activation sweeps (SigmoidTo, TanhTo), the CNN's elementwise layers
+// (ReLUTo, ReLUGradTo, MaxPool2x2, and Fill, Conv2D's bias fill) and the
+// four sweeps of the protocol path (WeightedMerge, MergeReply, MeanInto,
+// AllFinite).
 // kernels_amd64.go (AVX2 assembly, chosen by the CPU) and
 // kernels_generic.go (everything else, and -tags purego) decide which
 // backend a call reaches; both backends produce the same bits.
@@ -62,6 +64,59 @@ func SigmoidTo(dst, src []float64) {
 func TanhTo(dst, src []float64) {
 	mustSameLen(len(dst), len(src))
 	tanhTo(dst, src)
+}
+
+// ReLUTo writes the rectified src to dst: dst[i] = src[i] where
+// src[i] > 0, else +0, so -0, every negative and every NaN of either sign
+// give +0. Lengths must match; dst may be src.
+func ReLUTo(dst, src []float64) {
+	mustSameLen(len(dst), len(src))
+	if len(src) == 0 {
+		return
+	}
+	reluTo(dst, src)
+}
+
+// ReLUGradTo is ReLU's backward mask: dx[i] = dy[i] where the bit pattern
+// of out[i] is not zero, else +0. For an out that ReLUTo wrote (+0 or a
+// positive number, never -0 or NaN) that is "where out[i] > 0". Lengths
+// must match; dx may be dy.
+func ReLUGradTo(dx, dy, out []float64) {
+	mustSameLen(len(dx), len(out))
+	mustSameLen(len(dy), len(out))
+	if len(out) == 0 {
+		return
+	}
+	reluGradTo(dx, dy, out)
+}
+
+// MaxPool2x2 is a 2x2 max-pool with stride 2 over rows output rows: output
+// row r pools input rows 2r and 2r+1 of x, each inW wide, so a CHW stack of
+// planes of even height is one call. out[r*outW+ox], outW = inW/2, is the
+// largest of its window's four candidates, visited top-left, top-right,
+// bottom-left, bottom-right with a later one winning only if strictly
+// greater (so ties and NaNs keep the earliest), and arg[r*outW+ox] is the
+// winner's index in x. inW must be even and positive, out and arg
+// rows*outW long, and x at least 2*rows*inW; out must not overlap x.
+func MaxPool2x2(out []float64, arg []int, x []float64, rows, inW int) {
+	if inW <= 0 || inW%2 != 0 || rows < 0 || len(out) != rows*(inW/2) || len(arg) != len(out) {
+		panic(fmt.Sprintf("tensor: MaxPool2x2 shape: len(out)=%d len(arg)=%d rows=%d inW=%d", len(out), len(arg), rows, inW))
+	}
+	if len(x) < 2*rows*inW {
+		panic(fmt.Sprintf("tensor: MaxPool2x2 input length %d < %d rows of %d", len(x), 2*rows, inW))
+	}
+	if rows == 0 {
+		return
+	}
+	maxPool2x2(out, arg, x, rows, inW)
+}
+
+// Fill sets every element of a to v.
+func Fill(a []float64, v float64) {
+	if len(a) == 0 {
+		return
+	}
+	fill(a, v)
 }
 
 // WeightedMerge moves v toward x by weight w: v[i] += w*(x[i] - v[i]).
@@ -269,6 +324,70 @@ func sgdStepGo(p, g []float64, lr, scale, clip float64) {
 		}
 		p[i] -= lr * gv
 		g[i] = 0
+	}
+}
+
+// reluGo: pre-activations are positive about half the time with no
+// pattern a branch predictor can learn, so the comparison is done on the
+// bit pattern instead of with a branch. Read as a signed integer b, v > 0
+// fails when b < 0 (sign bit set: negatives, -0, NaNs with the sign bit)
+// and when b > 0x7FF0000000000000 (NaNs without it); zero needs no case
+// because masking it or keeping it gives +0 either way.
+func reluGo(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		b := int64(math.Float64bits(v))
+		keep := ((b - 0x7FF0000000000001) >> 63) &^ (b >> 63) // all ones iff v > 0 or v == +0
+		dst[i] = math.Float64frombits(uint64(b & keep))
+	}
+}
+
+// reluGradGo: "bit pattern not zero", again taken without a branch.
+func reluGradGo(dx, dy, out []float64) {
+	dy, dx = dy[:len(out)], dx[:len(out)]
+	for i, v := range out {
+		b := math.Float64bits(v)
+		keep := uint64(int64(b|-b) >> 63) // all ones iff b != 0
+		dx[i] = math.Float64frombits(math.Float64bits(dy[i]) & keep)
+	}
+}
+
+// maxPool2x2Go: which candidate wins is unpredictable (after a ReLU about
+// half the inputs are zero), so the winner is carried as a bit pattern and
+// an index, both updated through a mask instead of a branch.
+func maxPool2x2Go(out []float64, arg []int, x []float64, rows, inW int) {
+	outW := inW / 2
+	for row := 0; row < rows; row++ {
+		base := 2 * row * inW
+		top, bot := x[base:][:inW], x[base+inW:][:inW]
+		o, a := out[row*outW:][:outW], arg[row*outW:][:outW]
+		for ox := range o {
+			i := 2 * ox
+			best, idx := math.Float64bits(top[i]), uint64(i)
+			best, idx = takeIfGreater(best, idx, top[i+1], uint64(i+1))
+			best, idx = takeIfGreater(best, idx, bot[i], uint64(inW+i))
+			best, idx = takeIfGreater(best, idx, bot[i+1], uint64(inW+i+1))
+			o[ox] = math.Float64frombits(best)
+			a[ox] = base + int(idx)
+		}
+	}
+}
+
+// takeIfGreater returns (bits of v, vIdx) when v > the float whose bits
+// are best, else (best, idx). The if only sets a flag — the compiler makes
+// it a SETcc, not a jump — and the selection is done with the mask.
+func takeIfGreater(best, idx uint64, v float64, vIdx uint64) (uint64, uint64) {
+	var gt uint64
+	if v > math.Float64frombits(best) {
+		gt = 1
+	}
+	mask := -gt
+	return best ^ (best^math.Float64bits(v))&mask, idx ^ (idx^vIdx)&mask
+}
+
+func fillGo(a []float64, v float64) {
+	for i := range a {
+		a[i] = v
 	}
 }
 

@@ -50,9 +50,12 @@ func expMatchesMath() bool {
 // every length first (as the exported wrappers do for both backends) and
 // route zero rows, zero columns and empty slices to the Go loops.
 //
-// In every one of them but the exp sweeps a SIMD lane is one accumulator
-// of the ordering contract, fed by a separate multiply and add (never a
-// fused one), and no sum ever crosses lanes. The exp sweeps' lanes are
+// In every one of them but the exp and layer sweeps a SIMD lane is one
+// accumulator of the ordering contract, fed by a separate multiply and add
+// (never a fused one), and no sum ever crosses lanes. The layer sweeps
+// (ReLU, its backward mask, the 2x2 max-pool, Fill) add nothing: a lane is
+// an element or a pooling window, given the bits of one operand or +0
+// through a mask. The exp sweeps' lanes are
 // elements, each run through math.Exp's own instructions (fused where
 // they fuse); they take whole groups of four and return how many elements
 // they wrote, stopping before a group that has a lane off math.Exp's main
@@ -84,6 +87,18 @@ func mean4AVX2(avg, m0, m1, m2, m3 *float64, n int, share float64, fresh bool)
 
 //go:noescape
 func allFiniteAVX2(v *float64, n int) bool
+
+//go:noescape
+func reluAVX2(dst, src *float64, n int)
+
+//go:noescape
+func reluGradAVX2(dx, dy, out *float64, n int)
+
+//go:noescape
+func maxPool2x2AVX2(out *float64, arg *int, x *float64, rows, inW int)
+
+//go:noescape
+func fillAVX2(a *float64, n int, v float64)
 
 //go:noescape
 func sigmoidAVX2(dst, src *float64, n int) int
@@ -175,6 +190,43 @@ func allFinite(v []float64) bool {
 		return allFiniteAVX2(&v[0], len(v))
 	}
 	return allFiniteGo(v)
+}
+
+// reluTo, reluGradTo and fill: the wrappers have checked that the lengths
+// match and are >= 1.
+func reluTo(dst, src []float64) {
+	if useAVX2 {
+		reluAVX2(&dst[0], &src[0], len(src))
+		return
+	}
+	reluGo(dst, src)
+}
+
+func reluGradTo(dx, dy, out []float64) {
+	if useAVX2 {
+		reluGradAVX2(&dx[0], &dy[0], &out[0], len(out))
+		return
+	}
+	reluGradGo(dx, dy, out)
+}
+
+func fill(a []float64, v float64) {
+	if useAVX2 {
+		fillAVX2(&a[0], len(a), v)
+		return
+	}
+	fillGo(a, v)
+}
+
+// maxPool2x2: MaxPool2x2 has checked rows >= 1, an even inW >= 2 and every
+// extent. The assembly needs rows of at least four windows, because it
+// takes a row's last outW%4 windows by re-running the row's last four.
+func maxPool2x2(out []float64, arg []int, x []float64, rows, inW int) {
+	if useAVX2 && inW >= 8 {
+		maxPool2x2AVX2(&out[0], &arg[0], &x[0], rows, inW)
+		return
+	}
+	maxPool2x2Go(out, arg, x, rows, inW)
 }
 
 // sigmoidTo, tanhTo and expShift: the wrappers have checked

@@ -3,9 +3,10 @@
 #include "textflag.h"
 
 // AVX2 backend of the hot kernels: the five nn kernels, the four sweeps
-// of the protocol path and the three exp sweeps (sigmoid, tanh, softmax's
-// exponentials). The rules every routine keeps (the ordering contract of
-// internal/nn's package comment):
+// of the protocol path, the CNN's four elementwise layer sweeps (ReLU, its
+// backward mask, the 2x2 max-pool, Fill) and the three exp sweeps
+// (sigmoid, tanh, softmax's exponentials). The rules every routine keeps
+// (the ordering contract of internal/nn's package comment):
 //
 //   - a SIMD lane is one accumulator; lanes are never added to each other
 //     and an accumulator is never split across lanes;
@@ -925,6 +926,269 @@ af_next:
 af_done:
 	XORL $1, DX
 	MOVB DX, ret+16(FP)
+	VZEROUPPER
+	RET
+
+// The CNN's layer sweeps below compute nothing: a lane is one element (one
+// pooling window for the pool) and receives the bits of one of its
+// operands, or +0, selected by a mask that is decided the way the Go loop
+// decides it.
+
+// One ReLU group at OFF: dst = src where the word b of src is above Z = 0
+// and not above M = 0x7FF0000000000000 as a signed integer, else +0 — two
+// VPCMPGTQ and a VPANDN, so -0, every negative and every NaN of either
+// sign give +0 (+0 itself is kept or masked to the same bits). With X
+// registers and VMOVQ, one word.
+#define RELU(LOAD, OFF, V, K, N, Z, M) \
+	LOAD     OFF(SI), V; \
+	VPCMPGTQ Z, V, K; \
+	VPCMPGTQ M, V, N; \
+	VPANDN   K, N, K; \
+	VPAND    K, V, V; \
+	LOAD     V, OFF(DI)
+
+// ReLU: sixteen words per iteration, then four, then one at a time.
+//
+// func reluAVX2(dst, src *float64, n int)
+TEXT ·reluAVX2(SB), NOSPLIT, $0-24
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	MOVQ         $0x7FF0000000000000, AX
+	VMOVQ        AX, X15
+	VPBROADCASTQ X15, Y15
+	VPXOR        Y14, Y14, Y14
+
+rl_sixteen:
+	CMPQ CX, $16
+	JLT  rl_four
+	RELU(VMOVDQU, 0, Y0, Y1, Y2, Y14, Y15)
+	RELU(VMOVDQU, 32, Y3, Y4, Y5, Y14, Y15)
+	RELU(VMOVDQU, 64, Y6, Y7, Y8, Y14, Y15)
+	RELU(VMOVDQU, 96, Y9, Y10, Y11, Y14, Y15)
+	ADDQ $128, SI
+	ADDQ $128, DI
+	SUBQ $16, CX
+	JMP  rl_sixteen
+
+rl_four:
+	CMPQ CX, $4
+	JLT  rl_one
+	RELU(VMOVDQU, 0, Y0, Y1, Y2, Y14, Y15)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $4, CX
+	JMP  rl_four
+
+rl_one:
+	TESTQ CX, CX
+	JZ    rl_done
+	RELU(VMOVQ, 0, X0, X1, X2, X14, X15)
+	ADDQ  $8, SI
+	ADDQ  $8, DI
+	DECQ  CX
+	JMP   rl_one
+
+rl_done:
+	VZEROUPPER
+	RET
+
+// One backward-mask group at OFF: dx = dy where the word of out is not
+// zero, else +0 — VPCMPEQQ with Z = 0, then VPANDN with dy (in D). With X
+// registers and VMOVQ, one word.
+#define RELUGRAD(LOAD, OFF, V, D, Z) \
+	LOAD     OFF(R8), V; \
+	VPCMPEQQ Z, V, V; \
+	LOAD     OFF(SI), D; \
+	VPANDN   D, V, V; \
+	LOAD     V, OFF(DI)
+
+// ReLU's backward mask: sixteen words per iteration, then four, then one
+// at a time.
+//
+// func reluGradAVX2(dx, dy, out *float64, n int)
+TEXT ·reluGradAVX2(SB), NOSPLIT, $0-32
+	MOVQ  dx+0(FP), DI
+	MOVQ  dy+8(FP), SI
+	MOVQ  out+16(FP), R8
+	MOVQ  n+24(FP), CX
+	VPXOR Y15, Y15, Y15
+
+rg_sixteen:
+	CMPQ CX, $16
+	JLT  rg_four
+	RELUGRAD(VMOVDQU, 0, Y0, Y4, Y15)
+	RELUGRAD(VMOVDQU, 32, Y1, Y5, Y15)
+	RELUGRAD(VMOVDQU, 64, Y2, Y6, Y15)
+	RELUGRAD(VMOVDQU, 96, Y3, Y7, Y15)
+	ADDQ $128, SI
+	ADDQ $128, DI
+	ADDQ $128, R8
+	SUBQ $16, CX
+	JMP  rg_sixteen
+
+rg_four:
+	CMPQ CX, $4
+	JLT  rg_one
+	RELUGRAD(VMOVDQU, 0, Y0, Y4, Y15)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $32, R8
+	SUBQ $4, CX
+	JMP  rg_four
+
+rg_one:
+	TESTQ CX, CX
+	JZ    rg_done
+	RELUGRAD(VMOVQ, 0, X0, X4, X15)
+	ADDQ  $8, SI
+	ADDQ  $8, DI
+	ADDQ  $8, R8
+	DECQ  CX
+	JMP   rg_one
+
+rg_done:
+	VZEROUPPER
+	RET
+
+// The top-left indices of a group of four windows relative to the first,
+// in the lane order POOL4 works in (windows 0, 2, 1, 3): 0, 4, 2, 6.
+DATA pooliota<>+0(SB)/8, $0
+DATA pooliota<>+8(SB)/8, $4
+DATA pooliota<>+16(SB)/8, $2
+DATA pooliota<>+24(SB)/8, $6
+GLOBL pooliota<>(SB), RODATA, $32
+
+// Four windows of one output row, outputs DX to DX+3. The row's eight top
+// words, loaded as (0 1 2 3) and (4 5 6 7), unpack into the four top-left
+// and the four top-right candidates with the windows in lane order
+// 0, 2, 1, 3, and the same for the bottom row. Lane k starts from its
+// top-left (value in Y2, offset 0 in Y9) and takes top-right, bottom-left,
+// bottom-right in turn where VCMPPD GT_OQ says the candidate is greater —
+// false for equal values and whenever either side is NaN, like Go's > —
+// selecting the value and the candidate's offset (1, inW, inW+1) with the
+// same mask. The winner's index is its offset plus the top-left index, and
+// one VPERMPD/VPERMQ each puts value and index back in window order. BX is
+// the x index of the row's first top-left, R11 a row of x in bytes,
+// Y12-Y15 = inW+1, inW, 1 and pooliota. Clobbers AX, R12, R13, Y0-Y7, Y9.
+#define POOL4 \
+	LEAQ         (BX)(DX*2), AX; \
+	LEAQ         (SI)(AX*8), R12; \
+	LEAQ         (R12)(R11*1), R13; \
+	VMOVUPD      (R12), Y0; \
+	VMOVUPD      32(R12), Y1; \
+	VUNPCKLPD    Y1, Y0, Y2; \
+	VUNPCKHPD    Y1, Y0, Y3; \
+	VMOVUPD      (R13), Y0; \
+	VMOVUPD      32(R13), Y1; \
+	VUNPCKLPD    Y1, Y0, Y4; \
+	VUNPCKHPD    Y1, Y0, Y5; \
+	VCMPPD       $0x1e, Y2, Y3, Y7; \
+	VBLENDVPD    Y7, Y3, Y2, Y2; \
+	VANDPD       Y14, Y7, Y9; \
+	VCMPPD       $0x1e, Y2, Y4, Y7; \
+	VBLENDVPD    Y7, Y4, Y2, Y2; \
+	VBLENDVPD    Y7, Y13, Y9, Y9; \
+	VCMPPD       $0x1e, Y2, Y5, Y7; \
+	VBLENDVPD    Y7, Y5, Y2, Y2; \
+	VBLENDVPD    Y7, Y12, Y9, Y9; \
+	VMOVQ        AX, X6; \
+	VPBROADCASTQ X6, Y6; \
+	VPADDQ       Y15, Y6, Y6; \
+	VPADDQ       Y6, Y9, Y9; \
+	VPERMPD      $0xD8, Y2, Y2; \
+	VPERMQ       $0xD8, Y9, Y9; \
+	VMOVUPD      Y2, (DI)(DX*8); \
+	VMOVDQU      Y9, (R8)(DX*8)
+
+// MaxPool2x2 over the whole stack: rows of outW = inW/2 >= 4 outputs,
+// four windows at a time; a row whose outW is not a multiple of four ends
+// with its last four windows again, which rewrites the same bits, since
+// windows share nothing.
+//
+// func maxPool2x2AVX2(out *float64, arg *int, x *float64, rows, inW int)
+TEXT ·maxPool2x2AVX2(SB), NOSPLIT, $0-40
+	MOVQ         out+0(FP), DI
+	MOVQ         arg+8(FP), R8
+	MOVQ         x+16(FP), SI
+	MOVQ         rows+24(FP), CX
+	MOVQ         inW+32(FP), R9
+	MOVQ         R9, R10
+	SHRQ         $1, R10 // outW
+	MOVQ         R9, R11
+	SHLQ         $3, R11
+	VMOVDQU      pooliota<>(SB), Y15
+	MOVQ         $1, AX
+	VMOVQ        AX, X14
+	VPBROADCASTQ X14, Y14
+	VMOVQ        R9, X13
+	VPBROADCASTQ X13, Y13
+	VPADDQ       Y14, Y13, Y12
+	XORQ         BX, BX
+
+mp_row:
+	XORQ DX, DX
+
+mp_four:
+	LEAQ  4(DX), AX
+	CMPQ  AX, R10
+	JGT   mp_tail
+	POOL4
+	ADDQ  $4, DX
+	JMP   mp_four
+
+mp_tail:
+	CMPQ  DX, R10
+	JEQ   mp_next
+	LEAQ  -4(R10), DX
+	POOL4
+
+mp_next:
+	LEAQ (DI)(R10*8), DI
+	LEAQ (R8)(R10*8), R8
+	LEAQ (BX)(R9*2), BX
+	DECQ CX
+	JNZ  mp_row
+	VZEROUPPER
+	RET
+
+// Fill: v broadcast and stored sixteen words per iteration, then four,
+// then one at a time.
+//
+// func fillAVX2(a *float64, n int, v float64)
+TEXT ·fillAVX2(SB), NOSPLIT, $0-24
+	MOVQ         a+0(FP), DI
+	MOVQ         n+8(FP), CX
+	VBROADCASTSD v+16(FP), Y0
+
+fl_sixteen:
+	CMPQ    CX, $16
+	JLT     fl_four
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y0, 32(DI)
+	VMOVUPD Y0, 64(DI)
+	VMOVUPD Y0, 96(DI)
+	ADDQ    $128, DI
+	SUBQ    $16, CX
+	JMP     fl_sixteen
+
+fl_four:
+	CMPQ    CX, $4
+	JLT     fl_one
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JMP     fl_four
+
+fl_one:
+	TESTQ  CX, CX
+	JZ     fl_done
+	VMOVSD X0, (DI)
+	ADDQ   $8, DI
+	DECQ   CX
+	JMP    fl_one
+
+fl_done:
 	VZEROUPPER
 	RET
 

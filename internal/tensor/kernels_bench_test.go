@@ -6,16 +6,18 @@ import (
 	"testing"
 )
 
-// The benchmarks below time the five hot kernels at the shapes the models
-// use, once per backend (backend=go, backend=avx2), so one run is a
-// before/after table:
+// The benchmarks below time the five hot kernels and the CNN's layer
+// sweeps at the shapes the models use, once per backend (backend=go,
+// backend=avx2), so one run is a before/after table:
 //
 //	go test -run '^$' -bench Kernel -benchtime 200000x ./internal/tensor
 //
 // Shapes: the char-LSTM's input (64x8), recurrent (64x16) and output
 // (32x16) matrices, the MNIST CNN's dense layers (32x150, 10x32), the
 // convolution of its first layer over one plane (12x12 -> 10x10) and the
-// 26x26 sweep of a full-size MNIST image, and a step over 2400 parameters.
+// 26x26 sweep of a full-size MNIST image, a step over 2400 parameters,
+// and the MNIST CNN's first ReLU and pool (6x26x26) and bias fill (one
+// 26x26 plane).
 
 var modelShapes = [][2]int{{64, 8}, {64, 16}, {32, 16}, {32, 150}, {10, 32}}
 
@@ -94,6 +96,66 @@ func BenchmarkKernelSGDStep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				g[i%2400] = 7 // the step zeroes the gradient; keep one clipped entry
 				SGDStep(p, g, 1e-3, 0.1, 0.5)
+			}
+		})
+	}
+}
+
+// The MNIST CNN's first activation: 6 planes of 26x26 after the
+// convolution.
+const mnistAct = 6 * 26 * 26
+
+// mnistActivations is what the CNN's ReLU and pool see: a normal draw
+// rectified, so about half of it +0.
+func mnistActivations(rng *rand.Rand) []float64 {
+	x := randVec(rng, mnistAct)
+	ReLUTo(x, x)
+	return x
+}
+
+func BenchmarkKernelReLU(b *testing.B) {
+	for _, be := range backends {
+		b.Run("forward/4056/backend="+be.name, func(b *testing.B) {
+			be.use(b)
+			x, out := randVec(rand.New(rand.NewSource(1)), mnistAct), make([]float64, mnistAct)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ReLUTo(out, x)
+			}
+		})
+		b.Run("backward/4056/backend="+be.name, func(b *testing.B) {
+			be.use(b)
+			rng := rand.New(rand.NewSource(1))
+			out, dy, dx := mnistActivations(rng), randVec(rng, mnistAct), make([]float64, mnistAct)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ReLUGradTo(dx, dy, out)
+			}
+		})
+	}
+}
+
+func BenchmarkKernelMaxPool2x2(b *testing.B) {
+	for _, be := range backends {
+		b.Run("6x26x26/backend="+be.name, func(b *testing.B) {
+			be.use(b)
+			x := mnistActivations(rand.New(rand.NewSource(1)))
+			out, arg := make([]float64, mnistAct/4), make([]int, mnistAct/4)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MaxPool2x2(out, arg, x, 6*13, 26)
+			}
+		})
+	}
+}
+
+func BenchmarkKernelFill(b *testing.B) {
+	for _, be := range backends {
+		b.Run("676/backend="+be.name, func(b *testing.B) {
+			be.use(b)
+			a := make([]float64, 26*26)
+			for i := 0; i < b.N; i++ {
+				Fill(a, 0.25)
 			}
 		})
 	}

@@ -23,6 +23,14 @@ func mean4(avg []float64, share float64, m0, m1, m2, m3 []float64, fresh bool) {
 	mean4Go(avg, share, m0, m1, m2, m3, fresh)
 }
 
+func reluTo(dst, src []float64)        { reluGo(dst, src) }
+func reluGradTo(dx, dy, out []float64) { reluGradGo(dx, dy, out) }
+func fill(a []float64, v float64)      { fillGo(a, v) }
+
+func maxPool2x2(out []float64, arg []int, x []float64, rows, inW int) {
+	maxPool2x2Go(out, arg, x, rows, inW)
+}
+
 func sigmoidTo(dst, src []float64)               { sigmoidGo(dst, src) }
 func tanhTo(dst, src []float64)                  { tanhGo(dst, src) }
 func expShift(dst, src []float64, shift float64) { expShiftGo(dst, src, shift) }

@@ -325,9 +325,9 @@ func TestSGDStepMatchesReferenceBits(t *testing.T) {
 
 // TestKernelsRejectShortOperands: every length the loops relied on slicing
 // to check is checked before either backend runs, so a hand-built Matrix
-// with a short Data, a convolution input that does not cover its output,
-// or a parameter slice shorter than its gradient panics instead of letting
-// assembly walk off the end.
+// with a short Data, a convolution or pool input that does not cover its
+// output, or a parameter slice shorter than its gradient panics instead of
+// letting assembly walk off the end.
 func TestKernelsRejectShortOperands(t *testing.T) {
 	short := &Matrix{Rows: 4, Cols: 4, Data: make([]float64, 15)}
 	v4, v9 := make([]float64, 4), make([]float64, 9)
@@ -348,6 +348,14 @@ func TestKernelsRejectShortOperands(t *testing.T) {
 		"MeanInto ragged models": func() { MeanInto(v4, [][]float64{v4, v4, v4, v9}) },
 		"SigmoidTo long src":     func() { SigmoidTo(v4, v9) },
 		"TanhTo short src":       func() { TanhTo(v9, v4) },
+		"ReLUTo short dst":       func() { ReLUTo(v4, v9) },
+		"ReLUGradTo short dy":    func() { ReLUGradTo(v4, v4[:3], v4) },
+		"ReLUGradTo long out":    func() { ReLUGradTo(v4, v4, v9) },
+		"MaxPool2x2 short x":     func() { MaxPool2x2(v4, make([]int, 4), make([]float64, 15), 2, 4) },
+		"MaxPool2x2 short arg":   func() { MaxPool2x2(v4, make([]int, 3), make([]float64, 16), 2, 4) },
+		"MaxPool2x2 ragged out":  func() { MaxPool2x2(v4[:3], make([]int, 3), make([]float64, 16), 2, 4) },
+		"MaxPool2x2 odd inW":     func() { MaxPool2x2(v4, make([]int, 4), make([]float64, 20), 2, 5) },
+		"MaxPool2x2 rows":        func() { MaxPool2x2(nil, nil, nil, -1, 4) },
 	}
 	for _, be := range backends {
 		t.Run("backend="+be.name, func(t *testing.T) {
@@ -385,6 +393,12 @@ func TestKernelsOnEmptyOperands(t *testing.T) {
 			Conv3x3Add(nil, 2, nil, 4, make([]float64, 9))
 			SGDStep(dst, nil, 1, 1, 1)
 			sameBits(t, "SGDStep with no gradient", dst, []float64{0, 0, 0})
+			ReLUTo(nil, nil)
+			ReLUGradTo(nil, nil, nil)
+			MaxPool2x2(nil, nil, nil, 0, 8)
+			MaxPool2x2(nil, nil, dst, 0, 2)
+			Fill(nil, 1)
+			Fill(dst[:0], 1)
 		})
 	}
 }

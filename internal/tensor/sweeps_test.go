@@ -199,7 +199,8 @@ func TestAllFiniteFindsEveryNonFinite(t *testing.T) {
 
 // TestSweepsAllocateNothing: none of the four wrappers allocates, on
 // either backend, and neither do the exp sweeps, over groups the assembly
-// takes and groups it hands back to the scalar code (-1000, -Inf).
+// takes and groups it hands back to the scalar code (-1000, -Inf), nor the
+// layer sweeps at the MNIST CNN's shapes.
 func TestSweepsAllocateNothing(t *testing.T) {
 	const n = 16384
 	v, x := make([]float64, n), make([]float64, n)
@@ -209,7 +210,12 @@ func TestSweepsAllocateNothing(t *testing.T) {
 		e[i] = float64(i%9) - 4
 	}
 	e[13], e[40] = -1000, math.Inf(-1)
+	arg := make([]int, 1014)
 	sweeps := map[string]func(){
+		"ReLUTo":        func() { ReLUTo(v[:4056], x[:4056]) },
+		"ReLUGradTo":    func() { ReLUGradTo(v[:4056], v[:4056], x[:4056]) },
+		"MaxPool2x2":    func() { MaxPool2x2(v[:1014], arg, x[:4056], 78, 26) },
+		"Fill":          func() { Fill(v[:676], 0.5) },
 		"WeightedMerge": func() { WeightedMerge(v, 0.3, x) },
 		"MergeReply":    func() { MergeReply(v, 0.3, x) },
 		"MeanInto":      func() { MeanInto(v, models) },

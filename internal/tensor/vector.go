@@ -5,6 +5,7 @@
 //
 // The hot kernels (MatVec, MatVecT, AddOuter, Conv3x3Add, SGDStep, the
 // activation sweeps SigmoidTo and TanhTo with SoftmaxTo's exponentials,
+// the CNN's elementwise layers ReLUTo, ReLUGradTo, MaxPool2x2 and Fill,
 // and the protocol path's sweeps WeightedMerge, MergeReply, MeanInto,
 // AllFinite) keep the ordering contract described in internal/nn's
 // package comment: every accumulator receives the same floating-point
@@ -18,10 +19,14 @@
 // lanes. A function the Go code calls is reproduced with that function's
 // own instructions: the exp sweeps run math.Exp's amd64 assembly on four
 // lanes, fused exactly where it fuses, and only once a probe has seen
-// them agree with math.Exp in this process. The CPU alone chooses;
-// building with -tags purego leaves only the Go loops. The bits are
-// amd64's: on architectures where the Go compiler fuses x*y + z (arm64,
-// ppc64le, s390x, riscv64) the portable loops round differently.
+// them agree with math.Exp in this process. The elementwise layers
+// compute nothing: each lane (an element, or a pooling window) selects
+// the bits of one of its operands, or +0, through a mask, deciding on the
+// bit pattern or with an ordered compare exactly as the Go loop decides.
+// The CPU alone chooses; building with -tags purego leaves only the Go
+// loops. The bits are amd64's: on architectures where the Go compiler
+// fuses x*y + z (arm64, ppc64le, s390x, riscv64) the portable loops round
+// differently.
 package tensor
 
 import (
@@ -57,13 +62,6 @@ func Clone(a []float64) []float64 {
 func Zero(a []float64) {
 	for i := range a {
 		a[i] = 0
-	}
-}
-
-// Fill sets every element of a to v.
-func Fill(a []float64, v float64) {
-	for i := range a {
-		a[i] = v
 	}
 }
 
