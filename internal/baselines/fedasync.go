@@ -6,11 +6,9 @@
 package baselines
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/spyker-fl/spyker/internal/fl"
-	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/paramvec"
 	"github.com/spyker-fl/spyker/internal/tensor"
 )
@@ -42,16 +40,14 @@ func buildAsyncServer(env *fl.Env, handle func(client int, update []float64, ver
 		w:       tensor.Clone(initial),
 		clients: make(map[int]*fl.SimClient, len(env.Clients)),
 	}
+	// An update's meta is the model version it was trained from.
+	deliver := newInbox(env, s.queue, env.Hyper.ProcFedAsync, func(client int, update []float64, ver float64) {
+		handle(client, update, int(ver))
+	}).deliver
 	for ci := range env.Clients {
-		c := env.NewSimClient(ci, 0, func(clientID int, update []float64, meta any, _ obs.UID) {
-			ver, ok := meta.(int)
-			if !ok {
-				panic(fmt.Sprintf("baselines: update meta %T is not a model version", meta))
-			}
-			s.queue.Submit(env.Hyper.ProcFedAsync, func() { handle(clientID, update, ver) })
-		})
+		c := env.NewSimClient(ci, 0, deliver)
 		s.clients[ci] = c
-		c.HandleModel(initial, int(0), env.Hyper.ClientLR)
+		c.HandleModel(initial, 0, env.Hyper.ClientLR)
 	}
 	return s, initial, nil
 }
@@ -94,7 +90,7 @@ func (f *FedAsync) handleUpdate(client int, update []float64, ver int) {
 	s.version++
 
 	s.env.Observer.ClientUpdateProcessed(s.env.Sim.Now(), 0, client, s.params)
-	s.env.SendModel(0, s.clients[client], s.w, s.version, s.env.Hyper.ClientLR)
+	s.env.SendModel(0, s.clients[client], s.w, float64(s.version), s.env.Hyper.ClientLR)
 }
 
 // GlobalParams exposes the live global model for tests.

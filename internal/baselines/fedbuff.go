@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"github.com/spyker-fl/spyker/internal/fl"
-	"github.com/spyker-fl/spyker/internal/geo"
 	"github.com/spyker-fl/spyker/internal/paramvec"
 	"github.com/spyker-fl/spyker/internal/tensor"
 )
@@ -73,15 +72,11 @@ func (f *FedBuff) handleUpdate(client int, update []float64, ver int) {
 
 	s.env.Observer.ClientUpdateProcessed(s.env.Sim.Now(), 0, client, s.params)
 
-	c := s.clients[client]
 	// The reply stays owned (not pooled): lastSent legitimately retains it
 	// until the client's next update, to recover the local delta.
 	reply := tensor.Clone(s.w)
 	f.lastSent[client] = reply
-	ver = s.version
-	s.env.Net.Send(s.env.ServerEndpoint(0), s.env.ClientEndpoint(client), s.env.ModelBytes, geo.ClientServer, func() {
-		c.HandleModel(reply, ver, s.env.Hyper.ClientLR)
-	})
+	s.env.SendOwned(0, s.clients[client], reply, float64(s.version), s.env.Hyper.ClientLR)
 }
 
 // GlobalParams exposes the live global model for tests.

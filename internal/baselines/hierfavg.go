@@ -4,6 +4,7 @@ import (
 	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/geo"
 	"github.com/spyker-fl/spyker/internal/paramvec"
+	"github.com/spyker-fl/spyker/internal/simulation"
 )
 
 // HierFAVG is the hierarchical multi-server baseline (Liu et al. 2020):
@@ -17,6 +18,23 @@ type HierFAVG struct {
 	edges   []*roundServer
 	weights []float64 // each edge's share of the global data
 	cloud   *hierCloud
+
+	// The typed events of the edge<->cloud exchange: a model's arrival,
+	// which queues it at its receiver, and the cloud's and an edge's job
+	// for it; msgs are their records (one per message, freed by the job).
+	arrive, atCloud, atEdge simulation.Kind
+	msgs                    simulation.Slab[hierMsg]
+}
+
+// hierMsg is one model between an edge and the cloud: an edge's snapshot
+// on its way up, or the shared global model on its way down to edge.
+type hierMsg struct {
+	edge   int
+	model  paramvec.Vec
+	global *fl.SharedVec
+	queue  *fl.ProcQueue // the receiver's, with its delay and the job
+	proc   float64
+	job    simulation.Kind
 }
 
 var _ fl.Algorithm = (*HierFAVG)(nil)
@@ -38,6 +56,9 @@ func (h *HierFAVG) Build(env *fl.Env) error {
 		return err
 	}
 	h.env = env
+	h.arrive = env.Sim.Handle(h.queueAtReceiver)
+	h.atCloud = env.Sim.Handle(h.receiveAtCloud)
+	h.atEdge = env.Sim.Handle(h.receiveAtEdge)
 	initial := env.NewModel(env.Seed).Params()
 
 	total := 0
@@ -91,12 +112,42 @@ func (h *HierFAVG) sendToCloud(e *roundServer) {
 	snapshot := env.Pool.Get(len(e.w))
 	snapshot.CopyFrom(e.w)
 	cloud := h.cloud
-	env.Net.Send(env.ServerEndpoint(e.id), cloud.endpoint, env.ModelBytes, geo.ServerServer, func() {
-		// Each edge model costs one aggregation delay on the cloud queue.
-		cloud.queue.Submit(env.Hyper.ProcHier, func() {
-			cloud.receive(e.id, snapshot)
-		})
-	})
+	// Each edge model costs one aggregation delay on the cloud queue.
+	h.send(env.ServerEndpoint(e.id), cloud.endpoint,
+		hierMsg{edge: e.id, model: snapshot, queue: cloud.queue, proc: env.Hyper.ProcHier, job: h.atCloud})
+}
+
+// send ships m, which queues as m.job at its receiver on arrival. The
+// baselines run without failure injection (see inbox): it arrives once.
+func (h *HierFAVG) send(src, dst geo.Endpoint, m hierMsg) {
+	i, r := h.msgs.New()
+	*r = m
+	h.env.Net.Post(src, dst, h.env.ModelBytes, geo.ServerServer, 0,
+		simulation.Job{Kind: h.arrive, Arg: i})
+}
+
+// queueAtReceiver is a model's arrival.
+func (h *HierFAVG) queueAtReceiver(i int) {
+	m := h.msgs.At(i)
+	m.queue.Submit(m.proc, simulation.Job{Kind: m.job, Arg: i})
+}
+
+// receiveAtCloud is an edge model's job completing at the cloud.
+func (h *HierFAVG) receiveAtCloud(i int) {
+	m := *h.msgs.At(i)
+	h.msgs.Free(i)
+	h.cloud.receive(m.edge, m.model)
+}
+
+// receiveAtEdge is the global model's job completing at an edge, which
+// starts the edge's next round from it.
+func (h *HierFAVG) receiveAtEdge(i int) {
+	m := *h.msgs.At(i)
+	h.msgs.Free(i)
+	edge := h.edges[m.edge]
+	copy(edge.w, m.global.Vec)
+	edge.startRound()
+	m.global.Release()
 }
 
 func (c *hierCloud) receive(edge int, model paramvec.Vec) {
@@ -117,13 +168,8 @@ func (c *hierCloud) receive(edge int, model paramvec.Vec) {
 	}
 	global := env.Share(sum, len(c.alg.edges))
 	for _, edge := range c.alg.edges {
-		env.Net.Send(c.endpoint, env.ServerEndpoint(edge.id), env.ModelBytes, geo.ServerServer, func() {
-			edge.queue.Submit(edge.proc, func() {
-				copy(edge.w, global.Vec)
-				edge.startRound()
-				global.Release()
-			})
-		})
+		c.alg.send(c.endpoint, env.ServerEndpoint(edge.id),
+			hierMsg{edge: edge.id, global: global, queue: edge.queue, proc: edge.proc, job: c.alg.atEdge})
 	}
 }
 

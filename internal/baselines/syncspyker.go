@@ -7,6 +7,7 @@ import (
 	"github.com/spyker-fl/spyker/internal/geo"
 	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/paramvec"
+	"github.com/spyker-fl/spyker/internal/simulation"
 	"github.com/spyker-fl/spyker/internal/spyker"
 	"github.com/spyker-fl/spyker/internal/tensor"
 )
@@ -22,6 +23,20 @@ import (
 type SyncSpyker struct {
 	env     *fl.Env
 	servers []*syncServer
+
+	// The typed events of the exchange: a peer model's arrival and a
+	// server's aggregation job, and their records.
+	peerModel, finish simulation.Kind
+	msgs              simulation.Slab[syncMsg]
+}
+
+// syncMsg is a peer model on its way to server to, or the models of a
+// round to aggregate at to.
+type syncMsg struct {
+	to    *syncServer
+	from  int
+	model serverModel
+	round map[int]serverModel
 }
 
 var _ fl.Algorithm = (*SyncSpyker)(nil)
@@ -33,6 +48,7 @@ type syncServer struct {
 	alg     *SyncSpyker
 	id      int
 	queue   *fl.ProcQueue
+	inbox   *inbox
 	w       []float64
 	age     float64
 	clients map[int]*fl.SimClient
@@ -66,6 +82,8 @@ func (s *SyncSpyker) Build(env *fl.Env) error {
 		return fmt.Errorf("baselines: sync-spyker needs a positive SyncPeriod")
 	}
 	s.env = env
+	s.peerModel = env.Sim.Handle(s.receiveModel)
+	s.finish = env.Sim.Handle(s.finishSync)
 	initial := env.NewModel(env.Seed).Params()
 
 	s.servers = make([]*syncServer, len(env.Servers))
@@ -79,17 +97,14 @@ func (s *SyncSpyker) Build(env *fl.Env) error {
 			updates:  make(map[int]int),
 			received: make(map[int]serverModel),
 		}
+		srv.inbox = newInbox(env, srv.queue, env.ProcFor(si, env.Hyper.ProcSyncSpyker), srv.applyUpdate)
 		s.servers[si] = srv
+		// An update's meta is the age of the model it was trained from.
+		deliver := srv.deliverUpdate
 		for _, ci := range env.Servers[si].Clients {
-			c := env.NewSimClient(ci, si, func(clientID int, update []float64, meta any, _ obs.UID) {
-				age, ok := meta.(float64)
-				if !ok {
-					panic(fmt.Sprintf("baselines: sync-spyker meta %T is not an age", meta))
-				}
-				srv.deliverUpdate(clientID, update, age)
-			})
+			c := env.NewSimClient(ci, si, deliver)
 			srv.clients[ci] = c
-			c.HandleModel(initial, float64(0), env.Hyper.ClientLR)
+			c.HandleModel(initial, 0, env.Hyper.ClientLR)
 		}
 	}
 
@@ -131,38 +146,37 @@ func (s *SyncSpyker) params() [][]float64 {
 // deliverUpdate either buffers (during a synchronization, per the paper:
 // "servers stop processing local updates from clients, and instead store
 // them") or submits the update for processing.
-func (srv *syncServer) deliverUpdate(client int, params []float64, age float64) {
+func (srv *syncServer) deliverUpdate(client int, params []float64, age float64, uid obs.UID) {
 	if srv.syncing {
 		srv.buffered = append(srv.buffered, bufferedUpdate{client, params, age})
 		return
 	}
-	srv.processUpdate(client, params, age)
+	srv.inbox.deliver(client, params, age, uid)
 }
 
-func (srv *syncServer) processUpdate(client int, params []float64, age float64) {
+// applyUpdate is an update's job completing.
+func (srv *syncServer) applyUpdate(client int, params []float64, age float64) {
 	env := srv.alg.env
-	srv.queue.Submit(env.ProcFor(srv.id, env.Hyper.ProcSyncSpyker), func() {
-		srv.updates[client]++
-		srv.total++
-		lr := env.Hyper.ClientLR
-		damp := 1.0
-		if env.Hyper.DecayEnabled {
-			uBar := float64(srv.total) / float64(len(srv.clients))
-			lr = spyker.DecayRate(env.Hyper.ClientLR, env.Hyper.Beta,
-				env.Hyper.EtaMin, float64(srv.updates[client]), uBar)
-			if env.Hyper.ClientLR > 0 {
-				// Same server-side dampening as Spyker: see
-				// spyker.ServerCore.HandleClientUpdate.
-				damp = lr / env.Hyper.ClientLR
-			}
+	srv.updates[client]++
+	srv.total++
+	lr := env.Hyper.ClientLR
+	damp := 1.0
+	if env.Hyper.DecayEnabled {
+		uBar := float64(srv.total) / float64(len(srv.clients))
+		lr = spyker.DecayRate(env.Hyper.ClientLR, env.Hyper.Beta,
+			env.Hyper.EtaMin, float64(srv.updates[client]), uBar)
+		if env.Hyper.ClientLR > 0 {
+			// Same server-side dampening as Spyker: see
+			// spyker.ServerCore.HandleClientUpdate.
+			damp = lr / env.Hyper.ClientLR
 		}
-		wk := spyker.StalenessWeight(srv.age, age)
-		paramvec.Vec(srv.w).WeightedMergeInto(env.Hyper.EtaServer*wk*damp, params)
-		srv.age++
-		env.Observer.ClientUpdateProcessed(env.Sim.Now(), srv.id, client, srv.alg.params)
+	}
+	wk := spyker.StalenessWeight(srv.age, age)
+	paramvec.Vec(srv.w).WeightedMergeInto(env.Hyper.EtaServer*wk*damp, params)
+	srv.age++
+	env.Observer.ClientUpdateProcessed(env.Sim.Now(), srv.id, client, srv.alg.params)
 
-		env.SendModel(srv.id, srv.clients[client], srv.w, srv.age, lr)
-	})
+	env.SendModel(srv.id, srv.clients[client], srv.w, srv.age, lr)
 }
 
 // beginSync broadcasts this server's model to every peer and enters the
@@ -180,16 +194,22 @@ func (srv *syncServer) beginSync() {
 		if p.id == srv.id {
 			continue
 		}
-		env.Net.Send(src, env.ServerEndpoint(p.id), env.ModelBytes, geo.ServerServer, func() {
-			p.receiveModel(srv.id, model)
-		})
+		// Baselines run without failure injection (see inbox): the model
+		// arrives once.
+		i, m := srv.alg.msgs.New()
+		*m = syncMsg{to: p, from: srv.id, model: model}
+		env.Net.Post(src, env.ServerEndpoint(p.id), env.ModelBytes, geo.ServerServer, 0,
+			simulation.Job{Kind: srv.alg.peerModel, Arg: i})
 	}
 	srv.maybeFinishSync()
 }
 
-func (srv *syncServer) receiveModel(from int, m serverModel) {
-	srv.received[from] = m
-	srv.maybeFinishSync()
+// receiveModel is a peer model's arrival.
+func (s *SyncSpyker) receiveModel(i int) {
+	m := *s.msgs.At(i)
+	s.msgs.Free(i)
+	m.to.received[m.from] = m.model
+	m.to.maybeFinishSync()
 }
 
 // maybeFinishSync completes the exchange once all peer models arrived: all
@@ -202,37 +222,45 @@ func (srv *syncServer) maybeFinishSync() {
 	}
 	round := srv.received
 	srv.received = make(map[int]serverModel)
-	srv.queue.Submit(env.ProcFor(srv.id, env.Hyper.ProcSyncSpyker), func() {
-		var totalAge float64
+	i, m := srv.alg.msgs.New()
+	*m = syncMsg{to: srv, round: round}
+	srv.queue.Submit(env.ProcFor(srv.id, env.Hyper.ProcSyncSpyker), simulation.Job{Kind: srv.alg.finish, Arg: i})
+}
+
+// finishSync is a round's aggregation job completing.
+func (s *SyncSpyker) finishSync(i int) {
+	r := *s.msgs.At(i)
+	s.msgs.Free(i)
+	srv, round := r.to, r.round
+	var totalAge float64
+	for id := range srv.alg.servers {
+		totalAge += round[id].age
+	}
+	w := paramvec.Vec(srv.w)
+	w.Zero()
+	if totalAge > 0 {
 		for id := range srv.alg.servers {
-			totalAge += round[id].age
+			m := round[id]
+			w.AxpyInto(m.age/totalAge, m.params.Vec)
 		}
-		w := paramvec.Vec(srv.w)
-		w.Zero()
-		if totalAge > 0 {
-			for id := range srv.alg.servers {
-				m := round[id]
-				w.AxpyInto(m.age/totalAge, m.params.Vec)
-			}
-			srv.age = totalAge / float64(len(srv.alg.servers))
-		} else {
-			// Nothing trained anywhere yet: plain average keeps servers
-			// identical.
-			for id := range srv.alg.servers {
-				w.AxpyInto(1/float64(len(srv.alg.servers)), round[id].params.Vec)
-			}
-		}
+		srv.age = totalAge / float64(len(srv.alg.servers))
+	} else {
+		// Nothing trained anywhere yet: plain average keeps servers
+		// identical.
 		for id := range srv.alg.servers {
-			round[id].params.Release()
+			w.AxpyInto(1/float64(len(srv.alg.servers)), round[id].params.Vec)
 		}
-		srv.syncs++
-		srv.syncing = false
-		buffered := srv.buffered
-		srv.buffered = nil
-		for _, b := range buffered {
-			srv.processUpdate(b.client, b.params, b.age)
-		}
-	})
+	}
+	for id := range srv.alg.servers {
+		round[id].params.Release()
+	}
+	srv.syncs++
+	srv.syncing = false
+	buffered := srv.buffered
+	srv.buffered = nil
+	for _, b := range buffered {
+		srv.inbox.deliver(b.client, b.params, b.age, 0)
+	}
 }
 
 // Syncs reports the number of completed synchronous exchanges on server 0.

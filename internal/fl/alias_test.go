@@ -88,7 +88,7 @@ func protocolCycles(t *testing.T, model Model, shard []int, rounds int, inPlace 
 	var c *SimClient
 	c = &SimClient{
 		Env: env, Spec: spec, Model: model,
-		Deliver: func(_ int, update []float64, meta any, _ obs.UID) {
+		Deliver: func(_ int, update []float64, meta float64, _ obs.UID) {
 			bits := make([]uint64, len(update))
 			for i, v := range update {
 				bits[i] = math.Float64bits(v)
@@ -112,7 +112,7 @@ func protocolCycles(t *testing.T, model Model, shard []int, rounds int, inPlace 
 	if setup != nil {
 		setup(env, c)
 	}
-	c.HandleModel(append([]float64(nil), server...), nil, 0.05)
+	c.HandleModel(append([]float64(nil), server...), 0, 0.05)
 	sim.Run(100)
 	if len(sent) < rounds {
 		t.Fatalf("%d updates delivered, want %d", len(sent), rounds)
@@ -182,10 +182,10 @@ func TestOnlyHonestClientsSendTheirView(t *testing.T) {
 				var got []float64
 				c := &SimClient{
 					Env: env, Spec: spec, Model: model,
-					Deliver: func(_ int, update []float64, _ any, _ obs.UID) { got = update },
+					Deliver: func(_ int, update []float64, _ float64, _ obs.UID) { got = update },
 				}
 				v.setup(env, c)
-				c.HandleModel(model.Params(), nil, 0.05)
+				c.HandleModel(model.Params(), 0, 0.05)
 				sim.Run(100)
 				if got == nil {
 					t.Fatal("no update delivered")

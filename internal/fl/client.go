@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 
-	"github.com/spyker-fl/spyker/internal/geo"
 	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/simulation"
 )
@@ -13,8 +12,8 @@ import (
 // algorithms (Spyker, Sync-Spyker, FedAsync): whenever the server hands it
 // a model it trains locally and, after its modeled training delay, sends
 // the update back to its server. meta is echoed verbatim so the protocol
-// can attach whatever bookkeeping it needs (Spyker attaches the model age
-// the update is based on, per Alg. 1 l. 10).
+// can attach the number it needs (Spyker attaches the model age the update
+// is based on, per Alg. 1 l. 10, FedAsync the model version).
 type SimClient struct {
 	Env   *Env
 	Spec  ClientSpec
@@ -24,7 +23,7 @@ type SimClient struct {
 	// minted for this update at send time (obs.UpdateUID) — Spyker threads
 	// it into the core so provenance events link client, message, and
 	// merge; algorithms without lineage tracking ignore it.
-	Deliver func(clientID int, update []float64, meta any, uid obs.UID)
+	Deliver func(clientID int, update []float64, meta float64, uid obs.UID)
 
 	// CopyUpdates hardens the client for failure injection: the trained
 	// update is sent as an owned copy instead of a live parameter view,
@@ -57,7 +56,7 @@ func ClientModelSeed(seed int64, ci int) int64 { return seed + int64(1000+ci) }
 // server (its spec's own for the multi-server algorithms, 0 for the
 // single-server ones that collapse the deployment), with a model of its
 // own and deliver as its Deliver.
-func (e *Env) NewSimClient(ci, server int, deliver func(clientID int, update []float64, meta any, uid obs.UID)) *SimClient {
+func (e *Env) NewSimClient(ci, server int, deliver func(clientID int, update []float64, meta float64, uid obs.UID)) *SimClient {
 	spec := e.Clients[ci]
 	spec.Server = server
 	return &SimClient{Env: e, Spec: spec, Model: e.NewModel(ClientModelSeed(e.Seed, ci)), Deliver: deliver}
@@ -143,7 +142,7 @@ func deltaNorm(received, trained []float64) float64 {
 // (see Model) is detached from the event loop and joined where its result
 // is first looked at. When it executes decides nothing: the send time
 // comes from TrainDelay, the bits from the model's own state.
-func (c *SimClient) HandleModel(params []float64, meta any, lr float64) {
+func (c *SimClient) HandleModel(params []float64, meta, lr float64) {
 	if c.CopyUpdates && c.Env.Sim.Now() < c.busyUntil {
 		// A duplicated reply (or a redundant restart re-engagement)
 		// arrived mid-cycle; starting a second overlapping cycle would
@@ -205,15 +204,12 @@ func (c *SimClient) HandleModel(params []float64, meta any, lr float64) {
 	c.sent++
 	uid := obs.UpdateUID(c.Spec.ID, c.sent)
 
-	src := c.Env.ClientEndpoint(c.Spec.ID)
-	dst := c.Env.ServerEndpoint(c.Spec.Server)
-	c.Env.Sim.Schedule(sendAt-now, func() {
-		c.Env.Net.SendTraced(src, dst, c.Env.ClientUpdateBytes(), geo.ClientServer, uid, func() {
-			// Join point 3: the server is about to read the update.
-			c.training.Join()
-			c.Deliver(c.Spec.ID, update, meta, uid)
-		})
-	})
+	// The update leaves at sendAt for the server that is home now (Env's
+	// sendUpdate); join point 3 is at its delivery (deliverUpdate).
+	x := c.Env.wire()
+	i, u := x.uploads.New()
+	*u = upload{c: c, server: c.Spec.Server, params: update, meta: meta, uid: uid}
+	c.Env.Sim.Post(sendAt-now, simulation.Job{Kind: x.send, Arg: i})
 }
 
 // train runs one local training on the model HandleModel just loaded:

@@ -49,16 +49,16 @@ func TestSimClientTrainsAndDelivers(t *testing.T) {
 	env, sim := clientEnv()
 	model := &echoModel{params: []float64{0, 0}}
 	var gotUpdate []float64
-	var gotMeta any
+	var gotMeta float64
 	var deliveredAt float64
 	c := &SimClient{
 		Env: env, Spec: env.Clients[0], Model: model,
-		Deliver: func(id int, update []float64, meta any, _ obs.UID) {
+		Deliver: func(id int, update []float64, meta float64, _ obs.UID) {
 			gotUpdate, gotMeta = update, meta
 			deliveredAt = sim.Now()
 		},
 	}
-	c.HandleModel([]float64{5, 5}, "meta-token", 0.05)
+	c.HandleModel([]float64{5, 5}, 42, 0.05)
 	sim.Run(10)
 	if model.trained != 1 || model.lastLR != 0.05 {
 		t.Fatalf("training not invoked correctly: %d, lr %v", model.trained, model.lastLR)
@@ -66,7 +66,7 @@ func TestSimClientTrainsAndDelivers(t *testing.T) {
 	if gotUpdate == nil || gotUpdate[0] != 6 {
 		t.Fatalf("update = %v, want trained params {6,6}", gotUpdate)
 	}
-	if gotMeta != "meta-token" {
+	if gotMeta != 42 {
 		t.Errorf("meta not echoed: %v", gotMeta)
 	}
 	// Delivery time = train delay + intra-region latency + size/bandwidth.
@@ -81,9 +81,9 @@ func TestSimClientAbsencePostponesReply(t *testing.T) {
 	var deliveredAt float64
 	c := &SimClient{
 		Env: env, Spec: env.Clients[0], Model: &echoModel{params: []float64{0}},
-		Deliver: func(int, []float64, any, obs.UID) { deliveredAt = sim.Now() },
+		Deliver: func(int, []float64, float64, obs.UID) { deliveredAt = sim.Now() },
 	}
-	c.HandleModel([]float64{1}, nil, 0.05)
+	c.HandleModel([]float64{1}, 0, 0.05)
 	sim.Run(10)
 	if deliveredAt < 2.1 {
 		t.Errorf("absent client replied at %v, want >= 2.1", deliveredAt)
@@ -98,11 +98,11 @@ func TestSimClientCodecRoundtripsUpdate(t *testing.T) {
 	c := &SimClient{
 		Env: env, Spec: env.Clients[0],
 		Model: &echoModel{params: []float64{0, 0}},
-		Deliver: func(_ int, update []float64, _ any, _ obs.UID) {
+		Deliver: func(_ int, update []float64, _ float64, _ obs.UID) {
 			got = update
 		},
 	}
-	c.HandleModel([]float64{0, 0}, nil, 0.05)
+	c.HandleModel([]float64{0, 0}, 0, 0.05)
 	sim.Run(10)
 	if got == nil {
 		t.Fatal("no delivery")
@@ -174,7 +174,7 @@ func TestTamperKinds(t *testing.T) {
 func TestProcQueueBusyUntil(t *testing.T) {
 	sim := simulation.New()
 	q := NewProcQueue(sim, 0, nil)
-	q.Submit(2, func() {})
+	q.Submit(2, onDone(sim, func() {}))
 	if q.busyUntil != 2 {
 		t.Errorf("busyUntil = %v", q.busyUntil)
 	}

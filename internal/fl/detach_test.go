@@ -3,6 +3,7 @@ package fl
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestDetachedTrainingMatchesInline(t *testing.T) {
 			for i := range stale {
 				stale[i] = 0.01 * float64(i%5)
 			}
-			c.HandleModel(stale, "again", 0.05)
+			c.HandleModel(stale, 7, 0.05)
 		})
 	}
 	variants := []struct {
@@ -173,13 +174,13 @@ func TestForeignModelsTrainOnTheEventLoop(t *testing.T) {
 				delivered := 0
 				c = &SimClient{
 					Env: env, Spec: spec, Model: wrap(&log),
-					Deliver: func(_ int, update []float64, meta any, _ obs.UID) {
+					Deliver: func(_ int, update []float64, meta float64, _ obs.UID) {
 						if delivered++; delivered < rounds {
 							c.HandleModel(update, meta, 0.05)
 						}
 					},
 				}
-				sim.Schedule(0, func() { c.HandleModel(c.Model.Params(), nil, 0.05) })
+				sim.Schedule(0, func() { c.HandleModel(c.Model.Params(), 0, 0.05) })
 			}
 			sim.Run(100)
 			if log.calls != clients*rounds {
@@ -191,5 +192,67 @@ func TestForeignModelsTrainOnTheEventLoop(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// goroutineModel trains off the loop and records where each Train ran.
+type goroutineModel struct {
+	Model
+	ranOn []int // written by Train, read after the join
+}
+
+func (m *goroutineModel) trainsIsolated() Model { return m }
+func (m *goroutineModel) Train(shard []int, epochs int, lr float64) {
+	m.ranOn = append(m.ranOn, goid())
+	m.Model.Train(shard, epochs, lr)
+}
+
+// TestFirstTrainingWaitsForRun: the model an algorithm's Build hands each
+// client before the simulator runs is trained off the loop too — held by
+// Detach until Run starts the workers, so Build does not train the clients
+// one after another — and the client's first update is delivered with the
+// bits and at the time of an inline training.
+func TestFirstTrainingWaitsForRun(t *testing.T) {
+	tc := aliasCases()[1] // the classifier
+	const clients = 3
+	run := func(wrap func(Model) Model) (models []Model, updates [][]float64, at []float64) {
+		env, sim := clientEnv()
+		for k := 0; k < clients; k++ {
+			spec := env.Clients[0]
+			spec.Shard, spec.Epochs = tc.shard, 1
+			spec.TrainDelay = 0.1 + 0.01*float64(k)
+			m := wrap(tc.model())
+			c := &SimClient{
+				Env: env, Spec: spec, Model: m,
+				Deliver: func(_ int, update []float64, _ float64, _ obs.UID) {
+					updates = append(updates, append([]float64(nil), update...))
+					at = append(at, sim.Now())
+				},
+			}
+			c.HandleModel(c.Model.Params(), 0, 0.05) // as Build does
+			models = append(models, m)
+		}
+		for _, m := range models {
+			if g, ok := m.(*goroutineModel); ok && len(g.ranOn) != 0 {
+				t.Fatalf("a client trained before Run, on goroutine %d", g.ranOn[0])
+			}
+		}
+		sim.Run(100)
+		return models, updates, at
+	}
+	_, want, wantAt := run(func(m Model) Model { return &plainModel{m} })
+	models, got, gotAt := run(func(m Model) Model { return &goroutineModel{Model: m} })
+	if !slices.Equal(gotAt, wantAt) || len(got) != clients {
+		t.Fatalf("updates delivered at %v, inline at %v", gotAt, wantAt)
+	}
+	for k := range want {
+		if !slices.Equal(got[k], want[k]) {
+			t.Fatalf("client %d's first update differs from an inline training's", k)
+		}
+	}
+	for k, m := range models {
+		if ran := m.(*goroutineModel).ranOn; len(ran) != 1 {
+			t.Errorf("client %d trained %d times, want once", k, len(ran))
+		}
 	}
 }

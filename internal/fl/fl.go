@@ -284,6 +284,9 @@ type Env struct {
 	// unsound, so faulty runs trade them for plain owned copies. Nil (the
 	// default) leaves every hot path and the event schedule untouched.
 	Faults *fault.Plan
+
+	// x is the typed-event plumbing of the clients' messages (wire).
+	x *exchange
 }
 
 // ProcFor returns server's processing delay for a job whose Tab. 3

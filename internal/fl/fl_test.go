@@ -1,6 +1,8 @@
 package fl
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -105,6 +107,48 @@ func (q *queueObs) QueueLength(_ float64, _ int, l int) {
 	q.samples = append(q.samples, l)
 }
 
+// onDone registers fn as a handler of sim and returns the Job that runs it.
+func onDone(sim *simulation.Sim, fn func()) simulation.Job {
+	return simulation.Job{Kind: sim.Handle(func(int) { fn() })}
+}
+
+// TestProcQueueRejectsBadDelays: a negative delay would let a job complete
+// before one submitted earlier, breaking the queue's FIFO, and a NaN one
+// would put a NaN key in the event heap.
+func TestProcQueueRejectsBadDelays(t *testing.T) {
+	for _, proc := range []float64{-1, -1e-300, math.Inf(-1), math.NaN()} {
+		t.Run(fmt.Sprint(proc), func(t *testing.T) {
+			sim := simulation.New()
+			q := NewProcQueue(sim, 0, nil)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Submit(%v) did not panic", proc)
+				}
+			}()
+			q.Submit(proc, onDone(sim, func() {}))
+		})
+	}
+}
+
+// TestProcQueueCompletesInSubmitOrder: jobs of every delay, zero ones
+// included, complete in the order they were submitted, each with its own
+// Job.
+func TestProcQueueCompletesInSubmitOrder(t *testing.T) {
+	sim := simulation.New()
+	q := NewProcQueue(sim, 0, nil)
+	var got []int
+	kind := sim.Handle(func(a int) { got = append(got, a) })
+	delays := []float64{0, 0.5, 0, 0, 2, 0.25, 0}
+	for i, d := range delays {
+		sim.Schedule(0.1*float64(i%3), func() { q.Submit(d, simulation.Job{Kind: kind, Arg: i}) })
+	}
+	sim.Run(100)
+	want := []int{0, 3, 6, 1, 4, 2, 5} // submit order: by schedule time, then schedule order
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("completed %v, want %v", got, want)
+	}
+}
+
 func TestProcQueueSerializesJobs(t *testing.T) {
 	sim := simulation.New()
 	obs := &queueObs{}
@@ -112,7 +156,7 @@ func TestProcQueueSerializesJobs(t *testing.T) {
 
 	var doneAt []float64
 	for i := 0; i < 3; i++ {
-		q.Submit(1.0, func() { doneAt = append(doneAt, sim.Now()) })
+		q.Submit(1.0, onDone(sim, func() { doneAt = append(doneAt, sim.Now()) }))
 	}
 	sim.Run(100)
 	want := []float64{1, 2, 3}
@@ -136,7 +180,7 @@ func TestProcQueueIdleServerStartsImmediately(t *testing.T) {
 	q := NewProcQueue(sim, 0, nil)
 	var at float64
 	sim.Schedule(5, func() {
-		q.Submit(0.5, func() { at = sim.Now() })
+		q.Submit(0.5, onDone(sim, func() { at = sim.Now() }))
 	})
 	sim.Run(100)
 	if at != 5.5 {
@@ -148,7 +192,7 @@ func TestProcQueueZeroCost(t *testing.T) {
 	sim := simulation.New()
 	q := NewProcQueue(sim, 0, nil)
 	ran := false
-	q.Submit(0, func() { ran = true })
+	q.Submit(0, onDone(sim, func() { ran = true }))
 	sim.Run(1)
 	if !ran {
 		t.Error("zero-cost job did not run")

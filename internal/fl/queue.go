@@ -1,6 +1,10 @@
 package fl
 
-import "github.com/spyker-fl/spyker/internal/simulation"
+import (
+	"fmt"
+
+	"github.com/spyker-fl/spyker/internal/simulation"
+)
 
 // ProcQueue models the single-threaded processing loop of a server: jobs
 // (client updates, server models, token handling) are served in arrival
@@ -13,6 +17,12 @@ type ProcQueue struct {
 	observer  Observer
 	busyUntil float64
 	pending   int
+
+	// done is the handler of every completion; jobs are the submitted Jobs
+	// not yet completed, oldest first. Completion times never decrease in
+	// submit order, so the completion that fires is the oldest job's.
+	done simulation.Kind
+	jobs simulation.FIFO[simulation.Job]
 }
 
 // NewProcQueue creates the processing queue of one server.
@@ -20,13 +30,20 @@ func NewProcQueue(sim *simulation.Sim, server int, obs Observer) *ProcQueue {
 	if obs == nil {
 		obs = NopObserver{}
 	}
-	return &ProcQueue{sim: sim, server: server, observer: obs}
+	q := &ProcQueue{sim: sim, server: server, observer: obs}
+	q.done = sim.Handle(q.complete)
+	return q
 }
 
-// Submit enqueues a job that occupies the server for proc seconds; fn runs
-// at the job's completion time, i.e. all state changes the job makes
-// become visible when the server has actually finished processing it.
-func (q *ProcQueue) Submit(proc float64, fn func()) {
+// Submit enqueues a job that occupies the server for proc seconds; j runs
+// (Sim.Do) at the job's completion time, i.e. all state changes the job
+// makes become visible when the server has actually finished processing
+// it. A negative or NaN proc panics: it would let a later job complete
+// before an earlier one.
+func (q *ProcQueue) Submit(proc float64, j simulation.Job) {
+	if !(proc >= 0) {
+		panic(fmt.Sprintf("fl: processing delay %v is negative or NaN", proc))
+	}
 	now := q.sim.Now()
 	q.pending++
 	q.observer.QueueLength(now, q.server, q.pending)
@@ -37,9 +54,14 @@ func (q *ProcQueue) Submit(proc float64, fn func()) {
 	}
 	done := start + proc
 	q.busyUntil = done
-	q.sim.ScheduleAt(done, func() {
-		q.pending--
-		q.observer.QueueLength(q.sim.Now(), q.server, q.pending)
-		fn()
-	})
+	q.jobs.Push(j)
+	q.sim.PostAt(done, simulation.Job{Kind: q.done})
+}
+
+// complete is the handler of the oldest job's completion.
+func (q *ProcQueue) complete(int) {
+	j := q.jobs.Pop()
+	q.pending--
+	q.observer.QueueLength(q.sim.Now(), q.server, q.pending)
+	q.sim.Do(j)
 }

@@ -99,7 +99,7 @@ type Verdict struct {
 }
 
 // PerturbFunc inspects one outgoing message and decides its fate. It runs
-// synchronously inside Send, i.e. in schedule order, so a seeded
+// synchronously inside Post (and Send), i.e. in schedule order, so a seeded
 // implementation keeps the whole simulation deterministic. Returning the
 // zero Verdict leaves scheduling byte-identical to an unperturbed network.
 type PerturbFunc func(src, dst Endpoint, size int, kind Traffic) Verdict
@@ -117,16 +117,39 @@ type Transfer struct {
 type Network struct {
 	sim     *simulation.Sim
 	latency LatencyFunc
+	deliver simulation.Kind // the handler of every link's arrivals
 
-	lastDelivery map[linkKey]float64
-	transfers    []Transfer
-	totalBytes   map[Traffic]int
+	// links holds every directed link used so far; index finds one by its
+	// endpoints' IDs without hashing (see linkOf).
+	links      []link
+	index      [][][][]int32
+	transfers  []Transfer
+	totalBytes map[Traffic]int
 
 	sink    obs.Sink
 	perturb PerturbFunc
 }
 
-type linkKey struct{ src, dst int }
+// link is one directed link: the arrival watermark that keeps it FIFO and
+// its traced or closure messages in flight, oldest first. Its arrivals are
+// scheduled in send order at non-decreasing times, so the event that fires
+// for the link always belongs to the oldest of them. An untraced Post
+// needs no record: its arrival event is the owner's Job itself.
+type link struct {
+	src, dst int // endpoint IDs
+	last     float64
+	inFlight simulation.FIFO[message]
+}
+
+// message is one delivery in flight: the owner's Job (or, from Send, a
+// closure) and what the msg-recv trace event needs.
+type message struct {
+	job    simulation.Job
+	fn     func()
+	size   int
+	uid    obs.UID
+	traced bool // the sink was on at send time: emit msg-recv on arrival
+}
 
 // bandwidth is every link's capacity in bytes/second: the paper's
 // 100 Mbps.
@@ -143,13 +166,14 @@ func NewNetwork(sim *simulation.Sim, cfg Config) *Network {
 	if lat == nil {
 		lat = AWSLatency
 	}
-	return &Network{
-		sim:          sim,
-		latency:      lat,
-		lastDelivery: make(map[linkKey]float64),
-		totalBytes:   make(map[Traffic]int),
-		sink:         obs.Nop{},
+	n := &Network{
+		sim:        sim,
+		latency:    lat,
+		totalBytes: make(map[Traffic]int),
+		sink:       obs.Nop{},
 	}
+	n.deliver = sim.Handle(n.arrive)
+	return n
 }
 
 // Instrument makes the network emit obs.KindMsgSend at send time and
@@ -164,36 +188,46 @@ func (n *Network) Instrument(sink obs.Sink) {
 }
 
 // SetPerturb installs (or, with nil, removes) the failure-injection hook
-// consulted on every Send. The hook's cost when installed is one call per
+// consulted on every send. The hook's cost when installed is one call per
 // message; when nil the only cost is a nil check, so an unfaulted network
 // stays on the exact schedule it had before this hook existed.
 func (n *Network) SetPerturb(f PerturbFunc) { n.perturb = f }
 
-// Endpoint identifies a network attachment point: an integer node ID plus
-// its region.
+// Endpoint identifies a network attachment point: a non-negative integer
+// node ID plus its region.
 type Endpoint struct {
 	ID     int
 	Region Region
 }
 
-// Send schedules deliver to run after the modeled transfer of size bytes
-// from src to dst: latency + size/bandwidth, never before a previously
-// sent message on the same directed link (FIFO).
-func (n *Network) Send(src, dst Endpoint, size int, kind Traffic, deliver func()) {
-	n.SendTraced(src, dst, size, kind, 0, deliver)
+// Post sends a message of size bytes from src to dst whose arrival runs j:
+// after the modeled transfer — latency + size/bandwidth — and
+// never before a message sent earlier on the same directed link (FIFO).
+// uid is the causal trace context of the update or broadcast riding in the
+// message (obs.UID; zero for untraced messages), stamped on both the
+// msg-send and the msg-recv event so a message's two endpoints link into
+// one journey across the trace; it never perturbs delivery.
+//
+// Post reports how many times j will run: 1, or under failure injection 0
+// for a dropped message and 2 for a duplicated one. The owner of the data
+// j addresses keeps it until the last of them.
+func (n *Network) Post(src, dst Endpoint, size int, kind Traffic, uid obs.UID, j simulation.Job) int {
+	return n.send(src, dst, size, kind, message{job: j, uid: uid})
 }
 
-// SendTraced is Send carrying a causal trace context: uid is the ID of
-// the update or broadcast riding in the message (obs.UID; zero for
-// untraced messages) and is stamped on both the msg-send and the msg-recv
-// event, so a message's two endpoints link into one journey across the
-// trace. Scheduling is identical to Send — trace context never perturbs
-// delivery.
-func (n *Network) SendTraced(src, dst Endpoint, size int, kind Traffic, uid obs.UID, deliver func()) {
+// Send is Post for a closure: deliver runs on arrival, untraced. It serves
+// callers outside the protocol (the repository benchmark's geo.send_ns
+// probe, tests); the protocol's messages are Jobs.
+func (n *Network) Send(src, dst Endpoint, size int, kind Traffic, deliver func()) {
+	n.send(src, dst, size, kind, message{fn: deliver})
+}
+
+func (n *Network) send(src, dst Endpoint, size int, kind Traffic, m message) int {
 	if size < 0 {
 		panic(fmt.Sprintf("geo: negative message size %d", size))
 	}
-	n.transfers = append(n.transfers, Transfer{Time: n.sim.Now(), Bytes: size, Kind: kind})
+	now := n.sim.Now()
+	n.transfers = append(n.transfers, Transfer{Time: now, Bytes: size, Kind: kind})
 	n.totalBytes[kind] += size
 
 	var v Verdict
@@ -206,41 +240,88 @@ func (n *Network) SendTraced(src, dst Endpoint, size int, kind Traffic, uid obs.
 		// since nothing will arrive.
 		if n.sink.Enabled() {
 			n.sink.Emit(obs.Event{
-				Time: n.sim.Now(), Kind: obs.KindMsgSend,
-				Node: src.ID, Peer: dst.ID, Bytes: size, UID: uid,
+				Time: now, Kind: obs.KindMsgSend,
+				Node: src.ID, Peer: dst.ID, Bytes: size, UID: m.uid,
 				Note: "dropped",
 			})
 		}
-		return
+		return 0
 	}
 
-	arrive := n.sim.Now() + n.latency(src.Region, dst.Region) + float64(size)/bandwidth + v.ExtraDelay
-	key := linkKey{src.ID, dst.ID}
-	if last := n.lastDelivery[key]; arrive < last {
-		arrive = last
+	arrive := now + n.latency(src.Region, dst.Region) + float64(size)/bandwidth + v.ExtraDelay
+	l, at := n.linkOf(src.ID, dst.ID)
+	if arrive < l.last {
+		arrive = l.last
 	}
-	n.lastDelivery[key] = arrive
+	l.last = arrive
+	m.size = size
 	if n.sink.Enabled() {
 		n.sink.Emit(obs.Event{
-			Time: n.sim.Now(), Kind: obs.KindMsgSend,
-			Node: src.ID, Peer: dst.ID, Bytes: size, UID: uid,
+			Time: now, Kind: obs.KindMsgSend,
+			Node: src.ID, Peer: dst.ID, Bytes: size, UID: m.uid,
 		})
-		inner := deliver
-		deliver = func() {
-			n.sink.Emit(obs.Event{
-				Time: n.sim.Now(), Kind: obs.KindMsgRecv,
-				Node: dst.ID, Peer: src.ID, Bytes: size, UID: uid,
-			})
-			inner()
-		}
+		m.traced = true
 	}
-	n.sim.ScheduleAt(arrive, deliver)
+	copies := 1
 	if v.Dup {
 		// The duplicate lands at the same instant; the simulator's
 		// insertion-order tiebreak delivers it deterministically right
 		// after the original.
-		n.sim.ScheduleAt(arrive, deliver)
+		copies = 2
 	}
+	arrival := m.job
+	if m.traced || m.fn != nil {
+		// The arrival has more to do than run a Job: the message waits in
+		// the link's FIFO for the link's own handler.
+		arrival = simulation.Job{Kind: n.deliver, Arg: at}
+		for range copies {
+			l.inFlight.Push(m)
+		}
+	}
+	for range copies {
+		n.sim.PostAt(arrive, arrival)
+	}
+	return copies
+}
+
+// arrive is the handler of a traced or closure message arriving on link
+// i: the oldest one in flight there.
+func (n *Network) arrive(i int) {
+	l := &n.links[i]
+	m := l.inFlight.Pop()
+	if m.traced {
+		n.sink.Emit(obs.Event{
+			Time: n.sim.Now(), Kind: obs.KindMsgRecv,
+			Node: l.dst, Peer: l.src, Bytes: m.size, UID: m.uid,
+		})
+	}
+	if m.fn != nil {
+		m.fn()
+		return
+	}
+	n.sim.Do(m.job)
+}
+
+// linkOf returns the link src→dst and its index, creating it on first
+// use. Endpoint IDs come in blocks of obs.ServerNode — clients, servers,
+// then HierFAVG's cloud — so index is addressed by (block, offset) of each
+// end, and every row stays as short as the IDs its source talks to.
+func (n *Network) linkOf(src, dst int) (*link, int) {
+	row := grownAt(grownAt(&n.index, src/obs.ServerNode), src%obs.ServerNode)
+	slot := grownAt(grownAt(row, dst/obs.ServerNode), dst%obs.ServerNode)
+	if *slot == 0 {
+		n.links = append(n.links, link{src: src, dst: dst})
+		*slot = int32(len(n.links))
+	}
+	return &n.links[*slot-1], int(*slot - 1)
+}
+
+// grownAt returns &(*s)[i], growing *s to hold it.
+func grownAt[T any](s *[]T, i int) *T {
+	if i >= len(*s) {
+		*s = append(*s, make([]T, i+1-len(*s))...)
+	}
+	return &(*s)[i]
 }
 
 // TotalBytes reports the cumulative bytes sent for a traffic category.

@@ -1,8 +1,12 @@
 package geo
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/simulation"
 )
 
@@ -109,4 +113,119 @@ func TestZeroVerdictMatchesUnperturbedSchedule(t *testing.T) {
 			t.Fatalf("delivery %d at %v with hook vs %v without", i, hooked[i], plain[i])
 		}
 	}
+}
+
+// TestPostedPayloadsLeaveEachLinkInSendOrder: a link's arrivals are
+// scheduled in send order at non-decreasing times, which is what lets it
+// keep its messages' Jobs in a FIFO. Random traffic over six directed links
+// with random drops, duplicates and extra delays, and a sink turned on and
+// off mid-run: each link must run exactly the Jobs of its undropped
+// messages, in send order, a duplicate right after its original; Post must
+// report each message's deliveries; and every msg-recv event must name the
+// message it precedes.
+func TestPostedPayloadsLeaveEachLinkInSendOrder(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sim := simulation.New()
+		net := NewNetwork(sim, Config{})
+		tr := obs.NewTracer(1 << 16)
+		net.SetPerturb(func(src, dst Endpoint, size int, kind Traffic) Verdict {
+			v := Verdict{Drop: rng.Intn(6) == 0, Dup: rng.Intn(5) == 0}
+			if rng.Intn(3) == 0 {
+				v.ExtraDelay = rng.Float64() * 0.3
+			}
+			return v
+		})
+		eps := []Endpoint{
+			{ID: 0, Region: HongKong}, {ID: obs.ServerNode, Region: Paris}, {ID: obs.ServerNode + 1, Region: Sydney},
+		}
+		type key struct{ src, dst int }
+		want := map[key][]int{}
+		var got []int // payloads in arrival order
+		gotOn := map[key][]int{}
+		var sent []struct {
+			link key
+			n    int
+		}
+		linkOf := map[int]key{} // payload -> its link
+		deliver := sim.Handle(func(payload int) {
+			got = append(got, payload)
+			k := linkOf[payload]
+			gotOn[k] = append(gotOn[k], payload)
+		})
+		for i := 0; i < 400; i++ {
+			a, b := rng.Intn(3), rng.Intn(2)
+			if b >= a {
+				b++
+			}
+			src, dst := eps[a], eps[b]
+			size := rng.Intn(3) * bandwidth / 50
+			payload := i
+			sim.Schedule(rng.Float64()*4, func() {
+				if payload%50 == 0 {
+					if payload%100 == 0 {
+						net.Instrument(tr)
+					} else {
+						net.Instrument(nil)
+					}
+				}
+				k := key{a, b}
+				linkOf[payload] = k
+				n := net.Post(src, dst, size, ServerServer, obs.UID(payload+1), simulation.Job{Kind: deliver, Arg: payload})
+				sent = append(sent, struct {
+					link key
+					n    int
+				}{k, n})
+				for range n {
+					want[k] = append(want[k], payload)
+				}
+			})
+		}
+		sim.Run(math.Inf(1))
+		total := 0
+		for k, w := range want {
+			if !slices.Equal(gotOn[k], w) {
+				t.Fatalf("seed %d: link %v delivered %v, sent (undropped, duplicates doubled) %v", seed, k, gotOn[k], w)
+			}
+			total += len(w)
+		}
+		if len(got) != total {
+			t.Fatalf("seed %d: %d deliveries, Post reported %d", seed, len(got), total)
+		}
+		drops, dups := 0, 0
+		for _, s := range sent {
+			drops += btoi(s.n == 0)
+			dups += btoi(s.n == 2)
+		}
+		if drops == 0 || dups == 0 {
+			t.Fatalf("seed %d: %d drops and %d duplicates: the perturbation exercised nothing", seed, drops, dups)
+		}
+		// Each msg-recv precedes its message's Job, so the traced arrivals'
+		// UIDs are a subsequence of the arrival order.
+		var recv []int
+		for _, e := range tr.Events() {
+			if e.Kind == obs.KindMsgRecv {
+				recv = append(recv, int(e.UID)-1)
+			}
+		}
+		if len(recv) == 0 {
+			t.Fatalf("seed %d: the sink recorded no arrival", seed)
+		}
+		j := 0
+		for _, p := range got {
+			if j < len(recv) && recv[j] == p {
+				j++
+			}
+		}
+		if j != len(recv) {
+			t.Fatalf("seed %d: msg-recv events %v are not in the order their Jobs ran", seed, recv)
+		}
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

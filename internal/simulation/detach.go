@@ -31,8 +31,9 @@ const (
 // embedded in its owner and reused, one Detach/Join cycle after another —
 // a cycle allocates nothing. The zero value with Fn set is ready; a Task
 // must not be copied after its first Detach. Its owners are fl.SimClient
-// (local training) and spyker.ServerCore (the client merge); an owner whose
-// result has several readers joins at every one of them.
+// (local training) and spyker.ServerCore (the chain of client merges, which
+// the core extends while its task is at work); an owner whose result has
+// several readers joins at every one of them.
 type Task struct {
 	// Fn is the work. While the task is detached it may run on a goroutine
 	// other than the event loop's, concurrently with handlers and with
@@ -47,22 +48,31 @@ type Task struct {
 
 // Detach starts t.Fn off the event loop; it must be called from a handler
 // (or between Run calls) and t must be idle, i.e. every earlier Detach has
-// been joined. Outside Run, or with detachQueue tasks already waiting, Fn
-// runs right here instead — detaching is an optimisation the caller cannot
+// been joined. Between Runs the task is held and goes to the workers when
+// the next Run starts them — so the first training of every client, which
+// an algorithm's Build detaches, runs beside the event loop rather than
+// one after another in Build. With detachQueue tasks already waiting, Fn
+// runs right here instead: detaching is an optimisation the caller cannot
 // observe, since nothing may look at Fn's effects before Join either way.
 func (s *Sim) Detach(t *Task) {
 	if t.state.Load() != taskIdle {
 		panic("simulation: Detach of a task that was not joined")
 	}
+	t.done.Add(1)
+	t.state.Store(taskQueued)
 	if !s.running {
-		t.Fn()
+		s.held = append(s.held, t)
 		return
 	}
+	s.enqueue(t)
+}
+
+// enqueue hands a queued task to the workers, starting them on a Run's
+// first task.
+func (s *Sim) enqueue(t *Task) {
 	if s.tasks == nil {
 		s.startWorkers()
 	}
-	t.done.Add(1)
-	t.state.Store(taskQueued)
 	select {
 	case s.tasks <- t:
 	default:
@@ -73,12 +83,27 @@ func (s *Sim) Detach(t *Task) {
 	}
 }
 
+// release starts a Run by handing the tasks detached since the last one to
+// the workers. A held task a Join has stolen meanwhile is skipped; one
+// queued again since is handed over once per entry, which the workers
+// tolerate as they tolerate a stolen cycle's entry.
+func (s *Sim) release() {
+	for i, t := range s.held {
+		s.held[i] = nil
+		if t.state.Load() == taskQueued {
+			s.enqueue(t)
+		}
+	}
+	s.held = s.held[:0]
+}
+
 // Join returns once the last Detach of t has run to completion, with
 // everything Fn wrote visible to the caller. It is a stealing join: a task
-// no worker has claimed yet runs on the caller, so Join waits only for a
-// task that is mid-run. On an idle task it is a no-op, one atomic load,
-// which is why an owner that may never be detached (a ServerCore outside
-// the simulator) can join from any goroutine that serializes its use.
+// no worker has claimed yet — one held for the next Run included — runs on
+// the caller, so Join waits only for a task that is mid-run. On an idle
+// task it is a no-op, one atomic load, which is why an owner that may never
+// be detached (a ServerCore outside the simulator) can join from any
+// goroutine that serializes its use.
 // Otherwise, like Detach, it belongs to the event-loop goroutine.
 func (t *Task) Join() {
 	if t.state.Load() == taskIdle || t.steal() {
@@ -101,7 +126,7 @@ func (t *Task) steal() bool {
 	return true
 }
 
-// startWorkers brings up the pool on the first Detach of a Run; finish
+// startWorkers brings up the pool on the first task of a Run; finish
 // takes it down.
 func (s *Sim) startWorkers() {
 	s.tasks = make(chan *Task, detachQueue)

@@ -91,19 +91,48 @@ func TestJoinWaitsForARunningTask(t *testing.T) {
 	})
 }
 
-func TestDetachOutsideRunRunsInline(t *testing.T) {
+// TestDetachBeforeRunWaitsForRun: a task detached between Runs starts no
+// goroutine and does not run; the next Run hands it to a worker — and it
+// has finished when that Run returns, even with no event to join it.
+func TestDetachBeforeRunWaitsForRun(t *testing.T) {
 	s := New()
 	ranOn := 0
 	task := Task{Fn: func() { ranOn = goid() }}
 	before := runtime.NumGoroutine()
 	s.Detach(&task)
-	if ranOn != goid() {
-		t.Errorf("task ran on goroutine %d, want the caller %d", ranOn, goid())
+	if ranOn != 0 {
+		t.Fatal("a task detached before Run ran at Detach")
 	}
 	if after := runtime.NumGoroutine(); after != before {
 		t.Errorf("Detach outside Run started goroutines: %d -> %d", before, after)
 	}
-	task.Join() // a no-op, not a hang
+	s.Run(10)
+	if ranOn == 0 {
+		t.Fatal("the held task never ran")
+	}
+	if ranOn == goid() {
+		t.Errorf("the held task ran on the loop, not on a worker")
+	}
+	task.Join()
+}
+
+// TestJoinBeforeRunSteals: joining a held task before any Run runs it on
+// the caller, and the next Run does not run it again.
+func TestJoinBeforeRunSteals(t *testing.T) {
+	s := New()
+	n, ranOn := 0, 0
+	task := Task{Fn: func() { n++; ranOn = goid() }}
+	s.Detach(&task)
+	task.Join()
+	if n != 1 || ranOn != goid() {
+		t.Fatalf("Join before Run: ran %d times, on goroutine %d (caller %d)", n, ranOn, goid())
+	}
+	s.Detach(&task) // held twice over, once joined
+	s.Run(10)
+	task.Join()
+	if n != 2 {
+		t.Errorf("ran %d times, want 2", n)
+	}
 }
 
 func TestDetachOfAnUnjoinedTaskPanics(t *testing.T) {

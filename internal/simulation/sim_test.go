@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"container/heap"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -133,6 +134,75 @@ func TestNegativeDelayPanics(t *testing.T) {
 		}
 	}()
 	s.Schedule(-1, func() {})
+}
+
+// TestBadTimesPanic: a time in the past, a NaN or -Inf time and a negative
+// or NaN delay are each refused before they reach the heap — a NaN key
+// compares false both ways and would corrupt its order silently.
+func TestBadTimesPanic(t *testing.T) {
+	cases := []struct {
+		name string
+		post func(s *Sim)
+	}{
+		{"PostAt past", func(s *Sim) { s.PostAt(1, Job{}) }},
+		{"PostAt NaN", func(s *Sim) { s.PostAt(math.NaN(), Job{}) }},
+		{"PostAt -Inf", func(s *Sim) { s.PostAt(math.Inf(-1), Job{}) }},
+		{"ScheduleAt NaN", func(s *Sim) { s.ScheduleAt(math.NaN(), func() {}) }},
+		{"Post negative", func(s *Sim) { s.Post(-1e-300, Job{}) }},
+		{"Post NaN", func(s *Sim) { s.Post(math.NaN(), Job{}) }},
+		{"Schedule NaN", func(s *Sim) { s.Schedule(math.NaN(), func() {}) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New()
+			s.Schedule(5, func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("expected panic")
+					}
+				}()
+				tc.post(s)
+			})
+			s.Run(10)
+			if s.Pending() != 0 {
+				t.Errorf("%d events queued after the refused one", s.Pending())
+			}
+		})
+	}
+}
+
+// TestJobsRunTheirHandlers: a posted Job runs the handler its Kind names
+// with its integer, interleaved with closure events in (time, seq) order,
+// and Do runs one on the spot.
+func TestJobsRunTheirHandlers(t *testing.T) {
+	s := New()
+	var got []string
+	add := s.Handle(func(a int) { got = append(got, fmt.Sprint("add", a)) })
+	mul := s.Handle(func(a int) { got = append(got, fmt.Sprint("mul", a)) })
+	s.Post(1, Job{Kind: add, Arg: 1})
+	s.Schedule(1, func() { got = append(got, "fn") })
+	s.PostAt(0.5, Job{Kind: mul, Arg: 3})
+	s.Schedule(2, func() { s.Do(Job{Kind: add, Arg: 5}) })
+	s.Run(10)
+	want := []string{"mul3", "add1", "fn", "add5"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("ran %q, want %q", got, want)
+	}
+}
+
+// TestHandlerKindsAreBounded: a Kind rides in kindBits of an event's
+// sequence word, so the handler past the last it can name is refused.
+func TestHandlerKindsAreBounded(t *testing.T) {
+	s := New() // funcKind is the first
+	for len(s.handlers) < 1<<kindBits {
+		s.Handle(func(int) {})
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic")
+		}
+	}()
+	s.Handle(func(int) {})
 }
 
 func TestScheduleInPastPanics(t *testing.T) {
@@ -369,27 +439,27 @@ func TestEventQueueMatchesContainerHeap(t *testing.T) {
 	}
 }
 
-// TestPoppedSlotDropsItsClosure: the slot a pop vacates must not keep the
-// event's closure reachable through the queue's backing array, or every
-// closure of a long run would live until the queue is next reallocated.
+// TestPoppedSlotDropsItsClosure: a Schedule event's closure must not stay
+// reachable through the simulator once it ran, or every closure of a long
+// run would live until its slot is next reused.
 func TestPoppedSlotDropsItsClosure(t *testing.T) {
-	var q eventQueue
+	s := New()
 	for i := 0; i < 64; i++ {
-		q.push(event{time: float64(i % 5), seq: uint64(i + 1), fn: func() {}})
+		s.Schedule(float64(i%5), func() {})
 	}
-	backing := q[:cap(q)]
-	for n := len(q); n > 0; n-- {
-		q.pop()
-		for i := len(q); i < 64; i++ {
-			if backing[i].fn != nil {
-				t.Fatalf("after %d pops slot %d still references a closure", 64-n+1, i)
-			}
+	s.Run(math.Inf(1))
+	for i := range s.fns.recs {
+		if *s.fns.At(i) != nil {
+			t.Fatalf("slot %d still references a closure that ran", i)
 		}
+	}
+	if len(s.fns.free) != len(s.fns.recs) {
+		t.Fatalf("%d closure slots free after the run, want all %d", len(s.fns.free), len(s.fns.recs))
 	}
 
 	// And through the public surface: a closure that ran is collectable
 	// while later events are still queued.
-	s := New()
+	s = New()
 	collected := make(chan struct{})
 	func() {
 		payload := new([1 << 16]byte)
@@ -432,6 +502,34 @@ func BenchmarkEventQueue400Pending(b *testing.B) {
 	}
 	for i := 0; i < 400; i++ {
 		s.Schedule(delays[i], fn)
+	}
+	stopAt = 4000
+	s.Run(math.Inf(1)) // reach the steady mix of timestamps first
+	b.ReportAllocs()
+	b.ResetTimer()
+	stopAt = n + b.N
+	s.Run(math.Inf(1))
+}
+
+// BenchmarkEventQueue400PendingJobs is BenchmarkEventQueue400Pending with
+// typed events, the form every message and job of the protocol takes.
+func BenchmarkEventQueue400PendingJobs(b *testing.B) {
+	s := New()
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]float64, 1024)
+	for i := range delays {
+		delays[i] = 0.1 + float64(rng.Intn(40))/100
+	}
+	var kind Kind
+	n, stopAt := 0, 0
+	kind = s.Handle(func(a int) {
+		s.Post(delays[n%len(delays)], Job{Kind: kind, Arg: a})
+		if n++; n == stopAt {
+			s.Stop()
+		}
+	})
+	for i := 0; i < 400; i++ {
+		s.Post(delays[i], Job{Kind: kind, Arg: i})
 	}
 	stopAt = 4000
 	s.Run(math.Inf(1)) // reach the steady mix of timestamps first

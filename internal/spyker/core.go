@@ -10,6 +10,8 @@ package spyker
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/paramvec"
@@ -225,18 +227,42 @@ type ServerCore struct {
 	// one pointer check, byte-identical to a pre-audit core.
 	audit Auditor
 
-	// sim, set by the DES glue alone, moves the plain client merge off the
-	// event loop: applyClientDelta stores the merge's weight and reply
-	// vector beside merge and detaches it onto sim's worker pool, model()
-	// joins it before w is read or written again, and the glue joins it
-	// (joinReply) before it delivers the reply. The sweep is element-wise,
-	// so it computes the same bits wherever it runs. The live runtime
-	// leaves sim nil: its merge runs inline, and each join is one atomic
-	// load on an idle task.
-	sim         *simulation.Sim
-	merge       simulation.Task
-	mergeWeight float64
-	mergeReply  []float64
+	// sim, set by the DES glue alone, moves the plain client merges off
+	// the event loop onto one Task, merge, whose body (runMerge) merges
+	// the chain's updates in arrival order — the flat-combining pattern:
+	// applyClientDelta appends (weight, reply) to chain while the task is
+	// still at work and detaches the task only when it is not, the loop
+	// joins only a full chain, model() joins the whole chain before w is
+	// read or written again, and the glue joins it (joinReply) before it
+	// delivers a reply whose merge is still pending. Each merge is the same
+	// element-wise sweep in the same order whoever runs it, so the bits
+	// are those of one merge after the other on the loop. The live runtime
+	// leaves sim nil: its chain holds one merge, run inline.
+	sim   *simulation.Sim
+	merge simulation.Task
+
+	// chain[n%mergeChain] is merge n; those from merged to chainTail are
+	// pending. chainOpen says the task will still take what is appended:
+	// runMerge clears it, under chainMu, when it finds nothing left.
+	// merged is written by runMerge after each sweep, so a reader that
+	// sees it past a merge sees that merge's writes.
+	chainMu   sync.Mutex
+	chain     [mergeChain]pendingMerge //spyker:guardedby(chainMu)
+	chainTail uint64                   //spyker:guardedby(chainMu)
+	chainOpen bool                     //spyker:guardedby(chainMu)
+	merged    atomic.Uint64
+}
+
+// mergeChain is how many client merges one server's merge task may hold;
+// the next one makes the loop join the chain. On sim-protocol a chain
+// reaches it almost never: a worker claims a task within tens of
+// microseconds, a few merges' worth of the loop's time.
+const mergeChain = 8
+
+// pendingMerge is one client merge: W += weight*(reply-W), then reply = W.
+type pendingMerge struct {
+	weight float64
+	reply  []float64
 }
 
 // Auditor receives every merged client-update delta — the contribution
@@ -326,25 +352,73 @@ func (s *ServerCore) ArmAudit(a Auditor) { s.audit = a }
 // Params returns the live parameter vector (callers must not modify).
 func (s *ServerCore) Params() []float64 { return s.model() }
 
-// model is the one way to the model: w, once the client merge last
-// detached onto it has finished.
+// model is the one way to the model: w, once every client merge chained
+// onto it has finished.
 func (s *ServerCore) model() []float64 {
 	s.merge.Join()
 	return s.w
 }
 
-// runMerge is the detached merge's body: the plain merge-and-reply sweep
-// of applyClientDelta.
+// runMerge is the merge task's body: the plain merge-and-reply sweep of
+// applyClientDelta for each chained merge in arrival order, until the
+// chain is empty.
 func (s *ServerCore) runMerge() {
-	paramvec.Vec(s.w).MergeReplyInto(s.mergeWeight, s.mergeReply)
+	for {
+		s.chainMu.Lock()
+		n := s.merged.Load()
+		if n == s.chainTail {
+			s.chainOpen = false
+			s.chainMu.Unlock()
+			return
+		}
+		m := s.chain[n%mergeChain]
+		s.chainMu.Unlock()
+		paramvec.Vec(s.w).MergeReplyInto(m.weight, m.reply)
+		s.merged.Store(n + 1)
+	}
+}
+
+// chainMerge appends a merge to the chain the task is still working
+// through, reporting false when the task is not (idle, or finishing) or
+// the chain is full.
+func (s *ServerCore) chainMerge(m pendingMerge) bool {
+	s.chainMu.Lock()
+	ok := s.chainOpen && s.chainTail-s.merged.Load() < mergeChain
+	if ok {
+		s.chain[s.chainTail%mergeChain] = m
+		s.chainTail++
+	}
+	s.chainMu.Unlock()
+	return ok
+}
+
+// startChain makes m the first merge of a new chain; the task must be
+// joined.
+func (s *ServerCore) startChain(m pendingMerge) {
+	s.chainMu.Lock()
+	s.chain[s.chainTail%mergeChain] = m
+	s.chainTail++
+	s.chainOpen = true
+	s.chainMu.Unlock()
 }
 
 // joinReply makes the reply vector params whole before the DES delivers
-// or drops it: it joins the pending merge if that merge writes params. A
-// merge detached later has already joined the one that wrote params, so
-// it is left running.
+// or drops it: it joins the chain if the merge that writes params is still
+// pending. A finished one wrote params before merged counted it.
 func (s *ServerCore) joinReply(params []float64) {
-	if len(params) > 0 && len(s.mergeReply) > 0 && &params[0] == &s.mergeReply[0] {
+	if len(params) == 0 {
+		return
+	}
+	pending := false
+	s.chainMu.Lock()
+	for n := s.merged.Load(); n < s.chainTail; n++ {
+		if r := s.chain[n%mergeChain].reply; len(r) > 0 && &r[0] == &params[0] {
+			pending = true
+			break
+		}
+	}
+	s.chainMu.Unlock()
+	if pending {
 		s.merge.Join()
 	}
 }
@@ -658,14 +732,18 @@ func (s *ServerCore) ensureScratch(n int) {
 // bounding what any single (possibly malicious) update can do to the
 // model; that path needs the whole delta's norm before it can move W, so
 // it cannot write the reply in the merging sweep and copies it afterwards.
-// Under the simulator the plain sweep is detached (see sim) and may still
-// be running when this returns.
+// Under the simulator the plain sweep is chained onto the merge task (see
+// sim) and may still be pending when this returns.
 //
 //spyker:noalloc
 func (s *ServerCore) applyClientDelta(params []float64, weight float64) {
-	w := paramvec.Vec(s.model())
 	if s.cfg.RobustClipFactor <= 0 {
-		s.mergeWeight, s.mergeReply = weight, params
+		m := pendingMerge{weight: weight, reply: params}
+		if s.chainMerge(m) {
+			return
+		}
+		s.merge.Join()
+		s.startChain(m)
 		if s.sim == nil {
 			s.runMerge()
 		} else {
@@ -673,6 +751,7 @@ func (s *ServerCore) applyClientDelta(params []float64, weight float64) {
 		}
 		return
 	}
+	w := paramvec.Vec(s.model())
 	s.ensureScratch(len(w))
 	delta := s.deltaScratch[:len(w)]
 	delta.DiffInto(params, w)

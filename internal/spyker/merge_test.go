@@ -122,3 +122,78 @@ func TestDetachedMergeJoinsAtEveryReader(t *testing.T) {
 		})
 	}
 }
+
+// TestMergeChainMatchesSequentialMerges: a burst of k client updates at one
+// server in one virtual instant chains k merges onto the server's one merge
+// task — the ninth finds the chain full and joins it. The model must end
+// with the bits of k merges one after the other on the loop, and every
+// reply must be whole when it is delivered, whichever order the deliveries
+// come in and whether a later merge of the chain is still pending. Run it
+// at -cpu 1,4: with one processor nearly every chain is stolen back onto
+// the loop, with four nearly none is.
+func TestMergeChainMatchesSequentialMerges(t *testing.T) {
+	const dim = 1 << 14
+	rng := rand.New(rand.NewSource(2))
+	vec := func() []float64 {
+		v := make([]float64, dim)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	initial := vec()
+	updates := make([][]float64, mergeChain+1)
+	for i := range updates {
+		updates[i] = vec()
+	}
+	for k := 1; k <= len(updates); k++ {
+		for _, reverse := range []bool{false, true} {
+			// run merges updates[:k] at t=1, as k clients' updates arriving
+			// together, and delivers the k replies in a later event at the
+			// same instant.
+			run := func(detach bool) (replies [][]float64, final []float64) {
+				out := &fakeOut{}
+				s := NewServerCore(coreConfig(0, 2, 16), initial, false, out)
+				sim := simulation.New()
+				if detach {
+					s.sim = sim
+				}
+				burst := make([][]float64, k)
+				for j := range burst {
+					burst[j] = tensor.Clone(updates[j])
+				}
+				sim.Schedule(1, func() {
+					for j, u := range burst {
+						s.HandleClientUpdate(j, u, 0, 0)
+					}
+				})
+				sim.Schedule(1, func() {
+					replies = make([][]float64, k)
+					for n := range k {
+						j := n
+						if reverse {
+							j = k - 1 - n
+						}
+						s.joinReply(out.replies[j].params)
+						replies[j] = tensor.Clone(out.replies[j].params)
+					}
+					final = tensor.Clone(s.Params())
+				})
+				sim.Run(math.Inf(1))
+				return replies, final
+			}
+			wantReplies, wantFinal := run(false)
+			for i := 0; i < 20; i++ {
+				replies, final := run(true)
+				for j := range replies {
+					if !slices.Equal(replies[j], wantReplies[j]) {
+						t.Fatalf("k=%d reverse=%v run %d: reply %d was delivered before its merge was whole", k, reverse, i, j)
+					}
+				}
+				if !slices.Equal(final, wantFinal) {
+					t.Fatalf("k=%d reverse=%v run %d: the model differs from %d merges on the loop", k, reverse, i, k)
+				}
+			}
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/obs/audit"
 	"github.com/spyker-fl/spyker/internal/ring"
+	"github.com/spyker-fl/spyker/internal/simulation"
 )
 
 // Algorithm runs Spyker under the discrete-event simulator. It implements
@@ -39,6 +40,44 @@ type Algorithm struct {
 	faultsArmed bool
 	initial     []float64 // pristine t=0 model, the restart fallback
 	tickPeriod  float64   // recovery tick period, 0 when recovery is off
+
+	// The typed events of the message glue (see msg): the handlers of a
+	// processed client update, a reply's delivery, a server message's
+	// arrival and the three server jobs it is queued as, registered in
+	// Build, and the records they carry. serverParams is ServerParams,
+	// bound once for the observer.
+	kind struct {
+		update, reply, arrive, model, age, token simulation.Kind
+	}
+	msgs         simulation.Slab[msg]
+	serverParams func() [][]float64
+}
+
+// msg is one message or queued job of the glue, carrying the fields its
+// kind reads: a client update on the server's queue (client, vec, age,
+// uid), a reply to a client (c, vec, age, lr), and a server model (from,
+// vec, shared, age, bid, front, mem), age announcement (from, age, mem) or
+// token (token) from the network through the server's queue. to is the
+// server it is for — for a reply the one sending it. A record is shared by
+// every event that reads it and freed by the last (release): the
+// deliveries of a duplicated message, and the jobs they queue.
+type msg struct {
+	to      *simServer
+	c       *fl.SimClient
+	client  int
+	from    int
+	vec     []float64
+	shared  *fl.SharedVec // released after the model is merged
+	age, lr float64
+	proc    float64         // the server's processing delay, on arrival
+	job     simulation.Kind // the job it queues as, on arrival
+	uid     obs.UID
+	bid     int
+	front   []int64
+	mem     ring.Membership
+	token   Token
+	epoch   int // to's epoch when queued, with faults armed
+	refs    int // events still to read the record
 }
 
 var _ fl.Algorithm = (*Algorithm)(nil)
@@ -152,25 +191,123 @@ func (s *simServer) adopt(core *ServerCore) {
 	}
 }
 
-// submit queues fn on the server's processing queue. With faults armed it
-// adds the crash guards: a message reaching a down server is discarded,
-// and queued work from before a crash is not applied to the restarted
-// incarnation (its volatile queue died with it).
-func (s *simServer) submit(proc float64, fn func()) {
-	if !s.alg.faultsArmed {
-		s.queue.Submit(proc, fn)
-		return
-	}
-	if s.down || s.left {
-		return
-	}
-	epoch := s.epoch
-	s.queue.Submit(proc, func() {
-		if s.down || s.left || s.epoch != epoch {
+// submit queues job kind for msg i on s's processing queue. With faults
+// armed it adds the crash guards: a message reaching a down server is
+// discarded here, and queued work from before a crash is not applied to
+// the restarted incarnation (its volatile queue died with it; see
+// applies).
+func (a *Algorithm) submit(s *simServer, proc float64, kind simulation.Kind, i int) {
+	if a.faultsArmed {
+		if s.down || s.left {
+			a.release(i)
 			return
 		}
-		fn()
-	})
+		a.msgs.At(i).epoch = s.epoch
+	}
+	s.queue.Submit(proc, simulation.Job{Kind: kind, Arg: i})
+}
+
+// applies reports whether the queued job of m may still run: always,
+// unless faults are armed and its server crashed or left since.
+func (a *Algorithm) applies(m *msg) bool {
+	s := m.to
+	return !a.faultsArmed || !(s.down || s.left || s.epoch != m.epoch)
+}
+
+// post sends msg i from src to dst; on arrival it queues as job.
+func (a *Algorithm) post(src, dst geo.Endpoint, size int, uid obs.UID, job simulation.Kind, i int) {
+	m := a.msgs.At(i)
+	m.job = job
+	m.refs = m.to.env.Net.Post(src, dst, size, geo.ServerServer, uid,
+		simulation.Job{Kind: a.kind.arrive, Arg: i})
+	if m.refs == 0 {
+		a.msgs.Free(i)
+	}
+}
+
+// release ends one event's use of msg i.
+func (a *Algorithm) release(i int) {
+	m := a.msgs.At(i)
+	if m.refs--; m.refs == 0 {
+		a.msgs.Free(i)
+	}
+}
+
+// register binds the glue's handlers to env's simulator.
+func (a *Algorithm) register(env *fl.Env) {
+	a.kind.update = env.Sim.Handle(a.processUpdate)
+	a.kind.reply = env.Sim.Handle(a.deliverReply)
+	a.kind.arrive = env.Sim.Handle(a.arrive)
+	a.kind.model = env.Sim.Handle(a.processModel)
+	a.kind.age = env.Sim.Handle(a.processAge)
+	a.kind.token = env.Sim.Handle(a.processToken)
+	a.serverParams = a.ServerParams
+}
+
+// deliverUpdate is every client's Deliver: the update goes to the queue of
+// the client's home at delivery time.
+func (a *Algorithm) deliverUpdate(clientID int, update []float64, age float64, uid obs.UID) {
+	srv := a.servers[a.homeOf[clientID]]
+	i, m := a.msgs.New()
+	*m = msg{to: srv, client: clientID, vec: update, age: age, uid: uid, refs: 1}
+	a.submit(srv, srv.env.ProcFor(srv.id, srv.env.Hyper.ProcSpyker), a.kind.update, i)
+}
+
+// processUpdate is a client update's job completing.
+func (a *Algorithm) processUpdate(i int) {
+	m := a.msgs.At(i)
+	if srv := m.to; a.applies(m) {
+		// The handler consumes the update and the reply travels back in
+		// it. Without faults every update is delivered once, and the
+		// client — parked until that reply — has no use for the vector in
+		// between, its own model's view included. A duplicated delivery
+		// would merge the first one's reply, so a fault-armed run merges a
+		// copy.
+		consumed := m.vec
+		if a.faultsArmed {
+			consumed = append([]float64(nil), m.vec...)
+		}
+		srv.core.HandleClientUpdate(m.client, consumed, m.age, m.uid)
+		if srv.heardSince != nil {
+			srv.heardSince[m.client] = true
+		}
+		srv.env.Observer.ClientUpdateProcessed(
+			srv.env.Sim.Now(), srv.id, m.client, a.serverParams)
+	}
+	a.release(i)
+}
+
+// arrive is a server message's arrival: it queues as its job.
+func (a *Algorithm) arrive(i int) {
+	m := a.msgs.At(i)
+	a.submit(m.to, m.proc, m.job, i)
+}
+
+// processModel is a peer's model broadcast completing.
+func (a *Algorithm) processModel(i int) {
+	if m := a.msgs.At(i); a.applies(m) {
+		m.to.core.HandleServerModel(m.from, m.vec, m.age, m.bid, m.front, m.mem)
+		if m.shared != nil {
+			m.shared.Release()
+		}
+	}
+	a.release(i)
+}
+
+// processAge is a peer's age announcement completing.
+func (a *Algorithm) processAge(i int) {
+	if m := a.msgs.At(i); a.applies(m) {
+		m.to.core.HandleAge(m.from, m.age, m.mem)
+	}
+	a.release(i)
+}
+
+// processToken is the token's hop completing.
+func (a *Algorithm) processToken(i int) {
+	if m := a.msgs.At(i); a.applies(m) {
+		m.to.core.HandleToken(m.token)
+	}
+	a.release(i)
 }
 
 // Build implements fl.Algorithm.
@@ -183,6 +320,7 @@ func (a *Algorithm) Build(env *fl.Env) error {
 	a.faultsArmed = env.Faults != nil
 	a.initial = initial
 
+	a.register(env)
 	a.servers = make([]*simServer, n)
 	for i := range a.servers {
 		s := a.newSimServer(env, i)
@@ -200,37 +338,14 @@ func (a *Algorithm) Build(env *fl.Env) error {
 	// clients mid-run, and an update already in flight must land at the
 	// client's current home.
 	a.homeOf = make([]int, len(env.Clients))
+	deliver := a.deliverUpdate
 	for ci := range env.Clients {
 		home := env.Clients[ci].Server
 		a.homeOf[ci] = home
-		c := env.NewSimClient(ci, home, func(clientID int, update []float64, meta any, uid obs.UID) {
-			age, ok := meta.(float64)
-			if !ok {
-				panic(fmt.Sprintf("spyker: client meta %T is not an age", meta))
-			}
-			srv := a.servers[a.homeOf[clientID]]
-			srv.submit(env.ProcFor(srv.id, env.Hyper.ProcSpyker), func() {
-				// The handler consumes update and the reply travels back
-				// in it. Without faults every update is delivered once,
-				// and the client — parked until that reply — has no use
-				// for the vector in between, its own model's view
-				// included. A duplicated delivery would merge the first
-				// one's reply, so a fault-armed run merges a copy.
-				consumed := update
-				if a.faultsArmed {
-					consumed = append([]float64(nil), update...)
-				}
-				srv.core.HandleClientUpdate(clientID, consumed, age, uid)
-				if srv.heardSince != nil {
-					srv.heardSince[clientID] = true
-				}
-				env.Observer.ClientUpdateProcessed(
-					env.Sim.Now(), srv.id, clientID, a.ServerParams)
-			})
-		})
+		c := env.NewSimClient(ci, home, deliver)
 		c.CopyUpdates = a.faultsArmed
 		a.servers[home].client[ci] = c
-		c.HandleModel(initial, float64(0), env.Hyper.ClientLR)
+		c.HandleModel(initial, 0, env.Hyper.ClientLR)
 	}
 	return nil
 }
@@ -573,12 +688,24 @@ func (s *simServer) ReplyClient(k int, params []float64, age, lr float64) {
 		s.core.joinReply(params)
 		return
 	}
-	src := s.env.ServerEndpoint(s.id)
-	dst := s.env.ClientEndpoint(k)
-	s.env.Net.Send(src, dst, s.env.ModelBytes, geo.ClientServer, func() {
-		s.core.joinReply(params)
-		c.HandleModel(params, age, lr)
-	})
+	a := s.alg
+	i, m := a.msgs.New()
+	*m = msg{to: s, c: c, vec: params, age: age, lr: lr}
+	m.refs = s.env.Net.Post(s.env.ServerEndpoint(s.id), s.env.ClientEndpoint(k), s.env.ModelBytes, geo.ClientServer, 0,
+		simulation.Job{Kind: a.kind.reply, Arg: i})
+	if m.refs == 0 {
+		a.msgs.Free(i)
+	}
+}
+
+// deliverReply is a reply's arrival at its client: the merge that writes
+// it is joined first.
+func (a *Algorithm) deliverReply(i int) {
+	m := a.msgs.At(i)
+	s, c, params, age, lr := m.to, m.c, m.vec, m.age, m.lr
+	a.release(i)
+	s.core.joinReply(params)
+	c.HandleModel(params, age, lr)
 }
 
 // BroadcastModel implements Outbound. One pooled copy of the borrowed
@@ -588,76 +715,55 @@ func (s *simServer) ReplyClient(k int, params []float64, age, lr float64) {
 // advancing, so aliasing it would corrupt the causal snapshot the
 // broadcast carries.
 func (s *simServer) BroadcastModel(params []float64, age float64, bid int, front []int64, mem ring.Membership) {
-	src := s.env.ServerEndpoint(s.id)
-	if s.alg.faultsArmed {
+	a := s.alg
+	var shared *fl.SharedVec
+	var vec []float64
+	if a.faultsArmed {
 		// One owned copy shared read-only by every peer delivery; the
 		// pooled countdown protocol is unsound under injected drops and
 		// duplicates (a duplicate would release the buffer twice, a drop
 		// never), so faulty runs let the GC own it.
 		// mem needs no copy: Membership slices are immutable (ring
 		// package contract).
-		own := append([]float64(nil), params...)
-		frontOwn := append([]int64(nil), front...)
-		uid := obs.RoundUID(s.id, bid)
-		for _, peer := range s.alg.servers {
-			if peer.id == s.id {
-				continue
-			}
-			p := peer
-			dst := s.env.ServerEndpoint(p.id)
-			s.env.Net.SendTraced(src, dst, s.env.ModelBytes, geo.ServerServer, uid, func() {
-				p.submit(s.env.ProcFor(p.id, s.env.Hyper.ProcSpyker), func() {
-					p.core.HandleServerModel(s.id, own, age, bid, frontOwn, mem)
-				})
-			})
-		}
-		return
+		vec = append([]float64(nil), params...)
+	} else {
+		shared = s.env.Snapshot(params, len(a.servers)-1)
+		vec = shared.Vec
 	}
-	buf := s.env.Snapshot(params, len(s.alg.servers)-1)
 	frontCopy := append([]int64(nil), front...)
 	uid := obs.RoundUID(s.id, bid)
-	for _, peer := range s.alg.servers {
-		if peer.id == s.id {
+	src := s.env.ServerEndpoint(s.id)
+	for _, p := range a.servers {
+		if p.id == s.id {
 			continue
 		}
-		p := peer
-		dst := s.env.ServerEndpoint(p.id)
-		s.env.Net.SendTraced(src, dst, s.env.ModelBytes, geo.ServerServer, uid, func() {
-			p.queue.Submit(s.env.ProcFor(p.id, s.env.Hyper.ProcSpyker), func() {
-				p.core.HandleServerModel(s.id, buf.Vec, age, bid, frontCopy, mem)
-				buf.Release()
-			})
-		})
+		i, m := a.msgs.New()
+		*m = msg{to: p, from: s.id, vec: vec, shared: shared, age: age, bid: bid, front: frontCopy, mem: mem,
+			proc: s.env.ProcFor(p.id, s.env.Hyper.ProcSpyker)}
+		a.post(src, s.env.ServerEndpoint(p.id), s.env.ModelBytes, uid, a.kind.model, i)
 	}
 }
 
 // BroadcastAge implements Outbound.
 func (s *simServer) BroadcastAge(age float64, mem ring.Membership) {
+	a := s.alg
 	src := s.env.ServerEndpoint(s.id)
-	for _, peer := range s.alg.servers {
-		if peer.id == s.id {
+	for _, p := range a.servers {
+		if p.id == s.id {
 			continue
 		}
-		p := peer
-		dst := s.env.ServerEndpoint(p.id)
-		s.env.Net.Send(src, dst, fl.AgeWireBytes, geo.ServerServer, func() {
-			p.submit(0, func() {
-				p.core.HandleAge(s.id, age, mem)
-			})
-		})
+		i, m := a.msgs.New()
+		*m = msg{to: p, from: s.id, age: age, mem: mem}
+		a.post(src, s.env.ServerEndpoint(p.id), fl.AgeWireBytes, 0, a.kind.age, i)
 	}
 }
 
 // SendToken implements Outbound. The token carries the bid of the sync
 // round it is brokering, so the hop is traced under that round's UID.
 func (s *simServer) SendToken(t Token, next int) {
-	src := s.env.ServerEndpoint(s.id)
-	dst := s.env.ServerEndpoint(next)
-	peer := s.alg.servers[next]
-	uid := obs.RoundUID(s.id, t.Bid)
-	s.env.Net.SendTraced(src, dst, fl.TokenWireBytes(len(t.Ages)), geo.ServerServer, uid, func() {
-		peer.submit(0, func() {
-			peer.core.HandleToken(t)
-		})
-	})
+	a := s.alg
+	i, m := a.msgs.New()
+	*m = msg{to: a.servers[next], token: t}
+	a.post(s.env.ServerEndpoint(s.id), s.env.ServerEndpoint(next), fl.TokenWireBytes(len(t.Ages)),
+		obs.RoundUID(s.id, t.Bid), a.kind.token, i)
 }

@@ -194,3 +194,51 @@ func TestDuplicatedUpdateMergesTheOriginalTwice(t *testing.T) {
 		t.Fatalf("the duplicate moved the model along another direction (cosine %v): it did not merge the same update", cos)
 	}
 }
+
+// TestPerturbedMessagesKeepTheirRecords: the glue's messages carry their
+// data in records that the last delivery frees. With faults armed, every
+// message of every kind — updates, replies, age announcements, models,
+// the token — is duplicated or dropped at random: a record freed after
+// the first of two deliveries would hand the second one another message's
+// data or none, and a dropped one must not be waited for. The run must
+// keep merging, and the same seed must give the same models.
+func TestPerturbedMessagesKeepTheirRecords(t *testing.T) {
+	run := func() (updates int, models [][]float64) {
+		env, _, err := experiments.BuildEnv(experiments.Setup{
+			Task: experiments.TaskMNIST, NumServers: 3, NumClients: 9, Seed: 4, EvalEvery: 1000,
+			Faults: &fault.Plan{}, // arms the fault glue; the test perturbs the links itself
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.Hyper.HInter, env.Hyper.HIntra = 2, 6
+		log := &modelLog{Observer: env.Observer}
+		env.Observer = log
+		n := 0
+		env.Net.SetPerturb(func(src, dst geo.Endpoint, _ int, _ geo.Traffic) geo.Verdict {
+			n++
+			return geo.Verdict{Dup: n%3 == 0, Drop: n%17 == 0 && src.ID >= obs.ServerNode && dst.ID >= obs.ServerNode}
+		})
+		alg := &spyker.Algorithm{}
+		if err := alg.Build(env); err != nil {
+			t.Fatal(err)
+		}
+		env.Sim.Run(20)
+		return len(log.after), alg.ServerParams()
+	}
+	updates, models := run()
+	if updates < 50 {
+		t.Fatalf("%d updates merged under duplication: the run stalled", updates)
+	}
+	again, models2 := run()
+	if again != updates {
+		t.Fatalf("%d updates, then %d on the same seed", updates, again)
+	}
+	for i := range models {
+		for j := range models[i] {
+			if math.Float64bits(models[i][j]) != math.Float64bits(models2[i][j]) {
+				t.Fatalf("server %d's model differs between two runs of one seed", i)
+			}
+		}
+	}
+}
