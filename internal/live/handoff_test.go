@@ -67,9 +67,10 @@ func constantUpdate(id, j int) *transport.Msg {
 
 // TestPipelinedUpdatesGetWholeReplies: a client that sends its updates
 // back to back, without waiting for replies, keeps the server's reader
-// receiving update j+1 while the outbox still writes reply j. Each reply
-// leaves in the buffer its update arrived in, so the two must never hold
-// the same buffer: every reply is whole (length D, finite, constant — see
+// sending: the server's reader sends reply j and only then receives update
+// j+1, into a fresh buffer. Each reply leaves in the buffer its update
+// arrived in, so the receive must never land in a buffer still being
+// sent: every reply is whole (length D, finite, constant — see
 // constantUpdate), every update is counted, and every pooled buffer is
 // back once the ring has closed.
 func TestPipelinedUpdatesGetWholeReplies(t *testing.T) {
@@ -140,8 +141,8 @@ func TestReplyBufferReturnsWithoutAReceiver(t *testing.T) {
 	}
 
 	// A client that pipelines updates and hangs up without reading one
-	// reply: its outbox goes dead with replies queued, and keeps draining
-	// them.
+	// reply: its reader's send fails with a reply parked, and returns the
+	// reply's buffer all the same.
 	conn := dialClient(t, srv, 100)
 	const updates = 64
 	sent := 0
@@ -166,25 +167,26 @@ func TestReplyBufferReturnsWithoutAReceiver(t *testing.T) {
 	}
 }
 
-// TestClientOutboxEndsWithItsConnection: one client id connects fifty
+// TestClientLinkEndsWithItsConnection: one client id connects fifty
 // times. Even rounds hang up before the next hello, so the reader's exit
-// has to retire the outbox; odd rounds stay connected until the next hello
-// has replaced them, so the re-hello has to. Either way no outbox — its
-// channel and drain goroutine — may outlive its connection: after Close
-// every one of the fifty is done and no goroutine of the server is left.
-func TestClientOutboxEndsWithItsConnection(t *testing.T) {
+// has to retire the link; odd rounds stay connected until the next hello
+// has replaced them, so the re-hello has to close the replaced connection.
+// Either way no link may outlive its connection: after Close every one of
+// the fifty connections is closed on the server's side and no goroutine of
+// the server is left.
+func TestClientLinkEndsWithItsConnection(t *testing.T) {
 	before := runtime.NumGoroutine()
 	srv, err := NewServer(0, "127.0.0.1:0", ServerConfig(0, 1, 1, fl.DefaultHyper(1, 1)), make([]float64, handoffDim), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const id, rounds = 7, 50
-	var outboxes []*outbox
+	var links []*clientLink
 	var replaced *transport.Conn
 	for i := 0; i < rounds; i++ {
 		conn := dialClient(t, srv, id)
 		srv.mu.Lock()
-		outboxes = append(outboxes, srv.clients[id])
+		links = append(links, srv.clients[id])
 		srv.mu.Unlock()
 		if replaced != nil {
 			_ = replaced.Close()
@@ -199,18 +201,16 @@ func TestClientOutboxEndsWithItsConnection(t *testing.T) {
 	_ = replaced.Close()
 	srv.Close()
 
-	for i, ob := range outboxes {
-		if ob == nil {
-			t.Fatalf("round %d: no outbox registered after the first model arrived", i)
+	for i, l := range links {
+		if l == nil {
+			t.Fatalf("round %d: no link registered after the first model arrived", i)
 		}
-		select {
-		case <-ob.done:
-		default:
-			t.Errorf("round %d: the outbox is still draining after Close", i)
+		if err := l.conn.SetWriteDeadline(time.Time{}); err == nil {
+			t.Errorf("round %d: the server's end of the connection is still open after Close", i)
 		}
 	}
-	// Close has waited for every reader and drain goroutine; the poll only
-	// covers one between its last statement and its exit.
+	// Close has waited for every reader; the poll only covers one between
+	// its last statement and its exit.
 	waitFor(t, "the server's goroutines to exit", 5*time.Second, func() bool {
 		return runtime.NumGoroutine() <= before
 	})

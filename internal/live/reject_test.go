@@ -90,8 +90,8 @@ func (r *rejectRig) serveHonest(t *testing.T) {
 		t.Fatalf("honest client got %+v", r.reply)
 	}
 	r.updates++
-	// The reply leaves just before the server counts the update and the
-	// outbox returns the reply's buffer.
+	// The server counts the update before the reply leaves, and the reader
+	// returns the reply's buffer just after.
 	waitFor(t, "the honest client's update to be counted", 5*time.Second, func() bool {
 		return r.srv.Updates() == r.updates && r.srv.pool.Live() == poolIdle
 	})

@@ -2,8 +2,15 @@
 // of the discrete-event simulator: one goroutine-backed server process per
 // spyker.ServerCore, clients that train real models, and the same message
 // vocabulary (internal/transport). It demonstrates that the protocol state
-// machine in internal/spyker is transport-agnostic and genuinely
-// asynchronous — no component ever blocks waiting for another.
+// machine in internal/spyker is transport-agnostic.
+//
+// What blocks on what: the core's handlers run under the server's mutex
+// and never touch a socket. A connection's reader goroutine blocks on its
+// socket; a client connection's reader also writes everything that client
+// is sent, so it blocks on that client's socket in both directions and a
+// client that stops reading stalls its own reader and nothing else. A
+// peer is sent frames through an outbox, whose one goroutine blocks on
+// that peer's socket, so a broadcast never waits for a slow peer.
 package live
 
 import (
@@ -11,6 +18,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,12 +54,18 @@ var (
 	errRingHdr   = &transport.FrameError{Reason: "malformed membership header"}
 )
 
-// outbox decouples protocol handlers from TCP backpressure: handlers
-// enqueue, a dedicated goroutine drains in FIFO order and owns the
-// connection's write side. Closing the outbox flushes pending frames and
-// then closes the connection, which is what unblocks the remote reader.
-// failed flips once a send errors; the peer-reconnect loop polls it to
-// decide which links need redialing.
+// errReplaced ends a client connection whose client has said hello again
+// on another; it is no refused frame, so no reject is counted.
+var errReplaced = errors.New("live: client connection replaced by a newer hello")
+
+// outbox is a peer link's write side; client links have none (see
+// clientLink). It decouples protocol handlers from TCP backpressure: a
+// broadcast fans out to several peers and a slow one must not hold the
+// handler, so handlers enqueue and a dedicated goroutine drains in FIFO
+// order and owns the connection's write side. Closing the outbox flushes
+// pending frames and then closes the connection, which is what unblocks the
+// remote reader. failed flips once a send errors; the peer-reconnect loop
+// polls it to decide which links need redialing.
 type outbox struct {
 	conn   transport.Sender
 	ch     chan timedMsg
@@ -133,6 +147,37 @@ func (o *outbox) kill() {
 // wait blocks until the drain goroutine has exited.
 func (o *outbox) wait() { <-o.done }
 
+// clientLink is a client connection's write side, written only by the
+// connection's reader goroutine. On that reader, under s.mu,
+// registerClient parks the first model in out and ReplyClient each reply;
+// the reader sends it (flush) once s.mu is released and before it reads
+// the next update. Close wakes the reader for the shutdown frame, which so
+// follows every reply due.
+type clientLink struct {
+	conn *transport.Conn
+	out  transport.Msg // the parked frame; Params is nil when there is none
+	at   time.Time     // when out was parked: it leaves at at+clientDelay
+}
+
+// park stores m as the frame l's reader sends next. It runs on that
+// reader, with s.mu held.
+func (l *clientLink) park(m transport.Msg) { l.out, l.at = m, time.Now() }
+
+// flush sends the frame parked on l, if any, and returns its buffer to the
+// pool. Only l's reader calls it, without s.mu.
+func (s *Server) flush(l *clientLink) error {
+	if l.out.Params == nil {
+		return nil
+	}
+	if s.clientDelay > 0 {
+		time.Sleep(time.Until(l.at.Add(s.clientDelay)))
+	}
+	err := l.conn.Send(&l.out)
+	s.pool.Put(l.out.Params)
+	l.out.Params = nil
+	return err
+}
+
 // Server is one live Spyker server.
 type Server struct {
 	ID int
@@ -140,10 +185,10 @@ type Server struct {
 	cfg      spyker.Config
 	listener *transport.Listener
 
-	mu      sync.Mutex         // serializes core handlers
-	core    *spyker.ServerCore //spyker:guardedby(mu)
-	clients map[int]*outbox    //spyker:guardedby(mu)
-	peers   map[int]*outbox    //spyker:guardedby(mu) — keyed by stable server ID; no entry for self
+	mu      sync.Mutex          // serializes core handlers
+	core    *spyker.ServerCore  //spyker:guardedby(mu)
+	clients map[int]*clientLink //spyker:guardedby(mu)
+	peers   map[int]*outbox     //spyker:guardedby(mu) — keyed by stable server ID; no entry for self
 
 	// addrBook maps stable server IDs to listen addresses, learned from
 	// ConnectPeers, membership headers on incoming frames, and join
@@ -200,11 +245,12 @@ type Server struct {
 	// pool recycles the model-sized buffers that frames travel in. A client
 	// connection's reader receives into one; the core's handler consumes
 	// the update and turns the same buffer into the reply (the Outbound
-	// contract), the client's outbox returns it after the write, and the
-	// reader takes another for its next frame — so a buffer has one holder
-	// at a time: reader, then core (under mu), then outbox. A first model
-	// and the broadcasts, which the core only lends, are copied into
-	// buffers from here that the outboxes return as well.
+	// contract), parked on the client's link; the same reader sends it,
+	// returns it and takes another for its next frame — so a buffer has one
+	// holder at a time: reader, then core (under mu), then reader. A first
+	// model and the broadcasts, which the core only lends, are copied into
+	// buffers from here: the reader returns the first after sending it, the
+	// peer outboxes return the broadcasts.
 	pool paramvec.Pool
 
 	// ckptScratch is the reusable checkpoint snapshot (see
@@ -245,7 +291,7 @@ func newShell(id int, cfg spyker.Config, l *transport.Listener) *Server {
 		ID:       id,
 		cfg:      cfg,
 		listener: l,
-		clients:  make(map[int]*outbox),
+		clients:  make(map[int]*clientLink),
 		peers:    make(map[int]*outbox),
 		addrBook: make(map[int]string),
 		conns:    make(map[*transport.Conn]struct{}),
@@ -625,27 +671,30 @@ func (s *Server) redialFailedPeers(addrOf func(id int) string) {
 	}
 }
 
-// Close shuts the server down: clients are told to shut down, all
-// outboxes flush and close their connections, the listener stops, and
-// reader goroutines drain. When tearing down a cluster, call Close on all
-// servers concurrently — a server's inbound peer links only terminate
-// once the remote side has closed its end.
+// Close shuts the server down: each client is sent a shutdown frame after
+// every reply already due to it, the peer outboxes flush and close their
+// connections, the listener stops, and reader goroutines drain. A client
+// that has stopped reading holds Close up for helloTimeout at most. When
+// tearing down a cluster, call Close on all servers concurrently — a
+// server's inbound peer links only terminate once the remote side has
+// closed its end.
 func (s *Server) Close() {
 	if !s.closing.CompareAndSwap(false, true) {
 		return
 	}
 	close(s.stop)
 	s.mu.Lock()
-	// After this block no handler will enqueue again: dispatch and
-	// registerClient check s.closing under the same mutex.
+	// After this block no handler will park or enqueue a frame again:
+	// dispatch and registerClient check s.closing under the same mutex.
+	// Each client's reader is woken from its receive to send the shutdown
+	// frame (readLoop) after what it parked; the write deadline bounds
+	// both, and a send already stuck on a client that stopped reading.
+	deadline := time.Now().Add(helloTimeout)
 	for _, c := range s.clients {
-		c.enqueue(&transport.Msg{Kind: transport.KindShutdown, From: s.ID})
+		_ = c.conn.SetWriteDeadline(deadline) // fails only on a closed connection, whose reader is ending anyway
+		_ = c.conn.SetReadDeadline(time.Now())
 	}
-	outboxes := make([]*outbox, 0, len(s.clients)+len(s.peers))
-	for _, c := range s.clients {
-		c.beginClose()
-		outboxes = append(outboxes, c)
-	}
+	outboxes := make([]*outbox, 0, len(s.peers))
 	for _, p := range s.peers {
 		if p != nil {
 			p.beginClose()
@@ -674,10 +723,7 @@ func (s *Server) Kill() {
 	}
 	close(s.stop)
 	s.mu.Lock()
-	outboxes := make([]*outbox, 0, len(s.clients)+len(s.peers))
-	for _, c := range s.clients {
-		outboxes = append(outboxes, c)
-	}
+	outboxes := make([]*outbox, 0, len(s.peers))
 	for _, p := range s.peers {
 		if p != nil {
 			outboxes = append(outboxes, p)
@@ -750,16 +796,16 @@ func (s *Server) readLoop(conn *transport.Conn) {
 		return
 	}
 	role, id, remote := hello.Bid, hello.From, hello.From
+	var link *clientLink // a client connection's, nil on a server connection
 	switch {
 	case hello.Kind != transport.KindHello || (role != RoleClient && role != RoleServer):
 		s.drop(conn, obs.NoPeer, errNoHello)
 		return
 	case role == RoleClient:
-		ob := s.registerClient(id, conn)
-		if ob == nil {
+		if link = s.registerClient(id, conn); link == nil {
 			return
 		}
-		defer s.unregisterClient(id, ob)
+		defer s.unregisterClient(id, link)
 	default:
 		// Inbound peer link: read-only; our own dialed link sends.
 		remote = obs.ServerNode + id
@@ -775,9 +821,11 @@ func (s *Server) readLoop(conn *transport.Conn) {
 	// field), so this reader receives into a pooled buffer, draws the next
 	// one when the last is gone, and returns the one it still holds when the
 	// connection ends — which is where a frame refused for a NaN in its
-	// parameters is by then: in m, never dispatched.
+	// parameters is by then: in m, never dispatched. Before each receive it
+	// sends what the last handler parked on its link: the first model, then
+	// the reply to each update.
 	var m transport.Msg
-	if role == RoleClient {
+	if link != nil {
 		defer func() {
 			if m.Params != nil {
 				s.pool.Put(m.Params[:cap(m.Params)])
@@ -785,13 +833,24 @@ func (s *Server) readLoop(conn *transport.Conn) {
 		}()
 	}
 	for {
-		if role == RoleClient && m.Params == nil {
-			m.Params = s.pool.Get(int(s.dim.Load()))
+		if link != nil {
+			if err := s.flush(link); err != nil {
+				s.drop(conn, remote, err)
+				return
+			}
+			if m.Params == nil {
+				m.Params = s.pool.Get(int(s.dim.Load()))
+			}
 		}
 		conn.Bound(int(s.dim.Load()), int(s.ringBound.Load()))
 		err := conn.RecvInto(&m)
+		if link != nil && errors.Is(err, os.ErrDeadlineExceeded) {
+			// Only Close sets a deadline after the hello: it woke this
+			// reader, which has sent what it parked, for the last frame.
+			_ = conn.Send(&transport.Msg{Kind: transport.KindShutdown, From: s.ID})
+		}
 		if err == nil {
-			err = s.dispatch(role, id, &m)
+			err = s.dispatch(role, id, link, &m)
 		}
 		if err != nil {
 			s.drop(conn, remote, err)
@@ -927,13 +986,14 @@ func JoinCluster(sponsorAddr, listenAddr string) (*Server, error) {
 	return s, nil
 }
 
-// registerClient installs the outbox of a client connection that said
-// hello as id and queues the current model on it; nil when the server is
+// registerClient installs the link of a client connection that said hello
+// as id and parks a copy of the current model on it, which the reader
+// sends first so the client can start training; nil when the server is
 // closing (the connection is closed). A client that says hello again under
-// an id it already holds replaces its previous connection: that outbox
-// flushes and closes here, because once it is out of the map nothing else
-// would.
-func (s *Server) registerClient(id int, conn *transport.Conn) *outbox {
+// an id it already holds replaces its previous connection, which is closed
+// here: its reader ends, and dispatch refuses an update that reader has
+// already read, so replies go to the new connection's reader only.
+func (s *Server) registerClient(id int, conn *transport.Conn) *clientLink {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closing.Load() {
@@ -941,40 +1001,31 @@ func (s *Server) registerClient(id int, conn *transport.Conn) *outbox {
 		return nil
 	}
 	if old := s.clients[id]; old != nil {
-		old.beginClose()
+		_ = old.conn.Close()
 	}
-	ob := newOutbox(conn, s.clientDelay)
-	s.clients[id] = ob
-	// Hand the client the current model so it can start training. The
-	// copy rides in a pooled buffer returned after the send.
+	l := &clientLink{conn: conn}
+	s.clients[id] = l
 	buf := s.pool.Get(len(s.core.Params()))
 	buf.CopyFrom(s.core.Params())
-	m := &transport.Msg{
+	l.park(transport.Msg{
 		Kind:   transport.KindModelReply,
 		From:   s.ID,
 		Params: buf,
 		Age:    s.core.Age(),
 		LR:     s.clientLR,
-	}
-	s.noteSend(id, m)
-	ob.enqueueRelease(m, func() { s.pool.Put(buf) })
-	return ob
+	})
+	s.noteSend(id, &l.out)
+	return l
 }
 
-// unregisterClient ends the outbox of a client connection whose reader has
-// returned, and waits for its drain goroutine. The map entry goes only if
-// it is still this connection's — a re-hello has already closed a replaced
-// outbox — and in the same critical section as beginClose, so ReplyClient,
-// which looks the map up under s.mu, never enqueues on a closed outbox.
-// Once the server is closing, Close or Kill end every outbox in the map.
-func (s *Server) unregisterClient(id int, ob *outbox) {
+// unregisterClient removes the link of a client connection whose reader
+// has returned, unless a re-hello has already replaced it.
+func (s *Server) unregisterClient(id int, l *clientLink) {
 	s.mu.Lock()
-	if !s.closing.Load() && s.clients[id] == ob {
+	if s.clients[id] == l {
 		delete(s.clients, id)
-		ob.beginClose()
 	}
 	s.mu.Unlock()
-	ob.wait()
 }
 
 // dispatch routes one received frame into the protocol core — the tail
@@ -982,17 +1033,20 @@ func (s *Server) unregisterClient(id int, ob *outbox) {
 // the core handlers are done with its Params when they return, under s.mu,
 // so the steady-state server processes a frame without allocating. A
 // client update's Params do not come back: the core's handler consumes
-// them and the reply leaves in them, so dispatch clears m.Params and the
-// reader cannot touch a buffer an outbox now holds. role and id
-// are what the connection's hello claimed, and the frame must fit them: a
-// client connection carries only that client's updates, a server
+// them and the reply, parked on link, leaves in them, so dispatch clears
+// m.Params and the reader cannot receive into the buffer it is about to
+// send. role and id are what the connection's hello claimed, and link is
+// the client connection's (nil on a server connection). The frame must fit
+// them: a client connection carries only that client's updates, a server
 // connection only that server's three inter-server kinds under a
 // well-formed membership header that (or the ring this server holds,
 // whichever is fresher) lists it. Anything else is returned as a
-// *transport.FrameError before the core is touched.
+// *transport.FrameError before the core is touched. A client connection a
+// re-hello has replaced is refused too (errReplaced), which is what makes
+// the reply's link the calling reader's own.
 //
 //spyker:noalloc
-func (s *Server) dispatch(role, id int, m *transport.Msg) error {
+func (s *Server) dispatch(role, id int, link *clientLink, m *transport.Msg) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closing.Load() {
@@ -1004,6 +1058,9 @@ func (s *Server) dispatch(role, id int, m *transport.Msg) error {
 	if role == RoleClient {
 		if m.Kind != transport.KindClientUpdate {
 			return errRole
+		}
+		if s.clients[id] != link {
+			return errReplaced
 		}
 		s.noteRecv(id, m)
 		s.core.HandleClientUpdate(id, m.Params, m.Age, m.Trace.UID)
@@ -1102,34 +1159,36 @@ func (s *Server) maybeRewire() {
 }
 
 // serverOutbound adapts Server to spyker.Outbound. All methods run with
-// s.mu held (they are invoked from core handlers), so they only enqueue.
+// s.mu held (they are invoked from core handlers), so they only park or
+// enqueue.
 type serverOutbound Server
 
 var _ spyker.Outbound = (*serverOutbound)(nil)
 
-// ReplyClient runs inside a core handler with s.mu held. params is the
-// reply's own vector (the Outbound contract): the pooled buffer the
-// client's reader received the update into, now holding the new model. It
-// goes to the client's outbox as it is and back to the pool once the frame
-// has left — or right away when there is nobody to send it to. (Every
-// vector that arrives here was drawn from the pool by a reader: dispatch is
-// this runtime's only caller of the update handler, and it never uses the
-// core's ReengageClient, whose reply is a plain allocation.)
+// ReplyClient runs inside a core handler with s.mu held, on client k's
+// reader: dispatch hands the core an update only from the connection
+// registered for its client. params is the reply's own vector (the
+// Outbound contract): the pooled buffer the update arrived in, now holding
+// the new model. It is parked on the client's link as it is; the reader
+// sends it and returns it to the pool after dispatch. With nobody to send
+// it to, it goes back right away. (Every vector that arrives here was drawn
+// from the pool by a reader: dispatch is this runtime's only caller of the
+// update handler, and it never uses the core's ReengageClient, whose reply
+// is a plain allocation.)
 //
 //spyker:locked(mu)
 func (o *serverOutbound) ReplyClient(k int, params []float64, age, lr float64) {
 	s := (*Server)(o)
-	c, ok := o.clients[k]
+	l, ok := o.clients[k]
 	if !ok {
 		s.pool.Put(params)
 		return
 	}
-	m := &transport.Msg{
+	l.park(transport.Msg{
 		Kind: transport.KindModelReply, From: o.ID,
 		Params: params, Age: age, LR: lr,
-	}
-	s.noteSend(k, m)
-	c.enqueueRelease(m, func() { s.pool.Put(params) })
+	})
+	s.noteSend(k, &l.out)
 }
 
 // addrsFor renders the address book aligned with members (empty string

@@ -275,9 +275,10 @@ type Sender interface {
 	Close() error
 }
 
-// Conn is a framed connection. Send is safe for concurrent use; Recv,
-// RecvInto, Bound and SetReadDeadline belong to the single reader
-// goroutine.
+// Conn is a framed connection. Send and SetWriteDeadline are safe for
+// concurrent use; Recv, RecvInto and Bound belong to the single reader
+// goroutine, and SetReadDeadline may also be called from elsewhere to wake
+// it.
 type Conn struct {
 	raw net.Conn
 
@@ -327,6 +328,11 @@ func (c *Conn) Bound(dim, ring int) {
 // SetReadDeadline sets the deadline of pending and future receives; the
 // zero time means none.
 func (c *Conn) SetReadDeadline(t time.Time) error { return c.raw.SetReadDeadline(t) }
+
+// SetWriteDeadline sets the deadline of pending and future sends; the
+// zero time means none. A send that times out may have written part of
+// its frame, so the connection is then good only for closing.
+func (c *Conn) SetWriteDeadline(t time.Time) error { return c.raw.SetWriteDeadline(t) }
 
 // Send writes m's frame: header and tail from the connection's write
 // buffer, Params from where they are (see the package comment). m.Params
