@@ -253,9 +253,10 @@ func runServer(o opts) error {
 	defer srv.Close()
 
 	// Observability: the metrics registry and the derived-metrics sink
-	// always run in server role (they feed the telemetry endpoint); the
-	// ring-buffer tracer rides along when -trace or -debug-addr asks for
-	// it. Instrument before peers or clients connect.
+	// always run in server role (they feed /debug/metrics and /debug/vars,
+	// and instrumenting starts the staleness histogram of /debug/telemetry);
+	// the ring-buffer tracer rides along when -trace or -debug-addr asks
+	// for it. Instrument before peers or clients connect.
 	reg := obs.NewRegistry()
 	var tracer *obs.Tracer
 	sink := obs.Sink(obs.NewMetricsSink(reg))
@@ -263,7 +264,7 @@ func runServer(o opts) error {
 		tracer = obs.NewTracer(1 << 18)
 		sink = obs.Multi(tracer, sink)
 	}
-	srv.Instrument(sink, reg)
+	srv.Instrument(sink)
 	if o.audit {
 		srv.ArmAudit()
 	}
@@ -352,16 +353,14 @@ func readResume(path string, id, numParams int) (spyker.State, error) {
 
 // serveDebug starts the debug endpoint: expvar (/debug/vars), pprof
 // (/debug/pprof) and the Prometheus text exposition of reg
-// (/debug/metrics). In server role (srv non-nil) it adds the health-plane
-// telemetry snapshot (/debug/telemetry, consumed by spyker-mon) and — when
-// tracing — the live event buffer as JSONL (/debug/trace, mergeable across
-// processes with spyker-trace).
+// (/debug/metrics), whose series the MetricsSink derives from events. In
+// server role (srv non-nil) it adds the server's own state, the
+// health-plane telemetry snapshot (/debug/telemetry, consumed by
+// spyker-mon), and — when tracing — the live event buffer as JSONL
+// (/debug/trace, mergeable across processes with spyker-trace).
 func serveDebug(addr string, srv *live.Server, reg *obs.Registry, tracer *obs.Tracer) {
 	expvar.Publish("spyker", expvar.Func(func() any { return reg.Snapshot() }))
 	http.HandleFunc("/debug/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		if srv != nil {
-			srv.Telemetry() // refresh the health gauges before rendering
-		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := reg.WritePrometheus(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -446,14 +445,15 @@ func runClients(o opts) error {
 func run(o opts) error {
 	factory, shards, _, hyper := deployment(o.clients, o.servers, o.seed, o.tokenTimeout, o.syncRetry)
 
-	// Observability: a metrics registry always runs (it backs /debug/vars);
-	// the event tracer only when a trace file is requested.
+	// Observability: a metrics registry always runs (it backs /debug/vars),
+	// filled from the servers' events; the event tracer only when a trace
+	// file is requested.
 	reg := obs.NewRegistry()
 	var tracer *obs.Tracer
-	var sink obs.Sink
+	sink := obs.Sink(obs.NewMetricsSink(reg))
 	if o.tracePath != "" {
 		tracer = obs.NewTracer(0)
-		sink = tracer
+		sink = obs.Multi(tracer, sink)
 	}
 	if o.debugAddr != "" {
 		serveDebug(o.debugAddr, nil, reg, nil)
@@ -470,7 +470,6 @@ func run(o opts) error {
 		PeerLatency:   o.peerLatency,
 		ClientLatency: o.clientLatency,
 		Trace:         sink,
-		Metrics:       reg,
 		Audit:         o.audit,
 		StatsEvery:    o.statsEvery,
 		StatsOut:      os.Stderr,

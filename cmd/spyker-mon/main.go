@@ -7,7 +7,8 @@
 //   - /health  — JSON: current state, active + historical alerts,
 //     per-target liveness
 //   - /metrics — Prometheus text exposition with per-server labels
-//     (spyker_mon_up, spyker_mon_token_silence_seconds, ...)
+//     (spyker_mon_up, spyker_mon_token_silence_seconds, ...): each
+//     server's telemetry, the one place its own state is exposed
 //   - /audit   — JSON: every server's contribution-audit section (per
 //     client update statistics and anomaly flags) plus the cluster-wide
 //     flagged-client set; servers run with spyker-live -audit
@@ -442,6 +443,8 @@ func (m *monitor) writeMetrics(w io.Writer) error {
 			{"spyker_mon_peer_reconnects_total", float64(t.PeerReconnects)},
 			{"spyker_mon_model_age", t.Age},
 			{"spyker_mon_staleness_updates_total", float64(t.StalenessTotal())},
+			{"spyker_mon_pool_live_vecs", float64(t.PoolLive)},
+			{"spyker_mon_pool_recycled_total", float64(t.PoolRecycled)},
 		}
 		for _, s := range samples {
 			if err := emit(s.name, lbl(), s.v); err != nil {

@@ -145,6 +145,7 @@ func TestMonitorEndpoints(t *testing.T) {
 	tel1 := baseTelemetry(1)
 	tel1.Peers = []obs.TelemetryPeer{{Peer: 0, OutboxDepth: 3}}
 	tel1.Updates = 42
+	tel1.PoolLive, tel1.PoolRecycled = 5, 1234
 	s1 := newFakeServer(t, tel1)
 	var log bytes.Buffer
 	m := newMonitor([]string{s0.addr(), s1.addr()}, health.Config{}, 0, s0.srv.Client(), &log)
@@ -179,6 +180,8 @@ func TestMonitorEndpoints(t *testing.T) {
 		`spyker_mon_up{target="` + s1.addr() + `",server="1"} 1`,
 		`spyker_mon_updates_total{target="` + s1.addr() + `",server="1"} 42`,
 		`spyker_mon_outbox_depth{target="` + s1.addr() + `",server="1",peer="0"} 3`,
+		`spyker_mon_pool_live_vecs{target="` + s1.addr() + `",server="1"} 5`,
+		`spyker_mon_pool_recycled_total{target="` + s1.addr() + `",server="1"} 1234`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, out)

@@ -133,7 +133,7 @@ type Setup struct {
 	// like Trace, the audit plane is passive and leaves the schedule
 	// byte-identical (see TestAuditDoesNotPerturbSimulation).
 	Audit bool
-	// Metrics collects runtime counters/gauges/histograms; nil creates a
+	// Metrics collects runtime counters/histograms; nil creates a
 	// private registry. When tracing is enabled the event stream is also
 	// bridged into the registry (staleness distribution, sync durations,
 	// byte totals) via obs.NewMetricsSink.

@@ -44,7 +44,6 @@ var testSupport = []support{
 	{"internal/live.Server.Rejects", "the trust-boundary tests count refused frames"},
 	{"internal/spyker.ServerCore.UpdatesFrom", "per-client contribution counts in the DES and checkpoint tests"},
 	{"internal/simulation.Sim.Pending", "queued-event count: Stop/horizon tests here and in internal/metrics"},
-	{"internal/paramvec.Pool.Live", "buffer-leak assertions of the live hand-off tests"},
 	{"internal/obs/audit.Recorder.Flags", "the online verdict per client, which the detection tests assert"},
 	{"internal/obs/audit.Recorder.Flagged", "the online verdict set, compared with the offline report's"},
 	{"internal/obs/audit.Report.FlaggedClients", "the offline verdict set the byzantine study's tests assert"},

@@ -187,12 +187,14 @@ func TestCloseAnswersAcceptedUpdatesBeforeShutdown(t *testing.T) {
 		}()
 	}
 
-	// Once the trainer is registered its first model is due before the
-	// shutdown frame, so it trains at least once.
+	// Once a client is registered its first model is due before the
+	// shutdown frame, so the trainer trains at least once. A connection
+	// whose hello the server has not read yet gets no shutdown frame, so
+	// every raw client must be registered too before the close.
 	waitFor(t, "updates to flow", 10*time.Second, func() bool {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
-		return srv.updates.Load() >= 100 && srv.clients[trainer.ID] != nil
+		return srv.updates.Load() >= 100 && srv.clients[trainer.ID] != nil && len(srv.clients) == clients+1
 	})
 	srv.Close()
 	wg.Wait()

@@ -27,11 +27,9 @@ type ClusterConfig struct {
 	ClientLatency time.Duration
 
 	// Trace receives every server's protocol and message events
-	// (internal/obs); nil disables tracing. Metrics, when non-nil, collects
-	// runtime counters/gauges/histograms from all servers into one
-	// registry.
-	Trace   obs.Sink
-	Metrics *obs.Registry
+	// (internal/obs): a tracer, an obs.MetricsSink filling a registry, or
+	// both through obs.Multi. nil leaves the servers uninstrumented.
+	Trace obs.Sink
 	// Audit arms the per-client contribution audit plane
 	// (internal/obs/audit) on every server; verdicts land in Trace as
 	// KindAudit events.
@@ -109,18 +107,6 @@ func RunCluster(cfg ClusterConfig, duration time.Duration) (*ClusterStats, error
 
 	initial := cfg.NewModel(cfg.Seed).Params()
 
-	// Compose the observability sink shared by all servers: the caller's
-	// trace plus (when a registry is given) a metrics deriver, so counters
-	// like staleness and byte totals fill automatically from the events.
-	sink := obs.Sink(nil)
-	if cfg.Trace != nil || cfg.Metrics != nil {
-		if cfg.Metrics != nil {
-			sink = obs.Multi(cfg.Trace, obs.NewMetricsSink(cfg.Metrics))
-		} else {
-			sink = cfg.Trace
-		}
-	}
-
 	servers := make([]*Server, cfg.NumServers)
 	addrs := make([]string, cfg.NumServers)
 	for i := range servers {
@@ -131,8 +117,8 @@ func RunCluster(cfg ClusterConfig, duration time.Duration) (*ClusterStats, error
 			return nil, err
 		}
 		srv.InjectLatency(cfg.PeerLatency, cfg.ClientLatency)
-		if sink != nil || cfg.Metrics != nil {
-			srv.Instrument(sink, cfg.Metrics)
+		if cfg.Trace != nil {
+			srv.Instrument(cfg.Trace)
 		}
 		if cfg.Audit {
 			srv.ArmAudit()

@@ -33,8 +33,7 @@ func TestLiveClusterObservability(t *testing.T) {
 		NewModel:   factory,
 		Shards:     shards,
 		Seed:       1,
-		Trace:      tracer,
-		Metrics:    reg,
+		Trace:      obs.Multi(tracer, obs.NewMetricsSink(reg)),
 		StatsEvery: 200 * time.Millisecond,
 		StatsOut:   &statsBuf,
 	}, 1200*time.Millisecond)
@@ -139,7 +138,7 @@ func TestLiveClusterObservability(t *testing.T) {
 			if i == j {
 				continue
 			}
-			h := reg.Histogram(obs.LinkDelayMetric(obs.ServerNode+i, obs.ServerNode+j), nil)
+			h := reg.Histogram(obs.LinkMetric(obs.MetricLinkDelay, obs.ServerNode+i, obs.ServerNode+j), nil)
 			if h.Count() > 0 {
 				matched = true
 				break
@@ -164,7 +163,7 @@ func TestCheckpointEmitsEvent(t *testing.T) {
 	defer srv.Close()
 
 	tracer := obs.NewTracer(0)
-	srv.Instrument(tracer, nil)
+	srv.Instrument(tracer)
 
 	var buf bytes.Buffer
 	if err := srv.WriteCheckpoint(&buf); err != nil {

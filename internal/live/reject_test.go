@@ -44,7 +44,7 @@ func newRejectRig(t *testing.T) *rejectRig {
 		servers[i], addrs[i] = srv, srv.Addr()
 	}
 	r := &rejectRig{t: t, srv: servers[0], tracer: obs.NewTracer(0), reg: obs.NewRegistry()}
-	r.srv.Instrument(r.tracer, r.reg)
+	r.srv.Instrument(obs.Multi(r.tracer, obs.NewMetricsSink(r.reg)))
 	for _, srv := range servers {
 		if err := srv.ConnectPeers(addrs); err != nil {
 			t.Fatal(err)
@@ -227,7 +227,7 @@ func TestRejectedFramesNeverReachTheCore(t *testing.T) {
 			if got := r.srv.Rejects(); got != rejects {
 				t.Errorf("%d rejects counted, want %d", got, rejects)
 			}
-			if got := r.reg.Counter("live.server0.rejects_total").Value(); got != int64(rejects) {
+			if got := r.reg.Counter(obs.RejectsMetric(0)).Value(); got != int64(rejects) {
 				t.Errorf("registry counts %d rejects, want %d", got, rejects)
 			}
 			events := r.rejectEvents()

@@ -260,16 +260,14 @@ type Server struct {
 
 	// Observability (see Instrument). sink/clock default to no-ops; the
 	// byte totals — exact frame octets, transport.MsgWireBytes — are
-	// always maintained (they are two atomic adds per frame).
-	// txPeer/rxPeer cache per-remote registry counters; both maps are only
-	// touched under mu.
-	sink    obs.Sink //spyker:guardedby(mu)
-	clock   obs.Clock
-	reg     *obs.Registry        //spyker:guardedby(mu)
-	txPeer  map[int]*obs.Counter //spyker:guardedby(mu)
-	rxPeer  map[int]*obs.Counter //spyker:guardedby(mu)
-	txBytes atomic.Int64
-	rxBytes atomic.Int64
+	// always maintained (they are two atomic adds per frame). staleness,
+	// this server's own histogram of merged updates' staleness, exists
+	// once the server is instrumented.
+	sink      obs.Sink //spyker:guardedby(mu)
+	clock     obs.Clock
+	staleness *obs.Histogram //spyker:guardedby(mu)
+	txBytes   atomic.Int64
+	rxBytes   atomic.Int64
 
 	// audit is the per-client contribution audit plane (nil unless
 	// ArmAudit was called). Its Observe runs inside dispatch and its
@@ -298,8 +296,6 @@ func newShell(id int, cfg spyker.Config, l *transport.Listener) *Server {
 		clientLR: cfg.ClientLR,
 		sink:     obs.Nop{},
 		clock:    obs.WallClock(time.Now()),
-		txPeer:   make(map[int]*obs.Counter),
-		rxPeer:   make(map[int]*obs.Counter),
 		stop:     make(chan struct{}),
 	}
 	s.addrBook[id] = l.Addr()
@@ -348,26 +344,20 @@ func (s *Server) followRing() {
 	s.ringBound.Store(int64(2 * s.core.Membership().Slots()))
 }
 
-// Instrument attaches an event sink and/or metrics registry. The core's
-// protocol events and this server's frame send/recv events go to sink,
-// stamped with wall seconds since the server started; per-remote byte
-// counters land in reg under "live.server<ID>.{tx,rx}_bytes.<node>" and
-// refused frames under "live.server<ID>.rejects_total".
-// Call before ConnectPeers and before any client connects.
-func (s *Server) Instrument(sink obs.Sink, reg *obs.Registry) {
+// Instrument attaches an event sink: the core's protocol events and this
+// server's frame send/recv and reject events go to it, stamped with wall
+// seconds since the server started (an obs.MetricsSink turns them into
+// per-link byte and per-server reject series). It also starts the
+// server's own staleness histogram, which Telemetry reports. Call before
+// ConnectPeers and before any client connects.
+func (s *Server) Instrument(sink obs.Sink) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if sink == nil {
 		sink = obs.Nop{}
 	}
 	s.sink = sink
-	s.reg = reg
-	if reg != nil {
-		s.pool.Instrument(
-			reg.Gauge(fmt.Sprintf("live.server%d.pool_live_vecs", s.ID)),
-			reg.Counter(fmt.Sprintf("live.server%d.pool_recycled_total", s.ID)),
-		)
-	}
+	s.staleness = obs.NewHistogram(obs.StalenessBuckets)
 	s.core.Instrument(sink, s.clock)
 	if s.audit != nil {
 		s.core.ArmAudit(s.audit)
@@ -389,7 +379,7 @@ func (s *Server) ArmAudit() {
 
 // noteSend records one outgoing frame to the remote node (an
 // obs.ServerNode-offset server ID or a raw client ID). Callers hold s.mu
-// (the counter maps) — true for every enqueue site.
+// (the sink) — true for every enqueue site.
 //
 //spyker:locked(mu)
 func (s *Server) noteSend(remote int, m *transport.Msg) { s.note(true, remote, m) }
@@ -400,26 +390,18 @@ func (s *Server) noteSend(remote int, m *transport.Msg) { s.note(true, remote, m
 //spyker:locked(mu)
 func (s *Server) noteRecv(remote int, m *transport.Msg) { s.note(false, remote, m) }
 
-// note counts one frame in one direction: the server's byte total, the
-// per-remote registry series, the message event.
+// note counts one frame in one direction: the server's byte total and
+// the message event.
 //
 //spyker:locked(mu)
 func (s *Server) note(sent bool, remote int, m *transport.Msg) {
 	size := transport.MsgWireBytes(m)
-	perPeer, series, kind := s.rxPeer, "rx_bytes", obs.KindMsgRecv
+	kind := obs.KindMsgRecv
 	if sent {
-		perPeer, series, kind = s.txPeer, "tx_bytes", obs.KindMsgSend
+		kind = obs.KindMsgSend
 		s.txBytes.Add(int64(size))
 	} else {
 		s.rxBytes.Add(int64(size))
-	}
-	if s.reg != nil {
-		c, ok := perPeer[remote]
-		if !ok {
-			c = s.reg.Counter(fmt.Sprintf("live.server%d.%s.%s", s.ID, series, obs.NodeName(remote)))
-			perPeer[remote] = c
-		}
-		c.Add(int64(size))
 	}
 	if s.sink.Enabled() {
 		s.sink.Emit(obs.Event{
@@ -439,9 +421,10 @@ func (s *Server) StatsLine() string {
 	joined := s.core.SyncsJoined()
 	clients := len(s.clients)
 	s.mu.Unlock()
-	return fmt.Sprintf("server %d: updates=%d age=%.1f syncs=%d/%d clients=%d tx=%.2fMB rx=%.2fMB",
+	return fmt.Sprintf("server %d: updates=%d age=%.1f syncs=%d/%d clients=%d tx=%.2fMB rx=%.2fMB pool_live=%d pool_recycled=%d",
 		s.ID, s.updates.Load(), age, syncs, joined, clients,
-		float64(s.txBytes.Load())/1e6, float64(s.rxBytes.Load())/1e6)
+		float64(s.txBytes.Load())/1e6, float64(s.rxBytes.Load())/1e6,
+		s.pool.Live(), s.pool.Recycled())
 }
 
 // Addr reports the server's listen address.
@@ -873,9 +856,6 @@ func (s *Server) drop(conn *transport.Conn, remote int, err error) {
 	s.rejects.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.reg != nil {
-		s.reg.Counter(fmt.Sprintf("live.server%d.rejects_total", s.ID)).Inc()
-	}
 	if s.sink.Enabled() {
 		s.sink.Emit(obs.Event{
 			Time: s.clock(), Kind: obs.KindReject,
@@ -1063,6 +1043,9 @@ func (s *Server) dispatch(role, id int, link *clientLink, m *transport.Msg) erro
 			return errReplaced
 		}
 		s.noteRecv(id, m)
+		if s.staleness != nil {
+			s.staleness.Observe(s.core.Age() - m.Age)
+		}
 		s.core.HandleClientUpdate(id, m.Params, m.Age, m.Trace.UID)
 		m.Params = nil
 		s.updates.Add(1)

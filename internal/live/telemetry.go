@@ -1,8 +1,6 @@
 package live
 
 import (
-	"fmt"
-
 	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/obs"
 )
@@ -18,11 +16,12 @@ func (s *Server) SetDebugAddr(addr string) {
 }
 
 // Telemetry assembles this server's health snapshot: membership view,
-// token state and silence, protocol progress, per-peer link state, and
-// the cumulative staleness histogram (when a metrics registry is
-// attached). It also refreshes the health gauges in the registry, so a
-// scrape of /debug/metrics right after /debug/telemetry sees the same
-// values. All times are seconds on this process's clock.
+// token state and silence, protocol progress, per-peer link state, buffer
+// pool occupancy, and the cumulative staleness histogram of the updates
+// this server merged (once Instrument has started it). It is the one
+// place a server's own state is exposed; spyker-mon re-exports it as
+// labelled Prometheus series. All times are seconds on this process's
+// clock.
 func (s *Server) Telemetry() *obs.Telemetry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -54,6 +53,9 @@ func (s *Server) Telemetry() *obs.Telemetry {
 		MaxBidSeen:     s.core.MaxBidSeen(),
 
 		PeerReconnects: s.reconnects.Load(),
+
+		PoolLive:     s.pool.Live(),
+		PoolRecycled: s.pool.Recycled(),
 	}
 	if s.tokenSeenValid {
 		t.TokenSilence = now - s.tokenSeen
@@ -75,29 +77,10 @@ func (s *Server) Telemetry() *obs.Telemetry {
 
 	t.Audit = s.audit.Snapshot() // nil-safe: nil recorder -> no section
 
-	if s.reg != nil {
-		h := s.reg.Histogram(obs.MetricStaleness, obs.StalenessBuckets)
+	if h := s.staleness; h != nil {
 		t.StalenessBounds = h.Bounds()
 		t.StalenessCounts = h.BucketCounts()
 		t.StalenessSum = h.Sum()
-		s.refreshHealthGauges(t)
 	}
 	return t
-}
-
-// refreshHealthGauges mirrors the snapshot's ring/link state into the
-// registry as gauges, making epoch, queue depths, failed links, and
-// reconnect totals visible on the existing expvar/Prometheus endpoints.
-// Caller holds s.mu and has checked s.reg != nil.
-//
-//spyker:locked(mu)
-func (s *Server) refreshHealthGauges(t *obs.Telemetry) {
-	pre := fmt.Sprintf("live.server%d.", s.ID)
-	s.reg.Gauge(pre + "ring_epoch").Set(float64(t.Epoch))
-	s.reg.Gauge(pre + "failed_outboxes").Set(float64(t.FailedOutboxes))
-	s.reg.Gauge(pre + "peer_reconnects_total").Set(float64(t.PeerReconnects))
-	s.reg.Gauge(pre + "token_silence_s").Set(t.TokenSilence)
-	for _, p := range t.Peers {
-		s.reg.Gauge(fmt.Sprintf("%soutbox_depth.s%d", pre, p.Peer)).Set(float64(p.OutboxDepth))
-	}
 }

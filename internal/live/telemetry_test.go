@@ -2,6 +2,8 @@ package live
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -48,7 +50,7 @@ func TestServerTelemetry(t *testing.T) {
 		}
 		wg.Wait()
 	}()
-	servers[0].Instrument(obs.NewMetricsSink(reg), reg)
+	servers[0].Instrument(obs.NewMetricsSink(reg))
 	servers[0].SetDebugAddr("127.0.0.1:7070")
 	addrs := []string{servers[0].Addr(), servers[1].Addr()}
 	for _, srv := range servers {
@@ -125,7 +127,7 @@ func TestServerTelemetry(t *testing.T) {
 		t.Errorf("staleness histogram holds %d updates, want 2", got)
 	}
 
-	// The uninstrumented server snapshots too (no histogram, no gauges).
+	// The uninstrumented server snapshots too, without a histogram.
 	tel1 := servers[1].Telemetry()
 	if !tel1.HoldsToken || tel1.Server != 1 {
 		t.Errorf("server 1 snapshot: %+v", tel1)
@@ -147,15 +149,94 @@ func TestServerTelemetry(t *testing.T) {
 		t.Errorf("round trip mismatch: %+v vs %+v", back, tel)
 	}
 
-	// The health gauges landed on the registry.
+	// The per-link byte series the sink derived from server 0's message
+	// events sum to its exact frame totals. Every note runs under s.mu and
+	// emits synchronously, so holding it freezes both sides.
+	servers[0].mu.Lock()
+	tx, rx := servers[0].txBytes.Load(), servers[0].rxBytes.Load()
 	snap := reg.Snapshot()
-	for _, name := range []string{
-		"live.server0.ring_epoch", "live.server0.failed_outboxes",
-		"live.server0.peer_reconnects_total", "live.server0.outbox_depth.s1",
-	} {
-		if _, ok := snap[name]; !ok {
-			t.Errorf("gauge %s missing from registry", name)
+	servers[0].mu.Unlock()
+	var sent, recv int64
+	for name, v := range snap {
+		if strings.HasPrefix(name, obs.MetricLinkBytesSent+".s0->") {
+			sent += v.(int64)
 		}
+		if strings.HasPrefix(name, obs.MetricLinkBytesRecv+".") && strings.HasSuffix(name, "->s0") {
+			recv += v.(int64)
+		}
+	}
+	if tx == 0 || sent != tx {
+		t.Errorf("%s.s0->* series sum to %d, server 0 sent %d bytes", obs.MetricLinkBytesSent, sent, tx)
+	}
+	if rx == 0 || recv != rx {
+		t.Errorf("%s.*->s0 series sum to %d, server 0 received %d bytes", obs.MetricLinkBytesRecv, recv, rx)
+	}
+}
+
+// TestTelemetryStalenessIsPerServer instruments two servers into one
+// registry, as RunCluster does, and sends client updates to server 1
+// alone: server 1's telemetry holds their staleness, server 0's holds
+// none, though the registry's cluster-wide histogram counts them all.
+func TestTelemetryStalenessIsPerServer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live TCP test skipped in -short mode")
+	}
+	const n, updates = 2, 5
+	reg := obs.NewRegistry()
+	sink := obs.NewMetricsSink(reg)
+	servers := make([]*Server, n)
+	addrs := make([]string, n)
+	for i := range servers {
+		cfg := ServerConfig(i, n, 1, fl.DefaultHyper(n, n))
+		cfg.HInter, cfg.HIntra = math.Inf(1), math.Inf(1) // client merges only
+		srv, err := NewServer(i, "127.0.0.1:0", cfg, make([]float64, 8), i == 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Instrument(sink)
+		servers[i], addrs[i] = srv, srv.Addr()
+	}
+	defer closeAll(servers)
+	for _, srv := range servers {
+		if err := srv.ConnectPeers(addrs); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	conn, err := transport.Dial(addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	if err := conn.Send(&transport.Msg{Kind: transport.KindHello, From: 1, Bid: RoleClient}); err != nil {
+		t.Fatal(err)
+	}
+	// The client keeps training from the first model, age 0, so update i
+	// merges with staleness i: 0+1+2+3+4.
+	const staleSum = updates * (updates - 1) / 2
+	for i := 0; i < updates; i++ {
+		reply, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		up := &transport.Msg{Kind: transport.KindClientUpdate, From: 1, Params: reply.Params}
+		if err := conn.Send(up); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "server 1 to merge every update", 5*time.Second, func() bool {
+		return servers[1].Updates() == updates
+	})
+
+	if got := servers[1].Telemetry(); got.StalenessTotal() != updates || got.StalenessSum != staleSum {
+		t.Errorf("server 1 reports %d staleness samples summing to %v, want %d summing to %d",
+			got.StalenessTotal(), got.StalenessSum, updates, staleSum)
+	}
+	if got := servers[0].Telemetry(); got.Updates != 0 || got.StalenessTotal() != 0 {
+		t.Errorf("server 0 merged %d updates but reports %d staleness samples", got.Updates, got.StalenessTotal())
+	}
+	if got := reg.Histogram(obs.MetricStaleness, nil).Count(); got != updates {
+		t.Errorf("the shared registry's staleness histogram counts %d, want %d", got, updates)
 	}
 }
 
@@ -176,7 +257,7 @@ func TestServerTelemetryAudit(t *testing.T) {
 	}
 	defer srv.Close()
 	sink := obs.NewTracer(256)
-	srv.Instrument(sink, nil)
+	srv.Instrument(sink)
 	srv.ArmAudit()
 
 	if srv.Telemetry().Audit == nil {

@@ -1,7 +1,8 @@
 // Package obs is the observability subsystem shared by both Spyker
 // runtimes: a low-overhead structured event tracer (protocol events into a
 // ring buffer, exported as JSONL or Chrome trace_event files) and a
-// registry of counters, gauges, and fixed-bucket histograms.
+// registry of counters and fixed-bucket histograms, which a MetricsSink
+// derives from the same events.
 //
 // The package is deliberately passive: sinks only record what the runtime
 // tells them and never schedule, block, or feed anything back, so enabling

@@ -8,8 +8,8 @@ import (
 )
 
 // WritePrometheus renders every metric in the Prometheus plaintext
-// exposition format (text/plain; version=0.0.4): counters and gauges as
-// single samples, histograms as cumulative _bucket series plus _sum and
+// exposition format (text/plain; version=0.0.4): counters as single
+// samples, histograms as cumulative _bucket series plus _sum and
 // _count. Metric names are sanitized to the Prometheus charset — dots,
 // arrows, and other separators become underscores.
 //
@@ -25,20 +25,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		pn := promName(n)
+		pn := PromName(n)
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", pn, pn, r.counters[n].Value()); err != nil {
-			return err
-		}
-	}
-
-	names = names[:0]
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		pn := promName(n)
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", pn, pn, r.gauges[n].Value()); err != nil {
 			return err
 		}
 	}
@@ -50,7 +38,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	sort.Strings(names)
 	for _, n := range names {
 		h := r.histograms[n]
-		pn := promName(n)
+		pn := PromName(n)
 		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", pn); err != nil {
 			return err
 		}
@@ -72,10 +60,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	return nil
 }
-
-// promName maps a registry metric name onto the Prometheus metric
-// charset; see PromName.
-func promName(name string) string { return PromName(name) }
 
 // PromName maps an arbitrary metric name onto the Prometheus metric
 // charset [a-zA-Z0-9_:]; every other rune becomes an underscore, a

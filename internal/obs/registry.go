@@ -24,18 +24,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value reports the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a last-value-wins float metric (queue depth, model age).
-// The zero value is ready to use.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value reports the last stored value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // Histogram counts observations into fixed buckets. Bucket i counts
 // observations <= bounds[i]; one extra overflow bucket counts the rest.
 // Observation is two atomic adds plus a binary search over the bounds.
@@ -137,12 +125,12 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// Registry is a name-indexed collection of metrics. Get-or-create lookups
-// take a lock; hot paths should look a metric up once and keep the handle.
+// Registry is a name-indexed collection of counters and histograms, all
+// derived from events by a MetricsSink. Get-or-create lookups take a lock;
+// hot paths should look a metric up once and keep the handle.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter   //spyker:guardedby(mu)
-	gauges     map[string]*Gauge     //spyker:guardedby(mu)
 	histograms map[string]*Histogram //spyker:guardedby(mu)
 }
 
@@ -150,7 +138,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
 	}
 }
@@ -165,18 +152,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it with the given
@@ -199,12 +174,9 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 func (r *Registry) Snapshot() map[string]any {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]any, len(r.counters)+len(r.gauges)+len(r.histograms))
+	out := make(map[string]any, len(r.counters)+len(r.histograms))
 	for n, c := range r.counters {
 		out[n] = c.Value()
-	}
-	for n, g := range r.gauges {
-		out[n] = g.Value()
 	}
 	for n, h := range r.histograms {
 		out[n] = map[string]any{
@@ -232,21 +204,19 @@ func (r *Registry) StatsLine() string {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		switch v := snap[k].(type) {
-		case map[string]any:
+		if v, ok := snap[k].(map[string]any); ok {
 			fmt.Fprintf(&b, "%s{n=%v mean=%.3g p99=%.3g}", k, v["count"], v["mean"], v["p99"])
-		case float64:
-			fmt.Fprintf(&b, "%s=%.4g", k, v)
-		default:
-			fmt.Fprintf(&b, "%s=%v", k, v)
+		} else {
+			fmt.Fprintf(&b, "%s=%v", k, snap[k])
 		}
 	}
 	return b.String()
 }
 
-// Standard metric names fed by the MetricsSink bridge. Runtime-specific
-// metrics (the live server's per-peer bytes, rejects and pool occupancy) use
-// prefixed names built with fmt.Sprintf at instrumentation sites.
+// Standard metric names fed by the MetricsSink bridge, the registry's one
+// writer. Series of one link or one server are named by LinkMetric and
+// RejectsMetric; a server's other state (token, ring, links, buffer pool)
+// is its Telemetry snapshot, not a series.
 const (
 	MetricUpdates      = "spyker.updates_aggregated"
 	MetricServerAggs   = "spyker.server_aggs"
@@ -263,20 +233,34 @@ const (
 	// on their link (one-sided instrumentation, ring-buffer loss) plus
 	// sends evicted from an over-full pending queue.
 	MetricLinkUnmatched = "net.link_delay_unmatched"
+
+	// Per-link series families, one series per directed link (LinkMetric):
+	// the delay of matched msg-send/msg-recv pairs, the bytes its sender
+	// reported sending, the bytes its receiver reported receiving.
+	MetricLinkDelay     = "net.link_delay_s"
+	MetricLinkBytesSent = "net.link_bytes_sent"
+	MetricLinkBytesRecv = "net.link_bytes_recv"
 )
 
-// LinkDelayMetric names the per-link delay histogram derived from matched
-// msg-send/msg-recv pairs. src and dst are node IDs in the trace's ID
-// space (servers carry the ServerNode offset).
-func LinkDelayMetric(src, dst int) string {
-	return fmt.Sprintf("net.link_delay_s.%s->%s", NodeName(src), NodeName(dst))
+// LinkMetric names family's series of the directed link src -> dst. src
+// and dst are node IDs in the trace's ID space (servers carry the
+// ServerNode offset).
+func LinkMetric(family string, src, dst int) string {
+	return fmt.Sprintf("%s.%s->%s", family, NodeName(src), NodeName(dst))
+}
+
+// RejectsMetric names the counter of inbound frames the live server with
+// the given ID refused (KindReject events).
+func RejectsMetric(server int) string {
+	return "live.rejects." + NodeName(ServerNode+server)
 }
 
 // MetricsSink bridges the event stream into a Registry, so every runtime
 // that traces also gets counters/histograms for free: updates aggregated,
 // staleness distribution, sync count and duration, token passes,
-// message/byte totals, and a per-link queueing-delay histogram derived
-// from matching each msg-recv to its msg-send (FIFO per directed link).
+// message/byte totals, refused frames per server, and per directed link
+// the bytes each end reported and a queueing-delay histogram derived from
+// matching each msg-recv to its msg-send (FIFO per link).
 type MetricsSink struct {
 	updates     *Counter
 	serverAggs  *Counter
@@ -308,11 +292,13 @@ const maxPendingSends = 1024
 
 // linkState matches msg-send to msg-recv on one directed link. Links are
 // FIFO in both runtimes, so matching is a queue: the oldest pending send
-// pairs with the next recv.
+// pairs with the next recv. sent and recv total the link's bytes as its
+// two ends reported them.
 type linkState struct {
-	pending []float64 // send times awaiting their recv
-	head    int
-	hist    *Histogram
+	pending    []float64 // send times awaiting their recv
+	head       int
+	hist       *Histogram
+	sent, recv *Counter
 }
 
 func (ls *linkState) push(t float64) (evicted bool) {
@@ -396,6 +382,7 @@ func (m *MetricsSink) Emit(e Event) {
 		m.mu.Lock()
 		ls := m.link(e.Node, e.Peer)
 		evicted := ls.push(e.Time)
+		ls.sent.Add(int64(e.Bytes))
 		m.mu.Unlock()
 		if evicted {
 			m.unmatched.Inc()
@@ -412,6 +399,7 @@ func (m *MetricsSink) Emit(e Event) {
 		ls := m.link(e.Peer, e.Node)
 		sent, ok := ls.pop()
 		hist := ls.hist
+		ls.recv.Add(int64(e.Bytes))
 		m.mu.Unlock()
 		if ok {
 			if d := e.Time - sent; d >= 0 {
@@ -422,6 +410,8 @@ func (m *MetricsSink) Emit(e Event) {
 		}
 	case KindCheckpoint:
 		m.checkpoints.Inc()
+	case KindReject:
+		m.reg.Counter(RejectsMetric(e.Node)).Inc()
 	}
 }
 
@@ -433,7 +423,11 @@ func (m *MetricsSink) link(src, dst int) *linkState {
 	k := linkKey{src, dst}
 	ls, ok := m.links[k]
 	if !ok {
-		ls = &linkState{hist: m.reg.Histogram(LinkDelayMetric(src, dst), DefBuckets)}
+		ls = &linkState{
+			hist: m.reg.Histogram(LinkMetric(MetricLinkDelay, src, dst), DefBuckets),
+			sent: m.reg.Counter(LinkMetric(MetricLinkBytesSent, src, dst)),
+			recv: m.reg.Counter(LinkMetric(MetricLinkBytesRecv, src, dst)),
+		}
 		m.links[k] = ls
 	}
 	return ls

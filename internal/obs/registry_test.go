@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func TestCounterGaugeBasics(t *testing.T) {
+func TestCounterBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
 	c.Inc()
@@ -16,11 +16,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	if r.Counter("c") != c {
 		t.Fatal("Counter must return the same handle for the same name")
-	}
-	g := r.Gauge("g")
-	g.Set(2.5)
-	if g.Value() != 2.5 {
-		t.Fatalf("gauge = %v, want 2.5", g.Value())
 	}
 }
 
@@ -70,7 +65,6 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				r.Counter("shared").Inc()
 				r.Histogram("h", nil).Observe(float64(i))
-				r.Gauge("g").Set(float64(i))
 			}
 		}()
 	}
@@ -86,14 +80,13 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 func TestSnapshotAndStatsLine(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a.count").Add(3)
-	r.Gauge("b.depth").Set(7)
 	r.Histogram("c.lat", []float64{1, 10}).Observe(0.5)
 	snap := r.Snapshot()
 	if snap["a.count"] != int64(3) {
 		t.Fatalf("snapshot counter = %v", snap["a.count"])
 	}
 	line := r.StatsLine()
-	for _, want := range []string{"a.count=3", "b.depth=7", "c.lat{"} {
+	for _, want := range []string{"a.count=3", "c.lat{"} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("stats line %q missing %q", line, want)
 		}
@@ -139,6 +132,33 @@ func TestMetricsSinkDerivesMetrics(t *testing.T) {
 	if h.Count() != 1 {
 		t.Fatal("unmatched sync-end must be ignored")
 	}
+
+	// Two live servers on the same registry, as RunCluster instruments
+	// them: each one's link bytes and rejects land in its own series.
+	s0, s1 := ServerNode, ServerNode+1
+	ms.Emit(Event{Time: 5, Kind: KindMsgSend, Node: s0, Peer: 7, Bytes: 40})
+	ms.Emit(Event{Time: 5, Kind: KindMsgSend, Node: s0, Peer: 7, Bytes: 2})
+	ms.Emit(Event{Time: 5, Kind: KindMsgSend, Node: s1, Peer: s0, Bytes: 30})
+	ms.Emit(Event{Time: 5, Kind: KindMsgRecv, Node: s0, Peer: s1, Bytes: 30})
+	ms.Emit(Event{Time: 5, Kind: KindMsgRecv, Node: s1, Peer: 8, Bytes: 9})
+	ms.Emit(Event{Time: 6, Kind: KindReject, Node: 1, Peer: NoPeer, Note: "hello"})
+	ms.Emit(Event{Time: 6, Kind: KindReject, Node: 1, Peer: 8, Note: "dimension"})
+	for name, want := range map[string]int64{
+		LinkMetric(MetricLinkBytesSent, s0, 7):  42,
+		LinkMetric(MetricLinkBytesSent, s1, s0): 30,
+		LinkMetric(MetricLinkBytesRecv, s1, s0): 30,
+		LinkMetric(MetricLinkBytesRecv, 8, s1):  9,
+		LinkMetric(MetricLinkBytesRecv, s0, 7):  0,
+		RejectsMetric(0):                        0,
+		RejectsMetric(1):                        2,
+	} {
+		if got := r.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if got := r.Counter(MetricBytesSent).Value(); got != 100+42+30 {
+		t.Errorf("bytes sent = %d, want the links' sum %d", got, 100+42+30)
+	}
 }
 
 func TestMetricsSinkLinkDelay(t *testing.T) {
@@ -155,14 +175,14 @@ func TestMetricsSinkLinkDelay(t *testing.T) {
 	ms.Emit(Event{Time: 2.0, Kind: KindMsgSend, Node: 1, Peer: 0, Bytes: 10})
 	ms.Emit(Event{Time: 2.2, Kind: KindMsgRecv, Node: 0, Peer: 1, Bytes: 10})
 
-	h01 := r.Histogram(LinkDelayMetric(0, 1), nil)
+	h01 := r.Histogram(LinkMetric(MetricLinkDelay, 0, 1), nil)
 	if h01.Count() != 2 {
 		t.Fatalf("0->1 delay count = %d, want 2", h01.Count())
 	}
 	if got := h01.Sum(); got < 0.79 || got > 0.81 {
 		t.Fatalf("0->1 delay sum = %v, want ~0.8", got)
 	}
-	h10 := r.Histogram(LinkDelayMetric(1, 0), nil)
+	h10 := r.Histogram(LinkMetric(MetricLinkDelay, 1, 0), nil)
 	if h10.Count() != 1 {
 		t.Fatalf("1->0 delay count = %d, want 1", h10.Count())
 	}
@@ -194,7 +214,6 @@ func TestMetricsSinkLinkDelayEvictsOnOverflow(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("net.msgs_sent").Add(7)
-	r.Gauge("queue.depth").Set(3.5)
 	h := r.Histogram("lat", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -207,7 +226,6 @@ func TestWritePrometheus(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE net_msgs_sent counter\nnet_msgs_sent 7\n",
-		"# TYPE queue_depth gauge\nqueue_depth 3.5\n",
 		"# TYPE lat histogram",
 		`lat_bucket{le="0.1"} 1`,
 		`lat_bucket{le="1"} 2`,
@@ -221,7 +239,7 @@ func TestWritePrometheus(t *testing.T) {
 	// Names with characters outside the metric alphabet must be sanitized
 	// (the link-delay metrics contain '>' and '-').
 	r2 := NewRegistry()
-	r2.Histogram(LinkDelayMetric(ServerNode+1, 4), nil).Observe(0.2)
+	r2.Histogram(LinkMetric(MetricLinkDelay, ServerNode+1, 4), nil).Observe(0.2)
 	var b2 strings.Builder
 	if err := r2.WritePrometheus(&b2); err != nil {
 		t.Fatal(err)

@@ -75,10 +75,16 @@ type Telemetry struct {
 	FailedOutboxes int             `json:"failed_outboxes"`
 	PeerReconnects int64           `json:"peer_reconnects"`
 
-	// Cumulative staleness histogram of aggregated client updates since
-	// process start (bounds as in StalenessBuckets, counts with one
-	// overflow bucket). Monitors diff consecutive snapshots to recover
-	// the staleness distribution of each polling interval.
+	// The server's frame-buffer pool: vectors checked out right now, and
+	// Gets its free-list has served since process start.
+	PoolLive     int64 `json:"pool_live"`
+	PoolRecycled int64 `json:"pool_recycled"`
+
+	// Cumulative staleness histogram of the client updates this server
+	// aggregated since it was instrumented (bounds as in StalenessBuckets,
+	// counts with one overflow bucket). Monitors diff consecutive
+	// snapshots to recover the staleness distribution of each polling
+	// interval.
 	StalenessBounds []float64 `json:"staleness_bounds,omitempty"`
 	StalenessCounts []int64   `json:"staleness_counts,omitempty"`
 	StalenessSum    float64   `json:"staleness_sum,omitempty"`

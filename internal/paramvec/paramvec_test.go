@@ -99,50 +99,43 @@ func TestPoolRecycles(t *testing.T) {
 // do not show.
 func TestPoolGetPutAllocatesNothing(t *testing.T) {
 	var p Pool
-	p.Instrument(&fakeGauge{}, &fakeCounter{})
 	p.Put(p.Get(16384))
 	if allocs := testing.AllocsPerRun(100, func() { p.Put(p.Get(16384)) }); allocs != 0 {
 		t.Fatalf("Get+Put: %.1f allocs/op, want 0", allocs)
 	}
 }
 
-func TestPoolInstrument(t *testing.T) {
+// TestPoolLiveAndRecycled checks the two occupancy counts a live server's
+// telemetry reads: Live counts the vectors out, over every length, and
+// Recycled only the Gets the free-list served, never a fresh allocation.
+func TestPoolLiveAndRecycled(t *testing.T) {
 	var p Pool
-	g := &fakeGauge{}
-	c := &fakeCounter{}
-	p.Instrument(g, c)
-	v := p.Get(4)
-	if g.last != 1 {
-		t.Fatalf("gauge after Get = %v", g.last)
+	a, b, c := p.Get(4), p.Get(4), p.Get(8)
+	if p.Live() != 3 || p.Recycled() != 0 {
+		t.Fatalf("three fresh Gets: live %d, recycled %d; want 3 and 0", p.Live(), p.Recycled())
 	}
-	p.Put(v)
-	if g.last != 0 {
-		t.Fatalf("gauge after Put = %v", g.last)
+	p.Put(a)
+	p.Put(b)
+	p.Put(c)
+	if p.Live() != 0 {
+		t.Fatalf("live after every Put = %d", p.Live())
 	}
-	for i := 0; i < 100 && c.total == 0; i++ {
+	var gets int64
+	for ; gets < 100 && p.Recycled() == 0; gets++ {
 		p.Put(p.Get(4))
 	}
-	if c.total == 0 {
-		t.Fatalf("recycled counter never incremented")
+	if r := p.Recycled(); r == 0 || r > gets {
+		t.Fatalf("recycled = %d after %d round trips on a warm class", r, gets)
+	}
+	if p.Live() != 0 {
+		t.Fatalf("live after round trips = %d", p.Live())
 	}
 }
-
-type fakeGauge struct {
-	mu   sync.Mutex
-	last float64
-}
-
-func (f *fakeGauge) Set(v float64) { f.mu.Lock(); f.last = v; f.mu.Unlock() }
-
-type fakeCounter struct{ total int64 }
-
-func (f *fakeCounter) Add(n int64) { f.total += n }
 
 // TestPoolConcurrent hammers the pool from many goroutines; run under
 // -race this verifies handed-out buffers are never shared.
 func TestPoolConcurrent(t *testing.T) {
 	var p Pool
-	p.Instrument(&fakeGauge{}, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -5,14 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// GaugeSetter receives the current number of live (checked-out) vectors;
-// obs.Gauge satisfies it. Declared locally so paramvec stays
-// dependency-free.
-type GaugeSetter interface{ Set(v float64) }
-
-// CounterAdder receives recycle increments; obs.Counter satisfies it.
-type CounterAdder interface{ Add(n int64) }
-
 // Pool is a size-keyed free-list of parameter vectors backed by one
 // sync.Pool per distinct length. Get returns a vector of exactly the
 // requested length whose contents are UNSPECIFIED (callers must fully
@@ -28,10 +20,6 @@ type Pool struct {
 
 	live     atomic.Int64 // vectors handed out and not yet returned
 	recycled atomic.Int64 // Gets served from the free-list rather than fresh
-
-	// instrumentation targets; set via Instrument, read atomically.
-	gauge   atomic.Pointer[gaugeBox]
-	counter atomic.Pointer[counterBox]
 }
 
 // class is the free-list of one vector length. A sync.Pool holds
@@ -42,22 +30,6 @@ type Pool struct {
 // cycles, and one embedded in Pool would keep Pool's owner (a whole
 // live.Server) alive with it.
 type class struct{ full, empty sync.Pool }
-
-type gaugeBox struct{ g GaugeSetter }
-type counterBox struct{ c CounterAdder }
-
-// Instrument wires the pool's occupancy metrics into external gauges: live
-// receives the checked-out vector count after every Get/Put, recycled is
-// incremented whenever a Get is served from the free-list. Either may be
-// nil. Safe to call while the pool is in use.
-func (p *Pool) Instrument(live GaugeSetter, recycled CounterAdder) {
-	if live != nil {
-		p.gauge.Store(&gaugeBox{g: live})
-	}
-	if recycled != nil {
-		p.counter.Store(&counterBox{c: recycled})
-	}
-}
 
 func (p *Pool) class(n int) *class {
 	p.mu.Lock()
@@ -81,16 +53,10 @@ func (p *Pool) Get(n int) Vec {
 		v, *box = *box, nil
 		cl.empty.Put(box)
 		p.recycled.Add(1)
-		if cb := p.counter.Load(); cb != nil {
-			cb.c.Add(1)
-		}
 	} else {
 		v = make(Vec, n)
 	}
-	live := p.live.Add(1)
-	if gb := p.gauge.Load(); gb != nil {
-		gb.g.Set(float64(live))
-	}
+	p.live.Add(1)
 	return v
 }
 
@@ -108,11 +74,11 @@ func (p *Pool) Put(v Vec) {
 	}
 	*box = v
 	cl.full.Put(box)
-	live := p.live.Add(-1)
-	if gb := p.gauge.Load(); gb != nil {
-		gb.g.Set(float64(live))
-	}
+	p.live.Add(-1)
 }
 
 // Live reports the number of vectors currently checked out.
 func (p *Pool) Live() int64 { return p.live.Load() }
+
+// Recycled reports how many Gets the free-list has served.
+func (p *Pool) Recycled() int64 { return p.recycled.Load() }

