@@ -251,42 +251,6 @@ func BenchmarkExtAblations(b *testing.B) {
 	}
 }
 
-// BenchmarkExtClustering compares the geo, similar and stratified client
-// placements (the paper's Sec. 7 future work).
-func BenchmarkExtClustering(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s, err := experiments.RunClusteringStudy(benchScale, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range s.Results {
-			if r.TimeToTarget > 0 {
-				b.ReportMetric(r.TimeToTarget, "t_"+r.Assignment.String())
-			}
-		}
-		if b.N == 1 {
-			b.Logf("\n%s", s.Render())
-		}
-	}
-}
-
-// BenchmarkExtCompression compares raw, 8-bit-quantized and top-10%
-// sparsified client updates on Spyker (bandwidth extension).
-func BenchmarkExtCompression(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s, err := experiments.RunCompressionStudy(benchScale, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range s.Rows {
-			b.ReportMetric(float64(r.ClientServerBytes)/1e6, "MB_"+r.Codec)
-		}
-		if b.N == 1 {
-			b.Logf("\n%s", s.Render())
-		}
-	}
-}
-
 // BenchmarkExtServerScaling varies the server count over a fixed
 // geo-distributed client population (completing the paper's scalability
 // story for the server dimension).

@@ -71,8 +71,6 @@ var jobs = []job{
 	{"fig12", "bandwidth usage accounting", study(experiments.RunBandwidthStudy)},
 	{"churn", "client churn robustness", study(experiments.RunChurnStudy)},
 	{"ablations", "component ablations", study(experiments.RunAblations)},
-	{"clustering", "client-to-server assignment strategies", study(experiments.RunClusteringStudy)},
-	{"compression", "update-compression operating points", study(experiments.RunCompressionStudy)},
 	{"servers", "server-count scaling", study(experiments.RunServerScalingStudy)},
 	{"byzantine", "byzantine-client resilience", study(experiments.RunByzantineStudy)},
 	{"failover", "token-holder crash-rate sweep with recovery", study(experiments.RunFailoverStudy)},

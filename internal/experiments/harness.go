@@ -11,7 +11,7 @@ import (
 	"github.com/spyker-fl/spyker/internal/spyker"
 )
 
-// What the seventeen studies share: population and base deployment, the
+// What the fifteen studies share: population and base deployment, the
 // time-to-target cell, the task metric, the aligned table, the sweep of
 // runs. A study file holds only its own sweep, result type and wording.
 

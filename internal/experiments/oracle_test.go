@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"github.com/spyker-fl/spyker/internal/compress"
 	"github.com/spyker-fl/spyker/internal/fault"
 	"github.com/spyker-fl/spyker/internal/fl"
 )
@@ -62,18 +61,14 @@ func TestCrossCommitOracle(t *testing.T) {
 		// Recorded on 6db5d83, the commit before the client-update handler
 		// began to consume its vector and reply in it: the configurations
 		// where that vector is not a view of the client's model (a
-		// Byzantine payload, a codec reconstruction, the private copy of a
-		// fault-armed run) or where the merge is not the fused kernel (the
-		// clip path, which in 64 honest updates never clips and so must
-		// equal the plain row through DiffInto+AxpyInto, and does clip the
-		// sign-flipped payload; audit armed, which must equal the plain row
-		// too).
+		// Byzantine payload, the private copy of a fault-armed run) or where
+		// the merge is not the fused kernel (the clip path, which in 64
+		// honest updates never clips and so must equal the plain row through
+		// DiffInto+AxpyInto, and does clip the sign-flipped payload; audit
+		// armed, which must equal the plain row too).
 		{"mnist/spyker/sign-flip", TaskMNIST, "spyker", nil, func(e *fl.Env) {
 			e.Clients[1].Byzantine = fl.ByzantineSignFlip
 		}, oracleBits{0x40318e1e6cf6fb7e, 0x3fc999999999999a, 0x3ff526fb3f2813b7, 64, 0xbe7405e60660b1fa}},
-		{"mnist/spyker/q8", TaskMNIST, "spyker", func(s *Setup) {
-			s.Codec = compress.Quantize8{}
-		}, nil, oracleBits{0x3ffeb7d3966fd249, 0x3fcd70a3d70a3d71, 0x3ff4c733028dd98d, 64, 0x44b00203ac715bd}},
 		{"mnist/spyker/clip3", TaskMNIST, "spyker", func(s *Setup) {
 			h := fl.DefaultHyper(8, 2)
 			h.RobustClipFactor = 3
@@ -164,7 +159,6 @@ var oracleUnfused = map[string]oracleBits{
 	"cifar/fedavg":                 {0x3ff676b52bcfeb59, 0x3fe53a06d3a06d3a, 0x4013074af10546f5, 64, 0xfc41079a78f9a4bd},
 	"wiki/spyker":                  {0x400af9c20d7dc32a, 0x3fc4514514514514, 0x3ff4b8041087ed39, 64, 0x3698aa3bb4941a49},
 	"wiki/fedavg":                  {0x400a6956ef2552a7, 0x3fc6fbefbefbefbf, 0x4012eb5673c55544, 64, 0x3eec447da050a381},
-	"mnist/spyker/q8":              {0x3ffeb7d3966fd24d, 0x3fcd70a3d70a3d71, 0x3ff4c733028dd98d, 64, 0x625e14b4f55d1545},
 	"mnist/spyker/clip3":           {0x3ffebade72c54d91, 0x3fce4b17e4b17e4b, 0x3ff526fb3f2813b7, 64, 0x420e4d571afd08c7},
 	"mnist/spyker/clip3+sign-flip": {0x40083a11fbaab289, 0x3fd28f5c28f5c28f, 0x3ff526fb3f2813b7, 64, 0xaea558db8ba51fa5},
 	"mnist/spyker/audit":           {0x3ffebade72c54d91, 0x3fce4b17e4b17e4b, 0x3ff526fb3f2813b7, 64, 0x420e4d571afd08c7},

@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"github.com/spyker-fl/spyker/internal/cluster"
-	"github.com/spyker-fl/spyker/internal/compress"
 	"github.com/spyker-fl/spyker/internal/data"
 	"github.com/spyker-fl/spyker/internal/fault"
 	"github.com/spyker-fl/spyker/internal/fl"
@@ -73,21 +71,13 @@ type Setup struct {
 	CorrelatedSpeed bool
 
 	// SpreadClientRegions homes clients over all four AWS regions in
-	// equal blocks regardless of the server count, and (under AssignGeo)
-	// assigns each client to the lowest-latency server with balancing.
-	// Without it, client regions follow the servers (the paper's layout,
-	// where every deployment has one server per region). Used by the
-	// server-count scaling study so a 1-server deployment still faces
-	// geo-distributed clients.
+	// equal blocks regardless of the server count, and assigns each client
+	// to the lowest-latency server with balancing. Without it, client
+	// regions follow the servers (the paper's layout, where every
+	// deployment has one server per region). Used by the server-count
+	// scaling study so a 1-server deployment still faces geo-distributed
+	// clients.
 	SpreadClientRegions bool
-
-	// Assignment selects how clients are mapped to servers; the default
-	// (AssignGeo) is the paper's nearest-server rule. The clustering
-	// strategies implement the paper's future-work idea (Sec. 7) of
-	// grouping clients by data-distribution similarity; they may assign a
-	// client to a server outside its region, paying real cross-region
-	// latency for the data-aware placement.
-	Assignment Assignment
 
 	// Churn: ChurnFraction of the clients (spread evenly over servers)
 	// go offline during [ChurnFrom, ChurnUntil) and resume afterwards,
@@ -95,10 +85,6 @@ type Setup struct {
 	ChurnFraction float64
 	ChurnFrom     float64
 	ChurnUntil    float64
-
-	// Codec applies lossy client-update compression on the wire (nil =
-	// raw float64); see internal/compress.
-	Codec compress.Codec
 
 	// Latency overrides the network latency function (nil = AWS Tab. 4).
 	Latency geo.LatencyFunc
@@ -163,27 +149,6 @@ func (s Setup) withDefaults() Setup {
 	return s
 }
 
-// Assignment is a client-to-server placement strategy.
-type Assignment int
-
-// Placement strategies.
-const (
-	// AssignGeo (default) assigns every client to its nearest server,
-	// the paper's rule.
-	AssignGeo Assignment = iota
-	// AssignSimilar groups clients with similar label distributions onto
-	// the same server (balanced k-means over label histograms).
-	AssignSimilar
-	// AssignStratified spreads each similarity cluster across all
-	// servers, so every server sees every data distribution.
-	AssignStratified
-)
-
-// String implements fmt.Stringer.
-func (a Assignment) String() string {
-	return enumName("Assignment", int(a), "geo", "similar", "stratified")
-}
-
 // workload bundles the dataset-specific pieces of an environment.
 type workload struct {
 	factory fl.ModelFactory
@@ -191,9 +156,6 @@ type workload struct {
 	// labelOf reports a representative label for a client's shard (nil
 	// for the text task); used by the CorrelatedSpeed option.
 	labelOf func(client int) int
-	// hists holds per-client label histograms (nil for the text task);
-	// used by the clustering assignment strategies.
-	hists [][]float64
 }
 
 // buildWorkload materializes the task's dataset and model factory and
@@ -253,8 +215,7 @@ func buildCIFAR(s Setup) workload {
 // imageWorkload splits an image dataset over the setup's clients.
 func imageWorkload(ds *data.Images, s Setup, factory fl.ModelFactory) workload {
 	shards := imageShards(ds, s)
-	return workload{factory: factory, shards: shards,
-		labelOf: shardLabeler(ds, shards), hists: cluster.LabelHistograms(ds, shards)}
+	return workload{factory: factory, shards: shards, labelOf: shardLabeler(ds, shards)}
 }
 
 func imageShards(ds data.Classification, s Setup) [][]int {
@@ -369,10 +330,7 @@ func BuildEnv(s Setup) (*fl.Env, *metrics.Recorder, error) {
 		}
 	}
 
-	serverOf, err := assignServers(s, wl, perServer, regionOf)
-	if err != nil {
-		return nil, nil, err
-	}
+	serverOf := assignServers(s, perServer, regionOf)
 
 	rng := rand.New(rand.NewSource(s.Seed + 99))
 	servers := make([]fl.ServerSpec, s.NumServers)
@@ -449,61 +407,31 @@ func BuildEnv(s Setup) (*fl.Env, *metrics.Recorder, error) {
 		Faults:     s.Faults,
 		Audit:      s.Audit,
 	}
-	if s.Codec != nil {
-		env.Codec = s.Codec
-		env.UpdateBytes = s.Codec.WireBytes(evalModel.NumParams())
-	}
 	return env, rec, nil
 }
 
-// assignServers maps each client to a server per the setup's strategy.
-func assignServers(s Setup, wl workload, perServer []int, regionOf []geo.Region) ([]int, error) {
-	serverOf := make([]int, s.NumClients)
-	switch s.Assignment {
-	case AssignGeo:
-		if s.SpreadClientRegions {
-			// Nearest server by latency, balanced: among the servers with
-			// the lowest latency from the client's region, pick the least
-			// loaded one (cluster.NearestBalanced, shared with elastic
-			// client re-homing).
-			servers := make([]int, s.NumServers)
-			for si := range servers {
-				servers[si] = si
-			}
-			assign := cluster.NearestBalanced(regionOf[:s.NumClients], servers,
-				func(si int) geo.Region { return geo.Regions[si%len(geo.Regions)] },
-				geo.AWSLatency, nil)
-			copy(serverOf, assign)
-			break
+// assignServers maps each client to a server: its nearest one, the
+// paper's rule.
+func assignServers(s Setup, perServer []int, regionOf []geo.Region) []int {
+	if s.SpreadClientRegions {
+		// Nearest server by latency, balanced: among the servers with the
+		// lowest latency from the client's region, pick the least loaded
+		// one (geo.NearestBalanced, shared with elastic client re-homing).
+		servers := make([]int, s.NumServers)
+		for si := range servers {
+			servers[si] = si
 		}
-		ci := 0
-		for si := range perServer {
-			for k := 0; k < perServer[si]; k++ {
-				serverOf[ci] = si
-				ci++
-			}
-		}
-	case AssignSimilar, AssignStratified:
-		if wl.hists == nil {
-			return nil, fmt.Errorf("experiments: %v assignment needs label histograms (image tasks only)", s.Assignment)
-		}
-		// One similarity group per server, or each group dealt round-robin
-		// over the servers so every server receives a slice of every
-		// distribution.
-		next := 0
-		for si, g := range cluster.BalancedGroups(wl.hists, s.NumServers, s.Seed+13) {
-			for _, ci := range g {
-				serverOf[ci] = si
-				if s.Assignment == AssignStratified {
-					serverOf[ci] = next % s.NumServers
-					next++
-				}
-			}
-		}
-	default:
-		return nil, fmt.Errorf("experiments: unknown assignment %v", s.Assignment)
+		return geo.NearestBalanced(regionOf[:s.NumClients], servers,
+			func(si int) geo.Region { return geo.Regions[si%len(geo.Regions)] },
+			geo.AWSLatency, nil)
 	}
-	return serverOf, nil
+	serverOf := make([]int, 0, s.NumClients)
+	for si := range perServer {
+		for k := 0; k < perServer[si]; k++ {
+			serverOf = append(serverOf, si)
+		}
+	}
+	return serverOf
 }
 
 func evenSplit(total, parts int) []int {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/spyker-fl/spyker/internal/compress"
 	"github.com/spyker-fl/spyker/internal/data"
 	"github.com/spyker-fl/spyker/internal/nn"
 	"github.com/spyker-fl/spyker/internal/obs"
@@ -151,10 +150,9 @@ func TestHandleModelGivenItsOwnView(t *testing.T) {
 
 // TestOnlyHonestClientsSendTheirView: the server writes its reply into
 // the vector an update arrives in. For an honest client that vector is the
-// model's own view, by design. A Byzantine payload, a codec reconstruction
-// and the hardened copy of a fault-armed run must each be a vector of
-// their own, or the reply would overwrite a model whose owner still
-// reads it (tamper compares the trained model with the received one; a
+// model's own view, by design. A Byzantine payload and the hardened copy
+// of a fault-armed run must each be a vector of their own, or the reply
+// would overwrite a model whose owner still reads it (tamper compares the trained model with the received one; a
 // fault-armed client may train again before its update is consumed).
 func TestOnlyHonestClientsSendTheirView(t *testing.T) {
 	type variant struct {
@@ -168,8 +166,6 @@ func TestOnlyHonestClientsSendTheirView(t *testing.T) {
 		{"noise", func(_ *Env, c *SimClient) { c.Spec.Byzantine = ByzantineNoise }, false},
 		{"scaled-noise", func(_ *Env, c *SimClient) { c.Spec.Byzantine = ByzantineScaledNoise }, false},
 		{"collude", func(_ *Env, c *SimClient) { c.Spec.Byzantine = ByzantineCollude }, false},
-		{"codec-raw", func(e *Env, _ *SimClient) { e.Codec = compress.Raw{} }, false},
-		{"codec-q8", func(e *Env, _ *SimClient) { e.Codec = compress.Quantize8{} }, false},
 		{"copy-updates", func(_ *Env, c *SimClient) { c.CopyUpdates = true }, false},
 	}
 	for _, tc := range aliasCases() {

@@ -172,11 +172,11 @@ func (c *SimClient) HandleModel(params []float64, meta, lr float64) {
 	// parked between its update and the reply, the client has no other use
 	// for the vector.
 	update := c.Model.ParamsView()
-	if c.Spec.Byzantine != ByzantineNone || c.CopyUpdates || c.Env.Codec != nil {
+	if c.Spec.Byzantine != ByzantineNone || c.CopyUpdates {
 		// Join point 2: these paths read the trained vector now. Each must
 		// keep producing a vector of its own: tamper reads params beside
 		// the trained view, a hardened client may retrain before its
-		// update is consumed, a codec sends its reconstruction.
+		// update is consumed.
 		c.training.Join()
 	}
 	if c.Spec.Byzantine != ByzantineNone {
@@ -186,11 +186,6 @@ func (c *SimClient) HandleModel(params []float64, meta, lr float64) {
 		// before the server consumed the previous update (the reply was
 		// lost), which would mutate the in-flight view.
 		update = append([]float64(nil), update...)
-	}
-	if c.Env.Codec != nil {
-		// Lossy update compression: the server receives the decoded
-		// reconstruction, not the exact parameters.
-		update = c.Env.Codec.Roundtrip(update)
 	}
 
 	now := c.Env.Sim.Now()

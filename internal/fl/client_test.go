@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/spyker-fl/spyker/internal/compress"
 	"github.com/spyker-fl/spyker/internal/geo"
 	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/simulation"
@@ -90,35 +89,6 @@ func TestSimClientAbsencePostponesReply(t *testing.T) {
 	}
 }
 
-func TestSimClientCodecRoundtripsUpdate(t *testing.T) {
-	env, sim := clientEnv()
-	env.Codec = compress.Quantize8{}
-	env.UpdateBytes = env.Codec.WireBytes(2)
-	var got []float64
-	c := &SimClient{
-		Env: env, Spec: env.Clients[0],
-		Model: &echoModel{params: []float64{0, 0}},
-		Deliver: func(_ int, update []float64, _ float64, _ obs.UID) {
-			got = update
-		},
-	}
-	c.HandleModel([]float64{0, 0}, 0, 0.05)
-	sim.Run(10)
-	if got == nil {
-		t.Fatal("no delivery")
-	}
-	// Both trained params are 1.0 (constant vector): q8 reconstructs a
-	// constant vector exactly.
-	if got[0] != 1 || got[1] != 1 {
-		t.Errorf("codec roundtrip = %v", got)
-	}
-	// The wire size must be the codec's, not the raw model size.
-	if env.Net.TotalBytes(geo.ClientServer) != env.UpdateBytes {
-		t.Errorf("bytes = %d, want codec size %d",
-			env.Net.TotalBytes(geo.ClientServer), env.UpdateBytes)
-	}
-}
-
 func TestTamperKinds(t *testing.T) {
 	env, _ := clientEnv()
 	received := []float64{1, 1}
@@ -177,17 +147,6 @@ func TestProcQueueBusyUntil(t *testing.T) {
 	q.Submit(2, onDone(sim, func() {}))
 	if q.busyUntil != 2 {
 		t.Errorf("busyUntil = %v", q.busyUntil)
-	}
-}
-
-func TestClientUpdateBytesDefault(t *testing.T) {
-	env := &Env{ModelBytes: 500}
-	if env.ClientUpdateBytes() != 500 {
-		t.Error("default should fall back to ModelBytes")
-	}
-	env.UpdateBytes = 80
-	if env.ClientUpdateBytes() != 80 {
-		t.Error("explicit UpdateBytes ignored")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"testing"
 
-	"github.com/spyker-fl/spyker/internal/compress"
 	"github.com/spyker-fl/spyker/internal/obs"
 )
 
@@ -58,7 +57,6 @@ func TestDetachedTrainingMatchesInline(t *testing.T) {
 		{"noise", func(_ *Env, c *SimClient) { c.Spec.Byzantine = ByzantineNoise }},
 		{"scaled-noise", func(_ *Env, c *SimClient) { c.Spec.Byzantine = ByzantineScaledNoise }},
 		{"collude", func(_ *Env, c *SimClient) { c.Spec.Byzantine = ByzantineCollude }},
-		{"codec-q8", func(e *Env, _ *SimClient) { e.Codec = compress.Quantize8{} }},
 		{"absence", func(_ *Env, c *SimClient) { c.Spec.Absences = []Absence{{From: 0.15, Until: 0.5}} }},
 		{"mid-cycle-model", midCycleModel},
 		{"copy-updates/mid-cycle-model", func(e *Env, c *SimClient) {

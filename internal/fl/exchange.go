@@ -107,7 +107,7 @@ func (e *Env) sendUpdate(i int) {
 	u := e.x.uploads.At(i)
 	src := e.ClientEndpoint(u.c.Spec.ID)
 	dst := e.ServerEndpoint(u.server)
-	u.arrivals = e.Net.Post(src, dst, e.ClientUpdateBytes(), geo.ClientServer, u.uid,
+	u.arrivals = e.Net.Post(src, dst, e.ModelBytes, geo.ClientServer, u.uid,
 		simulation.Job{Kind: e.x.deliver, Arg: i})
 	if u.arrivals == 0 {
 		e.x.uploads.Free(i)

@@ -9,7 +9,6 @@ package fl
 import (
 	"fmt"
 
-	"github.com/spyker-fl/spyker/internal/compress"
 	"github.com/spyker-fl/spyker/internal/fault"
 	"github.com/spyker-fl/spyker/internal/geo"
 	"github.com/spyker-fl/spyker/internal/obs"
@@ -239,15 +238,7 @@ type Env struct {
 	Servers    []ServerSpec
 	Clients    []ClientSpec
 	NewModel   ModelFactory
-	ModelBytes int // wire size of one model message (server -> client, server <-> server)
-	// UpdateBytes is the wire size of a client -> server update; 0 means
-	// ModelBytes. Update compression (internal/compress) shrinks only this
-	// direction, the standard practice in the FL literature.
-	UpdateBytes int
-	// Codec, when non-nil, is applied (encode+decode) to every client
-	// update before the server sees it, so the accuracy impact of lossy
-	// update compression is part of the simulation.
-	Codec compress.Codec
+	ModelBytes int // wire size of one model or update message
 	// ServerProcMult scales per-server processing delays (see ProcFor).
 	ServerProcMult []float64
 	Hyper          Hyper
@@ -301,14 +292,6 @@ func (e *Env) ProcFor(server int, base float64) float64 {
 		}
 	}
 	return base
-}
-
-// ClientUpdateBytes reports the wire size of one client update message.
-func (e *Env) ClientUpdateBytes() int {
-	if e.UpdateBytes > 0 {
-		return e.UpdateBytes
-	}
-	return e.ModelBytes
 }
 
 // Validate checks structural consistency of the environment.

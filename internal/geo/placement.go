@@ -1,6 +1,4 @@
-package cluster
-
-import "github.com/spyker-fl/spyker/internal/geo"
+package geo
 
 // NearestBalanced places each client (given by its region) on its
 // nearest server by modeled latency, breaking latency ties toward the
@@ -15,7 +13,7 @@ import "github.com/spyker-fl/spyker/internal/geo"
 // existing population and the clients placed during this call. A nil
 // load starts every server at zero. Returns one server ID per region
 // entry (-1 if servers is empty).
-func NearestBalanced(regions []geo.Region, servers []int, serverRegion func(int) geo.Region, latency geo.LatencyFunc, load map[int]int) []int {
+func NearestBalanced(regions []Region, servers []int, serverRegion func(int) Region, latency LatencyFunc, load map[int]int) []int {
 	out := make([]int, len(regions))
 	if len(servers) == 0 {
 		for i := range out {

@@ -127,7 +127,7 @@ func TestServerModelHasOneReader(t *testing.T) {
 
 // asmDir is the one package of the module with assembly: internal/tensor,
 // whose AVX2 kernels share one CPU check (hasAVX2), one dispatch variable
-// and one -tags purego fallback.
+// and one portable fallback (-tags purego, -race).
 const asmDir = "internal/tensor"
 
 // TestAssemblyIsConfined keeps that a fact: every .s file of the module

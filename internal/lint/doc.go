@@ -10,8 +10,8 @@
 //
 // determinism — the discrete-event emulation must be bit-for-bit
 // reproducible, so in the deterministic layers (internal/tensor, nn,
-// paramvec, data, fl, simulation, geo, spyker, baselines, compress,
-// metrics, cluster) three nondeterminism sources are forbidden:
+// paramvec, data, fl, simulation, geo, spyker, baselines, metrics)
+// three nondeterminism sources are forbidden:
 // time.Now/time.Since, the global math/rand convenience functions
 // (constructing a seeded *rand.Rand via rand.New/rand.NewSource stays
 // legal — every stochastic component takes an explicit seed), and `range`

@@ -70,9 +70,8 @@ func DefaultConfig() *Config {
 			"internal/tensor", "internal/nn", "internal/paramvec",
 			"internal/data", "internal/fl", "internal/simulation",
 			"internal/geo", "internal/spyker", "internal/baselines",
-			"internal/compress", "internal/metrics", "internal/cluster",
-			"internal/fault", "internal/ring", "internal/obs/health",
-			"internal/obs/audit",
+			"internal/metrics", "internal/fault", "internal/ring",
+			"internal/obs/health", "internal/obs/audit",
 			"internal/lint/testdata/src/determinism",
 			"internal/lint/testdata/src/paridiom",
 		},

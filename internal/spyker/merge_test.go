@@ -18,8 +18,8 @@ import (
 // what the reader hands out, the reply, and the model left behind must
 // equal the same steps on a core that merges inline. With several
 // processors a reader that skipped the join would see the model before the
-// merge; under -race -tags purego the race detector also sees the portable
-// sweep's writes, which the AVX2 one hides from it.
+// merge; a -race build takes the portable sweep, whose writes the race
+// detector sees (the AVX2 one hides them).
 func TestDetachedMergeJoinsAtEveryReader(t *testing.T) {
 	const dim = 1 << 14 // big enough that a worker is still merging when the reader comes
 	rng := rand.New(rand.NewSource(1))

@@ -3,7 +3,6 @@ package spyker
 import (
 	"fmt"
 
-	"github.com/spyker-fl/spyker/internal/cluster"
 	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/geo"
 	"github.com/spyker-fl/spyker/internal/obs"
@@ -594,7 +593,7 @@ func (a *Algorithm) Leave(target int) bool {
 		for i, ci := range ids {
 			regions[i] = env.Clients[ci].Region
 		}
-		assign := cluster.NearestBalanced(regions, survivors,
+		assign := geo.NearestBalanced(regions, survivors,
 			func(s int) geo.Region { return env.Servers[s].Region },
 			geo.AWSLatency, load)
 		movedTo := make(map[int][]int, len(survivors))

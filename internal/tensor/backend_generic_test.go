@@ -1,11 +1,11 @@
-//go:build !amd64 || purego
+//go:build !amd64 || purego || race
 
 package tensor
 
 import "testing"
 
-// backends lists the kernel backends this build contains: off amd64 and
-// under -tags purego, only the portable loops.
+// backends lists the kernel backends this build contains: off amd64, under
+// -tags purego and under -race, only the portable loops.
 var backends = []backend{{"go"}}
 
 type backend struct{ name string }

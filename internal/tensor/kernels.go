@@ -14,7 +14,7 @@ import (
 // four sweeps of the protocol path (WeightedMerge, MergeReply, MeanInto,
 // AllFinite).
 // kernels_amd64.go (AVX2 assembly, chosen by the CPU) and
-// kernels_generic.go (everything else, and -tags purego) decide which
+// kernels_generic.go (everything else, -tags purego and -race) decide which
 // backend a call reaches; both backends produce the same bits.
 
 // Conv3x3Add adds one input plane's 3x3 "valid" convolution to one output

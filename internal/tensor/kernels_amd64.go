@@ -1,12 +1,12 @@
-//go:build amd64 && !purego
+//go:build amd64 && !purego && !race
 
 package tensor
 
 import "math"
 
 // useAVX2 selects the assembly backend of kernels_amd64.s. It is decided
-// once, by the CPU alone; building with -tags purego is the only way to
-// force the portable loops on a machine that has AVX2. cpuFMA is whether
+// once, by the CPU alone; building with -tags purego or -race is the only
+// way to force the portable loops on a machine that has AVX2. cpuFMA is whether
 // the CPU also has FMA, which the exp kernels need (expFused).
 var useAVX2, cpuFMA = cpuFeatures()
 

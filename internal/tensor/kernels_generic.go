@@ -1,9 +1,10 @@
-//go:build !amd64 || purego
+//go:build !amd64 || purego || race
 
 package tensor
 
-// Off amd64, and under -tags purego, the portable loops of kernels.go are
-// the only backend.
+// Off amd64, under -tags purego and under the race detector, the portable
+// loops of kernels.go are the only backend; in a -race build the detector
+// then sees every kernel write, which it cannot see in the assembly.
 
 func (m *Matrix) matVec(dst, x []float64)                { m.matVecGo(dst, x) }
 func (m *Matrix) matVecT(dst, x []float64)               { m.matVecTGo(dst, x) }

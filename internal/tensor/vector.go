@@ -23,8 +23,8 @@
 // compute nothing: each lane (an element, or a pooling window) selects
 // the bits of one of its operands, or +0, through a mask, deciding on the
 // bit pattern or with an ordered compare exactly as the Go loop decides.
-// The CPU alone chooses; building with -tags purego leaves only the Go
-// loops. The bits are amd64's: on architectures where the Go compiler
+// The CPU alone chooses; building with -tags purego or -race leaves only
+// the Go loops. The bits are amd64's: on architectures where the Go compiler
 // fuses x*y + z (arm64, ppc64le, s390x, riscv64) the portable loops round
 // differently.
 package tensor
