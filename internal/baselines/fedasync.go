@@ -59,6 +59,7 @@ func (s *asyncServer) stalenessDiscount(ver int) float64 {
 	if staleness < 0 {
 		staleness = 0
 	}
+	// math.Pow answers the exponent -0.5 with 1/Sqrt, calling no exp.
 	return math.Pow(1+staleness, -s.env.Hyper.StalenessExp)
 }
 

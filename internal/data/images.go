@@ -3,6 +3,8 @@ package data
 import (
 	"fmt"
 	"math/rand"
+
+	"github.com/spyker-fl/spyker/internal/tensor"
 )
 
 // ImageConfig describes a synthetic image-classification dataset.
@@ -109,7 +111,7 @@ func smoothTemplate(rng *rand.Rand, ch, h, w int) []float64 {
 }
 
 func gauss2(dy, dx, sigma float64) float64 {
-	return exp(-(dy*dy + dx*dx) / (2 * sigma * sigma))
+	return tensor.Exp(-(dy*dy + dx*dx) / (2 * sigma * sigma))
 }
 
 // shifted writes src translated by (dy,dx) into dst, zero-padding exposed

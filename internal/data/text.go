@@ -2,12 +2,10 @@ package data
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-)
 
-// exp avoids importing math twice in images.go; text.go owns the alias.
-func exp(x float64) float64 { return math.Exp(x) }
+	"github.com/spyker-fl/spyker/internal/tensor"
+)
 
 // TextConfig describes a synthetic character stream for language modeling.
 type TextConfig struct {
@@ -57,7 +55,7 @@ func GenerateText(cfg TextConfig) *Text {
 		row := make([]float64, cfg.Vocab)
 		var sum float64
 		for j := range row {
-			row[j] = exp(rng.NormFloat64() * cfg.Sharpness / 2)
+			row[j] = tensor.Exp(rng.NormFloat64() * cfg.Sharpness / 2)
 			sum += row[j]
 		}
 		for j := range row {

@@ -36,8 +36,9 @@ type oracleBits struct {
 // -tags purego forces): on architectures where the compiler fuses x*y + z
 // into one rounding (arm64, ppc64le, s390x, riscv64) every kernel, old or
 // new, gives other bits, so the test skips there instead of failing.
-// They are also those of math.Exp's fused path; where math.Exp takes its
-// unfused one, the rows of oracleUnfused hold instead.
+// Every exp and tanh on the path is the tree's own (tensor.Exp and
+// tensor.Tanh), so one row set holds on every amd64 CPU, with or without
+// FMA, and under GODEBUG=cpu.fma=off.
 func TestCrossCommitOracle(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("the ordering contract's bits are amd64's: on %s the Go compiler may fuse x*y + z "+
@@ -108,12 +109,8 @@ func TestCrossCommitOracle(t *testing.T) {
 		{"mnist/fedbuff", TaskMNIST, "fedbuff", nil, nil, oracleBits{0x3ff76e6d87971575, 0x3fe2e147ae147ae1, 0x40003b4b168db1e3, 64, 0xdc9e34aca0a9aecc}},
 		{"wiki/fedasync", TaskWiki, "fedasync", nil, nil, oracleBits{0x400a433590439a81, 0x3fc77df7df7df7df, 0x400011592dd31fca, 64, 0x8104498e7c13991a}},
 	}
-	unfused := math.Float64bits(math.Exp(12.033678535466372)) == 0x41048c4bd988246e
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if w, ok := oracleUnfused[tc.name]; ok && unfused {
-				tc.want = w
-			}
 			setup := Setup{
 				Task: tc.task, NumServers: 2, NumClients: 8, NonIIDLabels: 2,
 				Seed: 7, MaxUpdates: 64, EvalEvery: 8, Horizon: 60,
@@ -141,33 +138,6 @@ func TestCrossCommitOracle(t *testing.T) {
 			}
 		})
 	}
-}
-
-// oracleUnfused: the rows as they come out where math.Exp runs its unfused
-// path. On amd64 math.Exp is assembly with two paths, fused multiply-adds
-// when the CPU has FMA and separate multiplies and adds otherwise (or
-// under GODEBUG=cpu.fma=off), which round differently — 12.033678535466372
-// is one input they tell apart. internal/tensor's exp kernels copy the
-// fused path and must stand aside on the other: under GODEBUG=cpu.fma=off
-// a run has to give these bits, which were recorded on b3de175, the
-// commit before the kernels, under that setting. A row not named here
-// comes out the same on both paths.
-var oracleUnfused = map[string]oracleBits{
-	"mnist/spyker":                 {0x3ffebade72c54d91, 0x3fce4b17e4b17e4b, 0x3ff526fb3f2813b7, 64, 0x420e4d571afd08c7},
-	"mnist/fedavg":                 {0x3ffa0595c1c92dd1, 0x3fe1b4e81b4e81b5, 0x401308edb36781aa, 64, 0xc68e0aaa7de36621},
-	"cifar/spyker":                 {0x3ffe809be2ad27ac, 0x3fd7e4b17e4b17e5, 0x3ff520d8e637b799, 64, 0xb509f7f3b5c01939},
-	"cifar/fedavg":                 {0x3ff676b52bcfeb59, 0x3fe53a06d3a06d3a, 0x4013074af10546f5, 64, 0xfc41079a78f9a4bd},
-	"wiki/spyker":                  {0x400af9c20d7dc32a, 0x3fc4514514514514, 0x3ff4b8041087ed39, 64, 0x3698aa3bb4941a49},
-	"wiki/fedavg":                  {0x400a6956ef2552a7, 0x3fc6fbefbefbefbf, 0x4012eb5673c55544, 64, 0x3eec447da050a381},
-	"mnist/spyker/clip3":           {0x3ffebade72c54d91, 0x3fce4b17e4b17e4b, 0x3ff526fb3f2813b7, 64, 0x420e4d571afd08c7},
-	"mnist/spyker/clip3+sign-flip": {0x40083a11fbaab289, 0x3fd28f5c28f5c28f, 0x3ff526fb3f2813b7, 64, 0xaea558db8ba51fa5},
-	"mnist/spyker/audit":           {0x3ffebade72c54d91, 0x3fce4b17e4b17e4b, 0x3ff526fb3f2813b7, 64, 0x420e4d571afd08c7},
-	"mnist/spyker/faults":          {0x3fff6d7472fb460c, 0x3fd2c5f92c5f92c6, 0x40005ddc12007600, 64, 0xdcd84fb9d8944b44},
-	"mnist/fedasync":               {0x3ffd81005a4b7b7d, 0x3fd999999999999a, 0x40003b4b168db1e3, 64, 0x8faf28bc2e8b3c72},
-	"mnist/hierfavg":               {0x3ff956d0dc32fa4c, 0x3fe23d70a3d70a3d, 0x40075a6c9a688dd8, 64, 0x350e79661cb8d4eb},
-	"mnist/sync-spyker":            {0x3ffed028a435d382, 0x3fcc28f5c28f5c29, 0x3ff526fb3f2813b7, 64, 0x275fbb5a4cc5fbc},
-	"mnist/sync-spyker/period0.3":  {0x3ffedd14b4d9843f, 0x3fca06d3a06d3a07, 0x40027543434baf29, 64, 0xb77f7c80269d8b2e},
-	"mnist/fedbuff":                {0x3ff76e6d87971574, 0x3fe2e147ae147ae1, 0x40003b4b168db1e3, 64, 0x22ef0e9b9006e9e6},
 }
 
 // oracleRun is Run, or — when the row edits the environment between

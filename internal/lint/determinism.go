@@ -15,9 +15,9 @@ var randConstructors = map[string]bool{
 }
 
 // runDeterminism enforces the reproducibility contract of the emulation
-// stack: no wall-clock reads, no global-source randomness, and no map
-// iteration whose order can reach protocol or scheduling state without a
-// //lint:sorted waiver.
+// stack: no wall-clock reads, no global-source randomness, no math.Exp or
+// math.Tanh outside internal/tensor, and no map iteration whose order can
+// reach protocol or scheduling state without a //lint:sorted waiver.
 func runDeterminism(cfg *Config, pkg *Package) []Diagnostic {
 	if !hasPkgSuffix(pkg.ImportPath, cfg.DeterministicPkgs) {
 		return nil
@@ -29,6 +29,10 @@ func runDeterminism(cfg *Config, pkg *Package) []Diagnostic {
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				if d, ok := checkDeterministicCall(pkg, n); ok {
+					diags = append(diags, d)
+				}
+			case *ast.SelectorExpr:
+				if d, ok := checkMathExp(pkg, n); ok {
 					diags = append(diags, d)
 				}
 			case *ast.RangeStmt:
@@ -73,6 +77,19 @@ func checkDeterministicCall(pkg *Package, call *ast.CallExpr) (Diagnostic, bool)
 			"call to global rand.%s draws from the unseeded process-wide source; use a seeded *rand.Rand", f.Name()), true
 	}
 	return Diagnostic{}, false
+}
+
+// checkMathExp flags math.Exp and math.Tanh, called or taken as a value,
+// outside internal/tensor: on amd64 their bits depend on whether the CPU
+// has FMA and on GODEBUG=cpu.fma=off, and tensor.Exp's and tensor.Tanh's
+// do not.
+func checkMathExp(pkg *Package, sel *ast.SelectorExpr) (Diagnostic, bool) {
+	f, _ := pkg.Info.Uses[sel.Sel].(*types.Func)
+	if pkgPathOf(f) != "math" || (f.Name() != "Exp" && f.Name() != "Tanh") || hasPkgSuffix(pkg.ImportPath, []string{"internal/tensor"}) {
+		return Diagnostic{}, false
+	}
+	return pkg.diag("determinism", "math-exp", sel.Pos(),
+		"math.%s rounds differently without FMA or under GODEBUG=cpu.fma=off; use tensor.%s", f.Name(), f.Name()), true
 }
 
 // waiverLines collects the source lines carrying a //<directive> comment

@@ -11,11 +11,15 @@
 // determinism — the discrete-event emulation must be bit-for-bit
 // reproducible, so in the deterministic layers (internal/tensor, nn,
 // paramvec, data, fl, simulation, geo, spyker, baselines, metrics)
-// three nondeterminism sources are forbidden:
+// four nondeterminism sources are forbidden:
 // time.Now/time.Since, the global math/rand convenience functions
 // (constructing a seeded *rand.Rand via rand.New/rand.NewSource stays
-// legal — every stochastic component takes an explicit seed), and `range`
-// over a map, whose iteration order is randomized by the runtime. A map
+// legal — every stochastic component takes an explicit seed), math.Exp
+// and math.Tanh outside internal/tensor, called or taken as a value (on
+// amd64 their bits depend on whether the CPU has FMA and on
+// GODEBUG=cpu.fma=off; tensor.Exp and tensor.Tanh give the FMA path's
+// bits everywhere), and `range` over a map, whose iteration order is
+// randomized by the runtime. A map
 // range is waived by a //lint:sorted comment on the statement's line or
 // the line above; the waiver asserts the loop is iteration-order
 // independent — either the collected keys are sorted before any

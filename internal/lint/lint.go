@@ -98,7 +98,7 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		{
 			Name: "determinism",
-			Doc:  "forbid time.Now, global math/rand, and unwaived map ranges in deterministic layers",
+			Doc:  "forbid time.Now, global math/rand, math.Exp/Tanh outside tensor, and unwaived map ranges in deterministic layers",
 			Run:  runDeterminism,
 		},
 		{

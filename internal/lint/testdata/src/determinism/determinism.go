@@ -5,6 +5,7 @@
 package determinism
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -52,4 +53,11 @@ func TrailingWaiver(counts map[int]int) int {
 		total += c
 	}
 	return total
+}
+
+// Activate calls math's exp and tanh, whose bits depend on the CPU's FMA
+// and on GODEBUG; a value use counts too. math.Log has one path.
+func Activate(x float64) float64 {
+	f := math.Tanh                         // want `math\.Tanh rounds differently`
+	return f(x) + math.Exp(-x)*math.Log(x) // want `math\.Exp rounds differently`
 }

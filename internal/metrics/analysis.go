@@ -1,6 +1,6 @@
 package metrics
 
-import "math"
+import "github.com/spyker-fl/spyker/internal/tensor"
 
 // AUC integrates accuracy over time between the trace's first and last
 // samples (piecewise constant), normalized by the span — a scalar summary
@@ -36,7 +36,7 @@ func ConvergenceRate(tr Trace) (tau float64) {
 	if final <= 0 {
 		return 0
 	}
-	threshold := final * (1 - math.Exp(-1))
+	threshold := final * (1 - tensor.Exp(-1))
 	for _, p := range tr {
 		if p.Acc >= threshold {
 			return p.Time - tr[0].Time

@@ -8,6 +8,8 @@ package metrics
 import (
 	"math"
 	"sort"
+
+	"github.com/spyker-fl/spyker/internal/tensor"
 )
 
 // Point is one evaluation sample of a training run.
@@ -19,7 +21,7 @@ type Point struct {
 }
 
 // Perplexity converts the point's loss to perplexity (language models).
-func (p Point) Perplexity() float64 { return math.Exp(p.Loss) }
+func (p Point) Perplexity() float64 { return tensor.Exp(p.Loss) }
 
 // Trace is a time-ordered series of evaluation points.
 type Trace []Point
@@ -158,7 +160,7 @@ func KDE(samples []float64, n int) (grid, density []float64) {
 		var d float64
 		for _, s := range samples {
 			z := (x - s) / bandwidth
-			d += math.Exp(-0.5 * z * z)
+			d += tensor.Exp(-0.5 * z * z)
 		}
 		density[i] = d * norm
 	}
@@ -178,8 +180,13 @@ func silverman(samples []float64) float64 {
 		varSum += (s - mean) * (s - mean)
 	}
 	sd := math.Sqrt(varSum / n)
-	return 1.06 * sd * math.Pow(n, -0.2)
+	return 1.06 * sd * invFifthRoot(n)
 }
+
+// invFifthRoot is n**-0.2 as math.Pow computes it, but through the tree's
+// Exp: Pow splits the exponent into the integer 0 and the fraction 0.2,
+// takes Exp(0.2*Log(n)) and inverts it.
+func invFifthRoot(n float64) float64 { return 1 / tensor.Exp(0.2*math.Log(n)) }
 
 // Peaks returns the grid locations of local maxima of density that exceed
 // frac times the global maximum; the paper reads the KDE plot through its

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/spyker-fl/spyker/internal/tensor"
 )
 
 func sampleTrace() Trace {
@@ -79,6 +81,20 @@ func TestQueueTrace(t *testing.T) {
 	}
 	if got := (QueueTrace{}).MeanAbove(0); got != 0 {
 		t.Errorf("empty MeanAbove = %v", got)
+	}
+}
+
+// TestInvFifthRootIsPow: the KDE bandwidth's n**-0.2 has math.Pow's bits
+// for every sample count up to 10^5, wherever this process's math.Exp,
+// which Pow calls, runs its fused path (as tensor.Exp does everywhere).
+func TestInvFifthRootIsPow(t *testing.T) {
+	if x := 12.033678535466372; math.Exp(x) != tensor.Exp(x) {
+		t.Skip("math.Exp runs its unfused path in this process (no FMA, or GODEBUG=cpu.fma=off)")
+	}
+	for n := 1.0; n <= 1e5; n++ {
+		if got, want := invFifthRoot(n), math.Pow(n, -0.2); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("invFifthRoot(%v) = %v, math.Pow %v", n, got, want)
+		}
 	}
 }
 

@@ -40,11 +40,13 @@
 // (A + B where the sequential code computes ((A + b1) + b2) + ...), which
 // is why a training batch is not parallelized across samples. A function
 // the Go code calls is a different matter: it keeps its bits when the
-// kernel runs that function's own instructions. The LSTM's gates
+// kernel runs that function's own operations. The tree owns the two it
+// calls, tensor.Exp and tensor.Tanh (math.Exp's amd64 FMA path and
+// math.Tanh, in Go with math.FMA where that assembly fuses), so no bit
+// depends on the CPU's FMA or on GODEBUG=cpu.fma=off. The LSTM's gates
 // (tensor.SigmoidTo, tensor.TanhTo) and the softmax's exponentials run
-// math.Exp's amd64 assembly four lanes at a time, fused exactly where that
-// assembly fuses, and only in a process where a probe has seen them agree
-// with math.Exp. Parallelism lives where no sum crosses a worker: held-out
+// tensor.Exp four lanes at a time, fused exactly where it calls math.FMA.
+// Parallelism lives where no sum crosses a worker: held-out
 // evaluation in internal/fl scores samples on forward-only replicas
 // (Network.Replica) and adds the per-sample losses up in index order
 // afterwards.

@@ -178,7 +178,7 @@ func refAddOuter(m []float64, rows, cols int, a, b []float64) {
 	}
 }
 
-func refSigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
+func refSigmoid(x float64) float64 { return 1 / (1 + tensor.Exp(-x)) }
 
 // refSeqLossAndGrad is CharLM.SeqLossAndGrad as it stood with per-unit gate
 // loops — one sigmoid or tanh call per element — on working memory of its
@@ -210,10 +210,10 @@ func refSeqLossAndGrad(m *CharLM, seq []int) (loss float64, preds int) {
 		for j := 0; j < h; j++ {
 			st.i[j] = refSigmoid(z[j])
 			st.f[j] = refSigmoid(z[h+j])
-			st.g[j] = math.Tanh(z[2*h+j])
+			st.g[j] = tensor.Tanh(z[2*h+j])
 			st.o[j] = refSigmoid(z[3*h+j])
 			st.c[j] = st.f[j]*cPrev[j] + st.i[j]*st.g[j]
-			st.tc[j] = math.Tanh(st.c[j])
+			st.tc[j] = tensor.Tanh(st.c[j])
 			st.h[j] = st.o[j] * st.tc[j]
 		}
 		m.wy.MatVec(logits, st.h)
@@ -280,10 +280,10 @@ func refSeqLossWith(m *CharLM, seq []int) (loss float64, preds, correct int) {
 		for j := 0; j < h; j++ {
 			ig := refSigmoid(z[j])
 			fg := refSigmoid(z[h+j])
-			gg := math.Tanh(z[2*h+j])
+			gg := tensor.Tanh(z[2*h+j])
 			og := refSigmoid(z[3*h+j])
 			cCur[j] = fg*cPrev[j] + ig*gg
-			hCur[j] = og * math.Tanh(cCur[j])
+			hCur[j] = og * tensor.Tanh(cCur[j])
 		}
 		m.wy.MatVec(logits, hCur)
 		tensor.AddInPlace(logits, m.by)
@@ -308,7 +308,7 @@ func refSoftmax(dst, a []float64) {
 	}
 	var sum float64
 	for i, v := range a {
-		e := math.Exp(v - maxv)
+		e := tensor.Exp(v - maxv)
 		dst[i] = e
 		sum += e
 	}
@@ -323,8 +323,8 @@ func refSoftmax(dst, a []float64) {
 // prediction and hit counts equal the per-unit loops' bit for bit — at the
 // benchmark's shape (vocabulary 32, embedding 8, hidden 16), at an odd one
 // (hidden 5, vocabulary 7: every sweep has a tail), and with gate biases
-// that saturate the gates, drive |c| past math.tanh's 0.5*MAXLOG and send
-// math.Exp off its main path (arguments beyond ±709), so the sweeps' hand
+// that saturate the gates, drive |c| past tanh's 0.5*MAXLOG and send
+// tensor.Exp off its main path (arguments beyond ±709), so the sweeps' hand
 // back to the scalar code is exercised.
 func TestCharLMMatchesReferenceBits(t *testing.T) {
 	for trial, tc := range []struct {

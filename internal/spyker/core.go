@@ -615,6 +615,7 @@ func DecayRate(base, beta, etaMin, uk, uBar float64) float64 {
 	if uk <= uBar || uk <= 0 || uBar <= 0 {
 		return base
 	}
+	// math.Pow calls no exp at beta 1 or 0, where its special cases answer.
 	lr := base * math.Pow(uBar/uk, beta)
 	if lr < etaMin {
 		lr = etaMin
@@ -631,7 +632,7 @@ func ServerAggWeight(phi, localAge, remoteAge float64) float64 {
 		denom = 1 // guard: ages start at 0
 	}
 	a := phi * (remoteAge - localAge) / denom
-	return 1 / (1 + math.Exp(-a))
+	return 1 / (1 + tensor.Exp(-a))
 }
 
 // HandleClientUpdate processes a trained model from client k that was

@@ -17,8 +17,8 @@ type backend struct {
 // dispatch variable; it skips when b is the assembly backend and the CPU
 // cannot run it.
 func (b backend) use(tb testing.TB) {
-	if avx2, _ := cpuFeatures(); b.avx2 && !avx2 {
-		tb.Skip("this CPU lacks AVX2: only the portable backend can be exercised")
+	if b.avx2 && !hasAVX2FMA() {
+		tb.Skip("this CPU lacks AVX2 or FMA: only the portable backend can be exercised")
 	}
 	old := useAVX2
 	useAVX2 = b.avx2

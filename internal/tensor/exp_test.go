@@ -7,21 +7,125 @@ import (
 	"testing"
 )
 
-// The exp sweeps (SigmoidTo, TanhTo, and SoftmaxTo's exponentials) against
-// the scalar expressions they replaced, on both backends. Each element must
-// get exactly the bits of its expression; the AVX2 backend hands every
-// group of four with a lane off math.Exp's main path back to that
-// expression, so the values that matter most are the ones at and around
-// the edges of that path.
+// Exp and Tanh against math's on amd64, and the exp sweeps (SigmoidTo,
+// TanhTo, and SoftmaxTo's exponentials) against the scalar expressions
+// they replaced, on both backends. Each element must get exactly the bits
+// of its expression; the AVX2 backend hands every group of four with a
+// lane off Exp's main path back to that expression, so the values that
+// matter most are the ones at and around the edges of that path.
 
-func refSigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
+// archExpModel is math.Exp's amd64 assembly (archExp in
+// $GOROOT/src/math/exp_amd64.s) on its FMA path and its main path,
+// written out in Go with every rounding explicit, math.FMA for each
+// VFNMADD231SD and VFMADD213SD. It is the test's own model, kept apart
+// from Exp. ok is false where archExp leaves the main path (NaN, ±Inf,
+// above Overflow, or a biased exponent k+1023 outside [1, 0x7FE]).
+func archExpModel(x float64) (y float64, ok bool) {
+	const (
+		log2e    = 1.4426950408889634073599246810018920
+		ln2u     = 0.69314718055966295651160180568695068359375
+		ln2l     = 0.28235290563031577122588448175013436025525412068e-12
+		overflow = 7.09782712893384e+02
+	)
+	// exprodata<>'s Taylor coefficients, in the order archExp folds them.
+	taylor := [...]float64{1.9841269841269841270e-4, 1.3888888888888888889e-3, 8.3333333333333333333e-3,
+		4.1666666666666666667e-2, 1.6666666666666666667e-1, 0.5, 1.0}
+	if math.IsNaN(x) || math.IsInf(x, 0) || x > overflow {
+		return 0, false
+	}
+	t := float64(log2e * x)
+	if !(t > math.MinInt32-0.5 && t < math.MaxInt32+0.5) { // CVTSD2SL would give 0x80000000
+		return 0, false
+	}
+	k := int32(math.RoundToEven(t))
+	if k < -1022 || k > 1023 {
+		return 0, false
+	}
+	kf := float64(k)
+	r, p := x, 2.4801587301587301587e-5
+	r = math.FMA(-kf, ln2u, r)
+	r = math.FMA(-kf, ln2l, r)
+	r = float64(r * 0.0625)
+	for _, c := range taylor {
+		p = math.FMA(p, r, c)
+	}
+	r = float64(r * p)
+	for i := 0; i < 3; i++ {
+		r = float64(r * float64(r+2))
+	}
+	r = math.FMA(float64(r+2), r, 1)
+	return float64(r * math.Float64frombits(uint64(k+1023)<<52)), true
+}
 
-// maxLog is math.tanh's MAXLOG, log(2**127): above half of it tanh is ±1.
-const maxLog = 8.8029691931113054295988e+01
+// expPathInputs: arguments on which math.Exp's fused and unfused paths
+// round differently, both signs, across the range of k. math.Exp takes
+// the unfused one on a CPU without FMA or under GODEBUG=cpu.fma=off.
+var expPathInputs = [...]float64{
+	12.033678535466372, -4.982865025041585, 2.446857228056416, -1.020860113570441,
+	18.418518183584666, -324.69931750226226, 187.49657416760664, 679.4707336289484,
+}
+
+// TestExpMatchesMath: Exp has the model's bits wherever archExp keeps to
+// its main path and archExp's results at the special values; where this
+// process's math.Exp runs its fused path (so everywhere but under
+// GODEBUG=cpu.fma=off or on a CPU without FMA), Exp and Tanh also have
+// math.Exp's and math.Tanh's bits. The arguments: 10^6 across [-746, 710],
+// 10^5 in the band of denormal results, 10^5 where tanh takes each of its
+// branches, the sweeps' edges and expPathInputs.
+func TestExpMatchesMath(t *testing.T) {
+	fused := true
+	for _, x := range expPathInputs {
+		if m, _ := archExpModel(x); math.Exp(x) != m {
+			fused = false
+		}
+	}
+	if !fused {
+		t.Log("math.Exp runs its unfused path in this process: Exp is held to the model alone")
+	}
+	for _, c := range []struct{ x, want float64 }{
+		{math.Inf(1), math.Inf(1)}, {math.Inf(-1), 0}, {math.MaxFloat64, math.Inf(1)}, {-math.MaxFloat64, 0},
+		{0, 1}, {math.Copysign(0, -1), 1}, {709.782712893384, math.Inf(1)}, {-746, 0},
+	} {
+		if got := Exp(c.x); got != c.want {
+			t.Errorf("Exp(%v) = %v, want %v", c.x, got, c.want)
+		}
+	}
+	if !math.IsNaN(Exp(math.NaN())) || !math.IsNaN(Tanh(math.NaN())) {
+		t.Errorf("Exp(NaN) = %v, Tanh(NaN) = %v", Exp(math.NaN()), Tanh(math.NaN()))
+	}
+	check := func(x float64) {
+		got := Exp(x)
+		if m, ok := archExpModel(x); ok && math.Float64bits(got) != math.Float64bits(m) {
+			t.Fatalf("Exp(%v) = %v (%#x), model %v (%#x)", x, got, math.Float64bits(got), m, math.Float64bits(m))
+		}
+		if !fused {
+			return
+		}
+		if e := math.Exp(x); math.Float64bits(got) != math.Float64bits(e) {
+			t.Fatalf("Exp(%v) = %v (%#x), math.Exp %v (%#x)", x, got, math.Float64bits(got), e, math.Float64bits(e))
+		}
+		if got, want := Tanh(x), math.Tanh(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Tanh(%v) = %v (%#x), math.Tanh %v (%#x)", x, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, x := range append(expEdges(), expPathInputs[:]...) {
+		check(x)
+	}
+	rng := rand.New(rand.NewSource(30))
+	for i := 0; i < 1000000; i++ {
+		check(-746 + 1456*rng.Float64())
+	}
+	for i := 0; i < 100000; i++ {
+		check(-745.14 + (745.14-708.4)*rng.Float64())
+		check(rng.NormFloat64() * 4)
+	}
+}
+
+func refSigmoid(x float64) float64 { return 1 / (1 + Exp(-x)) }
 
 // expEdges: every value at which one of the three expressions changes
 // branch, with both signs (the sigmoid negates its argument) and three
-// ulps on either side — tanh's 0.625 and 0.5*MAXLOG; math.Exp's Overflow
+// ulps on either side — tanh's 0.625 and 0.5*MAXLOG; Exp's Overflow
 // (709.782712893384), the smallest normal result (-708.396…) and the
 // smallest subnormal one (-745.133…); and the arguments where archExp's
 // k = round(x*log2(e)) leaves [-1022, 1023] or falls below -1075 (its
@@ -47,7 +151,7 @@ func expEdges() []float64 {
 
 // expOperands fills v from a mix: the edges, random bit patterns (almost
 // all far off the main path, and NaNs), arguments across the whole range
-// where math.Exp is finite and non-zero, and the gate pre-activations an
+// where Exp is finite and non-zero, and the gate pre-activations an
 // LSTM meets.
 func expOperands(rng *rand.Rand, v []float64, edges []float64) {
 	for i := range v {
@@ -77,10 +181,10 @@ func TestExpSweepsMatchScalarBits(t *testing.T) {
 		ref  func(x float64) float64
 	}{
 		{"SigmoidTo", SigmoidTo, refSigmoid},
-		{"TanhTo", TanhTo, math.Tanh},
-		{"expShift(0)", func(d, s []float64) { expShift(d, s, 0) }, math.Exp},
-		{"expShift(1.5)", func(d, s []float64) { expShift(d, s, 1.5) }, func(x float64) float64 { return math.Exp(x - 1.5) }},
-		{"expShift(-700)", func(d, s []float64) { expShift(d, s, -700) }, func(x float64) float64 { return math.Exp(x + 700) }},
+		{"TanhTo", TanhTo, Tanh},
+		{"expShift(0)", func(d, s []float64) { expShift(d, s, 0) }, Exp},
+		{"expShift(1.5)", func(d, s []float64) { expShift(d, s, 1.5) }, func(x float64) float64 { return Exp(x - 1.5) }},
+		{"expShift(-700)", func(d, s []float64) { expShift(d, s, -700) }, func(x float64) float64 { return Exp(x + 700) }},
 	}
 	for _, be := range backends {
 		t.Run("backend="+be.name, func(t *testing.T) {
@@ -123,7 +227,7 @@ func refSoftmax(dst, a []float64) {
 	}
 	var sum float64
 	for i, v := range a {
-		e := math.Exp(v - maxv)
+		e := Exp(v - maxv)
 		dst[i] = e
 		sum += e
 	}

@@ -52,14 +52,14 @@ func SGDStep(p, g []float64, lr, scale, clip float64) {
 }
 
 // SigmoidTo writes the logistic function of every element of src to dst:
-// dst[i] = 1/(1+math.Exp(-src[i])), bit for bit. Lengths must match; dst
+// dst[i] = 1/(1+Exp(-src[i])), bit for bit. Lengths must match; dst
 // may be src.
 func SigmoidTo(dst, src []float64) {
 	mustSameLen(len(dst), len(src))
 	sigmoidTo(dst, src)
 }
 
-// TanhTo writes dst[i] = math.Tanh(src[i]), bit for bit. Lengths must
+// TanhTo writes dst[i] = Tanh(src[i]), bit for bit. Lengths must
 // match; dst may be src.
 func TanhTo(dst, src []float64) {
 	mustSameLen(len(dst), len(src))
@@ -457,21 +457,21 @@ func allFiniteGo(v []float64) bool {
 func sigmoidGo(dst, src []float64) {
 	dst = dst[:len(src)]
 	for i, x := range src {
-		dst[i] = 1 / (1 + math.Exp(-x))
+		dst[i] = 1 / (1 + Exp(-x))
 	}
 }
 
 func tanhGo(dst, src []float64) {
 	dst = dst[:len(src)]
 	for i, x := range src {
-		dst[i] = math.Tanh(x)
+		dst[i] = Tanh(x)
 	}
 }
 
-// expShiftGo is SoftmaxTo's exponentials: dst[i] = math.Exp(src[i] - shift).
+// expShiftGo is SoftmaxTo's exponentials: dst[i] = Exp(src[i] - shift).
 func expShiftGo(dst, src []float64, shift float64) {
 	dst = dst[:len(src)]
 	for i, v := range src {
-		dst[i] = math.Exp(v - shift)
+		dst[i] = Exp(v - shift)
 	}
 }

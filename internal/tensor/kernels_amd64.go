@@ -5,45 +5,15 @@ package tensor
 import "math"
 
 // useAVX2 selects the assembly backend of kernels_amd64.s. It is decided
-// once, by the CPU alone; building with -tags purego or -race is the only
-// way to force the portable loops on a machine that has AVX2. cpuFMA is whether
-// the CPU also has FMA, which the exp kernels need (expFused).
-var useAVX2, cpuFMA = cpuFeatures()
+// once, by the CPU alone: AVX2 and FMA (the exp kernels fuse where Exp
+// does), so a CPU with AVX2 but no FMA takes the Go loops for every
+// kernel, which give the same bits. Building with -tags purego or -race is
+// the only way to force the portable loops on a machine that has both.
+var useAVX2 = hasAVX2FMA()
 
-// cpuFeatures reports whether the CPU implements AVX2 and the operating
-// system saves the YMM registers (CPUID leaves 1 and 7, XGETBV), and
-// whether it also implements FMA (leaf 1).
-func cpuFeatures() (avx2, fma bool)
-
-// expFused holds the exp kernels (SigmoidTo, TanhTo, SoftmaxTo's
-// exponentials) to math.Exp. They copy the fused path of math.Exp's amd64
-// assembly, which math takes when the CPU has FMA and GODEBUG has not
-// switched it off (cpu.fma=off sends it down the unfused path), so they
-// run only on an AVX2 CPU with FMA, and only if they agree with math.Exp
-// on every input of expProbe, where the two paths round differently. It
-// is decided once; nothing else can turn it on or off.
-var expFused = useAVX2 && cpuFMA && expMatchesMath()
-
-// expProbe: inputs on which math.Exp's fused and unfused paths give
-// different bits (TestExpProbeSeparatesPaths), both signs, across the
-// range of k.
-var expProbe = [...]float64{
-	12.033678535466372, -4.982865025041585, 2.446857228056416, -1.020860113570441,
-	18.418518183584666, -324.69931750226226, 187.49657416760664, 679.4707336289484,
-}
-
-func expMatchesMath() bool {
-	var got [len(expProbe)]float64
-	if expShiftAVX2(&got[0], &expProbe[0], len(expProbe), 0) != len(expProbe) {
-		return false
-	}
-	for i, x := range expProbe {
-		if math.Float64bits(got[i]) != math.Float64bits(math.Exp(x)) {
-			return false
-		}
-	}
-	return true
-}
+// hasAVX2FMA reports whether the CPU implements AVX2 and FMA and the
+// operating system saves the YMM registers (CPUID leaves 1 and 7, XGETBV).
+func hasAVX2FMA() bool
 
 // The assembly kernels take element pointers and counts, check nothing,
 // and must never be handed an empty operand: the callers below validate
@@ -56,9 +26,9 @@ func expMatchesMath() bool {
 // (ReLU, its backward mask, the 2x2 max-pool, Fill) add nothing: a lane is
 // an element or a pooling window, given the bits of one operand or +0
 // through a mask. The exp sweeps' lanes are
-// elements, each run through math.Exp's own instructions (fused where
-// they fuse); they take whole groups of four and return how many elements
-// they wrote, stopping before a group that has a lane off math.Exp's main
+// elements, each run through Exp's own operations (fused where it calls
+// math.FMA); they take whole groups of four and return how many elements
+// they wrote, stopping before a group that has a lane off Exp's main
 // path.
 
 //go:noescape
@@ -233,7 +203,7 @@ func maxPool2x2(out []float64, arg []int, x []float64, rows, inW int) {
 // len(dst) == len(src); either may be empty.
 func sigmoidTo(dst, src []float64) {
 	i := 0
-	if useAVX2 && expFused {
+	if useAVX2 {
 		i = byGroups(dst, src, sigmoidAVX2, sigmoidGo)
 	}
 	sigmoidGo(dst[i:], src[i:])
@@ -241,7 +211,7 @@ func sigmoidTo(dst, src []float64) {
 
 func tanhTo(dst, src []float64) {
 	i := 0
-	if useAVX2 && expFused {
+	if useAVX2 {
 		i = byGroups(dst, src, tanhAVX2, tanhGo)
 	}
 	tanhGo(dst[i:], src[i:])
@@ -249,7 +219,7 @@ func tanhTo(dst, src []float64) {
 
 func expShift(dst, src []float64, shift float64) {
 	i := 0
-	if useAVX2 && expFused {
+	if useAVX2 {
 		i = byGroups(dst, src,
 			func(d, s *float64, n int) int { return expShiftAVX2(d, s, n, shift) },
 			func(d, s []float64) { expShiftGo(d, s, shift) })

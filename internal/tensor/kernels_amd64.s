@@ -12,9 +12,9 @@
 //     and an accumulator is never split across lanes;
 //   - a sum the Go code writes is never fused: every product is rounded
 //     before it is added, VMULPD then VADDPD;
-//   - a function the Go code calls (math.Exp, math.Tanh) is reproduced
-//     with that function's own instructions, each one its lane's copy of
-//     the scalar one — fused exactly where math.Exp's assembly fuses;
+//   - a function the Go code calls (Exp and Tanh of exp.go) is reproduced
+//     with that function's own operations, each one its lane's copy of
+//     the scalar one — fused exactly where Exp calls math.FMA;
 //   - each accumulator receives its additions in the order the plain loop
 //     makes them, and an operand the plain loop skips (a zero of either
 //     sign, never a NaN) is skipped.
@@ -24,19 +24,17 @@
 // Callers guarantee non-empty operands and in-range extents; nothing here
 // checks a bound. VZEROUPPER precedes every RET that follows YMM use.
 
-// func cpuFeatures() (avx2, fma bool)
-TEXT ·cpuFeatures(SB), NOSPLIT, $0-2
-	MOVB $0, avx2+0(FP)
-	MOVB $0, fma+1(FP)
+// func hasAVX2FMA() bool
+TEXT ·hasAVX2FMA(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
 	XORL AX, AX
 	CPUID
 	CMPL AX, $7
 	JLT  done
 	MOVL $1, AX
 	CPUID
-	MOVL CX, R8          // leaf 1's feature bits, for FMA below
-	ANDL $0x18000000, CX // OSXSAVE (bit 27) and AVX (bit 28)
-	CMPL CX, $0x18000000
+	ANDL $0x18001000, CX // FMA (bit 12), OSXSAVE (bit 27) and AVX (bit 28)
+	CMPL CX, $0x18001000
 	JNE  done
 	XORL CX, CX
 	XGETBV
@@ -48,10 +46,7 @@ TEXT ·cpuFeatures(SB), NOSPLIT, $0-2
 	CPUID
 	BTL  $5, BX // AVX2
 	JCC  done
-	MOVB $1, avx2+0(FP)
-	BTL  $12, R8 // FMA
-	JCC  done
-	MOVB $1, fma+1(FP)
+	MOVB $1, ret+0(FP)
 done:
 	RET
 
@@ -1193,13 +1188,10 @@ fl_done:
 	RET
 
 // The exp sweeps below are element-wise too, and the Go expression each
-// one reproduces calls math.Exp. On amd64 math.Exp is archExp
-// ($GOROOT/src/math/exp_amd64.s): a fixed, branch-free run of IEEE
-// operations on its main path. EXP4 is that run on four lanes — archExp's
-// FMA path (the one math takes when the CPU has FMA), instruction for
-// instruction, with archExp's constants written the way archExp writes
-// them. The Go side runs these routines only after a probe has seen them
-// give math.Exp's bits (kernels_amd64.go).
+// one reproduces calls Exp (exp.go): archExp ($GOROOT/src/math/exp_amd64.s)
+// on its FMA path, a fixed, branch-free run of IEEE operations on its main
+// path. EXP4 is that run on four lanes, instruction for instruction, with
+// archExp's constants written the way archExp writes them.
 //
 // Each routine takes whole groups of four and returns how many elements it
 // wrote. It stops, storing nothing of that group, at the first group with
@@ -1271,7 +1263,7 @@ GLOBL expdata<>(SB), RODATA, $768
 #define E_Q1 expdata<>+704(SB)
 #define E_Q2 expdata<>+736(SB)
 
-// EXP4: Y0 = math.Exp(Y0) in four lanes, or a jump to BAIL. First the
+// EXP4: Y0 = Exp(Y0) in four lanes, or a jump to BAIL. First the
 // test: archExp leaves its main path for a NaN, ±Inf, an argument above
 // Overflow, or a k = round(x*LOG2E) whose biased exponent k+1023 is
 // outside [1, 0x7FE] (its denormal and overflow exits). All of them show
@@ -1317,7 +1309,7 @@ GLOBL expdata<>(SB), RODATA, $768
 	VPSLLQ       $52, Y3, Y3; \
 	VMULPD       Y3, Y0, Y0
 
-// Sigmoid: dst = 1/(1 + math.Exp(-src)). -x is the sign flip Go's negation
+// Sigmoid: dst = 1/(1 + Exp(-src)). -x is the sign flip Go's negation
 // is; the add and the divide are the scalar code's ADDSD and DIVSD.
 //
 // func sigmoidAVX2(dst, src *float64, n int) int
@@ -1347,7 +1339,7 @@ sig_done:
 	VZEROUPPER
 	RET
 
-// Softmax's exponentials: dst = math.Exp(src - shift).
+// Softmax's exponentials: dst = Exp(src - shift).
 //
 // func expShiftAVX2(dst, src *float64, n int, shift float64) int
 TEXT ·expShiftAVX2(SB), NOSPLIT, $0-40
@@ -1374,14 +1366,14 @@ ex_done:
 	VZEROUPPER
 	RET
 
-// Tanh: math.tanh (plain Go, which the compiler does not fuse on amd64)
+// Tanh: Tanh of exp.go (plain Go, which the compiler does not fuse on amd64)
 // with its two computed branches evaluated in every lane and the lane's
 // own branch selected:
-//   - |x| >= 0.625: s = math.Exp(2|x|), 1 - 2/(s+1), negated for x < 0
+//   - |x| >= 0.625: s = Exp(2|x|), 1 - 2/(s+1), negated for x < 0
 //     (the value is positive, so OR-ing in x's sign bit negates it);
 //   - below: x + x*s*P(s)/Q(s), s = x*x, the products and quotient in the
 //     scalar code's order; x itself for x = ±0.
-// math.tanh's third branch, ±1 for |x| > 0.5*MAXLOG, needs no test of its
+// Tanh's third branch, ±1 for |x| > 0.5*MAXLOG, needs no test of its
 // own: there s > 2**127, so 1 - 2/(s+1) rounds to exactly 1, until 2|x|
 // leaves archExp's main path — where EXP4 hands the group back, as it
 // does for a NaN. Y8 = x, Y9 = |x|, Y10 = the first branch, Y14 the

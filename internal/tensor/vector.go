@@ -17,22 +17,21 @@
 // writes is a separate VMULPD and VADDPD, never fused, nothing is added
 // across lanes (no horizontal add) and no accumulator is split over
 // lanes. A function the Go code calls is reproduced with that function's
-// own instructions: the exp sweeps run math.Exp's amd64 assembly on four
-// lanes, fused exactly where it fuses, and only once a probe has seen
-// them agree with math.Exp in this process. The elementwise layers
-// compute nothing: each lane (an element, or a pooling window) selects
-// the bits of one of its operands, or +0, through a mask, deciding on the
-// bit pattern or with an ordered compare exactly as the Go loop decides.
-// The CPU alone chooses; building with -tags purego or -race leaves only
-// the Go loops. The bits are amd64's: on architectures where the Go compiler
-// fuses x*y + z (arm64, ppc64le, s390x, riscv64) the portable loops round
-// differently.
+// own operations: the tree owns its exp and tanh (Exp and Tanh, exp.go:
+// math.Exp's amd64 FMA path and math.Tanh, written in Go with math.FMA
+// where the assembly fuses), and the exp sweeps run Exp on four lanes,
+// fused exactly where it calls math.FMA. So neither the CPU's FMA nor
+// GODEBUG=cpu.fma=off changes a bit, as they change math.Exp's. The
+// elementwise layers compute nothing: each lane (an element, or a pooling
+// window) selects the bits of one of its operands, or +0, through a mask,
+// deciding on the bit pattern or with an ordered compare exactly as the Go
+// loop decides. The CPU alone chooses; building with -tags purego or -race
+// leaves only the Go loops. The bits are still amd64's: on architectures
+// where the Go compiler fuses x*y + z (arm64, ppc64le, s390x, riscv64) the
+// portable loops round differently.
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // AddInPlace accumulates b into a element-wise.
 func AddInPlace(a, b []float64) {
@@ -115,7 +114,7 @@ func SoftmaxAt(a []float64, i int) float64 {
 	}
 	var sum, ei float64
 	for j, v := range a {
-		e := math.Exp(v - maxv)
+		e := Exp(v - maxv)
 		if j == i {
 			ei = e
 		}
