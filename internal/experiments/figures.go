@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/geo"
 	"github.com/spyker-fl/spyker/internal/metrics"
 	"github.com/spyker-fl/spyker/internal/plot"
@@ -149,9 +150,12 @@ type QueueStudy struct {
 // RunQueueStudy reproduces Fig. 9. scale shrinks the client count.
 func RunQueueStudy(scale float64, seed int64) (*QueueStudy, error) {
 	setup := heterogeneousSetup(scale, seed, 10)
+	// The one reader of queue lengths: turn the recorder's trace on.
+	trace := func(e *fl.Env) { e.Observer.(*metrics.Recorder).QueueData = map[int]metrics.QueueTrace{} }
 	var w sweep
-	res := w.each(spykerAndFedAsync, setup)
-	return &QueueStudy{Spyker: res[0], FedAsync: res[1], Clients: setup.NumClients}, w.err
+	q := &QueueStudy{Clients: setup.NumClients}
+	q.Spyker, q.FedAsync = w.run("spyker", setup, trace), w.run("fedasync", setup, trace)
+	return q, w.err
 }
 
 // Render prints max and time-averaged queue lengths plus a coarse

@@ -217,7 +217,8 @@ type Observer interface {
 	// update. models must return the current parameter vectors of all
 	// server models (live slices; the observer copies what it keeps).
 	ClientUpdateProcessed(now float64, server, client int, models func() [][]float64)
-	// QueueLength fires whenever a server's jobs-in-system count changes.
+	// QueueLength fires whenever a server's jobs-in-system count changes:
+	// twice per processed job, so a trace of it grows with the run.
 	QueueLength(now float64, server, length int)
 }
 

@@ -111,6 +111,16 @@ type Transfer struct {
 	Kind  Traffic
 }
 
+// record is a Transfer as the log stores it, in 16 bytes: the send time,
+// then the size shifted above the Kind's kindBits. The log keeps records
+// in blocks of blockLen (64 KiB), so appending never copies what it holds.
+type record struct {
+	time float64
+	word uint64
+}
+
+const kindBits, blockLen = 2, 4096
+
 // Network delivers messages between endpoints over the simulator with
 // region-dependent latency, a shared per-link bandwidth, FIFO ordering per
 // directed link, and byte accounting.
@@ -123,8 +133,9 @@ type Network struct {
 	// endpoints' IDs without hashing (see linkOf).
 	links      []link
 	index      [][][][]int32
-	transfers  []Transfer
-	totalBytes map[Traffic]int
+	log        []*[blockLen]record // the n transfers so far
+	n          int
+	totalBytes [2]int // indexed by Traffic - 1
 
 	sink    obs.Sink
 	perturb PerturbFunc
@@ -167,10 +178,9 @@ func NewNetwork(sim *simulation.Sim, cfg Config) *Network {
 		lat = AWSLatency
 	}
 	n := &Network{
-		sim:        sim,
-		latency:    lat,
-		totalBytes: make(map[Traffic]int),
-		sink:       obs.Nop{},
+		sim:     sim,
+		latency: lat,
+		sink:    obs.Nop{},
 	}
 	n.deliver = sim.Handle(n.arrive)
 	return n
@@ -223,12 +233,19 @@ func (n *Network) Send(src, dst Endpoint, size int, kind Traffic, deliver func()
 }
 
 func (n *Network) send(src, dst Endpoint, size int, kind Traffic, m message) int {
-	if size < 0 {
-		panic(fmt.Sprintf("geo: negative message size %d", size))
+	if size < 0 || uint64(size) >= 1<<(63-kindBits) {
+		panic(fmt.Sprintf("geo: message size %d out of range", size))
+	}
+	if kind != ClientServer && kind != ServerServer {
+		panic(fmt.Sprintf("geo: unknown traffic kind %d", int(kind)))
 	}
 	now := n.sim.Now()
-	n.transfers = append(n.transfers, Transfer{Time: now, Bytes: size, Kind: kind})
-	n.totalBytes[kind] += size
+	if n.n%blockLen == 0 {
+		n.log = append(n.log, new([blockLen]record))
+	}
+	n.log[n.n/blockLen][n.n%blockLen] = record{now, uint64(size)<<kindBits | uint64(kind)}
+	n.n++
+	n.totalBytes[kind-1] += size
 
 	var v Verdict
 	if n.perturb != nil {
@@ -324,20 +341,35 @@ func grownAt[T any](s *[]T, i int) *T {
 	return &(*s)[i]
 }
 
-// TotalBytes reports the cumulative bytes sent for a traffic category.
-func (n *Network) TotalBytes(kind Traffic) int { return n.totalBytes[kind] }
+// TotalBytes reports the cumulative bytes sent for a traffic category; 0
+// for an unknown one.
+func (n *Network) TotalBytes(kind Traffic) int {
+	if kind != ClientServer && kind != ServerServer {
+		return 0
+	}
+	return n.totalBytes[kind-1]
+}
 
-// Transfers returns the transfer log (aliased; callers must not modify).
-func (n *Network) Transfers() []Transfer { return n.transfers }
+// Transfers returns a copy of the transfer log in send order, built on
+// each call; the network keeps no reference to it.
+func (n *Network) Transfers() []Transfer {
+	out := make([]Transfer, n.n)
+	for i := range out {
+		r := n.log[i/blockLen][i%blockLen]
+		out[i] = Transfer{Time: r.time, Bytes: int(r.word >> kindBits), Kind: Traffic(r.word & (1<<kindBits - 1))}
+	}
+	return out
+}
 
 // BytesUntil reports cumulative bytes sent at or before virtual time t.
 func (n *Network) BytesUntil(t float64) int {
 	var s int
-	for _, tr := range n.transfers {
-		if tr.Time > t {
+	for i := range n.n {
+		r := n.log[i/blockLen][i%blockLen]
+		if r.time > t {
 			break // transfers are appended in time order
 		}
-		s += tr.Bytes
+		s += int(r.word >> kindBits)
 	}
 	return s
 }

@@ -89,6 +89,11 @@ func TestByteAccounting(t *testing.T) {
 	if got := len(net.Transfers()); got != 3 {
 		t.Errorf("transfer log has %d entries", got)
 	}
+	for _, unknown := range []Traffic{0, 3, -1} {
+		if got := net.TotalBytes(unknown); got != 0 {
+			t.Errorf("%v bytes = %d, want 0", unknown, got)
+		}
+	}
 }
 
 func TestBytesUntil(t *testing.T) {
@@ -106,6 +111,62 @@ func TestBytesUntil(t *testing.T) {
 	}
 	if got := net.BytesUntil(10); got != 300 {
 		t.Errorf("BytesUntil(10) = %d", got)
+	}
+}
+
+// TestTransferLogBlocks fills the block-structured transfer log across its
+// block edges and checks it against a plain record of the same sends.
+func TestTransferLogBlocks(t *testing.T) {
+	for _, sends := range []int{0, 1, blockLen - 1, blockLen, blockLen + 1, 3*blockLen + 5} {
+		sim := simulation.New()
+		net := NewNetwork(sim, Config{})
+		a := Endpoint{ID: 1, Region: HongKong}
+		b := Endpoint{ID: 2, Region: Paris}
+		var want []Transfer
+		for i := range sends {
+			kind := ClientServer + Traffic(i%3/2) // two client-server sends, then one server-server
+			size := 1 + i*7919%100003
+			at := float64(i / 2) // two sends per instant
+			sim.ScheduleAt(at, func() { net.Send(a, b, size, kind, func() {}) })
+			want = append(want, Transfer{Time: at, Bytes: size, Kind: kind})
+		}
+		sim.Run(float64(sends))
+
+		got := net.Transfers()
+		if len(got) != sends {
+			t.Fatalf("%d sends: %d transfers logged", sends, len(got))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%d sends: transfer %d = %+v, want %+v", sends, i, got[i], want[i])
+			}
+		}
+		naive := func(until float64) (s int) {
+			for _, tr := range want {
+				if tr.Time <= until {
+					s += tr.Bytes
+				}
+			}
+			return s
+		}
+		for i := 0; i <= sends/2+1; i++ {
+			for _, at := range []float64{float64(i) - 0.5, float64(i)} {
+				if g, w := net.BytesUntil(at), naive(at); g != w {
+					t.Fatalf("%d sends: BytesUntil(%v) = %d, want %d", sends, at, g, w)
+				}
+			}
+		}
+		if sends > 0 {
+			total := net.BytesUntil(float64(sends))
+			got[0].Bytes += 1000
+			got[sends-1].Time = -1
+			if again := net.BytesUntil(float64(sends)); again != total {
+				t.Errorf("%d sends: editing the Transfers copy moved BytesUntil %d -> %d", sends, total, again)
+			}
+			if again := net.Transfers(); again[0] != want[0] || again[sends-1] != want[sends-1] {
+				t.Errorf("%d sends: editing the Transfers copy moved the log", sends)
+			}
+		}
 	}
 }
 

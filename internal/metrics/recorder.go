@@ -20,7 +20,7 @@ type Recorder struct {
 	MaxUpdate int      // stop after this many updates; 0 disables
 
 	TraceData     Trace
-	QueueData     map[int]QueueTrace
+	QueueData     map[int]QueueTrace // by server; nil (not kept) unless a caller sets it, as Fig. 9 does
 	ClientUpdates map[int]int
 
 	updates   int
@@ -40,7 +40,6 @@ func NewRecorder(sim *simulation.Sim, evalModel fl.Model, evalEvery int) *Record
 		Sim:           sim,
 		EvalModel:     evalModel,
 		EvalEvery:     evalEvery,
-		QueueData:     make(map[int]QueueTrace),
 		ClientUpdates: make(map[int]int),
 	}
 }
@@ -57,8 +56,11 @@ func (r *Recorder) ClientUpdateProcessed(now float64, _ int, client int, models 
 	}
 }
 
-// QueueLength implements fl.Observer.
+// QueueLength implements fl.Observer; it keeps nothing while QueueData is nil.
 func (r *Recorder) QueueLength(now float64, server, length int) {
+	if r.QueueData == nil {
+		return
+	}
 	r.QueueData[server] = append(r.QueueData[server], QueuePoint{Time: now, Length: length})
 }
 

@@ -86,6 +86,7 @@ func TestRecorderMaxUpdateStops(t *testing.T) {
 func TestRecorderQueueTraces(t *testing.T) {
 	sim := simulation.New()
 	r := NewRecorder(sim, &stubModel{}, 10)
+	r.QueueData = map[int]QueueTrace{} // opt in
 	r.QueueLength(1, 0, 3)
 	r.QueueLength(2, 0, 2)
 	r.QueueLength(1, 1, 7)
@@ -94,6 +95,18 @@ func TestRecorderQueueTraces(t *testing.T) {
 	}
 	if r.QueueData[1][0].Length != 7 {
 		t.Error("queue sample wrong")
+	}
+}
+
+// TestRecorderKeepsNoQueueDataUnasked: the queue trace grows by two points
+// per processed job, so a recorder keeps it only when asked to.
+func TestRecorderKeepsNoQueueDataUnasked(t *testing.T) {
+	r := NewRecorder(simulation.New(), &stubModel{}, 10)
+	for i := range 100 {
+		r.QueueLength(float64(i), i%4, i)
+	}
+	if r.QueueData != nil {
+		t.Errorf("queue data kept for %d servers, want none", len(r.QueueData))
 	}
 }
 
