@@ -66,15 +66,15 @@ func TestUnsafeIsConfined(t *testing.T) {
 
 // modelNamers are the only functions of internal/spyker that may name the
 // server model, ServerCore.w: the settling accessor, which joins the
-// client merge that may still be running off the event loop before it
-// hands the model out, the body of that merge, and the constructor that
-// allocates the model before any merge exists.
-var modelNamers = map[string]bool{"ServerCore.model": true, "ServerCore.runMerge": true, "newServerCore": true}
+// core's merger before it hands the model out, the hand-off of the plain
+// client merge to the merger, and the constructor that allocates the model
+// before any merge exists.
+var modelNamers = map[string]bool{"ServerCore.model": true, "ServerCore.applyClientDelta": true, "newServerCore": true}
 
 // TestServerModelHasOneReader keeps every other read and write of the
 // server model behind the join: code that named w directly could look at a
 // model a worker is still merging into, and nothing but a race would say
-// so. It also fails when the accessor or the merge body is renamed.
+// so. It also fails when the accessor or the hand-off is renamed.
 func TestServerModelHasOneReader(t *testing.T) {
 	pkgs, err := Load(findModuleRoot(t), "./internal/spyker")
 	if err != nil {
@@ -121,6 +121,26 @@ func TestServerModelHasOneReader(t *testing.T) {
 	for name := range modelNamers {
 		if !named[name] {
 			t.Errorf("%s does not name ServerCore.w: it was renamed or removed, so this guard no longer knows the accessor", name)
+		}
+	}
+}
+
+// coreFile is the Spyker server state machine, which the DES and the live
+// runtime both drive one message at a time.
+const coreFile = "internal/spyker/core.go"
+
+// TestCoreIsSingleThreaded keeps the core a plain state machine: whatever
+// runs its merges elsewhere (the DES's merge chain) lives in its runtime's
+// glue, so core.go imports no concurrency and nothing of the simulator.
+func TestCoreIsSingleThreaded(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), filepath.Join(findModuleRoot(t), coreFile), nil, parser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, imp := range file.Imports {
+		switch imp.Path.Value {
+		case `"sync"`, `"sync/atomic"`, `"github.com/spyker-fl/spyker/internal/simulation"`:
+			t.Errorf("%s imports %s; the core must hold no concurrency and nothing of the simulator", coreFile, imp.Path.Value)
 		}
 	}
 }

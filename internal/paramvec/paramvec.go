@@ -5,8 +5,8 @@
 // Pool, a size-keyed sync.Pool-backed free-list so hot paths recycle
 // buffers instead of allocating a model-sized slice per message.
 //
-// Every kernel works in place and panics on length mismatch, mirroring the
-// internal/tensor conventions; none of them allocate.
+// Every kernel works in place, panics on length mismatch and allocates
+// nothing; float64(x*y) keeps a product rounded on GOARCHs that fuse x*y+z.
 package paramvec
 
 import (
@@ -42,7 +42,7 @@ func (v Vec) Zero() {
 func (v Vec) AxpyInto(alpha float64, x []float64) {
 	mustSameLen(len(v), len(x))
 	for i := range v {
-		v[i] += alpha * x[i]
+		v[i] += float64(alpha * x[i])
 	}
 }
 
@@ -83,7 +83,7 @@ func (v Vec) AddScaledDiff(alpha float64, x, y []float64) {
 	mustSameLen(len(v), len(x))
 	mustSameLen(len(v), len(y))
 	for i := range v {
-		v[i] += alpha * (x[i] - y[i])
+		v[i] += float64(alpha * (x[i] - y[i]))
 	}
 }
 
@@ -102,7 +102,7 @@ func (v Vec) DiffInto(x, y []float64) {
 func (v Vec) L2Norm() float64 {
 	var s float64
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }

@@ -31,9 +31,9 @@ const (
 // embedded in its owner and reused, one Detach/Join cycle after another —
 // a cycle allocates nothing. The zero value with Fn set is ready; a Task
 // must not be copied after its first Detach. Its owners are fl.SimClient
-// (local training) and spyker.ServerCore (the chain of client merges, which
-// the core extends while its task is at work); an owner whose result has
-// several readers joins at every one of them.
+// (local training) and the Spyker DES glue's mergeChain (a server's client
+// merges, appended to while its task is at work); an owner whose result
+// has several readers joins at every one of them.
 type Task struct {
 	// Fn is the work. While the task is detached it may run on a goroutine
 	// other than the event loop's, concurrently with handlers and with
@@ -101,10 +101,8 @@ func (s *Sim) release() {
 // everything Fn wrote visible to the caller. It is a stealing join: a task
 // no worker has claimed yet — one held for the next Run included — runs on
 // the caller, so Join waits only for a task that is mid-run. On an idle
-// task it is a no-op, one atomic load, which is why an owner that may never
-// be detached (a ServerCore outside the simulator) can join from any
-// goroutine that serializes its use.
-// Otherwise, like Detach, it belongs to the event-loop goroutine.
+// task it is a no-op, one atomic load. Like Detach, it belongs to the
+// event-loop goroutine.
 func (t *Task) Join() {
 	if t.state.Load() == taskIdle || t.steal() {
 		return

@@ -10,14 +10,11 @@ package spyker
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/obs/audit"
 	"github.com/spyker-fl/spyker/internal/paramvec"
 	"github.com/spyker-fl/spyker/internal/ring"
-	"github.com/spyker-fl/spyker/internal/simulation"
 	"github.com/spyker-fl/spyker/internal/tensor"
 )
 
@@ -41,10 +38,10 @@ type Token struct {
 // nothing else refers to — the buffer the client's update arrived in,
 // overwritten by the merge (see HandleClientUpdate) — and the
 // implementation keeps it for as long as the reply is in flight and
-// disposes of it afterwards, with no copy of its own. Under the simulator
-// the merge may still be writing that vector when ReplyClient is called
-// (see ServerCore.sim): the DES glue joins it before it delivers or drops
-// the reply. BroadcastModel is lent the core's live model vector, valid
+// disposes of it afterwards, with no copy of its own. A merger that merges
+// later (see merger) may still be writing that vector when ReplyClient is
+// called; its owner joins it before it delivers or drops the reply.
+// BroadcastModel is lent the core's live model vector, valid
 // only for the duration of the call — the core mutates it on the next
 // handler — so an implementation that delivers asynchronously (every real
 // transport does) must copy it before returning; internal/paramvec pools
@@ -52,8 +49,8 @@ type Token struct {
 type Outbound interface {
 	// ReplyClient returns the new server model to client k along with the
 	// model age and the client's next learning rate (Alg. 1 l. 19). params
-	// is owned by the callee from here on; in the DES it may still be being
-	// written until the glue joins the merge at delivery.
+	// is owned by the callee from here on; it may still be being written
+	// until the merger's owner joins the merge at delivery.
 	ReplyClient(k int, params []float64, age, lr float64)
 	// BroadcastModel sends this server's model, age and the current
 	// synchronization ID to every other server (Alg. 2 l. 25/35). params is
@@ -140,8 +137,8 @@ func (c Config) TickPeriod() float64 {
 // ServerCore is the Spyker server state machine. It is not safe for
 // concurrent use; callers serialize handler invocations (the simulator
 // runs them on its event loop, the live runtime uses one mutex per
-// server). Under the simulator the core's own client merge may run on a
-// worker between handlers; the core joins it itself (see sim).
+// server). Its plain client merge goes through the merger it is given,
+// which it joins before the model is read again (see merger).
 type ServerCore struct {
 	cfg Config
 	out Outbound
@@ -155,10 +152,11 @@ type ServerCore struct {
 	mem ring.Membership
 
 	// w is the model. Everything reaches it through model(), which first
-	// joins the client merge that may still be running on it; the merge's
-	// own body (runMerge) is the one other code that names it, which
+	// joins the merger; the plain merge's hand-off to the merger
+	// (applyClientDelta) is the one other code that names it, which
 	// internal/lint's TestServerModelHasOneReader enforces.
 	w       []float64
+	merger  merger
 	age     float64
 	agePrev float64
 
@@ -227,44 +225,25 @@ type ServerCore struct {
 	// recorder skips the statistics entirely — the disarmed hot path is
 	// one pointer check, byte-identical to a pre-audit core.
 	audit *audit.Recorder
-
-	// sim, set by the DES glue alone, moves the plain client merges off
-	// the event loop onto one Task, merge, whose body (runMerge) merges
-	// the chain's updates in arrival order — the flat-combining pattern:
-	// applyClientDelta appends (weight, reply) to chain while the task is
-	// still at work and detaches the task only when it is not, the loop
-	// joins only a full chain, model() joins the whole chain before w is
-	// read or written again, and the glue joins it (joinReply) before it
-	// delivers a reply whose merge is still pending. Each merge is the same
-	// element-wise sweep in the same order whoever runs it, so the bits
-	// are those of one merge after the other on the loop. The live runtime
-	// leaves sim nil: its chain holds one merge, run inline.
-	sim   *simulation.Sim
-	merge simulation.Task
-
-	// chain[n%mergeChain] is merge n; those from merged to chainTail are
-	// pending. chainOpen says the task will still take what is appended:
-	// runMerge clears it, under chainMu, when it finds nothing left.
-	// merged is written by runMerge after each sweep, so a reader that
-	// sees it past a merge sees that merge's writes.
-	chainMu   sync.Mutex
-	chain     [mergeChain]pendingMerge //spyker:guardedby(chainMu)
-	chainTail uint64                   //spyker:guardedby(chainMu)
-	chainOpen bool                     //spyker:guardedby(chainMu)
-	merged    atomic.Uint64
 }
 
-// mergeChain is how many client merges one server's merge task may hold;
-// the next one makes the loop join the chain. On sim-protocol a chain
-// reaches it almost never: a worker claims a task within tens of
-// microseconds, a few merges' worth of the loop's time.
-const mergeChain = 8
-
-// pendingMerge is one client merge: W += weight*(reply-W), then reply = W.
-type pendingMerge struct {
-	weight float64
-	reply  []float64
+// merger carries out the core's plain client merges: merge does
+// w += weight*(reply-w), then reply = w, now or later, and join returns once
+// every merge it was handed is done. A core merges inline unless its runtime
+// installs another merger (the DES installs its mergeChain, in sim.go).
+type merger interface {
+	merge(w []float64, weight float64, reply []float64)
+	join()
 }
+
+// inline is the merger of the live runtime and the tests: each merge runs
+// at once, so there is never anything to join.
+type inline struct{}
+
+func (inline) merge(w []float64, weight float64, reply []float64) {
+	paramvec.Vec(w).MergeReplyInto(weight, reply)
+}
+func (inline) join() {}
 
 // NewServerCore creates a server with the given initial model on the
 // fixed construction-time ring 0..NumServers-1 at epoch 0. If holdsToken
@@ -291,6 +270,7 @@ func newServerCore(cfg Config, mem ring.Membership, initial []float64, holdsToke
 		out:          out,
 		mem:          mem.Clone(),
 		w:            tensor.Clone(initial),
+		merger:       inline{},
 		ages:         make([]float64, slots),
 		frontier:     make([]int64, slots),
 		didBroadcast: make(map[int]bool),
@@ -300,7 +280,6 @@ func newServerCore(cfg Config, mem ring.Membership, initial []float64, holdsToke
 		sink:         obs.Nop{},
 		clock:        zeroClock,
 	}
-	s.merge.Fn = s.runMerge
 	if holdsToken {
 		s.token = &Token{Bid: 1, Ages: make([]float64, slots), Mem: s.mem}
 		s.hasToken = true
@@ -337,75 +316,10 @@ func (s *ServerCore) ArmAudit(a *audit.Recorder) { s.audit = a }
 // Params returns the live parameter vector (callers must not modify).
 func (s *ServerCore) Params() []float64 { return s.model() }
 
-// model is the one way to the model: w, once every client merge chained
-// onto it has finished.
+// model is the one way to the model: w, once the merger has finished.
 func (s *ServerCore) model() []float64 {
-	s.merge.Join()
+	s.merger.join()
 	return s.w
-}
-
-// runMerge is the merge task's body: the plain merge-and-reply sweep of
-// applyClientDelta for each chained merge in arrival order, until the
-// chain is empty.
-func (s *ServerCore) runMerge() {
-	for {
-		s.chainMu.Lock()
-		n := s.merged.Load()
-		if n == s.chainTail {
-			s.chainOpen = false
-			s.chainMu.Unlock()
-			return
-		}
-		m := s.chain[n%mergeChain]
-		s.chainMu.Unlock()
-		paramvec.Vec(s.w).MergeReplyInto(m.weight, m.reply)
-		s.merged.Store(n + 1)
-	}
-}
-
-// chainMerge appends a merge to the chain the task is still working
-// through, reporting false when the task is not (idle, or finishing) or
-// the chain is full.
-func (s *ServerCore) chainMerge(m pendingMerge) bool {
-	s.chainMu.Lock()
-	ok := s.chainOpen && s.chainTail-s.merged.Load() < mergeChain
-	if ok {
-		s.chain[s.chainTail%mergeChain] = m
-		s.chainTail++
-	}
-	s.chainMu.Unlock()
-	return ok
-}
-
-// startChain makes m the first merge of a new chain; the task must be
-// joined.
-func (s *ServerCore) startChain(m pendingMerge) {
-	s.chainMu.Lock()
-	s.chain[s.chainTail%mergeChain] = m
-	s.chainTail++
-	s.chainOpen = true
-	s.chainMu.Unlock()
-}
-
-// joinReply makes the reply vector params whole before the DES delivers
-// or drops it: it joins the chain if the merge that writes params is still
-// pending. A finished one wrote params before merged counted it.
-func (s *ServerCore) joinReply(params []float64) {
-	if len(params) == 0 {
-		return
-	}
-	pending := false
-	s.chainMu.Lock()
-	for n := s.merged.Load(); n < s.chainTail; n++ {
-		if r := s.chain[n%mergeChain].reply; len(r) > 0 && &r[0] == &params[0] {
-			pending = true
-			break
-		}
-	}
-	s.chainMu.Unlock()
-	if pending {
-		s.merge.Join()
-	}
 }
 
 // Age returns the current model age A_i.
@@ -718,23 +632,13 @@ func (s *ServerCore) ensureScratch(n int) {
 // bounding what any single (possibly malicious) update can do to the
 // model; that path needs the whole delta's norm before it can move W, so
 // it cannot write the reply in the merging sweep and copies it afterwards.
-// Under the simulator the plain sweep is chained onto the merge task (see
-// sim) and may still be pending when this returns.
+// The plain sweep is the merger's, which may leave it pending when this
+// returns.
 //
 //spyker:noalloc
 func (s *ServerCore) applyClientDelta(params []float64, weight float64) {
 	if s.cfg.RobustClipFactor <= 0 {
-		m := pendingMerge{weight: weight, reply: params}
-		if s.chainMerge(m) {
-			return
-		}
-		s.merge.Join()
-		s.startChain(m)
-		if s.sim == nil {
-			s.runMerge()
-		} else {
-			s.sim.Detach(&s.merge)
-		}
+		s.merger.merge(s.w, weight, params)
 		return
 	}
 	w := paramvec.Vec(s.model())
@@ -757,7 +661,7 @@ func (s *ServerCore) applyClientDelta(params []float64, weight float64) {
 		s.deltaNormEMA = post
 		s.emaReady = true
 	} else {
-		s.deltaNormEMA = 0.9*s.deltaNormEMA + 0.1*post
+		s.deltaNormEMA = float64(0.9*s.deltaNormEMA) + float64(0.1*post)
 	}
 	copy(params, w)
 }
@@ -1073,9 +977,9 @@ func (s *ServerCore) forwardToken() {
 func (s *ServerCore) serverAgg(from int, params []float64, remoteAge float64, bid int, front []int64) {
 	ageDrift := remoteAge - s.age
 	w := ServerAggWeight(s.cfg.Phi, s.age, remoteAge)
-	ew := s.cfg.EtaA * w
+	ew := float64(s.cfg.EtaA * w)
 	paramvec.Vec(s.model()).WeightedMergeInto(ew, params)
-	s.age = (1-ew)*s.age + ew*remoteAge
+	s.age = float64((1-ew)*s.age) + float64(ew*remoteAge)
 	s.ages[s.cfg.ID] = s.age
 	for o, v := range front {
 		if o < len(s.frontier) && v > s.frontier[o] {

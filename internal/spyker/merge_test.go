@@ -6,14 +6,22 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/ring"
 	"github.com/spyker-fl/spyker/internal/simulation"
 	"github.com/spyker-fl/spyker/internal/tensor"
 )
 
+// newChain is a merge chain on sim's workers, as newSimServer makes one.
+func newChain(sim *simulation.Sim) *mergeChain {
+	c := &mergeChain{sim: sim}
+	c.task.Fn = c.run
+	return c
+}
+
 // TestDetachedMergeJoinsAtEveryReader: under the simulator a core's plain
-// client merge runs off the event loop (ServerCore.sim), and whatever reads
-// the model next joins it first. Each case merges one client update inside
+// client merge runs off the event loop (mergeChain), and whatever reads the
+// model next joins it first. Each case merges one client update inside
 // a running Sim and drives one reader straight after it, in the same event;
 // what the reader hands out, the reply, and the model left behind must
 // equal the same steps on a core that merges inline. With several
@@ -77,7 +85,9 @@ func TestDetachedMergeJoinsAtEveryReader(t *testing.T) {
 		{"reply delivery", nil, false, func(s *ServerCore, out *fakeOut) []float64 {
 			merge(s)
 			reply := out.replies[0].params
-			s.joinReply(reply) // what the DES glue does before delivering it
+			if c, ok := s.merger.(*mergeChain); ok {
+				c.joinReply(reply) // what the DES glue does before delivering it
+			}
 			return tensor.Clone(reply)
 		}},
 		{"Tick retry", func(c *Config) { c.SyncRetry = 1 }, true, func(s *ServerCore, out *fakeOut) []float64 {
@@ -99,7 +109,7 @@ func TestDetachedMergeJoinsAtEveryReader(t *testing.T) {
 				s := NewServerCore(cfg, initial, tc.holds, out)
 				sim := simulation.New()
 				if detach {
-					s.sim = sim
+					s.merger = newChain(sim)
 				}
 				sim.Schedule(1, func() { seen = tc.steps(s, out) })
 				sim.Run(math.Inf(1))
@@ -142,7 +152,7 @@ func TestMergeChainMatchesSequentialMerges(t *testing.T) {
 		return v
 	}
 	initial := vec()
-	updates := make([][]float64, mergeChain+1)
+	updates := make([][]float64, chainLen+1)
 	for i := range updates {
 		updates[i] = vec()
 	}
@@ -155,8 +165,9 @@ func TestMergeChainMatchesSequentialMerges(t *testing.T) {
 				out := &fakeOut{}
 				s := NewServerCore(coreConfig(0, 2, 16), initial, false, out)
 				sim := simulation.New()
+				chain := newChain(sim)
 				if detach {
-					s.sim = sim
+					s.merger = chain
 				}
 				burst := make([][]float64, k)
 				for j := range burst {
@@ -174,7 +185,7 @@ func TestMergeChainMatchesSequentialMerges(t *testing.T) {
 						if reverse {
 							j = k - 1 - n
 						}
-						s.joinReply(out.replies[j].params)
+						chain.joinReply(out.replies[j].params)
 						replies[j] = tensor.Clone(out.replies[j].params)
 					}
 					final = tensor.Clone(s.Params())
@@ -195,5 +206,96 @@ func TestMergeChainMatchesSequentialMerges(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAdoptJoinsThePendingChain: a simServer's merge chain outlives its
+// cores, so adopt may swap in a core — a restarted one from its checkpoint,
+// a joining one from a sponsor's state — while the old core's merges are
+// still chained. The old merges must finish into the old model and make the
+// old replies whole before adopt returns, and the new core's first merge
+// must land in its own model; every vector must equal the same steps merged
+// inline. Run it at -cpu 1,4 and under -race, like the chain test.
+func TestAdoptJoinsThePendingChain(t *testing.T) {
+	const dim = 1 << 14
+	rng := rand.New(rand.NewSource(3))
+	vec := func() []float64 {
+		v := make([]float64, dim)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	initial, first := vec(), vec()
+	burst := make([][]float64, chainLen-1)
+	for i := range burst {
+		burst[i] = vec()
+	}
+	sponsor := NewServerCore(coreConfig(1, 2, 8), vec(), false, &fakeOut{})
+	joining, err := sponsor.AdmitMember(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swaps := []struct {
+		name  string
+		state func(ckpt State) State
+	}{
+		{"restart", func(ckpt State) State { return ckpt }},
+		{"join", func(State) State { return joining }},
+	}
+	for _, tc := range swaps {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(detach bool) (oldModel []float64, replies [][]float64, newModel []float64) {
+				out := &fakeOut{}
+				old := NewServerCore(coreConfig(0, 2, 8), initial, false, out)
+				var ckpt State
+				old.SnapshotInto(&ckpt)
+				next, err := RestoreServerCore(tc.state(ckpt), &fakeOut{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sim := simulation.New()
+				srv := &simServer{env: &fl.Env{Sim: sim}}
+				srv.chain.sim, srv.chain.task.Fn = sim, srv.chain.run
+				if detach {
+					srv.adopt(old)
+				}
+				sim.Schedule(1, func() {
+					for j, u := range burst {
+						old.HandleClientUpdate(j, tensor.Clone(u), 0, 0)
+					}
+					if detach {
+						srv.adopt(next)
+					}
+					// Read without joining: adopt must have joined already.
+					oldModel = tensor.Clone(old.w)
+					for _, r := range out.replies {
+						replies = append(replies, tensor.Clone(r.params))
+					}
+					next.HandleClientUpdate(0, tensor.Clone(first), 0, 0)
+					newModel = tensor.Clone(next.Params())
+				})
+				sim.Run(math.Inf(1))
+				return oldModel, replies, newModel
+			}
+			wantOld, wantReplies, wantNew := run(false)
+			if slices.Equal(wantOld, initial) || len(wantReplies) != len(burst) {
+				t.Fatal("the old core merged nothing: the case does not swap with a chain pending")
+			}
+			for i := 0; i < 20; i++ {
+				oldModel, replies, newModel := run(true)
+				if !slices.Equal(oldModel, wantOld) {
+					t.Fatalf("run %d: the old core's model differs from its inline merges when adopt returned", i)
+				}
+				for j := range replies {
+					if !slices.Equal(replies[j], wantReplies[j]) {
+						t.Fatalf("run %d: reply %d was not whole when adopt returned", i, j)
+					}
+				}
+				if !slices.Equal(newModel, wantNew) {
+					t.Fatalf("run %d: the new core's first merge differs from merging it inline", i)
+				}
+			}
+		})
 	}
 }

@@ -2,11 +2,14 @@ package spyker
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/geo"
 	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/obs/audit"
+	"github.com/spyker-fl/spyker/internal/paramvec"
 	"github.com/spyker-fl/spyker/internal/ring"
 	"github.com/spyker-fl/spyker/internal/simulation"
 )
@@ -118,14 +121,15 @@ func ConfigFromHyper(id, n, clients int, h fl.Hyper) Config {
 }
 
 // simServer glues a ServerCore to the simulator: it owns the processing
-// queue that models server occupancy and implements Outbound by sending
-// messages through the geo network.
+// queue that models server occupancy and its cores' merge chain, and
+// implements Outbound by sending messages through the geo network.
 type simServer struct {
 	env    *fl.Env
 	alg    *Algorithm
 	id     int
 	cfg    Config
 	core   *ServerCore
+	chain  mergeChain
 	queue  *fl.ProcQueue
 	client map[int]*fl.SimClient
 
@@ -153,8 +157,103 @@ type simServer struct {
 
 var _ Outbound = (*simServer)(nil)
 
-// newSimServer makes the shell of server id: queue and client table, no
-// core yet.
+// mergeChain is the DES's merger: it moves a server's plain client merges
+// off the event loop onto one Task, whose body (run) merges the chain in
+// arrival order — flat combining: merge appends while the task is at work
+// and detaches it only when it is not, the loop joins only a full chain,
+// the core joins the whole chain (join) before its model is read or
+// written again, and the glue joins it (joinReply) before it delivers or
+// drops a reply whose merge is pending. Each merge is the same element-wise
+// sweep in the same order whoever runs it, so the bits are those of one
+// merge after the other on the loop. The chain is the simServer's, so it
+// outlives core swaps (see adopt).
+type mergeChain struct {
+	sim  *simulation.Sim
+	task simulation.Task
+
+	// ring[n%chainLen] is merge n; those from done to tail are pending.
+	// open says the task will still take what is appended: run clears it,
+	// under mu, when it finds nothing left. done is written by run after
+	// each sweep, so a reader that sees it past a merge sees that merge's
+	// writes.
+	mu   sync.Mutex
+	ring [chainLen]pendingMerge //spyker:guardedby(mu)
+	tail uint64                 //spyker:guardedby(mu)
+	open bool                   //spyker:guardedby(mu)
+	done atomic.Uint64
+}
+
+// chainLen is how many client merges one server's chain may hold; the
+// next one makes the loop join the chain. On sim-protocol a chain reaches
+// it almost never: a worker claims a task within tens of microseconds, a
+// few merges' worth of the loop's time.
+const chainLen = 8
+
+// pendingMerge is one client merge: w += weight*(reply-w), then reply = w.
+type pendingMerge struct {
+	w, reply []float64
+	weight   float64
+}
+
+// merge implements merger: it appends the merge to the chain the task is
+// still working through, or else — the task idle or finishing, or the
+// chain full — joins the task and detaches it on a new chain.
+func (c *mergeChain) merge(w []float64, weight float64, reply []float64) {
+	c.mu.Lock()
+	start := !c.open || c.tail-c.done.Load() >= chainLen
+	if start {
+		c.mu.Unlock()
+		c.task.Join()
+		c.mu.Lock()
+	}
+	c.ring[c.tail%chainLen] = pendingMerge{w: w, reply: reply, weight: weight}
+	c.tail++
+	c.open = true
+	c.mu.Unlock()
+	if start {
+		c.sim.Detach(&c.task)
+	}
+}
+
+// join implements merger.
+func (c *mergeChain) join() { c.task.Join() }
+
+// run is the task's body: the merge-and-reply sweep for each chained merge
+// in arrival order, until the chain is empty.
+func (c *mergeChain) run() {
+	for {
+		c.mu.Lock()
+		n := c.done.Load()
+		if n == c.tail {
+			c.open = false
+			c.mu.Unlock()
+			return
+		}
+		m := c.ring[n%chainLen]
+		c.mu.Unlock()
+		paramvec.Vec(m.w).MergeReplyInto(m.weight, m.reply)
+		c.done.Store(n + 1)
+	}
+}
+
+// joinReply makes the reply vector params whole before the DES delivers
+// or drops it: it joins the chain if the merge that writes params is still
+// pending. A finished one wrote params before done counted it.
+func (c *mergeChain) joinReply(params []float64) {
+	pending := false
+	c.mu.Lock()
+	for n := c.done.Load(); n < c.tail && len(params) > 0 && !pending; n++ {
+		r := c.ring[n%chainLen].reply
+		pending = len(r) > 0 && &r[0] == &params[0]
+	}
+	c.mu.Unlock()
+	if pending {
+		c.task.Join()
+	}
+}
+
+// newSimServer makes the shell of server id: queue, merge chain and client
+// table, no core yet.
 func (a *Algorithm) newSimServer(env *fl.Env, id int) *simServer {
 	s := &simServer{
 		env:    env,
@@ -163,6 +262,7 @@ func (a *Algorithm) newSimServer(env *fl.Env, id int) *simServer {
 		queue:  fl.NewProcQueue(env.Sim, id, env.Observer),
 		client: make(map[int]*fl.SimClient),
 	}
+	s.chain.sim, s.chain.task.Fn = env.Sim, s.chain.run
 	if a.faultsArmed {
 		s.heardSince = make(map[int]bool)
 	}
@@ -170,16 +270,14 @@ func (a *Algorithm) newSimServer(env *fl.Env, id int) *simServer {
 }
 
 // adopt installs core as the server's protocol state — at build, after a
-// restart, on joining — instrumented, merging off the event loop (see
-// ServerCore.sim) and, when the environment arms the audit plane, feeding
-// the server's one recorder. The core it replaces is joined first: its
-// last merge may still be writing a reply in flight, and the delivery
-// joins only the current core's.
+// restart, on joining — instrumented, merging off the event loop through
+// the server's chain and, when the environment arms the audit plane,
+// feeding the server's one recorder. The chain is joined first, so the
+// core it replaces has finished merging into its model and into the
+// replies in flight, and every merge of a chain writes one model.
 func (s *simServer) adopt(core *ServerCore) {
-	if s.core != nil {
-		s.core.merge.Join()
-	}
-	core.sim = s.env.Sim
+	s.chain.join()
+	core.merger = &s.chain
 	s.core = core
 	core.Instrument(s.env.Trace, s.env.Sim.Now)
 	if s.env.Audit {
@@ -684,7 +782,7 @@ func (s *simServer) ReplyClient(k int, params []float64, age, lr float64) {
 		// this reply (elastic membership); its new home will engage it.
 		// The vector is let go here, so its merge is finished first: no
 		// worker is left writing a vector nobody holds.
-		s.core.joinReply(params)
+		s.chain.joinReply(params)
 		return
 	}
 	a := s.alg
@@ -703,7 +801,7 @@ func (a *Algorithm) deliverReply(i int) {
 	m := a.msgs.At(i)
 	s, c, params, age, lr := m.to, m.c, m.vec, m.age, m.lr
 	a.release(i)
-	s.core.joinReply(params)
+	s.chain.joinReply(params)
 	c.HandleModel(params, age, lr)
 }
 
