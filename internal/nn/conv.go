@@ -88,7 +88,7 @@ func (c *Conv2D) Forward(x []float64) []float64 {
 						wv := w[ky*k+kx]
 						xr := xp[(oy+ky)*inW+kx:][:outW]
 						for i, xv := range xr {
-							row[i] += xv * wv
+							row[i] += float64(xv * wv)
 						}
 					}
 				}
@@ -160,9 +160,9 @@ func (c *Conv2D) backward(dy []float64, needDX bool) {
 				for ky := 0; ky < k; ky++ {
 					xi, wi := int(offs[j])+ky*inW, ky*k
 					for kx := 0; kx < k; kx++ {
-						gw[wi+kx] += g * x[xi+kx]
+						gw[wi+kx] += float64(g * x[xi+kx])
 						if needDX {
-							dx[xi+kx] += g * w[wi+kx]
+							dx[xi+kx] += float64(g * w[wi+kx])
 						}
 					}
 				}
@@ -181,26 +181,26 @@ func conv3Backward(gs []float64, offs []int32, inW int, x, dx, w, gw []float64, 
 	for j, g := range gs {
 		o := int(offs[j])
 		x0, x1, x2 := x[o:][:3], x[o+inW:][:3], x[o+2*inW:][:3]
-		g0 += g * x0[0]
-		g1 += g * x0[1]
-		g2 += g * x0[2]
-		g3 += g * x1[0]
-		g4 += g * x1[1]
-		g5 += g * x1[2]
-		g6 += g * x2[0]
-		g7 += g * x2[1]
-		g8 += g * x2[2]
+		g0 += float64(g * x0[0])
+		g1 += float64(g * x0[1])
+		g2 += float64(g * x0[2])
+		g3 += float64(g * x1[0])
+		g4 += float64(g * x1[1])
+		g5 += float64(g * x1[2])
+		g6 += float64(g * x2[0])
+		g7 += float64(g * x2[1])
+		g8 += float64(g * x2[2])
 		if needDX {
 			d0, d1, d2 := dx[o:][:3], dx[o+inW:][:3], dx[o+2*inW:][:3]
-			d0[0] += g * w0
-			d0[1] += g * w1
-			d0[2] += g * w2
-			d1[0] += g * w3
-			d1[1] += g * w4
-			d1[2] += g * w5
-			d2[0] += g * w6
-			d2[1] += g * w7
-			d2[2] += g * w8
+			d0[0] += float64(g * w0)
+			d0[1] += float64(g * w1)
+			d0[2] += float64(g * w2)
+			d1[0] += float64(g * w3)
+			d1[1] += float64(g * w4)
+			d1[2] += float64(g * w5)
+			d2[0] += float64(g * w6)
+			d2[1] += float64(g * w7)
+			d2[2] += float64(g * w8)
 		}
 	}
 	gw[0], gw[1], gw[2], gw[3], gw[4], gw[5], gw[6], gw[7], gw[8] = g0, g1, g2, g3, g4, g5, g6, g7, g8

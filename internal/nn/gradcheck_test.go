@@ -108,7 +108,7 @@ func TestCharLMGradient(t *testing.T) {
 	seq := []int{0, 3, 1, 5, 2, 4, 0, 1}
 
 	lm.SeqLossAndGrad(seq)
-	analytic := append([]float64(nil), lm.gradBacking...)
+	analytic := append([]float64(nil), lm.train.grad...)
 	lm.Step(0, 1, 0) // zero the grads without moving params (lr=0)
 
 	params := lm.Params()

@@ -51,12 +51,12 @@
 // (Network.Replica) and adds the per-sample losses up in index order
 // afterwards.
 //
-// The contract's bits are amd64's. The Go compiler never fuses a multiply
-// into an add there, so the portable loops and the assembly round every
-// product before adding it. On the architectures where it does fuse
-// x*y + z into one rounding (arm64, ppc64le, s390x, riscv64) the same
-// portable loops give other bits — still reproducible run to run on that
-// machine, but not the recorded ones.
+// The contract's bits are amd64's, where the Go compiler never fuses a
+// multiply into an add. Where it does (arm64, ppc64le, s390x, riscv64) this
+// package writes float64(x*y) + z, which keeps each product rounded, but
+// internal/tensor's portable loops do not yet, so a run there gives other
+// bits — still reproducible run to run on that machine, but not the
+// recorded ones.
 //
 // The plain loops survive as reference implementations in
 // reference_test.go (and internal/tensor's), which demand bit-equal

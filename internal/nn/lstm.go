@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"github.com/spyker-fl/spyker/internal/tensor"
 )
@@ -12,14 +13,15 @@ import (
 // LSTM layer, and a dense projection back to the vocabulary, matching the
 // WikiText-2 model described in the paper (embedding -> LSTM -> fully
 // connected over the character vocabulary). It trains with truncated
-// backpropagation through time over fixed-length windows.
+// backpropagation through time over fixed-length windows. At rest it holds
+// only its parameters: SeqLossAndGrad borrows the rest (lmTrain) and Step
+// gives it back.
 type CharLM struct {
-	vocab, embDim, hidden int
+	lmShape
 
-	// backing/gradBacking are the contiguous parameter and gradient
-	// planes all blocks below alias, in declaration order.
-	backing     []float64
-	gradBacking []float64
+	// backing is the contiguous parameter plane all blocks below alias, in
+	// declaration order.
+	backing []float64
 
 	emb *tensor.Matrix // vocab x embDim
 	wx  *tensor.Matrix // 4H x embDim, gate order i,f,g,o
@@ -28,28 +30,85 @@ type CharLM struct {
 	wy  *tensor.Matrix // vocab x H
 	by  []float64
 
-	gEmb *tensor.Matrix
-	gWx  *tensor.Matrix
-	gWh  *tensor.Matrix
-	gBg  []float64
-	gWy  *tensor.Matrix
-	gBy  []float64
-
-	// step caches, grown to the longest sequence seen
-	steps []lstmStep
-	// bptt is SeqLossAndGrad's working memory, built on its first call so
-	// that training allocates nothing per window; models that only
-	// evaluate (SeqLossWith, which must stay safe to call concurrently and
-	// therefore never touches the model's own scratch) never build it.
-	bptt *bpttScratch
+	train *lmTrain // borrowed by SeqLossAndGrad, given back by Step; nil at rest
 }
 
-type bpttScratch struct {
+type lmShape struct{ vocab, embDim, hidden int }
+
+// lmTrain is what a CharLM needs only while it trains: gradients carved as
+// the parameters are, step caches (grown to the longest window seen) and
+// BPTT working memory. A window writes what it reads first, nothing writes
+// the zero vector, and Step leaves the gradients +0: no bit depends on its
+// last user.
+type lmTrain struct {
+	grad                []float64
+	gEmb, gWx, gWh, gWy *tensor.Matrix
+	gBg, gBy            []float64
+
+	steps []lstmStep
+
 	zero            []float64 // H zeros: h and c before the first step (read only)
 	z, zh, dz       []float64 // 4H
 	dh, dc, dhRec   []float64 // H
 	logits, dLogits []float64 // vocab
 	dx              []float64 // embDim
+}
+
+// lmPool keeps the lmTrain of every CharLM not training, a free list per
+// shape. A scratch is made only when its list is empty, so made is the peak
+// of CharLMs of that shape training at once: goroutines, not models.
+type lmPool struct {
+	mu    sync.Mutex
+	lists map[lmShape]trainList //spyker:guardedby(mu)
+}
+
+type trainList struct {
+	free []*lmTrain
+	made int
+}
+
+var trainPool = lmPool{lists: map[lmShape]trainList{}}
+
+// borrow returns m's training scratch, taking one from trainPool at rest.
+func (m *CharLM) borrow() *lmTrain {
+	if m.train != nil {
+		return m.train
+	}
+	trainPool.mu.Lock()
+	l := trainPool.lists[m.lmShape]
+	if n := len(l.free); n > 0 {
+		m.train, l.free = l.free[n-1], l.free[:n-1]
+	} else {
+		l.made++
+	}
+	trainPool.lists[m.lmShape] = l
+	trainPool.mu.Unlock()
+	if m.train == nil {
+		f := func(n int) []float64 { return make([]float64, n) }
+		h := m.hidden
+		t := &lmTrain{
+			grad: f(len(m.backing)),
+			zero: f(h), z: f(4 * h), zh: f(4 * h), dz: f(4 * h),
+			dh: f(h), dc: f(h), dhRec: f(h),
+			logits: f(m.vocab), dLogits: f(m.vocab), dx: f(m.embDim),
+		}
+		t.gEmb, t.gWx, t.gWh, t.gBg, t.gWy, t.gBy = m.carve(t.grad)
+		m.train = t
+	}
+	return m.train
+}
+
+// carve cuts a parameter-sized plane into the six blocks, in the order
+// CharLM declares them: that order is the flat layout of Params().
+func (s lmShape) carve(plane []float64) (emb, wx, wh *tensor.Matrix, bg []float64, wy *tensor.Matrix, by []float64) {
+	v, e, h := s.vocab, s.embDim, s.hidden
+	next := func(n int) []float64 {
+		b := plane[:n:n]
+		plane = plane[n:]
+		return b
+	}
+	emb, wx, wh = tensor.MatrixFrom(v, e, next(v*e)), tensor.MatrixFrom(4*h, e, next(4*h*e)), tensor.MatrixFrom(4*h, h, next(4*h*h))
+	return emb, wx, wh, next(4 * h), tensor.MatrixFrom(v, h, next(v*h)), next(v)
 }
 
 type lstmStep struct {
@@ -64,26 +123,9 @@ type lstmStep struct {
 // dimension and LSTM hidden size.
 func NewCharLM(vocab, embDim, hidden int, rng *rand.Rand) *CharLM {
 	h := hidden
-	total := vocab*embDim + 4*h*embDim + 4*h*h + 4*h + vocab*h + vocab
-	m := &CharLM{
-		vocab: vocab, embDim: embDim, hidden: hidden,
-		backing:     make([]float64, total),
-		gradBacking: make([]float64, total),
-	}
-	// Carve every block out of the contiguous planes, in the order the
-	// struct declares them: that order is the flat layout of Params().
-	cur := &flatCursor{params: m.backing, grads: m.gradBacking}
-	p, g := cur.claim(vocab * embDim)
-	m.emb, m.gEmb = tensor.MatrixFrom(vocab, embDim, p), tensor.MatrixFrom(vocab, embDim, g)
-	p, g = cur.claim(4 * h * embDim)
-	m.wx, m.gWx = tensor.MatrixFrom(4*h, embDim, p), tensor.MatrixFrom(4*h, embDim, g)
-	p, g = cur.claim(4 * h * h)
-	m.wh, m.gWh = tensor.MatrixFrom(4*h, h, p), tensor.MatrixFrom(4*h, h, g)
-	m.bg, m.gBg = cur.claim(4 * h)
-	p, g = cur.claim(vocab * h)
-	m.wy, m.gWy = tensor.MatrixFrom(vocab, h, p), tensor.MatrixFrom(vocab, h, g)
-	m.by, m.gBy = cur.claim(vocab)
-	cur.done()
+	m := &CharLM{lmShape: lmShape{vocab, embDim, hidden}}
+	m.backing = make([]float64, vocab*embDim+4*h*embDim+4*h*h+4*h+vocab*h+vocab)
+	m.emb, m.wx, m.wh, m.bg, m.wy, m.by = m.carve(m.backing)
 
 	m.emb.XavierInit(rng, vocab, embDim)
 	m.wx.XavierInit(rng, embDim, hidden)
@@ -121,10 +163,10 @@ func (m *CharLM) SetParams(p []float64) {
 }
 
 func (m *CharLM) ensureSteps(n int) {
-	for len(m.steps) < n {
+	for len(m.train.steps) < n {
 		h := m.hidden
 		gates := make([]float64, 4*h)
-		m.steps = append(m.steps, lstmStep{
+		m.train.steps = append(m.train.steps, lstmStep{
 			x: make([]float64, m.embDim), gates: gates,
 			i: gates[:h], f: gates[h : 2*h], g: gates[2*h : 3*h], o: gates[3*h:],
 			c: make([]float64, h), tc: make([]float64, h), h: make([]float64, h),
@@ -142,24 +184,15 @@ func (m *CharLM) SeqLossAndGrad(seq []int) (loss float64, preds int) {
 	if T < 1 {
 		return 0, 0
 	}
+	sc := m.borrow()
 	m.ensureSteps(T)
 	h := m.hidden
-	if m.bptt == nil {
-		f := func(n int) []float64 { return make([]float64, n) }
-		m.bptt = &bpttScratch{
-			zero: f(h), z: f(4 * h), zh: f(4 * h), dz: f(4 * h),
-			dh: f(h), dc: f(h), dhRec: f(h),
-			logits: f(m.vocab), dLogits: f(m.vocab), dx: f(m.embDim),
-		}
-	}
-	sc := m.bptt
-
 	hPrev, cPrev := sc.zero, sc.zero
 	z, zh, logits := sc.z, sc.zh, sc.logits
 
 	// Forward.
 	for t := 0; t < T; t++ {
-		st := &m.steps[t]
+		st := &sc.steps[t]
 		copy(st.x, m.emb.Row(seq[t]))
 		m.wx.MatVec(z, st.x)
 		m.wh.MatVec(zh, hPrev)
@@ -170,7 +203,7 @@ func (m *CharLM) SeqLossAndGrad(seq []int) (loss float64, preds int) {
 		tensor.TanhTo(st.g, z[2*h:3*h])
 		tensor.SigmoidTo(st.o, z[3*h:])
 		for j := range st.c {
-			st.c[j] = st.f[j]*cPrev[j] + st.i[j]*st.g[j]
+			st.c[j] = float64(st.f[j]*cPrev[j]) + float64(st.i[j]*st.g[j])
 		}
 		tensor.TanhTo(st.tc, st.c)
 		for j := range st.h {
@@ -188,11 +221,11 @@ func (m *CharLM) SeqLossAndGrad(seq []int) (loss float64, preds int) {
 	tensor.Zero(dh)
 	tensor.Zero(dc)
 	for t := T - 1; t >= 0; t-- {
-		st := &m.steps[t]
+		st := &sc.steps[t]
 		copy(dLogits, st.probs)
 		dLogits[seq[t+1]] -= 1
-		m.gWy.AddOuter(1, dLogits, st.h)
-		tensor.AddInPlace(m.gBy, dLogits)
+		sc.gWy.AddOuter(1, dLogits, st.h)
+		tensor.AddInPlace(sc.gBy, dLogits)
 		m.wy.MatVecT(dhRec, dLogits)
 		for j := 0; j < h; j++ {
 			dh[j] += dhRec[j]
@@ -200,40 +233,47 @@ func (m *CharLM) SeqLossAndGrad(seq []int) (loss float64, preds int) {
 
 		hp, cp := sc.zero, sc.zero
 		if t > 0 {
-			hp, cp = m.steps[t-1].h, m.steps[t-1].c
+			hp, cp = sc.steps[t-1].h, sc.steps[t-1].c
 		}
 		for j := 0; j < h; j++ {
-			dcj := dc[j] + dh[j]*st.o[j]*(1-st.tc[j]*st.tc[j])
+			dcj := dc[j] + float64(dh[j]*st.o[j]*(1-float64(st.tc[j]*st.tc[j])))
 			doj := dh[j] * st.tc[j]
 			dij := dcj * st.g[j]
 			dfj := dcj * cp[j]
 			dgj := dcj * st.i[j]
 			dz[j] = dij * st.i[j] * (1 - st.i[j])
 			dz[h+j] = dfj * st.f[j] * (1 - st.f[j])
-			dz[2*h+j] = dgj * (1 - st.g[j]*st.g[j])
+			dz[2*h+j] = dgj * (1 - float64(st.g[j]*st.g[j]))
 			dz[3*h+j] = doj * st.o[j] * (1 - st.o[j])
 			dc[j] = dcj * st.f[j]
 		}
-		m.gWx.AddOuter(1, dz, st.x)
-		m.gWh.AddOuter(1, dz, hp)
-		tensor.AddInPlace(m.gBg, dz)
+		sc.gWx.AddOuter(1, dz, st.x)
+		sc.gWh.AddOuter(1, dz, hp)
+		tensor.AddInPlace(sc.gBg, dz)
 
 		m.wh.MatVecT(dh, dz) // dh for t-1
 		m.wx.MatVecT(dx, dz)
-		tensor.AddInPlace(m.gEmb.Row(seq[t]), dx)
+		tensor.AddInPlace(sc.gEmb.Row(seq[t]), dx)
 	}
 	return loss, T
 }
 
 // Step applies accumulated gradients with SGD, scaling by 1/count and
 // clipping each coordinate to [-clip, clip] (clip <= 0 disables clipping),
-// then zeroes the gradients.
+// then zeroes the gradients and gives the training scratch back.
 func (m *CharLM) Step(lr float64, count int, clip float64) {
 	if count <= 0 {
 		panic("nn: CharLM.Step with non-positive count")
 	}
 	scale := 1 / float64(count)
-	tensor.SGDStep(m.backing, m.gradBacking, lr, scale, clip)
+	sc := m.borrow() // at rest the gradients are a free scratch's zeros
+	tensor.SGDStep(m.backing, sc.grad, lr, scale, clip)
+	m.train = nil
+	trainPool.mu.Lock()
+	l := trainPool.lists[m.lmShape]
+	l.free = append(l.free, sc)
+	trainPool.lists[m.lmShape] = l
+	trainPool.mu.Unlock()
 }
 
 // SeqScratch is the working memory of one SeqLossWith caller: the LSTM
@@ -292,7 +332,7 @@ func (m *CharLM) SeqLossWith(sc *SeqScratch, seq []int) (loss float64, preds, co
 		tensor.SigmoidTo(z[3*h:], z[3*h:])
 		ig, fg, gg, og := z[:h], z[h:2*h], z[2*h:3*h], z[3*h:]
 		for j := range cCur {
-			cCur[j] = fg[j]*cPrev[j] + ig[j]*gg[j]
+			cCur[j] = float64(fg[j]*cPrev[j]) + float64(ig[j]*gg[j])
 		}
 		tensor.TanhTo(hCur, cCur)
 		for j := range hCur {

@@ -1,9 +1,11 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -114,5 +116,52 @@ func TestCharLMDeterministicTraining(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("nondeterministic training at param %d", i)
 		}
+	}
+}
+
+// TestCharLMsTrainingAtOnceMatchAlone: four goroutines each train their own
+// CharLM of one shape, so the training scratch passes between models
+// mid-run (windows of several lengths, so a scratch's step caches may be
+// longer than the window). Each model ends on the bits it ends on trained
+// alone, holds no scratch at rest, and the shape's free list made no more
+// scratches than there were trainers.
+func TestCharLMsTrainingAtOnceMatchAlone(t *testing.T) {
+	const trainers, vocab, emb, hidden = 4, 9, 4, 7
+	train := func(i int) []float64 {
+		rng := rand.New(rand.NewSource(int64(60 + i)))
+		lm := NewCharLM(vocab, emb, hidden, rng)
+		for w := 0; w < 40; w++ {
+			seq := make([]int, 2+rng.Intn(20))
+			for j := range seq {
+				seq[j] = rng.Intn(vocab)
+			}
+			if _, n := lm.SeqLossAndGrad(seq); n > 0 {
+				lm.Step(0.1, n, 5)
+			}
+		}
+		if lm.train != nil {
+			t.Errorf("model %d holds a training scratch after its last Step", i)
+		}
+		return lm.Params()
+	}
+	want := make([][]float64, trainers)
+	for i := range want {
+		want[i] = train(i)
+	}
+	got := make([][]float64, trainers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = train(i)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		sameBits(t, fmt.Sprintf("model %d trained beside %d others", i, trainers-1), got[i], want[i])
+	}
+	if made, free := TrainScratch(vocab, emb, hidden); made > trainers || free != made {
+		t.Errorf("%d scratches made, %d free, for %d trainers", made, free, trainers)
 	}
 }

@@ -67,8 +67,8 @@ func refConvBackward(c *Conv2D, w, lastX, dy, gw, gb, dx []float64) {
 						xi := xBase + ky*c.inW
 						wi := wOff + ky*k
 						for kx := 0; kx < k; kx++ {
-							gw[wi+kx] += g * lastX[xi+kx]
-							dx[xi+kx] += g * w[wi+kx]
+							gw[wi+kx] += float64(g * lastX[xi+kx])
+							dx[xi+kx] += float64(g * w[wi+kx])
 						}
 					}
 				}
@@ -182,12 +182,13 @@ func refSigmoid(x float64) float64 { return 1 / (1 + tensor.Exp(-x)) }
 
 // refSeqLossAndGrad is CharLM.SeqLossAndGrad as it stood with per-unit gate
 // loops — one sigmoid or tanh call per element — on working memory of its
-// own. It accumulates into m's gradients.
+// own. It accumulates into the gradients of the training scratch m borrows.
 func refSeqLossAndGrad(m *CharLM, seq []int) (loss float64, preds int) {
 	T := len(seq) - 1
 	if T < 1 {
 		return 0, 0
 	}
+	g := m.borrow()
 	h := m.hidden
 	vec := func(n int) []float64 { return make([]float64, n) }
 	type step struct{ x, i, f, g, o, c, tc, h, probs []float64 }
@@ -212,7 +213,7 @@ func refSeqLossAndGrad(m *CharLM, seq []int) (loss float64, preds int) {
 			st.f[j] = refSigmoid(z[h+j])
 			st.g[j] = tensor.Tanh(z[2*h+j])
 			st.o[j] = refSigmoid(z[3*h+j])
-			st.c[j] = st.f[j]*cPrev[j] + st.i[j]*st.g[j]
+			st.c[j] = float64(st.f[j]*cPrev[j]) + float64(st.i[j]*st.g[j])
 			st.tc[j] = tensor.Tanh(st.c[j])
 			st.h[j] = st.o[j] * st.tc[j]
 		}
@@ -228,8 +229,8 @@ func refSeqLossAndGrad(m *CharLM, seq []int) (loss float64, preds int) {
 		st := &steps[t]
 		copy(dLogits, st.probs)
 		dLogits[seq[t+1]] -= 1
-		m.gWy.AddOuter(1, dLogits, st.h)
-		tensor.AddInPlace(m.gBy, dLogits)
+		g.gWy.AddOuter(1, dLogits, st.h)
+		tensor.AddInPlace(g.gBy, dLogits)
 		m.wy.MatVecT(dhRec, dLogits)
 		for j := 0; j < h; j++ {
 			dh[j] += dhRec[j]
@@ -239,23 +240,23 @@ func refSeqLossAndGrad(m *CharLM, seq []int) (loss float64, preds int) {
 			hp, cp = steps[t-1].h, steps[t-1].c
 		}
 		for j := 0; j < h; j++ {
-			dcj := dc[j] + dh[j]*st.o[j]*(1-st.tc[j]*st.tc[j])
+			dcj := dc[j] + float64(dh[j]*st.o[j]*(1-float64(st.tc[j]*st.tc[j])))
 			doj := dh[j] * st.tc[j]
 			dij := dcj * st.g[j]
 			dfj := dcj * cp[j]
 			dgj := dcj * st.i[j]
 			dz[j] = dij * st.i[j] * (1 - st.i[j])
 			dz[h+j] = dfj * st.f[j] * (1 - st.f[j])
-			dz[2*h+j] = dgj * (1 - st.g[j]*st.g[j])
+			dz[2*h+j] = dgj * (1 - float64(st.g[j]*st.g[j]))
 			dz[3*h+j] = doj * st.o[j] * (1 - st.o[j])
 			dc[j] = dcj * st.f[j]
 		}
-		m.gWx.AddOuter(1, dz, st.x)
-		m.gWh.AddOuter(1, dz, hp)
-		tensor.AddInPlace(m.gBg, dz)
+		g.gWx.AddOuter(1, dz, st.x)
+		g.gWh.AddOuter(1, dz, hp)
+		tensor.AddInPlace(g.gBg, dz)
 		m.wh.MatVecT(dh, dz)
 		m.wx.MatVecT(dx, dz)
-		tensor.AddInPlace(m.gEmb.Row(seq[t]), dx)
+		tensor.AddInPlace(g.gEmb.Row(seq[t]), dx)
 	}
 	return loss, T
 }
@@ -282,7 +283,7 @@ func refSeqLossWith(m *CharLM, seq []int) (loss float64, preds, correct int) {
 			fg := refSigmoid(z[h+j])
 			gg := tensor.Tanh(z[2*h+j])
 			og := refSigmoid(z[3*h+j])
-			cCur[j] = fg*cPrev[j] + ig*gg
+			cCur[j] = float64(fg*cPrev[j]) + float64(ig*gg)
 			hCur[j] = og * tensor.Tanh(cCur[j])
 		}
 		m.wy.MatVec(logits, hCur)
@@ -364,12 +365,12 @@ func TestCharLMMatchesReferenceBits(t *testing.T) {
 			}
 			sameBits(t, what+" loss", []float64{loss}, []float64{wantLoss})
 			for b, blocks := range [][2][]float64{
-				{m.gEmb.Data, ref.gEmb.Data}, {m.gWx.Data, ref.gWx.Data}, {m.gWh.Data, ref.gWh.Data},
-				{m.gBg, ref.gBg}, {m.gWy.Data, ref.gWy.Data}, {m.gBy, ref.gBy},
+				{m.train.gEmb.Data, ref.train.gEmb.Data}, {m.train.gWx.Data, ref.train.gWx.Data}, {m.train.gWh.Data, ref.train.gWh.Data},
+				{m.train.gBg, ref.train.gBg}, {m.train.gWy.Data, ref.train.gWy.Data}, {m.train.gBy, ref.train.gBy},
 			} {
 				sameBits(t, fmt.Sprintf("%s gradient block %d", what, b), blocks[0], blocks[1])
 			}
-			for _, st := range m.steps[:len(seq)-1] {
+			for _, st := range m.train.steps[:len(seq)-1] {
 				for _, c := range st.c {
 					maxC = math.Max(maxC, math.Abs(c))
 				}
@@ -679,7 +680,7 @@ func TestStepMatchesReferenceBits(t *testing.T) {
 		t.Fatalf("CharLM(32, 8, 16) has %d parameters, want the benchmark model's 2400", lm.NumParams())
 	}
 	for trial := 0; trial < 8; trial++ {
-		check("CharLM.Step", lm, lm.backing, lm.gradBacking, trial)
+		check("CharLM.Step", lm, lm.backing, lm.borrow().grad, trial)
 	}
 }
 
