@@ -8,8 +8,9 @@
 // The "server" and "clients" roles split the same deployment across real
 // OS processes, which is what makes process-level failure injection
 // possible: kill -9 a server, then relaunch it with -resume to restore
-// from its checkpoint file while token-loss recovery (-token-timeout,
-// -sync-retry) keeps the surviving ring synchronizing.
+// from its checkpoint file (one JSON-encoded spyker.State) while
+// token-loss recovery (-token-timeout, -sync-retry) keeps the surviving
+// ring synchronizing.
 //
 // Example:
 //
@@ -20,13 +21,13 @@
 //	# one real process per server, plus one process for all clients:
 //	spyker-live -role server -id 0 -addr 127.0.0.1:7070 \
 //	    -peers 127.0.0.1:7070,127.0.0.1:7071 -token \
-//	    -clients 8 -checkpoint s0.gob -checkpoint-every 300ms \
+//	    -clients 8 -checkpoint s0.json -checkpoint-every 300ms \
 //	    -token-timeout 2 -sync-retry 1
 //	spyker-live -role clients -peers 127.0.0.1:7070,127.0.0.1:7071 -clients 8
 //	# after killing server 0:
 //	spyker-live -role server -id 0 -addr 127.0.0.1:7070 \
 //	    -peers 127.0.0.1:7070,127.0.0.1:7071 -clients 8 \
-//	    -checkpoint s0.gob -resume -token-timeout 2 -sync-retry 1
+//	    -checkpoint s0.json -resume -token-timeout 2 -sync-retry 1
 //	# hot-add a third server to the running ring (the sponsor assigns
 //	# its ID and ships model + membership in the join reply):
 //	spyker-live -role server -join 127.0.0.1:7070 -token-timeout 2 -sync-retry 1

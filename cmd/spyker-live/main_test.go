@@ -1,7 +1,7 @@
 package main
 
 import (
-	"encoding/gob"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -31,7 +31,7 @@ func TestValidateRefusesUnrunnableFlags(t *testing.T) {
 	}{
 		{"cluster", cluster, nil, ""},
 		{"server", server, nil, ""},
-		{"server resumed", server, func(o *opts) { o.resume, o.ckptPath = true, "s1.gob" }, ""},
+		{"server resumed", server, func(o *opts) { o.resume, o.ckptPath = true, "s1.json" }, ""},
 		{"clients", clients, nil, ""},
 		{"joiner", joiner, nil, ""},
 
@@ -44,7 +44,7 @@ func TestValidateRefusesUnrunnableFlags(t *testing.T) {
 		{"server id outside peers", server, func(o *opts) { o.id = 2 }, "-id'th entry"},
 		{"server with fewer clients than servers", server, func(o *opts) { o.clients = 1 }, "-clients >= len(peers)"},
 		{"resume without checkpoint", server, func(o *opts) { o.resume = true }, "-resume needs -checkpoint"},
-		{"join with resume", joiner, func(o *opts) { o.resume, o.ckptPath = true, "s2.gob" }, "exclude each other"},
+		{"join with resume", joiner, func(o *opts) { o.resume, o.ckptPath = true, "s2.json" }, "exclude each other"},
 		{"negative token timeout", cluster, func(o *opts) { o.tokenTimeout = -2 }, "-token-timeout"},
 		{"negative sync retry", server, func(o *opts) { o.syncRetry = -1 }, "-sync-retry"},
 		{"negative checkpoint period", server, func(o *opts) { o.ckptEvery = -time.Second }, "-checkpoint-every"},
@@ -85,7 +85,7 @@ func TestResumeRefusesAnotherServersCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		if err := gob.NewEncoder(f).Encode(&st); err != nil {
+		if err := json.NewEncoder(f).Encode(&st); err != nil {
 			t.Fatal(err)
 		}
 		return path
@@ -99,8 +99,8 @@ func TestResumeRefusesAnotherServersCheckpoint(t *testing.T) {
 		path string
 		want []string // substrings of the error
 	}{
-		{"another server's", write("s0.gob", 0, initial), []string{"server 0's", "-id 1's"}},
-		{"another model's", write("small.gob", 1, initial[:100]), []string{"100 parameters", fmt.Sprintf("has %d", len(initial))}},
+		{"another server's", write("s0.json", 0, initial), []string{"server 0's", "-id 1's"}},
+		{"another model's", write("small.json", 1, initial[:100]), []string{"100 parameters", fmt.Sprintf("has %d", len(initial))}},
 	} {
 		o := server1
 		o.ckptPath = tc.path
@@ -117,7 +117,7 @@ func TestResumeRefusesAnotherServersCheckpoint(t *testing.T) {
 			}
 		}
 	}
-	if _, err := readResume(write("s1.gob", 1, initial), 1, len(initial)); err != nil {
+	if _, err := readResume(write("s1.json", 1, initial), 1, len(initial)); err != nil {
 		t.Errorf("the server's own checkpoint was refused: %v", err)
 	}
 }

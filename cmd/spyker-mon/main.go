@@ -54,7 +54,6 @@ func main() {
 	addr := flag.String("addr", "", "serve /health (JSON) and /metrics (Prometheus) on this address (empty = log only)")
 	duration := flag.Duration("duration", 0, "how long to monitor (0 = until killed)")
 	tokenTimeout := flag.Float64("token-timeout", 0, "the ring's token regeneration timeout in seconds (0 = adopt from telemetry)")
-	silenceFactor := flag.Float64("silence-factor", 0, "stall threshold as a multiple of the token timeout (0 = default 2)")
 	portOff := flag.Int("debug-port-offset", 0, "discover new members' debug endpoints at transport port + this offset (0 = discovery off)")
 	flag.Parse()
 
@@ -62,10 +61,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "spyker-mon: -targets is required")
 		os.Exit(1)
 	}
-	m := newMonitor(splitTargets(*targets), health.Config{
-		TokenTimeout:  *tokenTimeout,
-		SilenceFactor: *silenceFactor,
-	}, *portOff, &http.Client{Timeout: 2 * time.Second}, os.Stdout)
+	m := newMonitor(splitTargets(*targets), health.Config{TokenTimeout: *tokenTimeout}, *portOff, &http.Client{Timeout: 2 * time.Second}, os.Stdout)
 
 	if *addr != "" {
 		mux := http.NewServeMux()

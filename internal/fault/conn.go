@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
-	"time"
 
 	"github.com/spyker-fl/spyker/internal/transport"
 )
@@ -15,9 +14,10 @@ var ErrSevered = errors.New("fault: connection severed")
 
 // Conn interposes send-side faults on a live transport connection. It
 // implements transport.Sender, so it slips between a server's outbox and
-// the wire: messages can be silently dropped with a set probability,
-// delayed by a fixed amount, or the link severed outright. The zero
-// configuration forwards everything untouched.
+// the wire: messages can be silently dropped with a set probability, or
+// the link severed outright. The zero configuration forwards everything
+// untouched. The live runtime's latency injector is
+// live.Server.InjectLatency.
 //
 // Unlike the simulator's injector, a live Conn is subject to goroutine
 // scheduling, so runs are not reproducible — it exists to exercise the
@@ -26,10 +26,9 @@ type Conn struct {
 	inner transport.Sender
 
 	mu      sync.Mutex
-	rng     *rand.Rand    //spyker:guardedby(mu)
-	dropP   float64       //spyker:guardedby(mu)
-	delay   time.Duration //spyker:guardedby(mu)
-	severed bool          //spyker:guardedby(mu)
+	rng     *rand.Rand //spyker:guardedby(mu)
+	dropP   float64    //spyker:guardedby(mu)
+	severed bool       //spyker:guardedby(mu)
 }
 
 // WrapConn interposes a fault layer over inner. The seed feeds the
@@ -45,13 +44,6 @@ func (c *Conn) SetDrop(p float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.dropP = p
-}
-
-// SetDelay makes each subsequent Send sleep d before writing.
-func (c *Conn) SetDelay(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.delay = d
 }
 
 // Sever cuts the link: the underlying connection is closed and every
@@ -74,13 +66,9 @@ func (c *Conn) Send(m *transport.Msg) error {
 		return ErrSevered
 	}
 	drop := c.dropP > 0 && c.rng.Float64() < c.dropP
-	delay := c.delay
 	c.mu.Unlock()
 	if drop {
 		return nil
-	}
-	if delay > 0 {
-		time.Sleep(delay)
 	}
 	return c.inner.Send(m)
 }

@@ -34,7 +34,7 @@ func TestE2EProcessHotAdd(t *testing.T) {
 	const n = 2
 	addrs := freePorts(t, n)
 	peers := strings.Join(addrs, ",")
-	ckpt := func(i int) string { return filepath.Join(dir, fmt.Sprintf("s%d.gob", i)) }
+	ckpt := func(i int) string { return filepath.Join(dir, fmt.Sprintf("s%d.json", i)) }
 	logf := func(name string) string { return filepath.Join(dir, name+".log") }
 
 	for i := 0; i < n; i++ {
@@ -95,7 +95,7 @@ func TestE2EProcessHotAdd(t *testing.T) {
 
 	// Hot-add: the joiner process knows only the sponsor's address — the
 	// sponsor assigns its ID and ships model + membership in the reply.
-	jckpt := filepath.Join(dir, "joiner.gob")
+	jckpt := filepath.Join(dir, "joiner.json")
 	joiner, err := fault.StartProc(bin, []string{
 		"-role", "server", "-join", addrs[0],
 		"-checkpoint", jckpt, "-checkpoint-every", "150ms",

@@ -75,7 +75,7 @@ func TestE2EProcessFailover(t *testing.T) {
 	const n = 3
 	addrs := freePorts(t, n)
 	peers := strings.Join(addrs, ",")
-	ckpt := func(i int) string { return filepath.Join(dir, fmt.Sprintf("s%d.gob", i)) }
+	ckpt := func(i int) string { return filepath.Join(dir, fmt.Sprintf("s%d.json", i)) }
 
 	procs := make([]*fault.Proc, n)
 	for i := 0; i < n; i++ {

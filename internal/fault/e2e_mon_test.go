@@ -39,7 +39,7 @@ func TestE2EMonitorFailover(t *testing.T) {
 	ports := freePorts(t, 2*n) // transport + debug per server
 	addrs, debugs := ports[:n], ports[n:]
 	peers := strings.Join(addrs, ",")
-	ckpt := func(i int) string { return filepath.Join(dir, fmt.Sprintf("s%d.gob", i)) }
+	ckpt := func(i int) string { return filepath.Join(dir, fmt.Sprintf("s%d.json", i)) }
 
 	procs := make([]*fault.Proc, n)
 	for i := 0; i < n; i++ {

@@ -7,8 +7,8 @@
 // drop-or-duplication through internal/simulation and internal/geo — the
 // whole faulty run stays byte-deterministic given Plan.Seed, because every
 // random draw comes from one seeded generator consumed in schedule order.
-// In the live TCP runtime, Conn wraps a transport.Sender to drop, delay,
-// or sever real connections, and Proc drives process-level kill and
+// In the live TCP runtime, Conn wraps a transport.Sender to drop or sever
+// real connections, and Proc drives process-level kill and
 // checkpoint-restore restart of spyker-live servers.
 //
 // Injection is one half of the story; the matching recovery machinery

@@ -55,7 +55,7 @@
 // sendcheck — send/encode calls on the live wire may not drop their
 // errors silently. A call to an error-returning function or method of
 // internal/transport or internal/live whose name starts with Send, Recv,
-// Encode, Write, or Broadcast (plus gob/json Encode/Decode calls inside
+// Encode, Write, or Broadcast (plus json Encode/Decode calls inside
 // the SendPkgs, which also cover the monitoring plane: cmd/spyker-mon
 // and cmd/spyker-live) must consume the error; discarding it explicitly
 // with `_ =` is the documented idiom for fire-and-forget teardown paths

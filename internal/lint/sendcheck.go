@@ -24,11 +24,11 @@ func runSendCheck(cfg *Config, pkg *Package) []Diagnostic {
 		}
 		path := pkgPathOf(f)
 		watched := hasPkgSuffix(path, cfg.SendPkgs) && hasSendPrefix(f.Name())
-		// Inside the wire packages themselves, the raw gob/json codec
-		// calls are the send path; dropping their errors hides a dead
+		// Inside the wire packages themselves, the raw json codec calls
+		// are the send path; dropping their errors hides a dead
 		// connection.
 		if !watched && hasPkgSuffix(pkg.ImportPath, cfg.SendPkgs) {
-			watched = (path == "encoding/gob" || path == "encoding/json") &&
+			watched = path == "encoding/json" &&
 				(strings.HasPrefix(f.Name(), "Encode") || strings.HasPrefix(f.Name(), "Decode"))
 		}
 		if !watched {

@@ -1,7 +1,8 @@
 package live
 
 import (
-	"encoding/gob"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -12,26 +13,13 @@ import (
 	"github.com/spyker-fl/spyker/internal/transport"
 )
 
-// countingWriter counts bytes passing through to w, so checkpoint events
-// can report the encoded snapshot size.
-type countingWriter struct {
-	w io.Writer
-	n int
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += n
-	return n, err
-}
-
 // WriteCheckpoint persists the server's full protocol state (model, ages,
-// token, decay counters) so a restarted process can resume where it left
-// off.
+// token, decay counters) as one JSON-encoded spyker.State, so a restarted
+// process can resume where it left off.
 func (s *Server) WriteCheckpoint(w io.Writer) error {
-	// The scratch State is reused across checkpoints (SnapshotInto only
-	// grows it), so periodic checkpointing stops allocating a model-sized
-	// vector per tick; ckptMu serializes concurrent checkpoint writers.
+	// The scratch State and the encode buffer are reused, so periodic
+	// checkpointing allocates no model-sized vector per tick; ckptMu
+	// serializes checkpoint writers, and the encode runs outside s.mu.
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 	s.mu.Lock()
@@ -39,14 +27,17 @@ func (s *Server) WriteCheckpoint(w io.Writer) error {
 	sink := s.sink
 	s.mu.Unlock()
 	st := &s.ckptScratch
-	cw := &countingWriter{w: w}
-	if err := gob.NewEncoder(cw).Encode(st); err != nil {
+	s.ckptBuf.Reset()
+	if err := json.NewEncoder(&s.ckptBuf).Encode(st); err != nil {
 		return fmt.Errorf("live: encode checkpoint: %w", err)
+	}
+	if _, err := w.Write(s.ckptBuf.Bytes()); err != nil {
+		return fmt.Errorf("live: write checkpoint: %w", err)
 	}
 	if sink.Enabled() {
 		sink.Emit(obs.Event{
 			Time: s.clock(), Kind: obs.KindCheckpoint,
-			Node: s.ID, Peer: obs.NoPeer, Bytes: cw.n, Age: st.Age,
+			Node: s.ID, Peer: obs.NoPeer, Bytes: s.ckptBuf.Len(), Age: st.Age,
 		})
 	}
 	return nil
@@ -99,11 +90,29 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 	return err
 }
 
-// ReadCheckpoint decodes a state previously written by WriteCheckpoint.
+// ReadCheckpoint decodes a state written by WriteCheckpoint, strictly (see
+// decodeState).
 func ReadCheckpoint(r io.Reader) (spyker.State, error) {
-	var st spyker.State
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
+	st, err := decodeState(r)
+	if err != nil {
 		return spyker.State{}, fmt.Errorf("live: decode checkpoint: %w", err)
+	}
+	return st, nil
+}
+
+// decodeState reads exactly one JSON-encoded spyker.State from r — a
+// checkpoint or a join reply's Blob. A field State does not have, a second
+// value or any other trailing bytes are refused. JSON carries no element
+// counts, so what the decode allocates follows the input's length.
+func decodeState(r io.Reader) (spyker.State, error) {
+	var st spyker.State
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&st); err != nil {
+		return spyker.State{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return spyker.State{}, errors.New("trailing bytes after the state")
 	}
 	return st, nil
 }

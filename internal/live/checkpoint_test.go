@@ -2,11 +2,19 @@ package live
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
+
+	"github.com/spyker-fl/spyker/internal/ring"
+	"github.com/spyker-fl/spyker/internal/spyker"
 )
 
 // TestCheckpointWriteIsAtomic: a write that fails part-way leaves the
@@ -14,7 +22,7 @@ import (
 // succeeds replaces it whole and leaves nothing else in the directory.
 func TestCheckpointWriteIsAtomic(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "ckpt.gob")
+	path := filepath.Join(dir, "ckpt.json")
 	old := []byte("the previous checkpoint")
 	if err := writeFileAtomic(path, func(w io.Writer) error { _, err := w.Write(old); return err }); err != nil {
 		t.Fatal(err)
@@ -60,4 +68,197 @@ func onlyFile(t *testing.T, dir, path string, want []byte) {
 		}
 		t.Errorf("directory holds %v, want only %s", names, filepath.Base(path))
 	}
+}
+
+// nopOut is a spyker.Outbound that sends nothing.
+type nopOut struct{}
+
+func (nopOut) ReplyClient(int, []float64, float64, float64)                     {}
+func (nopOut) BroadcastModel([]float64, float64, int, []int64, ring.Membership) {}
+func (nopOut) BroadcastAge(float64, ring.Membership)                            {}
+func (nopOut) SendToken(spyker.Token, int)                                      {}
+
+// postAdmission returns the token-holding server 0 of a three-server ring
+// that has admitted server 3 and merged four client updates, with its
+// snapshot: epoch 1, a member ID past the construction-time count, a held
+// token, decay counters and a frontier off zero. The snapshot's weights
+// also hold -0 and the smallest subnormal.
+func postAdmission(t testing.TB) (*spyker.ServerCore, spyker.State) {
+	t.Helper()
+	cfg := spyker.Config{
+		ID: 0, NumServers: 3, NumClients: 2,
+		EtaServer: 0.6, Phi: 1.5, EtaA: 0.6, HInter: 5, HIntra: 350,
+		ClientLR: 0.05, DecayEnabled: true, Beta: 1, EtaMin: 1e-6,
+		TokenTimeout: 2, SyncRetry: 1,
+	}
+	rng := rand.New(rand.NewSource(1))
+	w := make([]float64, 16)
+	for i := range w {
+		w[i] = rng.NormFloat64()
+	}
+	core := spyker.NewServerCore(cfg, w, true, nopOut{})
+	if _, err := core.AdmitMember(3); err != nil {
+		t.Fatal(err)
+	}
+	for k := range 4 {
+		for i := range w {
+			w[i] = rng.NormFloat64()
+		}
+		core.HandleClientUpdate(k%2, w, core.Age(), 0)
+	}
+	var st spyker.State
+	core.SnapshotInto(&st)
+	st.W[0], st.W[1] = math.Copysign(0, -1), 5e-324
+	return core, st
+}
+
+// checkpointOf restores a live server from st and returns the checkpoint
+// it writes.
+func checkpointOf(t testing.TB, st spyker.State) []byte {
+	t.Helper()
+	srv, err := NewServerFromCheckpoint("127.0.0.1:0", st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var buf bytes.Buffer
+	if err := srv.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// sameState fails unless got is want, with every float compared bit for
+// bit (reflect.DeepEqual takes -0 for +0).
+func sameState(t *testing.T, what string, got, want spyker.State) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: decoded %+v\nwant %+v", what, got, want)
+	}
+	sameBits := func(field string, a, b []float64) {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Errorf("%s: %s[%d] = %v, want %v", what, field, i, a[i], b[i])
+			}
+		}
+	}
+	sameBits("W", got.W, want.W)
+	sameBits("Ages", got.Ages, want.Ages)
+	sameBits("Age", []float64{got.Age, got.AgePrev}, []float64{want.Age, want.AgePrev})
+	if want.Token != nil {
+		sameBits("Token.Ages", got.Token.Ages, want.Token.Ages)
+	}
+}
+
+// TestStateRoundTripsAreBitExact: a token holder's checkpoint on a
+// post-admission ring, and the snapshot a sponsor ships a joiner, decode
+// to the State that was encoded: model, ages and frontier to the bit,
+// membership, token and counters equal.
+func TestStateRoundTripsAreBitExact(t *testing.T) {
+	sponsor, st := postAdmission(t)
+	if st.Token == nil || st.Mem.Epoch != 1 || len(st.Updates) == 0 {
+		t.Fatalf("the fixture is not a token holder on a post-admission ring: %+v", st)
+	}
+	got, err := ReadCheckpoint(bytes.NewReader(checkpointOf(t, st)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameState(t, "checkpoint", got, st)
+
+	joiner, err := sponsor.AdmitMember(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(&joiner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = decodeState(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameState(t, "join snapshot", got, joiner)
+	if _, err := spyker.RestoreServerCore(got, nopOut{}); err != nil {
+		t.Fatalf("the joiner's snapshot does not restore: %v", err)
+	}
+}
+
+// craftedGobMap is a gob stream of a State whose Updates map declares
+// 5 000 000 entries and holds one: a type definition for a struct with the
+// one field Updates map[int]int, then a 10-byte value message. A gob
+// decoder sizes the map from the declared count before it reads an entry.
+var craftedGobMap = []byte("\x1f\x7f\x03\x01\x01\x05State\x01\xff\x80\x00\x01\x01\x01\x07Updates\x01\xff\x82\x00\x00\x00" +
+	"\x1b\xff\x81\x04\x01\x01\x0bmap[int]int\x01\xff\x82\x00\x01\x04\x01\x04\x00\x00" +
+	"\x0a\xff\x80\x01\xfd\x4c\x4b\x40\x0e\x12\x00")
+
+// malformedCheckpoint is an input ReadCheckpoint refuses.
+type malformedCheckpoint struct {
+	name string
+	b    []byte
+}
+
+// malformedCheckpoints derives the refused inputs from the real checkpoint
+// ckpt (which ends in "}\n").
+func malformedCheckpoints(ckpt []byte) []malformedCheckpoint {
+	return []malformedCheckpoint{
+		{"truncated", ckpt[:len(ckpt)/2]},
+		{"gob stream", craftedGobMap},
+		{"unknown field", append(bytes.Clone(ckpt[:len(ckpt)-2]), `,"Total":7}`...)},
+		{"out of range", []byte(`{"Age":1e999}`)},
+		{"trailing", append(bytes.Clone(ckpt), `{}`...)},
+		{"two values", append(bytes.Clone(ckpt), ckpt...)},
+	}
+}
+
+// TestReadCheckpointRefusesMalformedInput: a cut, foreign, extended or
+// overflowing checkpoint, or one with bytes after it, is an error.
+func TestReadCheckpointRefusesMalformedInput(t *testing.T) {
+	_, st := postAdmission(t)
+	for _, m := range malformedCheckpoints(checkpointOf(t, st)) {
+		if _, err := ReadCheckpoint(bytes.NewReader(m.b)); err == nil {
+			t.Errorf("%s: accepted", m.name)
+		}
+	}
+}
+
+// TestReadCheckpointAllocationFollowsInput: the crafted gob stream, whose
+// map declares 5 000 000 entries in 71 bytes, is refused without
+// allocating more than a constant multiple of its length.
+func TestReadCheckpointAllocationFollowsInput(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadCheckpoint(bytes.NewReader(craftedGobMap))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("the crafted gob stream was accepted")
+	}
+	got, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*len(craftedGobMap)+1<<20)
+	if got > bound {
+		t.Fatalf("reading %d bytes allocated %d bytes, bound %d", len(craftedGobMap), got, bound)
+	}
+}
+
+// FuzzReadCheckpoint: whatever a checkpoint file holds, reading it and
+// restoring a core from what it decodes to returns an error or a core,
+// never a panic. The seeds are a real checkpoint of a token holder on a
+// post-admission ring, that checkpoint bit-flipped, the malformed inputs
+// above, and a snapshot whose one member is negative.
+func FuzzReadCheckpoint(f *testing.F) {
+	_, st := postAdmission(f)
+	ckpt := checkpointOf(f, st)
+	flipped := bytes.Clone(ckpt)
+	flipped[len(flipped)/2] ^= 0x04
+	f.Add(ckpt)
+	f.Add(flipped)
+	for _, m := range malformedCheckpoints(ckpt) {
+		f.Add(m.b)
+	}
+	f.Add([]byte(`{"Config":{"ID":-5},"Mem":{"Epoch":0,"Members":[-5]},"Frontier":[]}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		st, err := ReadCheckpoint(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		_, _ = spyker.RestoreServerCore(st, nopOut{})
+	})
 }

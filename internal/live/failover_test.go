@@ -130,7 +130,7 @@ func TestLiveFailover(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	ckpt := t.TempDir() + "/victim.gob"
+	ckpt := t.TempDir() + "/victim.json"
 	if err := servers[victim].CheckpointToFile(ckpt); err != nil {
 		t.Fatal(err)
 	}

@@ -188,7 +188,7 @@ func TestCheckpointRestart(t *testing.T) {
 	// can only be at this age or past it.
 	wantAge := srv.Age()
 	wantParams := srv.Params()
-	path := t.TempDir() + "/ckpt.gob"
+	path := t.TempDir() + "/ckpt.json"
 	if err := srv.CheckpointToFile(path); err != nil {
 		t.Fatal(err)
 	}

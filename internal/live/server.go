@@ -15,7 +15,7 @@ package live
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -257,6 +257,7 @@ type Server struct {
 	// WriteCheckpoint); ckptMu serializes checkpoint writers.
 	ckptMu      sync.Mutex
 	ckptScratch spyker.State //spyker:guardedby(ckptMu)
+	ckptBuf     bytes.Buffer //spyker:guardedby(ckptMu)
 
 	// Observability (see Instrument). sink/clock default to no-ops; the
 	// byte totals — exact frame octets, transport.MsgWireBytes — are
@@ -868,7 +869,7 @@ func (s *Server) drop(conn *transport.Conn, remote int, err error) {
 // stable ID, admits it through the core (epoch bump plus membership
 // announcement ride out on the age broadcast), records its address, and
 // replies with the assigned ID, the new membership, the address book,
-// and a gob-encoded state snapshot re-keyed for the newcomer. The
+// and a JSON-encoded state snapshot re-keyed for the newcomer. The
 // connection is one-shot: the joiner dials members itself afterwards.
 func (s *Server) handleJoin(conn *transport.Conn, req *transport.Msg) {
 	defer func() { _ = conn.Close() }()
@@ -893,14 +894,14 @@ func (s *Server) handleJoin(conn *transport.Conn, req *transport.Msg) {
 	s.maybeRewire() // dial the newcomer once it is listening
 	s.mu.Unlock()
 
-	var blob bytes.Buffer
-	if err := gob.NewEncoder(&blob).Encode(&st); err != nil {
+	blob, err := json.Marshal(&st)
+	if err != nil {
 		return
 	}
 	reply := &transport.Msg{
 		Kind: transport.KindJoinReply, From: s.ID, Bid: newID,
 		Epoch: mem.Epoch, Members: mem.Members, Addrs: addrs,
-		Blob: blob.Bytes(),
+		Blob: blob,
 	}
 	s.mu.Lock()
 	s.noteSend(obs.ServerNode+newID, reply)
@@ -939,8 +940,8 @@ func JoinCluster(sponsorAddr, listenAddr string) (*Server, error) {
 	if reply.Kind != transport.KindJoinReply || len(reply.Blob) == 0 {
 		return fail(fmt.Errorf("live: join: unexpected reply %v", reply.Kind))
 	}
-	var st spyker.State
-	if err := gob.NewDecoder(bytes.NewReader(reply.Blob)).Decode(&st); err != nil {
+	st, err := decodeState(bytes.NewReader(reply.Blob))
+	if err != nil {
 		return fail(fmt.Errorf("live: join: decode snapshot: %w", err))
 	}
 	s := newShell(st.Config.ID, st.Config, l)
@@ -1075,25 +1076,18 @@ func (s *Server) dispatch(role, id int, link *clientLink, m *transport.Msg) erro
 
 // checkSender validates the membership header of an inter-server frame
 // and the sender against it. The core sizes its per-server arrays by the
-// largest member ID it adopts, so a header is only handed on when its IDs
-// are strictly ascending, non-negative and below the ring bound. The
-// sender must be a member of the ring the core will hold once it has seen
-// this header — a joiner's first frames reach members the sponsor's
-// announcement has not. Caller holds s.mu.
+// largest member ID it adopts, so a header is only handed on when it is
+// well formed below the ring bound. The sender must be a member of the
+// ring the core will hold once it has seen this header — a joiner's first
+// frames reach members the sponsor's announcement has not. Caller holds
+// s.mu.
 //
 //spyker:locked(mu)
 func (s *Server) checkSender(id int, mem ring.Membership) error {
 	view := s.core.Membership()
 	if !mem.IsZero() {
-		if mem.Epoch < 0 {
+		if !mem.WellFormed(int(s.ringBound.Load())) {
 			return errRingHdr
-		}
-		prev, bound := -1, int(s.ringBound.Load())
-		for _, member := range mem.Members {
-			if member <= prev || member >= bound {
-				return errRingHdr
-			}
-			prev = member
 		}
 		if ring.Compare(mem, view) > 0 {
 			view = mem

@@ -52,7 +52,7 @@ type Rule string
 
 const (
 	// RuleTokenSilence: no token movement anywhere in the cluster for
-	// longer than SilenceFactor x TokenTimeout. A healthy ring hands the
+	// longer than silenceFactor x TokenTimeout. A healthy ring hands the
 	// token off at least once per regeneration timeout (silence past
 	// TokenTimeout mints a replacement token), so silence past a multiple
 	// of it means even recovery is not restoring circulation. Stalled.
@@ -113,13 +113,12 @@ type Config struct {
 	// self-reported in telemetry, or an offline caller calibrates it from
 	// the trace (CalibrateTokenTimeout).
 	TokenTimeout float64
-	// SilenceFactor scales TokenTimeout into the stall threshold
-	// (default 2).
-	SilenceFactor float64
 }
 
 // The detection rules' thresholds.
 const (
+	// silenceFactor scales the token timeout into the stall threshold.
+	silenceFactor = 2.0
 	// flatlineFactor scales the observed sync cadence into the flatline
 	// threshold.
 	flatlineFactor = 4
@@ -213,11 +212,8 @@ type Evaluator struct {
 	active map[alertKey]int // -> index into alerts
 }
 
-// New returns an evaluator with cfg's defaults applied.
+// New returns an evaluator for cfg.
 func New(cfg Config) *Evaluator {
-	if cfg.SilenceFactor <= 0 {
-		cfg.SilenceFactor = 2
-	}
 	return &Evaluator{
 		cfg:      cfg,
 		perSrv:   map[int]*serverState{},
@@ -415,7 +411,7 @@ func (e *Evaluator) silenceThreshold() float64 {
 	if e.tokenTmo <= 0 {
 		return 0
 	}
-	return e.cfg.SilenceFactor * e.tokenTmo
+	return silenceFactor * e.tokenTmo
 }
 
 func (e *Evaluator) checkSilence() {
@@ -426,7 +422,7 @@ func (e *Evaluator) checkSilence() {
 	if e.now-e.lastMove > thr {
 		e.raise(RuleTokenSilence, Stalled, e.lastMove+thr, obs.NoPeer, obs.NoPeer,
 			fmt.Sprintf("no token movement for %.2fs (> %.1fx token timeout %.2fs)",
-				e.now-e.lastMove, e.cfg.SilenceFactor, e.tokenTmo))
+				e.now-e.lastMove, silenceFactor, e.tokenTmo))
 	}
 }
 

@@ -59,7 +59,7 @@ func (e *Evaluator) WriteReport(w io.Writer) error {
 	tmo := "unknown"
 	if e.tokenTmo > 0 {
 		tmo = fmt.Sprintf("%.2fs (stall after %.2fs of silence)",
-			e.tokenTmo, e.cfg.SilenceFactor*e.tokenTmo)
+			e.tokenTmo, silenceFactor*e.tokenTmo)
 	}
 	if _, err := fmt.Fprintf(w, "stream time: %.2fs   token timeout: %s\n", e.now, tmo); err != nil {
 		return err

@@ -57,6 +57,23 @@ func (m Membership) Slots() int {
 	return m.Members[len(m.Members)-1] + 1
 }
 
+// WellFormed reports whether m may size per-server state: a non-negative
+// epoch, members strictly ascending, non-negative and below bound. Check a
+// membership read from outside with it before its Slots size anything.
+func (m Membership) WellFormed(bound int) bool {
+	if m.Epoch < 0 {
+		return false
+	}
+	prev := -1
+	for _, id := range m.Members {
+		if id <= prev || id >= bound {
+			return false
+		}
+		prev = id
+	}
+	return true
+}
+
 // Contains reports whether id is a current ring member.
 func (m Membership) Contains(id int) bool {
 	i := sort.SearchInts(m.Members, id)

@@ -194,3 +194,25 @@ func TestString(t *testing.T) {
 		t.Fatalf("String = %q", got)
 	}
 }
+
+// TestWellFormed: only a non-negative epoch with members strictly
+// ascending, non-negative and below the bound may size per-server state.
+func TestWellFormed(t *testing.T) {
+	for _, tc := range []struct {
+		m    Membership
+		want bool
+	}{
+		{Membership{}, true},
+		{Fixed(3), true},
+		{Membership{Epoch: 4, Members: []int{0, 2, 3}}, true},
+		{Membership{Epoch: -1, Members: []int{0}}, false},
+		{Membership{Members: []int{-5}}, false},
+		{Membership{Members: []int{1, 1}}, false},
+		{Membership{Members: []int{2, 1}}, false},
+		{Membership{Members: []int{0, 4}}, false},
+	} {
+		if got := tc.m.WellFormed(4); got != tc.want {
+			t.Errorf("%s.WellFormed(4) = %v, want %v", tc.m, got, tc.want)
+		}
+	}
+}

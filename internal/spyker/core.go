@@ -441,7 +441,6 @@ func (s *ServerCore) AdmitMember(newID int) (State, error) {
 	st.DidBroadcast = nil
 	st.Cnt = nil
 	st.Updates = nil
-	st.Total = 0
 	st.SyncsTriggered = 0
 	st.SyncsJoined = 0
 	st.TokenRegens = 0

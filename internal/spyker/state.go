@@ -11,8 +11,8 @@ import (
 // State is a serializable snapshot of a ServerCore: everything needed to
 // resume the protocol after a restart — the model, the age bookkeeping,
 // the token (if held), the synchronization dedup sets, and the per-client
-// decay counters. It is a plain data struct so it gob/json-encodes
-// directly.
+// decay counters. It is a plain data struct so it JSON-encodes directly;
+// the live runtime's checkpoints and join replies carry it that way.
 type State struct {
 	Config Config
 
@@ -27,8 +27,7 @@ type State struct {
 	Cnt              map[int]int
 	LastAgeBroadcast float64
 
-	Updates map[int]int
-	Total   int
+	Updates map[int]int // per-client merged updates; their sum is the core's total
 
 	SyncsTriggered int
 	SyncsJoined    int
@@ -59,7 +58,6 @@ func (s *ServerCore) SnapshotInto(st *State) {
 	st.Ages = append(st.Ages[:0], s.ages...)
 	st.OngoingSynchro = s.ongoingSynchro
 	st.LastAgeBroadcast = s.lastAgeBroadcast
-	st.Total = s.total
 	st.SyncsTriggered = s.syncsTriggered
 	st.SyncsJoined = s.syncsJoined
 	st.MaxBidSeen = s.maxBidSeen
@@ -107,20 +105,21 @@ func (s *ServerCore) SnapshotInto(st *State) {
 // outbound. The state is copied, not aliased. The core restores onto
 // exactly the snapshot's ring, with the server's stable ID free of the
 // 0..N-1 constraint as long as it is a member. A snapshot is outside
-// input: one that SnapshotInto cannot have written — no membership, no
-// frontier, lengths that disagree — is refused with an error.
+// input: one SnapshotInto cannot have written (a missing or malformed
+// membership, no frontier, lengths that disagree) is refused with an error.
 func RestoreServerCore(st State, out Outbound) (*ServerCore, error) {
 	if st.Mem == nil || st.Frontier == nil {
 		return nil, fmt.Errorf("spyker: snapshot carries no ring membership or no frontier")
 	}
 	mem := st.Mem.Clone()
+	// Every member indexes the ages, so none may reach past them.
+	if !mem.WellFormed(len(st.Ages)) {
+		return nil, fmt.Errorf("spyker: snapshot membership %s is malformed or exceeds its %d ages",
+			mem, len(st.Ages))
+	}
 	if !mem.Contains(st.Config.ID) {
 		return nil, fmt.Errorf("spyker: snapshot server %d not a member of %s",
 			st.Config.ID, mem)
-	}
-	if len(st.Ages) < mem.Slots() {
-		return nil, fmt.Errorf("spyker: snapshot ages length %d < %d membership slots",
-			len(st.Ages), mem.Slots())
 	}
 	// Ages and frontier grow in lockstep (growTo), so their lengths must
 	// agree.
@@ -155,8 +154,8 @@ func RestoreServerCore(st State, out Outbound) (*ServerCore, error) {
 	//lint:sorted map-to-map copy is order-independent
 	for k, v := range st.Updates {
 		s.updates[k] = v
+		s.total += v
 	}
-	s.total = st.Total
 	s.syncsTriggered = st.SyncsTriggered
 	s.syncsJoined = st.SyncsJoined
 	s.maxBidSeen = st.MaxBidSeen

@@ -1,8 +1,7 @@
 package spyker
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/json"
 	"testing"
 
 	"github.com/spyker-fl/spyker/internal/ring"
@@ -92,9 +91,9 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 	}
 }
 
-// TestSnapshotGobRoundTrip: the snapshot must survive gob encoding — the
+// TestSnapshotJSONRoundTrip: the snapshot must survive JSON encoding — the
 // format the live runtime persists checkpoints in.
-func TestSnapshotGobRoundTrip(t *testing.T) {
+func TestSnapshotJSONRoundTrip(t *testing.T) {
 	out := &fakeOut{}
 	s := NewServerCore(coreConfig(1, 3, 2), []float64{1, 2}, false, out)
 	s.HandleClientUpdate(0, []float64{3, 4}, 0, 0)
@@ -102,30 +101,23 @@ func TestSnapshotGobRoundTrip(t *testing.T) {
 	var st State
 	s.SnapshotInto(&st)
 
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		t.Fatal(err)
-	}
-	var decoded State
-	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
-		t.Fatal(err)
-	}
+	decoded := jsonRoundTrip(t, st)
 	restored, err := RestoreServerCore(decoded, &fakeOut{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if restored.Age() != s.Age() {
-		t.Errorf("age after gob round trip: %v vs %v", restored.Age(), s.Age())
+		t.Errorf("age after JSON round trip: %v vs %v", restored.Age(), s.Age())
 	}
 	if restored.UpdatesFrom(0) != 1 {
 		t.Error("decay counters lost in round trip")
 	}
 }
 
-// TestRestoreLegacySnapshotFixedRing: a checkpoint written before the
-// elastic-membership extension decodes with a nil Mem. No writer in this
-// tree produces one; it is refused with an error, not guessed onto the
-// construction-time fixed ring.
+// TestRestoreLegacySnapshotFixedRing: a snapshot with a nil Mem (what a
+// checkpoint written before the elastic-membership extension decoded to)
+// has no writer in this tree; it is refused with an error, not guessed
+// onto the construction-time fixed ring.
 func TestRestoreLegacySnapshotFixedRing(t *testing.T) {
 	s := NewServerCore(coreConfig(1, 3, 2), []float64{1, 2}, false, &fakeOut{})
 	s.HandleClientUpdate(0, []float64{3, 4}, 0, 0)
@@ -134,7 +126,7 @@ func TestRestoreLegacySnapshotFixedRing(t *testing.T) {
 	if _, err := RestoreServerCore(st, &fakeOut{}); err != nil {
 		t.Fatalf("the snapshot as written must restore: %v", err)
 	}
-	st.Mem = nil // what a pre-elastic gob decodes to
+	st.Mem = nil // what a pre-elastic checkpoint decoded to
 	if _, err := RestoreServerCore(st, &fakeOut{}); err == nil {
 		t.Fatal("a snapshot without a ring membership was restored")
 	}
@@ -142,7 +134,7 @@ func TestRestoreLegacySnapshotFixedRing(t *testing.T) {
 
 // TestSnapshotRoundTripsMembership: a post-admission membership — epoch
 // above 0, a member ID past the construction-time count — must survive
-// the gob checkpoint format and restore exactly, both for the joiner's
+// the JSON checkpoint format and restore exactly, both for the joiner's
 // re-keyed snapshot and for the sponsor's own.
 func TestSnapshotRoundTripsMembership(t *testing.T) {
 	sponsor := NewServerCore(coreConfig(0, 3, 2), []float64{1, 2}, false, &fakeOut{})
@@ -153,14 +145,7 @@ func TestSnapshotRoundTripsMembership(t *testing.T) {
 	if st.Config.ID != 3 {
 		t.Fatalf("joiner snapshot keyed to ID %d, want 3", st.Config.ID)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		t.Fatal(err)
-	}
-	var decoded State
-	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
-		t.Fatal(err)
-	}
+	decoded := jsonRoundTrip(t, st)
 	joiner, err := RestoreServerCore(decoded, &fakeOut{})
 	if err != nil {
 		t.Fatal(err)
@@ -198,5 +183,46 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 	st.Ages, st.Frontier = []float64{1, 2, 3}, []int64{0, 0, 0}
 	if _, err := RestoreServerCore(st, &fakeOut{}); err == nil {
 		t.Error("a server outside its own membership accepted")
+	}
+}
+
+// jsonRoundTrip encodes st as the live runtime's checkpoints do and decodes
+// it back.
+func jsonRoundTrip(t *testing.T, st State) State {
+	t.Helper()
+	b, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded State
+	if err := json.Unmarshal(b, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	return decoded
+}
+
+// TestRestoreRefusesMalformedMembership: a snapshot whose membership could
+// not index its own ages — a negative member, members out of order or
+// repeated, one past the ages, a negative epoch — is refused with an
+// error before anything is sized by it.
+func TestRestoreRefusesMalformedMembership(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		id   int
+		mem  ring.Membership
+	}{
+		{"negative member", -5, ring.Membership{Members: []int{-5}}},
+		{"descending", 0, ring.Membership{Members: []int{2, 0}}},
+		{"repeated", 0, ring.Membership{Members: []int{0, 0, 1}}},
+		{"past the ages", 0, ring.Membership{Members: []int{0, 3}}},
+		{"negative epoch", 0, ring.Membership{Epoch: -1, Members: []int{0, 1}}},
+	} {
+		cfg := coreConfig(0, 3, 2)
+		cfg.ID = tc.id
+		st := State{Config: cfg, W: []float64{1}, Mem: &tc.mem,
+			Ages: []float64{0, 0, 0}, Frontier: []int64{0, 0, 0}}
+		if _, err := RestoreServerCore(st, &fakeOut{}); err == nil {
+			t.Errorf("%s: %s restored", tc.name, tc.mem)
+		}
 	}
 }

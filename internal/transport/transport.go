@@ -128,7 +128,7 @@ const (
 	KindJoinRequest
 	// KindJoinReply answers a join request: Bid carries the assigned
 	// server ID, Epoch/Members/Addrs the post-admission membership and
-	// address book, and Blob a gob-encoded spyker.State snapshot re-keyed
+	// address book, and Blob a JSON-encoded spyker.State snapshot re-keyed
 	// for the newcomer.
 	KindJoinReply
 )
@@ -190,7 +190,7 @@ type Msg struct {
 	// of the server ring (server-to-server kinds); Addrs carries the
 	// sender's address book aligned with Members so receivers can dial
 	// newly admitted peers; Blob is an opaque payload (KindJoinReply
-	// carries a gob-encoded state snapshot in it).
+	// carries a JSON-encoded state snapshot in it).
 	Epoch   int
 	Members []int
 	Addrs   []string
