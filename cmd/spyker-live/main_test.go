@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -79,13 +77,13 @@ func TestResumeRefusesAnotherServersCheckpoint(t *testing.T) {
 		var st spyker.State
 		cfg := live.ServerConfig(id, 2, live.ClientsAt(id, clients, 2), hyper)
 		spyker.NewServerCore(cfg, w, false, nil).SnapshotInto(&st)
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
+		srv, err := live.NewServerFromCheckpoint("127.0.0.1:0", st)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer f.Close()
-		if err := json.NewEncoder(f).Encode(&st); err != nil {
+		defer srv.Close()
+		path := filepath.Join(dir, name)
+		if err := srv.CheckpointToFile(path); err != nil {
 			t.Fatal(err)
 		}
 		return path

@@ -81,7 +81,7 @@ func GenerateImages(cfg ImageConfig) *Images {
 		shiftX := int(rng.NormFloat64() * cfg.Warp)
 		shifted(x, d.templates[label], cfg.Channels, cfg.Height, cfg.Width, shiftY, shiftX)
 		for j := range x {
-			x[j] += rng.NormFloat64() * cfg.Noise
+			x[j] += float64(rng.NormFloat64() * cfg.Noise)
 		}
 		d.inputs[i] = x
 	}
@@ -97,12 +97,12 @@ func smoothTemplate(rng *rand.Rand, ch, h, w int) []float64 {
 			cy := rng.Float64() * float64(h)
 			cx := rng.Float64() * float64(w)
 			amp := rng.NormFloat64() * 1.5
-			sigma := 1.5 + rng.Float64()*2
+			sigma := 1.5 + float64(rng.Float64())*2
 			for y := 0; y < h; y++ {
 				for x := 0; x < w; x++ {
-					dy := float64(y) - cy
-					dx := float64(x) - cx
-					t[c*h*w+y*w+x] += amp * gauss2(dy, dx, sigma)
+					dy := float64(y) - float64(cy)
+					dx := float64(x) - float64(cx)
+					t[c*h*w+y*w+x] += float64(amp * gauss2(dy, dx, sigma))
 				}
 			}
 		}
@@ -111,7 +111,7 @@ func smoothTemplate(rng *rand.Rand, ch, h, w int) []float64 {
 }
 
 func gauss2(dy, dx, sigma float64) float64 {
-	return tensor.Exp(-(dy*dy + dx*dx) / (2 * sigma * sigma))
+	return tensor.Exp(-(float64(dy*dy) + float64(dx*dx)) / (2 * sigma * sigma))
 }
 
 // shifted writes src translated by (dy,dx) into dst, zero-padding exposed

@@ -220,3 +220,34 @@ func TestTrainingOffTheLoopCannotMoveResults(t *testing.T) {
 		})
 	}
 }
+
+// TestBuildEnvCollectsOnceAfterARun pins collectAfterRuns: the first
+// BuildEnv after a run forces one collection, so the finished run's
+// environment is not resident beside the next; BuildEnv with no run since
+// forces none.
+func TestBuildEnvCollectsOnceAfterARun(t *testing.T) {
+	forced := func() uint32 {
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.NumForcedGC
+	}
+	s := Setup{Task: TaskMNIST, NumServers: 2, NumClients: 8, Seed: 1}
+	env, _, err := BuildEnv(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Sim.Run(1)
+	before := forced()
+	if _, _, err := BuildEnv(s); err != nil {
+		t.Fatal(err)
+	}
+	if got := forced() - before; got != 1 {
+		t.Fatalf("BuildEnv after a run forced %d collections, want 1", got)
+	}
+	if _, _, err := BuildEnv(s); err != nil {
+		t.Fatal(err)
+	}
+	if got := forced() - before; got != 1 {
+		t.Fatalf("BuildEnv with no run since forced %d more collections, want 0", got-1)
+	}
+}

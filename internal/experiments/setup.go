@@ -7,6 +7,8 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 
 	"github.com/spyker-fl/spyker/internal/data"
 	"github.com/spyker-fl/spyker/internal/fault"
@@ -275,6 +277,22 @@ func buildWiki(s Setup) workload {
 	return workload{factory: factory, shards: shards}
 }
 
+// collectedAt is simulation.RunsReturned at collectAfterRuns' last GC.
+var collectedAt atomic.Uint64
+
+// collectAfterRuns collects garbage before an environment is built if a
+// simulation has run since it last did. A process that builds and runs
+// environments one after another (spyker-bench's studies, repeated runs)
+// otherwise holds two whenever a GC cycle lands while the previous run is
+// still live: that cycle sets the heap goal to twice a whole environment,
+// and the dead one stays resident until the next grows into it. Set-ups
+// with no run in between add no collection.
+func collectAfterRuns() {
+	if n := simulation.RunsReturned(); collectedAt.Swap(n) != n {
+		runtime.GC()
+	}
+}
+
 // BuildEnv constructs the full simulation environment for a setup. It is
 // exported so examples and tests can assemble custom runs.
 func BuildEnv(s Setup) (*fl.Env, *metrics.Recorder, error) {
@@ -300,6 +318,7 @@ func BuildEnv(s Setup) (*fl.Env, *metrics.Recorder, error) {
 			total, s.NumClients)
 	}
 
+	collectAfterRuns()
 	sim := simulation.New()
 	net := geo.NewNetwork(sim, geo.Config{Latency: s.Latency})
 	wl := buildWorkload(s)

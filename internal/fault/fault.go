@@ -53,12 +53,11 @@ const (
 	// (or by whichever server holds the token, with the TokenHolder
 	// sentinel): the sponsor hands the newcomer its model plus age
 	// knowledge, bumps the membership epoch, and re-homes part of its
-	// clients. Requires a cluster implementing Elastic.
+	// clients.
 	KindJoin
 	// KindLeave removes Server from the ring at At: the token is handed
 	// off or dropped, a survivor announces the epoch bump excluding it,
 	// and its clients re-home to their nearest surviving servers.
-	// Requires a cluster implementing Elastic.
 	KindLeave
 )
 

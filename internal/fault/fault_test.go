@@ -86,6 +86,8 @@ func (f *fakeCluster) DropToken(i int) bool {
 	f.drops = append(f.drops, i)
 	return f.holds
 }
+func (f *fakeCluster) Join(sponsor int) int  { return -1 }
+func (f *fakeCluster) Leave(target int) bool { return false }
 
 func TestSimInjectorCrashRestartCycle(t *testing.T) {
 	sim := simulation.New()

@@ -28,12 +28,6 @@ type Cluster interface {
 	// DropToken discards the token if server i holds it, reporting
 	// whether it did.
 	DropToken(i int) bool
-}
-
-// Elastic is the optional membership control surface for KindJoin and
-// KindLeave events. A cluster that also implements it can grow and
-// shrink its server ring at runtime; spyker.Algorithm does.
-type Elastic interface {
 	// Join adds a new server sponsored by the given member (falling back
 	// to any live member if it is gone) and returns its stable ID, or -1
 	// when no live sponsor exists.
@@ -92,13 +86,6 @@ type SimInjector struct {
 func NewSimInjector(plan Plan, sim *simulation.Sim, net *geo.Network, cluster Cluster) (*SimInjector, error) {
 	if err := plan.Validate(cluster.NumServers()); err != nil {
 		return nil, err
-	}
-	if _, ok := cluster.(Elastic); !ok {
-		for i, e := range plan.Events {
-			if e.Kind == KindJoin || e.Kind == KindLeave {
-				return nil, fmt.Errorf("fault: event %d is %v but the cluster does not support elastic membership", i, e.Kind)
-			}
-		}
 	}
 	return &SimInjector{
 		plan:    plan,
@@ -208,16 +195,14 @@ func (in *SimInjector) dropToken(e Event) {
 	})
 }
 
-// elastic applies a membership event (KindJoin/KindLeave). The cluster's
-// Elastic support was verified at construction time.
+// elastic applies a membership event (KindJoin/KindLeave).
 func (in *SimInjector) elastic(e Event) {
-	el := in.cluster.(Elastic)
 	target := in.resolve(e.Server)
 	in.injected++
 	var note string
 	switch e.Kind {
 	case KindJoin:
-		newID := el.Join(target)
+		newID := in.cluster.Join(target)
 		if newID < 0 {
 			note = fmt.Sprintf("join-miss (sponsor %d)", target)
 			target = obs.NoPeer
@@ -226,7 +211,7 @@ func (in *SimInjector) elastic(e Event) {
 			target = newID
 		}
 	case KindLeave:
-		if el.Leave(target) {
+		if in.cluster.Leave(target) {
 			note = fmt.Sprintf("leave s%d", target)
 		} else {
 			note = fmt.Sprintf("leave-miss s%d", target)

@@ -69,7 +69,7 @@ func (c *SimClient) tamper(received, trained []float64) []float64 {
 	case ByzantineSignFlip:
 		// Reverse and amplify the honest training direction.
 		for i := range out {
-			out[i] = received[i] - 3*(trained[i]-received[i])
+			out[i] = received[i] - float64(3*(trained[i]-received[i]))
 		}
 	case ByzantineNoise:
 		if c.attackRNG == nil {
@@ -102,7 +102,7 @@ func pushAlong(out, received []float64, rng *rand.Rand, scale float64) {
 	var norm float64
 	for i := range out {
 		out[i] = rng.NormFloat64()
-		norm += out[i] * out[i]
+		norm += float64(out[i] * out[i])
 	}
 	norm = math.Sqrt(norm)
 	if norm == 0 {
@@ -121,7 +121,7 @@ func deltaNorm(received, trained []float64) float64 {
 	var s float64
 	for i := range trained {
 		d := trained[i] - received[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	if s == 0 {
 		return 1

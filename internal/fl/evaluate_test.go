@@ -101,33 +101,6 @@ func TestClassifierEvaluateMatchesSequential(t *testing.T) {
 	}
 }
 
-// foreignLayer is a layer from outside internal/nn: an identity that
-// cannot copy itself, so a network holding one has no forward-only replica.
-type foreignLayer struct{ size int }
-
-func (foreignLayer) Forward(x []float64) []float64   { return x }
-func (foreignLayer) Backward(dy []float64) []float64 { return dy }
-func (foreignLayer) ParamBlocks() [][]float64        { return nil }
-func (foreignLayer) GradBlocks() [][]float64         { return nil }
-func (f foreignLayer) OutSize() int                  { return f.size }
-
-// TestClassifierEvaluateWithoutReplicas: a network that cannot be
-// replicated (it holds a foreign layer) is scored by the network alone, in
-// sample order.
-func TestClassifierEvaluateWithoutReplicas(t *testing.T) {
-	ds := data.GenerateImages(data.MNISTLike(50, 20, 1))
-	rng := rand.New(rand.NewSource(1))
-	dim := len(ds.Input(0))
-	net := nn.NewNetwork(foreignLayer{dim}, nn.NewDense(dim, 10, rng))
-	m := NewClassifier(net, ds, ds.TestSet(), 10, 1)
-	wantLoss, wantAcc := refClassifierEvaluate(net, ds.TestSet())
-	loss, acc := m.Evaluate()
-	sameResult(t, "foreign-layer net", loss, acc, wantLoss, wantAcc)
-	if len(m.scorers) != 1 {
-		t.Errorf("%d scorers for a network without replicas, want 1", len(m.scorers))
-	}
-}
-
 func TestLanguageModelEvaluateMatchesSequential(t *testing.T) {
 	// Window is 16, so these held-out lengths give 0, 1, 3 (fewer than
 	// the worker count), 6 and 37 test windows.

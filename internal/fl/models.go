@@ -27,7 +27,7 @@ type Classifier struct {
 	// scorers[w] runs the forward passes of chunk w — the classifier's own
 	// network for worker 0, forward-only replicas aliasing its parameters
 	// for the others; loss and hit hold one entry per held-out sample.
-	scorers []*nn.Network
+	scorers [evalWorkers]*nn.Network
 	loss    []float64
 	hit     []bool
 }
@@ -51,17 +51,17 @@ func (c *Classifier) trainsIsolated() Model { return c }
 // the work is cut (internal/lint's paridiom rule).
 const evalWorkers = 4
 
-// fanOut cuts [0, n) into `workers` contiguous chunks at fixed boundaries
+// fanOut cuts [0, n) into evalWorkers contiguous chunks at fixed boundaries
 // and runs score(w, lo, hi) for each non-empty one — chunk 0 on the
 // calling goroutine, the others on their own — returning when all are
 // done. score must write nothing but per-index results (out[i] for i in
 // [lo, hi)) and worker w's own scratch. The caller then combines the
 // results in index order, so the outcome depends neither on how the
 // goroutines were scheduled nor on the cut.
-func fanOut(n, workers int, score func(w, lo, hi int)) {
+func fanOut(n int, score func(w, lo, hi int)) {
 	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
+	for w := 1; w < evalWorkers; w++ {
+		lo, hi := w*n/evalWorkers, (w+1)*n/evalWorkers
 		if lo == hi {
 			continue
 		}
@@ -71,7 +71,7 @@ func fanOut(n, workers int, score func(w, lo, hi int)) {
 			score(w, lo, hi)
 		}()
 	}
-	if hi := n / workers; hi > 0 {
+	if hi := n / evalWorkers; hi > 0 {
 		score(0, 0, hi)
 	}
 	wg.Wait()
@@ -158,10 +158,10 @@ func (c *Classifier) Evaluate() (loss, acc float64) {
 	if n == 0 {
 		return 0, 0
 	}
-	if c.scorers == nil {
+	if c.loss == nil {
 		c.buildScorers(n)
 	}
-	fanOut(n, len(c.scorers), func(w, lo, hi int) {
+	fanOut(n, func(w, lo, hi int) {
 		net := c.scorers[w]
 		for i := lo; i < hi; i++ {
 			label := c.test.Label(i)
@@ -181,17 +181,12 @@ func (c *Classifier) Evaluate() (loss, acc float64) {
 }
 
 // buildScorers sets up evaluation over n held-out samples: the network
-// itself scores chunk 0 and a forward-only replica each of the others. A
-// network that cannot be replicated scores the whole set alone.
+// itself scores chunk 0 and a forward-only replica each of the others.
 func (c *Classifier) buildScorers(n int) {
 	c.loss, c.hit = make([]float64, n), make([]bool, n)
-	c.scorers = []*nn.Network{c.net}
-	for len(c.scorers) < evalWorkers {
-		r := c.net.Replica()
-		if r == nil {
-			break
-		}
-		c.scorers = append(c.scorers, r)
+	c.scorers[0] = c.net
+	for w := 1; w < evalWorkers; w++ {
+		c.scorers[w] = c.net.Replica()
 	}
 }
 
@@ -278,7 +273,7 @@ func (m *LanguageModel) Evaluate() (loss, acc float64) {
 			m.scratch[w] = m.lm.NewSeqScratch()
 		}
 	}
-	fanOut(len(m.windows), evalWorkers, func(w, lo, hi int) {
+	fanOut(len(m.windows), func(w, lo, hi int) {
 		sc := m.scratch[w]
 		for i := lo; i < hi; i++ {
 			ws := &m.windows[i]

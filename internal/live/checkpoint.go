@@ -1,9 +1,11 @@
 package live
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -14,8 +16,8 @@ import (
 )
 
 // WriteCheckpoint persists the server's full protocol state (model, ages,
-// token, decay counters) as one JSON-encoded spyker.State, so a restarted
-// process can resume where it left off.
+// token, decay counters) as one JSON-encoded spyker.State followed by its
+// checksum line, so a restarted process can resume where it left off.
 func (s *Server) WriteCheckpoint(w io.Writer) error {
 	// The scratch State and the encode buffer are reused, so periodic
 	// checkpointing allocates no model-sized vector per tick; ckptMu
@@ -31,6 +33,7 @@ func (s *Server) WriteCheckpoint(w io.Writer) error {
 	if err := json.NewEncoder(&s.ckptBuf).Encode(st); err != nil {
 		return fmt.Errorf("live: encode checkpoint: %w", err)
 	}
+	s.ckptBuf.Write(checksumLine(s.ckptBuf.Bytes()))
 	if _, err := w.Write(s.ckptBuf.Bytes()); err != nil {
 		return fmt.Errorf("live: write checkpoint: %w", err)
 	}
@@ -90,10 +93,27 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 	return err
 }
 
-// ReadCheckpoint decodes a state written by WriteCheckpoint, strictly (see
-// decodeState).
+// checksumLine is the last line of a checkpoint: the CRC-32C of the JSON
+// before it, as eight lower-case hex digits. JSON alone cannot tell a bit
+// flip from a state: object keys match case-insensitively and a flipped
+// '-' is a carriage return, so one flipped bit can decode to a different
+// valid state.
+func checksumLine(body []byte) []byte {
+	return fmt.Appendf(nil, "%08x\n", crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// ReadCheckpoint decodes a state written by WriteCheckpoint: it refuses a
+// missing or wrong checksum line, then decodes strictly (see decodeState).
 func ReadCheckpoint(r io.Reader) (spyker.State, error) {
-	st, err := decodeState(r)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return spyker.State{}, fmt.Errorf("live: read checkpoint: %w", err)
+	}
+	n := len(b) - len("01234567\n")
+	if n < 0 || !bytes.Equal(b[n:], checksumLine(b[:n])) {
+		return spyker.State{}, errors.New("live: checkpoint checksum missing or wrong")
+	}
+	st, err := decodeState(bytes.NewReader(b[:n]))
 	if err != nil {
 		return spyker.State{}, fmt.Errorf("live: decode checkpoint: %w", err)
 	}

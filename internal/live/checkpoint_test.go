@@ -191,71 +191,119 @@ var craftedGobMap = []byte("\x1f\x7f\x03\x01\x01\x05State\x01\xff\x80\x00\x01\x0
 	"\x1b\xff\x81\x04\x01\x01\x0bmap[int]int\x01\xff\x82\x00\x01\x04\x01\x04\x00\x00" +
 	"\x0a\xff\x80\x01\xfd\x4c\x4b\x40\x0e\x12\x00")
 
-// malformedCheckpoint is an input ReadCheckpoint refuses.
+// sealed is body with its checksum line: a checkpoint whose JSON reaches
+// decodeState.
+func sealed(body []byte) []byte { return append(bytes.Clone(body), checksumLine(body)...) }
+
+// malformedCheckpoint is a checkpoint body decodeState refuses.
 type malformedCheckpoint struct {
 	name string
 	b    []byte
 }
 
-// malformedCheckpoints derives the refused inputs from the real checkpoint
-// ckpt (which ends in "}\n").
-func malformedCheckpoints(ckpt []byte) []malformedCheckpoint {
+// malformedCheckpoints derives the refused bodies from the JSON body of a
+// real checkpoint (which ends in "}\n").
+func malformedCheckpoints(body []byte) []malformedCheckpoint {
 	return []malformedCheckpoint{
-		{"truncated", ckpt[:len(ckpt)/2]},
+		{"truncated", body[:len(body)/2]},
 		{"gob stream", craftedGobMap},
-		{"unknown field", append(bytes.Clone(ckpt[:len(ckpt)-2]), `,"Total":7}`...)},
+		{"unknown field", append(bytes.Clone(body[:len(body)-2]), `,"Total":7}`...)},
 		{"out of range", []byte(`{"Age":1e999}`)},
-		{"trailing", append(bytes.Clone(ckpt), `{}`...)},
-		{"two values", append(bytes.Clone(ckpt), ckpt...)},
+		{"trailing", append(bytes.Clone(body), `{}`...)},
+		{"two values", append(bytes.Clone(body), body...)},
 	}
 }
 
-// TestReadCheckpointRefusesMalformedInput: a cut, foreign, extended or
-// overflowing checkpoint, or one with bytes after it, is an error.
+// bodyOf is the JSON of checkpoint ckpt, its checksum line cut off.
+func bodyOf(ckpt []byte) []byte { return ckpt[:len(ckpt)-len(checksumLine(nil))] }
+
+// TestReadCheckpointRefusesMalformedInput: a checkpoint without its
+// checksum line is an error, and so is a cut, foreign, extended or
+// overflowing one, or one with bytes after it, with a valid checksum.
 func TestReadCheckpointRefusesMalformedInput(t *testing.T) {
 	_, st := postAdmission(t)
-	for _, m := range malformedCheckpoints(checkpointOf(t, st)) {
-		if _, err := ReadCheckpoint(bytes.NewReader(m.b)); err == nil {
+	body := bodyOf(checkpointOf(t, st))
+	if _, err := ReadCheckpoint(bytes.NewReader(body)); err == nil {
+		t.Error("no checksum: accepted")
+	}
+	for _, m := range malformedCheckpoints(body) {
+		if _, err := ReadCheckpoint(bytes.NewReader(sealed(m.b))); err == nil {
 			t.Errorf("%s: accepted", m.name)
 		}
 	}
 }
 
+// refusesBitFlip fails unless ckpt with bit 5 of byte i flipped is
+// refused, and checks that its JSON alone would have decoded.
+func refusesBitFlip(t *testing.T, ckpt []byte, i int) {
+	t.Helper()
+	flipped := bytes.Clone(ckpt)
+	flipped[i] ^= 0x20
+	if _, err := decodeState(bytes.NewReader(bodyOf(flipped))); err != nil {
+		t.Fatalf("the flip of %q is not a valid state: %v", ckpt[i], err)
+	}
+	if _, err := ReadCheckpoint(bytes.NewReader(flipped)); err == nil {
+		t.Fatalf("a checkpoint with %q flipped to %q was accepted", ckpt[i], flipped[i])
+	}
+}
+
+// TestReadCheckpointRefusesFlippedSign: a negative weight's '-' flipped to
+// '\r' is whitespace to JSON, so the weight would come back negated.
+func TestReadCheckpointRefusesFlippedSign(t *testing.T) {
+	_, st := postAdmission(t)
+	ckpt := checkpointOf(t, st)
+	w := bytes.Index(ckpt, []byte(`"W":[`))
+	refusesBitFlip(t, ckpt, w+bytes.Index(ckpt[w:], []byte(",-"))+1)
+}
+
+// TestReadCheckpointRefusesFlippedKeyCase: "Age" flipped to "age" still
+// names the Age field, since JSON keys match case-insensitively: the
+// decode cannot see the flip.
+func TestReadCheckpointRefusesFlippedKeyCase(t *testing.T) {
+	_, st := postAdmission(t)
+	ckpt := checkpointOf(t, st)
+	refusesBitFlip(t, ckpt, bytes.Index(ckpt, []byte(`"Age":`))+1)
+}
+
 // TestReadCheckpointAllocationFollowsInput: the crafted gob stream, whose
-// map declares 5 000 000 entries in 71 bytes, is refused without
-// allocating more than a constant multiple of its length.
+// map declares 5 000 000 entries in 71 bytes, is refused with a valid
+// checksum without allocating more than a constant multiple of its length.
 func TestReadCheckpointAllocationFollowsInput(t *testing.T) {
+	in := sealed(craftedGobMap)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := ReadCheckpoint(bytes.NewReader(craftedGobMap))
+	_, err := ReadCheckpoint(bytes.NewReader(in))
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("the crafted gob stream was accepted")
 	}
-	got, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*len(craftedGobMap)+1<<20)
+	got, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*len(in)+1<<20)
 	if got > bound {
-		t.Fatalf("reading %d bytes allocated %d bytes, bound %d", len(craftedGobMap), got, bound)
+		t.Fatalf("reading %d bytes allocated %d bytes, bound %d", len(in), got, bound)
 	}
 }
 
 // FuzzReadCheckpoint: whatever a checkpoint file holds, reading it and
 // restoring a core from what it decodes to returns an error or a core,
-// never a panic. The seeds are a real checkpoint of a token holder on a
-// post-admission ring, that checkpoint bit-flipped, the malformed inputs
-// above, and a snapshot whose one member is negative.
+// never a panic. A fuzz input is a checkpoint's JSON: it is read as it is
+// and with its checksum line, which takes it past the checksum to
+// decodeState and RestoreServerCore. The seeds are a real checkpoint of a
+// token holder on a post-admission ring, that checkpoint bit-flipped, the
+// malformed inputs above, and a snapshot whose one member is negative.
 func FuzzReadCheckpoint(f *testing.F) {
 	_, st := postAdmission(f)
-	ckpt := checkpointOf(f, st)
-	flipped := bytes.Clone(ckpt)
+	body := bodyOf(checkpointOf(f, st))
+	flipped := bytes.Clone(body)
 	flipped[len(flipped)/2] ^= 0x04
-	f.Add(ckpt)
+	f.Add(body)
 	f.Add(flipped)
-	for _, m := range malformedCheckpoints(ckpt) {
+	for _, m := range malformedCheckpoints(body) {
 		f.Add(m.b)
 	}
 	f.Add([]byte(`{"Config":{"ID":-5},"Mem":{"Epoch":0,"Members":[-5]},"Frontier":[]}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		st, err := ReadCheckpoint(bytes.NewReader(b))
+		_, _ = ReadCheckpoint(bytes.NewReader(b))
+		st, err := ReadCheckpoint(bytes.NewReader(sealed(b)))
 		if err != nil {
 			return
 		}

@@ -15,7 +15,7 @@ func AUC(tr Trace) float64 {
 	}
 	var area float64
 	for i := 0; i+1 < len(tr); i++ {
-		area += tr[i].Acc * (tr[i+1].Time - tr[i].Time)
+		area += float64(tr[i].Acc * (tr[i+1].Time - tr[i].Time))
 	}
 	span := tr[len(tr)-1].Time - tr[0].Time
 	if span <= 0 {

@@ -121,7 +121,7 @@ func (q QueueTrace) MeanAbove(t0 float64) float64 {
 			continue
 		}
 		dt := b.Time - lo
-		area += float64(a.Length) * dt
+		area += float64(float64(a.Length) * dt)
 		span += dt
 	}
 	if span == 0 {
@@ -155,7 +155,7 @@ func KDE(samples []float64, n int) (grid, density []float64) {
 	step := (hi - lo) / float64(n-1)
 	norm := 1 / (float64(len(samples)) * bandwidth * math.Sqrt(2*math.Pi))
 	for i := range grid {
-		x := lo + float64(i)*step
+		x := lo + float64(float64(i)*step)
 		grid[i] = x
 		var d float64
 		for _, s := range samples {
@@ -177,7 +177,7 @@ func silverman(samples []float64) float64 {
 	mean /= n
 	var varSum float64
 	for _, s := range samples {
-		varSum += (s - mean) * (s - mean)
+		varSum += float64((s - mean) * (s - mean))
 	}
 	sd := math.Sqrt(varSum / n)
 	return 1.06 * sd * invFifthRoot(n)
@@ -222,11 +222,11 @@ func Quantile(samples []float64, q float64) float64 {
 	if q >= 1 {
 		return s[len(s)-1]
 	}
-	pos := q * float64(len(s)-1)
+	pos := float64(q * float64(len(s)-1))
 	i := int(pos)
 	frac := pos - float64(i)
 	if i+1 >= len(s) {
 		return s[i]
 	}
-	return s[i]*(1-frac) + s[i+1]*frac
+	return float64(s[i]*(1-frac)) + float64(s[i+1]*frac)
 }

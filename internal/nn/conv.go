@@ -105,7 +105,6 @@ func (c *Conv2D) Backward(dy []float64) []float64 {
 	return c.dx
 }
 
-// backwardParams implements paramBackwarder.
 func (c *Conv2D) backwardParams(dy []float64) { c.backward(dy, false) }
 
 // backward accumulates the parameter gradients and, when needDX is set,
@@ -206,9 +205,9 @@ func conv3Backward(gs []float64, offs []int32, inW int, x, dx, w, gw []float64, 
 	gw[0], gw[1], gw[2], gw[3], gw[4], gw[5], gw[6], gw[7], gw[8] = g0, g1, g2, g3, g4, g5, g6, g7, g8
 }
 
-// replica implements replicator. The copy keeps w and b (aliases of the
-// shared parameter plane) and drops everything Backward needs: with a nil
-// lastX, Forward's copy into it copies nothing.
+// replica keeps w and b (aliases of the shared parameter plane) and drops
+// everything Backward needs: with a nil lastX, Forward's copy into it
+// copies nothing.
 func (c *Conv2D) replica() Layer {
 	r := *c
 	r.gw, r.gb, r.lastX, r.dx, r.nzG, r.nzOff = nil, nil, nil, nil, nil, nil
@@ -216,18 +215,12 @@ func (c *Conv2D) replica() Layer {
 	return &r
 }
 
-// rebind implements rebinder: filter and bias storage move into the
-// network-owned contiguous planes.
+func (c *Conv2D) numParams() int { return len(c.w) + len(c.b) }
+
 func (c *Conv2D) rebind(claim func(int) ([]float64, []float64)) {
 	c.w, c.gw = adopt(claim, c.w, c.gw)
 	c.b, c.gb = adopt(claim, c.b, c.gb)
 }
-
-// ParamBlocks implements Layer.
-func (c *Conv2D) ParamBlocks() [][]float64 { return [][]float64{c.w, c.b} }
-
-// GradBlocks implements Layer.
-func (c *Conv2D) GradBlocks() [][]float64 { return [][]float64{c.gw, c.gb} }
 
 // OutSize implements Layer.
 func (c *Conv2D) OutSize() int { return c.outC * c.outH * c.outW }
@@ -269,7 +262,6 @@ func (p *MaxPool2D) Forward(x []float64) []float64 {
 	return p.outV
 }
 
-// replica implements replicator.
 func (p *MaxPool2D) replica() Layer {
 	r := *p
 	r.argmax, r.outV, r.dx = make([]int, len(p.argmax)), isolated(len(p.outV)), nil
@@ -290,11 +282,9 @@ func (p *MaxPool2D) Backward(dy []float64) []float64 {
 	return p.dx
 }
 
-// ParamBlocks implements Layer.
-func (p *MaxPool2D) ParamBlocks() [][]float64 { return nil }
-
-// GradBlocks implements Layer.
-func (p *MaxPool2D) GradBlocks() [][]float64 { return nil }
+func (p *MaxPool2D) numParams() int                                { return 0 }
+func (p *MaxPool2D) rebind(claim func(int) ([]float64, []float64)) {}
+func (p *MaxPool2D) backwardParams(dy []float64)                   {}
 
 // OutSize implements Layer.
 func (p *MaxPool2D) OutSize() int { return p.ch * p.outH * p.outW }

@@ -76,6 +76,12 @@ import (
 // loss with respect to the output of the immediately preceding Forward
 // call, and it accumulates parameter gradients internally until the owning
 // network's Step applies and zeroes them.
+//
+// The set of layers is closed: the unexported methods admit only this
+// package's Dense, Conv2D, MaxPool2D and ReLU, the layers the paper's
+// models use. Each of them can move its parameters into its Network's one
+// parameter plane, skip the input gradient when it is first in the stack,
+// and copy itself for forward-only evaluation.
 type Layer interface {
 	// Forward computes the layer output for input x. The returned slice
 	// is owned by the layer and is overwritten by the next call.
@@ -83,13 +89,23 @@ type Layer interface {
 	// Backward takes dL/d(output) and returns dL/d(input), accumulating
 	// parameter gradients as a side effect.
 	Backward(dy []float64) []float64
-	// ParamBlocks returns the layer's parameter storage blocks (possibly
-	// empty). The slices alias live storage.
-	ParamBlocks() [][]float64
-	// GradBlocks returns gradient storage matching ParamBlocks.
-	GradBlocks() [][]float64
 	// OutSize reports the length of the Forward output vector.
 	OutSize() int
+
+	// numParams is the length of the layer's share of the planes.
+	numParams() int
+	// rebind claims one (param, grad) view pair per parameter block and
+	// adopts the views after moving the current values into them (see
+	// adopt).
+	rebind(claim func(n int) (param, grad []float64))
+	// backwardParams accumulates exactly the parameter gradients Backward
+	// would, without producing dL/d(input): for a convolution that is half
+	// of the backward pass.
+	backwardParams(dy []float64)
+	// replica returns a forward-only copy that aliases the original's
+	// parameter storage (read-only) and owns only the scratch Forward
+	// writes.
+	replica() Layer
 }
 
 // Dense is a fully connected layer computing y = W*x + b.
@@ -138,29 +154,21 @@ func (d *Dense) Backward(dy []float64) []float64 {
 	return d.dx
 }
 
-// backwardParams implements paramBackwarder.
 func (d *Dense) backwardParams(dy []float64) {
 	d.gw.AddOuter(1, dy, d.lastX)
 	tensor.AddInPlace(d.gb, dy)
 }
 
-// replica implements replicator.
 func (d *Dense) replica() Layer {
 	return &Dense{in: d.in, out: d.out, w: d.w, b: d.b, outV: isolated(d.out)}
 }
 
-// rebind implements rebinder: weight and bias storage move into the
-// network-owned contiguous planes.
+func (d *Dense) numParams() int { return len(d.w.Data) + len(d.b) }
+
 func (d *Dense) rebind(claim func(int) ([]float64, []float64)) {
 	d.w.Data, d.gw.Data = adopt(claim, d.w.Data, d.gw.Data)
 	d.b, d.gb = adopt(claim, d.b, d.gb)
 }
-
-// ParamBlocks implements Layer.
-func (d *Dense) ParamBlocks() [][]float64 { return [][]float64{d.w.Data, d.b} }
-
-// GradBlocks implements Layer.
-func (d *Dense) GradBlocks() [][]float64 { return [][]float64{d.gw.Data, d.gb} }
 
 // OutSize implements Layer.
 func (d *Dense) OutSize() int { return d.out }
@@ -193,14 +201,11 @@ func (r *ReLU) Backward(dy []float64) []float64 {
 	return r.dx
 }
 
-// replica implements replicator.
 func (r *ReLU) replica() Layer { return &ReLU{size: r.size, outV: isolated(r.size)} }
 
-// ParamBlocks implements Layer.
-func (r *ReLU) ParamBlocks() [][]float64 { return nil }
-
-// GradBlocks implements Layer.
-func (r *ReLU) GradBlocks() [][]float64 { return nil }
+func (r *ReLU) numParams() int                                { return 0 }
+func (r *ReLU) rebind(claim func(int) ([]float64, []float64)) {}
+func (r *ReLU) backwardParams(dy []float64)                   {}
 
 // OutSize implements Layer.
 func (r *ReLU) OutSize() int { return r.size }

@@ -7,17 +7,6 @@ import (
 	"github.com/spyker-fl/spyker/internal/tensor"
 )
 
-// rebinder is implemented by parameterized layers that can re-home their
-// parameter and gradient storage into network-owned contiguous arrays.
-// rebind must claim one (param, grad) view pair per ParamBlocks entry, in
-// ParamBlocks order, and adopt the views after moving the current values
-// into them (see adopt). All built-in layers implement it; a network
-// containing a foreign parameterized layer falls back to per-block copy
-// semantics.
-type rebinder interface {
-	rebind(claim func(n int) (param, grad []float64))
-}
-
 // adopt claims a view pair of len(p) and moves the current parameter and
 // gradient values into it; layers assign the returned slices over their
 // old storage.
@@ -26,23 +15,6 @@ func adopt(claim func(int) ([]float64, []float64), p, g []float64) ([]float64, [
 	copy(np, p)
 	copy(ng, g)
 	return np, ng
-}
-
-// paramBackwarder is implemented by parameterized layers that can run the
-// backward pass without producing dL/d(input). A Network uses it on its
-// first layer, whose input gradient nobody reads — for a convolution that
-// is half of the backward pass. backwardParams must accumulate exactly the
-// parameter gradients Backward would.
-type paramBackwarder interface {
-	backwardParams(dy []float64)
-}
-
-// replicator is implemented by layers that can produce a forward-only
-// copy of themselves: one that aliases the original's parameter storage
-// (read-only) and owns only the scratch Forward writes. All built-in
-// layers implement it.
-type replicator interface {
-	replica() Layer
 }
 
 // isolated returns zeroed scratch of length n with a cache line of unused
@@ -56,60 +28,48 @@ func isolated(n int) []float64 {
 }
 
 // Network is a feed-forward classifier: a stack of layers followed by an
-// implicit softmax-cross-entropy head. It owns the flattening of all layer
-// parameters into a single vector, which is the representation federated
-// aggregation operates on. When every parameterized layer supports
-// rebinding (all built-in ones do), the layer blocks are views into one
-// contiguous backing array, so the flat vector exists at all times instead
-// of being materialized per exchange.
+// implicit softmax-cross-entropy head. It owns one contiguous parameter
+// plane and one gradient plane, and every layer's blocks are views into
+// them, so the flat vector federated aggregation operates on exists at all
+// times instead of being materialized per exchange.
 type Network struct {
-	layers  []Layer
-	nParams int
+	layers []Layer
 
-	// backing/gradBacking are the contiguous parameter and gradient
-	// planes the layer blocks alias; nil when a foreign layer forced the
-	// legacy block-by-block representation.
+	// backing/gradBacking are the parameter and gradient planes the layer
+	// blocks alias, layer by layer in stack order.
 	backing     []float64
 	gradBacking []float64
-
-	// first is layers[0] when it can skip its input gradient, else nil.
-	first paramBackwarder
 
 	probs   []float64
 	dLogits []float64
 }
 
-// NewNetwork assembles a network from layers. The final layer's output is
-// interpreted as class logits.
+// NewNetwork assembles a network from layers, moving their parameters into
+// the network's planes. The final layer's output is interpreted as class
+// logits.
 func NewNetwork(layers ...Layer) *Network {
 	if len(layers) == 0 {
 		panic("nn: NewNetwork needs at least one layer")
 	}
-	n := &Network{layers: layers}
-	contiguous := true
+	size := 0
 	for _, l := range layers {
-		blocks := l.ParamBlocks()
-		for _, blk := range blocks {
-			n.nParams += len(blk)
-		}
-		if len(blocks) > 0 {
-			if _, ok := l.(rebinder); !ok {
-				contiguous = false
-			}
-		}
+		size += l.numParams()
 	}
-	if contiguous && n.nParams > 0 {
-		n.backing = make([]float64, n.nParams)
-		n.gradBacking = make([]float64, n.nParams)
-		cur := &flatCursor{params: n.backing, grads: n.gradBacking}
-		for _, l := range layers {
-			if r, ok := l.(rebinder); ok {
-				r.rebind(cur.claim)
-			}
-		}
-		cur.done()
+	n := &Network{layers: layers, backing: make([]float64, size), gradBacking: make([]float64, size)}
+	// claim hands out successive (param, grad) view pairs; the full-slice
+	// expressions keep an append on one view from bleeding into the next.
+	off := 0
+	claim := func(k int) (p, g []float64) {
+		p, g = n.backing[off:off+k:off+k], n.gradBacking[off:off+k:off+k]
+		off += k
+		return p, g
 	}
-	n.first, _ = layers[0].(paramBackwarder)
+	for _, l := range layers {
+		l.rebind(claim)
+	}
+	if off != size {
+		panic(fmt.Sprintf("nn: layers claimed %d of %d params", off, size))
+	}
 	out := layers[len(layers)-1].OutSize()
 	n.probs = make([]float64, out)
 	n.dLogits = make([]float64, out)
@@ -117,53 +77,27 @@ func NewNetwork(layers ...Layer) *Network {
 }
 
 // NumParams returns the total number of trainable parameters.
-func (n *Network) NumParams() int { return n.nParams }
+func (n *Network) NumParams() int { return len(n.backing) }
 
-// Params returns a copy of all parameters flattened into one vector, layer
-// by layer, block by block.
+// Params returns a copy of the flat parameter vector.
 func (n *Network) Params() []float64 {
-	out := make([]float64, n.nParams)
-	if n.backing != nil {
-		copy(out, n.backing)
-		return out
-	}
-	i := 0
-	for _, l := range n.layers {
-		for _, blk := range l.ParamBlocks() {
-			i += copy(out[i:], blk)
-		}
-	}
+	out := make([]float64, len(n.backing))
+	copy(out, n.backing)
 	return out
 }
 
 // ParamsView returns the live flat parameter vector — a zero-copy
-// read-only borrow of the contiguous backing array. Callers must not
-// modify it and must copy whatever they retain across a training step.
-// For a network containing foreign layers (no contiguous backing) it
-// degrades to a Params copy.
-func (n *Network) ParamsView() []float64 {
-	if n.backing != nil {
-		return n.backing
-	}
-	return n.Params()
-}
+// read-only borrow of the parameter plane. Callers must not modify it and
+// must copy whatever they retain across a training step.
+func (n *Network) ParamsView() []float64 { return n.backing }
 
 // SetParams loads a flat parameter vector previously produced by Params
 // (of a network with identical architecture).
 func (n *Network) SetParams(p []float64) {
-	if len(p) != n.nParams {
-		panic(fmt.Sprintf("nn: SetParams length %d != %d", len(p), n.nParams))
+	if len(p) != len(n.backing) {
+		panic(fmt.Sprintf("nn: SetParams length %d != %d", len(p), len(n.backing)))
 	}
-	if n.backing != nil {
-		copy(n.backing, p)
-		return
-	}
-	i := 0
-	for _, l := range n.layers {
-		for _, blk := range l.ParamBlocks() {
-			i += copy(blk, p[i:i+len(blk)])
-		}
-	}
+	copy(n.backing, p)
 }
 
 // Forward runs the full stack and returns the logits (aliased layer
@@ -188,11 +122,7 @@ func (n *Network) LossAndGrad(x []float64, label int) float64 {
 	for i := len(n.layers) - 1; i > 0; i-- {
 		g = n.layers[i].Backward(g)
 	}
-	if n.first != nil {
-		n.first.backwardParams(g)
-	} else {
-		n.layers[0].Backward(g)
-	}
+	n.layers[0].backwardParams(g) // nobody reads dL/d(input)
 	return loss
 }
 
@@ -200,18 +130,13 @@ func (n *Network) LossAndGrad(x []float64, label int) float64 {
 // from another goroutine: the copy's layers alias this network's
 // parameter storage, so it always computes with the current parameters,
 // and own only the scratch Forward writes. Use nothing but Forward on it,
-// and do not run it while the original trains or loads parameters. It
-// returns nil when a layer cannot be replicated (a foreign layer).
+// and do not run it while the original trains or loads parameters.
 func (n *Network) Replica() *Network {
 	layers := make([]Layer, len(n.layers))
 	for i, l := range n.layers {
-		r, ok := l.(replicator)
-		if !ok {
-			return nil
-		}
-		layers[i] = r.replica()
+		layers[i] = l.replica()
 	}
-	return &Network{layers: layers, nParams: n.nParams}
+	return &Network{layers: layers, backing: n.backing}
 }
 
 // Step applies accumulated gradients with SGD at rate lr, scaled by
@@ -221,18 +146,7 @@ func (n *Network) Step(lr float64, batchSize int, clip float64) {
 	if batchSize <= 0 {
 		panic("nn: Step with non-positive batch size")
 	}
-	scale := 1 / float64(batchSize)
-	if n.backing != nil {
-		tensor.SGDStep(n.backing, n.gradBacking, lr, scale, clip)
-		return
-	}
-	for _, l := range n.layers {
-		params := l.ParamBlocks()
-		grads := l.GradBlocks()
-		for bi, g := range grads {
-			tensor.SGDStep(params[bi], g, lr, scale, clip)
-		}
-	}
+	tensor.SGDStep(n.backing, n.gradBacking, lr, 1/float64(batchSize), clip)
 }
 
 // CrossEntropyFromLogits returns the softmax cross-entropy of logits

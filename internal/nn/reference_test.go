@@ -469,7 +469,8 @@ func forwardRef(c *Conv2D, x, out []float64) []float64 {
 
 // TestFirstLayerSkipsOnlyInputGradient: the parameter-only backward pass
 // a Network runs on its first layer accumulates exactly the parameter
-// gradients of the full pass.
+// gradients of the full pass, and is no pass at all for a layer without
+// parameters.
 func TestFirstLayerSkipsOnlyInputGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 40; trial++ {
@@ -503,6 +504,37 @@ func TestFirstLayerSkipsOnlyInputGradient(t *testing.T) {
 			tensor.AddInPlace(dGB, ddy)
 			sameBits(t, "dense gw", d.gw.Data, dGW)
 			sameBits(t, "dense gb", d.gb, dGB)
+		}
+	}
+
+	// A first layer without parameters (ReLU, then Dense): the network's
+	// loss and gradients are the reference loops', and the ReLU's input
+	// gradient is never written.
+	for trial := 0; trial < 40; trial++ {
+		in, out := 1+rng.Intn(21), 2+rng.Intn(12)
+		relu, d := NewReLU(in), NewDense(in, out, rng)
+		net := NewNetwork(relu, d)
+		awkward(rng, d.b, 0.2)
+		refGW, refGB := make([]float64, in*out), make([]float64, out)
+		x, h := make([]float64, in), make([]float64, in)
+		logits, probs := make([]float64, out), make([]float64, out)
+		for call := 0; call < 3; call++ {
+			awkward(rng, x, zeroShares[(trial+call)%4])
+			label := rng.Intn(out)
+
+			refReLUForward(x, h)
+			refMatVec(d.w.Data, out, in, logits, h)
+			tensor.AddInPlace(logits, d.b)
+			refSoftmax(probs, logits)
+			want := -math.Log(math.Max(probs[label], 1e-12))
+			probs[label] -= 1
+			refAddOuter(refGW, out, in, probs, h)
+			tensor.AddInPlace(refGB, probs)
+
+			sameBits(t, "loss", []float64{net.LossAndGrad(x, label)}, []float64{want})
+			sameBits(t, "dense gw", d.gw.Data, refGW)
+			sameBits(t, "dense gb", d.gb, refGB)
+			sameBits(t, "relu dx", relu.dx, make([]float64, in))
 		}
 	}
 }
@@ -699,9 +731,6 @@ func TestReplicaForwardMatchesAndTracksParams(t *testing.T) {
 		NewDense(32, 10, rng),
 	)
 	rep := net.Replica()
-	if rep == nil {
-		t.Fatal("built-in layers must all be replicable")
-	}
 	x := randVec(rng, 3*12*12)
 	for round := 0; round < 2; round++ {
 		want := append([]float64(nil), net.Forward(x)...)
@@ -712,17 +741,4 @@ func TestReplicaForwardMatchesAndTracksParams(t *testing.T) {
 		}
 		net.SetParams(p)
 	}
-	if NewNetwork(NewDense(4, 4, rng), foreignLayer{4}).Replica() != nil {
-		t.Error("a network with a layer that cannot copy itself must not be replicable")
-	}
 }
-
-// foreignLayer is a layer from outside the package: an identity with no
-// replica method, so a network holding one has no forward-only copy.
-type foreignLayer struct{ size int }
-
-func (foreignLayer) Forward(x []float64) []float64   { return x }
-func (foreignLayer) Backward(dy []float64) []float64 { return dy }
-func (foreignLayer) ParamBlocks() [][]float64        { return nil }
-func (foreignLayer) GradBlocks() [][]float64         { return nil }
-func (f foreignLayer) OutSize() int                  { return f.size }

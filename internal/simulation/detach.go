@@ -153,6 +153,7 @@ func (s *Sim) work(tasks <-chan *Task) {
 // detached during the Run — joined or not — has finished, and between Run
 // calls nothing runs anywhere.
 func (s *Sim) finish() {
+	returned.Add(1)
 	s.running = false
 	if s.tasks != nil {
 		close(s.tasks)

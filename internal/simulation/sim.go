@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // Kind names an event handler registered with Handle.
@@ -271,6 +272,13 @@ func (s *Sim) Run(horizon float64) float64 {
 	}
 	return s.now
 }
+
+// returned counts the Run calls that have returned, on every Sim.
+var returned atomic.Uint64
+
+// RunsReturned reports how many Run calls, on any Sim of the process, have
+// returned so far.
+func RunsReturned() uint64 { return returned.Load() }
 
 // Pending reports the number of queued events.
 func (s *Sim) Pending() int { return len(s.queue) }

@@ -572,7 +572,7 @@ func (a *Algorithm) DropToken(i int) bool {
 	return s.core.DropToken()
 }
 
-// Join implements fault.Elastic: a new server joins the ring, sponsored
+// Join implements fault.Cluster: a new server joins the ring, sponsored
 // by an existing member (the sponsor hands over its model and age
 // knowledge and announces the epoch bump). Returns the new server's
 // stable ID, or -1 if no live sponsor exists. Half of the sponsor's
@@ -638,7 +638,7 @@ func (a *Algorithm) Join(sponsor int) int {
 	return newID
 }
 
-// Leave implements fault.Elastic: target departs the ring for good. The
+// Leave implements fault.Cluster: target departs the ring for good. The
 // token is handed to the ring successor if target holds it idle (dropped
 // if mid-round — TokenTimeout recovery then heals), a surviving member
 // announces the epoch bump excluding target, and target's clients are
