@@ -358,7 +358,7 @@ func BuildEnv(s Setup) (*fl.Env, *metrics.Recorder, error) {
 	}
 	clients := make([]fl.ClientSpec, 0, s.NumClients)
 	for ci := 0; ci < s.NumClients; ci++ {
-		delay := trainDelayMean + rng.NormFloat64()*s.TrainDelayStd
+		delay := trainDelayMean + float64(rng.NormFloat64()*s.TrainDelayStd)
 		if s.CorrelatedSpeed && wl.labelOf != nil {
 			// Clients holding low labels are fast, the rest slow (both
 			// image tasks have 10 classes); see the Setup field docs.

@@ -215,7 +215,8 @@ func DefaultHyper(numClients, numServers int) Hyper {
 type Observer interface {
 	// ClientUpdateProcessed fires after a server has merged one client
 	// update. models must return the current parameter vectors of all
-	// server models (live slices; the observer copies what it keeps).
+	// server models (live slices, in a slice that may be reused by the
+	// next call; the observer copies what it keeps).
 	ClientUpdateProcessed(now float64, server, client int, models func() [][]float64)
 	// QueueLength fires whenever a server's jobs-in-system count changes:
 	// twice per processed job, so a trace of it grows with the run.

@@ -111,15 +111,30 @@ type Transfer struct {
 	Kind  Traffic
 }
 
-// record is a Transfer as the log stores it, in 16 bytes: the send time,
-// then the size shifted above the Kind's kindBits. The log keeps records
-// in blocks of blockLen (64 KiB), so appending never copies what it holds.
+// record is one run of transfers with the same send instant, size and
+// Kind, as the log stores it, in 16 bytes: the instant, then one word
+// holding the size above the run's count (countBits) above the Kind
+// (kindBits). send extends the last record while the run lasts and its
+// count is not full, so the log holds no more records than there are such
+// runs — an age broadcast, for one, is a run of identical sends at one
+// instant. The log keeps records in blocks of blockLen (64 KiB), so
+// appending never copies what it holds.
 type record struct {
 	time float64
 	word uint64
 }
 
-const kindBits, blockLen = 2, 4096
+const (
+	kindBits, countBits, blockLen = 2, 16, 4096
+	countShift, sizeShift         = kindBits, kindBits + countBits
+	fullCount                     = 1<<countBits - 1
+)
+
+// count is the number of transfers r stands for; size and kind are the
+// size and Kind each of them had.
+func (r record) count() int    { return int(r.word >> countShift & fullCount) }
+func (r record) size() int     { return int(r.word >> sizeShift) }
+func (r record) kind() Traffic { return Traffic(r.word & (1<<kindBits - 1)) }
 
 // Network delivers messages between endpoints over the simulator with
 // region-dependent latency, a shared per-link bandwidth, FIFO ordering per
@@ -233,18 +248,14 @@ func (n *Network) Send(src, dst Endpoint, size int, kind Traffic, deliver func()
 }
 
 func (n *Network) send(src, dst Endpoint, size int, kind Traffic, m message) int {
-	if size < 0 || uint64(size) >= 1<<(63-kindBits) {
+	if size < 0 || uint64(size) >= 1<<(64-sizeShift) {
 		panic(fmt.Sprintf("geo: message size %d out of range", size))
 	}
 	if kind != ClientServer && kind != ServerServer {
 		panic(fmt.Sprintf("geo: unknown traffic kind %d", int(kind)))
 	}
 	now := n.sim.Now()
-	if n.n%blockLen == 0 {
-		n.log = append(n.log, new([blockLen]record))
-	}
-	n.log[n.n/blockLen][n.n%blockLen] = record{now, uint64(size)<<kindBits | uint64(kind)}
-	n.n++
+	n.logTransfer(now, uint64(size)<<sizeShift|uint64(kind))
 	n.totalBytes[kind-1] += size
 
 	var v Verdict
@@ -301,6 +312,25 @@ func (n *Network) send(src, dst Endpoint, size int, kind Traffic, m message) int
 	return copies
 }
 
+// logTransfer logs one transfer at now whose size and kind make up head:
+// one more in the last record's run if it is the same transfer and its
+// count has room, else a new record.
+func (n *Network) logTransfer(now float64, head uint64) {
+	const one = 1 << countShift
+	if n.n > 0 {
+		r := &n.log[(n.n-1)/blockLen][(n.n-1)%blockLen]
+		if r.time == now && r.word&^(fullCount*one) == head && r.count() < fullCount {
+			r.word += one
+			return
+		}
+	}
+	if n.n%blockLen == 0 {
+		n.log = append(n.log, new([blockLen]record))
+	}
+	n.log[n.n/blockLen][n.n%blockLen] = record{now, head | one}
+	n.n++
+}
+
 // arrive is the handler of a traced or closure message arriving on link
 // i: the oldest one in flight there.
 func (n *Network) arrive(i int) {
@@ -350,26 +380,34 @@ func (n *Network) TotalBytes(kind Traffic) int {
 	return n.totalBytes[kind-1]
 }
 
-// Transfers returns a copy of the transfer log in send order, built on
-// each call; the network keeps no reference to it.
+// Transfers returns a copy of the transfer log in send order, one
+// Transfer per send: each record's run expands into count equal ones. It
+// is built on each call; the network keeps no reference to it.
 func (n *Network) Transfers() []Transfer {
-	out := make([]Transfer, n.n)
-	for i := range out {
+	var sends int
+	for i := range n.n {
+		sends += n.log[i/blockLen][i%blockLen].count()
+	}
+	out := make([]Transfer, 0, sends)
+	for i := range n.n {
 		r := n.log[i/blockLen][i%blockLen]
-		out[i] = Transfer{Time: r.time, Bytes: int(r.word >> kindBits), Kind: Traffic(r.word & (1<<kindBits - 1))}
+		for range r.count() {
+			out = append(out, Transfer{Time: r.time, Bytes: r.size(), Kind: r.kind()})
+		}
 	}
 	return out
 }
 
-// BytesUntil reports cumulative bytes sent at or before virtual time t.
+// BytesUntil reports cumulative bytes sent at or before virtual time t:
+// size × count over the runs sent by then.
 func (n *Network) BytesUntil(t float64) int {
 	var s int
 	for i := range n.n {
 		r := n.log[i/blockLen][i%blockLen]
 		if r.time > t {
-			break // transfers are appended in time order
+			break // runs are appended in time order
 		}
-		s += int(r.word >> kindBits)
+		s += r.size() * r.count()
 	}
 	return s
 }

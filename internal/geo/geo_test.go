@@ -114,57 +114,116 @@ func TestBytesUntil(t *testing.T) {
 	}
 }
 
-// TestTransferLogBlocks fills the block-structured transfer log across its
-// block edges and checks it against a plain record of the same sends.
+// run is count identical sends at one instant.
+type run struct {
+	at    float64
+	size  int
+	kind  Traffic
+	count int
+}
+
+// TestTransferLogBlocks logs runs of identical sends — across the log's
+// block edges, past a full count field, under drop and dup verdicts — and
+// checks the log against a naive record of one Transfer per send: the same
+// Transfers, the same BytesUntil, and one record per run of equal
+// neighbours (split where the count field fills).
 func TestTransferLogBlocks(t *testing.T) {
-	for _, sends := range []int{0, 1, blockLen - 1, blockLen, blockLen + 1, 3*blockLen + 5} {
+	// blocks lays out n runs whose neighbours always differ: two runs per
+	// instant, of different kinds, 1 to 4 sends each.
+	blocks := func(n int) []run {
+		rs := make([]run, n)
+		for r := range rs {
+			rs[r] = run{float64(r / 2), 1 + r*7919%100003, ClientServer + Traffic(r%2), 1 + r%4}
+		}
+		return rs
+	}
+	cases := []struct {
+		name    string
+		runs    []run
+		perturb bool
+	}{
+		{"empty", nil, false},
+		{"identical sends at one instant", []run{{0, 100, ClientServer, 7}}, false},
+		{"instant, size or kind changes", []run{
+			{0, 100, ClientServer, 2}, {1, 100, ClientServer, 3}, {1, 101, ClientServer, 1},
+			{1, 101, ServerServer, 2}, {1, 100, ServerServer, 1}, {2, 100, ServerServer, 1},
+		}, false},
+		{"one short of a block", blocks(blockLen - 1), false},
+		{"a block", blocks(blockLen), false},
+		{"a block and one", blocks(blockLen + 1), false},
+		{"three blocks and five", blocks(3*blockLen + 5), false},
+		{"a full count field", []run{
+			{0, 9, ServerServer, 1}, {1, 9, ServerServer, 2*fullCount + 3}, {1, 8, ServerServer, 1},
+		}, false},
+		{"drop and dup verdicts", blocks(blockLen + 1), true},
+	}
+	a := Endpoint{ID: 1, Region: HongKong}
+	b := Endpoint{ID: 2, Region: Paris}
+	for _, c := range cases {
 		sim := simulation.New()
 		net := NewNetwork(sim, Config{})
-		a := Endpoint{ID: 1, Region: HongKong}
-		b := Endpoint{ID: 2, Region: Paris}
-		var want []Transfer
-		for i := range sends {
-			kind := ClientServer + Traffic(i%3/2) // two client-server sends, then one server-server
-			size := 1 + i*7919%100003
-			at := float64(i / 2) // two sends per instant
-			sim.ScheduleAt(at, func() { net.Send(a, b, size, kind, func() {}) })
-			want = append(want, Transfer{Time: at, Bytes: size, Kind: kind})
+		var sends, delivered, wantDelivered int
+		if c.perturb {
+			net.SetPerturb(func(Endpoint, Endpoint, int, Traffic) Verdict {
+				sends++
+				v := Verdict{Drop: sends%3 == 0, Dup: sends%5 == 0}
+				wantDelivered += map[bool]int{true: 0, false: 1 + btoi(v.Dup)}[v.Drop]
+				return v
+			})
 		}
-		sim.Run(float64(sends))
+		var want []Transfer
+		for _, r := range c.runs {
+			sim.ScheduleAt(r.at, func() {
+				for range r.count {
+					net.Send(a, b, r.size, r.kind, func() { delivered++ })
+				}
+			})
+			for range r.count {
+				want = append(want, Transfer{Time: r.at, Bytes: r.size, Kind: r.kind})
+			}
+		}
+		end := float64(len(c.runs) + 1)
+		sim.Run(end)
+		if c.perturb && (delivered != wantDelivered || delivered == len(want)) {
+			t.Fatalf("%s: %d deliveries, want %d of %d sends", c.name, delivered, wantDelivered, len(want))
+		}
 
 		got := net.Transfers()
-		if len(got) != sends {
-			t.Fatalf("%d sends: %d transfers logged", sends, len(got))
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d transfers logged, want %d", c.name, len(got), len(want))
 		}
+		records, count := 0, 0
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("%d sends: transfer %d = %+v, want %+v", sends, i, got[i], want[i])
+				t.Fatalf("%s: transfer %d = %+v, want %+v", c.name, i, got[i], want[i])
+			}
+			if i == 0 || want[i] != want[i-1] || count == fullCount {
+				records, count = records+1, 0
+			}
+			count++
+		}
+		if net.n != records {
+			t.Errorf("%s: %d records for %d sends, want %d", c.name, net.n, len(want), records)
+		}
+		// Probe on and between instants, about a thousand times a case.
+		naive, j := 0, 0 // the bytes of want[:j], sent by the instant at hand
+		for at := -1.5; at <= end; at += 0.5 * float64(1+len(c.runs)/512) {
+			for ; j < len(want) && want[j].Time <= at; j++ {
+				naive += want[j].Bytes
+			}
+			if g := net.BytesUntil(at); g != naive {
+				t.Fatalf("%s: BytesUntil(%v) = %d, want %d", c.name, at, g, naive)
 			}
 		}
-		naive := func(until float64) (s int) {
-			for _, tr := range want {
-				if tr.Time <= until {
-					s += tr.Bytes
-				}
-			}
-			return s
-		}
-		for i := 0; i <= sends/2+1; i++ {
-			for _, at := range []float64{float64(i) - 0.5, float64(i)} {
-				if g, w := net.BytesUntil(at), naive(at); g != w {
-					t.Fatalf("%d sends: BytesUntil(%v) = %d, want %d", sends, at, g, w)
-				}
-			}
-		}
-		if sends > 0 {
-			total := net.BytesUntil(float64(sends))
+		if n := len(want); n > 0 {
+			total := net.BytesUntil(end)
 			got[0].Bytes += 1000
-			got[sends-1].Time = -1
-			if again := net.BytesUntil(float64(sends)); again != total {
-				t.Errorf("%d sends: editing the Transfers copy moved BytesUntil %d -> %d", sends, total, again)
+			got[n-1].Time = -1
+			if again := net.BytesUntil(end); again != total {
+				t.Errorf("%s: editing the Transfers copy moved BytesUntil %d -> %d", c.name, total, again)
 			}
-			if again := net.Transfers(); again[0] != want[0] || again[sends-1] != want[sends-1] {
-				t.Errorf("%d sends: editing the Transfers copy moved the log", sends)
+			if again := net.Transfers(); again[0] != want[0] || again[n-1] != want[n-1] {
+				t.Errorf("%s: editing the Transfers copy moved the log", c.name)
 			}
 		}
 	}

@@ -72,6 +72,7 @@ func DefaultConfig() *Config {
 			"internal/geo", "internal/spyker", "internal/baselines",
 			"internal/metrics", "internal/fault", "internal/ring",
 			"internal/obs/health", "internal/obs/audit",
+			"internal/experiments",
 			"internal/lint/testdata/src/determinism",
 			"internal/lint/testdata/src/paridiom",
 		},

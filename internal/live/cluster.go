@@ -134,6 +134,7 @@ func RunCluster(cfg ClusterConfig, duration time.Duration) (*ClusterStats, error
 			closeAll(servers)
 			return nil, err
 		}
+		srv.StartPeerReconnect(500*time.Millisecond, nil) // a link that fails is redialed
 	}
 
 	clients := make([]*Client, cfg.NumClients)
@@ -228,7 +229,7 @@ func l2(a, b []float64) float64 {
 	var s float64
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s)
 }

@@ -61,24 +61,32 @@ var errReplaced = errors.New("live: client connection replaced by a newer hello"
 // outbox is a peer link's write side; client links have none (see
 // clientLink). It decouples protocol handlers from TCP backpressure: a
 // broadcast fans out to several peers and a slow one must not hold the
-// handler, so handlers enqueue and a dedicated goroutine drains in FIFO
-// order and owns the connection's write side. Closing the outbox flushes
-// pending frames and then closes the connection, which is what unblocks the
-// remote reader. failed flips once a send errors; the peer-reconnect loop
-// polls it to decide which links need redialing.
+// handler, so handlers enqueue, which never blocks, and a dedicated
+// goroutine drains in FIFO order and owns the connection's write side. The
+// queue holds what the link's latency holds (rate × delay), unbounded.
+// Closing the outbox flushes pending frames and then closes the
+// connection, which is what unblocks the remote reader. failed flips once
+// a send errors or stalls; the peer-reconnect loop polls it to decide
+// which links need redialing.
 type outbox struct {
-	conn   transport.Sender
-	ch     chan timedMsg
-	done   chan struct{}
-	delay  time.Duration
-	failed atomic.Bool
+	conn    transport.Sender
+	done    chan struct{}
+	delay   time.Duration
+	stall   time.Duration // how long one Send may take before the link fails
+	failed  atomic.Bool
+	depth   atomic.Int64 // frames queued and not yet let go of
+	sending atomic.Int64 // UnixNano the Send in progress began; 0 between sends
+
+	wake chan struct{} // poked after each enqueue; beginClose closes it
+	mu   sync.Mutex
+	q    []timedMsg
 }
 
 // timedMsg remembers when the frame was enqueued so the injected latency
 // is pipelined: every frame leaves at enqueue-time + delay, like a real
 // long link, rather than serializing delay per frame. release, when
 // non-nil, returns the frame's pooled payload once the frame has left
-// (or was dropped); the drain goroutine calls it exactly once per frame.
+// (or was dropped); it runs exactly once per frame.
 type timedMsg struct {
 	m       *transport.Msg
 	at      time.Time
@@ -88,60 +96,80 @@ type timedMsg struct {
 // newOutbox creates the drain goroutine for conn. A non-zero delay
 // injects a one-way link latency (FIFO order is preserved because a
 // single goroutine drains); this lets a localhost deployment emulate
-// geo-distributed links.
-func newOutbox(conn transport.Sender, delay time.Duration) *outbox {
-	o := &outbox{conn: conn, ch: make(chan timedMsg, 1024), done: make(chan struct{}), delay: delay}
+// geo-distributed links. The goroutine takes the whole queue at a time.
+func newOutbox(conn transport.Sender, delay, stall time.Duration) *outbox {
+	o := &outbox{conn: conn, done: make(chan struct{}), wake: make(chan struct{}, 1), delay: delay, stall: stall}
 	go func() {
 		defer close(o.done)
 		defer func() { _ = conn.Close() }()
-		dead := false
-		for tm := range o.ch {
-			if !dead {
-				if o.delay > 0 {
-					time.Sleep(time.Until(tm.at.Add(o.delay)))
+		var batch []timedMsg
+		for {
+			o.mu.Lock()
+			batch, o.q = o.q, batch[:0]
+			o.mu.Unlock()
+			if len(batch) == 0 {
+				if _, open := <-o.wake; !open {
+					return // closed, and every frame is let go of
 				}
-				if err := conn.Send(tm.m); err != nil {
-					dead = true // connection is gone; keep draining to release payloads
-					o.failed.Store(true)
-				}
+				continue
 			}
-			if tm.release != nil {
-				tm.release()
+			for i, tm := range batch {
+				if !o.failed.Load() {
+					if o.delay > 0 {
+						time.Sleep(time.Until(tm.at.Add(o.delay)))
+					}
+					o.sending.Store(time.Now().UnixNano())
+					if err := conn.Send(tm.m); err != nil {
+						o.failed.Store(true) // connection is gone; keep draining to release payloads
+					}
+					o.sending.Store(0)
+				}
+				if tm.release != nil {
+					tm.release()
+				}
+				o.depth.Add(-1)
+				batch[i] = timedMsg{}
 			}
 		}
 	}()
 	return o
 }
 
-// enqueue queues a frame; it drops the frame if the outbox already
-// finished (dead connection). Callers must guarantee no enqueue happens
-// after beginClose — the Server serializes both under its mutex.
+// enqueue queues a frame. Callers must guarantee no enqueue happens after
+// beginClose — the Server serializes both under its mutex.
 func (o *outbox) enqueue(m *transport.Msg) { o.enqueueRelease(m, nil) }
 
 // enqueueRelease queues a frame whose payload must be released after the
-// drain goroutine is done with it. release runs exactly once — after the
-// send attempt, or right here if the outbox is already dead.
+// drain goroutine is done with it; release runs exactly once. A Send that
+// has taken longer than stall fails the link, as a send error would, and
+// closes its connection, which ends the Send; the drain goroutine then
+// lets go of every frame for the failed link unsent.
 func (o *outbox) enqueueRelease(m *transport.Msg, release func()) {
+	now := time.Now()
+	if since := o.sending.Load(); since != 0 && now.UnixNano()-since > int64(o.stall) && o.failed.CompareAndSwap(false, true) {
+		_ = o.conn.Close()
+	}
+	o.depth.Add(1)
+	o.mu.Lock()
+	o.q = append(o.q, timedMsg{m: m, at: now, release: release})
+	o.mu.Unlock()
 	select {
-	case o.ch <- timedMsg{m: m, at: time.Now(), release: release}:
-	case <-o.done:
-		if release != nil {
-			release()
-		}
+	case o.wake <- struct{}{}:
+	default: // a wake already pending covers this frame
 	}
 }
 
 // beginClose flushes asynchronously: pending frames are still sent, then
 // the connection closes. Use wait to block until that happened.
-func (o *outbox) beginClose() { close(o.ch) }
+func (o *outbox) beginClose() { close(o.wake) }
 
 // kill is the non-graceful counterpart of beginClose: it severs the
-// connection immediately, so pending frames error out instead of
-// flushing. Used by Server.Kill to emulate a process crash.
+// connection immediately, so pending frames are let go of unsent. Used by
+// Server.Kill to emulate a process crash.
 func (o *outbox) kill() {
 	o.failed.Store(true)
 	_ = o.conn.Close()
-	close(o.ch)
+	o.beginClose()
 }
 
 // wait blocks until the drain goroutine has exited.
@@ -533,11 +561,30 @@ func (s *Server) dialPeer(id int, addr string) (*outbox, error) {
 		_ = conn.Close()
 		return nil, err
 	}
-	var sender transport.Sender = conn
+	stall := peerStall
+	if s.cfg.TokenTimeout > 0 {
+		stall = time.Duration(s.cfg.TokenTimeout * float64(time.Second))
+	}
+	var sender transport.Sender = deadlineSender{conn, stall}
 	if s.peerWrap != nil {
 		sender = s.peerWrap(id, sender)
 	}
-	return newOutbox(sender, s.peerDelay), nil
+	return newOutbox(sender, s.peerDelay, stall), nil
+}
+
+// peerStall is a peer link's stall time when Config.TokenTimeout is 0.
+const peerStall = 10 * time.Second
+
+// deadlineSender fails a send to a peer that has stopped reading once its
+// stall time is up, even when no later frame is enqueued to notice.
+type deadlineSender struct {
+	*transport.Conn
+	timeout time.Duration
+}
+
+func (d deadlineSender) Send(m *transport.Msg) error {
+	_ = d.SetWriteDeadline(time.Now().Add(d.timeout)) // fails only on a closed connection, which Send reports
+	return d.Conn.Send(m)
 }
 
 // SetPeerWrapper installs a hook applied to every peer connection this

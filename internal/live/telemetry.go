@@ -68,7 +68,7 @@ func (s *Server) Telemetry() *obs.Telemetry {
 		if p == nil {
 			continue
 		}
-		tp := obs.TelemetryPeer{Peer: id, OutboxDepth: len(p.ch), Failed: p.failed.Load()}
+		tp := obs.TelemetryPeer{Peer: id, OutboxDepth: int(p.depth.Load()), Failed: p.failed.Load()}
 		if tp.Failed {
 			t.FailedOutboxes++
 		}

@@ -465,7 +465,7 @@ func (e *Evaluator) checkFlatline() {
 	if cad <= 0 {
 		return
 	}
-	thr := flatlineFactor * cad
+	thr := float64(flatlineFactor * cad)
 	if e.now-e.lastSync > thr {
 		e.raise(RuleSyncFlatline, Degraded, e.lastSync+thr, obs.NoPeer, obs.NoPeer,
 			fmt.Sprintf("%d updates merged but no sync round for %.2fs (cadence ~%.2fs)",

@@ -47,12 +47,13 @@ type Algorithm struct {
 	// processed client update, a reply's delivery, a server message's
 	// arrival and the three server jobs it is queued as, registered in
 	// Build, and the records they carry. serverParams is ServerParams,
-	// bound once for the observer.
+	// bound once for the observer; params is the slice it refills.
 	kind struct {
 		update, reply, arrive, model, age, token simulation.Kind
 	}
 	msgs         simulation.Slab[msg]
 	serverParams func() [][]float64
+	params       [][]float64
 }
 
 // msg is one message or queued job of the glue, carrying the fields its
@@ -749,14 +750,15 @@ func (a *Algorithm) rehome(ci, to int) {
 	a.homeOf[ci] = to
 }
 
-// ServerParams returns the live parameter vectors of every server model;
-// used by observers to evaluate global progress.
+// ServerParams returns the live parameter vectors of every server model,
+// in one slice that the next call refills; used by observers to evaluate
+// global progress.
 func (a *Algorithm) ServerParams() [][]float64 {
-	out := make([][]float64, len(a.servers))
-	for i, s := range a.servers {
-		out[i] = s.core.Params()
+	a.params = a.params[:0]
+	for _, s := range a.servers {
+		a.params = append(a.params, s.core.Params())
 	}
-	return out
+	return a.params
 }
 
 // Servers exposes the server cores for white-box tests and diagnostics.

@@ -69,6 +69,41 @@ func TestSimulatedSpykerRuns(t *testing.T) {
 	}
 }
 
+// modelsReuse records whether two calls of the observer's models func
+// return the same slice.
+type modelsReuse struct {
+	fl.Observer
+	calls int
+	same  bool
+}
+
+func (o *modelsReuse) ClientUpdateProcessed(now float64, server, client int, models func() [][]float64) {
+	a, b := models(), models()
+	o.calls++
+	o.same = len(a) == 3 && &a[0] == &b[0]
+	o.Observer.ClientUpdateProcessed(now, server, client, models)
+}
+
+// TestObserverModelsReuseOneSlice: the observer's view of the server
+// models is one slice refilled per call, not a fresh one per evaluation.
+func TestObserverModelsReuseOneSlice(t *testing.T) {
+	env, _, err := experiments.BuildEnv(experiments.Setup{
+		Task: experiments.TaskMNIST, NumServers: 3, NumClients: 9, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := &modelsReuse{Observer: env.Observer}
+	env.Observer = obs
+	if err := (&spyker.Algorithm{}).Build(env); err != nil {
+		t.Fatal(err)
+	}
+	env.Sim.Run(2)
+	if obs.calls == 0 || !obs.same {
+		t.Errorf("after %d merged updates: the models func reuses its slice %v, want true", obs.calls, obs.same)
+	}
+}
+
 // TestSpykerNoDecayName covers the ablation variant's naming.
 func TestSpykerNames(t *testing.T) {
 	if (&spyker.Algorithm{}).Name() != "Spyker" {
