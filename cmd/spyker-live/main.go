@@ -61,7 +61,6 @@ func main() {
 	clientLatency := flag.Duration("client-latency", 0, "injected one-way latency on client links")
 	statsEvery := flag.Duration("stats-every", 0, "log a one-line per-server stats snapshot at this period (0 = off)")
 	tracePath := flag.String("trace", "", "write the protocol event trace to this JSONL file (see spyker-trace)")
-	auditOn := flag.Bool("audit", false, "arm the per-client contribution audit plane: anomaly verdicts go to the trace and /debug/telemetry (cluster and server roles)")
 	debugAddr := flag.String("debug-addr", "", "serve expvar (/debug/vars), pprof (/debug/pprof), Prometheus text (/debug/metrics) and — in server role — the telemetry snapshot (/debug/telemetry) on this address")
 
 	// Multi-process roles.
@@ -81,7 +80,7 @@ func main() {
 	o := opts{
 		role: *role, servers: *servers, clients: *clients, duration: *duration, seed: *seed,
 		peerLatency: *peerLatency, clientLatency: *clientLatency, statsEvery: *statsEvery,
-		tracePath: *tracePath, audit: *auditOn, debugAddr: *debugAddr,
+		tracePath: *tracePath, debugAddr: *debugAddr,
 		id: *id, addr: *addr, peers: splitPeers(*peerList), token: *token,
 		ckptPath: *ckptPath, ckptEvery: *ckptEvery, resume: *resume,
 		tokenTimeout: *tokenTimeout, syncRetry: *syncRetry, reconnectEvery: *reconnectEvery, join: *join,
@@ -114,7 +113,6 @@ type opts struct {
 	clientLatency time.Duration
 	statsEvery    time.Duration
 	tracePath     string
-	audit         bool
 	debugAddr     string
 
 	id             int
@@ -266,9 +264,6 @@ func runServer(o opts) error {
 		sink = obs.Multi(tracer, sink)
 	}
 	srv.Instrument(sink)
-	if o.audit {
-		srv.ArmAudit()
-	}
 	if o.debugAddr != "" {
 		srv.SetDebugAddr(o.debugAddr)
 		serveDebug(o.debugAddr, srv, reg, tracer)
@@ -471,7 +466,6 @@ func run(o opts) error {
 		PeerLatency:   o.peerLatency,
 		ClientLatency: o.clientLatency,
 		Trace:         sink,
-		Audit:         o.audit,
 		StatsEvery:    o.statsEvery,
 		StatsOut:      os.Stderr,
 	}, o.duration)

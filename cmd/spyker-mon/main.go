@@ -9,14 +9,6 @@
 //   - /metrics — Prometheus text exposition with per-server labels
 //     (spyker_mon_up, spyker_mon_token_silence_seconds, ...): each
 //     server's telemetry, the one place its own state is exposed
-//   - /audit   — JSON: every server's contribution-audit section (per
-//     client update statistics and anomaly flags) plus the cluster-wide
-//     flagged-client set; servers run with spyker-live -audit
-//
-// When telemetry carries an audit section, per-client update statistics
-// are also re-exported on /metrics (spyker_mon_client_norm_z,
-// spyker_mon_client_flagged, ...) and sustained anomalies raise the
-// client-anomaly health rule.
 //
 // Membership is discovered, not configured: the monitor seeds from
 // -targets and then follows each snapshot's address book, so servers
@@ -73,17 +65,13 @@ func main() {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 			_ = m.writeMetrics(w)
 		})
-		mux.HandleFunc("/audit", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			_ = m.writeAudit(w)
-		})
 		//spyker:detached(monitor HTTP endpoint serves for the process lifetime; the kernel reclaims the listener on exit)
 		go func() {
 			if err := http.ListenAndServe(*addr, mux); err != nil {
 				fmt.Fprintf(os.Stderr, "spyker-mon: serve: %v\n", err)
 			}
 		}()
-		fmt.Printf("spyker-mon serving http://%s/health, /metrics and /audit\n", *addr)
+		fmt.Printf("spyker-mon serving http://%s/health and /metrics\n", *addr)
 	}
 
 	start := time.Now()
@@ -336,47 +324,6 @@ func (m *monitor) writeHealth(w io.Writer) error {
 	return json.NewEncoder(w).Encode(rep)
 }
 
-// auditReport is the /audit JSON shape: every target's last audit
-// section plus the cluster-wide union of currently flagged clients.
-type auditReport struct {
-	FlaggedClients []int               `json:"flagged_clients"`
-	Targets        []auditTargetReport `json:"targets"`
-}
-
-type auditTargetReport struct {
-	Addr   string              `json:"addr"`
-	Server int                 `json:"server"`
-	Audit  *obs.TelemetryAudit `json:"audit,omitempty"`
-}
-
-func (m *monitor) writeAudit(w io.Writer) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rep := auditReport{FlaggedClients: []int{}}
-	flagged := map[int]bool{}
-	for _, addr := range m.order {
-		tg := m.targets[addr]
-		if tg.last == nil {
-			continue
-		}
-		tr := auditTargetReport{Addr: addr, Server: tg.last.Server, Audit: tg.last.Audit}
-		if tr.Audit != nil {
-			for i := range tr.Audit.Clients {
-				c := &tr.Audit.Clients[i]
-				if len(c.Flags) > 0 {
-					flagged[c.Client] = true
-				}
-			}
-		}
-		rep.Targets = append(rep.Targets, tr)
-	}
-	for c := range flagged {
-		rep.FlaggedClients = append(rep.FlaggedClients, c)
-	}
-	sort.Ints(rep.FlaggedClients)
-	return json.NewEncoder(w).Encode(rep)
-}
-
 // writeMetrics renders the aggregated cluster view as Prometheus text,
 // one labelled sample family per telemetry field.
 func (m *monitor) writeMetrics(w io.Writer) error {
@@ -451,30 +398,6 @@ func (m *monitor) writeMetrics(w io.Writer) error {
 			pl := lbl(obs.PromLabel{Name: "peer", Value: strconv.Itoa(p.Peer)})
 			if err := emit("spyker_mon_outbox_depth", pl, float64(p.OutboxDepth)); err != nil {
 				return err
-			}
-		}
-		if t.Audit != nil {
-			if err := emit("spyker_mon_audit_flagged_clients", lbl(), float64(t.Audit.Flagged)); err != nil {
-				return err
-			}
-			for i := range t.Audit.Clients {
-				c := &t.Audit.Clients[i]
-				cl := lbl(obs.PromLabel{Name: "client", Value: strconv.Itoa(c.Client)})
-				clientSamples := []struct {
-					name string
-					v    float64
-				}{
-					{"spyker_mon_client_updates_total", float64(c.Updates)},
-					{"spyker_mon_client_median_norm", c.MedianNorm},
-					{"spyker_mon_client_norm_z", c.NormZ},
-					{"spyker_mon_client_median_cos", c.MedianCos},
-					{"spyker_mon_client_flagged", float64(len(c.Flags))},
-				}
-				for _, s := range clientSamples {
-					if err := emit(s.name, cl, s.v); err != nil {
-						return err
-					}
-				}
 			}
 		}
 	}

@@ -188,77 +188,3 @@ func TestMonitorEndpoints(t *testing.T) {
 		}
 	}
 }
-
-// TestMonitorAuditEndpoint: servers reporting audit telemetry surface
-// per-client forensics on /audit (with the cluster-wide flagged union),
-// audit gauges on /metrics, and a flagged client sustained across polls
-// degrades cluster health via the client-anomaly rule.
-func TestMonitorAuditEndpoint(t *testing.T) {
-	tel0 := baseTelemetry(0)
-	tel0.Audit = &obs.TelemetryAudit{
-		Updates: 40,
-		Flagged: 1,
-		Clients: []obs.TelemetryAuditClient{
-			{Client: 2, Updates: 20, MedianNorm: 1.1, NormZ: 0.3, MedianCos: 0.8},
-			{Client: 5, Updates: 20, MedianNorm: 9.7, NormZ: 8.2, MedianCos: 0.1,
-				Flags: []string{"norm-outlier"}},
-		},
-	}
-	s0 := newFakeServer(t, tel0)
-	s1 := newFakeServer(t, baseTelemetry(1)) // audit disarmed on this server
-	var log bytes.Buffer
-	m := newMonitor([]string{s0.addr(), s1.addr()}, health.Config{}, 0, s0.srv.Client(), &log)
-	m.poll(0)
-	m.poll(1) // second flagged poll sustains the health rule
-
-	var aj bytes.Buffer
-	if err := m.writeAudit(&aj); err != nil {
-		t.Fatal(err)
-	}
-	out := aj.String()
-	for _, want := range []string{
-		`"flagged_clients":[5]`,
-		`"norm-outlier"`,
-		`"median_norm":9.7`,
-		`"server":1`, // disarmed server still listed, without an audit section
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("/audit missing %q:\n%s", want, out)
-		}
-	}
-
-	var pm bytes.Buffer
-	if err := m.writeMetrics(&pm); err != nil {
-		t.Fatal(err)
-	}
-	mout := pm.String()
-	for _, want := range []string{
-		`spyker_mon_audit_flagged_clients{target="` + s0.addr() + `",server="0"} 1`,
-		`spyker_mon_client_norm_z{target="` + s0.addr() + `",server="0",client="5"} 8.2`,
-		`spyker_mon_client_flagged{target="` + s0.addr() + `",server="0",client="5"} 1`,
-		`spyker_mon_client_flagged{target="` + s0.addr() + `",server="0",client="2"} 0`,
-	} {
-		if !strings.Contains(mout, want) {
-			t.Errorf("/metrics missing %q:\n%s", want, mout)
-		}
-	}
-
-	var hj bytes.Buffer
-	if err := m.writeHealth(&hj); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(hj.String(), "client-anomaly") {
-		t.Errorf("/health missing client-anomaly alert:\n%s", hj.String())
-	}
-
-	// The flag clearing on a later poll clears the health alert.
-	s0.set(func(tel *obs.Telemetry) { tel.Audit.Flagged = 0; tel.Audit.Clients[1].Flags = nil })
-	m.poll(2)
-	aj.Reset()
-	if err := m.writeAudit(&aj); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(aj.String(), `"flagged_clients":[]`) {
-		t.Errorf("/audit union not cleared:\n%s", aj.String())
-	}
-}

@@ -31,17 +31,16 @@ func main() {
 	csvPath := flag.String("csv", "", "write the accuracy trace to this CSV file")
 	tracePath := flag.String("trace", "", "write the protocol event trace to this JSONL file (see spyker-trace)")
 	chromePath := flag.String("chrome", "", "write the protocol event trace as a Chrome trace_event file (chrome://tracing, Perfetto)")
-	auditOn := flag.Bool("audit", false, "arm the per-client contribution audit plane; anomaly verdicts land in the trace (analyze with spyker-trace -mode audit)")
 	flag.Parse()
 
-	if err := run(*alg, *task, *servers, *clients, *nonIID, *target, *horizon, *maxUpdates, *seed, *uniform, *auditOn, *csvPath, *tracePath, *chromePath); err != nil {
+	if err := run(*alg, *task, *servers, *clients, *nonIID, *target, *horizon, *maxUpdates, *seed, *uniform, *csvPath, *tracePath, *chromePath); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
 func run(alg, task string, servers, clients, nonIID int, target, horizon float64,
-	maxUpdates int, seed int64, uniform, auditOn bool, csvPath, tracePath, chromePath string) error {
+	maxUpdates int, seed int64, uniform bool, csvPath, tracePath, chromePath string) error {
 	var t experiments.Task
 	switch task {
 	case "mnist":
@@ -62,7 +61,6 @@ func run(alg, task string, servers, clients, nonIID int, target, horizon float64
 		TargetAcc:    target,
 		Horizon:      horizon,
 		MaxUpdates:   maxUpdates,
-		Audit:        auditOn,
 	}
 	if uniform {
 		setup.Latency = experiments.UniformMeanLatency()

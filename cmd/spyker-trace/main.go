@@ -23,15 +23,7 @@
 // The -mode health analysis replays the trace through the deterministic
 // health evaluator (internal/obs/health) and reports the state timeline
 // and every alert it would have raised online: token-circulation stalls,
-// membership-epoch divergence, staleness blow-ups, sync flat-lines,
-// sustained client anomalies.
-//
-// The -mode audit analysis reconstructs the contribution audit plane's
-// per-client verdicts (internal/obs/audit) from the trace's KindAudit
-// events: which clients were flagged, by which rules and servers, when
-// they were first and last flagged, and which flags were still active
-// at the end of the trace. The trace must come from a run with auditing
-// armed (spyker-sim/spyker-live -audit).
+// membership-epoch divergence, staleness blow-ups, sync flat-lines.
 //
 // Multiple trace files merge into one timeline: each per-process JSONL
 // stream (spyker-live -role server -trace) keeps its own clock, so the
@@ -45,7 +37,6 @@
 //	spyker-trace -mode provenance run.jsonl
 //	spyker-trace -mode critpath -top 5 run.jsonl
 //	spyker-trace -mode health run.jsonl
-//	spyker-trace -mode audit run.jsonl
 //	spyker-trace -chrome run.json run.jsonl
 //	spyker-trace s0.jsonl s1.jsonl s2.jsonl   # merged multi-process timeline
 package main
@@ -56,17 +47,16 @@ import (
 	"os"
 
 	"github.com/spyker-fl/spyker/internal/obs"
-	"github.com/spyker-fl/spyker/internal/obs/audit"
 	"github.com/spyker-fl/spyker/internal/obs/health"
 )
 
 func main() {
 	chromePath := flag.String("chrome", "", "also convert the trace to a Chrome trace_event file at this path")
-	mode := flag.String("mode", "summary", "analysis mode: summary, provenance, critpath, health, or audit")
+	mode := flag.String("mode", "summary", "analysis mode: summary, provenance, critpath, or health")
 	top := flag.Int("top", 10, "number of journeys/paths to show in provenance and critpath modes")
 	tokenTimeout := flag.Float64("token-timeout", 0, "the run's token regeneration timeout for health mode (0 = calibrate from the trace)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: spyker-trace [-mode summary|provenance|critpath|health|audit] [-top n] [-chrome out.json] <trace.jsonl>...\n")
+		fmt.Fprintf(os.Stderr, "usage: spyker-trace [-mode summary|provenance|critpath|health] [-top n] [-chrome out.json] <trace.jsonl>...\n")
 		fmt.Fprintf(os.Stderr, "       spyker-trace reads stdin when no file is given; several files are clock-aligned and merged\n")
 		flag.PrintDefaults()
 	}
@@ -137,12 +127,8 @@ func run(paths []string, mode string, top int, tokenTimeout float64, chromePath 
 		if err := ev.WriteReport(os.Stdout); err != nil {
 			return err
 		}
-	case "audit":
-		if err := audit.Replay(events).WriteReport(os.Stdout); err != nil {
-			return err
-		}
 	default:
-		return fmt.Errorf("spyker-trace: unknown mode %q (want summary, provenance, critpath, health, or audit)", mode)
+		return fmt.Errorf("spyker-trace: unknown mode %q (want summary, provenance, critpath, or health)", mode)
 	}
 
 	if chromePath != "" {

@@ -149,23 +149,3 @@ func TestRunMergeRejects(t *testing.T) {
 		t.Error("duplicate-emitter merge must error")
 	}
 }
-
-// TestRunAuditMode: -mode audit replays KindAudit verdicts from a trace
-// into the offline forensics report, and stays quiet (but valid) on a
-// trace with no audit events.
-func TestRunAuditMode(t *testing.T) {
-	events := []obs.Event{
-		{Time: 1, Kind: obs.KindClientUpdate, Node: 0, Peer: 7, UID: obs.UpdateUID(7, 1)},
-		{Time: 2.5, Kind: obs.KindAudit, Node: 0, Peer: 7, Note: "norm-outlier", Score: 8.1},
-		{Time: 3.0, Kind: obs.KindAudit, Node: 0, Peer: 7, Note: "clear:norm-outlier"},
-		{Time: 3.5, Kind: obs.KindAudit, Node: 1, Peer: 12, Note: "collusion", Score: 0.9999},
-	}
-	p := writeEvents(t, "audit.jsonl", events)
-	if err := run([]string{p}, "audit", 5, 0, ""); err != nil {
-		t.Fatalf("audit mode failed on a valid trace: %v", err)
-	}
-	// A trace without verdicts is a healthy cluster, not an error.
-	if err := run([]string{writeTemp(t, validTrace)}, "audit", 5, 0, ""); err != nil {
-		t.Fatalf("audit mode failed on a verdict-free trace: %v", err)
-	}
-}

@@ -69,7 +69,7 @@ func RunAblations(scale float64, seed int64) (*Ablations, error) {
 // Render prints the three sweep tables.
 func (a *Ablations) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "=== Spyker design-knob ablations (target %.0f%%%% accuracy) ===\n", 100*a.Target)
+	fmt.Fprintf(&b, "=== Spyker design-knob ablations (target %.0f%% accuracy) ===\n", 100*a.Target)
 	render := func(name string, pts []AblationPoint) {
 		fmt.Fprintf(&b, "\n-- %s sweep --\n", name)
 		t := newTable(&b, col{name, 10, ""}, col{"t(target)", 12, ""}, col{"updates", 10, ""}, col{"srv-srv bytes", 14, "MB"})

@@ -56,7 +56,7 @@ func (c *ChurnStudy) AccuracyDip(r *Result) float64 {
 
 // Render prints both traces with the churn window marked.
 func (c *ChurnStudy) Render() string {
-	t := titled(fmt.Sprintf("=== churn extension: %.0f%%%% of clients offline during [%.0fs, %.0fs) ===\n",
+	t := titled(fmt.Sprintf("=== churn extension: %.0f%% of clients offline during [%.0fs, %.0fs) ===\n",
 		100*c.Fraction, c.From, c.Till), col{"time(s)", 10, ""}, col{"Spyker", 12, "%"}, col{"FedAsync", 12, "%"})
 	sp := thinTrace(c.Spyker.Trace, 14)
 	fa := thinTrace(c.FedAsync.Trace, 14)

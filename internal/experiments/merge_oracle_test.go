@@ -23,14 +23,13 @@ type mergeBits struct {
 // TestMergeOffTheLoopCannotMoveResults pins Spyker runs in which the
 // servers' client merges run off the event loop: four servers exchanging
 // models in sync rounds, an evaluation (which reads every server model)
-// every ten updates, and a 16k-parameter model. The audit row must equal the
-// plain one. The rows were recorded on
+// every ten updates, and a 16k-parameter model. The rows were recorded on
 // ba2e830, where every merge still ran on the loop, so a merge that is read
 // before it is joined, or joined into the wrong server's model, fails here.
 // The variants cover every path that reads the model besides the plain
-// merge: the audit diff, a reply that is not the client's own vector (a
-// Byzantine payload), the clip path, and a fault-armed run with periodic
-// checkpoints, a crash and restart, an elastic join and an elastic leave.
+// merge: a reply that is not the client's own vector (a Byzantine payload),
+// the clip path, and a fault-armed run with periodic checkpoints, a crash
+// and restart, an elastic join and an elastic leave.
 // Each row runs plain and with the loop yielding around every update (see
 // yieldingObserver); run it with -cpu 1,4. The servers' sigmoid weight
 // calls tensor.Exp, so the rows hold with or without FMA and under
@@ -53,7 +52,6 @@ func TestMergeOffTheLoopCannotMoveResults(t *testing.T) {
 		want   mergeBits
 	}{
 		{"plain", nil, nil, 0, mergeBits{oracleBits{0x3fc58959ac0c33b2, 0x3feb642c528c8d06, 0x4011e15819b717eb, 1200, 0xcf64d25cc5d0e740}, 7}},
-		{"audit", func(s *Setup) { s.Audit = true }, nil, 0, mergeBits{oracleBits{0x3fc58959ac0c33b2, 0x3feb642c528c8d06, 0x4011e15819b717eb, 1200, 0xcf64d25cc5d0e740}, 7}},
 		{"sign-flip", nil, signFlip, 0, mergeBits{oracleBits{0x3fc9f16b37ac160d, 0x3fea9b744e37ffc5, 0x4011e15819b717eb, 1200, 0x8cda8a91abf34a80}, 7}},
 		{"clip3+sign-flip", func(s *Setup) {
 			h := fl.DefaultHyper(48, 4)

@@ -65,8 +65,7 @@ func TestCrossCommitOracle(t *testing.T) {
 		// Byzantine payload, the private copy of a fault-armed run) or where
 		// the merge is not the fused kernel (the clip path, which in 64
 		// honest updates never clips and so must equal the plain row through
-		// DiffInto+AxpyInto, and does clip the sign-flipped payload; audit
-		// armed, which must equal the plain row too).
+		// DiffInto+AxpyInto, and does clip the sign-flipped payload).
 		{"mnist/spyker/sign-flip", TaskMNIST, "spyker", nil, func(e *fl.Env) {
 			e.Clients[1].Byzantine = fl.ByzantineSignFlip
 		}, oracleBits{0x40318e1e6cf6fb7e, 0x3fc999999999999a, 0x3ff526fb3f2813b7, 64, 0xbe7405e60660b1fa}},
@@ -82,9 +81,6 @@ func TestCrossCommitOracle(t *testing.T) {
 		}, func(e *fl.Env) {
 			e.Clients[1].Byzantine = fl.ByzantineSignFlip
 		}, oracleBits{0x40083a11fbaab289, 0x3fd28f5c28f5c28f, 0x3ff526fb3f2813b7, 64, 0x31eb7641bc0143e3}},
-		{"mnist/spyker/audit", TaskMNIST, "spyker", func(s *Setup) {
-			s.Audit = true
-		}, nil, oracleBits{0x3ffebade72c54d91, 0x3fce4b17e4b17e4b, 0x3ff526fb3f2813b7, 64, 0x2f23f0f9f79083fa}},
 		{"mnist/spyker/faults", TaskMNIST, "spyker", func(s *Setup) {
 			s.Faults = &fault.Plan{Seed: 3, Events: []fault.Event{
 				{At: 0.2, Kind: fault.KindLinkDup, Src: fault.Any, Dst: fault.Any, Duration: 30, P: 0.5},

@@ -51,7 +51,7 @@ func RunServerScalingStudy(scale float64, seed int64) (*ServerScalingStudy, erro
 
 // Render prints the study.
 func (s *ServerScalingStudy) Render() string {
-	t := titled(fmt.Sprintf("=== server-count scaling: %d clients, target %.0f%%%% ===\n", s.Clients, 100*s.Target),
+	t := titled(fmt.Sprintf("=== server-count scaling: %d clients, target %.0f%% ===\n", s.Clients, 100*s.Target),
 		col{"servers", 8, ""}, col{"t(target)", 12, ""}, col{"updates", 10, ""}, col{"srv-srv bytes", 16, "MB"})
 	for _, r := range s.Rows {
 		t.row(strconv.Itoa(r.Servers), timeCell(r.TimeToTarget), strconv.Itoa(r.Updates), fixed(mb(r.ServerServerBytes), 2))

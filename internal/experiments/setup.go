@@ -115,12 +115,6 @@ type Setup struct {
 	// simulated schedule is identical with and without one (see
 	// TestTracingDoesNotPerturbSimulation).
 	Trace obs.Sink
-	// Audit arms the per-client contribution audit plane
-	// (internal/obs/audit) on every server; verdicts are emitted as
-	// KindAudit events into Trace. False disables auditing entirely —
-	// like Trace, the audit plane is passive and leaves the schedule
-	// byte-identical (see TestAuditDoesNotPerturbSimulation).
-	Audit bool
 	// Metrics collects runtime counters/histograms; nil creates a
 	// private registry. When tracing is enabled the event stream is also
 	// bridged into the registry (staleness distribution, sync durations,
@@ -424,7 +418,6 @@ func BuildEnv(s Setup) (*fl.Env, *metrics.Recorder, error) {
 		Trace:      sink,
 		Metrics:    reg,
 		Faults:     s.Faults,
-		Audit:      s.Audit,
 	}
 	return env, rec, nil
 }

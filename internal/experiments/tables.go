@@ -76,7 +76,7 @@ func RunScalabilityStudy(scale float64, target float64, seed int64) (*Scalabilit
 // Render prints the table in the paper's layout.
 func (s *ScalabilityStudy) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "=== Tab. 5: scaling factors to reach %.0f%%%% accuracy (baseline: %d clients) ===\n",
+	fmt.Fprintf(&b, "=== Tab. 5: scaling factors to reach %.0f%% accuracy (baseline: %d clients) ===\n",
 		100*s.Target, s.Populations[0])
 	fmt.Fprintf(&b, "%-14s", "algorithm")
 	for _, p := range s.Populations[1:] {

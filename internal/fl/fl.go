@@ -261,15 +261,6 @@ type Env struct {
 	// and returned exactly once.
 	Pool *paramvec.Pool
 
-	// Audit arms the per-client contribution audit plane
-	// (internal/obs/audit) on every server that supports it: each
-	// ServerCore gets its own streaming profiler, fed at delta-apply
-	// time, emitting KindAudit verdicts into Trace. Auditing is passive —
-	// it observes deltas and never feeds back — so an audited run's
-	// event schedule is byte-identical to an unaudited one. False (the
-	// default) skips the statistics entirely.
-	Audit bool
-
 	// Faults, when non-nil, declares the failure-injection plan for this
 	// run (internal/fault). Algorithms that support injection arm their
 	// crash/restart plumbing when they see it — with message loss and

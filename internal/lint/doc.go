@@ -161,7 +161,7 @@
 // if they carry their own annotation — and map writes (which may grow the
 // map) remain the annotated function's responsibility. The annotation is
 // the static counterpart of the run-time allocation guards:
-// TestAuditDisarmedZeroAlloc (internal/spyker) proves the aggregation hot
+// TestClientUpdateZeroAlloc (internal/spyker) proves the aggregation hot
 // path runs at 0 allocs/op and the benchmark's go.allocs_per_update counts
 // what a whole run allocates per update, the annotation pins which
 // functions that property lives in.

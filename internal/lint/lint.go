@@ -71,7 +71,7 @@ func DefaultConfig() *Config {
 			"internal/data", "internal/fl", "internal/simulation",
 			"internal/geo", "internal/spyker", "internal/baselines",
 			"internal/metrics", "internal/fault", "internal/ring",
-			"internal/obs/health", "internal/obs/audit",
+			"internal/obs/health",
 			"internal/experiments",
 			"internal/lint/testdata/src/determinism",
 			"internal/lint/testdata/src/paridiom",
@@ -85,7 +85,7 @@ func DefaultConfig() *Config {
 		},
 		RuntimePkgs: []string{
 			"internal/live", "internal/transport", "internal/spyker",
-			"internal/paramvec", "internal/obs", "internal/obs/audit",
+			"internal/paramvec", "internal/obs",
 			"internal/obs/health", "internal/fault", "internal/geo",
 			"internal/ring", "cmd/spyker-mon", "cmd/spyker-live",
 			"internal/lint/testdata/src/goroutinelife",

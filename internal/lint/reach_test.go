@@ -44,10 +44,6 @@ var testSupport = []support{
 	{"internal/live.Server.Rejects", "the trust-boundary tests count refused frames"},
 	{"internal/spyker.ServerCore.UpdatesFrom", "per-client contribution counts in the DES and checkpoint tests"},
 	{"internal/simulation.Sim.Pending", "queued-event count: Stop/horizon tests here and in internal/metrics"},
-	{"internal/obs/audit.Recorder.Flags", "the online verdict per client, which the detection tests assert"},
-	{"internal/obs/audit.Recorder.Flagged", "the online verdict set, compared with the offline report's"},
-	{"internal/obs/audit.Report.FlaggedClients", "the offline verdict set the byzantine study's tests assert"},
-	{"internal/obs/audit.Report.FirstFlagTime", "detection latency in the byzantine study's tests"},
 	{"internal/baselines.FedAvg.GlobalParams", "the aggregation-math tests compare the global model with a hand computation"},
 	{"internal/baselines.FedAvg.Rounds", "round accounting of the FedAvg tests"},
 	{"internal/baselines.FedAsync.GlobalParams", "the staleness-weighting tests compare the global model with a hand computation"},

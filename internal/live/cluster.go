@@ -30,10 +30,6 @@ type ClusterConfig struct {
 	// (internal/obs): a tracer, an obs.MetricsSink filling a registry, or
 	// both through obs.Multi. nil leaves the servers uninstrumented.
 	Trace obs.Sink
-	// Audit arms the per-client contribution audit plane
-	// (internal/obs/audit) on every server; verdicts land in Trace as
-	// KindAudit events.
-	Audit bool
 
 	// StatsEvery > 0 logs a one-line per-server stats snapshot to StatsOut
 	// at that period while the cluster runs (StatsOut nil = discard).
@@ -119,9 +115,6 @@ func RunCluster(cfg ClusterConfig, duration time.Duration) (*ClusterStats, error
 		srv.InjectLatency(cfg.PeerLatency, cfg.ClientLatency)
 		if cfg.Trace != nil {
 			srv.Instrument(cfg.Trace)
-		}
-		if cfg.Audit {
-			srv.ArmAudit()
 		}
 		if tick := score.TickPeriod(); tick > 0 {
 			srv.StartTokenTicker(time.Duration(tick * float64(time.Second)))

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"github.com/spyker-fl/spyker/internal/obs"
-	"github.com/spyker-fl/spyker/internal/obs/audit"
 	"github.com/spyker-fl/spyker/internal/paramvec"
 	"github.com/spyker-fl/spyker/internal/ring"
 	"github.com/spyker-fl/spyker/internal/spyker"
@@ -298,12 +297,6 @@ type Server struct {
 	txBytes   atomic.Int64
 	rxBytes   atomic.Int64
 
-	// audit is the per-client contribution audit plane (nil unless
-	// ArmAudit was called). Its Observe runs inside dispatch and its
-	// Snapshot inside Telemetry — both under mu, so the recorder itself
-	// needs no locking.
-	audit *audit.Recorder //spyker:guardedby(mu)
-
 	wg      sync.WaitGroup
 	closing atomic.Bool
 }
@@ -388,22 +381,6 @@ func (s *Server) Instrument(sink obs.Sink) {
 	s.sink = sink
 	s.staleness = obs.NewHistogram(obs.StalenessBuckets)
 	s.core.Instrument(sink, s.clock)
-	if s.audit != nil {
-		s.core.ArmAudit(s.audit)
-	}
-}
-
-// ArmAudit attaches a per-client contribution audit plane
-// (internal/obs/audit) to this server: every merged client update is
-// profiled, anomaly verdicts are emitted as KindAudit events into the
-// instrumented sink, and Telemetry grows an Audit section. Call after
-// Instrument (the recorder captures the sink once) and before clients
-// connect. Auditing is passive — it never changes what the core merges.
-func (s *Server) ArmAudit() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.audit = audit.NewRecorder(s.ID, s.sink)
-	s.core.ArmAudit(s.audit)
 }
 
 // noteSend records one outgoing frame to the remote node (an

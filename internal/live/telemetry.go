@@ -75,8 +75,6 @@ func (s *Server) Telemetry() *obs.Telemetry {
 		t.Peers = append(t.Peers, tp)
 	}
 
-	t.Audit = s.audit.Snapshot() // nil-safe: nil recorder -> no section
-
 	if h := s.staleness; h != nil {
 		t.StalenessBounds = h.Bounds()
 		t.StalenessCounts = h.BucketCounts()

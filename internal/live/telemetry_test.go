@@ -239,82 +239,3 @@ func TestTelemetryStalenessIsPerServer(t *testing.T) {
 		t.Errorf("the shared registry's staleness histogram counts %d, want %d", got, updates)
 	}
 }
-
-// TestServerTelemetryAudit arms the contribution audit plane on a live
-// server and checks the per-client forensics ride the telemetry
-// snapshot: an Audit section with per-client rows appears once updates
-// flow, survives the wire codec, and stays absent on unarmed servers.
-func TestServerTelemetryAudit(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live TCP test skipped in -short mode")
-	}
-	initial := make([]float64, 8)
-	cfg := ServerConfig(0, 1, 1, fl.DefaultHyper(1, 1))
-	cfg.HInter = 100 // never sync: this test only watches client merges
-	srv, err := NewServer(0, "127.0.0.1:0", cfg, initial, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	sink := obs.NewTracer(256)
-	srv.Instrument(sink)
-	srv.ArmAudit()
-
-	if srv.Telemetry().Audit == nil {
-		t.Fatal("armed server missing telemetry audit section")
-	}
-
-	conn, err := transport.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = conn.Close() }()
-	if err := conn.Send(&transport.Msg{Kind: transport.KindHello, From: 3, Bid: RoleClient}); err != nil {
-		t.Fatal(err)
-	}
-	const updates = 4
-	for i := 0; i < updates; i++ {
-		reply, err := conn.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reply.Kind != transport.KindModelReply {
-			t.Fatalf("expected model reply, got %v", reply.Kind)
-		}
-		up := &transport.Msg{
-			Kind: transport.KindClientUpdate, From: 3,
-			Params: append([]float64(nil), reply.Params...), Age: reply.Age,
-			Trace: transport.Trace{UID: obs.UpdateUID(3, int64(i+1))},
-		}
-		up.Params[0] += 0.1 // a real (if tiny) contribution
-		if err := conn.Send(up); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, "audited updates", 5*time.Second, func() bool {
-		a := srv.Telemetry().Audit
-		return a != nil && a.Updates == updates
-	})
-
-	tel := srv.Telemetry()
-	a := tel.Audit
-	if len(a.Clients) != 1 || a.Clients[0].Client != 3 || a.Clients[0].Updates != updates {
-		t.Fatalf("audit client rows: %+v", a.Clients)
-	}
-	if a.Flagged != 0 {
-		t.Errorf("benign client flagged: %+v", a)
-	}
-
-	// Wire round-trip keeps the section.
-	var buf bytes.Buffer
-	if err := obs.WriteTelemetry(&buf, tel); err != nil {
-		t.Fatal(err)
-	}
-	back, err := obs.ReadTelemetry(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Audit == nil || len(back.Audit.Clients) != 1 || back.Audit.Clients[0].Client != 3 {
-		t.Fatalf("audit section lost in codec round trip: %+v", back.Audit)
-	}
-}

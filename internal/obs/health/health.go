@@ -13,10 +13,8 @@ package health
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"github.com/spyker-fl/spyker/internal/obs"
-	"github.com/spyker-fl/spyker/internal/obs/audit"
 )
 
 // State classifies the cluster. Ordering is severity: a higher value is
@@ -76,13 +74,6 @@ const (
 	// synchronization round has started for flatlineFactor x the
 	// observed round cadence. Degraded.
 	RuleSyncFlatline Rule = "sync-flatline"
-	// RuleClientAnomaly: the contribution audit plane
-	// (internal/obs/audit) has flagged a client auditSustain or more
-	// times in a row — from KindAudit verdict events (traces, DES) or
-	// from consecutive flagged telemetry polls — without an intervening
-	// full clear. One anomalous client degrades the server merging it,
-	// not the whole cluster. Degraded.
-	RuleClientAnomaly Rule = "client-anomaly"
 )
 
 // Alert is one raised detection. An alert stays active until its clear
@@ -134,12 +125,6 @@ const (
 	stalenessRise   = 4
 	stalenessFactor = 4
 	stalenessChunk  = 32
-	// auditSustain is how many consecutive audit verdicts (raise or
-	// reassert events, or flagged telemetry polls) a client must
-	// accumulate before the anomaly alert raises — a single transient
-	// verdict is the audit plane's hysteresis to manage, not an operator
-	// page.
-	auditSustain = 2
 )
 
 type serverState struct {
@@ -156,14 +141,6 @@ type serverState struct {
 type linkState struct {
 	valid  bool
 	depth  int
-	streak int
-}
-
-// auditState tracks one (server, client) pair's standing with the audit
-// plane: which rules currently flag it and how many consecutive
-// verdicts it has accumulated since the last full clear.
-type auditState struct {
-	rules  map[string]bool
 	streak int
 }
 
@@ -184,8 +161,7 @@ type Evaluator struct {
 	servers  []int // sorted IDs of every server seen in the stream
 	perSrv   map[int]*serverState
 	links    map[[2]int]*linkState
-	audits   map[[2]int]*auditState // (server, client) -> audit standing
-	tokenTmo float64                // effective TokenTimeout (cfg or adopted)
+	tokenTmo float64 // effective TokenTimeout (cfg or adopted)
 
 	lastMoveValid bool
 	lastMove      float64 // last token movement anywhere
@@ -218,7 +194,6 @@ func New(cfg Config) *Evaluator {
 		cfg:      cfg,
 		perSrv:   map[int]*serverState{},
 		links:    map[[2]int]*linkState{},
-		audits:   map[[2]int]*auditState{},
 		tokenTmo: cfg.TokenTimeout,
 		active:   map[alertKey]int{},
 	}
@@ -316,69 +291,6 @@ func (e *Evaluator) Observe(ev obs.Event) {
 		e.server(ev.Node).epochValid = true
 		e.perSrv[ev.Node].epoch = ev.Bid
 		e.checkEpochs(ev.Time)
-	case obs.KindAudit:
-		e.noteAudit(ev)
-	}
-}
-
-// noteAudit folds one audit verdict event. Raise and reassert events
-// grow the (server, client) streak; a clear event retires its rule and,
-// once no rule still flags the pair, clears the alert and resets the
-// streak.
-func (e *Evaluator) noteAudit(ev obs.Event) {
-	e.server(ev.Node)
-	k := [2]int{ev.Node, ev.Peer}
-	a, ok := e.audits[k]
-	if !ok {
-		a = &auditState{rules: map[string]bool{}}
-		e.audits[k] = a
-	}
-	if rule, cleared := strings.CutPrefix(ev.Note, audit.ClearPrefix); cleared {
-		delete(a.rules, rule)
-		if len(a.rules) == 0 {
-			a.streak = 0
-			e.clear(RuleClientAnomaly, ev.Time, ev.Node, ev.Peer)
-		}
-		return
-	}
-	a.rules[ev.Note] = true
-	a.streak++
-	if a.streak >= auditSustain {
-		e.raise(RuleClientAnomaly, Degraded, ev.Time, ev.Node, ev.Peer,
-			fmt.Sprintf("server %d audit flagged client %d: %s (%d verdicts, score %.3f)",
-				ev.Node, ev.Peer, ev.Note, a.streak, ev.Score))
-	}
-}
-
-// noteAuditFlags folds one telemetry poll's audit standing for a client:
-// a flagged poll extends the streak, an unflagged poll clears it.
-func (e *Evaluator) noteAuditFlags(server, client int, flags []string, at float64) {
-	k := [2]int{server, client}
-	a, ok := e.audits[k]
-	if !ok {
-		if len(flags) == 0 {
-			return
-		}
-		a = &auditState{rules: map[string]bool{}}
-		e.audits[k] = a
-	}
-	if len(flags) == 0 {
-		if a.streak != 0 || len(a.rules) != 0 {
-			a.rules = map[string]bool{}
-			a.streak = 0
-			e.clear(RuleClientAnomaly, at, server, client)
-		}
-		return
-	}
-	a.rules = map[string]bool{}
-	for _, f := range flags {
-		a.rules[f] = true
-	}
-	a.streak++
-	if a.streak >= auditSustain {
-		e.raise(RuleClientAnomaly, Degraded, at, server, client,
-			fmt.Sprintf("server %d audit flagged client %d: %s (%d polls)",
-				server, client, strings.Join(flags, ","), a.streak))
 	}
 }
 

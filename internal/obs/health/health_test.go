@@ -317,134 +317,3 @@ func TestOfflineRunAndReport(t *testing.T) {
 		}
 	}
 }
-
-func auditEvent(t float64, srv, client int, note string) obs.Event {
-	return obs.Event{Time: t, Kind: obs.KindAudit, Node: srv, Peer: client, Note: note, Score: 8.5}
-}
-
-// TestClientAnomalyRuleFromEvents drives each audit sub-rule through the
-// verdict-event path: auditSustain verdicts raise the per-(server,
-// client) alert, and the alert clears only once every still-armed
-// sub-rule has emitted its clear.
-func TestClientAnomalyRuleFromEvents(t *testing.T) {
-	for _, rule := range []string{"norm-outlier", "direction-inversion", "collusion"} {
-		rule := rule
-		t.Run(rule, func(t *testing.T) {
-			e := New(Config{})
-			e.Observe(auditEvent(1, 0, 5, rule))
-			if a := findAlert(e.ActiveAlerts(), RuleClientAnomaly); a != nil {
-				t.Fatalf("single verdict raised an alert: %+v", *a)
-			}
-			e.Observe(auditEvent(2, 0, 5, rule))
-			a := findAlert(e.ActiveAlerts(), RuleClientAnomaly)
-			if a == nil {
-				t.Fatal("sustained verdicts raised no client-anomaly alert")
-			}
-			if a.Severity != Degraded || a.Node != 0 || a.Peer != 5 {
-				t.Errorf("alert = %+v", *a)
-			}
-			if !strings.Contains(a.Detail, rule) {
-				t.Errorf("detail does not name the audit rule: %q", a.Detail)
-			}
-			if got := e.State(); got != Degraded {
-				t.Fatalf("state with anomalous client = %v", got)
-			}
-
-			e.Observe(auditEvent(3, 0, 5, "clear:"+rule))
-			if a := findAlert(e.ActiveAlerts(), RuleClientAnomaly); a != nil {
-				t.Fatalf("alert survived the clear verdict: %+v", *a)
-			}
-			if got := e.State(); got != Healthy {
-				t.Fatalf("state after clear = %v", got)
-			}
-		})
-	}
-}
-
-// TestClientAnomalyMultiRuleClear: with two sub-rules armed on the same
-// client, clearing one keeps the alert active; clearing the second
-// retires it.
-func TestClientAnomalyMultiRuleClear(t *testing.T) {
-	e := New(Config{})
-	e.Observe(auditEvent(1, 2, 9, "norm-outlier"))
-	e.Observe(auditEvent(2, 2, 9, "collusion"))
-	a := findAlert(e.ActiveAlerts(), RuleClientAnomaly)
-	if a == nil || a.Node != 2 || a.Peer != 9 {
-		t.Fatalf("no alert after two verdicts: %+v", e.ActiveAlerts())
-	}
-	e.Observe(auditEvent(3, 2, 9, "clear:norm-outlier"))
-	if findAlert(e.ActiveAlerts(), RuleClientAnomaly) == nil {
-		t.Fatal("alert cleared while collusion still armed")
-	}
-	e.Observe(auditEvent(4, 2, 9, "clear:collusion"))
-	if a := findAlert(e.ActiveAlerts(), RuleClientAnomaly); a != nil {
-		t.Fatalf("alert survived full clear: %+v", *a)
-	}
-}
-
-// TestClientAnomalyScopedPerClient: verdicts for different clients of
-// the same server raise independent alerts.
-func TestClientAnomalyScopedPerClient(t *testing.T) {
-	e := New(Config{})
-	for _, c := range []int{3, 4} {
-		e.Observe(auditEvent(1, 0, c, "norm-outlier"))
-		e.Observe(auditEvent(2, 0, c, "norm-outlier"))
-	}
-	var got int
-	for _, a := range e.ActiveAlerts() {
-		if a.Rule == RuleClientAnomaly {
-			got++
-		}
-	}
-	if got != 2 {
-		t.Fatalf("expected 2 per-client alerts, got %d: %+v", got, e.ActiveAlerts())
-	}
-	e.Observe(auditEvent(3, 0, 3, "clear:norm-outlier"))
-	if len(e.ActiveAlerts()) != 1 {
-		t.Fatalf("clearing client 3 should leave client 4 flagged: %+v", e.ActiveAlerts())
-	}
-}
-
-// TestClientAnomalyFromTelemetry drives the poll path: consecutive
-// flagged telemetry polls raise the alert, an unflagged poll (and a
-// poll no longer reporting the client at all) clears it.
-func TestClientAnomalyFromTelemetry(t *testing.T) {
-	flagged := func(flags ...string) *obs.Telemetry {
-		return &obs.Telemetry{
-			Server: 1,
-			Audit: &obs.TelemetryAudit{
-				Updates: 10,
-				Clients: []obs.TelemetryAuditClient{{Client: 6, Updates: 10, Flags: flags}},
-			},
-		}
-	}
-	e := New(Config{})
-	e.ObserveTelemetry(flagged("norm-outlier"), 1)
-	if a := findAlert(e.ActiveAlerts(), RuleClientAnomaly); a != nil {
-		t.Fatalf("single flagged poll raised an alert: %+v", *a)
-	}
-	e.ObserveTelemetry(flagged("norm-outlier"), 2)
-	a := findAlert(e.ActiveAlerts(), RuleClientAnomaly)
-	if a == nil {
-		t.Fatal("sustained flagged polls raised no alert")
-	}
-	if a.Node != 1 || a.Peer != 6 || a.Severity != Degraded {
-		t.Errorf("alert = %+v", *a)
-	}
-
-	e.ObserveTelemetry(flagged(), 3) // same client polled, no flags
-	if a := findAlert(e.ActiveAlerts(), RuleClientAnomaly); a != nil {
-		t.Fatalf("alert survived an unflagged poll: %+v", *a)
-	}
-
-	// Re-raise, then drop the client from the report entirely.
-	e.ObserveTelemetry(flagged("collusion"), 4)
-	e.ObserveTelemetry(flagged("collusion"), 5)
-	if findAlert(e.ActiveAlerts(), RuleClientAnomaly) == nil {
-		t.Fatal("re-raise failed")
-	}
-	e.ObserveTelemetry(&obs.Telemetry{Server: 1, Audit: &obs.TelemetryAudit{Updates: 12}}, 6)
-	if a := findAlert(e.ActiveAlerts(), RuleClientAnomaly); a != nil {
-		t.Fatalf("alert survived the client vanishing from telemetry: %+v", *a)
-	}
-}

@@ -49,22 +49,5 @@ func (e *Evaluator) ObserveTelemetry(t *obs.Telemetry, at float64) {
 		e.noteBacklog(t.Server, p.Peer, p.OutboxDepth, at)
 	}
 
-	// Audit standing: a flagged client extends its anomaly streak each
-	// poll; a client reported without flags (or no longer reported at
-	// all) clears it.
-	if t.Audit != nil {
-		polled := map[int]bool{}
-		for i := range t.Audit.Clients {
-			c := &t.Audit.Clients[i]
-			polled[c.Client] = true
-			e.noteAuditFlags(t.Server, c.Client, c.Flags, at)
-		}
-		for k, a := range e.audits { //lint:sorted clears only, order-independent
-			if k[0] == t.Server && !polled[k[1]] && (a.streak != 0 || len(a.rules) != 0) {
-				e.noteAuditFlags(t.Server, k[1], nil, at)
-			}
-		}
-	}
-
 	e.AdvanceTo(at)
 }

@@ -76,14 +76,6 @@ const (
 	// epoch, Note = why ("admit", "exclude", or "observed" for epochs
 	// learned from message headers).
 	KindMembership
-	// KindAudit fires when the contribution audit plane
-	// (internal/obs/audit) changes its verdict about a client: Node =
-	// auditing server, Peer = audited client, Note = the rule name
-	// ("norm-outlier", "direction-inversion", "collusion" — prefixed
-	// "clear:" when the anomaly subsided), Score = the rule's score at
-	// the transition (robust z, median cosine, or pairwise similarity),
-	// Stale = the staleness of the client's latest update.
-	KindAudit
 	// KindReject fires when a live server refuses an inbound frame and
 	// closes the connection it arrived on: malformed, over the size the
 	// receiver allows, of the wrong model dimension, non-finite, or not
@@ -107,7 +99,6 @@ var kindNames = map[EventKind]string{
 	KindTokenRegen:   "token-regen",
 	KindTokenRetire:  "token-retire",
 	KindMembership:   "membership",
-	KindAudit:        "audit",
 	KindReject:       "reject",
 }
 
@@ -174,10 +165,6 @@ type Event struct {
 	Note  string    `json:"note,omitempty"`
 	UID   UID       `json:"uid,omitempty"`
 	Front []int64   `json:"front,omitempty"`
-	// Score carries the triggering rule's score on KindAudit events
-	// (zero elsewhere; traces written before the audit extension load
-	// with it zero).
-	Score float64 `json:"score,omitempty"`
 }
 
 // NoPeer marks events without a counterparty.

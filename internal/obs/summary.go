@@ -50,12 +50,6 @@ type Summary struct {
 	Incidents  []Incident
 	EpochSpan  [2]int // lowest/highest membership epoch adopted (when any)
 	EpochMoves int    // KindMembership events
-
-	// Audit verdict totals (KindAudit events): raise/reassert vs clear
-	// transitions, and the sorted IDs of every client ever flagged.
-	AuditRaises  int
-	AuditClears  int
-	AuditClients []int
 }
 
 // Incident is one entry of the fault/recovery/membership timeline.
@@ -88,7 +82,6 @@ func Summarize(events []Event) *Summary {
 
 	lastPass := make(map[int]float64)
 	rttSum := make(map[int]float64)
-	flaggedClients := make(map[int]bool)
 	var staleSum float64
 	var staleN int
 	for i := range evs {
@@ -126,15 +119,6 @@ func Summarize(events []Event) *Summary {
 			s.BytesSent += int64(e.Bytes)
 		case KindMsgRecv:
 			s.BytesRecv += int64(e.Bytes)
-		case KindAudit:
-			// "clear:" is audit.ClearPrefix; the audit package imports obs,
-			// so the prefix is matched literally here.
-			if strings.HasPrefix(e.Note, "clear:") {
-				s.AuditClears++
-			} else {
-				s.AuditRaises++
-				flaggedClients[e.Peer] = true
-			}
 		case KindFault, KindTokenRegen, KindTokenRetire, KindMembership, KindReject:
 			s.Incidents = append(s.Incidents, Incident{
 				Time: e.Time, Kind: e.Kind, Node: e.Node, Bid: e.Bid, Note: e.Note,
@@ -161,10 +145,6 @@ func Summarize(events []Event) *Summary {
 		s.Servers = append(s.Servers, node)
 	}
 	sort.Ints(s.Servers)
-	for c := range flaggedClients {
-		s.AuditClients = append(s.AuditClients, c)
-	}
-	sort.Ints(s.AuditClients)
 	return s
 }
 
@@ -272,15 +252,6 @@ func (s *Summary) WriteText(w io.Writer) {
 			fmt.Fprintf(w, "  membership epochs %d -> %d across %d adoption events\n",
 				s.EpochSpan[0], s.EpochSpan[1], s.EpochMoves)
 		}
-	}
-
-	if s.AuditRaises > 0 || s.AuditClears > 0 {
-		clients := make([]string, 0, len(s.AuditClients))
-		for _, c := range s.AuditClients {
-			clients = append(clients, fmt.Sprintf("c%d", c))
-		}
-		fmt.Fprintf(w, "\naudit verdicts: %d raised, %d cleared, %d clients flagged (%s) — see -mode audit\n",
-			s.AuditRaises, s.AuditClears, len(s.AuditClients), strings.Join(clients, ","))
 	}
 
 	if s.BytesSent > 0 || s.BytesRecv > 0 {

@@ -88,49 +88,6 @@ type Telemetry struct {
 	StalenessBounds []float64 `json:"staleness_bounds,omitempty"`
 	StalenessCounts []int64   `json:"staleness_counts,omitempty"`
 	StalenessSum    float64   `json:"staleness_sum,omitempty"`
-
-	// Audit is the contribution audit plane's per-client view (nil when
-	// auditing is disarmed). The field is additive — version 1 decoders
-	// that predate it simply ignore it.
-	Audit *TelemetryAudit `json:"audit,omitempty"`
-}
-
-// TelemetryAuditClient is one audited client's windowed statistics as
-// maintained by internal/obs/audit: robust per-client norm/direction
-// profiles plus the anomaly rules currently flagging the client.
-type TelemetryAuditClient struct {
-	Client  int   `json:"client"`
-	Updates int64 `json:"updates"`
-	// MedianNorm is the median L2 norm of the client's recent update
-	// deltas; NormZ its robust (median/MAD) z-score against the other
-	// clients of the same server.
-	MedianNorm float64 `json:"median_norm"`
-	NormZ      float64 `json:"norm_z"`
-	// MedianCos is the windowed median cosine similarity of the client's
-	// deltas against the server's reference direction (EMA of recently
-	// merged deltas).
-	MedianCos float64 `json:"median_cos"`
-	// MeanGap is the client's inter-update cadence in stream seconds;
-	// LastStale the staleness of its latest update.
-	MeanGap   float64 `json:"mean_gap,omitempty"`
-	LastStale float64 `json:"last_stale,omitempty"`
-	// LayerNorms is the EMA of the per-layer (or per-segment) share of
-	// the delta norm — the update's "shape" profile.
-	LayerNorms []float64 `json:"layer_norms,omitempty"`
-	// Flags lists the anomaly rules currently flagging this client, in
-	// the audit package's fixed rule order; empty for honest-looking
-	// clients.
-	Flags []string `json:"flags,omitempty"`
-}
-
-// TelemetryAudit is the audit section of a telemetry snapshot.
-type TelemetryAudit struct {
-	// Updates counts audited client updates since process start; Flagged
-	// the clients with at least one active anomaly flag.
-	Updates int64 `json:"updates"`
-	Flagged int   `json:"flagged"`
-	// Clients holds one row per audited client, sorted by client ID.
-	Clients []TelemetryAuditClient `json:"clients,omitempty"`
 }
 
 // StalenessTotal sums the histogram counts (number of aggregated updates

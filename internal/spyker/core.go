@@ -12,7 +12,6 @@ import (
 	"math"
 
 	"github.com/spyker-fl/spyker/internal/obs"
-	"github.com/spyker-fl/spyker/internal/obs/audit"
 	"github.com/spyker-fl/spyker/internal/paramvec"
 	"github.com/spyker-fl/spyker/internal/ring"
 	"github.com/spyker-fl/spyker/internal/tensor"
@@ -218,13 +217,6 @@ type ServerCore struct {
 	// so an uninstrumented core pays one interface call per handler.
 	sink  obs.Sink
 	clock obs.Clock
-
-	// audit, when armed (ArmAudit), receives the raw delta of every
-	// client update at delta-apply time. Same passivity contract as
-	// sink: the recorder only observes, never feeds back, and a nil
-	// recorder skips the statistics entirely — the disarmed hot path is
-	// one pointer check, byte-identical to a pre-audit core.
-	audit *audit.Recorder
 }
 
 // merger carries out the core's plain client merges: merge does
@@ -306,12 +298,6 @@ func (s *ServerCore) Instrument(sink obs.Sink, clock obs.Clock) {
 	s.sink = sink
 	s.clock = clock
 }
-
-// ArmAudit attaches (or with nil detaches) the contribution audit
-// plane. Call before the first handler runs, alongside Instrument; a
-// restored or rebuilt core must be re-armed like it must be
-// re-instrumented.
-func (s *ServerCore) ArmAudit(a *audit.Recorder) { s.audit = a }
 
 // Params returns the live parameter vector (callers must not modify).
 func (s *ServerCore) Params() []float64 { return s.model() }
@@ -581,17 +567,6 @@ func (s *ServerCore) HandleClientUpdate(k int, params []float64, clientAge float
 	}
 	staleness := s.age - clientAge
 	wk := StalenessWeight(s.age, clientAge)
-	if s.audit != nil {
-		// Audit sees the raw pre-clip delta. The clip path recomputes
-		// the same difference into the same scratch below — the model is
-		// untouched in between — so arming audit costs one extra diff
-		// and never an allocation.
-		w := s.model()
-		s.ensureScratch(len(w))
-		d := s.deltaScratch[:len(w)]
-		d.DiffInto(params, w)
-		s.audit.Observe(s.clock(), k, d, w, clientAge, s.age)
-	}
 	s.applyClientDelta(params, s.cfg.EtaServer*wk*damp)
 	s.age++
 	s.ages[s.cfg.ID] = s.age

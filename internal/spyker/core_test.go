@@ -613,3 +613,87 @@ func TestReengageReplyIsAnOwnedCopy(t *testing.T) {
 		t.Fatal("writing to the reply changed the model")
 	}
 }
+
+// aggregateClients is how many clients take turns in the aggregate
+// fixture; aggregateDim is the flat-model size the aggregation benchmarks
+// standardized on (~25k parameters, the MNIST CNN).
+const (
+	aggregateClients = 8
+	aggregateDim     = 25000
+)
+
+// aggregateConfig is a lone server that never synchronizes: only the
+// client-update path runs.
+func aggregateConfig() Config {
+	cfg := coreConfig(0, 1, aggregateClients)
+	cfg.HInter, cfg.HIntra = 1e18, 1e18
+	cfg.DecayEnabled = false
+	return cfg
+}
+
+// loneOutbound is an Outbound for a core with no peers: the reply is
+// dropped and there is nobody to broadcast to.
+func loneOutbound() Outbound { return &loopbackOut{cores: new([]*ServerCore)} }
+
+func randVec(rng *rand.Rand, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	return v
+}
+
+// newAggregateStep builds the aggregate fixture: one core and the step
+// that hands it the next client's update. The handler consumes an update —
+// the vector comes back holding the server's model, the reply — so merging
+// one vector twice would merge a fixed point, with a zero delta the second
+// time. Every client therefore has a vector of its own, and the step that
+// starts a round first re-fills all of them from two pristine updates in
+// alternation — two, because a model fed one update for ever converges
+// onto it and the deltas vanish all the same.
+func newAggregateStep(seed int64, dim int) (*ServerCore, func()) {
+	rng := rand.New(rand.NewSource(seed))
+	core := NewServerCore(aggregateConfig(), randVec(rng, dim), false, loneOutbound())
+	pristine := [2][]float64{randVec(rng, dim), randVec(rng, dim)}
+	updates := make([][]float64, aggregateClients)
+	for k := range updates {
+		updates[k] = make([]float64, dim)
+	}
+	k := 0
+	return core, func() {
+		if k%aggregateClients == 0 {
+			for i, u := range updates {
+				copy(u, pristine[i%2])
+			}
+		}
+		core.HandleClientUpdate(k%aggregateClients, updates[k%aggregateClients], core.Age(), 0)
+		k++
+	}
+}
+
+// TestClientUpdateZeroAlloc pins the client-update hot path at 0
+// allocs/op once the clip-path scratch exists.
+func TestClientUpdateZeroAlloc(t *testing.T) {
+	core, step := newAggregateStep(7, aggregateDim)
+	// Warm up: the first merge may grow the clip-path scratch once.
+	for i := 0; i < 16; i++ {
+		step()
+	}
+	before := tensor.Clone(core.Params())
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Fatalf("server-aggregate: %.1f allocs/op, want 0", allocs)
+	}
+	requireModelMoved(t, before, core.Params())
+}
+
+// requireModelMoved fails when the measured steps merged nothing: a
+// fixture that replays a consumed vector would sit on a fixed point.
+func requireModelMoved(t *testing.T, before, after []float64) {
+	t.Helper()
+	for i := range before {
+		if before[i] != after[i] {
+			return
+		}
+	}
+	t.Fatal("the measured steps left the model where it was: every merged delta was zero")
+}

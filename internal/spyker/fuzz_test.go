@@ -212,6 +212,75 @@ func runFuzzExecution(t *testing.T, seed int64) {
 	}
 }
 
+// TestServerMergesContract pins a known answer of Alg. 2's server merge:
+// every merge moves a model toward another server's model by a weight
+// below one, so with clients that hand each server its own model back (a
+// zero delta, so every movement is a server merge) the server models can
+// only draw together. At every drained point — nothing in flight, every
+// broadcast merged — each coordinate's range across the servers lies
+// inside the range of the drained point before, and the diameter of the
+// server models (their largest pairwise distance) never rises.
+func TestServerMergesContract(t *testing.T) {
+	const (
+		dim     = 4
+		updates = 2000
+		drainAt = 100
+	)
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(4) // 2..5 servers
+		net := newFuzzNet(rng)
+		net.cores = make([]*ServerCore, n)
+		for i := range net.cores {
+			cfg := coreConfig(i, n, 3)
+			cfg.HInter = float64(2 + rng.Intn(5))
+			cfg.HIntra = float64(10 + rng.Intn(30))
+			initial := make([]float64, dim)
+			for c := range initial {
+				initial[c] = 10 * rng.NormFloat64()
+			}
+			net.cores[i] = NewServerCore(cfg, initial, i == 0, &fuzzOut{id: i, net: net})
+		}
+		// lo, hi and diameter describe the server models at a drained point.
+		measure := func() (lo, hi []float64, diameter float64) {
+			lo = tensor.Clone(net.cores[0].Params())
+			hi = tensor.Clone(lo)
+			for i, a := range net.cores {
+				for c, v := range a.Params() {
+					lo[c], hi[c] = min(lo[c], v), max(hi[c], v)
+				}
+				for _, b := range net.cores[i+1:] {
+					diameter = max(diameter, l2dist(a.Params(), b.Params()))
+				}
+			}
+			return lo, hi, diameter
+		}
+		lo, hi, diameter := measure()
+		for u := 1; u <= updates; u++ {
+			core := net.cores[rng.Intn(n)]
+			core.HandleClientUpdate(rng.Intn(3), tensor.Clone(core.Params()), core.Age(), 0)
+			for k := rng.Intn(4); k > 0 && net.step(); k-- {
+			}
+			if u%drainAt != 0 {
+				continue
+			}
+			for net.step() {
+			}
+			nlo, nhi, nd := measure()
+			for c := range lo {
+				if nlo[c] < lo[c] || nhi[c] > hi[c] {
+					t.Fatalf("seed %d, update %d: coordinate %d spans [%v, %v], outside the previous [%v, %v]",
+						seed, u, c, nlo[c], nhi[c], lo[c], hi[c])
+				}
+			}
+			if nd > diameter {
+				t.Fatalf("seed %d, update %d: diameter rose from %v to %v", seed, u, diameter, nd)
+			}
+			lo, hi, diameter = nlo, nhi, nd
+		}
+	}
+}
+
 // TestProtocolFuzzTokenNeverDuplicated runs a longer adversarial
 // execution where age announcements race with token forwarding, and
 // checks after every single delivery that at most one token exists.

@@ -8,7 +8,6 @@ import (
 	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/geo"
 	"github.com/spyker-fl/spyker/internal/obs"
-	"github.com/spyker-fl/spyker/internal/obs/audit"
 	"github.com/spyker-fl/spyker/internal/paramvec"
 	"github.com/spyker-fl/spyker/internal/ring"
 	"github.com/spyker-fl/spyker/internal/simulation"
@@ -133,11 +132,6 @@ type simServer struct {
 	chain  mergeChain
 	queue  *fl.ProcQueue
 	client map[int]*fl.SimClient
-
-	// audit is this server's contribution audit plane (nil unless
-	// Env.Audit armed it). It outlives core swaps: a restarted
-	// incarnation keeps auditing with the same per-client history.
-	audit *audit.Recorder
 
 	// Failure-injection state, only touched when faultsArmed. down marks
 	// a crashed server: arriving messages are discarded. left marks a
@@ -271,9 +265,8 @@ func (a *Algorithm) newSimServer(env *fl.Env, id int) *simServer {
 }
 
 // adopt installs core as the server's protocol state — at build, after a
-// restart, on joining — instrumented, merging off the event loop through
-// the server's chain and, when the environment arms the audit plane,
-// feeding the server's one recorder. The chain is joined first, so the
+// restart, on joining — instrumented and merging off the event loop
+// through the server's chain. The chain is joined first, so the
 // core it replaces has finished merging into its model and into the
 // replies in flight, and every merge of a chain writes one model.
 func (s *simServer) adopt(core *ServerCore) {
@@ -281,12 +274,6 @@ func (s *simServer) adopt(core *ServerCore) {
 	core.merger = &s.chain
 	s.core = core
 	core.Instrument(s.env.Trace, s.env.Sim.Now)
-	if s.env.Audit {
-		if s.audit == nil {
-			s.audit = audit.NewRecorder(s.id, s.env.Trace)
-		}
-		core.ArmAudit(s.audit)
-	}
 }
 
 // submit queues job kind for msg i on s's processing queue. With faults
