@@ -1,9 +1,9 @@
-// Command spyker-lint runs the repository's static analyzers
+// Command spyker-lint runs the repository's five static analyzers
 // (internal/lint) over the given package patterns: determinism of the
-// emulation layers, allocation-freedom of //spyker:noalloc hot paths
-// (AST checks plus the compiler's escape analysis), passivity of
-// obs.Sink implementations, and consumed errors on transport/live send
-// paths. CI runs it before the test steps; any finding fails the build.
+// emulation layers, consumed errors on transport/live send paths, the
+// //spyker:guardedby mutex protocol, goroutine shutdown ties, and the
+// parallel-kernel idiom. CI runs it before the test steps; any finding
+// fails the build.
 //
 // Usage:
 //
@@ -11,7 +11,6 @@
 //	spyker-lint -list                     # enumerate analyzers
 //	spyker-lint -only determinism ./...   # one analyzer
 //	spyker-lint -json ./internal/spyker   # machine-readable findings
-//	spyker-lint -escape=false ./...       # skip the compile -m gate
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load error.
 package main
@@ -37,7 +36,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	var (
 		jsonOut = fs.Bool("json", false, "print findings as JSON instead of compiler-style lines")
 		only    = fs.String("only", "", "comma-separated analyzer names to run (empty = all)")
-		escape  = fs.Bool("escape", true, "run the escape-analysis gate on //spyker:noalloc packages")
 		list    = fs.Bool("list", false, "list analyzers and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -61,7 +59,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := lint.DefaultConfig()
-	cfg.EscapeGate = *escape
 	if wd, err := os.Getwd(); err == nil {
 		cfg.RelDir = wd
 	}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -120,37 +122,68 @@ func TestDecayStudyStructure(t *testing.T) {
 	}
 }
 
+// bandwidthOrdering is Fig. 12's claim as a predicate over a
+// BandwidthStudy: one row per comparison algorithm, each of which consumed
+// bandwidth; synchronous single-server FedAvg consumes less than
+// asynchronous FedAsync and multi-server Spyker; and only the multi-server
+// systems produce server-server traffic. It returns nil when the claim
+// holds, and otherwise an error naming the first ordering that failed.
+func bandwidthOrdering(s *BandwidthStudy) error {
+	if len(s.Rows) != len(ComparisonAlgorithms) {
+		return fmt.Errorf("one row per algorithm: %d rows for %d algorithms", len(s.Rows), len(ComparisonAlgorithms))
+	}
+	byName := map[string]BandwidthRow{}
+	for _, r := range s.Rows {
+		if r.Total() <= 0 {
+			return fmt.Errorf("every algorithm consumes bandwidth: %s consumed %d bytes", r.Algorithm, r.Total())
+		}
+		byName[r.Algorithm] = r
+	}
+	total := func(alg string) int { return byName[alg].Total() }
+	for _, more := range []string{"Spyker", "FedAsync"} {
+		if total("FedAvg") >= total(more) {
+			return fmt.Errorf("FedAvg < %s in total bytes: %d >= %d", more, total("FedAvg"), total(more))
+		}
+	}
+	for _, alg := range []string{"FedAvg", "FedAsync"} {
+		if n := byName[alg].ServerServerBytes; n != 0 {
+			return fmt.Errorf("single-server %s sends no server-server bytes: it sent %d", alg, n)
+		}
+	}
+	for _, alg := range []string{"Spyker", "HierFAVG"} {
+		if byName[alg].ServerServerBytes == 0 {
+			return fmt.Errorf("multi-server %s sends server-server bytes: it sent none", alg)
+		}
+	}
+	return nil
+}
+
+// TestBandwidthStudyOrdering checks bandwidthOrdering on the study its
+// golden records, and that the predicate names an ordering it is shown
+// broken.
 func TestBandwidthStudyOrdering(t *testing.T) {
 	s, err := RunBandwidthStudy(0.12, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Rows) != len(ComparisonAlgorithms) {
-		t.Fatalf("rows = %d", len(s.Rows))
-	}
-	byName := map[string]BandwidthRow{}
-	for _, r := range s.Rows {
-		if r.Total() <= 0 {
-			t.Errorf("%s consumed no bandwidth", r.Algorithm)
-		}
-		byName[r.Algorithm] = r
-	}
-	// Fig. 12's ordering: synchronous single-server FedAvg consumes the
-	// least; fully asynchronous multi-server Spyker the most.
-	if byName["FedAvg"].Total() >= byName["Spyker"].Total() {
-		t.Errorf("FedAvg %d >= Spyker %d", byName["FedAvg"].Total(), byName["Spyker"].Total())
-	}
-	if byName["FedAvg"].Total() >= byName["FedAsync"].Total() {
-		t.Errorf("FedAvg %d >= FedAsync %d", byName["FedAvg"].Total(), byName["FedAsync"].Total())
-	}
-	// Only the multi-server systems produce server-server traffic.
-	if byName["FedAvg"].ServerServerBytes != 0 || byName["FedAsync"].ServerServerBytes != 0 {
-		t.Error("single-server systems recorded server-server traffic")
-	}
-	if byName["Spyker"].ServerServerBytes == 0 || byName["HierFAVG"].ServerServerBytes == 0 {
-		t.Error("multi-server systems recorded no server-server traffic")
+	if err := bandwidthOrdering(s); err != nil {
+		t.Error(err)
 	}
 	golden(t, "bandwidth", s.Render())
+
+	sum := 0
+	for _, r := range s.Rows {
+		sum += r.Total()
+	}
+	broken := &BandwidthStudy{Rows: slices.Clone(s.Rows)}
+	for i, r := range broken.Rows {
+		if r.Algorithm == "FedAvg" {
+			broken.Rows[i].ClientServerBytes += sum
+		}
+	}
+	if err := bandwidthOrdering(broken); err == nil || !strings.Contains(err.Error(), "FedAvg < Spyker") {
+		t.Errorf("FedAvg made the largest consumer: verdict %v, want one naming FedAvg < Spyker", err)
+	}
 }
 
 func TestScalabilityStudyStructure(t *testing.T) {

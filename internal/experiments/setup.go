@@ -416,7 +416,6 @@ func BuildEnv(s Setup) (*fl.Env, *metrics.Recorder, error) {
 		Observer:   rec,
 		Seed:       s.Seed,
 		Trace:      sink,
-		Metrics:    reg,
 		Faults:     s.Faults,
 	}
 	return env, rec, nil

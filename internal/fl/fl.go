@@ -252,9 +252,6 @@ type Env struct {
 	// instrumentation sites can emit unconditionally behind an Enabled
 	// check. Sinks only record — they never perturb the schedule.
 	Trace obs.Sink
-	// Metrics is the runtime metrics registry; Validate installs an empty
-	// one when nil.
-	Metrics *obs.Registry
 	// Pool recycles model-sized buffers across the simulation's actors —
 	// the shared parameter-vector memory plane. Validate installs one when
 	// nil. Buffers handed out by it must be fully overwritten before use
@@ -310,9 +307,6 @@ func (e *Env) Validate() error {
 	}
 	if e.Trace == nil {
 		e.Trace = obs.Nop{}
-	}
-	if e.Metrics == nil {
-		e.Metrics = obs.NewRegistry()
 	}
 	if e.Pool == nil {
 		e.Pool = &paramvec.Pool{}

@@ -42,6 +42,138 @@ func TestRaceListCoversConcurrentPackages(t *testing.T) {
 	}
 }
 
+// runtimePkgs are the packages an obs.Sink must never reach: the two
+// runtimes and the protocol core they drive. A sink that could call into
+// one of them could change the schedule it records.
+var runtimePkgs = []string{"internal/spyker", "internal/simulation", "internal/live"}
+
+// TestSinksStayPassive keeps enabling observability from feeding back
+// into a run: no non-test package that is, or imports (directly or
+// transitively), one of runtimePkgs declares a type whose value or pointer
+// implements obs.Sink. Every sink lives where the runtimes are out of
+// reach, as internal/obs's do; TestTracingDoesNotPerturbSimulation
+// (internal/experiments) is the end-to-end proof that they record only.
+func TestSinksStayPassive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module")
+	}
+	pkgs, err := Load(findModuleRoot(t), "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const module = "github.com/spyker-fl/spyker/"
+	imports := map[string][]string{}
+	for _, p := range pkgs {
+		for _, imp := range p.Types.Imports() {
+			imports[p.ImportPath] = append(imports[p.ImportPath], imp.Path())
+		}
+	}
+	// Import graphs have no cycles, so the memo needs no visited set.
+	reaches := map[string]bool{}
+	var reach func(path string) bool
+	reach = func(path string) bool {
+		if r, ok := reaches[path]; ok {
+			return r
+		}
+		r := hasPkgSuffix(path, runtimePkgs)
+		for _, imp := range imports[path] {
+			r = r || (strings.HasPrefix(imp, module) && reach(imp))
+		}
+		reaches[path] = r
+		return r
+	}
+	sinks := 0
+	for _, p := range pkgs {
+		for _, name := range p.Types.Scope().Names() {
+			tn, ok := p.Types.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || !implementsSink(tn.Type()) {
+				continue
+			}
+			sinks++
+			if reach(p.ImportPath) {
+				t.Errorf("%s: %s implements obs.Sink in %s, which reaches %s: declare sinks where the runtimes are out of reach",
+					p.Fset.Position(tn.Pos()), name, p.ImportPath, strings.Join(runtimePkgs, ", "))
+			}
+		}
+	}
+	if sinks == 0 {
+		t.Fatal("found no obs.Sink implementation at all; the detector is broken")
+	}
+}
+
+// implementsSink reports whether a value of t or a pointer to one has
+// obs.Sink's two methods, Enabled() bool and Emit(obs.Event). It compares
+// types as strings because each package sees obs through its own import,
+// not as one *types.Package.
+func implementsSink(t types.Type) bool {
+	if types.IsInterface(t) {
+		return false
+	}
+	ms := types.NewMethodSet(types.NewPointer(t))
+	sig := func(name string) *types.Signature {
+		if sel := ms.Lookup(nil, name); sel != nil {
+			return sel.Type().(*types.Signature)
+		}
+		return nil
+	}
+	enabled, emit := sig("Enabled"), sig("Emit")
+	return enabled != nil && emit != nil &&
+		enabled.Params().Len() == 0 && enabled.Results().Len() == 1 &&
+		types.Identical(enabled.Results().At(0).Type(), types.Typ[types.Bool]) &&
+		emit.Params().Len() == 1 && emit.Results().Len() == 0 &&
+		types.TypeString(emit.Params().At(0).Type(), nil) == "github.com/spyker-fl/spyker/internal/obs.Event"
+}
+
+// unfusedExempt names the deterministic packages the CI step "no fused
+// multiply-adds in the protocol path" leaves out of its pattern, each with
+// the reason.
+var unfusedExempt = map[string]string{
+	"internal/tensor":                        "ROADMAP 11(a): its portable kernels fuse (64 sites on arm64), and tensor.Exp's math.FMA calls are meant",
+	"internal/fault":                         "CrashPlan's crash times (fault.go) fuse on arm64, s390x and riscv64",
+	"internal/lint/testdata/src/determinism": "a lint fixture, built by no CI step",
+	"internal/lint/testdata/src/paridiom":    "a lint fixture, built by no CI step",
+}
+
+// TestFusedListCoversDeterministicPackages keeps one list of deterministic
+// packages: every DefaultConfig().DeterministicPkgs entry is in the
+// pattern of the CI step that fails on fused multiply-adds, or in
+// unfusedExempt, and no exemption outlives its reason.
+func TestFusedListCoversDeterministicPackages(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join(findModuleRoot(t), ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatalf("reading CI workflow: %v", err)
+	}
+	_, step, ok := strings.Cut(string(raw), "- name: no fused multiply-adds in the protocol path")
+	if !ok {
+		t.Fatal("ci.yml has no step named \"no fused multiply-adds in the protocol path\"")
+	}
+	step, _, _ = strings.Cut(step, "- name:")
+	m := regexp.MustCompile(`internal/\(([a-z/|]+)\)/`).FindStringSubmatch(step)
+	if m == nil {
+		t.Fatal("the fused multiply-add step has no internal/(a|b|...)/ pattern to guard")
+	}
+	guarded := map[string]bool{}
+	for _, p := range strings.Split(m[1], "|") {
+		guarded["internal/"+p] = true
+	}
+	deterministic := map[string]bool{}
+	for _, p := range DefaultConfig().DeterministicPkgs {
+		deterministic[p] = true
+		_, exempt := unfusedExempt[p]
+		switch {
+		case guarded[p] && exempt:
+			t.Errorf("%s is in the fused multiply-add step's pattern and exempt from it: drop the exemption", p)
+		case !guarded[p] && !exempt:
+			t.Errorf("deterministic package %s is missing from the pattern of the fused multiply-add step in .github/workflows/ci.yml", p)
+		}
+	}
+	for p := range unfusedExempt {
+		if !deterministic[p] {
+			t.Errorf("unfusedExempt names %s, which is not in DeterministicPkgs", p)
+		}
+	}
+}
+
 // unsafeFile is the one non-test file of the module that may import
 // unsafe: internal/transport's view backend, which sends and receives a
 // model's words as the bytes they already are.

@@ -26,32 +26,6 @@
 // order-sensitive use, or the loop body is a commutative reduction or
 // map-to-map copy.
 //
-// noalloc — functions annotated //spyker:noalloc (the paramvec fused
-// kernels, the ServerCore aggregation arithmetic, and the live runtime's
-// pooled receive path) must not allocate. The analyzer rejects, at the
-// AST level: make/new/append, composite literals that allocate (slice and
-// map literals, and &T{} pointer literals; plain value struct literals
-// are stack values and are left to the escape gate), string
-// concatenation, string<->[]byte/[]rune conversions, closures, interface
-// boxing of non-pointer-shaped values, and any call into package fmt.
-// Calls to other functions are permitted — an allocation inside a callee
-// is attributed to the callee, which keeps annotations composable (a
-// kernel may call another kernel, and a guarded observability emission
-// may call into obs). On top of the AST pass, an escape-analysis gate
-// compiles each annotated package with `go tool compile -m` (via an
-// importcfg assembled from `go list -export`) and flags every
-// "escapes to heap" / "moved to heap" diagnostic whose position falls
-// inside an annotated function — catching what the AST cannot, e.g. a
-// parameter whose address escapes. Escapes of constant string literals
-// are ignored: they are static rodata, not runtime allocations.
-//
-// sinkpassivity — obs.Sink implementations must stay passive: enabling
-// observability may never feed back into the schedule. In every package
-// except internal/obs itself (whose sinks own the obs state by
-// definition), the Emit and Enabled methods of any type implementing
-// obs.Sink may neither write package-level state outside internal/obs nor
-// call back into internal/spyker, internal/simulation, or internal/live.
-//
 // sendcheck — send/encode calls on the live wire may not drop their
 // errors silently. A call to an error-returning function or method of
 // internal/transport or internal/live whose name starts with Send, Recv,
@@ -105,6 +79,37 @@
 // whose combine is provably order-independent carries
 // //spyker:ordered(reason).
 //
+// # Ledger
+//
+// An analyzer stays while it catches something no test does. For each:
+// its non-test lines, what it checks in the tree, and one mutation of
+// the tree, tried on a copy, that it reports and that fails no tier-1
+// test but the two that run the analyzers (TestRealTreeClean,
+// cmd/spyker-lint's TestCleanTreeExitsZero).
+//
+//	determinism     108 lines; 14 packages, 6 //lint:sorted waivers.
+//	                spyker.ServerAggWeight calls math.Exp for tensor.Exp:
+//	                the same bits on a CPU with FMA, so every test passes,
+//	                and other bits for every sync weight without FMA.
+//	sendcheck        88 lines; 23 send, receive and codec calls.
+//	                Server.WriteCheckpoint drops its json Encode error: a
+//	                model that does not encode leaves a cut checkpoint
+//	                under a valid checksum.
+//	lockdiscipline  737 lines + cfg.go 513; 41 guarded fields, 18 locked
+//	                functions. Server.SyncsTriggered reads s.core and its
+//	                counters without s.mu; no test calls it beside a writer.
+//	goroutinelife   316 lines; 15 go statements in the runtime packages.
+//	                acceptLoop leaves s.wg: Close no longer waits for the
+//	                accept loop, which can still start a reader after Close
+//	                has returned.
+//	paridiom        235 lines; 3 functions that spawn in deterministic
+//	                packages (fl.fanOut, simulation.startWorkers,
+//	                fault.Proc.start). fanOut cut at runtime.NumCPU: it
+//	                reports the cut, which moves no bit, because every
+//	                worker writes its own indices and the caller combines
+//	                them in order. Nothing in the tree reduces in
+//	                parallel, so paridiom is the next candidate to go.
+//
 // # Reachability
 //
 // Only what runs: every non-test declaration of the module — function,
@@ -152,19 +157,6 @@
 // the test.
 //
 // # Annotation contract
-//
-// //spyker:noalloc goes on the doc comment of a function or method. It
-// promises that the function's own statements perform no heap allocation
-// on any path: the AST pass enforces the constructs above, and the escape
-// gate enforces the compiler's escape verdicts for the function body.
-// The contract is per-function, not transitive — callees are checked only
-// if they carry their own annotation — and map writes (which may grow the
-// map) remain the annotated function's responsibility. The annotation is
-// the static counterpart of the run-time allocation guards:
-// TestClientUpdateZeroAlloc (internal/spyker) proves the aggregation hot
-// path runs at 0 allocs/op and the benchmark's go.allocs_per_update counts
-// what a whole run allocates per update, the annotation pins which
-// functions that property lives in.
 //
 // //lint:sorted goes on (or directly above) a `range` statement over a
 // map in a deterministic layer and documents why the iteration is safe;

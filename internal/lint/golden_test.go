@@ -99,25 +99,6 @@ func TestGoldenDeterminism(t *testing.T) {
 	runGolden(t, DefaultConfig(), "determinism")
 }
 
-// TestGoldenNoallocAST checks the syntax-level pass alone; the escape
-// gate is off so the expectations stay exactly the AST findings.
-func TestGoldenNoallocAST(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.EscapeGate = false
-	runGolden(t, cfg, "noalloc")
-}
-
-// TestGoldenNoallocEscape proves the compiler-backed gate: the fixture
-// functions are AST-clean, every finding below comes from `go tool
-// compile -m` — including a parameter moved to the heap.
-func TestGoldenNoallocEscape(t *testing.T) {
-	runGolden(t, DefaultConfig(), "noallocescape")
-}
-
-func TestGoldenSinkPassivity(t *testing.T) {
-	runGolden(t, DefaultConfig(), "sinkpassivity")
-}
-
 func TestGoldenSendCheck(t *testing.T) {
 	runGolden(t, DefaultConfig(), "sendcheck")
 }
@@ -138,7 +119,7 @@ func TestGoldenParIdiom(t *testing.T) {
 // the default configuration — the same invocation CI runs.
 func TestRealTreeClean(t *testing.T) {
 	if testing.Short() {
-		t.Skip("compiles the whole module through the escape gate")
+		t.Skip("type-checks the whole module")
 	}
 	diags, err := Run(DefaultConfig(), "../..", nil, "./...")
 	if err != nil {

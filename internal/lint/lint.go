@@ -42,25 +42,19 @@ type Config struct {
 	// DeterministicPkgs are import-path suffixes of the packages the
 	// determinism analyzer applies to.
 	DeterministicPkgs []string
-	// SinkCallbackPkgs are import-path suffixes an obs.Sink implementation
-	// must never call back into.
-	SinkCallbackPkgs []string
 	// SendPkgs are import-path suffixes whose error-returning send/encode
 	// calls must be consumed.
 	SendPkgs []string
 	// RuntimePkgs are import-path suffixes of the concurrent runtime
 	// packages whose goroutines must be tied to a shutdown mechanism.
 	RuntimePkgs []string
-	// EscapeGate enables the noalloc analyzer's `go tool compile -m` pass
-	// on packages containing //spyker:noalloc annotations.
-	EscapeGate bool
 	// RelDir, when non-empty, makes diagnostic file paths relative to it.
 	RelDir string
 }
 
 // DefaultConfig is the repository policy: the deterministic layers of the
-// emulation stack, the runtime packages sinks must not re-enter, the wire
-// packages whose send errors are load-bearing, and the escape gate on.
+// emulation stack, the wire packages whose send errors are load-bearing,
+// and the runtime packages whose goroutines must end.
 // The lint fixture packages under internal/lint/testdata are included so
 // the shipped binary flags them exactly like the layers they imitate —
 // which is also what keeps the golden tests honest about CLI behaviour.
@@ -76,9 +70,6 @@ func DefaultConfig() *Config {
 			"internal/lint/testdata/src/determinism",
 			"internal/lint/testdata/src/paridiom",
 		},
-		SinkCallbackPkgs: []string{
-			"internal/spyker", "internal/simulation", "internal/live",
-		},
 		SendPkgs: []string{
 			"internal/transport", "internal/live",
 			"cmd/spyker-mon", "cmd/spyker-live",
@@ -90,7 +81,6 @@ func DefaultConfig() *Config {
 			"internal/ring", "cmd/spyker-mon", "cmd/spyker-live",
 			"internal/lint/testdata/src/goroutinelife",
 		},
-		EscapeGate: true,
 	}
 }
 
@@ -101,16 +91,6 @@ func Analyzers() []*Analyzer {
 			Name: "determinism",
 			Doc:  "forbid time.Now, global math/rand, math.Exp/Tanh outside tensor, and unwaived map ranges in deterministic layers",
 			Run:  runDeterminism,
-		},
-		{
-			Name: "noalloc",
-			Doc:  "forbid allocation constructs and compiler-proven escapes in //spyker:noalloc functions",
-			Run:  runNoalloc,
-		},
-		{
-			Name: "sinkpassivity",
-			Doc:  "obs.Sink implementations must not write foreign state or re-enter the runtimes",
-			Run:  runSinkPassivity,
 		},
 		{
 			Name: "sendcheck",

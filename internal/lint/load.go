@@ -28,11 +28,6 @@ type Package struct {
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
-
-	// exports maps every import path in the build's dependency closure to
-	// its export-data file — the raw material for the escape gate's
-	// importcfg.
-	exports map[string]string
 }
 
 // listPackage is the subset of `go list -json` output the loader needs.
@@ -106,7 +101,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 
 	pkgs := make([]*Package, 0, len(targets))
 	for _, t := range targets {
-		pkg, err := typecheck(fset, imp, t, exports)
+		pkg, err := typecheck(fset, imp, t)
 		if err != nil {
 			return nil, err
 		}
@@ -116,7 +111,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 }
 
 // typecheck parses and type-checks one listed package.
-func typecheck(fset *token.FileSet, imp types.Importer, t listPackage, exports map[string]string) (*Package, error) {
+func typecheck(fset *token.FileSet, imp types.Importer, t listPackage) (*Package, error) {
 	files := make([]*ast.File, 0, len(t.GoFiles))
 	paths := make([]string, 0, len(t.GoFiles))
 	for _, name := range t.GoFiles {
@@ -147,7 +142,6 @@ func typecheck(fset *token.FileSet, imp types.Importer, t listPackage, exports m
 		Files:      files,
 		Types:      tpkg,
 		Info:       info,
-		exports:    exports,
 	}, nil
 }
 

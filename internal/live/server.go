@@ -1049,8 +1049,6 @@ func (s *Server) unregisterClient(id int, l *clientLink) {
 // *transport.FrameError before the core is touched. A client connection a
 // re-hello has replaced is refused too (errReplaced), which is what makes
 // the reply's link the calling reader's own.
-//
-//spyker:noalloc
 func (s *Server) dispatch(role, id int, link *clientLink, m *transport.Msg) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

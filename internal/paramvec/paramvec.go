@@ -37,8 +37,6 @@ func (v Vec) Zero() {
 }
 
 // AxpyInto computes v += alpha*x, the classic saxpy accumulation.
-//
-//spyker:noalloc
 func (v Vec) AxpyInto(alpha float64, x []float64) {
 	mustSameLen(len(v), len(x))
 	for i := range v {
@@ -51,8 +49,6 @@ func (v Vec) AxpyInto(alpha float64, x []float64) {
 // server merge (Alg. 2) of the Spyker protocol, and the convex-combination
 // step of every baseline aggregation rule. w=0 leaves v unchanged, w=1
 // replaces v with x. The sweep is tensor.WeightedMerge.
-//
-//spyker:noalloc
 func (v Vec) WeightedMergeInto(w float64, x []float64) {
 	tensor.WeightedMerge(v, w, x)
 }
@@ -69,16 +65,12 @@ func (v Vec) WeightedMergeInto(w float64, x []float64) {
 // side by side to keep loads in flight. Element for element it is still
 // the expression of WeightedMergeInto and nothing is summed across
 // elements, so v ends up with the same bits and x with a copy of them.
-//
-//spyker:noalloc
 func (v Vec) MergeReplyInto(w float64, x []float64) {
 	tensor.MergeReply(v, w, x)
 }
 
 // AddScaledDiff computes v += alpha*(x - y) without materializing the
 // difference — the buffered-delta accumulation of FedBuff-style rules.
-//
-//spyker:noalloc
 func (v Vec) AddScaledDiff(alpha float64, x, y []float64) {
 	mustSameLen(len(v), len(x))
 	mustSameLen(len(v), len(y))
@@ -88,8 +80,6 @@ func (v Vec) AddScaledDiff(alpha float64, x, y []float64) {
 }
 
 // DiffInto computes v = x - y.
-//
-//spyker:noalloc
 func (v Vec) DiffInto(x, y []float64) {
 	mustSameLen(len(v), len(x))
 	mustSameLen(len(v), len(y))

@@ -287,8 +287,33 @@ func TestMergeReplyIntoLengthMismatchPanics(t *testing.T) {
 }
 
 func TestMergeReplyIntoAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a -race build's own allocations count against the bound")
+	}
 	v, x := New(16384), make([]float64, 16384)
 	if allocs := testing.AllocsPerRun(50, func() { v.MergeReplyInto(0.3, x) }); allocs != 0 {
 		t.Fatalf("MergeReplyInto: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestKernelsAllocateNothing pins the other in-place kernels of the merge
+// and aggregation paths at 0 allocs/op.
+func TestKernelsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a -race build's own allocations count against the bound")
+	}
+	v, x, y := New(16384), make([]float64, 16384), make([]float64, 16384)
+	for _, k := range []struct {
+		name string
+		f    func()
+	}{
+		{"AxpyInto", func() { v.AxpyInto(0.3, x) }},
+		{"WeightedMergeInto", func() { v.WeightedMergeInto(0.3, x) }},
+		{"AddScaledDiff", func() { v.AddScaledDiff(0.3, x, y) }},
+		{"DiffInto", func() { v.DiffInto(x, y) }},
+	} {
+		if allocs := testing.AllocsPerRun(50, k.f); allocs != 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", k.name, allocs)
+		}
 	}
 }

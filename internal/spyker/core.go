@@ -587,12 +587,8 @@ func (s *ServerCore) HandleClientUpdate(k int, params []float64, clientAge float
 }
 
 // ensureScratch grows the clip-path scratch buffer to hold at least n
-// elements. Kept out of applyClientDelta — and pinned out-of-line,
-// because the inliner would otherwise re-attribute the make to the call
-// site — so the one legitimate allocation of the clip path (first use,
-// or a model-size change) stays outside the //spyker:noalloc region.
-//
-//go:noinline
+// elements: the clip path's one allocation, on first use or after a
+// model-size change.
 func (s *ServerCore) ensureScratch(n int) {
 	if cap(s.deltaScratch) < n {
 		s.deltaScratch = paramvec.New(n)
@@ -608,8 +604,6 @@ func (s *ServerCore) ensureScratch(n int) {
 // it cannot write the reply in the merging sweep and copies it afterwards.
 // The plain sweep is the merger's, which may leave it pending when this
 // returns.
-//
-//spyker:noalloc
 func (s *ServerCore) applyClientDelta(params []float64, weight float64) {
 	if s.cfg.RobustClipFactor <= 0 {
 		s.merger.merge(s.w, weight, params)
@@ -943,11 +937,7 @@ func (s *ServerCore) forwardToken() {
 // broadcast carried one) max-merges into the local frontier, and the
 // emitted event carries the post-merge frontier plus the round's UID so
 // the lineage analyzer can attribute every newly covered update to this
-// hop. (The guarded emission may allocate inside its obs callees when a
-// sink is attached; the noalloc contract covers this function's own
-// statements — see internal/lint.)
-//
-//spyker:noalloc
+// hop.
 func (s *ServerCore) serverAgg(from int, params []float64, remoteAge float64, bid int, front []int64) {
 	ageDrift := remoteAge - s.age
 	w := ServerAggWeight(s.cfg.Phi, s.age, remoteAge)

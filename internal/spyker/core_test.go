@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/paramvec"
 	"github.com/spyker-fl/spyker/internal/ring"
 	"github.com/spyker-fl/spyker/internal/tensor"
@@ -672,10 +673,13 @@ func newAggregateStep(seed int64, dim int) (*ServerCore, func()) {
 }
 
 // TestClientUpdateZeroAlloc pins the client-update hot path at 0
-// allocs/op once the clip-path scratch exists.
+// allocs/op: applyClientDelta's plain merge.
 func TestClientUpdateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a -race build's own allocations count against the bound")
+	}
 	core, step := newAggregateStep(7, aggregateDim)
-	// Warm up: the first merge may grow the clip-path scratch once.
+	// Warm up, as a running server has.
 	for i := 0; i < 16; i++ {
 		step()
 	}
@@ -696,4 +700,86 @@ func requireModelMoved(t *testing.T, before, after []float64) {
 		}
 	}
 	t.Fatal("the measured steps left the model where it was: every merged delta was zero")
+}
+
+// TestClippedClientUpdateAllocations pins applyClientDelta's clip path: 0
+// allocs/op once the scratch exists, on updates it clips and on updates it
+// leaves alone, and exactly 1, the scratch itself (ensureScratch), on a
+// call that finds it too small: the first, or one after a model-size
+// change.
+func TestClippedClientUpdateAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a -race build's own allocations count against the bound")
+	}
+	core, step := newAggregateStep(7, aggregateDim)
+	core.cfg.RobustClipFactor = 1
+	for i := 0; i < 16; i++ {
+		step()
+	}
+	// A factor no delta reaches, then one every delta exceeds.
+	for _, c := range []struct {
+		factor  float64
+		clipped bool
+	}{{1e9, false}, {1e-3, true}} {
+		core.cfg.RobustClipFactor = c.factor
+		before, clipped := tensor.Clone(core.Params()), core.clipped
+		if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+			t.Fatalf("client update at clip factor %g: %.1f allocs/op, want 0", c.factor, allocs)
+		}
+		requireModelMoved(t, before, core.Params())
+		if (core.clipped > clipped) != c.clipped {
+			t.Fatalf("clip factor %g clipped %d updates: the guard missed the branch it measures", c.factor, core.clipped-clipped)
+		}
+	}
+	first := func() {
+		core.deltaScratch, core.emaReady = nil, false
+		step()
+	}
+	if allocs := testing.AllocsPerRun(20, first); allocs != 1 {
+		t.Fatalf("first clip-path update: %.1f allocs/op, want 1 (the scratch)", allocs)
+	}
+}
+
+// enabledSink is a sink that takes every event and keeps none.
+type enabledSink struct{}
+
+func (enabledSink) Enabled() bool  { return true }
+func (enabledSink) Emit(obs.Event) {}
+
+// TestServerAggAllocations pins serverAgg: without a sink it allocates
+// nothing, whether the remote frontier moves the local one or not; with a
+// sink, exactly the frontier copy its event carries (Frontier). Every
+// measured call takes the path it is measured on: AllocsPerRun rounds its
+// average down.
+func TestServerAggAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a -race build's own allocations count against the bound")
+	}
+	rng := rand.New(rand.NewSource(3))
+	s := NewServerCore(coreConfig(0, 2, 2), randVec(rng, aggregateDim), false, loneOutbound())
+	remote := randVec(rng, aggregateDim)
+	front := []int64{0, 0}
+	hold := func() { s.serverAgg(1, remote, s.Age()+1, 1, front) }
+	raise := func() {
+		front[1]++
+		hold()
+	}
+	for _, c := range []struct {
+		name   string
+		sink   obs.Sink
+		agg    func()
+		allocs float64
+	}{
+		{"without a sink, frontier held", nil, hold, 0},
+		{"without a sink, frontier raised", nil, raise, 0},
+		{"with a sink", enabledSink{}, raise, 1},
+	} {
+		s.Instrument(c.sink, func() float64 { return 0 })
+		if allocs := testing.AllocsPerRun(100, c.agg); allocs != c.allocs {
+			t.Errorf("serverAgg %s: %.1f allocs/op, want %v", c.name, allocs, c.allocs)
+		}
+	}
+	if s.frontier[1] != front[1] {
+		t.Fatalf("local frontier entry %d, want the remote's %d", s.frontier[1], front[1])
+	}
 }

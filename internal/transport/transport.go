@@ -481,8 +481,6 @@ func (c *Conn) Recv() (*Msg, error) {
 // A frame that fails validation yields a *FrameError; after any error m's
 // contents are unspecified (its Params may be half a frame) and still m's
 // owner's to release.
-//
-//spyker:noalloc
 func (c *Conn) RecvInto(m *Msg) error {
 	h := c.hdr[:]
 	if _, err := io.ReadFull(c.raw, h); err != nil {
@@ -553,7 +551,7 @@ func (c *Conn) RecvInto(m *Msg) error {
 		if b, err = c.readBody(int(body)); err != nil {
 			return err
 		}
-		m.Params = newFloats(int(nParams))
+		m.Params = make([]float64, nParams)
 		finite := getFloats(m.Params, b)
 		b = b[8*nParams:]
 		if cap(c.rbuf) > firstRead {
@@ -586,10 +584,7 @@ func (c *Conn) readBody(n int) ([]byte, error) {
 // readGrowing is readBody for a body larger than the buffer: the buffer
 // starts at firstRead bytes and then doubles only as the bytes arrive, so
 // a header that declares a long body and sends none of it has allocated a
-// constant. Out of line (and never inlined) so the growth stays outside
-// RecvInto's //spyker:noalloc body.
-//
-//go:noinline
+// constant.
 func (c *Conn) readGrowing(n int) ([]byte, error) {
 	b := c.rbuf[:0]
 	for len(b) < n {
@@ -607,19 +602,11 @@ func (c *Conn) readGrowing(n int) ([]byte, error) {
 	return b, nil
 }
 
-// newFloats allocates RecvInto's Params when the target's are too small,
-// for a body that has arrived; out of line for the same reason as
-// readGrowing.
-//
-//go:noinline
-func newFloats(n int) []float64 { return make([]float64, n) }
-
 // decodeTail decodes what follows Params in a body: the control-plane
 // vectors of the inter-server and join frames. Front reuses m's backing
 // array; Ages, Members, Addrs and Blob are allocated fresh, because
 // receivers retain them (see the package comment). Out of line: model
-// frames between a client and its server never get here, and the
-// allocations stay outside RecvInto's //spyker:noalloc body.
+// frames between a client and its server never get here.
 //
 //go:noinline
 func (m *Msg) decodeTail(b []byte, nAges, nFront, nMembers, nAddrs, nBlob int) error {

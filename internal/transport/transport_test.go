@@ -389,11 +389,13 @@ func TestParamsCrossTheWireBitForBit(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocatesNothing pins what //spyker:noalloc promises for
-// the path every update takes twice: once the buffers have grown, sending
-// and receiving a client-update frame allocates nothing — the net.Buffers
-// the frame leaves as included.
+// TestSteadyStateAllocatesNothing pins the path every update takes twice:
+// once the buffers have grown, sending and receiving a client-update frame
+// allocates nothing — the net.Buffers the frame leaves as included.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a -race build's own allocations count against the bound")
+	}
 	mc := &memConn{}
 	mc.in.Grow(1 << 20)
 	c := NewConn(&loopConn{mc})
@@ -413,6 +415,77 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	if len(in.Params) != len(out.Params) || in.Trace.UID != out.Trace.UID {
 		t.Errorf("frame corrupted: %d params, uid %v", len(in.Params), in.Trace.UID)
+	}
+}
+
+// TestRecvIntoAllocations pins what RecvInto allocates on each of its
+// paths, on one connection that has received the same frame before: a
+// frame of every kind into a target that already holds a model, a model
+// frame into a target that holds none, and every refused frame but the
+// truncated body (whose count differs between the two backends).
+func TestRecvIntoAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a -race build's own allocations count against the bound")
+	}
+	want := map[string]float64{
+		// What decodeTail hands the receiver to keep: the Members, the
+		// address section's one string and the Addrs slice over it, the
+		// Ages, the Blob. The Front reuses the target's.
+		"server-model": 3, "age": 3, "token": 4, "join-request": 2, "join-reply": 4,
+		// The connection's first 64 KiB body buffer, given up with the
+		// read that failed.
+		"declared body never sent": 1,
+		// The Ages, made before the check that refuses them; the Members
+		// and the address string and slice, made before the walk over
+		// the section that refuses it.
+		"non-finite token age": 1, "address overruns its section": 4, "addresses under-fill their section": 4,
+	}
+	type row struct {
+		name    string
+		data    []byte
+		fresh   bool // the target holds no Params
+		bounded bool // the connection is bound to a 4-word model and a 3-slot ring
+		allocs  float64
+	}
+	var rows []row
+	for _, m := range oneOfEachKind() {
+		rows = append(rows, row{m.Kind.String(), frame(m), false, false, want[m.Kind.String()]})
+	}
+	for _, c := range malformedFrames() {
+		if c.name != "truncated body" {
+			rows = append(rows, row{c.name, c.data, false, false, want[c.name]})
+		}
+	}
+	update := oneOfEachKind()[1]
+	rows = append(rows,
+		row{"bounded, within bounds", frame(update), false, true, 0},
+		row{"bounded, long model", frame(&Msg{Kind: KindClientUpdate, Params: make([]float64, 5)}), false, true, 0},
+		row{"bounded, ring past the bound", frame(oneOfEachKind()[8]), false, true, 0},
+		// The Params.
+		row{"small model, empty target", frame(update), true, false, 1},
+		// The Params and the body buffer, grown to 64 KiB and then
+		// 128 KiB as the body arrives, and dropped after the frame.
+		row{"16384-word model, empty target", frame(&Msg{Kind: KindClientUpdate, Params: make([]float64, 16384)}), true, false, 3},
+	)
+	for _, r := range rows {
+		mc := &memConn{}
+		mc.in.Grow(len(r.data))
+		c := NewConn(mc)
+		if r.bounded {
+			c.Bound(4, 3)
+		}
+		in := Msg{Params: make([]float64, 0, 16384)}
+		allocs := testing.AllocsPerRun(20, func() {
+			mc.in.Reset()
+			mc.in.Write(r.data)
+			if r.fresh {
+				in.Params = nil
+			}
+			_ = c.RecvInto(&in)
+		})
+		if allocs != r.allocs {
+			t.Errorf("%s: RecvInto allocates %v times per frame, want %v", r.name, allocs, r.allocs)
+		}
 	}
 }
 
