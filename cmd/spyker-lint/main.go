@@ -1,9 +1,8 @@
-// Command spyker-lint runs the repository's five static analyzers
+// Command spyker-lint runs the repository's four static analyzers
 // (internal/lint) over the given package patterns: determinism of the
 // emulation layers, consumed errors on transport/live send paths, the
-// //spyker:guardedby mutex protocol, goroutine shutdown ties, and the
-// parallel-kernel idiom. CI runs it before the test steps; any finding
-// fails the build.
+// //spyker:guardedby mutex protocol and goroutine shutdown ties. CI runs
+// it before the test steps; any finding fails the build.
 //
 // Usage:
 //

@@ -33,7 +33,6 @@ func TestFixturesExitNonzero(t *testing.T) {
 		{"sendcheck", "sendcheck"},
 		{"lockdiscipline", "lockdiscipline"},
 		{"goroutinelife", "goroutinelife"},
-		{"paridiom", "paridiom"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {
@@ -77,7 +76,7 @@ func TestOnlyFilter(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("-only determinism: exit %d, want 1", code)
 	}
-	if strings.Contains(stdout, "[paridiom]") || strings.Contains(stdout, "[sendcheck]") {
+	if strings.Contains(stdout, "[lockdiscipline]") || strings.Contains(stdout, "[sendcheck]") {
 		t.Errorf("-only determinism leaked other analyzers:\n%s", stdout)
 	}
 
@@ -91,7 +90,7 @@ func TestOnlyFilter(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("-only lockdiscipline: exit %d, want 1", code)
 	}
-	if strings.Contains(stdout, "[goroutinelife]") || strings.Contains(stdout, "[paridiom]") {
+	if strings.Contains(stdout, "[goroutinelife]") || strings.Contains(stdout, "[determinism]") {
 		t.Errorf("-only lockdiscipline leaked other analyzers:\n%s", stdout)
 	}
 }
@@ -143,14 +142,14 @@ func TestJSONCleanTreeShape(t *testing.T) {
 	}
 }
 
-// TestListAnalyzers enumerates the registry: the five analyzers, one a
+// TestListAnalyzers enumerates the registry: the four analyzers, one a
 // line.
 func TestListAnalyzers(t *testing.T) {
 	code, stdout, _ := run(t, "-list")
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
-	names := []string{"determinism", "sendcheck", "lockdiscipline", "goroutinelife", "paridiom"}
+	names := []string{"determinism", "sendcheck", "lockdiscipline", "goroutinelife"}
 	if lines := strings.Split(strings.TrimSpace(stdout), "\n"); len(lines) != len(names) {
 		t.Errorf("-list printed %d lines, want %d:\n%s", len(lines), len(names), stdout)
 	}

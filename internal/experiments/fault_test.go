@@ -11,8 +11,8 @@ import (
 
 // TestFaultPlumbingDoesNotPerturbSimulation is the zero-cost-when-disarmed
 // regression test: arming the fault machinery with an EMPTY plan — which
-// flips every defensive path (per-server submit epochs, unpooled owned
-// copies, client update copying) without injecting a single fault — must
+// flips the only switch a plan flips, the clients' owned update copies
+// (fl.SimClient.CopyUpdates), without injecting a single fault — must
 // produce an experiment trace byte-identical to a plain nil-Faults run.
 // Failure injection is opt-in; merely wiring it may never change results.
 func TestFaultPlumbingDoesNotPerturbSimulation(t *testing.T) {

@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
+
+	"github.com/spyker-fl/spyker/internal/metrics"
 )
 
 // Tiny scales keep these runner tests fast; they verify structure and the
@@ -64,21 +67,41 @@ func TestQueueStudyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.FedAsync.Queues[0].Max() == 0 {
-		t.Error("FedAsync queue never formed")
-	}
-	// The headline of Fig. 9: the single FedAsync server queues at least
-	// as much as any single Spyker server.
-	for s, tr := range q.Spyker.Queues {
-		if q.FedAsync.Queues[0].Max() < tr.Max() {
-			t.Errorf("FedAsync max queue %d < Spyker server %d's %d",
-				q.FedAsync.Queues[0].Max(), s, tr.Max())
-		}
+	if err := queueOrdering(q); err != nil {
+		t.Error(err)
 	}
 	golden(t, "queue", q.Render())
 	if !strings.Contains(q.Render(), "FedAsync") {
 		t.Error("render incomplete")
 	}
+
+	// Doctored: Spyker's server 0 queues one update more than FedAsync's
+	// peak.
+	sp := *q.Spyker
+	sp.Queues = maps.Clone(sp.Queues)
+	peak := q.FedAsync.Queues[0].Max() + 1
+	sp.Queues[0] = append(slices.Clone(sp.Queues[0]), metrics.QueuePoint{Length: peak})
+	broken := &QueueStudy{Spyker: &sp, FedAsync: q.FedAsync, Clients: q.Clients}
+	if err := queueOrdering(broken); err == nil || !strings.Contains(err.Error(), "FedAsync >= Spyker server 0") {
+		t.Errorf("a Spyker queue made the highest: verdict %v, want one naming FedAsync >= Spyker server 0", err)
+	}
+}
+
+// queueOrdering is Fig. 9's claim as a predicate over a QueueStudy:
+// FedAsync's single queue forms, and it peaks at least as high as every
+// Spyker server's. It returns nil when the claim holds, and otherwise an
+// error naming the first ordering that failed.
+func queueOrdering(q *QueueStudy) error {
+	fa := q.FedAsync.Queues[0].Max()
+	if fa == 0 {
+		return fmt.Errorf("FedAsync's single queue forms: its peak is 0")
+	}
+	for _, s := range slices.Sorted(maps.Keys(q.Spyker.Queues)) {
+		if sp := q.Spyker.Queues[s].Max(); fa < sp {
+			return fmt.Errorf("FedAsync >= Spyker server %d in peak queue length: %d < %d", s, fa, sp)
+		}
+	}
+	return nil
 }
 
 func TestKDEStudyShape(t *testing.T) {
@@ -89,20 +112,38 @@ func TestKDEStudyShape(t *testing.T) {
 	if len(k.SpykerCounts) != len(k.FedAsyncCounts) || len(k.SpykerCounts) == 0 {
 		t.Fatal("count vectors wrong")
 	}
-	// Spyker's multi-server deployment processes more updates in the same
-	// virtual window (shorter client-server distance), Fig. 10's setup.
-	var sp, fa float64
-	for i := range k.SpykerCounts {
-		sp += k.SpykerCounts[i]
-		fa += k.FedAsyncCounts[i]
-	}
-	if sp <= fa {
-		t.Errorf("Spyker total updates %v <= FedAsync %v", sp, fa)
+	if err := updateCountOrdering(k); err != nil {
+		t.Error(err)
 	}
 	golden(t, "kde", k.Render())
 	if !strings.Contains(k.Render(), "median") {
 		t.Error("render incomplete")
 	}
+
+	// Doctored: the two algorithms' counts swapped.
+	broken := &KDEStudy{SpykerCounts: k.FedAsyncCounts, FedAsyncCounts: k.SpykerCounts}
+	if err := updateCountOrdering(broken); err == nil || !strings.Contains(err.Error(), "Spyker > FedAsync") {
+		t.Errorf("counts swapped: verdict %v, want one naming Spyker > FedAsync", err)
+	}
+}
+
+// updateCountOrdering is Fig. 10's claim as a predicate over a KDEStudy:
+// Spyker's multi-server deployment merges more updates than FedAsync in
+// the same virtual window (its clients are nearer their server). It
+// returns nil when the claim holds, and otherwise an error naming the
+// ordering.
+func updateCountOrdering(k *KDEStudy) error {
+	var sp, fa float64
+	for _, c := range k.SpykerCounts {
+		sp += c
+	}
+	for _, c := range k.FedAsyncCounts {
+		fa += c
+	}
+	if sp <= fa {
+		return fmt.Errorf("Spyker > FedAsync in merged updates: %v <= %v", sp, fa)
+	}
+	return nil
 }
 
 func TestDecayStudyStructure(t *testing.T) {
@@ -116,10 +157,40 @@ func TestDecayStudyStructure(t *testing.T) {
 	if d.WithDecay.Algorithm == d.WithoutDecay.Algorithm {
 		t.Error("both runs used the same variant")
 	}
+	if err := decayOrdering(d); err != nil {
+		t.Error(err)
+	}
 	golden(t, "decay", d.Render())
 	if !strings.Contains(d.Render(), "decay") {
 		t.Error("render incomplete")
 	}
+
+	// Doctored: the run without decay reaches 95% at its first point.
+	wo := *d.WithoutDecay
+	wo.Trace = slices.Clone(wo.Trace)
+	wo.Trace[0].Acc = 1
+	broken := &DecayStudy{WithDecay: d.WithDecay, WithoutDecay: &wo}
+	if err := decayOrdering(broken); err == nil || !strings.Contains(err.Error(), "with decay <= without") {
+		t.Errorf("the run without decay made the first to 95%%: verdict %v, want one naming with decay <= without", err)
+	}
+}
+
+// decayTarget is the accuracy Fig. 11's claim times.
+const decayTarget = 0.95
+
+// decayOrdering is Fig. 11's claim as a predicate over a DecayStudy: with
+// the learning-rate decay, Spyker first reaches 95% accuracy, and no later
+// than without it. It returns nil when the claim holds, and otherwise an
+// error naming the ordering that failed.
+func decayOrdering(d *DecayStudy) error {
+	with, ok := d.WithDecay.Trace.TimeToAcc(decayTarget)
+	if !ok {
+		return fmt.Errorf("with decay the run reaches %.0f%%: best %.1f%%", 100*decayTarget, 100*d.WithDecay.Trace.BestAcc())
+	}
+	if without, ok := d.WithoutDecay.Trace.TimeToAcc(decayTarget); ok && with > without {
+		return fmt.Errorf("with decay <= without in time to %.0f%%: %.2fs > %.2fs", 100*decayTarget, with, without)
+	}
+	return nil
 }
 
 // bandwidthOrdering is Fig. 12's claim as a predicate over a
@@ -213,11 +284,40 @@ func TestLatencyStudyStructure(t *testing.T) {
 	if len(s.Rows) != 4 {
 		t.Fatalf("rows = %d", len(s.Rows))
 	}
+	if err := latencyOrdering(s); err != nil {
+		t.Error(err)
+	}
 	out := s.Render()
 	golden(t, "latency", out)
 	if !strings.Contains(out, "Lat.") || !strings.Contains(out, "No lat.") {
 		t.Error("render incomplete")
 	}
+
+	// Doctored: the two networks' labels swapped.
+	broken := &LatencyStudy{Rows: slices.Clone(s.Rows)}
+	for i, r := range broken.Rows {
+		broken.Rows[i].Network = map[string]string{"Lat.": "No lat.", "No lat.": "Lat."}[r.Network]
+	}
+	if err := latencyOrdering(broken); err == nil || !strings.Contains(err.Error(), "Lat. > No lat.") {
+		t.Errorf("networks swapped: verdict %v, want one naming Lat. > No lat.", err)
+	}
+}
+
+// latencyOrdering is Tab. 6's claim as a predicate over a LatencyStudy:
+// every run reaches the 90% target, and Spyker's improvement over FedAsync
+// (LatencyStudy.Improvement) is larger with AWS latency than with a
+// uniform latency of the same mean. It returns nil when the claim holds,
+// and otherwise an error naming the ordering that failed.
+func latencyOrdering(s *LatencyStudy) error {
+	for _, r := range s.Rows {
+		if r.Time90 == 0 {
+			return fmt.Errorf("every run reaches the 90%% target: %s on %s did not", r.Algorithm, r.Network)
+		}
+	}
+	if lat, flat := s.Improvement("Lat."), s.Improvement("No lat."); lat <= flat {
+		return fmt.Errorf("Lat. > No lat. in Spyker's improvement over FedAsync: %.1f%% <= %.1f%%", 100*lat, 100*flat)
+	}
+	return nil
 }
 
 func TestImbalanceStudyStructure(t *testing.T) {

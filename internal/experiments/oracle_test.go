@@ -87,6 +87,20 @@ func TestCrossCommitOracle(t *testing.T) {
 				{At: 0.6, Kind: fault.KindCrash, Server: 1, Duration: 0.3},
 			}}
 		}, nil, oracleBits{0x3fff6d7472fb460c, 0x3fd2c5f92c5f92c6, 0x40005ddc12007600, 64, 0xbc9d2869ecd6ac4f}},
+		// Recorded on a00f3b8, the commit before every broadcast was pooled
+		// and a record gave its share back when freed: a partition window,
+		// lossy server links and a crash, so some broadcasts lose every
+		// copy (14 of the run's 30) and others reach a down server.
+		{"mnist/spyker/drops", TaskMNIST, "spyker", func(s *Setup) {
+			h := fl.DefaultHyper(8, 2)
+			h.HInter, h.TokenTimeout, h.SyncRetry = 0.3, 0.2, 0.1
+			s.Hyper = &h
+			s.Faults = &fault.Plan{Seed: 5, Events: []fault.Event{
+				{At: 0.2, Kind: fault.KindPartition, Src: 0, Dst: 1, Duration: 0.3},
+				{At: 0.2, Kind: fault.KindLinkDrop, Src: fault.Any, Dst: fault.Any, Duration: 30, P: 0.3},
+				{At: 0.7, Kind: fault.KindCrash, Server: 1, Duration: 0.3},
+			}}
+		}, nil, oracleBits{0x40002840157a1ec1, 0x3fd7777777777777, 0x3fffa1053dae5e5c, 64, 0xafce260d4bab8db5}},
 
 		// Recorded on 81b658e, the commit before the six DES glues moved
 		// onto internal/fl's shared actor kit and FedAvg's server and

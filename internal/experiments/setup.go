@@ -105,9 +105,9 @@ type Setup struct {
 
 	// Faults declares a failure-injection plan (internal/fault): crashes,
 	// token drops, partitions, lossy links. Run arms an injector for it
-	// when the algorithm supports injection (Spyker does). Nil — the
-	// default — leaves the schedule byte-identical to a pre-fault run;
-	// see TestFaultPlumbingDoesNotPerturbSimulation.
+	// when the algorithm supports injection (Spyker does). A plan flips one
+	// switch, fl.SimClient.CopyUpdates; an empty plan leaves the schedule
+	// byte-identical to a nil one (TestFaultPlumbingDoesNotPerturbSimulation).
 	Faults *fault.Plan
 
 	// Trace receives protocol and network events from the run

@@ -178,7 +178,7 @@ func CrashPlan(seed int64, crashes int, horizon, downtime float64) Plan {
 	rng := rand.New(rand.NewSource(seed))
 	times := make([]float64, crashes)
 	for i := range times {
-		times[i] = (0.2 + 0.65*rng.Float64()) * horizon
+		times[i] = (0.2 + float64(0.65*rng.Float64())) * horizon
 	}
 	sort.Float64s(times)
 	p := Plan{Seed: seed}

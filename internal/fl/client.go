@@ -28,10 +28,12 @@ type SimClient struct {
 	// CopyUpdates hardens the client for failure injection: the trained
 	// update is sent as an owned copy instead of a live parameter view,
 	// and a model arriving while a previous one is still in its training
-	// window is ignored. Both matter once messages can be lost or
-	// duplicated — a restarted server re-engages every client it starved,
-	// and a duplicated reply would otherwise fork a second training loop
-	// whose update aliases the first one's view.
+	// window is ignored. Both matter once servers crash: a restarted server
+	// re-engages every client it has not heard from, one of them perhaps a
+	// client whose next update is sent but not yet consumed. Sent as the
+	// view, that update would be overwritten in flight by the SetParams of
+	// the re-engaging model. And a duplicated reply would otherwise fork a
+	// second training loop whose update aliases the first one's view.
 	CopyUpdates bool
 
 	attackRNG *rand.Rand

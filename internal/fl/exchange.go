@@ -114,16 +114,23 @@ func (e *Env) sendUpdate(i int) {
 	}
 }
 
-// deliverUpdate is the arrival of upload i at the server.
+// deliverUpdate is the arrival of upload i at the server. A server may
+// consume the vector it is delivered (Spyker replies in it), so every
+// delivery of a duplicated upload but the last gets a private copy: each
+// merges the client's update, none another delivery's reply.
 func (e *Env) deliverUpdate(i int) {
 	u := e.x.uploads.At(i)
 	c, params, meta, uid := u.c, u.params, u.meta, u.uid
+	dup := u.arrivals > 1
 	if u.arrivals--; u.arrivals == 0 {
 		e.x.uploads.Free(i)
 	}
 	// Join point 3 (see HandleModel): the server is about to read the
 	// update.
 	c.training.Join()
+	if dup {
+		params = append([]float64(nil), params...)
+	}
 	c.Deliver(c.Spec.ID, params, meta, uid)
 }
 

@@ -259,11 +259,10 @@ type Env struct {
 	Pool *paramvec.Pool
 
 	// Faults, when non-nil, declares the failure-injection plan for this
-	// run (internal/fault). Algorithms that support injection arm their
-	// crash/restart plumbing when they see it — with message loss and
-	// duplication possible, buffer pooling and zero-copy update views are
-	// unsound, so faulty runs trade them for plain owned copies. Nil (the
-	// default) leaves every hot path and the event schedule untouched.
+	// run (internal/fault). The message glue has one path either way —
+	// loss and duplication are ordinary input to it — so the only switch
+	// it flips is SimClient.CopyUpdates, which Spyker sets when it sees a
+	// plan. Nil (the default) leaves the event schedule untouched.
 	Faults *fault.Plan
 
 	// x is the typed-event plumbing of the clients' messages (wire).

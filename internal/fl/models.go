@@ -48,7 +48,7 @@ func (c *Classifier) trainsIsolated() Model { return c }
 
 // evalWorkers is the fan-out of held-out evaluation. It is a constant,
 // not the machine's core count: where the code runs must not decide how
-// the work is cut (internal/lint's paridiom rule).
+// the work is cut.
 const evalWorkers = 4
 
 // fanOut cuts [0, n) into evalWorkers contiguous chunks at fixed boundaries

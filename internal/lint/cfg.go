@@ -6,7 +6,7 @@ import (
 )
 
 // cfg.go is the intraprocedural control-flow engine the concurrency
-// analyzers (lockdiscipline, goroutinelife, paridiom) are built on: a
+// analyzers (lockdiscipline, goroutinelife) are built on: a
 // basic-block CFG over go/ast with branch, loop, defer, and panic
 // edges, plus a small iterative forward dataflow driver. It stays
 // deliberately syntactic — one CFG per function body, no

@@ -129,9 +129,7 @@ func implementsSink(t types.Type) bool {
 // the reason.
 var unfusedExempt = map[string]string{
 	"internal/tensor":                        "ROADMAP 11(a): its portable kernels fuse (64 sites on arm64), and tensor.Exp's math.FMA calls are meant",
-	"internal/fault":                         "CrashPlan's crash times (fault.go) fuse on arm64, s390x and riscv64",
 	"internal/lint/testdata/src/determinism": "a lint fixture, built by no CI step",
-	"internal/lint/testdata/src/paridiom":    "a lint fixture, built by no CI step",
 }
 
 // TestFusedListCoversDeterministicPackages keeps one list of deterministic

@@ -35,7 +35,7 @@
 // with `_ =` is the documented idiom for fire-and-forget teardown paths
 // and stays legal, while a bare call statement (or go/defer) is flagged.
 //
-// The three concurrency analyzers below share an intraprocedural CFG +
+// The two concurrency analyzers below share an intraprocedural CFG +
 // dataflow engine (cfg.go): basic blocks over go/ast with branch, loop,
 // defer, and panic edges, and an iterative forward fixpoint driver that
 // runs both must-analyses (meet = intersection, for "lock held on all
@@ -68,17 +68,6 @@
 // escape hatch for process-lifetime servers like the debug HTTP
 // endpoints, whose listeners the kernel reclaims at exit).
 //
-// paridiom — the sanctioned parallel-kernel form for the multicore work
-// (ROADMAP item 3). In the deterministic layers, a worker pool must use
-// fixed compile-time-visible chunk boundaries and an ordered combine:
-// workers write disjoint elements of an indexed result slice, and a
-// sequential loop reduces the slice afterwards. Receiving partial
-// results from a channel in completion order and folding them as they
-// arrive is flagged (floating-point reduction is order-sensitive), as
-// is accumulating into shared state from inside the workers. A loop
-// whose combine is provably order-independent carries
-// //spyker:ordered(reason).
-//
 // # Ledger
 //
 // An analyzer stays while it catches something no test does. For each:
@@ -98,17 +87,12 @@
 //	lockdiscipline  737 lines + cfg.go 513; 41 guarded fields, 18 locked
 //	                functions. Server.SyncsTriggered reads s.core and its
 //	                counters without s.mu; no test calls it beside a writer.
-//	goroutinelife   316 lines; 15 go statements in the runtime packages.
+//	goroutinelife   332 lines; 15 go statements in the runtime packages.
 //	                acceptLoop leaves s.wg: Close no longer waits for the
 //	                accept loop, which can still start a reader after Close
-//	                has returned.
-//	paridiom        235 lines; 3 functions that spawn in deterministic
-//	                packages (fl.fanOut, simulation.startWorkers,
-//	                fault.Proc.start). fanOut cut at runtime.NumCPU: it
-//	                reports the cut, which moves no bit, because every
-//	                worker writes its own indices and the caller combines
-//	                them in order. Nothing in the tree reduces in
-//	                parallel, so paridiom is the next candidate to go.
+//	                has returned. Also Server.every without its stop case
+//	                and off s.wg: it ticks on after Close, tied to nothing
+//	                but the ticker it made.
 //
 // # Reachability
 //
@@ -178,9 +162,4 @@
 // statement in a runtime package and waives the shutdown-tie
 // requirement; the reason must say why the goroutine may outlive its
 // spawner. An empty reason is a finding.
-//
-// //spyker:ordered(reason) goes on (or directly above) a loop in a
-// deterministic layer that folds parallel partial results, and asserts
-// the combine is order-independent (e.g. integer summation, set union).
-// An empty reason is a finding.
 package lint

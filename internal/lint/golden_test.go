@@ -111,10 +111,6 @@ func TestGoldenGoroutineLife(t *testing.T) {
 	runGolden(t, DefaultConfig(), "goroutinelife")
 }
 
-func TestGoldenParIdiom(t *testing.T) {
-	runGolden(t, DefaultConfig(), "paridiom")
-}
-
 // TestRealTreeClean pins the repository's own code at zero findings under
 // the default configuration — the same invocation CI runs.
 func TestRealTreeClean(t *testing.T) {

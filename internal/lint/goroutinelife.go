@@ -18,7 +18,8 @@ import (
 //     the package visibly Waits on;
 //   - its body receives from (or ranges over, or selects on) a channel
 //     it did not create itself — a captured done/stop channel, a
-//     message channel closed by the owner, a ctx.Done();
+//     message channel closed by the owner, a ctx.Done(); a ticker or
+//     timer the body starts is its own, so its channel is no tie;
 //   - the body contains no loop at all: it runs a bounded sequence of
 //     statements and exits by construction;
 //   - the statement carries a //spyker:detached(reason) waiver on its
@@ -212,12 +213,32 @@ func (gl *lifeChecker) doneWaitGroup(body *ast.BlockStmt) (string, bool) {
 	return name, name != ""
 }
 
+// timeChanFuncs are the time functions whose channel — returned, or the
+// C of the returned Ticker or Timer — belongs to the caller alone.
+var timeChanFuncs = map[string]bool{"NewTicker": true, "NewTimer": true, "After": true, "Tick": true}
+
+// makesOwnChannel reports whether e is a call that gives the caller a
+// channel nobody else holds: make, or one of timeChanFuncs.
+func makesOwnChannel(pkg *Package, e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		_, builtin := pkg.Info.Uses[id].(*types.Builtin)
+		return builtin && id.Name == "make"
+	}
+	f := pkg.calleeFunc(call)
+	return pkgPathOf(f) == "time" && timeChanFuncs[f.Name()]
+}
+
 // receivesCapturedChannel reports whether the body receives from or
 // ranges over a channel it did not itself create: a receive on a
 // captured channel is a shutdown signal path (close(done) unblocks or
 // terminates it).
 func receivesCapturedChannel(pkg *Package, body *ast.BlockStmt) bool {
-	// Channels the body makes locally cannot be a tie from the outside.
+	// Channels the body makes locally — its own tickers and timers
+	// included — cannot be a tie from the outside.
 	local := map[types.Object]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
@@ -225,12 +246,7 @@ func receivesCapturedChannel(pkg *Package, body *ast.BlockStmt) bool {
 			return true
 		}
 		for i, rhs := range as.Rhs {
-			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-			if !ok || id.Name != "make" {
+			if !makesOwnChannel(pkg, rhs) {
 				continue
 			}
 			if lid, ok := as.Lhs[i].(*ast.Ident); ok {
@@ -246,7 +262,7 @@ func receivesCapturedChannel(pkg *Package, body *ast.BlockStmt) bool {
 		if t == nil {
 			return false
 		}
-		if _, isChan := t.Underlying().(*types.Chan); !isChan {
+		if _, isChan := t.Underlying().(*types.Chan); !isChan || makesOwnChannel(pkg, ch) {
 			return false
 		}
 		if id := leftIdent(ch); id != nil && local[pkg.Info.Uses[id]] {

@@ -68,7 +68,6 @@ func DefaultConfig() *Config {
 			"internal/obs/health",
 			"internal/experiments",
 			"internal/lint/testdata/src/determinism",
-			"internal/lint/testdata/src/paridiom",
 		},
 		SendPkgs: []string{
 			"internal/transport", "internal/live",
@@ -106,11 +105,6 @@ func Analyzers() []*Analyzer {
 			Name: "goroutinelife",
 			Doc:  "goroutines in the runtime packages must be tied to a shutdown mechanism or carry //spyker:detached",
 			Run:  runGoroutineLife,
-		},
-		{
-			Name: "paridiom",
-			Doc:  "parallel kernels in deterministic layers must use fixed chunks and an ordered (indexed-slice) combine",
-			Run:  runParIdiom,
 		},
 	}
 }

@@ -1,9 +1,9 @@
 // Package goroutinelife seeds goroutine-lifecycle violations: looping
 // goroutines with no shutdown tie, a WaitGroup signal nobody waits on,
-// and a reasonless waiver — next to the sanctioned shapes (WaitGroup
-// with a visible Wait, captured done channel, range over an
-// owner-closed channel, bounded bodies, and a reasoned
-// //spyker:detached waiver).
+// a loop tied only to its own ticker or timer, and a reasonless waiver —
+// next to the sanctioned shapes (WaitGroup with a visible Wait, captured
+// done channel, range over an owner-closed channel, bounded bodies, and a
+// reasoned //spyker:detached waiver).
 package goroutinelife
 
 import (
@@ -89,6 +89,46 @@ func localOnly() {
 		for {
 			own <- 1
 			<-own
+		}
+	}()
+}
+
+// ownTicker receives only from a ticker it started itself: nothing
+// outside can stop it.
+func ownTicker() {
+	go func() { // want `goroutine loops with no shutdown tie`
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			<-tick.C
+		}
+	}()
+}
+
+// ownTimeout waits only on timers it starts itself.
+func ownTimeout() {
+	go func() { // want `goroutine loops with no shutdown tie`
+		for {
+			select {
+			case <-time.After(time.Millisecond):
+			case <-time.Tick(time.Second):
+			}
+		}
+	}()
+}
+
+// tickedDone ticks until the captured done channel closes.
+func (r *runner) tickedDone() {
+	go func() {
+		tick := time.NewTimer(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-r.done:
+				return
+			case <-tick.C:
+				tick.Reset(time.Millisecond)
+			}
 		}
 	}()
 }

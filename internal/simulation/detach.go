@@ -7,9 +7,8 @@ import (
 
 // detachWorkers is how many goroutines run detached tasks beside the event
 // loop. It is a constant, not the machine's core count: where the code
-// runs must not decide how the work is cut (internal/lint's paridiom
-// rule). One is not enough — the loop then stalls whenever the task it
-// needs next is the one mid-run.
+// runs must not decide how the work is cut. One is not enough — the loop
+// then stalls whenever the task it needs next is the one mid-run.
 const detachWorkers = 4
 
 // detachQueue bounds the tasks waiting for a worker. A round-based

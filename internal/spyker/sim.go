@@ -14,9 +14,10 @@ import (
 )
 
 // Algorithm runs Spyker under the discrete-event simulator. It implements
-// fl.Algorithm, and — when the environment carries a fault plan — the
-// fault.Cluster control surface, so internal/fault can crash, checkpoint,
-// restart, and rob servers of the token.
+// fl.Algorithm and the fault.Cluster control surface, so internal/fault can
+// crash, checkpoint, restart, and rob servers of the token. Its message
+// glue has one path: a message may be lost or arrive twice in any run, and
+// without a fault plan the guards it passes never fire.
 type Algorithm struct {
 	// DisableDecay turns the learning-rate decay off (for the Fig. 11
 	// ablation).
@@ -31,16 +32,8 @@ type Algorithm struct {
 	// reach the client's new home.
 	homeOf []int
 
-	// faultsArmed is set when Env.Faults != nil. It switches the message
-	// glue to plain owned copies — a private copy of every delivered
-	// client update, because the handler consumes its vector and an
-	// injected duplicate delivers one vector twice; an unpooled copy of
-	// every broadcast, because drops and duplicates break the pool's
-	// exactly-once release protocol — and enables the down/epoch guards.
-	// Disarmed runs take exactly the pre-fault code paths.
-	faultsArmed bool
-	initial     []float64 // pristine t=0 model, the restart fallback
-	tickPeriod  float64   // recovery tick period, 0 when recovery is off
+	initial    []float64 // pristine t=0 model, the restart fallback
+	tickPeriod float64   // recovery tick period, 0 when recovery is off
 
 	// The typed events of the message glue (see msg): the handlers of a
 	// processed client update, a reply's delivery, a server message's
@@ -62,14 +55,16 @@ type Algorithm struct {
 // token (token) from the network through the server's queue. to is the
 // server it is for — for a reply the one sending it. A record is shared by
 // every event that reads it and freed by the last (release): the
-// deliveries of a duplicated message, and the jobs they queue.
+// deliveries of a duplicated message, and the jobs they queue. A model
+// record holds one share of its broadcast's pooled vector and gives it back
+// when it is freed (free), however many of its copies arrived.
 type msg struct {
 	to      *simServer
 	c       *fl.SimClient
 	client  int
 	from    int
 	vec     []float64
-	shared  *fl.SharedVec // released after the model is merged
+	shared  *fl.SharedVec // released when the record is freed
 	age, lr float64
 	proc    float64         // the server's processing delay, on arrival
 	job     simulation.Kind // the job it queues as, on arrival
@@ -78,7 +73,7 @@ type msg struct {
 	front   []int64
 	mem     ring.Membership
 	token   Token
-	epoch   int // to's epoch when queued, with faults armed
+	epoch   int // to's epoch when queued
 	refs    int // events still to read the record
 }
 
@@ -133,21 +128,21 @@ type simServer struct {
 	queue  *fl.ProcQueue
 	client map[int]*fl.SimClient
 
-	// Failure-injection state, only touched when faultsArmed. down marks
-	// a crashed server: arriving messages are discarded. left marks a
-	// server that departed the ring for good (elastic Leave) — same
+	// Failure-injection state, changed only by fault.Cluster calls. down
+	// marks a crashed server: arriving messages are discarded. left marks
+	// a server that departed the ring for good (elastic Leave) — same
 	// discard behaviour, but permanent. epoch counts crash/restart
 	// transitions so work already sitting in the processing queue when
 	// the crash hit is invalidated rather than applied to the restarted
 	// incarnation. ckpt is the restart point (fault.Cluster Checkpoint),
-	// and heardSince tracks which clients this incarnation has processed
-	// an update from — the re-engagement pass skips them.
+	// and heardSince[c] says whether this incarnation has processed an
+	// update from client c — the re-engagement pass skips those.
 	down       bool
 	left       bool
 	epoch      int
 	ckpt       State
 	hasCkpt    bool
-	heardSince map[int]bool
+	heardSince []bool
 }
 
 var _ Outbound = (*simServer)(nil)
@@ -251,16 +246,14 @@ func (c *mergeChain) joinReply(params []float64) {
 // table, no core yet.
 func (a *Algorithm) newSimServer(env *fl.Env, id int) *simServer {
 	s := &simServer{
-		env:    env,
-		alg:    a,
-		id:     id,
-		queue:  fl.NewProcQueue(env.Sim, id, env.Observer),
-		client: make(map[int]*fl.SimClient),
+		env:        env,
+		alg:        a,
+		id:         id,
+		queue:      fl.NewProcQueue(env.Sim, id, env.Observer),
+		client:     make(map[int]*fl.SimClient),
+		heardSince: make([]bool, len(env.Clients)),
 	}
 	s.chain.sim, s.chain.task.Fn = env.Sim, s.chain.run
-	if a.faultsArmed {
-		s.heardSince = make(map[int]bool)
-	}
 	return s
 }
 
@@ -276,37 +269,35 @@ func (s *simServer) adopt(core *ServerCore) {
 	core.Instrument(s.env.Trace, s.env.Sim.Now)
 }
 
-// submit queues job kind for msg i on s's processing queue. With faults
-// armed it adds the crash guards: a message reaching a down server is
-// discarded here, and queued work from before a crash is not applied to
-// the restarted incarnation (its volatile queue died with it; see
-// applies).
+// submit queues job kind for msg i on s's processing queue, behind the
+// crash guards: a message reaching a down or departed server is discarded
+// here, and queued work from before a crash is not applied to the
+// restarted incarnation (its volatile queue died with it; see applies).
 func (a *Algorithm) submit(s *simServer, proc float64, kind simulation.Kind, i int) {
-	if a.faultsArmed {
-		if s.down || s.left {
-			a.release(i)
-			return
-		}
-		a.msgs.At(i).epoch = s.epoch
+	if s.down || s.left {
+		a.release(i)
+		return
 	}
+	a.msgs.At(i).epoch = s.epoch
 	s.queue.Submit(proc, simulation.Job{Kind: kind, Arg: i})
 }
 
-// applies reports whether the queued job of m may still run: always,
-// unless faults are armed and its server crashed or left since.
+// applies reports whether the queued job of m may still run: unless its
+// server crashed or left since it was queued.
 func (a *Algorithm) applies(m *msg) bool {
 	s := m.to
-	return !a.faultsArmed || !(s.down || s.left || s.epoch != m.epoch)
+	return !(s.down || s.left || s.epoch != m.epoch)
 }
 
-// post sends msg i from src to dst; on arrival it queues as job.
+// post sends msg i from src to dst; on arrival it queues as job. A message
+// the network drops whole is freed at once.
 func (a *Algorithm) post(src, dst geo.Endpoint, size int, uid obs.UID, job simulation.Kind, i int) {
 	m := a.msgs.At(i)
 	m.job = job
 	m.refs = m.to.env.Net.Post(src, dst, size, geo.ServerServer, uid,
 		simulation.Job{Kind: a.kind.arrive, Arg: i})
 	if m.refs == 0 {
-		a.msgs.Free(i)
+		a.free(i)
 	}
 }
 
@@ -314,8 +305,16 @@ func (a *Algorithm) post(src, dst geo.Endpoint, size int, uid obs.UID, job simul
 func (a *Algorithm) release(i int) {
 	m := a.msgs.At(i)
 	if m.refs--; m.refs == 0 {
-		a.msgs.Free(i)
+		a.free(i)
 	}
+}
+
+// free frees msg i, giving back its share of a broadcast's vector.
+func (a *Algorithm) free(i int) {
+	if m := a.msgs.At(i); m.shared != nil {
+		m.shared.Release()
+	}
+	a.msgs.Free(i)
 }
 
 // register binds the glue's handlers to env's simulator.
@@ -343,19 +342,12 @@ func (a *Algorithm) processUpdate(i int) {
 	m := a.msgs.At(i)
 	if srv := m.to; a.applies(m) {
 		// The handler consumes the update and the reply travels back in
-		// it. Without faults every update is delivered once, and the
-		// client — parked until that reply — has no use for the vector in
-		// between, its own model's view included. A duplicated delivery
-		// would merge the first one's reply, so a fault-armed run merges a
-		// copy.
-		consumed := m.vec
-		if a.faultsArmed {
-			consumed = append([]float64(nil), m.vec...)
-		}
-		srv.core.HandleClientUpdate(m.client, consumed, m.age, m.uid)
-		if srv.heardSince != nil {
-			srv.heardSince[m.client] = true
-		}
+		// it: the client, parked until that reply, has no use for the
+		// vector in between, its own model's view included. A duplicated
+		// delivery has a private copy (fl's exchange gives one to every
+		// delivery but the last), so it never merges another's reply.
+		srv.core.HandleClientUpdate(m.client, m.vec, m.age, m.uid)
+		srv.heardSince[m.client] = true
 		srv.env.Observer.ClientUpdateProcessed(
 			srv.env.Sim.Now(), srv.id, m.client, a.serverParams)
 	}
@@ -372,9 +364,6 @@ func (a *Algorithm) arrive(i int) {
 func (a *Algorithm) processModel(i int) {
 	if m := a.msgs.At(i); a.applies(m) {
 		m.to.core.HandleServerModel(m.from, m.vec, m.age, m.bid, m.front, m.mem)
-		if m.shared != nil {
-			m.shared.Release()
-		}
 	}
 	a.release(i)
 }
@@ -402,7 +391,6 @@ func (a *Algorithm) Build(env *fl.Env) error {
 	}
 	n := len(env.Servers)
 	initial := env.NewModel(env.Seed).Params()
-	a.faultsArmed = env.Faults != nil
 	a.initial = initial
 
 	a.register(env)
@@ -428,7 +416,7 @@ func (a *Algorithm) Build(env *fl.Env) error {
 		home := env.Clients[ci].Server
 		a.homeOf[ci] = home
 		c := env.NewSimClient(ci, home, deliver)
-		c.CopyUpdates = a.faultsArmed
+		c.CopyUpdates = env.Faults != nil // a restart may re-engage a client whose update is in flight
 		a.servers[home].client[ci] = c
 		c.HandleModel(initial, 0, env.Hyper.ClientLR)
 	}
@@ -536,14 +524,24 @@ func (a *Algorithm) Restart(i int) {
 	s.down = false
 	s.epoch++
 	clear(s.heardSince)
+	a.reengageLater(s, nil)
+}
+
+// reengageLater schedules s's re-engagement pass: after reengageGrace,
+// unless s has crashed, left or restarted since, s re-sends its model to
+// each client of ids — of its own clients at that time when ids is nil —
+// that is still its own and that it has not heard from.
+func (a *Algorithm) reengageLater(s *simServer, ids []int) {
 	epoch := s.epoch
 	s.env.Sim.Schedule(reengageGrace, func() {
-		if s.down || s.epoch != epoch {
+		if s.down || s.left || s.epoch != epoch {
 			return
 		}
-		ids := fl.SortedKeys(s.client)
+		if ids == nil {
+			ids = fl.SortedKeys(s.client)
+		}
 		for _, ci := range ids {
-			if !s.heardSince[ci] {
+			if !s.heardSince[ci] && a.homeOf[ci] == s.id {
 				s.core.ReengageClient(ci)
 			}
 		}
@@ -695,22 +693,9 @@ func (a *Algorithm) Leave(target int) bool {
 		// period each new home re-engages the movers it has not heard
 		// from — mirroring the crash-restart re-engagement pass.
 		for _, si := range survivors {
-			moved := movedTo[si]
-			if len(moved) == 0 {
-				continue
+			if moved := movedTo[si]; len(moved) > 0 {
+				a.reengageLater(a.servers[si], moved)
 			}
-			s := a.servers[si]
-			epoch := s.epoch
-			env.Sim.Schedule(reengageGrace, func() {
-				if s.down || s.left || s.epoch != epoch {
-					return
-				}
-				for _, ci := range moved {
-					if !s.heardSince[ci] && a.homeOf[ci] == si {
-						s.core.ReengageClient(ci)
-					}
-				}
-			})
 		}
 	}
 	return true
@@ -731,7 +716,7 @@ func (a *Algorithm) rehome(ci, to int) {
 		return
 	}
 	delete(src.client, ci)
-	delete(src.heardSince, ci)
+	src.heardSince[ci] = false
 	dst.client[ci] = c
 	c.Spec.Server = to
 	a.homeOf[ci] = to
@@ -780,7 +765,7 @@ func (s *simServer) ReplyClient(k int, params []float64, age, lr float64) {
 	m.refs = s.env.Net.Post(s.env.ServerEndpoint(s.id), s.env.ClientEndpoint(k), s.env.ModelBytes, geo.ClientServer, 0,
 		simulation.Job{Kind: a.kind.reply, Arg: i})
 	if m.refs == 0 {
-		a.msgs.Free(i)
+		a.free(i)
 	}
 }
 
@@ -795,27 +780,16 @@ func (a *Algorithm) deliverReply(i int) {
 }
 
 // BroadcastModel implements Outbound. One pooled copy of the borrowed
-// params is shared by every peer delivery (fl.SharedVec) and recycled
-// after the last peer consumed the model. The frontier is also copied once at broadcast time: delivery
-// happens later in virtual time, while the origin's live frontier keeps
-// advancing, so aliasing it would corrupt the causal snapshot the
-// broadcast carries.
+// params is shared by the peer records (fl.SharedVec), one share each, and
+// recycled when the last record is freed — after its last copy's job, or
+// at once when the network drops every copy. The frontier is also copied
+// once at broadcast time: delivery happens later in virtual time, while the
+// origin's live frontier keeps advancing, so aliasing it would corrupt the
+// causal snapshot the broadcast carries. mem needs no copy: Membership
+// slices are immutable (ring package contract).
 func (s *simServer) BroadcastModel(params []float64, age float64, bid int, front []int64, mem ring.Membership) {
 	a := s.alg
-	var shared *fl.SharedVec
-	var vec []float64
-	if a.faultsArmed {
-		// One owned copy shared read-only by every peer delivery; the
-		// pooled countdown protocol is unsound under injected drops and
-		// duplicates (a duplicate would release the buffer twice, a drop
-		// never), so faulty runs let the GC own it.
-		// mem needs no copy: Membership slices are immutable (ring
-		// package contract).
-		vec = append([]float64(nil), params...)
-	} else {
-		shared = s.env.Snapshot(params, len(a.servers)-1)
-		vec = shared.Vec
-	}
+	shared := s.env.Snapshot(params, len(a.servers)-1)
 	frontCopy := append([]int64(nil), front...)
 	uid := obs.RoundUID(s.id, bid)
 	src := s.env.ServerEndpoint(s.id)
@@ -824,7 +798,7 @@ func (s *simServer) BroadcastModel(params []float64, age float64, bid int, front
 			continue
 		}
 		i, m := a.msgs.New()
-		*m = msg{to: p, from: s.id, vec: vec, shared: shared, age: age, bid: bid, front: frontCopy, mem: mem,
+		*m = msg{to: p, from: s.id, vec: shared.Vec, shared: shared, age: age, bid: bid, front: frontCopy, mem: mem,
 			proc: s.env.ProcFor(p.id, s.env.Hyper.ProcSpyker)}
 		a.post(src, s.env.ServerEndpoint(p.id), s.env.ModelBytes, uid, a.kind.model, i)
 	}

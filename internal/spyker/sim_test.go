@@ -166,9 +166,10 @@ func (l *modelLog) ClientUpdateProcessed(now float64, server, client int, models
 }
 
 // TestDuplicatedUpdateMergesTheOriginalTwice: the client-update handler
-// consumes its vector and writes the reply into it, so once faults are
-// armed — and a link may deliver one message twice — every delivery must
-// merge a copy of its own. With one server and one client whose first
+// consumes its vector and writes the reply into it, so when a link
+// delivers one message twice — in any run, with or without a fault plan —
+// every delivery must merge the client's update. With one server and one
+// client whose first
 // update is duplicated on the client→server link, the second delivery has
 // to move the model further along the same direction as the first (both
 // merge the same update u: w1-w0 = a1(u-w0), w2-w1 = a2(1-a1)(u-w0)). Had
@@ -182,7 +183,6 @@ func TestDuplicatedUpdateMergesTheOriginalTwice(t *testing.T) {
 		Seed:       3,
 		EvalEvery:  1000,
 		MaxUpdates: 2,
-		Faults:     &fault.Plan{}, // arms the fault glue; this test perturbs the link itself
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -236,9 +236,11 @@ func TestDuplicatedUpdateMergesTheOriginalTwice(t *testing.T) {
 // the token — is duplicated or dropped at random: a record freed after
 // the first of two deliveries would hand the second one another message's
 // data or none, and a dropped one must not be waited for. The run must
-// keep merging, and the same seed must give the same models.
+// keep merging, the same seed must give the same models, and the
+// broadcasts' pooled vectors must come back to the pool through the
+// drops and duplicates.
 func TestPerturbedMessagesKeepTheirRecords(t *testing.T) {
-	run := func() (updates int, models [][]float64) {
+	run := func() (updates int, models [][]float64, recycled int64) {
 		env, _, err := experiments.BuildEnv(experiments.Setup{
 			Task: experiments.TaskMNIST, NumServers: 3, NumClients: 9, Seed: 4, EvalEvery: 1000,
 			Faults: &fault.Plan{}, // arms the fault glue; the test perturbs the links itself
@@ -259,13 +261,16 @@ func TestPerturbedMessagesKeepTheirRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		env.Sim.Run(20)
-		return len(log.after), alg.ServerParams()
+		return len(log.after), alg.ServerParams(), env.Pool.Recycled()
 	}
-	updates, models := run()
+	updates, models, recycled := run()
 	if updates < 50 {
 		t.Fatalf("%d updates merged under duplication: the run stalled", updates)
 	}
-	again, models2 := run()
+	if recycled == 0 {
+		t.Fatal("no pooled vector was reused: the broadcasts' buffers never came back to the pool")
+	}
+	again, models2, _ := run()
 	if again != updates {
 		t.Fatalf("%d updates, then %d on the same seed", updates, again)
 	}
