@@ -66,32 +66,33 @@ func TestCleanTreeExitsZero(t *testing.T) {
 }
 
 // TestOnlyFilter: an analyzer that does not apply to a fixture must keep
-// it clean, and the matching analyzer alone must still flag it.
+// quiet, and -only must print its analyzer's findings and no other's. The
+// determinism fixture has a line lockdiscipline flags as well, so the
+// unfiltered run prints both tags and each filtered run must drop one.
 func TestOnlyFilter(t *testing.T) {
 	if code, stdout, stderr := run(t, "-only", "sendcheck", fixture("determinism")); code != 0 {
 		t.Errorf("-only sendcheck on determinism fixture: exit %d, want 0\nstdout:\n%s\nstderr:\n%s",
 			code, stdout, stderr)
 	}
-	code, stdout, _ := run(t, "-only", "determinism", fixture("determinism"))
-	if code != 1 {
-		t.Fatalf("-only determinism: exit %d, want 1", code)
-	}
-	if strings.Contains(stdout, "[lockdiscipline]") || strings.Contains(stdout, "[sendcheck]") {
-		t.Errorf("-only determinism leaked other analyzers:\n%s", stdout)
-	}
-
-	// Same contract for the concurrency analyzers: lockdiscipline alone
-	// must flag its fixture, and a non-applicable analyzer must not.
 	if code, stdout, stderr := run(t, "-only", "goroutinelife", fixture("lockdiscipline")); code != 0 {
 		t.Errorf("-only goroutinelife on lockdiscipline fixture: exit %d, want 0\nstdout:\n%s\nstderr:\n%s",
 			code, stdout, stderr)
 	}
-	code, stdout, _ = run(t, "-only", "lockdiscipline", fixture("lockdiscipline"))
-	if code != 1 {
-		t.Fatalf("-only lockdiscipline: exit %d, want 1", code)
+	code, stdout, _ := run(t, fixture("determinism"))
+	if code != 1 || !strings.Contains(stdout, "[determinism]") || !strings.Contains(stdout, "[lockdiscipline]") {
+		t.Fatalf("unfiltered run on the determinism fixture: exit %d, want 1 with both tags:\n%s", code, stdout)
 	}
-	if strings.Contains(stdout, "[goroutinelife]") || strings.Contains(stdout, "[determinism]") {
-		t.Errorf("-only lockdiscipline leaked other analyzers:\n%s", stdout)
+	for _, c := range []struct{ only, other string }{
+		{"determinism", "lockdiscipline"},
+		{"lockdiscipline", "determinism"},
+	} {
+		code, stdout, _ := run(t, "-only", c.only, fixture("determinism"))
+		if code != 1 || !strings.Contains(stdout, "["+c.only+"]") {
+			t.Errorf("-only %s: exit %d, want 1 with its findings:\n%s", c.only, code, stdout)
+		}
+		if strings.Contains(stdout, "["+c.other+"]") {
+			t.Errorf("-only %s leaked %s:\n%s", c.only, c.other, stdout)
+		}
 	}
 }
 

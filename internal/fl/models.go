@@ -24,9 +24,9 @@ type Classifier struct {
 	order []int
 	// Held-out evaluation state, built on the first Evaluate: of the some
 	// hundred models a run creates only the recorder's ever evaluates.
-	// scorers[w] runs the forward passes of chunk w — the classifier's own
-	// network for worker 0, forward-only replicas aliasing its parameters
-	// for the others; loss and hit hold one entry per held-out sample.
+	// scorers[w] runs the forward passes of chunk w: a forward-only replica
+	// aliasing the network's parameters, so evaluating borrows no training
+	// scratch. loss and hit hold one entry per held-out sample.
 	scorers [evalWorkers]*nn.Network
 	loss    []float64
 	hit     []bool
@@ -42,8 +42,9 @@ var _ Model = (*Classifier)(nil)
 // returned. A foreign Model is therefore always trained on the loop.
 type isolatedTrainer interface{ trainsIsolated() Model }
 
-// trainsIsolated: Train writes the network's own planes and scratch, rng
-// and order; the dataset accessors are pure reads.
+// trainsIsolated: Train writes the network's own plane, the training
+// scratch it borrows (its free list is locked), rng and order; the dataset
+// accessors are pure reads.
 func (c *Classifier) trainsIsolated() Model { return c }
 
 // evalWorkers is the fan-out of held-out evaluation. It is a constant,
@@ -180,12 +181,11 @@ func (c *Classifier) Evaluate() (loss, acc float64) {
 	return loss / float64(n), float64(correct) / float64(n)
 }
 
-// buildScorers sets up evaluation over n held-out samples: the network
-// itself scores chunk 0 and a forward-only replica each of the others.
+// buildScorers sets up evaluation over n held-out samples: a forward-only
+// replica scores each chunk.
 func (c *Classifier) buildScorers(n int) {
 	c.loss, c.hit = make([]float64, n), make([]bool, n)
-	c.scorers[0] = c.net
-	for w := 1; w < evalWorkers; w++ {
+	for w := range c.scorers {
 		c.scorers[w] = c.net.Replica()
 	}
 }

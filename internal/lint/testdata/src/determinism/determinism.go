@@ -1,15 +1,28 @@
 // Package determinism seeds violations for the determinism analyzer's
 // golden test (internal/lint/golden_test.go). Like all testdata it is
 // invisible to ./... wildcards; the golden test and the CLI tests lint it
-// by explicit path and expect exactly the findings annotated below.
+// by explicit path and expect exactly the findings annotated below. One
+// line (Stamp) is flagged by lockdiscipline as well, so a filtered run
+// has another analyzer's finding to leave out.
 package determinism
 
 import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 )
+
+type clock struct {
+	mu    sync.Mutex
+	stamp time.Time //spyker:guardedby(mu)
+}
+
+// Stamp writes a guarded field, unlocked, from the wall clock.
+func (c *clock) Stamp() {
+	c.stamp = time.Now() // want `call to time\.Now` `write to clock\.stamp \(//spyker:guardedby\(mu\)\) without holding c\.mu`
+}
 
 // Tick reads the wall clock and the global rand source — the two
 // nondeterminism sources a deterministic layer must never touch.

@@ -67,11 +67,11 @@ func TestDispatchAllocations(t *testing.T) {
 		{"sender outside the ring", RoleServer, 5, nil, &transport.Msg{Kind: transport.KindAge, From: 5}, nil, errNotMember, 0},
 		{"age", RoleServer, 1, nil, server(transport.KindAge), nil, nil, 0},
 		{"server model, round joined", RoleServer, 1, nil, server(transport.KindServerModel), nil, nil, 0},
-		// spyker.ServerCore.HandleToken's Token: the handler keeps a
-		// fresh one (s.token = &t), so it moves to the heap on entry, and
-		// a stale one it drops costs the same.
-		{"stale token", RoleServer, 1, nil, &transport.Msg{Kind: transport.KindToken, From: 1, Bid: 3, Epoch: mem.Epoch, Members: mem.Members}, nil, nil, 1},
-		// Each frame outbids the last.
+		// spyker.ServerCore.HandleToken drops a stale token without
+		// copying it.
+		{"stale token", RoleServer, 1, nil, &transport.Msg{Kind: transport.KindToken, From: 1, Bid: 3, Epoch: mem.Epoch, Members: mem.Members}, nil, nil, 0},
+		// Each frame outbids the last, and the handler keeps it: the one
+		// heap copy of the Token.
 		{"fresh token", RoleServer, 1, nil, token, func() { token.Bid++ }, nil, 1},
 		// The histogram observes into fixed buckets.
 		{"client update, staleness histogram", RoleClient, client, link, update, func() {

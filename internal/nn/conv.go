@@ -17,20 +17,16 @@ type Conv2D struct {
 	k                int
 
 	// w holds outC filters, each inC*k*k long, stored contiguously.
-	w  []float64
-	b  []float64
-	gw []float64
-	gb []float64
+	w []float64
+	b []float64
 
-	lastX []float64
-	outV  []float64
-	dx    []float64
-
-	// nzG/nzOff are backward's packing scratch (one output plane's
-	// non-zero dy and their input offsets), built on the first backward
-	// pass: models that only evaluate never need them.
-	nzG   []float64
-	nzOff []int32
+	// Training scratch (see bind), nil at rest. nzG/nzOff are backward's
+	// packing scratch: one output plane's non-zero dy and their input
+	// offsets.
+	gw, gb          []float64
+	lastX, outV, dx []float64
+	nzG             []float64
+	nzOff           []int
 }
 
 // NewConv2D creates a convolution layer mapping (inC,inH,inW) to
@@ -43,15 +39,7 @@ func NewConv2D(inC, inH, inW, outC, k int, rng *rand.Rand) *Conv2D {
 	c := &Conv2D{
 		inC: inC, inH: inH, inW: inW,
 		outC: outC, outH: outH, outW: outW,
-		k:  k,
-		w:  make([]float64, outC*inC*k*k),
-		b:  make([]float64, outC),
-		gw: make([]float64, outC*inC*k*k),
-		gb: make([]float64, outC),
-
-		lastX: make([]float64, inC*inH*inW),
-		outV:  make([]float64, outC*outH*outW),
-		dx:    make([]float64, inC*inH*inW),
+		k: k, w: make([]float64, outC*inC*k*k), b: make([]float64, outC),
 	}
 	fanIn := inC * k * k
 	fanOut := outC * k * k
@@ -129,14 +117,11 @@ func (c *Conv2D) backwardParams(dy []float64) { c.backward(dy, false) }
 func (c *Conv2D) backward(dy []float64, needDX bool) {
 	k, inW, outW := c.k, c.inW, c.outW
 	plane := c.inH * inW
-	if c.nzG == nil {
-		c.nzG, c.nzOff = make([]float64, c.outH*outW), make([]int32, c.outH*outW)
-	}
 	for oc := 0; oc < c.outC; oc++ {
 		n := 0
 		for oy := 0; oy < c.outH; oy++ {
 			for ox, g := range dy[(oc*c.outH+oy)*outW:][:outW] {
-				c.nzG[n], c.nzOff[n] = g, int32(oy*inW+ox)
+				c.nzG[n], c.nzOff[n] = g, oy*inW+ox
 				b := math.Float64bits(g) << 1 // drops the sign: zero iff g is +0 or -0
 				n += int((b | -b) >> 63)
 			}
@@ -157,7 +142,7 @@ func (c *Conv2D) backward(dy []float64, needDX bool) {
 			}
 			for j, g := range gs {
 				for ky := 0; ky < k; ky++ {
-					xi, wi := int(offs[j])+ky*inW, ky*k
+					xi, wi := offs[j]+ky*inW, ky*k
 					for kx := 0; kx < k; kx++ {
 						gw[wi+kx] += float64(g * x[xi+kx])
 						if needDX {
@@ -173,12 +158,12 @@ func (c *Conv2D) backward(dy []float64, needDX bool) {
 // conv3Backward is backward's sweep of one output plane for one (oc, ic)
 // pair with a 3x3 kernel: the nine weight-gradient accumulators live in
 // locals and are written back once.
-func conv3Backward(gs []float64, offs []int32, inW int, x, dx, w, gw []float64, needDX bool) {
+func conv3Backward(gs []float64, offs []int, inW int, x, dx, w, gw []float64, needDX bool) {
 	w0, w1, w2, w3, w4, w5, w6, w7, w8 := w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7], w[8]
 	g0, g1, g2, g3, g4, g5, g6, g7, g8 := gw[0], gw[1], gw[2], gw[3], gw[4], gw[5], gw[6], gw[7], gw[8]
 	offs = offs[:len(gs)]
 	for j, g := range gs {
-		o := int(offs[j])
+		o := offs[j]
 		x0, x1, x2 := x[o:][:3], x[o+inW:][:3], x[o+2*inW:][:3]
 		g0 += float64(g * x0[0])
 		g1 += float64(g * x0[1])
@@ -210,16 +195,18 @@ func conv3Backward(gs []float64, offs []int32, inW int, x, dx, w, gw []float64, 
 // copies nothing.
 func (c *Conv2D) replica() Layer {
 	r := *c
-	r.gw, r.gb, r.lastX, r.dx, r.nzG, r.nzOff = nil, nil, nil, nil, nil, nil
-	r.outV = isolated(len(c.outV))
+	r.bind(carver{})
+	r.outV = isolated(c.OutSize())
 	return &r
 }
 
-func (c *Conv2D) numParams() int { return len(c.w) + len(c.b) }
-
-func (c *Conv2D) rebind(claim func(int) ([]float64, []float64)) {
-	c.w, c.gw = adopt(claim, c.w, c.gw)
-	c.b, c.gb = adopt(claim, c.b, c.gb)
+func (c *Conv2D) bind(k carver) carver {
+	in, plane := c.inC*c.inH*c.inW, c.outH*c.outW
+	c.w, c.gw = k.block(c.w)
+	c.b, c.gb = k.block(c.b)
+	c.lastX, c.outV, c.dx = k.floats(in), k.floats(c.outC*plane), k.floats(in)
+	c.nzG, c.nzOff = k.floats(plane), k.ints(plane)
+	return k
 }
 
 // OutSize implements Layer.
@@ -231,9 +218,9 @@ type MaxPool2D struct {
 	ch, inH, inW int
 	outH, outW   int
 
-	argmax []int
-	outV   []float64
-	dx     []float64
+	// Training scratch (see bind), nil at rest.
+	argmax   []int
+	outV, dx []float64
 }
 
 // NewMaxPool2D creates a 2x2 max pool over (ch,inH,inW) feature maps.
@@ -241,14 +228,7 @@ func NewMaxPool2D(ch, inH, inW int) *MaxPool2D {
 	if inH%2 != 0 || inW%2 != 0 {
 		panic(fmt.Sprintf("nn: MaxPool2D input %dx%d not even", inH, inW))
 	}
-	outH, outW := inH/2, inW/2
-	n := ch * outH * outW
-	return &MaxPool2D{
-		ch: ch, inH: inH, inW: inW, outH: outH, outW: outW,
-		argmax: make([]int, n),
-		outV:   make([]float64, n),
-		dx:     make([]float64, ch*inH*inW),
-	}
+	return &MaxPool2D{ch: ch, inH: inH, inW: inW, outH: inH / 2, outW: inW / 2}
 }
 
 // Forward implements Layer. Within a window the candidates are visited
@@ -264,7 +244,8 @@ func (p *MaxPool2D) Forward(x []float64) []float64 {
 
 func (p *MaxPool2D) replica() Layer {
 	r := *p
-	r.argmax, r.outV, r.dx = make([]int, len(p.argmax)), isolated(len(p.outV)), nil
+	r.bind(carver{})
+	r.argmax, r.outV = make([]int, p.OutSize()), isolated(p.OutSize())
 	return &r
 }
 
@@ -282,9 +263,13 @@ func (p *MaxPool2D) Backward(dy []float64) []float64 {
 	return p.dx
 }
 
-func (p *MaxPool2D) numParams() int                                { return 0 }
-func (p *MaxPool2D) rebind(claim func(int) ([]float64, []float64)) {}
-func (p *MaxPool2D) backwardParams(dy []float64)                   {}
+func (p *MaxPool2D) backwardParams(dy []float64) {}
+
+func (p *MaxPool2D) bind(c carver) carver {
+	n := p.OutSize()
+	p.argmax, p.outV, p.dx = c.ints(n), c.floats(n), c.floats(p.ch*p.inH*p.inW)
+	return c
+}
 
 // OutSize implements Layer.
 func (p *MaxPool2D) OutSize() int { return p.ch * p.outH * p.outW }

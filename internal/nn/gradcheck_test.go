@@ -11,7 +11,7 @@ import (
 func checkNetworkGradients(t *testing.T, net *Network, x []float64, label int, tol float64) {
 	t.Helper()
 	net.LossAndGrad(x, label)
-	analytic := append([]float64(nil), net.gradBacking...)
+	analytic := append([]float64(nil), net.train.grad...)
 	net.Step(0, 1, 0) // zero the grads without moving params (lr=0)
 
 	params := net.Params()

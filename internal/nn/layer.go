@@ -80,8 +80,9 @@ import (
 // The set of layers is closed: the unexported methods admit only this
 // package's Dense, Conv2D, MaxPool2D and ReLU, the layers the paper's
 // models use. Each of them can move its parameters into its Network's one
-// parameter plane, skip the input gradient when it is first in the stack,
-// and copy itself for forward-only evaluation.
+// parameter plane, take its gradients and scratch from the training
+// scratch its Network borrows, skip the input gradient when it is first in
+// the stack, and copy itself for forward-only evaluation.
 type Layer interface {
 	// Forward computes the layer output for input x. The returned slice
 	// is owned by the layer and is overwritten by the next call.
@@ -92,12 +93,10 @@ type Layer interface {
 	// OutSize reports the length of the Forward output vector.
 	OutSize() int
 
-	// numParams is the length of the layer's share of the planes.
-	numParams() int
-	// rebind claims one (param, grad) view pair per parameter block and
-	// adopts the views after moving the current values into them (see
-	// adopt).
-	rebind(claim func(n int) (param, grad []float64))
+	// bind points the layer's parameter blocks, their gradients and its
+	// training scratch into c's planes (see carver) and returns c advanced
+	// past them.
+	bind(c carver) carver
 	// backwardParams accumulates exactly the parameter gradients Backward
 	// would, without producing dL/d(input): for a convolution that is half
 	// of the backward pass.
@@ -113,28 +112,16 @@ type Dense struct {
 	in, out int
 	w       *tensor.Matrix
 	b       []float64
-	gw      *tensor.Matrix
-	gb      []float64
 
-	lastX []float64
-	outV  []float64
-	dx    []float64
+	// Training scratch (see bind), nil at rest.
+	gw              tensor.Matrix
+	gb              []float64
+	lastX, outV, dx []float64
 }
 
 // NewDense creates a Dense layer with Xavier-initialized weights.
 func NewDense(in, out int, rng *rand.Rand) *Dense {
-	d := &Dense{
-		in:  in,
-		out: out,
-		w:   tensor.NewMatrix(out, in),
-		b:   make([]float64, out),
-		gw:  tensor.NewMatrix(out, in),
-		gb:  make([]float64, out),
-
-		lastX: make([]float64, in),
-		outV:  make([]float64, out),
-		dx:    make([]float64, in),
-	}
+	d := &Dense{in: in, out: out, w: tensor.NewMatrix(out, in), b: make([]float64, out), gw: tensor.Matrix{Rows: out, Cols: in}}
 	d.w.XavierInit(rng, in, out)
 	return d
 }
@@ -163,11 +150,11 @@ func (d *Dense) replica() Layer {
 	return &Dense{in: d.in, out: d.out, w: d.w, b: d.b, outV: isolated(d.out)}
 }
 
-func (d *Dense) numParams() int { return len(d.w.Data) + len(d.b) }
-
-func (d *Dense) rebind(claim func(int) ([]float64, []float64)) {
-	d.w.Data, d.gw.Data = adopt(claim, d.w.Data, d.gw.Data)
-	d.b, d.gb = adopt(claim, d.b, d.gb)
+func (d *Dense) bind(c carver) carver {
+	d.w.Data, d.gw.Data = c.block(d.w.Data)
+	d.b, d.gb = c.block(d.b)
+	d.lastX, d.outV, d.dx = c.floats(d.in), c.floats(d.out), c.floats(d.in)
+	return c
 }
 
 // OutSize implements Layer.
@@ -175,15 +162,12 @@ func (d *Dense) OutSize() int { return d.out }
 
 // ReLU is the rectified-linear activation.
 type ReLU struct {
-	size int
-	outV []float64
-	dx   []float64
+	size     int
+	outV, dx []float64 // training scratch (see bind), nil at rest
 }
 
 // NewReLU creates a ReLU over vectors of the given size.
-func NewReLU(size int) *ReLU {
-	return &ReLU{size: size, outV: make([]float64, size), dx: make([]float64, size)}
-}
+func NewReLU(size int) *ReLU { return &ReLU{size: size} }
 
 // Forward implements Layer: out = v where v > 0, else +0 (so -0, every
 // negative and every NaN map to +0), decided on the bit pattern by
@@ -203,9 +187,12 @@ func (r *ReLU) Backward(dy []float64) []float64 {
 
 func (r *ReLU) replica() Layer { return &ReLU{size: r.size, outV: isolated(r.size)} }
 
-func (r *ReLU) numParams() int                                { return 0 }
-func (r *ReLU) rebind(claim func(int) ([]float64, []float64)) {}
-func (r *ReLU) backwardParams(dy []float64)                   {}
+func (r *ReLU) backwardParams(dy []float64) {}
+
+func (r *ReLU) bind(c carver) carver {
+	r.outV, r.dx = c.floats(r.size), c.floats(r.size)
+	return c
+}
 
 // OutSize implements Layer.
 func (r *ReLU) OutSize() int { return r.size }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"github.com/spyker-fl/spyker/internal/tensor"
 )
@@ -30,7 +29,8 @@ type CharLM struct {
 	wy  *tensor.Matrix // vocab x H
 	by  []float64
 
-	train *lmTrain // borrowed by SeqLossAndGrad, given back by Step; nil at rest
+	scratch *trainList // the free list of the model's lmShape
+	train   *lmTrain   // borrowed by SeqLossAndGrad, given back by Step; nil at rest
 }
 
 type lmShape struct{ vocab, embDim, hidden int }
@@ -54,35 +54,13 @@ type lmTrain struct {
 	dx              []float64 // embDim
 }
 
-// lmPool keeps the lmTrain of every CharLM not training, a free list per
-// shape. A scratch is made only when its list is empty, so made is the peak
-// of CharLMs of that shape training at once: goroutines, not models.
-type lmPool struct {
-	mu    sync.Mutex
-	lists map[lmShape]trainList //spyker:guardedby(mu)
-}
-
-type trainList struct {
-	free []*lmTrain
-	made int
-}
-
-var trainPool = lmPool{lists: map[lmShape]trainList{}}
-
-// borrow returns m's training scratch, taking one from trainPool at rest.
+// borrow returns m's training scratch, taking one from its free list at
+// rest.
 func (m *CharLM) borrow() *lmTrain {
 	if m.train != nil {
 		return m.train
 	}
-	trainPool.mu.Lock()
-	l := trainPool.lists[m.lmShape]
-	if n := len(l.free); n > 0 {
-		m.train, l.free = l.free[n-1], l.free[:n-1]
-	} else {
-		l.made++
-	}
-	trainPool.lists[m.lmShape] = l
-	trainPool.mu.Unlock()
+	m.train, _ = m.scratch.take().(*lmTrain)
 	if m.train == nil {
 		f := func(n int) []float64 { return make([]float64, n) }
 		h := m.hidden
@@ -124,6 +102,7 @@ type lstmStep struct {
 func NewCharLM(vocab, embDim, hidden int, rng *rand.Rand) *CharLM {
 	h := hidden
 	m := &CharLM{lmShape: lmShape{vocab, embDim, hidden}}
+	m.scratch = listFor(m.lmShape)
 	m.backing = make([]float64, vocab*embDim+4*h*embDim+4*h*h+4*h+vocab*h+vocab)
 	m.emb, m.wx, m.wh, m.bg, m.wy, m.by = m.carve(m.backing)
 
@@ -269,11 +248,7 @@ func (m *CharLM) Step(lr float64, count int, clip float64) {
 	sc := m.borrow() // at rest the gradients are a free scratch's zeros
 	tensor.SGDStep(m.backing, sc.grad, lr, scale, clip)
 	m.train = nil
-	trainPool.mu.Lock()
-	l := trainPool.lists[m.lmShape]
-	l.free = append(l.free, sc)
-	trainPool.lists[m.lmShape] = l
-	trainPool.mu.Unlock()
+	m.scratch.put(sc)
 }
 
 // SeqScratch is the working memory of one SeqLossWith caller: the LSTM

@@ -1,8 +1,10 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/spyker-fl/spyker/internal/tensor"
@@ -77,8 +79,9 @@ func TestStepZeroesGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	net := NewNetwork(NewDense(3, 2, rng))
 	net.LossAndGrad([]float64{1, 2, 3}, 0)
+	grad := net.train.grad
 	net.Step(0.01, 1, 0)
-	for _, g := range net.gradBacking {
+	for _, g := range grad {
 		if g != 0 {
 			t.Fatal("gradients not zeroed after Step")
 		}
@@ -111,6 +114,14 @@ func TestStepInvalidBatchPanics(t *testing.T) {
 	net.Step(0.1, 0, 0)
 }
 
+// standalone gives a layer used outside a Network training scratch of
+// its own.
+func standalone[L Layer](l L) L {
+	s := l.bind(carver{})
+	l.bind(carver{t: netTrain{make([]float64, s.grad), make([]float64, s.f), make([]int, s.i)}})
+	return l
+}
+
 func TestConvOutShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	c := NewConv2D(3, 12, 12, 8, 3, rng)
@@ -120,7 +131,7 @@ func TestConvOutShape(t *testing.T) {
 }
 
 func TestMaxPoolForward(t *testing.T) {
-	p := NewMaxPool2D(1, 4, 4)
+	p := standalone(NewMaxPool2D(1, 4, 4))
 	x := []float64{
 		1, 2, 3, 4,
 		5, 6, 7, 8,
@@ -172,4 +183,88 @@ func TestNewNetworkEmptyPanics(t *testing.T) {
 		}
 	}()
 	NewNetwork()
+}
+
+// mnistShaped is a small network of the paper's MNIST CNN's layer stack.
+func mnistShaped(seed int64) *Network {
+	rng := rand.New(rand.NewSource(seed))
+	conv, pool := NewConv2D(1, 10, 10, 4, 3, rng), NewMaxPool2D(4, 8, 8)
+	return NewNetwork(conv, NewReLU(conv.OutSize()), pool,
+		NewDense(pool.OutSize(), 12, rng), NewReLU(12), NewDense(12, 10, rng))
+}
+
+// TestNetworkAtRestHoldsOnlyItsParameters: a fresh network, and one whose
+// last call was Step, holds no slice but views of its parameter plane; one
+// mid-batch holds its borrowed scratch, and so does one that ran Forward,
+// until its next Step.
+func TestNetworkAtRestHoldsOnlyItsParameters(t *testing.T) {
+	net := mnistShaped(1)
+	rng := rand.New(rand.NewSource(2))
+	atRest := func(when string, want bool) {
+		t.Helper()
+		held := HeldBeyondParams(net)
+		if rest := len(held) == 0 && net.train == nil; rest != want {
+			t.Errorf("%s: at rest = %v, want %v; held beyond the parameters: %v", when, rest, want, held)
+		}
+	}
+	atRest("fresh", true)
+	for batch := 0; batch < 3; batch++ {
+		for i := 0; i < 4; i++ {
+			net.LossAndGrad(randVec(rng, 100), rng.Intn(10))
+		}
+		atRest("mid-batch", false)
+		net.Step(0.1, 4, 5)
+		atRest("after Step", true)
+	}
+	net.Forward(randVec(rng, 100))
+	atRest("after Forward", false)
+	net.Step(0.1, 1, 5)
+	atRest("after Forward and Step", true)
+	net.Replica().Forward(randVec(rng, 100))
+	atRest("after a replica's Forward", true)
+}
+
+// TestNetworksTrainingAtOnceMatchAlone: four goroutines each train their
+// own Network of one shape, so the training scratch passes between
+// networks mid-run. Each network ends on the bits it ends on trained
+// alone and holds nothing beyond its parameters at rest, and the shape's
+// free list made no more scratches than there were trainers.
+func TestNetworksTrainingAtOnceMatchAlone(t *testing.T) {
+	const trainers = 4
+	ForgetTrainScratch()
+	train := func(i int) []float64 {
+		net := mnistShaped(int64(70 + i))
+		rng := rand.New(rand.NewSource(int64(80 + i)))
+		for batch := 0; batch < 30; batch++ {
+			n := 1 + rng.Intn(5)
+			for j := 0; j < n; j++ {
+				net.LossAndGrad(randVec(rng, 100), rng.Intn(10))
+			}
+			net.Step(0.05, n, 5)
+		}
+		if held := HeldBeyondParams(net); len(held) > 0 || net.train != nil {
+			t.Errorf("network %d holds training scratch after its last Step: %v", i, held)
+		}
+		return net.Params()
+	}
+	want := make([][]float64, trainers)
+	for i := range want {
+		want[i] = train(i)
+	}
+	got := make([][]float64, trainers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = train(i)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		sameBits(t, fmt.Sprintf("network %d trained beside %d others", i, trainers-1), got[i], want[i])
+	}
+	if made, free := NetTrainScratch(mnistShaped(0)); made > trainers || free != made {
+		t.Errorf("%d scratches made, %d free, for %d trainers", made, free, trainers)
+	}
 }

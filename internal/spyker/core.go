@@ -740,7 +740,8 @@ func (s *ServerCore) HandleToken(t Token) {
 	}
 	s.ages[s.cfg.ID] = s.age
 	t.Bid++
-	s.token = &t
+	kept := t // only a kept token moves to the heap, not every arrival
+	s.token = &kept
 	s.hasToken = true
 	if t.Bid > s.maxBidSeen {
 		s.maxBidSeen = t.Bid
