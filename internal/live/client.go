@@ -1,6 +1,7 @@
 package live
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -69,10 +70,16 @@ func (c *Client) runOnce(serverAddr string) (shutdown bool, _ error) {
 	// inbound Params buffer in place, and the outbound update leaves
 	// straight from the model's parameter view — Send writes synchronously,
 	// so the borrow never outlives the call and the loop allocates nothing
-	// per round.
-	var in, out transport.Msg
+	// per round. Bound to the model, a frame of another dimension ends the
+	// connection as a *transport.FrameError, never reaching SetParams.
+	conn.Bound(c.Model.NumParams(), 0)
+	in := transport.Msg{Params: make([]float64, c.Model.NumParams())}
+	var out transport.Msg
 	for {
-		if err := conn.RecvInto(&in); err != nil {
+		var refused *transport.FrameError
+		if err := conn.RecvInto(&in); errors.As(err, &refused) {
+			return false, err
+		} else if err != nil {
 			// The server closing the connection during teardown is an
 			// orderly end of participation.
 			return false, nil

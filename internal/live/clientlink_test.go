@@ -1,6 +1,7 @@
 package live
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -14,10 +15,10 @@ import (
 const (
 	floodDim     = 16384 // 128 KiB frames, the benchmark's model size
 	floodUpdates = 1400  // more frames than any queue a server could hold for one client
-	// poolBound is how many pooled buffers a server may have out with one
-	// client stalled and one being served: a reply parked on the stalled
-	// client's link, and a frame each in the other reader's hands.
-	poolBound = 4
+	// stalledHolds is how many pooled buffers a server has out for a client
+	// that stopped reading: the reply its reader is stuck sending. The
+	// reader borrows no other until the send returns.
+	stalledHolds = 1
 )
 
 // floodServer starts a one-server ring and a client (id 100) that sends it
@@ -60,16 +61,16 @@ func floodServer(t *testing.T) (srv *Server, stop func()) {
 
 // TestClientThatNeverReadsStallsOnlyItself: a client that sends updates
 // and never reads a reply stalls its own connection and nothing else. The
-// server holds a constant number of pooled buffers for it, not a queue of
-// replies, and a second client is still served.
+// server holds one pooled buffer for it, not a queue of replies, and a
+// second client is still served and then holds none.
 func TestClientThatNeverReadsStallsOnlyItself(t *testing.T) {
 	srv, stop := floodServer(t)
 	defer srv.Close()
 	defer stop()
 	live := srv.pool.Live()
 	t.Logf("%d pooled buffers out with the flood stalled", live)
-	if live > poolBound {
-		t.Errorf("the stalled client holds %d pooled buffers (%d MB), want at most %d", live, live*8*floodDim>>20, poolBound)
+	if live != stalledHolds {
+		t.Errorf("the stalled client holds %d pooled buffers (%d MB), want %d", live, live*8*floodDim>>20, stalledHolds)
 	}
 
 	conn, err := transport.Dial(srv.Addr())
@@ -92,8 +93,43 @@ func TestClientThatNeverReadsStallsOnlyItself(t *testing.T) {
 	if err := conn.RecvInto(&in); err != nil || in.Kind != transport.KindModelReply {
 		t.Fatalf("the second client's update got no reply: kind %v, %v", in.Kind, err)
 	}
-	if live := srv.pool.Live(); live > poolBound {
-		t.Errorf("%d pooled buffers out after serving the second client, want at most %d", live, poolBound)
+	// The second reader returns the reply's buffer once its send has
+	// returned, and waits for the next update with none.
+	waitFor(t, "the second client's reply buffer to return", 5*time.Second, func() bool {
+		return srv.pool.Live() == stalledHolds
+	})
+}
+
+// TestClientRefusesAModelOfAnotherDimension: a client's connection is
+// bound to its model, so a server that answers the hello with a model one
+// word too long ends the connection with a *transport.FrameError, where
+// handing the frame to SetParams would panic the client's process.
+func TestClientRefusesAModelOfAnotherDimension(t *testing.T) {
+	factory, shards, _ := liveFactory(t)
+	c := &Client{ID: 1, Model: factory(1), Shard: shards[0], Epochs: 1}
+	l, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := conn.Recv(); err != nil {
+			return
+		}
+		_ = conn.Send(&transport.Msg{Kind: transport.KindModelReply, Params: make([]float64, c.Model.NumParams()+1)})
+		_, _ = conn.Recv() // until the client hangs up
+	}()
+	var refused *transport.FrameError
+	if err := c.Run(l.Addr()); !errors.As(err, &refused) {
+		t.Fatalf("Run returned %v, want a *transport.FrameError", err)
+	}
+	if c.Updates() != 0 {
+		t.Errorf("the client trained %d times on a refused model", c.Updates())
 	}
 }
 

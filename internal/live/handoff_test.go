@@ -76,7 +76,6 @@ func constantUpdate(id, j int) *transport.Msg {
 func TestPipelinedUpdatesGetWholeReplies(t *testing.T) {
 	servers := handoffRing(t)
 	srv := servers[0]
-	idle := srv.pool.Live()
 	conn := dialClient(t, srv, 100)
 
 	const updates = 200
@@ -116,8 +115,8 @@ func TestPipelinedUpdatesGetWholeReplies(t *testing.T) {
 	_ = conn.Close()
 	closeAll(servers)
 	for i, s := range servers {
-		if live := s.pool.Live(); live != idle {
-			t.Errorf("server %d: %d pooled buffers still out after close, %d before the client connected", i, live, idle)
+		if live := s.pool.Live(); live != 0 {
+			t.Errorf("server %d: %d pooled buffers still out after close", i, live)
 		}
 	}
 }
@@ -129,15 +128,14 @@ func TestPipelinedUpdatesGetWholeReplies(t *testing.T) {
 func TestReplyBufferReturnsWithoutAReceiver(t *testing.T) {
 	servers := handoffRing(t)
 	srv := servers[0]
-	idle := srv.pool.Live()
 
 	// No such client: the buffer returns inside the call.
 	buf := srv.pool.Get(handoffDim)
 	srv.mu.Lock()
 	(*serverOutbound)(srv).ReplyClient(12345, buf, 1, 0.05)
 	srv.mu.Unlock()
-	if live := srv.pool.Live(); live != idle {
-		t.Fatalf("a reply to an unknown client left %d buffers out, want %d", live, idle)
+	if live := srv.pool.Live(); live != 0 {
+		t.Fatalf("a reply to an unknown client left %d buffers out, want 0", live)
 	}
 
 	// A client that pipelines updates and hangs up without reading one
@@ -158,8 +156,8 @@ func TestReplyBufferReturnsWithoutAReceiver(t *testing.T) {
 
 	closeAll(servers)
 	for i, s := range servers {
-		if live := s.pool.Live(); live != idle {
-			t.Errorf("server %d: %d pooled buffers still out after close, want %d", i, live, idle)
+		if live := s.pool.Live(); live != 0 {
+			t.Errorf("server %d: %d pooled buffers still out after close, want 0", i, live)
 		}
 	}
 	if srv.Updates() > sent {
@@ -214,4 +212,78 @@ func TestClientLinkEndsWithItsConnection(t *testing.T) {
 	waitFor(t, "the server's goroutines to exit", 5*time.Second, func() bool {
 		return runtime.NumGoroutine() <= before
 	})
+}
+
+// TestIdleServerHoldsNoModelBuffer: a server holds a model buffer only
+// while a frame is in it. In a three-server ring with one client each,
+// after the hellos, a few updates per client and a sync round, every
+// server's pool has nothing out once the links are quiet — though every
+// client and every peer link is still connected, and each of those
+// connections has a reader waiting on it.
+func TestIdleServerHoldsNoModelBuffer(t *testing.T) {
+	const n = 3
+	servers := make([]*Server, n)
+	addrs := make([]string, n)
+	for i := range servers {
+		cfg := ServerConfig(i, n, 1, fl.DefaultHyper(n, n))
+		cfg.HInter, cfg.HIntra = math.Inf(1), 2 // the token holder starts a round after its second update
+		srv, err := NewServer(i, "127.0.0.1:0", cfg, make([]float64, handoffDim), i == 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers[i], addrs[i] = srv, srv.Addr()
+	}
+	defer closeAll(servers)
+	for _, srv := range servers {
+		if err := srv.ConnectPeers(addrs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, srv := range servers {
+		conn := dialClient(t, srv, 100+i)
+		defer func() { _ = conn.Close() }()
+		var reply transport.Msg
+		for j := range 4 {
+			if err := conn.Send(constantUpdate(100+i, j)); err != nil {
+				t.Fatal(err)
+			}
+			if err := conn.RecvInto(&reply); err != nil || reply.Kind != transport.KindModelReply {
+				t.Fatalf("server %d, update %d: reply %v, %v", i, j, reply.Kind, err)
+			}
+		}
+	}
+	// The round ends when the holder has every member's model and passes
+	// the token on; by then every broadcast has been sent or is on its way.
+	// The holder starts a round at its second update, under the handler,
+	// so its broadcast is on its way before the reply to that update.
+	if servers[0].SyncsTriggered() == 0 {
+		t.Fatal("no sync round started")
+	}
+	// Each server sent its client one frame more than it received (the
+	// first model), so the links are quiet once the rest of what the
+	// servers sent each other has been dispatched.
+	w := int64(transport.MsgWireBytes(constantUpdate(0, 0)))
+	waitFor(t, "the links to go quiet", 5*time.Second, func() bool {
+		var unread int64
+		for _, s := range servers {
+			unread += s.txBytes.Load() - s.rxBytes.Load()
+		}
+		return unread == n*w
+	})
+	waitFor(t, "every pooled buffer to return", 5*time.Second, func() bool {
+		for _, s := range servers {
+			if s.pool.Live() != 0 {
+				return false
+			}
+		}
+		return true
+	})
+	for i, s := range servers {
+		s.mu.Lock()
+		clients, peers := len(s.clients), len(s.peers)
+		s.mu.Unlock()
+		if clients != 1 || peers != n-1 {
+			t.Errorf("server %d: %d clients and %d peer links while idle, want 1 and %d", i, clients, peers, n-1)
+		}
+	}
 }

@@ -239,3 +239,85 @@ func TestStalledPeerLinkIsReplaced(t *testing.T) {
 	closeAll(servers)
 	clientWG.Wait()
 }
+
+// gatedSender is a peer link that sends nothing until its gate opens.
+type gatedSender struct {
+	transport.Sender
+	gate chan struct{}
+	once sync.Once
+}
+
+func (g *gatedSender) open() { g.once.Do(func() { close(g.gate) }) }
+
+func (g *gatedSender) Send(m *transport.Msg) error {
+	<-g.gate
+	return g.Sender.Send(m)
+}
+
+// TestBroadcastIsOneSharedBuffer: a model broadcast to two peers is one
+// pooled buffer, shared by both outboxes, and it comes back exactly once,
+// after the last outbox lets go of it. Server 0's link to server 1 stalls
+// and fails past its stall time; its link to server 2 sends once its gate
+// opens. A copy per peer leaves two buffers out, a countdown that returns
+// the buffer at the first outbox leaves none while the stalled link still
+// holds the frame, and a double return leaves the pool's count below zero.
+func TestBroadcastIsOneSharedBuffer(t *testing.T) {
+	const n, dim = 3, 64
+	initial := make([]float64, dim)
+	servers := make([]*Server, n)
+	addrs := make([]string, n)
+	for i := range servers {
+		cfg := ServerConfig(i, n, 1, fl.DefaultHyper(n, n))
+		if i == 0 {
+			cfg.TokenTimeout = 0.2 // the links' stall time; no ticker runs
+		}
+		srv, err := NewServer(i, "127.0.0.1:0", cfg, initial, i == 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers[i], addrs[i] = srv, srv.Addr()
+	}
+	defer closeAll(servers)
+	a := servers[0]
+	stall := newStalledSender()
+	gated := &gatedSender{gate: make(chan struct{})}
+	a.SetPeerWrapper(func(peer int, conn transport.Sender) transport.Sender {
+		if peer == 1 {
+			stall.Sender = conn
+			return stall
+		}
+		gated.Sender = conn
+		return gated
+	})
+	if err := a.ConnectPeers(addrs); err != nil {
+		t.Fatal(err)
+	}
+	a.mu.Lock()
+	stalled, sending := a.peers[1], a.peers[2]
+	a.mu.Unlock()
+	defer func() { // a failed check must not leave Close waiting on either link
+		gated.open()
+		stall.once.Do(func() { close(stall.release) })
+	}()
+
+	if !broadcastBurst(a, "model", 1, initial, 5*time.Second) {
+		t.Fatal("the broadcast blocked its sender")
+	}
+	if live := a.pool.Live(); live != 1 {
+		t.Fatalf("a broadcast to two peers has %d pooled buffers out, want 1", live)
+	}
+	gated.open()
+	waitFor(t, "the open link to send its frame", 5*time.Second, func() bool { return sending.depth.Load() == 0 })
+	if live := a.pool.Live(); live != 1 {
+		t.Fatalf("with the stalled link still holding the frame, %d pooled buffers are out, want 1", live)
+	}
+	time.Sleep(300 * time.Millisecond)
+	broadcastBurst(a, "age", 1, initial, 5*time.Second) // sees the stall and fails the link
+	waitFor(t, "the failed link to let go of its frames", 5*time.Second, func() bool { return stalled.depth.Load() == 0 })
+	if !stalled.failed.Load() || sending.failed.Load() {
+		t.Errorf("link to server 1 failed %v, to server 2 failed %v; want true and false", stalled.failed.Load(), sending.failed.Load())
+	}
+	if live := a.pool.Live(); live != 0 {
+		t.Errorf("after both links let go of the broadcast, %d pooled buffers are out, want 0", live)
+	}
+}

@@ -27,8 +27,9 @@ type rejectRig struct {
 const rejectDim = 8
 
 // poolIdle is how many pooled vectors server 0 has out while the rig is
-// idle: the one its reader for the honest client waits in.
-const poolIdle = 1
+// idle: none, since a reader borrows one only once a model frame's header
+// has arrived.
+const poolIdle = 0
 
 func newRejectRig(t *testing.T) *rejectRig {
 	t.Helper()

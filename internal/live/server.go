@@ -269,15 +269,13 @@ type Server struct {
 	reconnects atomic.Int64
 	debugAddr  string //spyker:guardedby(mu)
 
-	// pool recycles the model-sized buffers that frames travel in. A client
-	// connection's reader receives into one; the core's handler consumes
-	// the update and turns the same buffer into the reply (the Outbound
-	// contract), parked on the client's link; the same reader sends it,
-	// returns it and takes another for its next frame — so a buffer has one
-	// holder at a time: reader, then core (under mu), then reader. A first
-	// model and the broadcasts, which the core only lends, are copied into
-	// buffers from here: the reader returns the first after sending it, the
-	// peer outboxes return the broadcasts.
+	// pool recycles the model-sized buffers that frames travel in, held
+	// only while a frame is in one. A reader borrows one at a model frame's
+	// header (see readLoop); a client update's becomes the reply (the
+	// Outbound contract), which the same reader sends and returns — one
+	// holder at a time: reader, core (under mu), reader. A first model and
+	// a broadcast, which the core only lends, are copied into one: the
+	// reader returns the first, the last peer outbox the other (sharedFrame).
 	pool paramvec.Pool
 
 	// ckptScratch is the reusable checkpoint snapshot (see
@@ -818,36 +816,22 @@ func (s *Server) readLoop(conn *transport.Conn) {
 		// Inbound peer link: read-only; our own dialed link sends.
 		remote = obs.ServerNode + id
 	}
-	// One reusable frame per connection: RecvInto reads a model's bytes
-	// from the socket straight into the Params m already owns, so a
-	// steady-state reader allocates and copies nothing per frame. What
-	// receivers retain — the token's age vector, the membership, the address
-	// book — is fresh on every decode (see the transport package comment). A
-	// server connection's Params are only read, under s.mu, for the length
-	// of the handler. A client connection's are given away: dispatch takes
-	// them out of m when the core has consumed an update (see the pool
-	// field), so this reader receives into a pooled buffer, draws the next
-	// one when the last is gone, and returns the one it still holds when the
-	// connection ends — which is where a frame refused for a NaN in its
-	// parameters is by then: in m, never dispatched. Before each receive it
-	// sends what the last handler parked on its link: the first model, then
-	// the reply to each update.
+	// One reusable frame per connection: RecvInto borrows a model frame's
+	// Params from the pool once its header has passed (transport.Conn.Supply)
+	// and reads the socket straight into them, so a waiting reader holds no
+	// buffer. What receivers retain — ages, membership, address book — is
+	// fresh on every decode. dispatch takes a client update's Params out of
+	// m (see the pool field); what is still in m after it — a server model
+	// the core only read, or a frame refused for a NaN — goes back to the
+	// pool. A client connection's reader first sends what the last handler
+	// parked on its link: the first model, then the reply to each update.
+	conn.Supply(func(n int) []float64 { return s.pool.Get(n) })
 	var m transport.Msg
-	if link != nil {
-		defer func() {
-			if m.Params != nil {
-				s.pool.Put(m.Params[:cap(m.Params)])
-			}
-		}()
-	}
 	for {
 		if link != nil {
 			if err := s.flush(link); err != nil {
 				s.drop(conn, remote, err)
 				return
-			}
-			if m.Params == nil {
-				m.Params = s.pool.Get(int(s.dim.Load()))
 			}
 		}
 		conn.Bound(int(s.dim.Load()), int(s.ringBound.Load()))
@@ -860,6 +844,8 @@ func (s *Server) readLoop(conn *transport.Conn) {
 		if err == nil {
 			err = s.dispatch(role, id, link, &m)
 		}
+		s.pool.Put(m.Params)
+		m.Params = nil
 		if err != nil {
 			s.drop(conn, remote, err)
 			return
@@ -1208,30 +1194,46 @@ func (s *Server) addrsFor(members []int) []string {
 //spyker:locked(mu)
 func (o *serverOutbound) BroadcastModel(params []float64, age float64, bid int, front []int64, mem ring.Membership) {
 	s := (*Server)(o)
-	// front is a borrow of the core's live frontier and the outboxes encode
-	// asynchronously, so snapshot it once here; the copy is shared by every
-	// frame (outboxes only read it to encode). mem.Members is safe
-	// to share un-copied: ring.Membership slices are never mutated in
-	// place (membership changes allocate fresh slices).
-	frontCopy := append([]int64(nil), front...)
-	addrs := s.addrsFor(mem.Members)
-	uid := obs.RoundUID(o.ID, bid)
+	// One frame for every peer (outboxes only read it), holding copies of
+	// the core's live model and frontier, which it only lends. mem.Members
+	// is shared un-copied: membership changes allocate fresh slices.
+	var f *sharedFrame
 	for id, p := range o.peers {
 		if p == nil || id == o.ID {
 			continue
 		}
-		// One pooled copy per peer: each outbox owns its buffer and
-		// returns it independently after its send completes.
-		buf := s.pool.Get(len(params))
-		buf.CopyFrom(params)
-		m := &transport.Msg{
-			Kind: transport.KindServerModel, From: o.ID,
-			Params: buf, Age: age, Bid: bid,
-			Trace: transport.Trace{UID: uid, Front: frontCopy},
-			Epoch: mem.Epoch, Members: mem.Members, Addrs: addrs,
+		if f == nil {
+			buf := s.pool.Get(len(params))
+			buf.CopyFrom(params)
+			f = &sharedFrame{srv: s, Msg: transport.Msg{
+				Kind: transport.KindServerModel, From: o.ID,
+				Params: buf, Age: age, Bid: bid,
+				Trace: transport.Trace{UID: obs.RoundUID(o.ID, bid), Front: append([]int64(nil), front...)},
+				Epoch: mem.Epoch, Members: mem.Members, Addrs: s.addrsFor(mem.Members),
+			}}
+			f.left.Store(1) // the broadcast's own share, let go of below
 		}
-		s.noteSend(obs.ServerNode+id, m)
-		p.enqueueRelease(m, func() { s.pool.Put(buf) })
+		f.left.Add(1)
+		s.noteSend(obs.ServerNode+id, &f.Msg)
+		p.enqueueRelease(&f.Msg, f.release)
+	}
+	if f != nil {
+		f.release()
+	}
+}
+
+// sharedFrame is one broadcast frame read by every peer outbox, the live
+// twin of fl.SharedVec: each outbox releases it once, sent or not, and the
+// last release returns its pooled Params.
+type sharedFrame struct {
+	transport.Msg
+	srv  *Server
+	left atomic.Int64
+}
+
+func (f *sharedFrame) release() {
+	if f.left.Add(-1) == 0 {
+		f.srv.pool.Put(f.Params)
 	}
 }
 

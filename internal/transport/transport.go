@@ -44,12 +44,13 @@
 // header, Params and tail as one net.Buffers — one writev on a TCP
 // connection, at most three Writes on any other net.Conn; a frame without
 // Params is one Write. A receiver whose target Msg already owns the
-// capacity (a reader's pooled buffer, a client's reused Msg) reads the
-// Params bytes from the socket straight into it and then sweeps the words
-// for NaN and ±Inf in place; only the tail is buffered. A target that does
-// not own the capacity yet (a first frame) takes the buffered path: the
-// whole body into the connection's buffer, then Params allocated for the
-// bytes that arrived and converted out of it; a buffer that frame grew
+// capacity (a client's reused Msg, or one a Supply-ed bounded connection
+// fills at the header: a live reader's pooled buffer) reads the Params
+// bytes from the socket straight into it and then sweeps the words for
+// NaN and ±Inf in place; only the tail is buffered. Any other target that
+// does not own the capacity yet (a first frame) takes the buffered path:
+// the whole body into the connection's buffer, then Params allocated for
+// the bytes that arrived and converted out of it; a buffer that frame grew
 // past what a tail needs is then let go, so a connection does not hold a
 // model-sized buffer for the rest of its life.
 //
@@ -73,13 +74,14 @@
 // dimension on the kinds that carry a model and is empty on the others,
 // the Ages, Front, Members and Addrs counts stay within the ring bound,
 // and there is no Blob. Only then is the body read: Params into memory
-// the target already owns, everything else into a buffer that grows with
+// the target already owns or the supplier gives it for the bound
+// dimension, everything else into a buffer that grows with
 // the bytes that actually arrive — nothing is ever sized by the declared
 // length alone. Params and Ages are then tested for NaN and ±Inf, and the
 // addresses must fill their section exactly. A frame refused at that
-// point has already written over the target's Params: they stay the
-// target owner's to reuse or release (the live reader returns its pooled
-// buffer), and, as after any error, hold nothing anyone may read.
+// point has already written over the target's Params, supplied or not:
+// they stay the target owner's to reuse or release, and, as after any
+// error, hold nothing anyone may read.
 //
 // # Ownership of decoded slices
 //
@@ -298,9 +300,10 @@ type Conn struct {
 	hdr  [headerSize]byte
 	rbuf []byte
 
-	// What the owner told Bound; bounded is false until then.
+	// What the owner told Bound (bounded is false until then) and Supply.
 	bounded   bool
 	dim, ring int
+	supply    func(n int) []float64
 }
 
 // NewConn wraps an established net.Conn.
@@ -324,6 +327,12 @@ func Dial(addr string) (*Conn, error) {
 func (c *Conn) Bound(dim, ring int) {
 	c.bounded, c.dim, c.ring = true, dim, ring
 }
+
+// Supply gives a bounded connection the Params of a model frame whose
+// target has none: once the header has passed every check, RecvInto reads
+// it into get(dim), never a length the header declares. Unbounded, get is
+// never called.
+func (c *Conn) Supply(get func(n int) []float64) { c.supply = get }
 
 // SetReadDeadline sets the deadline of pending and future receives; the
 // zero time means none.
@@ -538,6 +547,9 @@ func (c *Conn) RecvInto(m *Msg) error {
 
 	var b []byte // what follows Params
 	var err error
+	if int64(cap(m.Params)) < nParams && c.bounded && c.supply != nil {
+		m.Params = c.supply(c.dim) // nParams is dim: the header passed Bound
+	}
 	if int64(cap(m.Params)) >= nParams {
 		m.Params = m.Params[:nParams]
 		if err = c.readWords(m.Params); err != nil {

@@ -489,6 +489,73 @@ func TestRecvIntoAllocations(t *testing.T) {
 	}
 }
 
+// TestSuppliedParams: on a bounded connection with a supplier, a model
+// frame into a target without Params takes them from the supplier, asked
+// once for the bound dimension, and is read into them in place: no other
+// allocation, no staging of the body. A frame refused from its header
+// asks for nothing, and one refused for a NaN leaves the supplied buffer
+// in the target, its owner's to release.
+func TestSuppliedParams(t *testing.T) {
+	const dim = 16384
+	supplied := make([]float64, dim)
+	var asked []int
+	mc := &memConn{}
+	c := NewConn(mc)
+	c.Bound(dim, 3)
+	c.Supply(func(n int) []float64 {
+		asked = append(asked, n)
+		return supplied
+	})
+	update := &Msg{Kind: KindClientUpdate, From: 3, Params: make([]float64, dim), Age: 7}
+	update.Params[dim-1] = 2.5
+	data := frame(update)
+	mc.in.Grow(len(data))
+	asked = make([]int, 0, 64)
+	var in Msg
+	recv := func(b []byte) error {
+		mc.in.Reset()
+		mc.in.Write(b)
+		in.Params = nil
+		return c.RecvInto(&in)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := recv(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !raceEnabled && allocs != 0 {
+		t.Errorf("a supplied model frame allocates %v times, want 0", allocs)
+	}
+	if len(asked) != 21 {
+		t.Errorf("the supplier was asked %d times for 21 frames", len(asked))
+	}
+	for _, n := range asked {
+		if n != dim {
+			t.Fatalf("the supplier was asked for %d words, want %d", n, dim)
+		}
+	}
+	if &in.Params[0] != &supplied[0] || in.Params[dim-1] != 2.5 {
+		t.Error("the frame was not read into the supplied Params")
+	}
+
+	asked = asked[:0]
+	for _, m := range []*Msg{
+		{Kind: KindClientUpdate, Params: make([]float64, dim+1)},
+		{Kind: KindToken, Bid: 2, Ages: []float64{1, 2}},
+	} {
+		if err := recv(frame(m)); len(asked) != 0 {
+			t.Errorf("%v frame of %d params (err %v): the supplier was asked for %v", m.Kind, len(m.Params), err, asked)
+		}
+	}
+	update.Params[5] = math.NaN()
+	if err := recv(frame(update)); !errors.Is(err, errNonFinite) {
+		t.Fatalf("a NaN parameter: got %v, want %v", err, errNonFinite)
+	}
+	if len(asked) != 1 || len(in.Params) != dim || &in.Params[0] != &supplied[0] {
+		t.Errorf("a frame refused for a NaN: supplier asked %v, target holds %d params, supplied ones %v", asked, len(in.Params), len(in.Params) > 0 && &in.Params[0] == &supplied[0])
+	}
+}
+
 // loopConn writes into the buffer it reads from.
 type loopConn struct{ *memConn }
 
