@@ -316,6 +316,7 @@ func runServer(o opts) error {
 	close(stop)
 	wg.Wait()
 	fmt.Println(srv.StatsLine())
+	srv.Close() // before the trace is taken, so it holds every event emitted
 	if o.tracePath != "" && tracer != nil {
 		if err := writeTraceFile(o.tracePath, tracer); err != nil {
 			return err

@@ -5,8 +5,8 @@
 // times, and traffic totals (of a live trace: the octets of the frames
 // sent and received; of a simulated one: the sizes the geo model charged).
 // Two provenance modes reconstruct the causal
-// lineage of every client update from the merged-updates frontier the
-// servers stamp on their events:
+// lineage of every client update, rebuilding each server's merged-updates
+// frontier from the trace's own events (obs.BuildLineage):
 //
 //   - -mode provenance reports, per client update, the origin server,
 //     every server its contribution reached, the broadcast hop and sync

@@ -85,3 +85,46 @@ func TestFailoverRunHealthReport(t *testing.T) {
 	}
 	golden(t, "health-report", b.String())
 }
+
+// TestCrashOfADownServerIsAMiss: a token-holder crash whose token is in
+// flight falls back to server 0, which may be down already. In the failover
+// study's deployment at 60 clients, seed 1 of CrashPlan(1, 4, 60, 10)
+// crashes server 0 at 29.071 s and aims at it again at 37.918 s, while it
+// is still down. That crash does nothing, so it is traced as a miss, is
+// not counted, and schedules no restart — a restart it scheduled would
+// end a later crash's downtime early. Six faults are applied: three
+// crashes and their three restarts.
+func TestCrashOfADownServerIsAMiss(t *testing.T) {
+	plan := fault.CrashPlan(1, 4, 60, 10)
+	setup, _ := recoverySetup(60, 4, 1, 60, &plan)
+	tracer := obs.NewTracer(1 << 20)
+	setup.Trace = tracer
+	res, err := Run("spyker", setup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	notes := map[string]int{}
+	down := map[int]bool{}
+	for _, e := range tracer.Events() {
+		if e.Kind != obs.KindFault {
+			continue
+		}
+		notes[e.Note]++
+		switch e.Note {
+		case "crash":
+			down[e.Node] = true
+		case "crash-miss":
+			if !down[e.Node] {
+				t.Errorf("%.3fs: a crash of s%d, which was up, traced as a miss", e.Time, e.Node)
+			}
+		case "restart":
+			if !down[e.Node] {
+				t.Errorf("%.3fs: s%d restarted while it was up", e.Time, e.Node)
+			}
+			down[e.Node] = false
+		}
+	}
+	if notes["crash"] != 3 || notes["crash-miss"] != 1 || notes["restart"] != 3 || res.faultEvents != 6 {
+		t.Fatalf("faults %v, %d counted; want 3 crashes, 1 miss, 3 restarts, 6 counted", notes, res.faultEvents)
+	}
+}

@@ -74,15 +74,7 @@ func (c *Comparison) Plot() string {
 // milestone is the weakest algorithm's best value, relaxed by 2% so every
 // curve crosses it and the comparison is well defined for all of them.
 func (c *Comparison) Summary() string {
-	m := metricOf(c.Task)
-	weakest := m.ideal
-	for _, r := range c.Results {
-		if best := m.best(r.Trace); m.sign*best < m.sign*weakest {
-			weakest = best
-		}
-	}
-	target := weakest * m.margin
-
+	m, target := metricOf(c.Task), c.target()
 	var b strings.Builder
 	fmt.Fprintf(&b, "time to reach %s %s%s:\n", m.goal, m.cell(target), m.legend)
 	for _, r := range c.Results {
@@ -97,6 +89,18 @@ func (c *Comparison) Summary() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// target is Summary's common milestone.
+func (c *Comparison) target() float64 {
+	m := metricOf(c.Task)
+	weakest := m.ideal
+	for _, r := range c.Results {
+		if best := m.best(r.Trace); m.sign*best < m.sign*weakest {
+			weakest = best
+		}
+	}
+	return weakest * m.margin
 }
 
 // traceSeries converts a trace into a plottable series of metric m.

@@ -31,6 +31,7 @@ func TestRunComparisonStructure(t *testing.T) {
 			t.Errorf("%s recorded no traffic", r.Algorithm)
 		}
 	}
+	requireConvergenceOrdering(t, c)
 	out := c.Render()
 	golden(t, "comparison-mnist", out)
 	for _, want := range []string{"FedAvg", "FedAsync", "HierFAVG", "Spyker", "Sync-Spyker", "time to reach"} {
@@ -45,6 +46,7 @@ func TestRunComparisonWikiUsesPerplexity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireConvergenceOrdering(t, c)
 	out := c.Render()
 	golden(t, "comparison-wiki", out)
 	if !strings.Contains(out, "ppl") || !strings.Contains(out, "perplexity") {
@@ -55,6 +57,74 @@ func TestRunComparisonWikiUsesPerplexity(t *testing.T) {
 	for _, r := range c.Results {
 		if p := r.Trace.BestPerplexity(); p >= 32 {
 			t.Errorf("%s best perplexity %.2f not below uniform", r.Algorithm, p)
+		}
+	}
+}
+
+// convergenceOrdering is the claim of Figs. 3–8 as a predicate over a
+// Comparison: at the common target its Summary reports, Spyker gets there
+// first in time and FedAvg last, while Spyker needs more updates than
+// FedAvg to get there — it wins on time because its updates do not wait
+// for rounds, not because it needs fewer. It returns nil when the claim
+// holds, and otherwise an error naming the first ordering that failed.
+func convergenceOrdering(c *Comparison) error {
+	m, target := metricOf(c.Task), c.target()
+	reached := make(map[string]metrics.Point, len(c.Results))
+	for _, r := range c.Results {
+		i := slices.IndexFunc(r.Trace, func(p metrics.Point) bool { return m.sign*m.value(p) >= m.sign*target })
+		if i < 0 {
+			return fmt.Errorf("%s reaches the common target %v", r.Algorithm, target)
+		}
+		reached[r.Algorithm] = r.Trace[i]
+	}
+	sp, fa := reached["Spyker"], reached["FedAvg"]
+	for _, r := range c.Results {
+		switch at := reached[r.Algorithm]; {
+		case at.Time < sp.Time:
+			return fmt.Errorf("Spyker reaches the common target first: %s at %.2fs < Spyker at %.2fs", r.Algorithm, at.Time, sp.Time)
+		case at.Time > fa.Time:
+			return fmt.Errorf("FedAvg reaches the common target last: %s at %.2fs > FedAvg at %.2fs", r.Algorithm, at.Time, fa.Time)
+		}
+	}
+	if sp.Updates <= fa.Updates {
+		return fmt.Errorf("Spyker needs more updates than FedAvg to reach the common target: %d <= %d", sp.Updates, fa.Updates)
+	}
+	return nil
+}
+
+// requireConvergenceOrdering checks convergenceOrdering on c, then on one
+// doctored copy of c per claim, each of which it must refuse by name.
+func requireConvergenceOrdering(t *testing.T, c *Comparison) {
+	t.Helper()
+	if err := convergenceOrdering(c); err != nil {
+		t.Error(err)
+	}
+	// doctored is c with alg's trace rewritten by f.
+	doctored := func(alg string, f func(*metrics.Point)) *Comparison {
+		d := &Comparison{Task: c.Task}
+		for _, r := range c.Results {
+			if r.Algorithm == alg {
+				cp := *r
+				cp.Trace = slices.Clone(r.Trace)
+				for i := range cp.Trace {
+					f(&cp.Trace[i])
+				}
+				r = &cp
+			}
+			d.Results = append(d.Results, r)
+		}
+		return d
+	}
+	for _, w := range []struct {
+		claim string
+		c     *Comparison
+	}{
+		{"Spyker reaches the common target first", doctored("FedAsync", func(p *metrics.Point) { p.Time /= 10 })},
+		{"FedAvg reaches the common target last", doctored("HierFAVG", func(p *metrics.Point) { p.Time *= 10 })},
+		{"Spyker needs more updates than FedAvg", doctored("FedAvg", func(p *metrics.Point) { p.Updates *= 10 })},
+	} {
+		if err := convergenceOrdering(w.c); err == nil || !strings.Contains(err.Error(), w.claim) {
+			t.Errorf("doctored against %q: verdict %v, want one naming it", w.claim, err)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"github.com/spyker-fl/spyker/internal/data"
 	"github.com/spyker-fl/spyker/internal/fl"
 	"github.com/spyker-fl/spyker/internal/nn"
+	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/ring"
 	"github.com/spyker-fl/spyker/internal/spyker"
 )
@@ -16,7 +17,7 @@ import (
 type nopOutbound struct{}
 
 func (nopOutbound) ReplyClient(int, []float64, float64, float64)                     {}
-func (nopOutbound) BroadcastModel([]float64, float64, int, []int64, ring.Membership) {}
+func (nopOutbound) BroadcastModel([]float64, float64, int, obs.UID, ring.Membership) {}
 func (nopOutbound) BroadcastAge(float64, ring.Membership)                            {}
 func (nopOutbound) SendToken(t spyker.Token, next int)                               {}
 

@@ -156,7 +156,7 @@ func TestDESFailoverScenario(t *testing.T) {
 type nopOutbound struct{}
 
 func (nopOutbound) ReplyClient(int, []float64, float64, float64)                     {}
-func (nopOutbound) BroadcastModel([]float64, float64, int, []int64, ring.Membership) {}
+func (nopOutbound) BroadcastModel([]float64, float64, int, obs.UID, ring.Membership) {}
 func (nopOutbound) BroadcastAge(float64, ring.Membership)                            {}
 func (nopOutbound) SendToken(spyker.Token, int)                                      {}
 
@@ -164,7 +164,7 @@ func (nopOutbound) SendToken(spyker.Token, int)                                 
 // of a faulty run — mid-synchronization, recovery armed, real traffic in
 // flight — restores a fresh core from the snapshot, and requires the
 // restored core's own snapshot to round-trip exactly: model, ages,
-// token, dedup sets, decay counters, frontier, and the recovery state.
+// token, dedup sets, decay counters, round copy, and the recovery state.
 func TestCheckpointRestoreEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models; skipped in -short")

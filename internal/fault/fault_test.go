@@ -80,7 +80,7 @@ type fakeCluster struct {
 func (f *fakeCluster) NumServers() int  { return f.n }
 func (f *fakeCluster) TokenHolder() int { return f.holder }
 func (f *fakeCluster) Checkpoint(i int) { f.checkpoints = append(f.checkpoints, i) }
-func (f *fakeCluster) Crash(i int)      { f.crashes = append(f.crashes, i) }
+func (f *fakeCluster) Crash(i int) bool { f.crashes = append(f.crashes, i); return true }
 func (f *fakeCluster) Restart(i int)    { f.restarts = append(f.restarts, i) }
 func (f *fakeCluster) DropToken(i int) bool {
 	f.drops = append(f.drops, i)

@@ -19,9 +19,10 @@ type Cluster interface {
 	TokenHolder() int
 	// Checkpoint snapshots server i's current state as its restart point.
 	Checkpoint(i int)
-	// Crash takes server i down: volatile state (held token included) is
-	// lost and deliveries addressed to it are discarded until Restart.
-	Crash(i int)
+	// Crash takes server i down, if it is up (it reports whether): volatile
+	// state (held token included) is lost and deliveries addressed to it
+	// are discarded until Restart.
+	Crash(i int) bool
 	// Restart brings a crashed server i back from its latest checkpoint,
 	// or from its initial state if it was never checkpointed.
 	Restart(i int)
@@ -163,7 +164,12 @@ func (in *SimInjector) crash(e Event) {
 		// Crash-consistent mode: snapshot the instant before the crash.
 		in.cluster.Checkpoint(target)
 	}
-	in.cluster.Crash(target)
+	if !in.cluster.Crash(target) {
+		// Already down or gone (a token-holder crash whose token is in
+		// flight falls back to server 0): no fault, so no restart either.
+		in.emit(obs.Event{Time: in.sim.Now(), Kind: obs.KindFault, Node: target, Peer: obs.NoPeer, Note: "crash-miss"})
+		return
+	}
 	in.injected++
 	in.emit(obs.Event{
 		Time: in.sim.Now(), Kind: obs.KindFault,

@@ -26,7 +26,7 @@ func (s *Server) WriteCheckpoint(w io.Writer) error {
 	defer s.ckptMu.Unlock()
 	s.mu.Lock()
 	s.core.SnapshotInto(&s.ckptScratch)
-	sink := s.sink
+	sink, at := s.sink, s.clock() // the mark is stamped when the state was taken
 	s.mu.Unlock()
 	st := &s.ckptScratch
 	s.ckptBuf.Reset()
@@ -39,7 +39,7 @@ func (s *Server) WriteCheckpoint(w io.Writer) error {
 	}
 	if sink.Enabled() {
 		sink.Emit(obs.Event{
-			Time: s.clock(), Kind: obs.KindCheckpoint,
+			Time: at, Kind: obs.KindCheckpoint,
 			Node: s.ID, Peer: obs.NoPeer, Bytes: s.ckptBuf.Len(), Age: st.Age,
 		})
 	}
@@ -155,6 +155,7 @@ func NewServerFromCheckpoint(addr string, st spyker.State) (*Server, error) {
 	// discipline uniform from the first write.
 	s.mu.Lock()
 	s.installCore(core)
+	s.restored = obs.Event{Kind: obs.KindRestore, Node: s.ID, Peer: s.ID}
 	if core.HasToken() {
 		s.tokenSeen, s.tokenSeenValid = s.clock(), true
 	}

@@ -11,8 +11,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
+	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/ring"
 	"github.com/spyker-fl/spyker/internal/spyker"
 )
@@ -74,14 +76,14 @@ func onlyFile(t *testing.T, dir, path string, want []byte) {
 type nopOut struct{}
 
 func (nopOut) ReplyClient(int, []float64, float64, float64)                     {}
-func (nopOut) BroadcastModel([]float64, float64, int, []int64, ring.Membership) {}
+func (nopOut) BroadcastModel([]float64, float64, int, obs.UID, ring.Membership) {}
 func (nopOut) BroadcastAge(float64, ring.Membership)                            {}
 func (nopOut) SendToken(spyker.Token, int)                                      {}
 
 // postAdmission returns the token-holding server 0 of a three-server ring
 // that has admitted server 3 and merged four client updates, with its
 // snapshot: epoch 1, a member ID past the construction-time count, a held
-// token, decay counters and a frontier off zero. The snapshot's weights
+// token and decay counters. The snapshot's weights
 // also hold -0 and the smallest subnormal.
 func postAdmission(t testing.TB) (*spyker.ServerCore, spyker.State) {
 	t.Helper()
@@ -152,7 +154,7 @@ func sameState(t *testing.T, what string, got, want spyker.State) {
 
 // TestStateRoundTripsAreBitExact: a token holder's checkpoint on a
 // post-admission ring, and the snapshot a sponsor ships a joiner, decode
-// to the State that was encoded: model, ages and frontier to the bit,
+// to the State that was encoded: model and ages to the bit,
 // membership, token and counters equal.
 func TestStateRoundTripsAreBitExact(t *testing.T) {
 	sponsor, st := postAdmission(t)
@@ -244,6 +246,54 @@ func refusesBitFlip(t *testing.T, ckpt []byte, i int) {
 	}
 	if _, err := ReadCheckpoint(bytes.NewReader(flipped)); err == nil {
 		t.Fatalf("a checkpoint with %q flipped to %q was accepted", ckpt[i], flipped[i])
+	}
+}
+
+// TestReadCheckpointRefusesAFrontierByName: a checkpoint written before
+// the merged-updates frontier left the protocol still holds a "Frontier"
+// field. The strict decoder refuses it and names the field, so -resume
+// does not carry such a checkpoint across the change.
+func TestReadCheckpointRefusesAFrontierByName(t *testing.T) {
+	_, st := postAdmission(t)
+	body := bodyOf(checkpointOf(t, st))
+	old := append(bytes.TrimSuffix(bytes.TrimSpace(body), []byte("}")), []byte(`,"Frontier":[4,0,0,0]}`+"\n")...)
+	if _, err := ReadCheckpoint(bytes.NewReader(sealed(old))); err == nil || !strings.Contains(err.Error(), `"Frontier"`) {
+		t.Fatalf("a checkpoint holding a frontier: %v, want a refusal naming \"Frontier\"", err)
+	}
+}
+
+// TestRestoredServerMarksItsRestore: a server restored from a checkpoint
+// emits one KindRestore naming its own snapshot when it is instrumented,
+// and one that starts afresh emits none — the mark lineage resets the
+// server's frontier at.
+func TestRestoredServerMarksItsRestore(t *testing.T) {
+	_, st := postAdmission(t)
+	for _, restored := range []bool{true, false} {
+		var srv *Server
+		var err error
+		if restored {
+			srv, err = NewServerFromCheckpoint("127.0.0.1:0", st)
+		} else {
+			srv, err = NewServer(0, "127.0.0.1:0", st.Config, st.W, false)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.NewTracer(16)
+		srv.Instrument(tr)
+		srv.Close()
+		var marks []obs.Event
+		for _, e := range tr.Events() {
+			if e.Kind == obs.KindRestore {
+				marks = append(marks, e)
+			}
+		}
+		switch {
+		case restored && (len(marks) != 1 || marks[0].Node != 0 || marks[0].Peer != 0):
+			t.Fatalf("restored server's restore marks: %+v, want one of s0's own snapshot", marks)
+		case !restored && len(marks) != 0:
+			t.Fatalf("fresh server emitted restore marks: %+v", marks)
+		}
 	}
 }
 

@@ -99,7 +99,7 @@ func (c *Client) runOnce(serverAddr string) (shutdown bool, _ error) {
 				From:   c.ID,
 				Params: c.Model.ParamsView(),
 				Age:    in.Age,
-				Trace:  transport.Trace{UID: obs.UpdateUID(c.ID, int64(c.updates))},
+				UID:    obs.UpdateUID(c.ID, int64(c.updates)),
 			}
 			if err := conn.Send(&out); err != nil {
 				return false, nil

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/spyker-fl/spyker/internal/fl"
+	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/transport"
 )
 
@@ -44,7 +45,7 @@ func TestDispatchAllocations(t *testing.T) {
 	}
 	server := func(kind transport.Kind) *transport.Msg {
 		return &transport.Msg{Kind: kind, From: 1, Params: make([]float64, 64), Bid: 5,
-			Epoch: mem.Epoch, Members: mem.Members, Trace: transport.Trace{Front: []int64{3, 4}}}
+			Epoch: mem.Epoch, Members: mem.Members, UID: obs.RoundUID(1, 5, 0)}
 	}
 	token := &transport.Msg{Kind: transport.KindToken, From: 1, Bid: 5, Ages: []float64{1, 2},
 		Epoch: mem.Epoch, Members: mem.Members}

@@ -69,7 +69,7 @@ func broadcastBurst(a *Server, kind string, frames int, initial []float64, limit
 		out := (*serverOutbound)(a)
 		for i := range frames {
 			if kind == "model" {
-				out.BroadcastModel(initial, float64(i), i+1, nil, a.core.Membership())
+				out.BroadcastModel(initial, float64(i), i+1, 0, a.core.Membership())
 			} else {
 				out.BroadcastAge(float64(i), a.core.Membership())
 			}

@@ -114,13 +114,23 @@ func (r *rejectRig) rejectEvents() (events []obs.Event) {
 	return events
 }
 
-// rawHeader is a wire-v2 header written by hand, for frames the codec
+// rawHeader is a wire-v3 header written by hand, for frames the codec
 // itself would refuse to send.
 func rawHeader(kind transport.Kind, body, nParams uint32) []byte {
-	h := make([]byte, 80)
-	h[0], h[1] = 2, byte(kind)
+	h := make([]byte, 76)
+	h[0], h[1] = 3, byte(kind)
 	binary.LittleEndian.PutUint32(h[4:], body)
 	binary.LittleEndian.PutUint32(h[56:], nParams)
+	return h
+}
+
+// v2Hello is the server hello a version-2 peer opens with: its 80-byte
+// header still had a count for the frontier section version 3 dropped.
+func v2Hello() []byte {
+	h := make([]byte, 80)
+	h[0], h[1] = 2, byte(transport.KindHello)
+	binary.LittleEndian.PutUint64(h[8:], 1)
+	binary.LittleEndian.PutUint64(h[32:], uint64(RoleServer))
 	return h
 }
 
@@ -168,6 +178,7 @@ func TestRejectedFramesNeverReachTheCore(t *testing.T) {
 		{"half a model, then the end of the stream", &client, nil, append(rawHeader(transport.KindClientUpdate, 8*rejectDim, rejectDim), make([]byte, 4*rejectDim)...), 7, ""},
 		{"declared length over the model", &client, nil, rawHeader(transport.KindClientUpdate, 8<<20, 1<<20), 7, "wrong model dimension"},
 		{"blob on a server's inbound link", &client, &transport.Msg{Kind: transport.KindClientUpdate, From: 7, Params: good(), Blob: []byte{1}}, nil, 7, "more entries than the ring allows"},
+		{"hello of a version-2 peer", nil, nil, v2Hello(), obs.NoPeer, "wire version 2, superseded by 3"},
 		{"garbage instead of a hello", nil, nil, append([]byte("\x7f\xff\x81\x03\x01\x01\x03Msg\x01\xff\x82"), make([]byte, 80)...), obs.NoPeer, "unknown wire version"},
 		{"update instead of a hello", nil, &transport.Msg{Kind: transport.KindClientUpdate, From: 7, Params: good()}, nil, obs.NoPeer, "first frame is not a hello"},
 		{"hello with an unknown role", nil, &transport.Msg{Kind: transport.KindHello, From: 7, Bid: 3}, nil, obs.NoPeer, "first frame is not a hello"},

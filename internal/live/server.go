@@ -289,8 +289,11 @@ type Server struct {
 	// always maintained (they are two atomic adds per frame). staleness,
 	// this server's own histogram of merged updates' staleness, exists
 	// once the server is instrumented.
-	sink      obs.Sink //spyker:guardedby(mu)
-	clock     obs.Clock
+	sink  obs.Sink //spyker:guardedby(mu)
+	clock obs.Clock
+	// restored is the KindRestore mark of a core installed from a snapshot,
+	// emitted once the server is instrumented; Kind 0 for a fresh core.
+	restored  obs.Event      //spyker:guardedby(mu)
 	staleness *obs.Histogram //spyker:guardedby(mu)
 	txBytes   atomic.Int64
 	rxBytes   atomic.Int64
@@ -379,6 +382,10 @@ func (s *Server) Instrument(sink obs.Sink) {
 	s.sink = sink
 	s.staleness = obs.NewHistogram(obs.StalenessBuckets)
 	s.core.Instrument(sink, s.clock)
+	if s.restored.Kind != 0 && sink.Enabled() {
+		s.restored.Time = s.clock()
+		sink.Emit(s.restored)
+	}
 }
 
 // noteSend records one outgoing frame to the remote node (an
@@ -411,7 +418,7 @@ func (s *Server) note(sent bool, remote int, m *transport.Msg) {
 		s.sink.Emit(obs.Event{
 			Time: s.clock(), Kind: kind,
 			Node: obs.ServerNode + s.ID, Peer: remote, Bytes: size,
-			Note: m.Kind.String(), UID: m.Trace.UID,
+			Note: m.Kind.String(), UID: m.UID,
 		})
 	}
 }
@@ -963,6 +970,7 @@ func JoinCluster(sponsorAddr, listenAddr string) (*Server, error) {
 	// discipline uniform from the first write.
 	s.mu.Lock()
 	s.installCore(core)
+	s.restored = obs.Event{Kind: obs.KindRestore, Node: s.ID, Peer: reply.From}
 	if len(reply.Addrs) == len(reply.Members) {
 		for i, id := range reply.Members {
 			if a := reply.Addrs[i]; a != "" && id != s.ID {
@@ -1055,7 +1063,7 @@ func (s *Server) dispatch(role, id int, link *clientLink, m *transport.Msg) erro
 		if s.staleness != nil {
 			s.staleness.Observe(s.core.Age() - m.Age)
 		}
-		s.core.HandleClientUpdate(id, m.Params, m.Age, m.Trace.UID)
+		s.core.HandleClientUpdate(id, m.Params, m.Age, m.UID)
 		m.Params = nil
 		s.updates.Add(1)
 		return nil
@@ -1071,7 +1079,7 @@ func (s *Server) dispatch(role, id int, link *clientLink, m *transport.Msg) erro
 	s.absorbHeader(m)
 	switch m.Kind {
 	case transport.KindServerModel:
-		s.core.HandleServerModel(id, m.Params, m.Age, m.Bid, m.Trace.Front, mem)
+		s.core.HandleServerModel(id, m.Params, m.Age, m.Bid, m.UID, mem)
 	case transport.KindAge:
 		s.core.HandleAge(id, m.Age, mem)
 	case transport.KindToken:
@@ -1192,11 +1200,11 @@ func (s *Server) addrsFor(members []int) []string {
 // BroadcastModel runs inside a core handler with s.mu held.
 //
 //spyker:locked(mu)
-func (o *serverOutbound) BroadcastModel(params []float64, age float64, bid int, front []int64, mem ring.Membership) {
+func (o *serverOutbound) BroadcastModel(params []float64, age float64, bid int, uid obs.UID, mem ring.Membership) {
 	s := (*Server)(o)
-	// One frame for every peer (outboxes only read it), holding copies of
-	// the core's live model and frontier, which it only lends. mem.Members
-	// is shared un-copied: membership changes allocate fresh slices.
+	// One frame for every peer (outboxes only read it), holding a copy of
+	// the core's live model, which it only lends. mem.Members is shared
+	// un-copied: membership changes allocate fresh slices.
 	var f *sharedFrame
 	for id, p := range o.peers {
 		if p == nil || id == o.ID {
@@ -1208,7 +1216,7 @@ func (o *serverOutbound) BroadcastModel(params []float64, age float64, bid int, 
 			f = &sharedFrame{srv: s, Msg: transport.Msg{
 				Kind: transport.KindServerModel, From: o.ID,
 				Params: buf, Age: age, Bid: bid,
-				Trace: transport.Trace{UID: obs.RoundUID(o.ID, bid), Front: append([]int64(nil), front...)},
+				UID:   uid,
 				Epoch: mem.Epoch, Members: mem.Members, Addrs: s.addrsFor(mem.Members),
 			}}
 			f.left.Store(1) // the broadcast's own share, let go of below
@@ -1263,7 +1271,7 @@ func (o *serverOutbound) SendToken(t spyker.Token, next int) {
 		s := (*Server)(o)
 		m := &transport.Msg{
 			Kind: transport.KindToken, From: o.ID, Bid: t.Bid, Ages: t.Ages,
-			Trace: transport.Trace{UID: obs.RoundUID(o.ID, t.Bid)},
+			UID:   obs.RoundUID(o.ID, t.Bid, 0),
 			Epoch: t.Mem.Epoch, Members: t.Mem.Members,
 			Addrs: s.addrsFor(t.Mem.Members),
 		}

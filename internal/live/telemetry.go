@@ -42,9 +42,8 @@ func (s *Server) Telemetry() *obs.Telemetry {
 		TokenTimeout: s.cfg.TokenTimeout,
 		SyncRetry:    s.cfg.SyncRetry,
 
-		Age:      s.core.Age(),
-		Ages:     s.core.KnownAges(),
-		Frontier: s.core.Frontier(),
+		Age:  s.core.Age(),
+		Ages: s.core.KnownAges(),
 
 		Updates:        s.updates.Load(),
 		SyncsTriggered: s.core.SyncsTriggered(),

@@ -100,7 +100,7 @@ func TestServerTelemetry(t *testing.T) {
 		up := &transport.Msg{
 			Kind: transport.KindClientUpdate, From: 0,
 			Params: append([]float64(nil), reply.Params...), Age: reply.Age,
-			Trace: transport.Trace{UID: obs.UpdateUID(0, int64(i+1))},
+			UID: obs.UpdateUID(0, int64(i+1)),
 		}
 		if err := conn.Send(up); err != nil {
 			t.Fatal(err)

@@ -34,8 +34,8 @@ type chromeEvent struct {
 //     track per node, giving the per-server model-age timeline;
 //   - everything else becomes thread-scoped instant events carrying its
 //     payload in args;
-//   - for traces carrying causal provenance (Event.Front, see
-//     lineage.go), every update journey becomes a flow: a flow-start at
+//   - every update journey BuildLineage rebuilds (see lineage.go)
+//     becomes a flow: a flow-start at
 //     the origin merge, flow steps at each server its influence reaches,
 //     so chrome://tracing draws arrows from server to server along the
 //     synchronization rounds that carried the update.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -11,19 +12,17 @@ import (
 // trace: for every client update, which servers its contribution reached,
 // through which synchronization rounds, and how long end-to-end
 // propagation took. It is runtime-agnostic — the simulator and the live
-// TCP runtime emit the same frontier-carrying events, so the same
-// analysis applies to both.
+// TCP runtime emit the same events, so the same analysis applies to both.
 //
-// The reconstruction rests on the merged-updates frontier the Spyker core
-// maintains (spyker.ServerCore): a vector clock, indexed by origin
-// server, counting how many client updates are incorporated into a
-// model. A client-update event at server i advances coordinate i and
-// names the update (origin i, seq = Front[i]); a server-agg event at
-// server j max-merges the broadcast's frontier, and every coordinate it
-// advances identifies updates whose influence just reached j through
-// that broadcast. Aggregation is a weighted average, so "reached" means
-// causal influence, not verbatim inclusion — exactly the propagation
-// guarantee the protocol's convergence argument relies on.
+// It rests on each server's merged-updates frontier, a vector clock of how
+// many client updates of each origin server its model incorporates, which
+// replayFrontiers rebuilds from the events (no event carries it). A
+// client-update event at server i names the update (origin i, seq = the
+// new coordinate i); every coordinate a server-agg event at j advances
+// names updates whose influence just reached j through the copy it merged.
+// Aggregation is a weighted average, so "reached" means causal influence,
+// not verbatim inclusion — exactly the propagation guarantee the
+// protocol's convergence argument relies on.
 
 // Arrival is one hop of an update's journey: its influence reached Server
 // at Time, carried by Via's model broadcast of synchronization round Bid.
@@ -71,85 +70,135 @@ func (u *UpdateLineage) PropagationLatency() float64 {
 type Lineage struct {
 	NumServers int // distinct servers observed aggregating
 	Updates    []*UpdateLineage
-	// Untracked counts client-update events without a frontier (legacy
-	// traces, or cores instrumented before the provenance extension).
-	Untracked int
-
-	byKey map[lineageKey]*UpdateLineage
-}
-
-type lineageKey struct {
-	origin int
-	seq    int64
 }
 
 // BuildLineage reconstructs update lineage from a trace. Events need not
-// be sorted. Traces without frontier information yield an empty lineage
-// with Untracked set, never an error — old traces stay loadable.
+// be sorted. A trace with no client-update events yields an empty lineage,
+// never an error — old traces stay loadable.
 func BuildLineage(events []Event) *Lineage {
 	evs := append([]Event(nil), events...)
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time < evs[j].Time })
 
-	l := &Lineage{byKey: make(map[lineageKey]*UpdateLineage)}
-	known := make(map[int][]int64) // per-server reconstructed frontier
-	servers := make(map[int]bool)
-	adopt := func(node int, front []int64) {
-		dst := known[node]
-		if len(dst) < len(front) {
-			dst = append(dst, make([]int64, len(front)-len(dst))...)
+	l := &Lineage{}
+	byKey := make(map[[2]int64]*UpdateLineage) // (origin, seq)
+	known := make(map[int][]int64)             // per server, the most its frontier ever held
+	replayFrontiers(evs, func(e *Event, front []int64) {
+		l.NumServers = max(l.NumServers, e.Node+1)
+		if e.Kind == KindClientUpdate {
+			u := &UpdateLineage{UID: e.UID, Client: e.Peer, Origin: e.Node, Seq: front[e.Node], Merged: e.Time}
+			l.Updates = append(l.Updates, u)
+			byKey[[2]int64{int64(e.Node), u.Seq}] = u
 		}
+		k := grow(known[e.Node], len(front))
 		for o, v := range front {
-			if v > dst[o] {
-				dst[o] = v
+			for seq := k[o] + 1; e.Kind == KindServerAgg && o != e.Node && seq <= v; seq++ {
+				if u := byKey[[2]int64{int64(o), seq}]; u != nil {
+					u.Arrivals = append(u.Arrivals, Arrival{Server: e.Node, Via: e.Peer, Bid: e.Bid, Time: e.Time})
+				}
+			}
+			k[o] = max(k[o], v)
+		}
+		known[e.Node] = k
+	})
+	return l
+}
+
+// replayFrontiers rebuilds every server's frontier from the time-sorted
+// events evs and hands each client-update and server-agg event to visit,
+// with its server's frontier just after it (valid only during the call):
+//
+//   - KindClientUpdate at i advances coordinate i;
+//   - KindSyncStart at i records i's frontier under the copy's UID, and
+//     KindServerAgg max-merges the latest frontier recorded under the UID
+//     it names;
+//   - KindCheckpoint at i records i's frontier as a snapshot for its Peer
+//     (i itself when NoPeer), and KindRestore replaces the frontier with
+//     the snapshot it names (zeros when the trace does not hold it).
+//
+// Counts are relative to the trace's first event: frontiers start at
+// zeros, so a trace a tracer ring truncated numbers each origin's updates
+// from its first traced one. Each server's events are taken in its own
+// order; among servers the earliest event goes next, unless it reads a
+// copy or snapshot whose recording event is still to come, so an agg that
+// clock-offset error stamped before its sender's sync-start (merged
+// multi-process traces) still merges what the copy carried. A copy the
+// trace does not hold (its sender's trace starts later) merges nothing.
+func replayFrontiers(evs []Event, visit func(e *Event, front []int64)) {
+	// src names what an event records or reads: a copy by its UID, a
+	// snapshot by (whose state, for whom).
+	src := func(e *Event) any {
+		switch {
+		case e.Kind == KindSyncStart || e.Kind == KindServerAgg:
+			return e.UID
+		case e.Kind == KindRestore:
+			return [2]int{e.Peer, e.Node}
+		case e.Peer == NoPeer:
+			return [2]int{e.Node, e.Node}
+		}
+		return [2]int{e.Node, e.Peer}
+	}
+	queues := make(map[int][]int) // per server, its events' indices in order
+	pending := make(map[any]int)  // recordings still to be replayed
+	for i := range evs {
+		switch e := &evs[i]; e.Kind {
+		case KindSyncStart, KindCheckpoint:
+			pending[src(e)]++
+			fallthrough
+		case KindClientUpdate, KindServerAgg, KindRestore:
+			queues[e.Node] = append(queues[e.Node], i)
+		}
+	}
+	fronts := make(map[int][]int64)
+	saved := make(map[any][]int64)
+	// A server's own checkpoints precede its restore in its own order.
+	waits := func(e *Event) bool {
+		_, ok := saved[src(e)]
+		return (e.Kind == KindServerAgg || e.Kind == KindRestore && e.Peer != e.Node) && !ok && pending[src(e)] > 0
+	}
+	for {
+		next, free := -1, false
+		for _, q := range queues { // the pick is by index: the order of a map range cannot move it
+			if len(q) > 0 {
+				if ok := !waits(&evs[q[0]]); next < 0 || ok && !free || ok == free && q[0] < next {
+					next, free = q[0], ok
+				}
 			}
 		}
-		known[node] = dst
-	}
-
-	for i := range evs {
-		e := &evs[i]
+		if next < 0 {
+			return
+		}
+		e := &evs[next]
+		queues[e.Node] = queues[e.Node][1:]
+		f := fronts[e.Node]
 		switch e.Kind {
 		case KindClientUpdate:
-			servers[e.Node] = true
-			if len(e.Front) <= e.Node {
-				l.Untracked++
-				continue
-			}
-			seq := e.Front[e.Node]
-			u := &UpdateLineage{
-				UID: e.UID, Client: e.Peer, Origin: e.Node, Seq: seq, Merged: e.Time,
-			}
-			l.Updates = append(l.Updates, u)
-			l.byKey[lineageKey{e.Node, seq}] = u
-			adopt(e.Node, e.Front)
+			f = grow(f, e.Node+1)
+			f[e.Node]++
 		case KindServerAgg:
-			servers[e.Node] = true
-			if len(e.Front) == 0 {
-				continue
+			copied := saved[e.UID]
+			f = grow(f, len(copied))
+			for o, v := range copied {
+				f[o] = max(f[o], v)
 			}
-			prev := known[e.Node]
-			for o, v := range e.Front {
-				var p int64
-				if o < len(prev) {
-					p = prev[o]
-				}
-				for seq := p + 1; seq <= v; seq++ {
-					if u, ok := l.byKey[lineageKey{o, seq}]; ok && o != e.Node {
-						u.Arrivals = append(u.Arrivals, Arrival{
-							Server: e.Node, Via: e.Peer, Bid: e.Bid, Time: e.Time,
-						})
-					}
-				}
-			}
-			adopt(e.Node, e.Front)
+		case KindRestore:
+			f = append(f[:0], saved[src(e)]...)
+		default: // a sync-start or a checkpoint
+			saved[src(e)] = append([]int64(nil), f...)
+			pending[src(e)]--
+		}
+		fronts[e.Node] = f
+		if e.Kind == KindClientUpdate || e.Kind == KindServerAgg {
+			visit(e, f)
 		}
 	}
-	for s := range servers {
-		if s+1 > l.NumServers {
-			l.NumServers = s + 1
-		}
+}
+
+// grow extends f with zeros to at least n entries.
+func grow(f []int64, n int) []int64 {
+	if len(f) < n {
+		f = append(f, make([]int64, n-len(f))...)
 	}
-	return l
+	return f
 }
 
 // HopChain reconstructs the causal path an update took to reach server:
@@ -172,24 +221,8 @@ func (u *UpdateLineage) HopChain(server int) []Arrival {
 		chain = append(chain, *a)
 		cur = a.Via
 	}
-	// Reverse into origin-first order.
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
+	slices.Reverse(chain) // origin first
 	return chain
-}
-
-// PropagationLatencies returns the full-propagation latency of every
-// update that reached all servers, sorted ascending.
-func (l *Lineage) PropagationLatencies() []float64 {
-	var out []float64
-	for _, u := range l.Updates {
-		if u.ReachedAll(l.NumServers) {
-			out = append(out, u.PropagationLatency())
-		}
-	}
-	sort.Float64s(out)
-	return out
 }
 
 // quantile reads the q-quantile from an ascending-sorted slice.
@@ -212,23 +245,21 @@ func quantile(sorted []float64, q float64) float64 {
 // (slowest fully-propagated first, so the interesting tail leads).
 func (l *Lineage) WriteProvenance(w io.Writer, maxJourneys int) {
 	fmt.Fprintf(w, "provenance: %d traced updates across %d servers\n", len(l.Updates), l.NumServers)
-	if l.Untracked > 0 {
-		fmt.Fprintf(w, "  (%d client-update events carried no frontier and are excluded)\n", l.Untracked)
-	}
 	if len(l.Updates) == 0 {
-		fmt.Fprintf(w, "  no provenance data — trace predates causal tracing or no updates flowed\n")
+		fmt.Fprintf(w, "  no provenance data — no updates flowed\n")
 		return
 	}
 
-	full := 0
+	var lat []float64 // of every update that reached all servers, ascending
 	for _, u := range l.Updates {
 		if u.ReachedAll(l.NumServers) {
-			full++
+			lat = append(lat, u.PropagationLatency())
 		}
 	}
+	sort.Float64s(lat)
 	fmt.Fprintf(w, "  fully propagated: %d/%d (%.1f%%)\n",
-		full, len(l.Updates), 100*float64(full)/float64(len(l.Updates)))
-	if lat := l.PropagationLatencies(); len(lat) > 0 {
+		len(lat), len(l.Updates), 100*float64(len(lat))/float64(len(l.Updates)))
+	if len(lat) > 0 {
 		var sum float64
 		for _, v := range lat {
 			sum += v

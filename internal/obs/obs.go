@@ -29,7 +29,7 @@ type EventKind uint8
 // The protocol event vocabulary. The kinds mirror the moving parts of the
 // Spyker protocol: client-update aggregation (Alg. 1), server-model
 // aggregation and the token ring (Alg. 2), message movement on the
-// network, and state checkpoints of the live runtime.
+// network, and the snapshots and restores of server state.
 const (
 	// KindClientUpdate fires after a server merged one client update.
 	// Node = server, Peer = client, Age = server age after the merge,
@@ -38,14 +38,17 @@ const (
 	KindClientUpdate EventKind = iota + 1
 	// KindServerAgg fires after a server merged a peer's model broadcast.
 	// Node = local server, Peer = remote server, Age = local age after
-	// the merge, Stale = remote age minus local age before the merge.
+	// the merge, Stale = remote age minus local age before the merge,
+	// UID = the copy of the broadcast it merged (RoundUID).
 	KindServerAgg
 	// KindTokenPass fires when a server forwards the token to its ring
 	// successor. Node = sender, Peer = successor, Bid = token bid.
 	KindTokenPass
-	// KindSyncStart fires when a server enters a synchronization round,
-	// either triggering it as token holder (Note "trigger") or joining on
-	// a peer's broadcast (Note "join"). Bid identifies the round.
+	// KindSyncStart fires when a server broadcasts its model into a
+	// synchronization round: triggering it as token holder (Note
+	// "trigger"), joining on a peer's broadcast (Note "join"), or
+	// re-broadcasting a stalled round it holds (Note "retry"). Bid
+	// identifies the round, UID the copy the broadcast travels under.
 	KindSyncStart
 	// KindSyncEnd fires when the token holder completes a round and
 	// releases the token.
@@ -54,8 +57,9 @@ const (
 	// Node = local endpoint, Peer = remote endpoint, Bytes = wire size.
 	KindMsgSend
 	KindMsgRecv
-	// KindCheckpoint fires when the live runtime persists a server
-	// snapshot. Node = server, Bytes = encoded size.
+	// KindCheckpoint fires when a runtime snapshots a server's protocol
+	// state. Node = server, Peer = NoPeer for its own restart point or the
+	// joiner a join snapshot is for; live adds Bytes = encoded size.
 	KindCheckpoint
 	// KindFault fires when the failure injector (internal/fault) applies
 	// one planned fault. Node = targeted server (NoPeer for link faults),
@@ -83,6 +87,10 @@ const (
 	// the remote node in the message-event ID space (NoPeer before the
 	// hello), Note = the check that failed.
 	KindReject
+	// KindRestore fires when a runtime installs a core from a snapshot.
+	// Node = restored server, Peer = whose snapshot: itself (its last
+	// checkpoint), a join's sponsor, or NoPeer (the initial model).
+	KindRestore
 )
 
 // kindNames maps kinds to their stable wire names (used in JSONL traces).
@@ -100,6 +108,7 @@ var kindNames = map[EventKind]string{
 	KindTokenRetire:  "token-retire",
 	KindMembership:   "membership",
 	KindReject:       "reject",
+	KindRestore:      "restore",
 }
 
 // kindByName is the inverse of kindNames, built once at init.
@@ -147,12 +156,10 @@ func (k *EventKind) UnmarshalJSON(b []byte) error {
 // emitting runtime's ID space; Peer is NoPeer when there is no other
 // party.
 //
-// UID and Front are the causal-provenance extension (see spans.go and
-// lineage.go): UID is the trace context riding with the message or update
-// the event belongs to, and Front is the emitting server's merged-updates
-// frontier — a vector clock, indexed by origin server, of how many client
-// updates are incorporated in its model. Both are optional; traces written
-// before the extension load with them zero.
+// UID is the causal-provenance extension (see spans.go): the trace context
+// riding with the message, update or broadcast copy the event belongs to;
+// traces written before it load with it zero. No event carries a frontier:
+// lineage.go rebuilds every server's from the events.
 type Event struct {
 	Time  float64   `json:"t"`
 	Kind  EventKind `json:"kind"`
@@ -164,7 +171,6 @@ type Event struct {
 	Bid   int       `json:"bid,omitempty"`
 	Note  string    `json:"note,omitempty"`
 	UID   UID       `json:"uid,omitempty"`
-	Front []int64   `json:"front,omitempty"`
 }
 
 // NoPeer marks events without a counterparty.

@@ -107,10 +107,10 @@ func TestJSONLRoundtrip(t *testing.T) {
 	tr := NewTracer(16)
 	want := []Event{
 		{Time: 0.5, Kind: KindClientUpdate, Node: 1, Peer: 7, Age: 3, Stale: 1.5,
-			UID: UpdateUID(7, 12), Front: []int64{3, 12, 0}},
+			UID: UpdateUID(7, 12)},
 		{Time: 1.25, Kind: KindTokenPass, Node: 0, Peer: 1, Bid: 4},
-		{Time: 2, Kind: KindMsgSend, Node: 1_000_000, Peer: 3, Bytes: 4096, UID: RoundUID(0, 4)},
-		{Time: 2.5, Kind: KindServerAgg, Node: 2, Peer: 0, Bid: 4, Front: []int64{3, 12, 1}},
+		{Time: 2, Kind: KindMsgSend, Node: 1_000_000, Peer: 3, Bytes: 4096, UID: RoundUID(0, 4, 0)},
+		{Time: 2.5, Kind: KindServerAgg, Node: 2, Peer: 0, Bid: 4, UID: RoundUID(0, 4, 1)},
 		{Time: 3, Kind: KindSyncStart, Node: 2, Peer: NoPeer, Bid: 5, Note: "trigger"},
 	}
 	for _, e := range want {
@@ -165,8 +165,8 @@ func TestReadJSONLRejectsNonEventJSON(t *testing.T) {
 }
 
 // TestReadJSONLForwardCompat pins the on-disk format of a pre-provenance
-// trace: events without uid/front fields must load, summarize, and build
-// an (untracked) lineage without error.
+// trace: events without uid fields must load, summarize, and build a
+// lineage without error — its updates, which no copy UID connects.
 func TestReadJSONLForwardCompat(t *testing.T) {
 	old := `{"t":0.5,"kind":"client-update","node":0,"peer":3,"age":2,"stale":1}
 {"t":1,"kind":"msg-send","node":0,"peer":1,"bytes":128}
@@ -180,7 +180,7 @@ func TestReadJSONLForwardCompat(t *testing.T) {
 		t.Fatalf("got %d events, want 3", len(evs))
 	}
 	for _, e := range evs {
-		if e.UID != 0 || e.Front != nil {
+		if e.UID != 0 {
 			t.Fatalf("legacy event grew trace context: %+v", e)
 		}
 	}
@@ -190,8 +190,8 @@ func TestReadJSONLForwardCompat(t *testing.T) {
 		t.Fatal("legacy trace did not summarize")
 	}
 	l := BuildLineage(evs)
-	if len(l.Updates) != 0 || l.Untracked != 1 {
-		t.Fatalf("legacy lineage: %d updates, %d untracked", len(l.Updates), l.Untracked)
+	if len(l.Updates) != 1 || len(l.Updates[0].Arrivals) != 0 {
+		t.Fatalf("legacy lineage: %d updates, want 1 that reached no other server", len(l.Updates))
 	}
 }
 
@@ -203,21 +203,20 @@ func BenchmarkEmitTraced(b *testing.B) {
 	const batch, modelBytes = 1000, 8 * 25000
 	tracer := NewTracer(4096)
 	sink := Multi(tracer, NewMetricsSink(NewRegistry()))
-	front := []int64{3, 1, 4, 1}
 	events := make([]Event, batch)
 	for i := range events {
 		t := float64(i) * 0.001
 		switch i % 5 {
 		case 0:
 			events[i] = Event{Time: t, Kind: KindClientUpdate, Node: i % 4, Peer: i % 32,
-				Age: float64(i), Stale: 1, UID: UpdateUID(i%32, int64(i)), Front: front}
+				Age: float64(i), Stale: 1, UID: UpdateUID(i%32, int64(i))}
 		case 1:
 			events[i] = Event{Time: t, Kind: KindMsgSend, Node: i % 32, Peer: ServerNode + i%4, Bytes: modelBytes}
 		case 2:
 			events[i] = Event{Time: t, Kind: KindMsgRecv, Node: ServerNode + i%4, Peer: i % 32, Bytes: modelBytes}
 		case 3:
 			events[i] = Event{Time: t, Kind: KindServerAgg, Node: i % 4, Peer: (i + 1) % 4,
-				Age: float64(i), Bid: i / 5, UID: RoundUID(i%4, i/5), Front: front}
+				Age: float64(i), Bid: i / 5, UID: RoundUID(i%4, i/5, 0)}
 		default:
 			events[i] = Event{Time: t, Kind: KindTokenPass, Node: i % 4, Peer: (i + 1) % 4, Bid: i / 5}
 		}

@@ -57,11 +57,10 @@ type Telemetry struct {
 	TokenTimeout float64 `json:"token_timeout,omitempty"`
 	SyncRetry    float64 `json:"sync_retry,omitempty"`
 
-	// Protocol progress: model age, the per-member age vector as known
-	// here, and the merged-updates frontier (vector clock).
-	Age      float64   `json:"age"`
-	Ages     []float64 `json:"ages,omitempty"`
-	Frontier []int64   `json:"frontier,omitempty"`
+	// Protocol progress: model age and the per-member age vector as known
+	// here.
+	Age  float64   `json:"age"`
+	Ages []float64 `json:"ages,omitempty"`
 
 	Updates        int64 `json:"updates"`
 	SyncsTriggered int   `json:"syncs_triggered"`

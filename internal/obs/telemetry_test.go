@@ -22,7 +22,6 @@ func TestTelemetryRoundTrip(t *testing.T) {
 		SyncRetry:    0.75,
 		Age:          4.5,
 		Ages:         []float64{4.5, 4.25, 4.5},
-		Frontier:     []int64{10, 7, 9},
 		Updates:      26,
 		TokenRegens:  1,
 		MaxBidSeen:   5,

@@ -110,8 +110,9 @@ func WriteJSONL(w io.Writer, events []Event) error {
 // skipped; any malformed line is an error naming the line — including
 // valid JSON that is not an event (a missing or unknown kind), so a
 // corrupted or truncated trace can never be silently summarized as if it
-// were complete. Traces written before the provenance extension (no
-// uid/front fields) load fine: absent fields stay zero.
+// were complete. Traces written before the provenance extension (no uid
+// field) load fine: absent fields stay zero, and a "front" field of an
+// older trace is ignored.
 func ReadJSONL(r io.Reader) ([]Event, error) {
 	var out []Event
 	sc := bufio.NewScanner(r)

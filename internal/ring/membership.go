@@ -49,7 +49,7 @@ func (m Membership) Count() int { return len(m.Members) }
 // Slots is the dense array size needed to index per-server state by
 // stable ID: max(Members)+1. Slots ≥ Count, with equality exactly when
 // the ring is the fixed 0..n-1 prefix; IDs of departed members keep
-// their slots so ages and frontiers never need re-indexing.
+// their slots so ages never need re-indexing.
 func (m Membership) Slots() int {
 	if len(m.Members) == 0 {
 		return 0
@@ -122,8 +122,9 @@ func (m Membership) RegenBid(maxBidSeen, id int) int {
 
 // NextID is the smallest stable ID never used by this ring:
 // max(Members)+1. Joiners are assigned NextID so departed members' IDs
-// are never recycled within a run (recycling would corrupt age/frontier
-// slots that still carry the departed member's state).
+// are never recycled within a run (recycling would hand the joiner the age
+// slot that still carries the departed member's last age, and a trace
+// reader would take two servers for one).
 func (m Membership) NextID() int { return m.Slots() }
 
 // WithMember returns a new membership at Epoch+1 that includes id.

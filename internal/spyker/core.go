@@ -53,15 +53,13 @@ type Outbound interface {
 	ReplyClient(k int, params []float64, age, lr float64)
 	// BroadcastModel sends this server's model, age and the current
 	// synchronization ID to every other server (Alg. 2 l. 25/35). params is
-	// a borrow. front is the sender's merged-updates frontier at broadcast
-	// time — the causal provenance the receiver max-merges so update
-	// lineage is traceable end to end; like params it is a borrow valid
-	// only for the duration of the call. mem is the sender's current ring
+	// a borrow. uid names the copy (obs.RoundUID), which the receiver's
+	// server-agg event names in turn. mem is the sender's current ring
 	// membership, attached to the message header so receivers converge on
-	// the freshest epoch; unlike params and front it may be aliased after
-	// the call returns (Membership slices are immutable by the ring
-	// package's contract).
-	BroadcastModel(params []float64, age float64, bid int, front []int64, mem ring.Membership)
+	// the freshest epoch; unlike params it may be aliased after the call
+	// returns (Membership slices are immutable by the ring package's
+	// contract).
+	BroadcastModel(params []float64, age float64, bid int, uid obs.UID, mem ring.Membership)
 	// BroadcastAge announces this server's model age to every other
 	// server so the token holder can trigger a synchronization
 	// (Alg. 2 l. 29). mem rides the header like on BroadcastModel.
@@ -143,11 +141,10 @@ type ServerCore struct {
 	out Outbound
 
 	// mem is the ring membership this server currently believes in (the
-	// elastic-membership extension). Per-server state below (ages,
-	// frontier) is indexed by stable server ID and sized mem.Slots();
-	// the arrays only ever grow across epoch changes — a departed
-	// member's slot keeps its last value, so carried-over ages and
-	// frontiers never need re-indexing.
+	// elastic-membership extension). The age vector below is indexed by
+	// stable server ID and sized mem.Slots(); it only ever grows across
+	// epoch changes — a departed member's slot keeps its last value, so
+	// carried-over ages never need re-indexing.
 	mem ring.Membership
 
 	// w is the model. Everything reaches it through model(), which first
@@ -166,21 +163,13 @@ type ServerCore struct {
 	didBroadcast     map[int]bool
 	cnt              map[int]int
 	lastAgeBroadcast float64
+	// roundCopy is the copy index of the held round's latest broadcast: 0
+	// for the trigger, n for the n-th SyncRetry re-broadcast (obs.RoundUID).
+	roundCopy int
 
 	updates map[int]int     // u[k]: updates received per client
 	rates   map[int]float64 // current learning rate per client
 	total   int             // total updates received (for the average)
-
-	// frontier is the merged-updates vector clock: frontier[i] counts how
-	// many client updates first merged at server i are incorporated into
-	// this model, directly (i == cfg.ID, advanced per HandleClientUpdate)
-	// or transitively (max-merged from the frontier riding on every model
-	// broadcast). It is plain protocol state, maintained whether or not a
-	// sink is attached, so enabling provenance tracing can never change
-	// the schedule; the lineage analyzer (obs.BuildLineage) reconstructs
-	// every update's server-reach set and hop path from the frontiers
-	// stamped on client-update and server-agg events.
-	frontier []int64
 
 	// Byzantine-robust clipping state: exponential moving average of the
 	// (post-clip) client delta norms. deltaScratch is the persistent
@@ -264,7 +253,6 @@ func newServerCore(cfg Config, mem ring.Membership, initial []float64, holdsToke
 		w:            tensor.Clone(initial),
 		merger:       inline{},
 		ages:         make([]float64, slots),
-		frontier:     make([]int64, slots),
 		didBroadcast: make(map[int]bool),
 		cnt:          make(map[int]int),
 		updates:      make(map[int]int),
@@ -346,15 +334,12 @@ func (s *ServerCore) Epoch() int { return s.mem.Epoch }
 // rule should track the population a server actually serves.
 func (s *ServerCore) SetNumClients(n int) { s.cfg.NumClients = n }
 
-// growTo extends the per-server state arrays to at least n slots. They
-// never shrink: a departed member's slot keeps its last age/frontier
-// value, which is exactly what carry-over across epochs requires.
+// growTo extends the age vector to at least n slots. It never shrinks: a
+// departed member's slot keeps its last age, which is exactly what
+// carry-over across epochs requires.
 func (s *ServerCore) growTo(n int) {
 	for len(s.ages) < n {
 		s.ages = append(s.ages, 0)
-	}
-	for len(s.frontier) < n {
-		s.frontier = append(s.frontier, 0)
 	}
 }
 
@@ -368,10 +353,10 @@ func (s *ServerCore) observeMembership(mem ring.Membership) {
 	}
 }
 
-// adoptMembership installs a fresher ring membership. The per-server
-// arrays grow to the new slot count (carry-over: existing ages and
-// frontier entries keep their slots), the silence detector counts the
-// adoption as fresh ring activity, and two ring-shape consequences are
+// adoptMembership installs a fresher ring membership. The age vector
+// grows to the new slot count (carry-over: existing ages keep their
+// slots), the silence detector counts the adoption as fresh ring
+// activity, and two ring-shape consequences are
 // applied immediately: a server that finds itself excluded retires any
 // token it holds (it is no longer allowed to broker rounds), and a
 // holder whose in-progress round already has enough broadcasts under
@@ -396,9 +381,9 @@ func (s *ServerCore) adoptMembership(mem ring.Membership, note string) {
 
 // AdmitMember adds newID to the ring (epoch bump, broadcast to the
 // current members) and returns the State a new server with that ID
-// should bootstrap from: this server's model, age knowledge and frontier,
-// re-keyed to the joiner's identity with the per-identity protocol state
-// (token, round participation, client counters) cleared. Admitting an
+// should bootstrap from: this server's model and age knowledge, re-keyed
+// to the joiner's identity with the per-identity protocol state (token,
+// round participation, round copy, client counters) cleared. Admitting an
 // existing member is idempotent — no epoch bump, just a fresh snapshot.
 func (s *ServerCore) AdmitMember(newID int) (State, error) {
 	if newID < 0 {
@@ -413,12 +398,14 @@ func (s *ServerCore) AdmitMember(newID int) (State, error) {
 	}
 	var st State
 	s.SnapshotInto(&st)
+	s.emit(obs.KindCheckpoint, newID, 0, "") // what the joiner's restore names
 	st.Config.ID = newID
 	st.Config.NumServers = s.mem.Slots()
 	st.Config.NumClients = 0
 	st.Ages[newID] = st.Age // the joiner starts with this model, at its age
 	st.Token = nil
 	st.OngoingSynchro = false
+	st.RoundCopy = 0
 	// DidBroadcast and Cnt are cleared rather than copied: membership
 	// adoption grows the completion target of in-flight rounds, so the
 	// joiner must be free to broadcast into a round the sponsor already
@@ -469,13 +456,6 @@ func (s *ServerCore) YieldToken() bool {
 	s.emit(obs.KindTokenPass, next, t.Bid, "yield")
 	s.out.SendToken(t, next)
 	return true
-}
-
-// Frontier returns a copy of the merged-updates vector clock: entry i is
-// the number of client updates first merged at server i whose influence
-// this model has incorporated.
-func (s *ServerCore) Frontier() []int64 {
-	return append([]int64(nil), s.frontier...)
 }
 
 // StalenessWeight implements the dampening weight w_k^t of Alg. 1 l. 14.
@@ -552,9 +532,6 @@ func ServerAggWeight(phi, localAge, remoteAge float64) float64 {
 //
 // uid is the update's trace context: the causal ID the client minted when
 // the trained update left it (obs.UpdateUID), zero for untraced callers.
-// The merge advances this server's own frontier coordinate either way, so
-// lineage stays reconstructable from the server-side (origin, seq) identity
-// even when clients do not mint IDs.
 func (s *ServerCore) HandleClientUpdate(k int, params []float64, clientAge float64, uid obs.UID) {
 	s.updates[k]++
 	s.total++
@@ -570,13 +547,11 @@ func (s *ServerCore) HandleClientUpdate(k int, params []float64, clientAge float
 	s.applyClientDelta(params, s.cfg.EtaServer*wk*damp)
 	s.age++
 	s.ages[s.cfg.ID] = s.age
-	s.frontier[s.cfg.ID]++
 
 	if s.sink.Enabled() {
 		s.sink.Emit(obs.Event{
 			Time: s.clock(), Kind: obs.KindClientUpdate,
-			Node: s.cfg.ID, Peer: k, Age: s.age, Stale: staleness,
-			UID: uid, Front: s.Frontier(),
+			Node: s.cfg.ID, Peer: k, Age: s.age, Stale: staleness, UID: uid,
 		})
 	}
 	// params now holds the new model, or will once the merge has run, and
@@ -751,13 +726,21 @@ func (s *ServerCore) HandleToken(t Token) {
 
 // emit sends one protocol event about this server, stamped with the core's
 // clock, to the attached sink; without one it costs the Enabled check and
-// neither reads the clock nor builds the event. The two events that carry
-// a frontier copy (KindClientUpdate, KindServerAgg) keep their own guard:
-// Frontier() allocates, and must not run for a sink that is not there.
+// neither reads the clock nor builds the event.
 func (s *ServerCore) emit(kind obs.EventKind, peer, bid int, note string) {
 	if s.sink.Enabled() {
 		s.sink.Emit(obs.Event{Time: s.clock(), Kind: kind, Node: s.cfg.ID, Peer: peer, Bid: bid, Note: note})
 	}
+}
+
+// broadcast sends copy c of this server's model into round bid: a
+// KindSyncStart names the copy's UID, and the model travels under it.
+func (s *ServerCore) broadcast(bid, c int, note string) {
+	uid := obs.RoundUID(s.cfg.ID, bid, c)
+	if s.sink.Enabled() {
+		s.sink.Emit(obs.Event{Time: s.clock(), Kind: obs.KindSyncStart, Node: s.cfg.ID, Peer: obs.NoPeer, Bid: bid, Note: note, UID: uid})
+	}
+	s.out.BroadcastModel(s.model(), s.age, bid, uid, s.mem)
 }
 
 // releaseToken forgets the held token and whatever round it was brokering.
@@ -815,10 +798,12 @@ func (s *ServerCore) Tick(now float64) {
 				// participant is down or a broadcast was lost. Re-broadcast
 				// under the same bid — peers that already served it only
 				// re-aggregate, while a restarted server joins late and its
-				// broadcast finally completes the count.
+				// broadcast finally completes the count. Each retry is a copy
+				// of its own, so a trace reader can tell which one a peer
+				// merged.
 				s.stuckSince = now
-				s.emit(obs.KindSyncStart, obs.NoPeer, s.token.Bid, "retry")
-				s.out.BroadcastModel(s.model(), s.age, s.token.Bid, s.frontier, s.mem)
+				s.roundCopy++
+				s.broadcast(s.token.Bid, s.roundCopy, "retry")
 			}
 		} else {
 			s.stuckValid = false
@@ -862,13 +847,11 @@ func (s *ServerCore) TokenRegens() int { return s.tokenRegens }
 func (s *ServerCore) MaxBidSeen() int { return s.maxBidSeen }
 
 // HandleServerModel processes another server's model broadcast
-// (Alg. 2 RcvModel) with its provenance and membership header: front is
-// the sender's merged-updates frontier at broadcast time (nil from
-// untraced peers or pre-extension checkpoints), mem the sender's ring
-// membership (zero when the caller carries none). The local frontier
-// max-merges front, because the weighted model merge incorporates the
-// causal influence of every update the remote model had seen.
-func (s *ServerCore) HandleServerModel(j int, params []float64, age float64, bid int, front []int64, mem ring.Membership) {
+// (Alg. 2 RcvModel) with its trace context and membership header: uid
+// names the copy of the broadcast (obs.RoundUID; zero from untraced
+// callers), and the server-agg event names it in turn; mem is the
+// sender's ring membership (zero when the caller carries none).
+func (s *ServerCore) HandleServerModel(j int, params []float64, age float64, bid int, uid obs.UID, mem ring.Membership) {
 	s.observeMembership(mem)
 	// Fresh ring traffic resets the silence timer — but a holder's
 	// SyncRetry re-broadcast of an already-served round does not, or a
@@ -899,10 +882,9 @@ func (s *ServerCore) HandleServerModel(j int, params []float64, age float64, bid
 		s.didBroadcast[bid] = true
 		s.agePrev = s.age
 		s.syncsJoined++
-		s.emit(obs.KindSyncStart, obs.NoPeer, bid, "join")
-		s.out.BroadcastModel(s.model(), s.age, bid, s.frontier, s.mem)
+		s.broadcast(bid, 0, "join")
 	}
-	s.serverAgg(j, params, age, bid, front)
+	s.serverAgg(j, params, age, bid, uid)
 	if s.hasToken && s.token.Bid == bid && s.mem.Contains(j) {
 		s.cnt[bid]++
 		if s.cnt[bid] >= s.mem.Count() {
@@ -934,28 +916,21 @@ func (s *ServerCore) forwardToken() {
 // serverAgg merges server from's model into the local one
 // (Alg. 2 ServerAgg): the sigmoid of the relative age difference decides
 // how much the remote model counts, and the local age moves toward the
-// remote age by the same effective weight. The remote frontier (when the
-// broadcast carried one) max-merges into the local frontier, and the
-// emitted event carries the post-merge frontier plus the round's UID so
-// the lineage analyzer can attribute every newly covered update to this
-// hop.
-func (s *ServerCore) serverAgg(from int, params []float64, remoteAge float64, bid int, front []int64) {
+// remote age by the same effective weight. The emitted event names the
+// copy merged (uid), from which the lineage analyzer (obs.BuildLineage)
+// attributes every update that copy carried to this hop.
+func (s *ServerCore) serverAgg(from int, params []float64, remoteAge float64, bid int, uid obs.UID) {
 	ageDrift := remoteAge - s.age
 	w := ServerAggWeight(s.cfg.Phi, s.age, remoteAge)
 	ew := float64(s.cfg.EtaA * w)
 	paramvec.Vec(s.model()).WeightedMergeInto(ew, params)
 	s.age = float64((1-ew)*s.age) + float64(ew*remoteAge)
 	s.ages[s.cfg.ID] = s.age
-	for o, v := range front {
-		if o < len(s.frontier) && v > s.frontier[o] {
-			s.frontier[o] = v
-		}
-	}
 	if s.sink.Enabled() {
 		s.sink.Emit(obs.Event{
 			Time: s.clock(), Kind: obs.KindServerAgg,
 			Node: s.cfg.ID, Peer: from, Age: s.age, Stale: ageDrift,
-			Bid: bid, UID: obs.RoundUID(from, bid), Front: s.Frontier(),
+			Bid: bid, UID: uid,
 		})
 	}
 }
@@ -998,8 +973,8 @@ func (s *ServerCore) checkSynchronization() {
 		s.cnt[bid] = 1 // counts our own model
 		s.syncsTriggered++
 		s.syncsJoined++
-		s.emit(obs.KindSyncStart, obs.NoPeer, bid, "trigger")
-		s.out.BroadcastModel(s.model(), s.age, bid, s.frontier, s.mem)
+		s.roundCopy = 0
+		s.broadcast(bid, 0, "trigger")
 	} else if !s.hasToken {
 		// Age announcements from non-token holders are rate-limited: a
 		// server only re-broadcasts its age after its model aged by at

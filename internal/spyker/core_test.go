@@ -104,6 +104,7 @@ type modelRec struct {
 	params []float64
 	age    float64
 	bid    int
+	uid    obs.UID
 }
 
 type tokenRec struct {
@@ -116,8 +117,8 @@ type tokenRec struct {
 func (f *fakeOut) ReplyClient(k int, p []float64, age, lr float64) {
 	f.replies = append(f.replies, replyRec{k, p, age, lr})
 }
-func (f *fakeOut) BroadcastModel(p []float64, age float64, bid int, _ []int64, _ ring.Membership) {
-	f.models = append(f.models, modelRec{tensor.Clone(p), age, bid})
+func (f *fakeOut) BroadcastModel(p []float64, age float64, bid int, uid obs.UID, _ ring.Membership) {
+	f.models = append(f.models, modelRec{tensor.Clone(p), age, bid, uid})
 }
 func (f *fakeOut) BroadcastAge(age float64, _ ring.Membership) { f.ages = append(f.ages, age) }
 func (f *fakeOut) SendToken(t Token, next int) {
@@ -194,7 +195,7 @@ func TestDecayDisabled(t *testing.T) {
 func TestServerAggMovesModelAndAge(t *testing.T) {
 	out := &fakeOut{}
 	s := NewServerCore(coreConfig(0, 2, 2), []float64{0, 0}, false, out)
-	s.HandleServerModel(1, []float64{10, 10}, 100, 1, nil, ring.Membership{})
+	s.HandleServerModel(1, []float64{10, 10}, 100, 1, 0, ring.Membership{})
 	p := s.Params()
 	if p[0] <= 0 || p[0] >= 10 {
 		t.Errorf("param after agg = %v, want strictly between", p[0])
@@ -265,7 +266,7 @@ func TestHIntraTriggersSync(t *testing.T) {
 func TestNonHolderJoinsSyncOnUnknownBid(t *testing.T) {
 	out := &fakeOut{}
 	s := NewServerCore(coreConfig(1, 3, 2), make([]float64, 2), false, out)
-	s.HandleServerModel(0, []float64{1, 1}, 5, 42, nil, ring.Membership{})
+	s.HandleServerModel(0, []float64{1, 1}, 5, 42, 0, ring.Membership{})
 	if len(out.models) != 1 {
 		t.Fatalf("expected join broadcast, got %d", len(out.models))
 	}
@@ -276,7 +277,7 @@ func TestNonHolderJoinsSyncOnUnknownBid(t *testing.T) {
 		t.Errorf("SyncsJoined = %d", s.SyncsJoined())
 	}
 	// Receiving the same bid from another server must not re-broadcast.
-	s.HandleServerModel(2, []float64{2, 2}, 6, 42, nil, ring.Membership{})
+	s.HandleServerModel(2, []float64{2, 2}, 6, 42, 0, ring.Membership{})
 	if len(out.models) != 1 {
 		t.Errorf("duplicate join broadcast: %d", len(out.models))
 	}
@@ -289,11 +290,11 @@ func TestTokenForwardedAfterAllModels(t *testing.T) {
 	if len(out.tokens) != 0 {
 		t.Fatal("token forwarded before models arrived")
 	}
-	s.HandleServerModel(1, []float64{1, 1}, 10, 1, nil, ring.Membership{})
+	s.HandleServerModel(1, []float64{1, 1}, 10, 1, 0, ring.Membership{})
 	if len(out.tokens) != 0 {
 		t.Fatal("token forwarded after only one model")
 	}
-	s.HandleServerModel(2, []float64{2, 2}, 3, 1, nil, ring.Membership{})
+	s.HandleServerModel(2, []float64{2, 2}, 3, 1, 0, ring.Membership{})
 	if len(out.tokens) != 1 {
 		t.Fatalf("token not forwarded after all models: %d", len(out.tokens))
 	}
@@ -435,10 +436,10 @@ type loopbackOut struct {
 }
 
 func (l *loopbackOut) ReplyClient(int, []float64, float64, float64) {}
-func (l *loopbackOut) BroadcastModel(p []float64, age float64, bid int, _ []int64, _ ring.Membership) {
+func (l *loopbackOut) BroadcastModel(p []float64, age float64, bid int, _ obs.UID, _ ring.Membership) {
 	for i, c := range *l.cores {
 		if i != l.id && c != nil {
-			c.HandleServerModel(l.id, tensor.Clone(p), age, bid, nil, ring.Membership{})
+			c.HandleServerModel(l.id, tensor.Clone(p), age, bid, 0, ring.Membership{})
 		}
 	}
 }
@@ -746,9 +747,8 @@ type enabledSink struct{}
 func (enabledSink) Enabled() bool  { return true }
 func (enabledSink) Emit(obs.Event) {}
 
-// TestServerAggAllocations pins serverAgg: without a sink it allocates
-// nothing, whether the remote frontier moves the local one or not; with a
-// sink, exactly the frontier copy its event carries (Frontier). Every
+// TestServerAggAllocations pins serverAgg at 0 allocs/op, without a sink
+// and with one: its event names the copy merged and copies nothing. Every
 // measured call takes the path it is measured on: AllocsPerRun rounds its
 // average down.
 func TestServerAggAllocations(t *testing.T) {
@@ -758,28 +758,17 @@ func TestServerAggAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := NewServerCore(coreConfig(0, 2, 2), randVec(rng, aggregateDim), false, loneOutbound())
 	remote := randVec(rng, aggregateDim)
-	front := []int64{0, 0}
-	hold := func() { s.serverAgg(1, remote, s.Age()+1, 1, front) }
-	raise := func() {
-		front[1]++
-		hold()
-	}
+	agg := func() { s.serverAgg(1, remote, s.Age()+1, 1, obs.RoundUID(1, 1, 0)) }
 	for _, c := range []struct {
-		name   string
-		sink   obs.Sink
-		agg    func()
-		allocs float64
+		name string
+		sink obs.Sink
 	}{
-		{"without a sink, frontier held", nil, hold, 0},
-		{"without a sink, frontier raised", nil, raise, 0},
-		{"with a sink", enabledSink{}, raise, 1},
+		{"without a sink", nil},
+		{"with a sink", enabledSink{}},
 	} {
 		s.Instrument(c.sink, func() float64 { return 0 })
-		if allocs := testing.AllocsPerRun(100, c.agg); allocs != c.allocs {
-			t.Errorf("serverAgg %s: %.1f allocs/op, want %v", c.name, allocs, c.allocs)
+		if allocs := testing.AllocsPerRun(100, agg); allocs != 0 {
+			t.Errorf("serverAgg %s: %.1f allocs/op, want 0", c.name, allocs)
 		}
-	}
-	if s.frontier[1] != front[1] {
-		t.Fatalf("local frontier entry %d, want the remote's %d", s.frontier[1], front[1])
 	}
 }

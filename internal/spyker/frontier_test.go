@@ -7,153 +7,107 @@ import (
 	"github.com/spyker-fl/spyker/internal/ring"
 )
 
-// The merged-updates frontier is plain protocol state: it must advance on
-// every client update, merge on every server-model aggregation, and ride
-// through snapshots — all without any sink attached (tracing only observes
-// it).
+// The merged-updates frontier is not state the core keeps: obs.BuildLineage
+// rebuilds every server's frontier from the events the cores emit. These
+// tests drive real cores and read the rebuilt frontier back through the
+// lineage: an update's Seq is its origin's own coordinate just after it,
+// and an arrival is a coordinate a merge advanced.
+
+// tickClock is a clock that moves one unit per reading, so every event of
+// a test keeps its place when the lineage sorts the trace by time.
+func tickClock() obs.Clock {
+	var now float64
+	return func() float64 { now++; return now }
+}
 
 func TestFrontierAdvancesOnClientUpdates(t *testing.T) {
+	tr, clock := obs.NewTracer(64), tickClock()
 	s := NewServerCore(coreConfig(1, 3, 2), []float64{0, 0}, false, &fakeOut{})
-	if got := s.Frontier(); len(got) != 3 || got[0] != 0 || got[1] != 0 || got[2] != 0 {
-		t.Fatalf("initial frontier = %v, want zeros", got)
+	s.Instrument(tr, clock)
+	s.HandleClientUpdate(0, []float64{1, 1}, 0, obs.UpdateUID(0, 1))
+	s.HandleClientUpdate(1, []float64{1, 1}, 1, obs.UpdateUID(1, 1))
+
+	l := obs.BuildLineage(tr.Events())
+	if len(l.Updates) != 2 {
+		t.Fatalf("lineage holds %d updates, want 2", len(l.Updates))
 	}
-	s.HandleClientUpdate(0, []float64{1, 1}, 0, 0)
-	s.HandleClientUpdate(1, []float64{1, 1}, 1, 0)
-	got := s.Frontier()
-	if got[1] != 2 || got[0] != 0 || got[2] != 0 {
-		t.Fatalf("frontier = %v, want [0 2 0] (own coordinate only)", got)
-	}
-	// Frontier() must return a copy, not the live vector.
-	got[1] = 99
-	if s.Frontier()[1] != 2 {
-		t.Fatal("Frontier() aliases internal state")
+	for i, u := range l.Updates {
+		if u.Origin != 1 || u.Seq != int64(i+1) || u.Client != i || u.UID != obs.UpdateUID(i, 1) {
+			t.Fatalf("update %d = %+v, want origin 1 seq %d client %d", i, u, i+1, i)
+		}
+		if len(u.Arrivals) != 0 {
+			t.Fatalf("update %d reached %v without a merge", i, u.Arrivals)
+		}
 	}
 }
 
 func TestFrontierMergesFromBroadcasts(t *testing.T) {
-	s := NewServerCore(coreConfig(0, 3, 2), []float64{0, 0}, false, &fakeOut{})
-	s.HandleClientUpdate(0, []float64{1, 1}, 0, 0)
-
-	// A peer broadcast carrying front [0 5 2] max-merges into [1 5 2].
-	s.HandleServerModel(1, []float64{2, 2}, 1, 1, []int64{0, 5, 2}, ring.Membership{})
-	got := s.Frontier()
-	if got[0] != 1 || got[1] != 5 || got[2] != 2 {
-		t.Fatalf("frontier = %v, want [1 5 2]", got)
-	}
-
-	// A stale broadcast (lower coordinates) must not regress the frontier,
-	// and untraced broadcasts (nil front) must merge nothing.
-	s.HandleServerModel(2, []float64{2, 2}, 1, 2, []int64{0, 3, 1}, ring.Membership{})
-	s.HandleServerModel(1, []float64{2, 2}, 1, 3, nil, ring.Membership{})
-	got = s.Frontier()
-	if got[0] != 1 || got[1] != 5 || got[2] != 2 {
-		t.Fatalf("frontier regressed: %v, want [1 5 2]", got)
-	}
-}
-
-func TestBroadcastCarriesFrontier(t *testing.T) {
-	// When a sync triggers, the outbound broadcast must hand the live
-	// frontier to the transport layer.
-	var gotFront []int64
-	out := &frontierOut{onModel: func(front []int64) {
-		gotFront = append([]int64(nil), front...)
-	}}
-	cfg := coreConfig(0, 2, 1)
-	cfg.HIntra = 2 // trigger a sync after two local updates
+	tr, clock := obs.NewTracer(64), tickClock()
+	// Server 1 holds the token and syncs after two local updates.
+	out1 := &fakeOut{}
+	cfg := coreConfig(1, 3, 2)
+	cfg.HIntra = 2
 	cfg.HInter = 1e9
-	s := NewServerCore(cfg, []float64{0, 0}, true, out)
-	s.HandleClientUpdate(0, []float64{1, 1}, s.Age(), 0)
-	s.HandleClientUpdate(0, []float64{1, 1}, s.Age(), 0)
-	if gotFront == nil {
-		t.Fatal("sync never triggered a broadcast")
+	s1 := NewServerCore(cfg, []float64{0, 0}, true, out1)
+	s1.Instrument(tr, clock)
+	out0 := &fakeOut{}
+	s0 := NewServerCore(coreConfig(0, 3, 2), []float64{0, 0}, false, out0)
+	s0.Instrument(tr, clock)
+	s2 := NewServerCore(coreConfig(2, 3, 2), []float64{0, 0}, false, &fakeOut{})
+	s2.Instrument(tr, clock)
+
+	s0.HandleClientUpdate(0, []float64{1, 1}, 0, 0)
+	s1.HandleClientUpdate(0, []float64{1, 1}, s1.Age(), 0)
+	s1.HandleClientUpdate(1, []float64{1, 1}, s1.Age(), 0)
+	if len(out1.models) != 1 {
+		t.Fatalf("server 1 sent %d broadcasts, want its sync trigger", len(out1.models))
 	}
-	if gotFront[0] != 2 || gotFront[1] != 0 {
-		t.Fatalf("broadcast frontier = %v, want [2 0]", gotFront)
+	m := out1.models[0]
+	s0.HandleServerModel(1, m.params, m.age, m.bid, m.uid, ring.Membership{})
+	if len(out0.models) != 1 {
+		t.Fatalf("server 0 sent %d broadcasts, want its answer to the round", len(out0.models))
 	}
-}
+	// A stale redelivery of the same copy and an untraced copy (no UID)
+	// must merge nothing new.
+	s0.HandleServerModel(1, m.params, m.age, m.bid, m.uid, ring.Membership{})
+	s0.HandleServerModel(2, []float64{2, 2}, 1, m.bid, 0, ring.Membership{})
+	// Server 0 answered the round before it merged server 1's copy, so its
+	// answer carries server 0's own update to server 2 and not server 1's.
+	a := out0.models[0]
+	s2.HandleServerModel(0, a.params, a.age, a.bid, a.uid, ring.Membership{})
+	// The merges left server 0's own coordinate where it was.
+	s0.HandleClientUpdate(1, []float64{1, 1}, s0.Age(), 0)
 
-type frontierOut struct {
-	fakeOut
-	onModel func(front []int64)
-}
-
-func (f *frontierOut) BroadcastModel(p []float64, age float64, bid int, front []int64, mem ring.Membership) {
-	f.onModel(front)
-	f.fakeOut.BroadcastModel(p, age, bid, front, mem)
-}
-
-func TestTracedEventsCarryUIDAndFrontier(t *testing.T) {
-	tr := obs.NewTracer(64)
-	s := NewServerCore(coreConfig(0, 2, 1), []float64{0, 0}, false, &fakeOut{})
-	s.Instrument(tr, func() float64 { return 1 })
-
-	uid := obs.UpdateUID(4, 1)
-	s.HandleClientUpdate(0, []float64{1, 1}, 0, uid)
-	s.HandleServerModel(1, []float64{2, 2}, 1, 3, []int64{0, 7}, ring.Membership{})
-
-	evs := tr.Events()
-	var sawUpdate, sawAgg bool
-	for _, e := range evs {
-		switch e.Kind {
-		case obs.KindClientUpdate:
-			sawUpdate = true
-			if e.UID != uid {
-				t.Fatalf("client-update UID = %v, want %v", e.UID, uid)
-			}
-			if len(e.Front) != 2 || e.Front[0] != 1 {
-				t.Fatalf("client-update front = %v, want [1 0]", e.Front)
-			}
-		case obs.KindServerAgg:
-			sawAgg = true
-			if e.UID != obs.RoundUID(1, 3) {
-				t.Fatalf("server-agg UID = %v, want %v", e.UID, obs.RoundUID(1, 3))
-			}
-			if len(e.Front) != 2 || e.Front[0] != 1 || e.Front[1] != 7 {
-				t.Fatalf("server-agg front = %v, want [1 7]", e.Front)
+	l := obs.BuildLineage(tr.Events())
+	got := make(map[string][]hop)
+	for _, u := range l.Updates {
+		got[u.Name()] = nil
+		for _, a := range u.Arrivals {
+			got[u.Name()] = append(got[u.Name()], hop{a.Server, a.Via, a.Bid})
+		}
+	}
+	want := map[string][]hop{
+		"s0@1": {{2, 0, a.bid}},
+		"s0@2": nil,
+		"s1@1": {{0, 1, m.bid}},
+		"s1@2": {{0, 1, m.bid}},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("lineage updates %v, want %v", got, want)
+	}
+	for name, w := range want {
+		g, ok := got[name]
+		if !ok || len(g) != len(w) {
+			t.Fatalf("update %s reached %v, want %v", name, g, w)
+		}
+		for i := range w {
+			if g[i] != w[i] {
+				t.Fatalf("update %s reached %v, want %v", name, g, w)
 			}
 		}
 	}
-	if !sawUpdate || !sawAgg {
-		t.Fatalf("missing events: update=%v agg=%v", sawUpdate, sawAgg)
-	}
 }
 
-func TestSnapshotRestoresFrontier(t *testing.T) {
-	s := NewServerCore(coreConfig(0, 3, 2), []float64{0, 0}, false, &fakeOut{})
-	s.HandleClientUpdate(0, []float64{1, 1}, 0, 0)
-	s.HandleServerModel(1, []float64{2, 2}, 1, 1, []int64{0, 4, 0}, ring.Membership{})
-
-	var st State
-	s.SnapshotInto(&st)
-	if len(st.Frontier) != 3 || st.Frontier[0] != 1 || st.Frontier[1] != 4 {
-		t.Fatalf("snapshot frontier = %v, want [1 4 0]", st.Frontier)
-	}
-	r, err := RestoreServerCore(st, &fakeOut{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := r.Frontier()
-	if got[0] != 1 || got[1] != 4 || got[2] != 0 {
-		t.Fatalf("restored frontier = %v, want [1 4 0]", got)
-	}
-}
-
-// TestRestoreLegacySnapshotWithoutFrontier: a checkpoint written before
-// the provenance extension decodes with a nil Frontier. No writer in this
-// tree produces one; it is refused with an error, as is a frontier of the
-// wrong length.
-func TestRestoreLegacySnapshotWithoutFrontier(t *testing.T) {
-	s := NewServerCore(coreConfig(0, 2, 1), []float64{0, 0}, false, &fakeOut{})
-	s.HandleClientUpdate(0, []float64{1, 1}, 0, 0)
-	var st State
-	s.SnapshotInto(&st)
-	st.Frontier = nil // checkpoint written before the provenance extension
-	if _, err := RestoreServerCore(st, &fakeOut{}); err == nil {
-		t.Fatal("a snapshot without a frontier was restored")
-	}
-
-	st.Frontier = []int64{1, 2, 3} // wrong length must be rejected
-	if _, err := RestoreServerCore(st, &fakeOut{}); err == nil {
-		t.Fatal("mismatched frontier length must fail restore")
-	}
-}
+// hop is an obs.Arrival without its time: where an update's influence
+// reached, through whose copy, in which round.
+type hop struct{ Server, Via, Bid int }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/ring"
 	"github.com/spyker-fl/spyker/internal/tensor"
 )
@@ -74,7 +75,7 @@ type fuzzOut struct {
 
 func (o *fuzzOut) ReplyClient(int, []float64, float64, float64) {}
 
-func (o *fuzzOut) BroadcastModel(p []float64, age float64, bid int, _ []int64, _ ring.Membership) {
+func (o *fuzzOut) BroadcastModel(p []float64, age float64, bid int, _ obs.UID, _ ring.Membership) {
 	snapshot := tensor.Clone(p)
 	for i := range o.net.cores {
 		if i == o.id {
@@ -82,7 +83,7 @@ func (o *fuzzOut) BroadcastModel(p []float64, age float64, bid int, _ []int64, _
 		}
 		dst := i
 		o.net.send(o.id, dst, func() {
-			o.net.cores[dst].HandleServerModel(o.id, snapshot, age, bid, nil, ring.Membership{})
+			o.net.cores[dst].HandleServerModel(o.id, snapshot, age, bid, 0, ring.Membership{})
 		})
 	}
 }

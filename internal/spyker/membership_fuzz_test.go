@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/spyker-fl/spyker/internal/obs"
 	"github.com/spyker-fl/spyker/internal/ring"
 	"github.com/spyker-fl/spyker/internal/tensor"
 )
@@ -46,9 +47,8 @@ type memOut struct {
 
 func (o *memOut) ReplyClient(int, []float64, float64, float64) {}
 
-func (o *memOut) BroadcastModel(p []float64, age float64, bid int, front []int64, mem ring.Membership) {
+func (o *memOut) BroadcastModel(p []float64, age float64, bid int, uid obs.UID, mem ring.Membership) {
 	snap := tensor.Clone(p)
-	fr := append([]int64(nil), front...)
 	m := mem.Clone()
 	for i := range o.f.net.cores {
 		if i == o.id {
@@ -57,7 +57,7 @@ func (o *memOut) BroadcastModel(p []float64, age float64, bid int, front []int64
 		dst := i
 		o.f.net.send(o.id, dst, func() {
 			if o.f.alive(dst) {
-				o.f.net.cores[dst].HandleServerModel(o.id, snap, age, bid, fr, m)
+				o.f.net.cores[dst].HandleServerModel(o.id, snap, age, bid, uid, m)
 			}
 		})
 	}

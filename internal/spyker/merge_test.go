@@ -56,7 +56,7 @@ func TestDetachedMergeJoinsAtEveryReader(t *testing.T) {
 		}},
 		{"HandleServerModel", nil, false, func(s *ServerCore, out *fakeOut) []float64 {
 			merge(s)
-			s.HandleServerModel(1, remote, 5, 1, nil, ring.Membership{}) // joins the round, then aggregates
+			s.HandleServerModel(1, remote, 5, 1, 0, ring.Membership{}) // joins the round, then aggregates
 			return lastModel(out)
 		}},
 		{"Params", nil, false, func(s *ServerCore, _ *fakeOut) []float64 {

@@ -47,7 +47,7 @@ func TestFreshRingTrafficResetsSilenceTimer(t *testing.T) {
 
 	s.Tick(0)
 	// A previously unseen round broadcast is ring activity.
-	s.HandleServerModel(0, []float64{0, 0}, 1, 3, nil, ring.Membership{})
+	s.HandleServerModel(0, []float64{0, 0}, 1, 3, 0, ring.Membership{})
 	s.Tick(9) // observes the activity, resets the timer
 	s.Tick(18)
 	if s.HasToken() {
@@ -93,7 +93,7 @@ func TestStaleTokenDiscarded(t *testing.T) {
 	s := NewServerCore(recoveryConfig(1, 3), []float64{0, 0}, false, out)
 
 	// Witness round 8 via a broadcast.
-	s.HandleServerModel(0, []float64{0, 0}, 1, 8, nil, ring.Membership{})
+	s.HandleServerModel(0, []float64{0, 0}, 1, 8, 0, ring.Membership{})
 	if s.MaxBidSeen() != 8 {
 		t.Fatalf("maxBidSeen = %d, want 8", s.MaxBidSeen())
 	}
@@ -131,7 +131,7 @@ func TestFresherRoundRetiresHeldToken(t *testing.T) {
 	// A broadcast for round 12 proves a regenerated token exists: the
 	// survivor this server holds must retire, and the server joins the
 	// fresh round like any non-holder.
-	s.HandleServerModel(1, []float64{0, 0}, 1, 12, nil, ring.Membership{})
+	s.HandleServerModel(1, []float64{0, 0}, 1, 12, 0, ring.Membership{})
 	if s.HasToken() {
 		t.Fatal("stale held token survived a fresher round broadcast")
 	}
@@ -178,8 +178,8 @@ func TestSyncRetryRebroadcastsStuckRound(t *testing.T) {
 		t.Fatalf("expected a same-bid retry broadcast, got %+v", out.models)
 	}
 	// The round completes when the missing participants finally answer.
-	s.HandleServerModel(1, []float64{0, 0}, 5, bid, nil, ring.Membership{})
-	s.HandleServerModel(2, []float64{0, 0}, 5, bid, nil, ring.Membership{})
+	s.HandleServerModel(1, []float64{0, 0}, 5, bid, 0, ring.Membership{})
+	s.HandleServerModel(2, []float64{0, 0}, 5, bid, 0, ring.Membership{})
 	if s.HasToken() {
 		t.Fatal("token not forwarded after the retried round completed")
 	}
@@ -209,7 +209,7 @@ func TestTickDisarmedIsFreeAndInert(t *testing.T) {
 func TestRecoveryStateRoundTripsThroughSnapshot(t *testing.T) {
 	out := &fakeOut{}
 	s := NewServerCore(recoveryConfig(1, 3), []float64{0, 0}, false, out)
-	s.HandleServerModel(0, []float64{0, 0}, 1, 8, nil, ring.Membership{})
+	s.HandleServerModel(0, []float64{0, 0}, 1, 8, 0, ring.Membership{})
 	s.Tick(0)
 	s.Tick(11) // regenerate once
 

@@ -51,7 +51,7 @@ type Algorithm struct {
 // msg is one message or queued job of the glue, carrying the fields its
 // kind reads: a client update on the server's queue (client, vec, age,
 // uid), a reply to a client (c, vec, age, lr), and a server model (from,
-// vec, shared, age, bid, front, mem), age announcement (from, age, mem) or
+// vec, shared, age, bid, uid, mem), age announcement (from, age, mem) or
 // token (token) from the network through the server's queue. to is the
 // server it is for — for a reply the one sending it. A record is shared by
 // every event that reads it and freed by the last (release): the
@@ -70,7 +70,6 @@ type msg struct {
 	job     simulation.Kind // the job it queues as, on arrival
 	uid     obs.UID
 	bid     int
-	front   []int64
 	mem     ring.Membership
 	token   Token
 	epoch   int // to's epoch when queued
@@ -363,7 +362,7 @@ func (a *Algorithm) arrive(i int) {
 // processModel is a peer's model broadcast completing.
 func (a *Algorithm) processModel(i int) {
 	if m := a.msgs.At(i); a.applies(m) {
-		m.to.core.HandleServerModel(m.from, m.vec, m.age, m.bid, m.front, m.mem)
+		m.to.core.HandleServerModel(m.from, m.vec, m.age, m.bid, m.uid, m.mem)
 	}
 	a.release(i)
 }
@@ -480,7 +479,8 @@ func (a *Algorithm) TokenHolder() int {
 }
 
 // Checkpoint implements fault.Cluster: snapshot server i's protocol
-// state as its restart point. A down server cannot checkpoint.
+// state as its restart point, with a trace mark that lineage replays
+// restores from (obs.KindCheckpoint). A down server cannot checkpoint.
 func (a *Algorithm) Checkpoint(i int) {
 	s := a.servers[i]
 	if s.down || s.left {
@@ -488,25 +488,28 @@ func (a *Algorithm) Checkpoint(i int) {
 	}
 	s.core.SnapshotInto(&s.ckpt)
 	s.hasCkpt = true
+	s.core.emit(obs.KindCheckpoint, obs.NoPeer, 0, "")
 }
 
 // Crash implements fault.Cluster: server i loses its volatile state —
 // queued work, and the token if it held one — and discards every message
-// addressed to it until Restart.
-func (a *Algorithm) Crash(i int) {
+// addressed to it until Restart. It reports whether i was up to crash.
+func (a *Algorithm) Crash(i int) bool {
 	s := a.servers[i]
 	if s.down || s.left {
-		return
+		return false
 	}
 	s.down = true
 	s.epoch++
+	return true
 }
 
 // Restart implements fault.Cluster: server i comes back from its latest
-// checkpoint (or from the pristine initial model if it never took one)
-// and, after a short grace period, re-engages every client it has not
-// heard from — their updates died with the crash, so without a fresh
-// model their training loops would stay parked forever.
+// checkpoint (or from the pristine initial model if it never took one),
+// traced as an obs.KindRestore naming which, and, after a short grace
+// period, re-engages every client it has not heard from — their updates
+// died with the crash, so without a fresh model their training loops
+// would stay parked forever.
 func (a *Algorithm) Restart(i int) {
 	s := a.servers[i]
 	if !s.down || s.left {
@@ -518,8 +521,10 @@ func (a *Algorithm) Restart(i int) {
 			panic(fmt.Sprintf("spyker: restart server %d: %v", i, err))
 		}
 		s.adopt(core)
+		s.core.emit(obs.KindRestore, i, 0, "")
 	} else {
 		s.adopt(NewServerCore(s.cfg, a.initial, false, s))
+		s.core.emit(obs.KindRestore, obs.NoPeer, 0, "")
 	}
 	s.down = false
 	s.epoch++
@@ -605,6 +610,7 @@ func (a *Algorithm) Join(sponsor int) int {
 		panic(fmt.Sprintf("spyker: bootstrap joined server %d: %v", newID, err))
 	}
 	ns.adopt(core)
+	ns.core.emit(obs.KindRestore, sponsor, 0, "")
 	if a.tickPeriod > 0 {
 		a.scheduleTickFor(env, ns, a.tickPeriod*(1+float64(newID)/float64(len(a.servers))))
 	}
@@ -782,23 +788,18 @@ func (a *Algorithm) deliverReply(i int) {
 // BroadcastModel implements Outbound. One pooled copy of the borrowed
 // params is shared by the peer records (fl.SharedVec), one share each, and
 // recycled when the last record is freed — after its last copy's job, or
-// at once when the network drops every copy. The frontier is also copied
-// once at broadcast time: delivery happens later in virtual time, while the
-// origin's live frontier keeps advancing, so aliasing it would corrupt the
-// causal snapshot the broadcast carries. mem needs no copy: Membership
+// at once when the network drops every copy. mem needs no copy: Membership
 // slices are immutable (ring package contract).
-func (s *simServer) BroadcastModel(params []float64, age float64, bid int, front []int64, mem ring.Membership) {
+func (s *simServer) BroadcastModel(params []float64, age float64, bid int, uid obs.UID, mem ring.Membership) {
 	a := s.alg
 	shared := s.env.Snapshot(params, len(a.servers)-1)
-	frontCopy := append([]int64(nil), front...)
-	uid := obs.RoundUID(s.id, bid)
 	src := s.env.ServerEndpoint(s.id)
 	for _, p := range a.servers {
 		if p.id == s.id {
 			continue
 		}
 		i, m := a.msgs.New()
-		*m = msg{to: p, from: s.id, vec: shared.Vec, shared: shared, age: age, bid: bid, front: frontCopy, mem: mem,
+		*m = msg{to: p, from: s.id, vec: shared.Vec, shared: shared, age: age, bid: bid, uid: uid, mem: mem,
 			proc: s.env.ProcFor(p.id, s.env.Hyper.ProcSpyker)}
 		a.post(src, s.env.ServerEndpoint(p.id), s.env.ModelBytes, uid, a.kind.model, i)
 	}
@@ -825,5 +826,5 @@ func (s *simServer) SendToken(t Token, next int) {
 	i, m := a.msgs.New()
 	*m = msg{to: a.servers[next], token: t}
 	a.post(s.env.ServerEndpoint(s.id), s.env.ServerEndpoint(next), fl.TokenWireBytes(len(t.Ages)),
-		obs.RoundUID(s.id, t.Bid), a.kind.token, i)
+		obs.RoundUID(s.id, t.Bid, 0), a.kind.token, i)
 }

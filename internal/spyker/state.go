@@ -38,9 +38,9 @@ type State struct {
 	MaxBidSeen  int
 	TokenRegens int
 
-	// Frontier is the merged-updates vector clock (causal provenance; see
-	// ServerCore.Frontier), as long as Ages.
-	Frontier []int64
+	// RoundCopy is the held round's latest copy index (obs.RoundUID), so a
+	// holder restored from a snapshot taken at its crash sends no UID twice.
+	RoundCopy int
 
 	// Mem is the epoch-versioned ring membership the core was running on.
 	Mem *ring.Membership
@@ -62,7 +62,7 @@ func (s *ServerCore) SnapshotInto(st *State) {
 	st.SyncsJoined = s.syncsJoined
 	st.MaxBidSeen = s.maxBidSeen
 	st.TokenRegens = s.tokenRegens
-	st.Frontier = append(st.Frontier[:0], s.frontier...)
+	st.RoundCopy = s.roundCopy
 	if st.Mem == nil {
 		st.Mem = &ring.Membership{}
 	}
@@ -106,10 +106,10 @@ func (s *ServerCore) SnapshotInto(st *State) {
 // exactly the snapshot's ring, with the server's stable ID free of the
 // 0..N-1 constraint as long as it is a member. A snapshot is outside
 // input: one SnapshotInto cannot have written (a missing or malformed
-// membership, no frontier, lengths that disagree) is refused with an error.
+// membership, one that exceeds its ages) is refused with an error.
 func RestoreServerCore(st State, out Outbound) (*ServerCore, error) {
-	if st.Mem == nil || st.Frontier == nil {
-		return nil, fmt.Errorf("spyker: snapshot carries no ring membership or no frontier")
+	if st.Mem == nil {
+		return nil, fmt.Errorf("spyker: snapshot carries no ring membership")
 	}
 	mem := st.Mem.Clone()
 	// Every member indexes the ages, so none may reach past them.
@@ -121,12 +121,6 @@ func RestoreServerCore(st State, out Outbound) (*ServerCore, error) {
 		return nil, fmt.Errorf("spyker: snapshot server %d not a member of %s",
 			st.Config.ID, mem)
 	}
-	// Ages and frontier grow in lockstep (growTo), so their lengths must
-	// agree.
-	if len(st.Frontier) != len(st.Ages) {
-		return nil, fmt.Errorf("spyker: snapshot frontier length %d != ages length %d",
-			len(st.Frontier), len(st.Ages))
-	}
 	if st.Token != nil && st.MaxBidSeen < st.Token.Bid {
 		return nil, fmt.Errorf("spyker: snapshot holds token bid %d above its freshest witnessed bid %d",
 			st.Token.Bid, st.MaxBidSeen)
@@ -136,7 +130,6 @@ func RestoreServerCore(st State, out Outbound) (*ServerCore, error) {
 	s.agePrev = st.AgePrev
 	s.growTo(len(st.Ages))
 	copy(s.ages, st.Ages)
-	copy(s.frontier, st.Frontier)
 	if st.Token != nil {
 		t := Token{Bid: st.Token.Bid, Ages: tensor.Clone(st.Token.Ages), Mem: s.mem}
 		s.token = &t
@@ -160,5 +153,6 @@ func RestoreServerCore(st State, out Outbound) (*ServerCore, error) {
 	s.syncsJoined = st.SyncsJoined
 	s.maxBidSeen = st.MaxBidSeen
 	s.tokenRegens = st.TokenRegens
+	s.roundCopy = st.RoundCopy
 	return s, nil
 }

@@ -13,7 +13,7 @@ func driveCore(s *ServerCore) *fakeOut {
 	out := s.out.(*fakeOut)
 	s.HandleClientUpdate(0, []float64{1, 1}, s.Age(), 0)
 	s.HandleAge(2, 7, ring.Membership{})
-	s.HandleServerModel(1, []float64{3, -3}, 4, 9, nil, ring.Membership{})
+	s.HandleServerModel(1, []float64{3, -3}, 4, 9, 0, ring.Membership{})
 	s.HandleClientUpdate(1, []float64{-1, 2}, s.Age(), 0)
 	return out
 }
@@ -26,7 +26,7 @@ func TestSnapshotRestoreBehavioralEquivalence(t *testing.T) {
 	// Put the core into a nontrivial state.
 	a.HandleClientUpdate(0, []float64{2, 2}, 0, 0)
 	a.HandleAge(1, 3, ring.Membership{})
-	a.HandleServerModel(2, []float64{1, 1}, 2, 5, nil, ring.Membership{})
+	a.HandleServerModel(2, []float64{1, 1}, 2, 5, 0, ring.Membership{})
 
 	var st State
 	a.SnapshotInto(&st)
@@ -97,7 +97,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	out := &fakeOut{}
 	s := NewServerCore(coreConfig(1, 3, 2), []float64{1, 2}, false, out)
 	s.HandleClientUpdate(0, []float64{3, 4}, 0, 0)
-	s.HandleServerModel(2, []float64{5, 6}, 3, 7, nil, ring.Membership{})
+	s.HandleServerModel(2, []float64{5, 6}, 3, 7, 0, ring.Membership{})
 	var st State
 	s.SnapshotInto(&st)
 
@@ -175,12 +175,12 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 	}
 	mem := ring.Fixed(3)
 	st := State{Config: coreConfig(0, 3, 2), W: []float64{1}, Mem: &mem,
-		Ages: []float64{1, 2}, Frontier: []int64{0, 0}}
+		Ages: []float64{1, 2}}
 	if _, err := RestoreServerCore(st, &fakeOut{}); err == nil {
 		t.Error("ages shorter than the membership's slots accepted")
 	}
 	st.Config.ID = 5
-	st.Ages, st.Frontier = []float64{1, 2, 3}, []int64{0, 0, 0}
+	st.Ages = []float64{1, 2, 3}
 	if _, err := RestoreServerCore(st, &fakeOut{}); err == nil {
 		t.Error("a server outside its own membership accepted")
 	}
@@ -220,7 +220,7 @@ func TestRestoreRefusesMalformedMembership(t *testing.T) {
 		cfg := coreConfig(0, 3, 2)
 		cfg.ID = tc.id
 		st := State{Config: cfg, W: []float64{1}, Mem: &tc.mem,
-			Ages: []float64{0, 0, 0}, Frontier: []int64{0, 0, 0}}
+			Ages: []float64{0, 0, 0}}
 		if _, err := RestoreServerCore(st, &fakeOut{}); err == nil {
 			t.Errorf("%s: %s restored", tc.name, tc.mem)
 		}

@@ -4,15 +4,15 @@
 // client updates, model replies, server-model broadcasts, age
 // announcements, the token, and the join handshake.
 //
-// # Frame layout (wire version 2)
+// # Frame layout (wire version 3)
 //
-// A frame is an 80-byte header followed by a body of the length the
+// A frame is a 76-byte header followed by a body of the length the
 // header declares. All integers are little-endian; a float64 travels as
 // its IEEE-754 bit pattern (math.Float64bits), an int as a two's
 // complement int64.
 //
 //	offset size field
-//	     0    1 version (2)
+//	     0    1 version (3)
 //	     1    1 kind (KindHello .. KindJoinReply)
 //	     2    2 reserved, zero
 //	     4    4 body length in bytes
@@ -20,17 +20,19 @@
 //	    16    8 Age
 //	    24    8 LR
 //	    32    8 Bid
-//	    40    8 Trace.UID
+//	    40    8 UID
 //	    48    8 Epoch
 //	    56    4 len(Params)
 //	    60    4 len(Ages)
-//	    64    4 len(Trace.Front)
-//	    68    4 len(Members)
-//	    72    4 len(Addrs)
-//	    76    4 len(Blob)
-//	    80      body: Params, Ages, Trace.Front and Members as 8-byte
-//	            words, then every address as a 2-byte length and its
-//	            bytes, then Blob
+//	    64    4 len(Members)
+//	    68    4 len(Addrs)
+//	    72    4 len(Blob)
+//	    76      body: Params, Ages and Members as 8-byte words, then
+//	            every address as a 2-byte length and its bytes, then Blob
+//
+// Version 2 also carried the sender's merged-updates frontier on every
+// server-model frame; a trace reader rebuilds it now. The versions do not
+// interoperate: each refuses the other's first frame, version 3 by name.
 //
 // MsgWireBytes is a frame's exact size, so every byte counter downstream
 // (the live server's per-peer counters, trace events) counts true octets.
@@ -66,13 +68,13 @@
 //
 // RecvInto reads the header alone and refuses the frame — with a
 // *FrameError, before one body byte is buffered — unless, in this order:
-// the version is 2; the kind is known and the reserved bytes are zero;
-// the body is no longer than MaxBody; the six counts account for the
+// the version is 3; the kind is known and the reserved bytes are zero;
+// the body is no longer than MaxBody; the five counts account for the
 // body length exactly (every address costs at least its length prefix,
 // and without addresses nothing may be left over); Age and LR are
 // finite; and, once the owner called Bound, Params has the model's
 // dimension on the kinds that carry a model and is empty on the others,
-// the Ages, Front, Members and Addrs counts stay within the ring bound,
+// the Ages, Members and Addrs counts stay within the ring bound,
 // and there is no Blob. Only then is the body read: Params into memory
 // the target already owns or the supplier gives it for the bound
 // dimension, everything else into a buffer that grows with
@@ -85,9 +87,9 @@
 //
 // # Ownership of decoded slices
 //
-// Every field of the target Msg is assigned on every decode. Params and
-// Trace.Front reuse the target's backing arrays — receivers consume them
-// before the next decode and never retain them. Ages, Members, Addrs and
+// Every field of the target Msg is assigned on every decode. Params reuse
+// the target's backing array — receivers consume them before the next
+// decode and never retain them. Ages, Members, Addrs and
 // Blob are fresh on every decode (nil when empty): receivers keep them
 // (the token's age vector and membership end up inside ServerCore, the
 // address book and join snapshot outlive the frame), so a later decode
@@ -167,16 +169,6 @@ func (k Kind) carriesModel() bool {
 	return k == KindClientUpdate || k == KindModelReply || k == KindServerModel
 }
 
-// Trace is the causal provenance context riding on a frame. UID identifies
-// the client update (KindClientUpdate) or sync-round broadcast
-// (KindServerModel, KindToken) the frame carries; Front is the sender's
-// merged-updates frontier snapshot (KindServerModel only). A zero Trace is
-// "untraced".
-type Trace struct {
-	UID   obs.UID
-	Front []int64
-}
-
 // Msg is one protocol frame. Which fields are meaningful depends on Kind.
 type Msg struct {
 	Kind   Kind
@@ -186,7 +178,7 @@ type Msg struct {
 	LR     float64   // next client learning rate (KindModelReply)
 	Bid    int       // synchronization ID (KindServerModel, KindToken)
 	Ages   []float64 // token age vector (KindToken)
-	Trace  Trace     // causal provenance context (optional)
+	UID    obs.UID   // provenance: the update, broadcast copy or round carried (0 = untraced)
 
 	// Elastic-membership header. Epoch/Members version the sender's view
 	// of the server ring (server-to-server kinds); Addrs carries the
@@ -200,8 +192,8 @@ type Msg struct {
 }
 
 const (
-	wireVersion = 2
-	headerSize  = 80
+	wireVersion = 3
+	headerSize  = 76
 
 	// MaxBody is the longest frame body any connection accepts or sends
 	// (2^28 bytes: a model of 33 million parameters). A connection whose
@@ -235,10 +227,9 @@ const (
 	offEpoch   = 48
 	offParams  = 56
 	offAges    = 60
-	offFront   = 64
-	offMembers = 68
-	offAddrs   = 72
-	offBlob    = 76
+	offMembers = 64
+	offAddrs   = 68
+	offBlob    = 72
 )
 
 // FrameError is a frame the receiver refused; Reason names the check it
@@ -251,6 +242,7 @@ func (e *FrameError) Error() string { return "transport: refused frame: " + e.Re
 // The refusals, one per check in the package comment's validation order.
 var (
 	errVersion   = &FrameError{"unknown wire version"}
+	errVersion2  = &FrameError{"wire version 2, superseded by 3"}
 	errKind      = &FrameError{"unknown kind"}
 	errTooLong   = &FrameError{"body longer than the cap"}
 	errCounts    = &FrameError{"counts do not match the body length"}
@@ -262,7 +254,7 @@ var (
 
 // MsgWireBytes is the exact size of m's frame in bytes, header included.
 func MsgWireBytes(m *Msg) int {
-	n := headerSize + 8*(len(m.Params)+len(m.Ages)+len(m.Trace.Front)+len(m.Members)) + len(m.Blob)
+	n := headerSize + 8*(len(m.Params)+len(m.Ages)+len(m.Members)) + len(m.Blob)
 	for _, a := range m.Addrs {
 		n += 2 + len(a)
 	}
@@ -320,7 +312,7 @@ func Dial(addr string) (*Conn, error) {
 
 // Bound narrows what RecvInto accepts to what the owner already holds: a
 // frame of a kind that carries a model must have exactly dim parameters
-// and any other kind none, Ages, Front, Members and Addrs may have at
+// and any other kind none, Ages, Members and Addrs may have at
 // most ring entries each, and Blob must be empty. A server calls it on
 // its inbound connections — before every receive, since the ring bound
 // moves with the membership.
@@ -397,11 +389,10 @@ func encodeHeader(b []byte, m *Msg, body int) {
 	le.PutUint64(b[offAge:], math.Float64bits(m.Age))
 	le.PutUint64(b[offLR:], math.Float64bits(m.LR))
 	le.PutUint64(b[offBid:], uint64(m.Bid))
-	le.PutUint64(b[offUID:], uint64(m.Trace.UID))
+	le.PutUint64(b[offUID:], uint64(m.UID))
 	le.PutUint64(b[offEpoch:], uint64(m.Epoch))
 	le.PutUint32(b[offParams:], uint32(len(m.Params)))
 	le.PutUint32(b[offAges:], uint32(len(m.Ages)))
-	le.PutUint32(b[offFront:], uint32(len(m.Trace.Front)))
 	le.PutUint32(b[offMembers:], uint32(len(m.Members)))
 	le.PutUint32(b[offAddrs:], uint32(len(m.Addrs)))
 	le.PutUint32(b[offBlob:], uint32(len(m.Blob)))
@@ -412,10 +403,6 @@ func encodeHeader(b []byte, m *Msg, body int) {
 func encodeTail(b []byte, m *Msg) {
 	le := binary.LittleEndian
 	b = putFloats(b, m.Ages)
-	for _, v := range m.Trace.Front {
-		le.PutUint64(b, uint64(v))
-		b = b[8:]
-	}
 	for _, v := range m.Members {
 		le.PutUint64(b, uint64(v))
 		b = b[8:]
@@ -498,6 +485,8 @@ func (c *Conn) RecvInto(m *Msg) error {
 	le := binary.LittleEndian
 	kind := Kind(h[offKind])
 	switch {
+	case h[offVersion] == 2:
+		return errVersion2
 	case h[offVersion] != wireVersion:
 		return errVersion
 	case kind < KindHello || kind > KindJoinReply || h[offZero] != 0 || h[offZero+1] != 0:
@@ -509,13 +498,12 @@ func (c *Conn) RecvInto(m *Msg) error {
 	}
 	nParams := int64(le.Uint32(h[offParams:]))
 	nAges := int64(le.Uint32(h[offAges:]))
-	nFront := int64(le.Uint32(h[offFront:]))
 	nMembers := int64(le.Uint32(h[offMembers:]))
 	nAddrs := int64(le.Uint32(h[offAddrs:]))
 	nBlob := int64(le.Uint32(h[offBlob:]))
 	// What the addresses take beyond their length prefixes; the counts
 	// are 32-bit, so the sum cannot overflow an int64.
-	addrBytes := body - 8*(nParams+nAges+nFront+nMembers) - 2*nAddrs - nBlob
+	addrBytes := body - 8*(nParams+nAges+nMembers) - 2*nAddrs - nBlob
 	if addrBytes < 0 || (nAddrs == 0 && addrBytes != 0) {
 		return errCounts
 	}
@@ -532,7 +520,7 @@ func (c *Conn) RecvInto(m *Msg) error {
 		switch {
 		case nParams != want:
 			return errDimension
-		case nAges > ring || nFront > ring || nMembers > ring || nAddrs > ring || nBlob != 0:
+		case nAges > ring || nMembers > ring || nAddrs > ring || nBlob != 0:
 			return errRing
 		}
 	}
@@ -542,7 +530,7 @@ func (c *Conn) RecvInto(m *Msg) error {
 	m.Age = math.Float64frombits(age)
 	m.LR = math.Float64frombits(lr)
 	m.Bid = int(int64(le.Uint64(h[offBid:])))
-	m.Trace.UID = obs.UID(le.Uint64(h[offUID:]))
+	m.UID = obs.UID(le.Uint64(h[offUID:]))
 	m.Epoch = int(int64(le.Uint64(h[offEpoch:])))
 
 	var b []byte // what follows Params
@@ -575,10 +563,9 @@ func (c *Conn) RecvInto(m *Msg) error {
 			return errNonFinite
 		}
 	}
-	m.Trace.Front = m.Trace.Front[:0]
 	m.Ages, m.Members, m.Addrs, m.Blob = nil, nil, nil, nil
-	if nAges|nFront|nMembers|nAddrs|nBlob != 0 {
-		return m.decodeTail(b, int(nAges), int(nFront), int(nMembers), int(nAddrs), int(nBlob))
+	if nAges|nMembers|nAddrs|nBlob != 0 {
+		return m.decodeTail(b, int(nAges), int(nMembers), int(nAddrs), int(nBlob))
 	}
 	return nil
 }
@@ -615,13 +602,13 @@ func (c *Conn) readGrowing(n int) ([]byte, error) {
 }
 
 // decodeTail decodes what follows Params in a body: the control-plane
-// vectors of the inter-server and join frames. Front reuses m's backing
-// array; Ages, Members, Addrs and Blob are allocated fresh, because
-// receivers retain them (see the package comment). Out of line: model
-// frames between a client and its server never get here.
+// vectors of the inter-server and join frames. Ages, Members, Addrs and
+// Blob are allocated fresh, because receivers retain them (see the package
+// comment). Out of line: model frames between a client and its server
+// never get here.
 //
 //go:noinline
-func (m *Msg) decodeTail(b []byte, nAges, nFront, nMembers, nAddrs, nBlob int) error {
+func (m *Msg) decodeTail(b []byte, nAges, nMembers, nAddrs, nBlob int) error {
 	le := binary.LittleEndian
 	if nAges > 0 {
 		m.Ages = make([]float64, nAges)
@@ -630,14 +617,6 @@ func (m *Msg) decodeTail(b []byte, nAges, nFront, nMembers, nAddrs, nBlob int) e
 		}
 		b = b[8*nAges:]
 	}
-	if cap(m.Trace.Front) < nFront {
-		m.Trace.Front = make([]int64, nFront)
-	}
-	m.Trace.Front = m.Trace.Front[:nFront]
-	for i := range m.Trace.Front {
-		m.Trace.Front[i] = int64(le.Uint64(b[8*i:]))
-	}
-	b = b[8*nFront:]
 	if nMembers > 0 {
 		m.Members = make([]int, nMembers)
 		for i := range m.Members {

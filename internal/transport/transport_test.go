@@ -96,13 +96,13 @@ func oneOfEachKind() []*Msg {
 	return []*Msg{
 		{Kind: KindHello, From: 3, Bid: 1},
 		{Kind: KindClientUpdate, From: 3, Params: []float64{1.5, -2.5, 0, 4}, Age: 7,
-			Trace: Trace{UID: obs.UpdateUID(3, 9)}},
+			UID: obs.UpdateUID(3, 9)},
 		{Kind: KindModelReply, From: 0, Params: []float64{0.1, 0.2, 0.3, 0.4}, Age: 8, LR: 0.05},
 		{Kind: KindServerModel, From: 1, Params: []float64{9, 8, 7, 6}, Age: 100.5, Bid: 4,
-			Trace: Trace{UID: obs.RoundUID(1, 4), Front: []int64{12, 7, 0}},
+			UID:   obs.RoundUID(1, 4, 2),
 			Epoch: 2, Members: []int{0, 1, 2}, Addrs: []string{"127.0.0.1:7000", "", "[::1]:7002"}},
 		{Kind: KindAge, From: 2, Age: 55, Epoch: 2, Members: []int{0, 1, 2}, Addrs: []string{"a:1", "b:2", "c:3"}},
-		{Kind: KindToken, From: 0, Bid: 9, Ages: []float64{1, 2, 3}, Trace: Trace{UID: obs.RoundUID(0, 9)},
+		{Kind: KindToken, From: 0, Bid: 9, Ages: []float64{1, 2, 3}, UID: obs.RoundUID(0, 9, 0),
 			Epoch: 2, Members: []int{0, 1, 2}, Addrs: []string{"a:1", "b:2", "c:3"}},
 		{Kind: KindShutdown, From: 0},
 		{Kind: KindJoinRequest, Addrs: []string{"10.0.0.7:7003"}},
@@ -122,7 +122,7 @@ func TestRoundTrip(t *testing.T) {
 			Params: []float64{math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
 				math.MaxFloat64, -math.MaxFloat64, 2.2250738585072014e-308}},
 		&Msg{Kind: KindToken, From: math.MinInt64, Bid: math.MaxInt64, Ages: []float64{math.Copysign(0, -1)},
-			Members: []int{-5, math.MaxInt64}, Trace: Trace{UID: -1, Front: []int64{math.MinInt64, -1}}},
+			Members: []int{-5, math.MaxInt64}, UID: -1},
 		&Msg{Kind: KindAge, Members: []int{0, 1}, Addrs: []string{"", ""}},
 		&Msg{Kind: KindJoinRequest, Addrs: []string{strings.Repeat("x", maxAddr)}},
 		&Msg{Kind: KindJoinReply, Blob: make([]byte, 70_000)},
@@ -153,14 +153,14 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodedSliceOwnership pins the rule receivers rely on: Params and
-// Front reuse the target's backing arrays, while Ages, Members, Addrs and
-// Blob of an earlier frame are never written again.
+// TestDecodedSliceOwnership pins the rule receivers rely on: Params reuse
+// the target's backing array, while Ages, Members, Addrs and Blob of an
+// earlier frame are never written again.
 func TestDecodedSliceOwnership(t *testing.T) {
 	first := &Msg{Kind: KindToken, Ages: []float64{1, 2}, Members: []int{0, 1}, Addrs: []string{"a:1", "b:2"},
-		Params: []float64{1, 2}, Trace: Trace{Front: []int64{5, 6}}, Blob: []byte("one")}
+		Params: []float64{1, 2}, Blob: []byte("one")}
 	second := &Msg{Kind: KindToken, Ages: []float64{8, 9}, Members: []int{3, 4}, Addrs: []string{"c:3", "d:4"},
-		Params: []float64{3, 4}, Trace: Trace{Front: []int64{7, 8}}, Blob: []byte("two")}
+		Params: []float64{3, 4}, Blob: []byte("two")}
 	mc := &memConn{}
 	mc.in.Write(frame(first))
 	mc.in.Write(frame(second))
@@ -173,8 +173,8 @@ func TestDecodedSliceOwnership(t *testing.T) {
 	if err := c.RecvInto(&m); err != nil {
 		t.Fatal(err)
 	}
-	if &kept.Params[0] != &m.Params[0] || &kept.Trace.Front[0] != &m.Trace.Front[0] {
-		t.Error("Params and Front must reuse the target's backing arrays")
+	if &kept.Params[0] != &m.Params[0] {
+		t.Error("Params must reuse the target's backing array")
 	}
 	if kept.Ages[0] != 1 || kept.Members[0] != 0 || kept.Addrs[0] != "a:1" || string(kept.Blob) != "one" {
 		t.Errorf("a later decode wrote over retained slices: %+v", kept)
@@ -292,7 +292,7 @@ func TestMsgWireBytes(t *testing.T) {
 			t.Errorf("%v frame took %d writes, want at most %d", m.Kind, mc.writes, most)
 		}
 	}
-	if got, want := MsgWireBytes(&Msg{Kind: KindClientUpdate, Params: make([]float64, 16384)}), 80+8*16384; got != want {
+	if got, want := MsgWireBytes(&Msg{Kind: KindClientUpdate, Params: make([]float64, 16384)}), 76+8*16384; got != want {
 		t.Errorf("a D=16384 update is %d bytes, want %d", got, want)
 	}
 
@@ -400,7 +400,7 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	mc.in.Grow(1 << 20)
 	c := NewConn(&loopConn{mc})
 	out := &Msg{Kind: KindClientUpdate, From: 3, Params: make([]float64, 16384), Age: 7,
-		Trace: Trace{UID: obs.UpdateUID(3, 9)}}
+		UID: obs.UpdateUID(3, 9)}
 	var in Msg
 	allocs := testing.AllocsPerRun(50, func() {
 		if err := c.Send(out); err != nil {
@@ -413,8 +413,8 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state Send+RecvInto allocates %v times per frame, want 0", allocs)
 	}
-	if len(in.Params) != len(out.Params) || in.Trace.UID != out.Trace.UID {
-		t.Errorf("frame corrupted: %d params, uid %v", len(in.Params), in.Trace.UID)
+	if len(in.Params) != len(out.Params) || in.UID != out.UID {
+		t.Errorf("frame corrupted: %d params, uid %v", len(in.Params), in.UID)
 	}
 }
 
@@ -430,7 +430,7 @@ func TestRecvIntoAllocations(t *testing.T) {
 	want := map[string]float64{
 		// What decodeTail hands the receiver to keep: the Members, the
 		// address section's one string and the Addrs slice over it, the
-		// Ages, the Blob. The Front reuses the target's.
+		// Ages, the Blob.
 		"server-model": 3, "age": 3, "token": 4, "join-request": 2, "join-reply": 4,
 		// The connection's first 64 KiB body buffer, given up with the
 		// read that failed.
@@ -614,6 +614,7 @@ func malformedFrames() []malformed {
 		{"body over the cap", errTooLong, le(update, offBody, MaxBody+1)},
 		{"gob stream", errVersion, gob},
 		{"version 1", errVersion, withByte(update, offVersion, 1)},
+		{"version 2", errVersion2, withByte(update, offVersion, 2)},
 		{"kind 0", errKind, withByte(update, offKind, 0)},
 		{"kind out of range", errKind, withByte(update, offKind, byte(KindJoinReply)+1)},
 		{"reserved byte set", errKind, withByte(update, offZero, 1)},
@@ -673,7 +674,6 @@ func TestBound(t *testing.T) {
 		{"no model", &Msg{Kind: KindClientUpdate}, errDimension},
 		{"model on an age frame", &Msg{Kind: KindAge, Params: make([]float64, dim)}, errDimension},
 		{"long age vector", &Msg{Kind: KindToken, Ages: make([]float64, ring+1)}, errRing},
-		{"long frontier", &Msg{Kind: KindServerModel, Params: make([]float64, dim), Trace: Trace{Front: make([]int64, ring+1)}}, errRing},
 		{"long membership", &Msg{Kind: KindAge, Members: make([]int, ring+1)}, errRing},
 		{"long address book", &Msg{Kind: KindAge, Addrs: make([]string, ring+1)}, errRing},
 		{"blob", &Msg{Kind: KindAge, Blob: []byte{1}}, errRing},

@@ -15,7 +15,7 @@ import (
 // frame's Params through the body buffer, so it keeps one model-sized.)
 func TestFirstModelFrameLeavesNoBigBuffer(t *testing.T) {
 	mc := &memConn{}
-	out := &Msg{Kind: KindModelReply, Params: make([]float64, 16384), Age: 3, Trace: Trace{Front: []int64{1, 2}}}
+	out := &Msg{Kind: KindModelReply, Params: make([]float64, 16384), Age: 3, Ages: []float64{1, 2}}
 	mc.in.Write(frame(out))
 	mc.in.Write(frame(out))
 	c := NewConn(mc)
@@ -24,8 +24,8 @@ func TestFirstModelFrameLeavesNoBigBuffer(t *testing.T) {
 		if err := c.RecvInto(&in); err != nil {
 			t.Fatal(err)
 		}
-		if len(in.Params) != len(out.Params) || len(in.Trace.Front) != 2 {
-			t.Fatalf("frame %d corrupted: %d params, front %v", i, len(in.Params), in.Trace.Front)
+		if len(in.Params) != len(out.Params) || len(in.Ages) != 2 {
+			t.Fatalf("frame %d corrupted: %d params, ages %v", i, len(in.Params), in.Ages)
 		}
 		if cap(c.rbuf) > firstRead {
 			t.Fatalf("after frame %d the connection holds a %d-byte body buffer, want at most %d", i, cap(c.rbuf), firstRead)
@@ -45,7 +45,7 @@ func TestSuppliedFirstFrameStagesNothing(t *testing.T) {
 	const dim = 16384
 	supplied := make([]float64, dim)
 	mc := &memConn{}
-	mc.in.Write(frame(&Msg{Kind: KindServerModel, Params: make([]float64, dim), Trace: Trace{Front: []int64{1, 2}}}))
+	mc.in.Write(frame(&Msg{Kind: KindServerModel, Params: make([]float64, dim), Ages: []float64{1, 2}}))
 	c := NewConn(mc)
 	c.Bound(dim, 3)
 	c.Supply(func(int) []float64 { return supplied })
